@@ -4,7 +4,7 @@
 Usage::
 
     python scripts/run_experiments.py [scale] [max_cases] [parallelism]
-        [--backend thread|process|pool|serial]
+        [--backend thread|pool|serial]
         [--min-fork-batch N] [--margin-cells N]
 
 A ``parallelism`` above 1 routes through the :mod:`repro.sched` batched
@@ -41,7 +41,7 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument(
         "--backend",
         default=None,
-        choices=("serial", "thread", "process", "pool"),
+        choices=("serial", "thread", "pool"),
         help="batched-executor backend (default: thread when parallelism > 1)",
     )
     parser.add_argument(

@@ -228,10 +228,9 @@ class Dac2012Router:
     """2-pin, mask-expanded-graph TPL-aware router (Table II baseline).
 
     The ``parallelism`` / ``batch_size`` / ``batch_backend`` knobs switch
-    the rip-up loop onto the :mod:`repro.sched` disjoint-batch executor;
-    the default keeps the plain sequential loop.  ``batch_backend="auto"``
-    or the ``autotune`` knob (``REPRO_AUTOTUNE=probe|full``) hands the
-    choice to the self-tuning scheduler (:mod:`repro.sched.autotune`).
+    the rip-up loop onto the :mod:`repro.sched` disjoint-batch executor
+    (``batch_backend`` one of ``serial`` / ``thread`` / ``pool``); the
+    default keeps the plain sequential loop.
     """
 
     name = "dac2012"
@@ -250,7 +249,6 @@ class Dac2012Router:
         batch_policy: str = "prefix",
         min_fork_batch: Optional[int] = None,
         batch_margin: Optional[int] = None,
-        autotune: Optional[str] = None,
     ) -> None:
         self.design = design
         self.grid = grid if grid is not None else RoutingGrid(design)
@@ -289,7 +287,6 @@ class Dac2012Router:
             batch_policy,
             min_fork_batch=min_fork_batch,
             margin_cells=batch_margin,
-            autotune=autotune,
         )
         # Per-phase wall-clock record: shared with the executor's stats when
         # one is engaged, so campaign merges and bench JSON see one record.

@@ -41,24 +41,17 @@ identical reports (baseline: ``BENCH_incremental_check.json``).
 :func:`run_batch_sched_benchmarks` (``--batched``) routes every case both
 through the plain sequential loop and through the :mod:`repro.sched`
 disjoint-batch executor (``--parallelism`` / ``--backend``, which accepts a
-comma-separated backend list including the persistent journal-replicated
-``pool``; ``--min-fork-batch`` / ``--margin-cells`` expose the tuning
-knobs), asserting the batched solutions are bit-identical and recording per
-backend the wall-clock ratio plus the executor's full stats (speculation,
-fork and journal-replay counters) and the host ``cpu_count`` (baseline:
-``BENCH_batch_sched.json``).  Beyond the dense ispd-like sweep the batched
-run appends the production-shaped :data:`SPARSE_CASES`, whose small
-net-span/die ratios let batches actually grow toward the parallelism cap.
-
-:func:`run_autotune_benchmarks` (``--autotune``) benchmarks the
-self-tuning scheduler (:mod:`repro.sched.autotune`) against static
-configurations on the batch-engaging sparse cases: serial baseline,
-static thread/pool legs, a thread-backend native-scaling sweep at 1/2/4
-workers recording ``cpu_count`` and the active kernel tier per leg, and
-the autotuned ``batch_backend="auto"`` + ``autotune="full"`` leg whose
-row records the calibration profile, the controller's per-iteration
-decision log and the wall-clock ratio against the best static leg
-(baseline: ``BENCH_autotune.json``).
+comma-separated list of ``serial`` / ``thread`` / ``pool``;
+``--min-fork-batch`` / ``--margin-cells`` expose the tuning knobs),
+asserting the batched solutions are bit-identical and recording per
+backend the wall-clock ratio against the sequential loop plus the
+executor's full stats (speculation, fork and journal-replay counters) and
+the host ``cpu_count`` (baseline: ``BENCH_batch_sched.json``).  Beyond
+the dense ispd-like sweep the batched run appends the production-shaped
+:data:`SPARSE_CASES`, whose small net-span/die ratios let batches
+actually grow toward the parallelism cap; ``--suite sparse --backend
+thread,pool --parallelism 2`` measures thread and pool scaling against
+the sequential loop with the sparse cases as the main sweep.
 
 :func:`run_checkpoint_benchmarks` (``--checkpoint``) checkpoints a full
 Mr.TPL campaign both as the complete journal op log and as the
@@ -1207,181 +1200,6 @@ def run_fault_tolerance_benchmarks(
     }
 
 
-def run_autotune_benchmarks(
-    scale: Optional[float] = None,
-    routers: Tuple[str, ...] = ("maze", "color-state", "dac2012"),
-    repeat: int = 1,
-    parallelism: int = 4,
-    thread_workers: Tuple[int, ...] = (1, 2, 4),
-    sparse_cases: Tuple[Tuple[str, int], ...] = SPARSE_CASES,
-) -> Dict[str, object]:
-    """Benchmark the self-tuning scheduler against static configurations.
-
-    Routes the batch-engaging :data:`SPARSE_CASES` through every router
-    four ways: the plain serial loop (the parity oracle), static ``thread``
-    and (where fork exists) ``pool`` legs at *parallelism* workers, a
-    thread-backend **native-scaling sweep** at each entry of
-    *thread_workers* (the compiled relaxation kernel releases the GIL, so
-    thread workers scale with real cores -- each leg records ``cpu_count``
-    and the active kernel tier so the baseline shows whether the host
-    could possibly speed up), and finally the autotuned leg
-    (``batch_backend="auto"`` + ``autotune="full"``), where the router
-    calibrates the host, picks its own backend and adapts the batch knobs
-    from the executor counters each rip-up iteration.
-
-    Every leg is asserted bit-identical to the serial run.  The autotuned
-    row records the calibration :class:`~repro.sched.HardwareProfile`, the
-    controller's full per-iteration decision log and the wall-clock ratio
-    against the best *static* leg -- the acceptance criterion is that on a
-    multi-core host the controller lands within 10% of the best static
-    configuration without being told which one that is (baseline:
-    ``BENCH_autotune.json``).
-    """
-    from repro.baselines.dac2012 import Dac2012Router
-    from repro.bench.suites import suite_case
-    from repro.dr.router import DetailedRouter
-    from repro.sched import calibrate
-    from repro.tpl.mr_tpl import MrTPLRouter
-
-    if scale is None:
-        scale = default_bench_scale()
-    repeat = max(1, repeat)
-    profile = calibrate()
-    static_backends = ("thread", "pool") if profile.fork_available else ("thread",)
-    router_classes = {
-        "maze": DetailedRouter,
-        "color-state": MrTPLRouter,
-        "dac2012": Dac2012Router,
-    }
-    results: List[Dict[str, object]] = []
-    for case_suite, number in sparse_cases:
-        for router_key in routers:
-            router_class = router_classes[router_key]
-
-            def run_mode(**router_kwargs):
-                samples: List[float] = []
-                mode_digests: List[object] = []
-                executor = None
-                for _round in range(repeat):
-                    design = suite_case(case_suite, number, scale).build()
-                    router = router_class(design, **router_kwargs)
-                    start = time.perf_counter()
-                    solution = router.run()
-                    samples.append(time.perf_counter() - start)
-                    mode_digests.append(
-                        (solution_fingerprint(solution), solution_metrics(solution))
-                    )
-                    executor = router.batch_executor
-                stable = all(digest == mode_digests[0] for digest in mode_digests)
-                return median(samples), mode_digests[0], stable, executor
-
-            def leg_row(leg, seconds, digest, stable, executor, workers=None):
-                return {
-                    "suite": case_suite,
-                    "case": number,
-                    "router": router_key,
-                    "leg": leg,
-                    "workers": workers,
-                    "serial_seconds": round(serial_seconds, 4),
-                    "leg_seconds": round(seconds, 4),
-                    "speedup": round(serial_seconds / max(seconds, 1e-9), 3),
-                    "identical_solutions": serial_stable
-                    and stable
-                    and digest == serial_digest,
-                    "batch_stats": executor.stats.as_dict()
-                    if executor is not None
-                    else {},
-                }
-
-            serial_seconds, serial_digest, serial_stable, _ = run_mode()
-            static_seconds: Dict[str, float] = {"serial": serial_seconds}
-            for backend in static_backends:
-                seconds, digest, stable, executor = run_mode(
-                    parallelism=parallelism,
-                    batch_backend=backend,
-                    min_fork_batch=2,
-                )
-                static_seconds[backend] = seconds
-                results.append(
-                    leg_row(
-                        f"static:{backend}", seconds, digest, stable, executor,
-                        workers=parallelism,
-                    )
-                )
-            # Thread-backend native-scaling sweep (one router is enough to
-            # characterise the kernel; color-state is the paper's router).
-            if router_key == "color-state":
-                for workers in thread_workers:
-                    seconds, digest, stable, executor = run_mode(
-                        parallelism=workers,
-                        batch_backend="thread",
-                        min_fork_batch=2,
-                    )
-                    row = leg_row(
-                        f"thread-scaling:{workers}w", seconds, digest, stable,
-                        executor, workers=workers,
-                    )
-                    row["cpu_count"] = profile.cpu_count
-                    row["native_tier"] = active_search_tier()
-                    results.append(row)
-            seconds, digest, stable, executor = run_mode(
-                batch_backend="auto", autotune="full"
-            )
-            controller = executor.autotune if executor is not None else None
-            best_leg = min(static_seconds, key=static_seconds.get)
-            ratio = seconds / max(static_seconds[best_leg], 1e-9)
-            row = leg_row("autotune", seconds, digest, stable, executor)
-            row["best_static_leg"] = best_leg
-            row["ratio_vs_best_static"] = round(ratio, 3)
-            row["within_10pct_of_best_static"] = ratio <= 1.10
-            row["decisions"] = (
-                [decision.as_dict() for decision in controller.decisions]
-                if controller is not None
-                else []
-            )
-            results.append(row)
-    speedups = [entry["speedup"] for entry in results]
-    geomean = 1.0
-    for value in speedups:
-        geomean *= max(value, 1e-9)
-    geomean **= 1.0 / max(len(speedups), 1)
-    autotune_rows = [entry for entry in results if entry["leg"] == "autotune"]
-    return {
-        "benchmark": "self-tuning scheduler (calibration + online controller) "
-        "vs static configurations",
-        "scale": scale,
-        "repeat": repeat,
-        "parallelism": parallelism,
-        "thread_workers": list(thread_workers),
-        "sparse_cases": [list(entry) for entry in sparse_cases],
-        "cpu_count": profile.cpu_count,
-        "os_cpu_count": os.cpu_count(),
-        "native_tier": active_search_tier(),
-        "hardware_profile": profile.as_dict(),
-        "numpy_available": have_numpy(),
-        "numpy_enabled": numpy_enabled(),
-        "results": results,
-        # The 10% acceptance criterion is defined for multi-core hosts: on
-        # a single usable core the controller deliberately takes the serial
-        # floor, while the best *static* leg may be whichever speculative
-        # tier happens to win on that router -- a comparison the criterion
-        # does not cover.  The per-row ratios are still recorded.
-        "autotune_within_10pct": (
-            all(entry["within_10pct_of_best_static"] for entry in autotune_rows)
-            if autotune_rows and profile.cpu_count >= 2
-            else None
-        ),
-        "autotune_criterion_note": (
-            "criterion evaluated"
-            if profile.cpu_count >= 2
-            else "single usable core: controller takes the serial floor; "
-            "10% criterion applies on >=2-core hosts"
-        ),
-        "geomean_speedup": round(geomean, 3),
-        "all_identical": all(entry["identical_solutions"] for entry in results),
-    }
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point: run the micro-benchmarks and write a JSON baseline."""
     import argparse
@@ -1455,15 +1273,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "BENCH_fault_tolerance.json)",
     )
     parser.add_argument(
-        "--autotune",
-        action="store_true",
-        help="benchmark the self-tuning scheduler (hardware calibration + "
-        "online backend/knob controller, plus a thread-backend native-"
-        "scaling sweep at 1/2/4 workers) against static configurations "
-        "instead of the search engines (default output: "
-        "BENCH_autotune.json)",
-    )
-    parser.add_argument(
         "--deadline",
         type=float,
         default=2.0,
@@ -1491,7 +1300,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--backend",
         default="thread",
         help="comma-separated batched-executor backend list "
-        "(serial/thread/process/pool; --batched only)",
+        "(serial/thread/pool; --batched only)",
     )
     parser.add_argument(
         "--min-fork-batch",
@@ -1515,9 +1324,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.out is None:
-        if args.autotune:
-            args.out = "BENCH_autotune.json"
-        elif args.faults:
+        if args.faults:
             args.out = "BENCH_fault_tolerance.json"
         elif args.checkpoint:
             args.out = "BENCH_checkpoint.json"
@@ -1550,19 +1357,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not cases:
         parser.error("--cases selected no case numbers")
     def produce_report():
-        if args.autotune:
-            # Autotune legs only make sense on the batch-engaging sparse
-            # cases; smoke keeps one case/router at a pool-friendly scale.
-            return run_autotune_benchmarks(
-                scale=0.4 if args.smoke else scale,
-                routers=("color-state",)
-                if args.smoke
-                else ("maze", "color-state", "dac2012"),
-                repeat=args.repeat,
-                parallelism=args.parallelism,
-                thread_workers=(1, 2) if args.smoke else (1, 2, 4),
-                sparse_cases=(("sparse", 1),) if args.smoke else SPARSE_CASES,
-            )
         if args.faults:
             return run_fault_tolerance_benchmarks(
                 scale=args.scale, deadline=args.deadline
@@ -1641,26 +1435,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     for entry in report["results"]:
-        if args.autotune:
-            extra = ""
-            if entry["leg"] == "autotune":
-                extra = (
-                    f" vs-best-static({entry['best_static_leg']})="
-                    f"{entry['ratio_vs_best_static']:.2f}x "
-                    f"decisions={len(entry['decisions'])}"
-                )
-            elif entry["leg"].startswith("thread-scaling"):
-                extra = (
-                    f" tier={entry['native_tier']} cpus={entry['cpu_count']}"
-                )
-            print(
-                f"{entry['suite']} case{entry['case']:>2} {entry['router']:<12} "
-                f"{entry['leg']:<18} serial={entry['serial_seconds']:.3f}s "
-                f"leg={entry['leg_seconds']:.3f}s "
-                f"speedup={entry['speedup']:.2f}x "
-                f"identical={entry['identical_solutions']}{extra}"
-            )
-        elif args.faults:
+        if args.faults:
             recovery = ", ".join(
                 f"{key}={value}"
                 for key, value in entry["recovery"].items()

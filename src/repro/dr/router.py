@@ -35,11 +35,10 @@ class DetailedRouter:
     """Sequential negotiation-based detailed router (no TPL awareness).
 
     The ``parallelism`` / ``batch_size`` / ``batch_backend`` knobs switch
-    the rip-up loop onto the :mod:`repro.sched` disjoint-batch executor;
-    the default (``parallelism=1``, no batch size) keeps the plain
-    sequential loop.  ``batch_backend="auto"`` or the ``autotune`` knob
-    (``REPRO_AUTOTUNE=probe|full``) hands the choice to the self-tuning
-    scheduler (:mod:`repro.sched.autotune`).
+    the rip-up loop onto the :mod:`repro.sched` disjoint-batch executor
+    (``batch_backend`` one of ``serial`` / ``thread`` / ``pool``); the
+    default (``parallelism=1``, no batch size) keeps the plain sequential
+    loop.
     """
 
     name = "plain-dr"
@@ -57,7 +56,6 @@ class DetailedRouter:
         batch_policy: str = "prefix",
         min_fork_batch: Optional[int] = None,
         batch_margin: Optional[int] = None,
-        autotune: Optional[str] = None,
     ) -> None:
         self.design = design
         self.grid = grid if grid is not None else RoutingGrid(design)
@@ -88,7 +86,6 @@ class DetailedRouter:
             batch_policy,
             min_fork_batch=min_fork_batch,
             margin_cells=batch_margin,
-            autotune=autotune,
         )
         # Per-phase wall-clock record: shared with the executor's stats when
         # one is engaged, so campaign merges and bench JSON see one record.

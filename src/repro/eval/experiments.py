@@ -98,7 +98,6 @@ def run_table2_case(
     batch_backend: str = "serial",
     min_fork_batch: Optional[int] = None,
     batch_margin: Optional[int] = None,
-    autotune: Optional[str] = None,
 ) -> Table2Row:
     """Run the Table II comparison on a single suite case.
 
@@ -125,7 +124,6 @@ def run_table2_case(
         batch_backend=batch_backend,
         min_fork_batch=min_fork_batch,
         batch_margin=batch_margin,
-        autotune=autotune,
     )
     baseline_solution = baseline_router.run()
     baseline_eval = evaluate_solution(
@@ -143,7 +141,6 @@ def run_table2_case(
         batch_backend=batch_backend,
         min_fork_batch=min_fork_batch,
         batch_margin=batch_margin,
-        autotune=autotune,
     )
     ours_solution = ours_router.run()
     ours_eval = evaluate_solution(design_for_ours, ours_grid, ours_solution, guides_ours)
@@ -159,7 +156,6 @@ def run_table2(
     batch_backend: str = "serial",
     min_fork_batch: Optional[int] = None,
     batch_margin: Optional[int] = None,
-    autotune: Optional[str] = None,
 ) -> List[Table2Row]:
     """Run the full Table II experiment over the ISPD-2018-like suite."""
     suite = ispd18_suite(scale, cases=list(cases) if cases is not None else None)
@@ -174,7 +170,6 @@ def run_table2(
                 batch_backend=batch_backend,
                 min_fork_batch=min_fork_batch,
                 batch_margin=batch_margin,
-                autotune=autotune,
             )
         )
     return rows
@@ -246,7 +241,6 @@ def run_table3_case(
     batch_backend: str = "serial",
     min_fork_batch: Optional[int] = None,
     batch_margin: Optional[int] = None,
-    autotune: Optional[str] = None,
 ) -> Table3Row:
     """Run the Table III comparison on a single suite case.
 
@@ -273,7 +267,6 @@ def run_table3_case(
         batch_backend=batch_backend,
         min_fork_batch=min_fork_batch,
         batch_margin=batch_margin,
-        autotune=autotune,
     )
     plain_solution = plain_router.run()
     decomposer = LayoutDecomposer(design_for_decomposition, decomp_grid)
@@ -290,7 +283,6 @@ def run_table3_case(
         batch_backend=batch_backend,
         min_fork_batch=min_fork_batch,
         batch_margin=batch_margin,
-        autotune=autotune,
     )
     ours_solution = ours_router.run()
     # Served from the router's incremental tallies (a delta refresh, not a
@@ -317,7 +309,6 @@ def run_table3(
     batch_backend: str = "serial",
     min_fork_batch: Optional[int] = None,
     batch_margin: Optional[int] = None,
-    autotune: Optional[str] = None,
 ) -> List[Table3Row]:
     """Run the full Table III experiment over the ISPD-2019-like suite."""
     suite = ispd19_suite(scale, cases=list(cases) if cases is not None else None)
@@ -332,7 +323,6 @@ def run_table3(
                 batch_backend=batch_backend,
                 min_fork_batch=min_fork_batch,
                 batch_margin=batch_margin,
-                autotune=autotune,
             )
         )
     return rows

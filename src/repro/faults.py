@@ -69,8 +69,8 @@ Injection sites
     Pool worker closes its pipe and exits cleanly without replying --
     the parent sees a bare EOF.
 ``compute.error``
-    Speculative compute raises :class:`FaultError` (fires on every
-    backend: thread, process and pool workers all route through
+    Speculative compute raises :class:`FaultError` (fires on both
+    speculative backends: thread and pool workers both route through
     ``_compute_speculative``).
 ``bootstrap.fail``
     Snapshot-bootstrapped worker fails its payload *decode* stage with a

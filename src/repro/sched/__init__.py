@@ -8,8 +8,8 @@ package converts the remaining serial outer loop into batched throughput:
   (order-preserving ``prefix`` policy, or ``greedy`` first-fit coloring);
 * :class:`BatchExecutor` routes each batch through a deterministic serial
   backend (bit-identical to the sequential loop -- the parity oracle) or a
-  speculative ``thread`` / fork-per-batch ``process`` / persistent ``pool``
-  backend that routes the whole batch against a frozen snapshot with
+  speculative ``thread`` / persistent ``pool`` backend that routes the
+  whole batch against a frozen snapshot with
   per-worker search engines, validates every result's explored region
   against batch-mates' committed deltas, replays accepted commit logs
   (plain :mod:`repro.journal` ops) through the grid's ``apply_op`` choke
@@ -28,33 +28,12 @@ the ``REPRO_MIN_FORK_BATCH`` / ``REPRO_BATCH_MARGIN`` environment).
 Execution is **supervised** (:mod:`repro.sched.supervisor`): per-batch
 wall-clock deadlines, pool-worker heartbeats, classified failures with
 bounded exponential-backoff retry and single-worker replacement, and a
-graceful-degradation ladder (pool -> process -> thread -> serial) that
-demotes the backend after consecutive failures -- serial being the
-always-correct floor, every recovery path stays bit-identical to the
-fault-free sequential run.
-
-Execution is also **self-tuning** (:mod:`repro.sched.autotune`): a
-one-shot per-process calibration probe (:func:`calibrate` ->
-:class:`HardwareProfile`) measures usable cores, fork/pipe/thread costs
-and the active kernel tier; ``batch_backend="auto"`` resolves the
-starting backend from it, and ``REPRO_AUTOTUNE=full`` engages the
-seeded, deterministic :class:`AutotuneController`, which re-picks the
-backend and adapts the batch knobs per rip-up iteration from the
-executor's own counters -- never outside what the degradation ladder
-still allows, and never affecting results.
+graceful-degradation ladder (pool -> thread -> serial) that demotes the
+backend after consecutive failures -- serial being the always-correct
+floor, every recovery path stays bit-identical to the fault-free
+sequential run.
 """
 
-from repro.sched.autotune import (
-    AUTOTUNE_MODES,
-    AutotuneController,
-    Decision,
-    HardwareProfile,
-    calibrate,
-    recommend_backend,
-    reset_calibration_cache,
-    resolve_autotune_mode,
-    usable_cpu_count,
-)
 from repro.sched.batches import BatchScheduler, CellWindow, windows_overlap
 from repro.sched.commit import GridSink, RecordingSink, apply_route_ops
 from repro.sched.executor import (
@@ -78,20 +57,11 @@ from repro.sched.supervisor import (
 )
 
 __all__ = [
-    "AUTOTUNE_MODES",
-    "AutotuneController",
     "BACKENDS",
     "BatchExecutor",
     "BatchScheduler",
     "CellWindow",
-    "Decision",
     "ExecutorStats",
-    "HardwareProfile",
-    "calibrate",
-    "recommend_backend",
-    "reset_calibration_cache",
-    "resolve_autotune_mode",
-    "usable_cpu_count",
     "FailureDetail",
     "GridSink",
     "PersistentWorkerPool",

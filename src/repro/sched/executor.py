@@ -9,15 +9,13 @@ plans, through one of three backends:
     With the scheduler's order-preserving ``prefix`` policy this *is* the
     sequential loop, so results are bit-identical by construction.
 
-``"thread"`` / ``"process"`` / ``"pool"`` (speculative snapshot routing)
+``"thread"`` / ``"pool"`` (speculative snapshot routing)
     All nets of a batch are routed concurrently against the grid state at
     batch start ("the snapshot"): workers call the router's
     ``compute_route`` with a :class:`~repro.sched.commit.RecordingSink`
     (reads only, commits recorded) and a per-worker search engine, so the
     epoch-stamped label buffers of concurrent searches never collide.  The
-    thread backend shares the live buffers under the GIL; the process
-    backend forks per batch, giving each worker a copy-on-write snapshot
-    for free (fork keeps the batch state exact with no serialisation).
+    thread backend shares the live buffers under the GIL.
 
     The ``pool`` backend keeps **persistent journal-replicated workers**:
     processes fork *once* (attaching a :class:`repro.journal
@@ -65,18 +63,9 @@ from repro.accel import get_native_kernel
 from repro.design import Net
 from repro.grid import RoutingSolution
 from repro.profiling import PhaseTimes
-from repro.sched.autotune import (
-    AutotuneController,
-    Decision,
-    HardwareProfile,
-    calibrate,
-    recommend_backend,
-    resolve_autotune_mode,
-)
 from repro.sched.batches import BatchScheduler, CellWindow, windows_overlap
 from repro.sched.commit import CommitOp, RecordingSink, apply_route_ops
 from repro.sched.supervisor import (
-    LADDER,
     FailureDetail,
     SupervisorConfig,
     WorkerFailure,
@@ -87,13 +76,12 @@ from repro.sched.supervisor import (
 )
 from repro.utils.env import env_int, env_str
 
-#: Backends accepted by :class:`BatchExecutor` (``"auto"`` additionally
-#: accepted by :func:`make_batch_executor`, which resolves it from the
-#: calibration profile before the executor is built).
-BACKENDS = ("serial", "thread", "process", "pool")
+#: Backends accepted by :class:`BatchExecutor`.
+BACKENDS = ("serial", "thread", "pool")
 
 #: Environment knobs (overridden by explicit arguments): the smallest batch
-#: worth forking for, and the scheduler's extra window margin in cells.
+#: worth starting pool workers for, and the scheduler's extra window margin
+#: in cells.
 MIN_FORK_BATCH_ENV = "REPRO_MIN_FORK_BATCH"
 BATCH_MARGIN_ENV = "REPRO_BATCH_MARGIN"
 
@@ -181,16 +169,14 @@ class ExecutorStats:
     #: Failed pool workers removed and replaced individually (the pool
     #: survives; only the broken worker restarts).
     worker_replacements: int = 0
-    #: Backend demotions down the degradation ladder (pool -> process ->
-    #: thread -> serial) after consecutive retry-exhausted failures.
+    #: Backend demotions down the degradation ladder (pool -> thread ->
+    #: serial) after consecutive retry-exhausted failures.
     demotions: int = 0
     #: Snapshot-bootstrap decode failures recovered by falling back to the
     #: fork bootstrap path for that worker slot.
     bootstrap_fallbacks: int = 0
     #: Heartbeat messages received from pool workers (liveness evidence).
     heartbeats: int = 0
-    #: Autotune controller decisions applied (one per route_nets round).
-    autotune_decisions: int = 0
     #: Coalesced journal-suffix catch-up messages actually shipped to pool
     #: workers (one framed message per worker per batch).
     suffix_messages: int = 0
@@ -205,10 +191,6 @@ class ExecutorStats:
     #: Catch-up sends elided outright because the worker was already at the
     #: journal head (``None`` sentinel instead of a pickled empty suffix).
     suffix_elisions: int = 0
-    #: Calibration profile of the host this executor ran on (``None`` until
-    #: a probe ran).  Not a counter: excluded from :meth:`as_dict` so the
-    #: campaign's additive stats merge stays numeric.
-    profile: Optional[Dict[str, object]] = None
     #: Per-phase wall-clock accounting (plan/search/commit/check/ipc/
     #: checkpoint).  The owning router shares this record, so executor-side
     #: phases (plan, search, ipc, commit) and router-side phases (check,
@@ -238,7 +220,6 @@ class ExecutorStats:
             "demotions": self.demotions,
             "bootstrap_fallbacks": self.bootstrap_fallbacks,
             "heartbeats": self.heartbeats,
-            "autotune_decisions": self.autotune_decisions,
             "suffix_messages": self.suffix_messages,
             "suffix_pickles": self.suffix_pickles,
             "suffix_bytes": self.suffix_bytes,
@@ -284,34 +265,14 @@ class SpeculativeRoute:
     explored_box: Optional[CellWindow]
 
 
-# -- fork-backend plumbing ---------------------------------------------------
-#
-# The fork backend inherits the parent state through ``fork`` itself: the
-# task tuple is published in a module global immediately before the pool is
-# created, so the children are born holding the exact batch snapshot and
-# only the (small) results travel back through pickling.
-
-_FORK_TASK: Optional[Tuple[object, Sequence[Net]]] = None
-_FORK_ENGINE: Optional[object] = None
-
-
-def _fork_worker(index: int) -> Tuple[object, List[CommitOp], Optional[CellWindow]]:
-    global _FORK_ENGINE
-    router, nets = _FORK_TASK
-    if _FORK_ENGINE is None:
-        _FORK_ENGINE = router.make_search_engine()
-    spec = _compute_speculative(router, nets[index], _FORK_ENGINE)
-    return (spec.route, spec.ops, spec.explored_box)
-
-
 # -- pool-backend plumbing ---------------------------------------------------
 #
 # Persistent journal-replicated workers: each process forks once holding the
 # parent's grid state at fork time, then re-synchronises before every batch
 # by replaying the parent's journal suffix through the grid's apply_op choke
 # point -- bit-identical to the parent by the journal replay guarantee.  The
-# router is published in a module global immediately before the fork (same
-# trick as the per-batch fork backend); afterwards only small messages --
+# router is published in a module global immediately before the fork, so
+# the child is born holding it; afterwards only small messages --
 # (journal suffix, net names) down, (route, ops, explored box) up -- cross
 # the pipe.
 
@@ -517,8 +478,6 @@ class _PoolWorker:
     never reused by a replacement) so failure details and ``worker=K``
     fault-plan targeting name a specific incarnation.
     """
-
-    __slots__ = ("process", "conn", "cursor", "index")
 
     def __init__(self, process, conn, cursor: int, index: int = 0) -> None:
         self.process = process
@@ -945,13 +904,11 @@ class PersistentWorkerPool:
 def _compute_speculative(router, net: Net, engine) -> SpeculativeRoute:
     """Route *net* against the current grid state without mutating it."""
     if faults.ARMED:
-        # These sites live here so every speculative backend -- thread,
-        # per-batch fork, persistent pool -- exercises the same hang and
-        # compute-error paths.  The serial oracle never calls this.  The
-        # crash site only fires inside a subprocess: an ``os._exit`` on a
-        # thread-backend hit would take the whole campaign process down.
-        if multiprocessing.parent_process() is not None:
-            faults.fire("worker.crash", net=net.name)
+        # These sites live here so both speculative backends -- thread and
+        # persistent pool -- exercise the same hang and compute-error
+        # paths.  The serial oracle never calls this.  (``worker.crash``
+        # fires in :func:`_serve_pool_worker` only: an ``os._exit`` on a
+        # thread-backend hit would take the whole campaign process down.)
         faults.fire("worker.hang", net=net.name)
         faults.fire("compute.error", net=net.name)
     tracker = ExploredTracker(router.grid, getattr(engine, "node_stride", 1))
@@ -975,47 +932,17 @@ def make_batch_executor(
     policy: str = "prefix",
     min_fork_batch: Optional[int] = None,
     margin_cells: Optional[int] = None,
-    autotune: Optional[str] = None,
 ) -> Optional["BatchExecutor"]:
     """Build a router's executor from its constructor knobs.
 
     Batching engages when any knob leaves its default (``parallelism > 1``,
-    an explicit ``batch_size``, a non-serial backend, or
-    ``REPRO_AUTOTUNE=full``); otherwise ``None`` is returned and the router
-    keeps its plain sequential loop.  ``min_fork_batch`` and
-    ``margin_cells`` fall back to the ``REPRO_MIN_FORK_BATCH`` /
-    ``REPRO_BATCH_MARGIN`` environment knobs so multi-core hosts can tune
-    them without touching call sites.
-
-    Self-tuning (:mod:`repro.sched.autotune`): *autotune* (arg >
-    ``REPRO_AUTOTUNE`` env > ``off``) selects ``probe`` (run the one-shot
-    hardware calibration and record the :class:`HardwareProfile` in
-    ``stats.profile``) or ``full`` (probe + the per-iteration online
-    controller).  ``backend="auto"`` resolves the starting backend -- and,
-    when ``parallelism`` was left at 1, the worker count -- from the
-    profile; it implies at least ``probe``.
+    an explicit ``batch_size`` or a non-serial backend); otherwise ``None``
+    is returned and the router keeps its plain sequential loop.
+    ``min_fork_batch`` and ``margin_cells`` fall back to the
+    ``REPRO_MIN_FORK_BATCH`` / ``REPRO_BATCH_MARGIN`` environment knobs so
+    multi-core hosts can tune them without touching call sites.
     """
-    mode = resolve_autotune_mode(autotune)
-    if backend == "auto" and mode == "off":
-        mode = "probe"  # auto resolution needs the profile
-    profile: Optional[HardwareProfile] = None
-    if mode != "off":
-        profile = calibrate()
-    if backend == "auto":
-        if parallelism <= 1:
-            parallelism = profile.cpu_count
-        backend = recommend_backend(profile, parallelism)
-        # Even when the profile says "serial" (1-core host), keep the
-        # executor: the run still records the profile and, under ``full``,
-        # the controller's decision log -- the hardware truth the bench
-        # JSON wants.
-        engaged = True
-    else:
-        engaged = (
-            parallelism > 1 or batch_size is not None
-            or backend != "serial" or mode == "full"
-        )
-    if not engaged:
+    if parallelism <= 1 and batch_size is None and backend == "serial":
         return None
     parallelism = max(1, parallelism)
     max_batch = batch_size if batch_size is not None else 4 * parallelism
@@ -1025,28 +952,13 @@ def make_batch_executor(
         max_batch=max_batch,
         margin_cells=resolve_batch_margin(margin_cells),
     )
-    resolved_min_fork = resolve_min_fork_batch(min_fork_batch)
-    controller: Optional[AutotuneController] = None
-    if mode == "full":
-        controller = AutotuneController(
-            profile,
-            backend=backend,
-            parallelism=parallelism,
-            max_batch=max_batch,
-            min_fork_batch=resolved_min_fork,
-            margin_cells=scheduler.margin_cells,
-        )
-    executor = BatchExecutor(
+    return BatchExecutor(
         router,
         backend=backend,
         parallelism=parallelism,
         scheduler=scheduler,
-        min_fork_batch=resolved_min_fork,
-        autotune=controller,
+        min_fork_batch=resolve_min_fork_batch(min_fork_batch),
     )
-    if profile is not None:
-        executor.stats.profile = profile.as_dict()
-    return executor
 
 
 class BatchExecutor:
@@ -1059,9 +971,10 @@ class BatchExecutor:
         ``compute_route(net, engine=..., sink=...)`` and
         ``make_search_engine()``.
     backend:
-        ``"serial"`` (deterministic default), ``"thread"``, ``"process"``
-        (fork per batch) or ``"pool"`` (persistent journal-replicated
-        workers: fork once, catch up by journal-suffix replay).
+        ``"serial"`` (deterministic default), ``"thread"`` or ``"pool"``
+        (persistent journal-replicated workers: fork once, catch up by
+        journal-suffix replay).  A failing backend demotes down the
+        degradation ladder ``pool -> thread -> serial``.
     parallelism:
         Worker count for the concurrent backends (also the default
         scheduler batch cap when *scheduler* is not supplied).
@@ -1070,22 +983,13 @@ class BatchExecutor:
         order-preserving prefix scheduler capped at ``4 * parallelism``
         nets per batch.
     min_fork_batch:
-        Smallest batch worth forking for.  The per-batch ``process``
-        backend routes smaller batches serially (fork setup would
-        dominate); the ``pool`` backend applies it only to pool *creation*
-        -- once forked, workers serve every parallel batch.
+        Smallest batch worth starting pool workers for.  The ``pool``
+        backend applies it only to pool *creation* -- once started,
+        workers serve every parallel batch.
     pool_bootstrap:
         How pool workers obtain the parent's grid state: ``"fork"``,
         ``"snapshot"`` or ``"auto"`` (default: the ``REPRO_POOL_BOOTSTRAP``
         env knob, falling back to ``auto`` = fork when available).
-    autotune:
-        Optional :class:`~repro.sched.autotune.AutotuneController`.  When
-        present the executor consults it once per :meth:`route_nets` round
-        (backend + batch knobs for that iteration) and feeds it per-batch
-        wall times; the degradation ladder widens to the full
-        pool->process->thread->serial range so the controller may pick any
-        tier -- but a supervisor demotion still narrows the allowed set,
-        overriding the controller for the rest of the campaign.
     """
 
     def __init__(
@@ -1097,7 +1001,6 @@ class BatchExecutor:
         min_fork_batch: int = DEFAULT_MIN_FORK_BATCH,
         pool_bootstrap: Optional[str] = None,
         supervisor: Optional[SupervisorConfig] = None,
-        autotune: Optional[AutotuneController] = None,
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"unknown batch backend {backend!r}; expected one of {BACKENDS}")
@@ -1115,13 +1018,8 @@ class BatchExecutor:
         self.supervisor = (
             supervisor if supervisor is not None else SupervisorConfig.from_env()
         )
-        self.autotune = autotune
-        # With a controller the ladder spans every tier (the controller
-        # may pick any backend at or below its recommendation); the
-        # per-iteration override starts at the configured backend.
-        self._ladder = LADDER if autotune is not None else degradation_ladder(backend)
+        self._ladder = degradation_ladder(backend)
         self._tier_index = 0
-        self._backend_override: Optional[str] = backend if autotune is not None else None
         self._consecutive_failures = 0
         # Thread pools retired after a deadline timeout: their hung threads
         # cannot be killed, only abandoned (fresh pool + fresh engines) and
@@ -1144,41 +1042,26 @@ class BatchExecutor:
         # Last-seen pool counters, so stats deltas survive any exit path.
         self._pool_seen: Dict[str, int] = {}
         self._fork_context = None
-        if backend in ("process", "pool") or autotune is not None:
-            # The controller may promote a thread/serial recommendation to
-            # the forked tiers mid-campaign, so the context must exist.
+        if backend == "pool":
             methods = multiprocessing.get_all_start_methods()
             self._fork_context = (
                 multiprocessing.get_context("fork") if "fork" in methods else None
             )
-        if backend != "serial" or autotune is not None:
+        if backend != "serial":
             # Warm the native kernel in the parent before any worker
             # exists: threads share the loaded module outright, and forked
-            # workers (per-batch or persistent pool) inherit the mapped
-            # .so through fork -- no per-worker build attempt, no N
-            # compilers racing on first use.  A no-op when the tier is
-            # gated off or the extension cannot be built.
+            # pool workers inherit the mapped .so through fork -- no
+            # per-worker build attempt, no N compilers racing on first
+            # use.  A no-op when the tier is gated off or the extension
+            # cannot be built.
             get_native_kernel()
 
     # ------------------------------------------------------------------
 
     @property
     def active_backend(self) -> str:
-        """The backend tier currently in use (after any ladder demotions).
-
-        An autotune override applies only while the degradation ladder
-        still allows that tier: a demotion narrows the allowed suffix, and
-        an override outside it falls back to the demoted tier -- the
-        supervisor always wins over the controller.
-        """
-        if self._backend_override is not None:
-            if self._backend_override in self._ladder[self._tier_index:]:
-                return self._backend_override
+        """The backend tier currently in use (after any ladder demotions)."""
         return self._ladder[self._tier_index]
-
-    def allowed_backends(self) -> Tuple[str, ...]:
-        """The degradation-ladder suffix demotions have not yet removed."""
-        return tuple(self._ladder[self._tier_index:])
 
     def close(self) -> None:
         """Release worker pools (idempotent)."""
@@ -1210,26 +1093,6 @@ class BatchExecutor:
         # internals make debugging sane).
         for net in nets:
             grid.net_id(net.name)
-        if self.autotune is not None:
-            decision = self.autotune.begin_iteration(
-                len(nets), self.stats, self.allowed_backends()
-            )
-            self._apply_decision(decision)
-            if decision.backend == "serial" and self.scheduler.policy == "prefix":
-                # The controller chose the serial floor: prefix batches
-                # concatenate back to the input order whatever the
-                # partition, so window planning is pure overhead here --
-                # route the queue directly as one serial batch (and feed
-                # its wall time back so serial stays ranked).
-                self.stats.batches += 1
-                self.stats.nets_routed += len(nets)
-                self.stats.largest_batch = max(self.stats.largest_batch, len(nets))
-                started = time.perf_counter()
-                self._run_batch_serial(nets, solution)
-                self.autotune.observe_batch(
-                    "serial", len(nets), time.perf_counter() - started
-                )
-                return
         plan_started = time.perf_counter()
         batches = self.scheduler.plan(nets)
         self.stats.phases.add("plan", time.perf_counter() - plan_started)
@@ -1237,33 +1100,8 @@ class BatchExecutor:
             self.stats.batches += 1
             self.stats.nets_routed += len(batch)
             self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
-            started = time.perf_counter()
-            used = self._run_batch_parallel(batch, solution)
-            if used is None:
+            if not self._run_batch_parallel(batch, solution):
                 self._run_batch_serial(batch, solution)
-                used = "serial"
-            if self.autotune is not None:
-                self.autotune.observe_batch(
-                    used, len(batch), time.perf_counter() - started
-                )
-
-    def _apply_decision(self, decision: Decision) -> None:
-        """Adopt an autotune :class:`~repro.sched.autotune.Decision`.
-
-        Backend choice and ``min_fork_batch`` are always results-neutral
-        (every backend commits through the explored-region validation).
-        The scheduler's partitioning knobs are adopted only under the
-        order-preserving ``prefix`` policy: prefix batches concatenate
-        back to the input order whatever the partition, while ``greedy``
-        *permutes* the queue, so resizing its batches mid-campaign would
-        silently change which permutation a run produces.
-        """
-        self._backend_override = decision.backend
-        self.min_fork_batch = max(2, decision.min_fork_batch)
-        if self.scheduler.policy == "prefix":
-            self.scheduler.max_batch = decision.max_batch
-            self.scheduler.margin_cells = decision.margin_cells
-        self.stats.autotune_decisions += 1
 
     # ------------------------------------------------------------------
 
@@ -1275,34 +1113,28 @@ class BatchExecutor:
 
     def _run_batch_parallel(
         self, batch: Sequence[Net], solution: RoutingSolution
-    ) -> Optional[str]:
+    ) -> bool:
         """Try the speculative backend on *batch*.
 
-        Returns the backend name that actually computed the batch, or
-        ``None`` to let the caller route it serially instead (the autotune
-        controller's timing feed needs to know which tier each wall-clock
-        measurement belongs to).
+        Returns ``True`` when the batch was computed and committed, or
+        ``False`` to let the caller route it serially instead.
 
         Supervised: a failed attempt is retried up to
         ``supervisor.max_retries`` times with exponential backoff
         (:meth:`_compute_batch_with_retry`); once retries are exhausted the
         batch falls back to serial, and after ``supervisor.demote_after``
         *consecutive* exhausted batches the executor demotes itself down
-        the degradation ladder (pool -> process -> thread -> serial) for
-        the remainder of the campaign and re-attempts the batch at the
-        lower tier.  Serial is the floor: always available, bit-identical
-        by construction.  Every outcome is deterministic in *route terms*
-        -- retry, fallback and demotion all recompute from the same
+        the degradation ladder (pool -> thread -> serial) for the remainder
+        of the campaign and re-attempts the batch at the lower tier.
+        Serial is the floor: always available, bit-identical by
+        construction.  Every outcome is deterministic in *route terms* --
+        retry, fallback and demotion all recompute from the same
         authoritative parent grid state.
         """
         while True:
             backend = self.active_backend
             if backend == "serial" or len(batch) < 2:
-                return None
-            if backend == "process" and (
-                self._fork_context is None or len(batch) < self.min_fork_batch
-            ):
-                return None
+                return False
             if backend == "pool" and (
                 self._pool is None and len(batch) < self.min_fork_batch
             ):
@@ -1310,10 +1142,10 @@ class BatchExecutor:
                 # batches; once the pool exists it serves every parallel batch.
                 # (Whether a pool is even possible -- fork availability,
                 # worker_spec support -- is _ensure_pool's call.)
-                return None
+                return False
             # Pool batches spend their wall time in worker traffic (suffix
-            # shipping + result receive): account them as ipc; in-process
-            # backends (thread/process) are concurrent search.
+            # shipping + result receive): account them as ipc; the thread
+            # backend's is concurrent search.
             compute_phase = "ipc" if backend == "pool" else "search"
             compute_started = time.perf_counter()
             try:
@@ -1329,14 +1161,14 @@ class BatchExecutor:
                 ):
                     self._demote()
                     continue  # re-attempt this batch at the lower tier
-                return None
+                return False
             self.stats.phases.add(compute_phase, time.perf_counter() - compute_started)
             if results is None:
-                return None
+                return False
             self._consecutive_failures = 0
             self.stats.parallel_batches += 1
             self._commit_batch(batch, results, solution)
-            return backend
+            return True
 
     def _compute_batch_with_retry(
         self, backend: str, batch: Sequence[Net]
@@ -1354,9 +1186,7 @@ class BatchExecutor:
             try:
                 if backend == "thread":
                     return self._compute_batch_threaded(batch)
-                if backend == "pool":
-                    return self._compute_batch_pooled(batch)
-                return self._compute_batch_forked(batch)
+                return self._compute_batch_pooled(batch)
             except Exception as exc:
                 self.stats.worker_errors += 1
                 if isinstance(exc, WorkerFailure):
@@ -1378,20 +1208,12 @@ class BatchExecutor:
                     time.sleep(backoff)
 
     def _demote(self) -> None:
-        """Step down one tier of the degradation ladder (permanently).
-
-        The new floor sits one below the tier that actually failed --
-        which, under an autotune override, may be below ``_tier_index``
-        already (e.g. the controller chose ``thread`` while the ladder
-        still allowed ``pool``: a thread failure demotes straight past it).
-        The narrowed ladder suffix overrides any controller choice from
-        here on (:attr:`active_backend` ignores overrides outside it).
-        """
+        """Step down one tier of the degradation ladder (permanently)."""
         leaving = self.active_backend
-        self._tier_index = self._ladder.index(leaving) + 1
+        self._tier_index += 1
         self._consecutive_failures = 0
         self.stats.demotions += 1
-        if leaving == "pool" or "pool" not in self._ladder[self._tier_index:]:
+        if leaving == "pool":
             self._discard_pool()
 
     # -- thread backend -----------------------------------------------------
@@ -1450,32 +1272,6 @@ class BatchExecutor:
             self._stale_thread_pools.append(self._thread_pool)
             self._thread_pool = None
         self._engine_queue = None
-
-    # -- process (fork) backend ----------------------------------------------
-
-    def _compute_batch_forked(
-        self, batch: Sequence[Net]
-    ) -> Optional[List[SpeculativeRoute]]:
-        if self.router.make_search_engine() is None:
-            return None  # legacy engine: speculative routing unsupported
-        global _FORK_TASK
-        _FORK_TASK = (self.router, batch)
-        try:
-            workers = min(self.parallelism, len(batch))
-            deadline = self.supervisor.deadline_seconds(len(batch))
-            # map_async + timeout instead of map: a fork worker that dies
-            # (SIGKILL, os._exit) never delivers its result, and a plain
-            # map would wait on it forever.  On timeout the context
-            # manager's terminate() reaps the whole per-batch pool.
-            with self._fork_context.Pool(processes=workers) as pool:
-                result = pool.map_async(_fork_worker, range(len(batch)))
-                raw = result.get(deadline) if deadline is not None else result.get()
-        finally:
-            _FORK_TASK = None
-        return [
-            SpeculativeRoute(route=route, ops=ops, explored_box=box)
-            for route, ops, box in raw
-        ]
 
     # -- pool (persistent journal-replicated workers) backend ------------------
 

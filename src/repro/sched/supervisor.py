@@ -18,7 +18,7 @@ into an expected, *classified* event:
   dead processes immediately, and classifies deadline/grace expiries as
   timeouts.
 * :func:`degradation_ladder` -- the graceful-degradation order ``pool ->
-  process -> thread -> serial``; serial is the always-correct floor
+  thread -> serial``; serial is the always-correct floor
   (bit-identical to the sequential loop by construction), so a campaign
   that demotes all the way down still terminates with the exact fault-free
   solution.
@@ -68,7 +68,7 @@ FAILURE_KINDS = ("timeout", "crash", "bootstrap", "replay", "compute", "fatal")
 
 #: The graceful-degradation order.  Serial is the floor: always available,
 #: bit-identical to the sequential loop by construction.
-LADDER = ("pool", "process", "thread", "serial")
+LADDER = ("pool", "thread", "serial")
 
 
 def degradation_ladder(backend: str) -> Tuple[str, ...]:
@@ -190,31 +190,23 @@ def classify_worker_payload(
 
 
 def classify_exception(exc: BaseException) -> str:
-    """Classify a parent-side exception from a thread/process-tier batch.
+    """Classify a parent-side exception from a thread- or pool-tier batch.
 
-    Pipe and process-pool breakage is a crash (retryable -- the next
-    attempt starts fresh workers); anything else raised by the backend
-    machinery itself is treated as retryable compute noise only when it
-    came from fault injection, and as a fatal design error otherwise
-    (a deterministic bug re-raises identically on every retry, and the
-    serial floor will surface it to the caller with a clean traceback).
+    Pipe breakage is a crash (retryable -- the next attempt starts fresh
+    workers); anything else raised by the backend machinery itself is
+    treated as retryable compute noise only when it came from fault
+    injection, and as a fatal design error otherwise (a deterministic bug
+    re-raises identically on every retry, and the serial floor will
+    surface it to the caller with a clean traceback).
     """
-    import multiprocessing
     from concurrent.futures import TimeoutError as FuturesTimeout
 
     from repro.faults import FaultError
 
-    if isinstance(exc, (FuturesTimeout, multiprocessing.TimeoutError)):
+    if isinstance(exc, FuturesTimeout):
         return "timeout"
     if isinstance(exc, (BrokenPipeError, EOFError, ConnectionError, OSError)):
         return "crash"
-    try:
-        from concurrent.futures.process import BrokenProcessPool
-
-        if isinstance(exc, BrokenProcessPool):
-            return "crash"
-    except ImportError:  # pragma: no cover
-        pass
     if isinstance(exc, FaultError):
         return "compute"
     return "fatal"

@@ -75,23 +75,3 @@ def env_str(name: str, fallback: Optional[str] = None) -> Optional[str]:
     if raw is None or not raw.strip():
         return fallback
     return raw.strip()
-
-
-def env_choice(name: str, choices, fallback: str) -> str:
-    """Return enumerated knob *name*, validated against *choices*.
-
-    Unset/blank falls back to *fallback*; matching is case-insensitive
-    (``REPRO_AUTOTUNE=FULL`` means ``full``, consistent with the flag
-    helpers) and the canonical lower-case spelling is returned.  A value
-    outside *choices* raises :class:`ValueError` immediately (a typo in a
-    mode knob must not silently select the wrong behaviour).
-    """
-    value = env_str(name, fallback)
-    if value is not None:
-        value = value.lower()
-    if value not in choices:
-        raise ValueError(
-            f"environment knob {name} must be one of {tuple(choices)!r}, "
-            f"got {value!r}"
-        )
-    return value

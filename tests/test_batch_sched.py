@@ -4,7 +4,7 @@ The heart of the suite is the differential harness: for every router and
 every executor backend the batched rip-up loop must produce solutions
 bit-identical to the plain sequential loop (order-preserving ``prefix``
 policy), across batch sizes and worker counts -- including the speculative
-thread and fork backends, whose explored-region validation plus sequential
+thread and pool backends, whose explored-region validation plus sequential
 fallback is what the guarantee rests on.  The ``greedy`` policy permutes
 the net order, so its oracle is the serial executor on the same plan.
 """
@@ -38,7 +38,7 @@ ROUTERS = {
 
 HAVE_FORK = sys.platform != "win32" and "fork" in multiprocessing.get_all_start_methods()
 
-BACKENDS = ["serial", "thread"] + (["process", "pool"] if HAVE_FORK else [])
+BACKENDS = ["serial", "thread"] + (["pool"] if HAVE_FORK else [])
 
 
 def build_case(suite="ispd18", number=2, scale=0.5):
@@ -236,6 +236,16 @@ def test_batched_prefix_matches_sequential(router_key, backend):
         batch_policy="prefix",
     )
     assert batched == sequential
+
+
+@pytest.mark.parametrize("router_key", sorted(ROUTERS))
+@pytest.mark.parametrize("backend", ["process", "auto"])
+def test_unknown_batch_backend_is_rejected(router_key, backend):
+    with pytest.raises(ValueError) as excinfo:
+        ROUTERS[router_key](build_case("ispd18", 1, 0.5), batch_backend=backend)
+    message = str(excinfo.value)
+    assert repr(backend) in message
+    assert "('serial', 'thread', 'pool')" in message
 
 
 @pytest.mark.parametrize("router_key", sorted(ROUTERS))

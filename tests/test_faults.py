@@ -18,9 +18,8 @@ Three layers:
   pool-engaging case: the campaign must complete, the solution must be
   **bit-identical** to the fault-free serial run, and the recovery must
   be visible in ``ExecutorStats`` (retries, replacements, deadline
-  timeouts, demotions).  Plus per-backend recovery coverage for the
-  thread and per-batch-fork tiers and the ladder's demote-to-serial
-  floor.
+  timeouts, demotions).  Plus recovery coverage for the thread tier and
+  the ladder's demote-to-serial floor.
 """
 
 import json
@@ -234,7 +233,6 @@ def test_classify_worker_payload():
 
 def test_classify_exception():
     assert classify_exception(FuturesTimeout()) == "timeout"
-    assert classify_exception(multiprocessing.TimeoutError()) == "timeout"
     assert classify_exception(BrokenPipeError()) == "crash"
     assert classify_exception(EOFError()) == "crash"
     assert classify_exception(FaultError("injected")) == "compute"
@@ -263,7 +261,7 @@ def test_worker_failure_aggregates_every_detail():
 
 
 def test_degradation_ladder():
-    assert degradation_ladder("pool") == ("pool", "process", "thread", "serial")
+    assert degradation_ladder("pool") == ("pool", "thread", "serial")
     assert degradation_ladder("thread") == ("thread", "serial")
     assert degradation_ladder("serial") == ("serial",)
     with pytest.raises(ValueError):
@@ -522,8 +520,8 @@ def test_snapshot_bootstrap_decode_failure_falls_back_to_fork(monkeypatch):
 @needs_fork
 def test_ladder_demotes_to_serial_floor(monkeypatch):
     # Unbounded compute errors at every speculative tier: the executor
-    # must walk the whole ladder (pool -> process -> thread) and land on
-    # serial, which cannot fail -- and the run stays bit-identical.
+    # must walk the whole ladder (pool -> thread) and land on serial,
+    # which cannot fail -- and the run stays bit-identical.
     monkeypatch.setenv("REPRO_BATCH_RETRIES", "0")
     monkeypatch.setenv("REPRO_DEMOTE_AFTER", "1")
     monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
@@ -532,35 +530,15 @@ def test_ladder_demotes_to_serial_floor(monkeypatch):
     executor = router.batch_executor
     assert fingerprint == serial_reference("color-state")
     assert executor.active_backend == "serial"
-    assert executor.stats.demotions == 3  # pool -> process -> thread -> serial
+    assert executor.stats.demotions == 2  # pool -> thread -> serial
     assert executor.stats.parallel_batches == 0
-    assert executor.stats.worker_errors >= 3
+    assert executor.stats.worker_errors >= 2
 
 
 # ----------------------------------------------------------------------
-# (e) Per-backend recovery: SIGKILL-equivalent and hang coverage for the
-#     per-batch-fork and thread tiers (satellite c; pool covered above)
+# (e) Thread-tier recovery: hang and transient-error coverage (pool
+#     covered above)
 # ----------------------------------------------------------------------
-
-@needs_fork
-def test_process_backend_recovers_from_worker_sigkill(monkeypatch):
-    # A per-batch fork worker hard-exits mid-map.  The map deadline
-    # detects it; after the demotion the thread tier (where the crash
-    # site never fires -- it would kill the campaign process) finishes.
-    monkeypatch.setenv("REPRO_BATCH_DEADLINE", "1")
-    monkeypatch.setenv("REPRO_BATCH_RETRIES", "0")
-    monkeypatch.setenv("REPRO_DEMOTE_AFTER", "1")
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-    with injected("worker.crash"):
-        fingerprint, router = run_supervised(
-            "color-state", batch_backend="process"
-        )
-    stats = router.batch_executor.stats
-    assert fingerprint == serial_reference("color-state")
-    assert stats.deadline_timeouts >= 1
-    assert stats.demotions >= 1
-    assert router.batch_executor.active_backend in ("thread", "serial")
-
 
 def test_thread_backend_recovers_from_hung_task(monkeypatch):
     # A hung thread cannot be killed: the executor retires the whole

@@ -6,7 +6,10 @@ same design, fed the journal through ``RoutingGrid.apply_op``, must end up
 history buffers byte for byte, plus every sparse side table.  The suite
 proves that for full seeded rip-up campaigns of all three routers, proves
 the persistent ``pool`` executor backend (which rests on that guarantee)
-bit-identical to the serial oracle across batch sizes, and round-trips
+bit-identical to the serial oracle across batch sizes, checks that the
+pool's lifetime counters (forks, replayed ops, suffix-message batching)
+survive pool discard and re-fork without loss or double counting, and
+round-trips
 journals and checkpoints through the :mod:`repro.io.journal_io` path.
 """
 
@@ -17,9 +20,9 @@ import pytest
 
 from repro.baselines.dac2012 import Dac2012Router
 from repro.bench.micro import solution_fingerprint, solution_metrics
-from repro.bench.suites import suite_case
+from repro.bench.suites import sparse_suite, suite_case
 from repro.dr.router import DetailedRouter
-from repro.grid import RoutingGrid
+from repro.grid import RoutingGrid, RoutingSolution
 from repro.io.journal_io import (
     journal_from_dict,
     journal_to_dict,
@@ -50,6 +53,20 @@ def make_router(router_key, design, grid=None, **kwargs):
     if router_key != "maze":
         kwargs.setdefault("use_global_router", False)
     return ROUTERS[router_key](design, grid=grid, **kwargs)
+
+
+def sparse_case():
+    return sparse_suite(0.4)[0].build()
+
+
+_SERIAL_REFS = {}
+
+
+def serial_reference(router_key):
+    if router_key not in _SERIAL_REFS:
+        router = make_router(router_key, sparse_case())
+        _SERIAL_REFS[router_key] = solution_fingerprint(router.run())
+    return _SERIAL_REFS[router_key]
 
 
 def full_grid_digest(grid):
@@ -260,6 +277,71 @@ def test_pool_respects_caller_attached_journal():
     fresh = RoutingGrid(build_case("ispd18", 1, 0.5))
     replay_ops(fresh, journal.ops)
     assert_grids_bit_identical(grid, fresh)
+
+
+@needs_fork
+def test_pool_counters_survive_discard_and_refork():
+    design = sparse_case()
+    router = make_router(
+        "color-state", design, parallelism=2, batch_backend="pool",
+        min_fork_batch=2,
+    )
+    executor = router.batch_executor
+    nets = router.schedule_nets()
+    assert len(nets) >= 20
+    split = len(nets) // 2
+    solution = RoutingSolution(design_name=design.name, router_name=router.name)
+    try:
+        executor.route_nets(nets[:split], solution)
+        executor._drain_pool_stats()
+        first_forks = executor.stats.pool_forks
+        first_replayed = executor.stats.replayed_ops
+        first_messages = executor.stats.suffix_messages
+        assert first_forks == 2  # one persistent fork per worker
+        # Drain is delta-based: draining again must not double count.
+        executor._drain_pool_stats()
+        assert executor.stats.pool_forks == first_forks
+        assert executor.stats.replayed_ops == first_replayed
+        assert executor.stats.suffix_messages == first_messages
+        # Discard (e.g. checkpoint restore / demotion) folds the final
+        # deltas in before dropping the pool...
+        executor._discard_pool()
+        assert executor.stats.pool_forks == first_forks
+        # ...and the lazy re-fork starts a fresh generation whose counters
+        # accumulate on top instead of resetting or re-adding.
+        executor.route_nets(nets[split:], solution)
+        executor._drain_pool_stats()
+        assert executor.stats.pool_forks == first_forks + 2
+        assert executor.stats.replayed_ops >= first_replayed
+    finally:
+        executor.close()
+
+
+@needs_fork
+def test_suffix_message_batching_accounts_and_elides():
+    router = make_router(
+        "color-state", sparse_case(), parallelism=2, batch_backend="pool",
+        min_fork_batch=2,
+    )
+    fingerprint = solution_fingerprint(router.run())
+    assert fingerprint == serial_reference("color-state")
+    stats = router.batch_executor.stats
+    assert stats.suffix_messages > 0
+    # The shared frame cache: two workers at the same journal cursor get
+    # one pickle, so strictly fewer pickles than messages...
+    assert stats.suffix_pickles < stats.suffix_messages
+    # ...and the saved duplicate bytes are accounted.
+    assert stats.suffix_bytes_saved > 0
+    assert stats.suffix_bytes > 0
+    # In-sync workers get the None sentinel instead of an empty frame.
+    assert stats.suffix_elisions >= 0
+    # The counters ride into the merged dict (campaign/bench JSON).
+    merged = stats.as_dict()
+    for key in (
+        "suffix_messages", "suffix_pickles", "suffix_bytes",
+        "suffix_bytes_saved", "suffix_elisions",
+    ):
+        assert merged[key] == getattr(stats, key)
 
 
 # ----------------------------------------------------------------------
