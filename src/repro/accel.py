@@ -6,16 +6,16 @@ bit-identical results:
 ``native``
     The compiled relaxation kernel (:mod:`repro.native`): the whole
     Dijkstra/A* inner loop of :meth:`repro.search.SearchCore.run` executes
-    in C over the flat label buffers.  Needs a built extension *and* the
-    numpy tier below it (the per-search snapshot tables the kernel reads
-    are numpy-hoisted).
+    in C over the flat label buffers, computing the congestion and colour
+    pressure terms inline from the grid's live buffers.  Needs only a
+    built extension -- numpy is not involved.
 ``buffered`` (the default engine path)
     The zero-allocation Python loop over epoch-stamped flat buffers, with
-    the O(num_vertices) kernels (color-pressure update, per-search
-    congestion / pressure / heuristic snapshots) vectorised through numpy
-    when importable; every vectorised kernel has a pure-Python twin
-    producing bit-identical results (same IEEE-754 operations in the same
-    order) used on numpy-free installs.
+    the expand closures reading grid state lazily per successor and the
+    O(num_vertices) kernels (color-pressure update, heuristic table)
+    vectorised through numpy when importable; every vectorised kernel has
+    a pure-Python twin producing bit-identical results (same IEEE-754
+    operations in the same order) used on numpy-free installs.
 ``legacy``
     The frozen GridPoint-dict reference engines
     (:mod:`repro.search.legacy`), selected only explicitly
@@ -130,12 +130,12 @@ def set_native_enabled(enabled: bool) -> bool:
 def get_native_kernel() -> Optional[object]:
     """Return the loaded kernel module when the native tier is active.
 
-    ``None`` when gated off (env overrides, :func:`set_native_enabled`),
-    when no binary could be loaded or built, or when the numpy tier is off
-    (the kernel consumes numpy-hoisted snapshot tables).  The underlying
-    load attempt is made once per process and cached either way.
+    ``None`` when gated off (env overrides, :func:`set_native_enabled`)
+    or when no binary could be loaded or built; the numpy gate does not
+    matter.  The underlying load attempt is made once per process and
+    cached either way.
     """
-    if not _native_enabled or not _enabled:
+    if not _native_enabled:
         return None
     from repro.native import load_kernel
 

@@ -118,69 +118,10 @@ class MaskExpandedSearch:
         cost_model = self.cost_model
         gamma = grid.rules.gamma
         stitch_penalty = cost_model.stitch_cost()
-        pressure_table = cost_model.color_pressure_snapshot(net_id)
-
-        if pressure_table is not None:
-            # Accelerated path: the traditional-cost arithmetic is inlined
-            # (same operations in the same order as make_traditional_expand)
-            # so the hottest expansion of the whole bench -- the 3x larger
-            # mask-expanded graph -- pays no delegation call per node.
-            from repro.grid import NUM_DIRECTIONS
-
-            neighbor_table = grid.neighbor_table()
-            blocked = grid.blocked_buffer()
-            base_costs = cost_model.base_cost_table()
-            alpha = grid.rules.alpha
-            plane = grid.plane_size
-            guide_table = cost_model.guide_penalty_table(net_name)
-            congestion_table = cost_model.congestion_snapshot(net_id)
-
-            def expand(
-                node: int,
-                g: float,
-                _aux: int,
-                out_node: List[int],
-                out_cost: List[float],
-                out_aux: List[int],
-            ) -> int:
-                vertex, color = divmod(node, 3)
-                vertex_base = 3 * vertex
-                count = 0
-                # Mask change in place: a stitch on the expanded graph.
-                for other_color in ALL_COLORS:
-                    if other_color != color:
-                        out_node[count] = vertex_base + other_color
-                        out_cost[count] = g + stitch_penalty
-                        out_aux[count] = 0
-                        count += 1
-                # Planar and via moves keeping the mask, charged the mask's
-                # color conflict cost at the destination.
-                base_row = base_costs[vertex // plane]
-                slot = vertex * NUM_DIRECTIONS
-                for direction in range(NUM_DIRECTIONS):
-                    succ = neighbor_table[slot + direction]
-                    if succ < 0 or blocked[succ]:
-                        continue
-                    step = base_row[direction] + congestion_table[succ]
-                    step = step + guide_table[succ]
-                    out_node[count] = succ * 3 + color
-                    out_cost[count] = (g + alpha * step) + pressure_table[3 * succ + color]
-                    out_aux[count] = 0
-                    count += 1
-                return count
-
-            return attach_native_spec(
-                expand,
-                MODE_MASK_EXPANDED,
-                grid,
-                cost_model,
-                net_name,
-                net_id,
-                stitch=stitch_penalty,
-            )
-
-        # Pure-Python fallback: per-successor pressure/overlay reads, grid
-        # moves delegated to the shared traditional expand.
+        # Grid moves delegate to the shared traditional expand; the mask's
+        # conflict cost is read per successor from the live pressure buffer
+        # minus the net's own overlay (the native kernel does the same
+        # inline).
         traditional = make_traditional_expand(grid, cost_model, net_name, net_id)
         # Scratch buffers for the embedded traditional (grid-move) expand;
         # its successors are re-based onto the mask-expanded node space.
@@ -221,7 +162,15 @@ class MaskExpandedSearch:
                 count += 1
             return count
 
-        return expand
+        return attach_native_spec(
+            expand,
+            MODE_MASK_EXPANDED,
+            grid,
+            cost_model,
+            net_name,
+            net_id,
+            stitch=stitch_penalty,
+        )
 
 
 class Dac2012Router:

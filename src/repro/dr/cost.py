@@ -24,7 +24,6 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.accel import get_numpy
 from repro.geometry import GridPoint
 from repro.gr.guide import GuideSet
 from repro.grid import ALL_DIRECTIONS, DIRECTION_INDEX, Direction, RoutingGrid
@@ -91,49 +90,13 @@ class CostModel:
         # Cached grid-axis -> gcell-axis run decomposition (see
         # :meth:`_gcell_axis_runs`).
         self._gcell_runs: Optional[Tuple[Dict[int, Tuple[int, int]], Dict[int, Tuple[int, int]]]] = None
-        # Snapshot caches keyed on the grid's mutation epoch: while the grid
-        # is unchanged (all searches of one un-committed net; every net of a
-        # batch routed against a frozen snapshot) the per-net congestion and
-        # color-pressure tables stay exact and are reused instead of being
-        # rebuilt per search.  ``_snap_epoch`` guards all four entries.
-        self._snap_epoch = -1
-        self._congestion_parts: Optional[Tuple[object, object, object]] = None
-        self._pressure_base: Optional[object] = None
-        self._congestion_lists: Dict[int, List[float]] = {}
-        self._pressure_lists: Dict[int, List[float]] = {}
-        # ``array('d')`` twins of the snapshot tables and guide tables for
-        # the native kernel (C reads them through the buffer protocol; the
+        # ``array('d')`` twins of the base-cost and guide tables for the
+        # native kernel (C reads them through the buffer protocol; the
         # Python expand closures keep indexing the plain lists, whose reads
-        # return cached float objects).  Same cache keying/eviction as the
-        # list caches; the flattened base-cost table never invalidates.
-        self._congestion_arrs: Dict[int, array] = {}
-        self._pressure_arrs: Dict[int, array] = {}
+        # return cached float objects).  Built once, never invalidated.
         self._guide_arrs: Dict[str, array] = {}
         self._unguided_arr: Optional[array] = None
         self._base_cost_flat: Optional[array] = None
-
-    #: Cap on cached per-net snapshot lists per epoch; a batch larger than
-    #: this simply rebuilds the oldest tables (correctness is unaffected).
-    _SNAPSHOT_CACHE_LIMIT = 256
-
-    def _refresh_snapshot_epoch(self) -> None:
-        epoch = self.grid.mutation_epoch
-        if epoch != self._snap_epoch:
-            self._snap_epoch = epoch
-            self._congestion_parts = None
-            self._pressure_base = None
-            self._congestion_lists.clear()
-            self._pressure_lists.clear()
-            self._congestion_arrs.clear()
-            self._pressure_arrs.clear()
-        elif (
-            len(self._congestion_lists) > self._SNAPSHOT_CACHE_LIMIT
-            or len(self._pressure_lists) > self._SNAPSHOT_CACHE_LIMIT
-        ):
-            self._congestion_lists.clear()
-            self._pressure_lists.clear()
-            self._congestion_arrs.clear()
-            self._pressure_arrs.clear()
 
     # ------------------------------------------------------------------
     # Flat-index query surface (search hot path)
@@ -254,90 +217,30 @@ class CostModel:
         self._guide_tables[net_name] = table
         return table
 
-    def congestion_snapshot(self, net_id: int) -> Optional[List[float]]:
-        """Return per-vertex congestion (history + foreign-occupancy) costs.
+    # -- reference maps (inspection only; no search path reads them) -----
 
-        A vectorised per-search hoist of the ``history_weight * history +
-        occupancy_penalty`` arithmetic every expand callback performs per
-        successor: grid state is frozen for the duration of one search, so
-        the whole map can be computed once up front.  The element-wise
-        operations (one multiply, one conditional add) match the scalar
-        fallback exactly, keeping costs bit-identical.
+    def congestion_snapshot(self, net_id: int) -> List[float]:
+        """Return the per-vertex congestion cost *net_id* sees, uncached.
 
-        Returns ``None`` when numpy acceleration is off -- callers then keep
-        the per-successor buffer reads (same arithmetic, lazily).
-
-        Cached on the grid's :attr:`~repro.grid.RoutingGrid.mutation_epoch`:
-        the all-foreign base map (one multiply + one masked add) is shared
-        by every net of an unchanged epoch, and each net's table patches
-        only its own single-owner vertices back to the pure history value --
-        bit-identical to the direct per-net computation, because the patch
-        reassigns the exact pre-add product instead of subtracting.
+        One :meth:`RoutingGrid.congestion_cost_index` per vertex: history
+        plus the occupancy penalty where another net owns the vertex.  The
+        search tiers compute this term inline per successor; the map exists
+        for inspection and tracing.
         """
-        np = get_numpy()
-        if np is None:
-            return None
-        self._refresh_snapshot_epoch()
-        cached = self._congestion_lists.get(net_id)
-        if cached is not None:
-            return cached
-        grid = self.grid
-        if self._congestion_parts is None:
-            history = np.frombuffer(grid.history_buffer())
-            owner = np.frombuffer(grid.owner_buffer(), dtype=np.intc)
-            scaled = self.rules.history_weight * history
-            base = scaled.copy()
-            base[owner != 0] += self.rules.occupancy_penalty
-            self._congestion_parts = (scaled, base, owner)
-        scaled, base, owner = self._congestion_parts
-        table = base.tolist()
-        # net_id 0 never owns a vertex (ids are interned from 1), so the
-        # patch loop is skipped for unknown nets.
-        own_indices = np.flatnonzero(owner == net_id) if net_id > 0 else np.empty(0, int)
-        if own_indices.size:
-            for index, value in zip(own_indices.tolist(), scaled[own_indices].tolist()):
-                table[index] = value
-        self._congestion_lists[net_id] = table
+        congestion_at = self.grid.congestion_cost_index
+        return [congestion_at(index, net_id) for index in range(self.grid.num_vertices)]
+
+    def color_pressure_snapshot(self, net_id: int) -> List[float]:
+        """Return the ``gamma``-weighted per-mask pressure map, uncached.
+
+        ``3 * num_vertices`` entries built from :meth:`color_costs_index`:
+        the grid's pressure minus *net_id*'s own contribution, clamped at
+        zero.  Like :meth:`congestion_snapshot`, a reference map only.
+        """
+        table: List[float] = []
+        for index in range(self.grid.num_vertices):
+            table.extend(self.color_costs_index(index, net_id))
         return table
-
-    def color_pressure_snapshot(self, net_id: int) -> Optional[List[float]]:
-        """Return the ``gamma``-weighted color pressure map for *net_id*.
-
-        Flat list of ``3 * num_vertices`` entries (3 masks per vertex):
-        ``gamma * max(pressure - own_contribution, 0)``, the exact per-mask
-        conflict term the color-state and DAC-2012 expands evaluate per
-        successor.  The bulk of the map is one vectorised multiply; the
-        sparse per-net overlay corrections reuse the scalar expression of
-        :meth:`RoutingGrid.color_costs_index` verbatim, so every entry is
-        bit-identical to the lazy path.
-
-        Returns ``None`` when numpy acceleration is off.
-
-        Cached on the grid's :attr:`~repro.grid.RoutingGrid.mutation_epoch`
-        like :meth:`congestion_snapshot`: the ``gamma``-weighted base map is
-        built once per epoch and shared, each net then pays only one list
-        copy plus its sparse overlay corrections.
-        """
-        np = get_numpy()
-        if np is None:
-            return None
-        self._refresh_snapshot_epoch()
-        cached = self._pressure_lists.get(net_id)
-        if cached is not None:
-            return cached
-        grid = self.grid
-        pressure = grid.pressure_buffer()
-        gamma = self.rules.gamma
-        if self._pressure_base is None:
-            self._pressure_base = gamma * np.frombuffer(pressure)
-        weighted = self._pressure_base.tolist()
-        for index, own in grid.net_pressure_overlay(net_id).items():
-            base = 3 * index
-            weighted[base] = gamma * max(pressure[base] - own[0], 0.0)
-            weighted[base + 1] = gamma * max(pressure[base + 1] - own[1], 0.0)
-            weighted[base + 2] = gamma * max(pressure[base + 2] - own[2], 0.0)
-        self._pressure_lists[net_id] = weighted
-        return weighted
 
     # -- array('d') twins for the native kernel -------------------------
 
@@ -353,33 +256,13 @@ class CostModel:
             self._base_cost_flat = flat
         return self._base_cost_flat
 
-    def congestion_snapshot_flat(self, net_id: int) -> Optional[array]:
-        """Return :meth:`congestion_snapshot` as an ``array('d')`` buffer.
+    def congestion_snapshot_flat(self, net_id: int) -> array:
+        """Return :meth:`congestion_snapshot` as an ``array('d')`` buffer."""
+        return array("d", self.congestion_snapshot(net_id))
 
-        Same values, caching and ``None``-when-numpy-off contract as the
-        list variant (the conversion is one C-level copy per net/epoch).
-        """
-        cached = self._congestion_arrs.get(net_id)
-        if cached is not None:
-            return cached
-        table = self.congestion_snapshot(net_id)
-        if table is None:
-            return None
-        buffer = array("d", table)
-        self._congestion_arrs[net_id] = buffer
-        return buffer
-
-    def color_pressure_snapshot_flat(self, net_id: int) -> Optional[array]:
+    def color_pressure_snapshot_flat(self, net_id: int) -> array:
         """Return :meth:`color_pressure_snapshot` as an ``array('d')`` buffer."""
-        cached = self._pressure_arrs.get(net_id)
-        if cached is not None:
-            return cached
-        table = self.color_pressure_snapshot(net_id)
-        if table is None:
-            return None
-        buffer = array("d", table)
-        self._pressure_arrs[net_id] = buffer
-        return buffer
+        return array("d", self.color_pressure_snapshot(net_id))
 
     def guide_penalty_flat(self, net_name: str) -> array:
         """Return :meth:`guide_penalty_table` as an ``array('d')`` buffer.

@@ -170,7 +170,7 @@ class MazeRouter:
             def accept(node: int) -> bool:
                 return not is_other(node, net_id)
 
-            attach_accept_spec(accept, grid, net_id)
+            attach_accept_spec(accept)
 
         expand = make_traditional_expand(grid, self.cost_model, net_name, net_id)
         self.core.max_expansions = self.max_expansions
@@ -192,12 +192,11 @@ def make_traditional_expand(
     :meth:`CostModel.step_cost_index` computes it (same operation order, so
     flat and legacy searches agree bitwise).  Successors are written into
     the caller's preallocated buffers (the :class:`~repro.search.SearchCore`
-    buffered protocol) -- the hot loop allocates nothing.  With numpy
-    acceleration on, the per-successor congestion reads are hoisted into a
-    per-search :meth:`CostModel.congestion_snapshot`; the guide penalty
-    always comes from the per-net flat table (lazily filled).  Shared by
-    the maze adapter and (with the color terms layered on top) the
-    color-state / DAC-2012 adapters.
+    buffered protocol) -- the hot loop allocates nothing.  Congestion is
+    read per successor from the grid's live history / owner buffers; the
+    guide penalty comes from the per-net flat table.  The native kernel
+    evaluates the same terms inline from the same buffers.  Shared by the
+    maze adapter and the DAC-2012 adapter's interpreted tier.
     """
     neighbor_table = grid.neighbor_table()
     blocked = grid.blocked_buffer()
@@ -208,39 +207,6 @@ def make_traditional_expand(
     # All-zero for unguided nets, so the hot loop adds unconditionally
     # (bitwise identical to the legacy ``step + 0.0``).
     guide_table = cost_model.guide_penalty_table(net_name)
-    congestion_table = cost_model.congestion_snapshot(net_id)
-
-    if congestion_table is not None:
-
-        def expand(
-            node: int,
-            g: float,
-            _aux: int,
-            out_node: List[int],
-            out_cost: List[float],
-            out_aux: List[int],
-        ) -> int:
-            base_row = base_costs[node // plane]
-            slot = node * NUM_DIRECTIONS
-            count = 0
-            for direction in range(NUM_DIRECTIONS):
-                succ = neighbor_table[slot + direction]
-                if succ < 0 or blocked[succ]:
-                    continue
-                step = base_row[direction] + congestion_table[succ]
-                step = step + guide_table[succ]
-                out_node[count] = succ
-                out_cost[count] = g + alpha * step
-                out_aux[count] = 0
-                count += 1
-            return count
-
-        return attach_native_spec(
-            expand, MODE_TRADITIONAL, grid, cost_model, net_name, net_id
-        )
-
-    # Pure-Python fallback: per-successor congestion reads from the live
-    # buffers (identical arithmetic to the snapshot, evaluated lazily).
     history = grid.history_buffer()
     owner = grid.owner_buffer()
     history_weight = rules.history_weight
@@ -273,4 +239,4 @@ def make_traditional_expand(
             count += 1
         return count
 
-    return expand
+    return attach_native_spec(expand, MODE_TRADITIONAL, grid, cost_model, net_name, net_id)

@@ -20,9 +20,11 @@ Loading order (per extension):
 A loaded binary is accepted only when its ``KERNEL_ABI_VERSION`` matches
 this checkout's expectation; a stale binary (older checkout, changed
 argument contract) triggers one rebuild attempt and is otherwise
-rejected.  Every outcome is cached for the process lifetime -- a missing
-compiler costs one failed probe per process per extension, not one per
-call.
+rejected.  The rebuilt binary is imported from a fresh copy: the process
+has already loaded the stale one from the build path, and both the import
+system and the dynamic loader would hand that module back again.  Every
+outcome is cached for the process lifetime -- a missing compiler costs
+one failed probe per process per extension, not one per call.
 
 Tier *selection* (env overrides, runtime toggles, interplay with the numpy
 gate) lives in :mod:`repro.accel`; this module only answers "is there a
@@ -34,6 +36,9 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import os
+import shutil
+import sys
+import tempfile
 from typing import Dict, Optional
 
 from repro.native.build import (
@@ -50,7 +55,7 @@ from repro.utils.env import env_flag
 
 #: The argument contract of ``_relaxation.run_search`` this checkout's
 #: Python wrapper speaks; must match the binary's ``KERNEL_ABI_VERSION``.
-EXPECTED_ABI_VERSION = 1
+EXPECTED_ABI_VERSION = 2
 
 #: The argument contract of ``_checkwork.scan_hits``.
 EXPECTED_CHECK_ABI_VERSION = 1
@@ -95,6 +100,32 @@ def _import_from(path: str, name: str) -> Optional[object]:
         return None
 
 
+def _import_fresh(path: str, name: str) -> Optional[object]:
+    """Import the binary at *path* through a copy this process never loaded.
+
+    Used after rebuilding over a stale binary the process already imported:
+    ``sys.modules`` and the dynamic loader (which matches shared objects by
+    path) would both return the stale module for the original path.  The
+    copy registers as ``repro.native.<name>`` and is deleted once loaded.
+    """
+    directory = tempfile.mkdtemp(prefix="repro-native-")
+    try:
+        fresh = os.path.join(directory, os.path.basename(path))
+        shutil.copyfile(path, fresh)
+        module_name = f"repro.native.{name}"
+        spec = importlib.util.spec_from_file_location(module_name, fresh)
+        if spec is None or spec.loader is None:
+            return None
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[module_name] = module
+        return module
+    except (ImportError, OSError):
+        return None
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+
+
 def _expected_abi(name: str) -> int:
     # Read through the module globals at call time so the test suites can
     # monkeypatch the expectations.
@@ -113,6 +144,7 @@ def _load(name: str) -> Optional[object]:
         return state.kernel
     state.attempted = True
 
+    stale = False
     for path in candidate_paths(name):
         module = _import_from(path, name)
         if module is not None:
@@ -120,6 +152,7 @@ def _load(name: str) -> Optional[object]:
                 state.kernel = module
                 return state.kernel
             state.error = f"stale kernel ABI at {path}"
+            stale = True
             break  # stale binary: fall through to a rebuild attempt
 
     if not env_flag(AUTOBUILD_ENV, True):
@@ -131,9 +164,10 @@ def _load(name: str) -> Optional[object]:
     except NativeBuildError as exc:
         state.error = str(exc)
         return None
-    module = _import_from(built, name)
+    module = _import_fresh(built, name) if stale else _import_from(built, name)
     if module is not None and _abi_ok(module, name):
         state.kernel = module
+        state.error = None
         return state.kernel
     state.error = f"freshly built kernel unusable at {built}"
     return None

@@ -23,10 +23,21 @@
  * build deliberately disables FP contraction (-ffp-contract=off): a fused
  * multiply-add would round differently from Python's separate ops.
  *
+ * Cost inputs are read in place: the congestion term (hw * history, plus
+ * the occupancy penalty at vertices a foreign net owns) and the colour
+ * pressure term (gamma * pressure, with the searching net's own
+ * contribution subtracted and clamped at zero where it has one) are
+ * computed per successor from the grid's live history / owner / pressure
+ * buffers, exactly as the lazy Python closures compute them.  The net's
+ * own contribution is its sparse pressure overlay, scattered once per call
+ * into caller-owned scratch buffers that the search epoch validates, so a
+ * call costs O(|overlay|) set-up instead of O(V).
+ *
  * The GIL is released for the duration of the loop: the kernel only
- * touches the caller-owned label buffers (exclusive to one SearchCore) and
- * read-only snapshot tables, so concurrent thread-backend searches run
- * truly in parallel, each inside its own kernel call.
+ * writes the caller-owned label and scratch buffers (exclusive to one
+ * SearchCore) and reads grid buffers nothing mutates while a search runs,
+ * so concurrent thread-backend searches run truly in parallel, each inside
+ * its own kernel call.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -37,7 +48,7 @@
 
 /* Bumped whenever the run_search argument contract changes; the Python
  * loader refuses (and rebuilds) a stale binary whose ABI does not match. */
-#define KERNEL_ABI_VERSION 1
+#define KERNEL_ABI_VERSION 2
 
 #define MODE_TRADITIONAL 0
 #define MODE_COLOR_STATE 1
@@ -159,16 +170,23 @@ typedef struct {
     int *exp_aux;
     long long *exp_stamp;
     long long epoch;
-    /* Read-only grid/cost tables. */
+    /* Own-pressure scratch (exclusive to the calling SearchCore): a vertex
+     * carries the searching net's contribution iff own_stamp == epoch. */
+    double *own_pressure;       /* 3 per vertex, or NULL */
+    long long *own_stamp;       /* per vertex, or NULL */
+    /* Read-only grid/cost tables (the grid's live buffers). */
     const int *neighbor;
     const unsigned char *blocked;
     const double *base_costs;   /* num_layers * 6 */
-    const double *congestion;   /* per vertex */
     const double *guide;        /* per vertex */
+    const double *history;      /* per vertex */
+    const int *owner;           /* per vertex */
     const double *pressure;     /* 3 per vertex, or NULL */
-    const int *owner;           /* per vertex, or NULL */
     const unsigned char *target_flags;
     /* Scalars. */
+    double history_weight;
+    double occupancy_penalty;
+    double gamma;
     int mode;
     int node_stride;
     int plane;
@@ -261,6 +279,41 @@ relax(SearchCtx *ctx, int succ, double g_new, int a_new, int node)
     return 0;
 }
 
+/* (base + congestion) + guide of one move -- the operation order of the
+ * Python closures, congestion being CostModel's hw * history plus the
+ * occupancy penalty when another net owns the successor. */
+static inline double
+trad_step(const SearchCtx *ctx, double base, int succ)
+{
+    double congestion = ctx->history_weight * ctx->history[succ];
+    int holder = ctx->owner[succ];
+    double step;
+
+    if (holder != 0 && holder != ctx->net_id) {
+        congestion += ctx->occupancy_penalty;
+    }
+    step = base + congestion;
+    return step + ctx->guide[succ];
+}
+
+/* gamma-weighted conflict cost of mask *color* at *succ*: the grid's
+ * pressure, minus the searching net's own contribution (clamped at zero
+ * the way Python's max(p - own, 0.0) clamps) where it has one. */
+static inline double
+color_term(const SearchCtx *ctx, int succ, int color)
+{
+    size_t slot = 3 * (size_t)succ + (size_t)color;
+    double value = ctx->pressure[slot];
+
+    if (ctx->own_stamp[succ] == ctx->epoch) {
+        value = value - ctx->own_pressure[slot];
+        if (0.0 > value) {
+            value = 0.0;
+        }
+    }
+    return ctx->gamma * value;
+}
+
 /* dr/maze make_traditional_expand: 6 grid moves at Cost_trad. */
 static inline int
 expand_traditional(SearchCtx *ctx, int node, double g)
@@ -275,8 +328,7 @@ expand_traditional(SearchCtx *ctx, int node, double g)
         if (succ < 0 || ctx->blocked[succ]) {
             continue;
         }
-        step = base_row[direction] + ctx->congestion[succ];
-        step = step + ctx->guide[succ];
+        step = trad_step(ctx, base_row[direction], succ);
         if (relax(ctx, succ, g + ctx->alpha * step, 0, node) < 0) {
             return -1;
         }
@@ -291,22 +343,17 @@ expand_color_state(SearchCtx *ctx, int node, double g, int bits)
     const double *base_row = ctx->base_costs + (size_t)(node / ctx->plane) * NUM_DIRECTIONS;
     size_t slot = (size_t)node * NUM_DIRECTIONS;
     int direction, succ, nbits;
-    double step, base_step, cost_red, cost_green, cost_blue, minimum, limit;
-    size_t pressure_slot;
+    double base_step, cost_red, cost_green, cost_blue, minimum, limit;
 
     for (direction = 0; direction < NUM_DIRECTIONS; direction++) {
         succ = ctx->neighbor[slot + direction];
         if (succ < 0 || ctx->blocked[succ]) {
             continue;
         }
-        step = base_row[direction] + ctx->congestion[succ];
-        step = step + ctx->guide[succ];
-        base_step = ctx->alpha * step;
-
-        pressure_slot = 3 * (size_t)succ;
-        cost_red = base_step + ctx->pressure[pressure_slot];
-        cost_green = base_step + ctx->pressure[pressure_slot + 1];
-        cost_blue = base_step + ctx->pressure[pressure_slot + 2];
+        base_step = ctx->alpha * trad_step(ctx, base_row[direction], succ);
+        cost_red = base_step + color_term(ctx, succ, 0);
+        cost_green = base_step + color_term(ctx, succ, 1);
+        cost_blue = base_step + color_term(ctx, succ, 2);
         if (direction < 4) { /* planar move: stitch for masks outside the state */
             if (!(bits & 0x4)) {
                 cost_red += ctx->stitch;
@@ -358,9 +405,8 @@ expand_mask_expanded(SearchCtx *ctx, int node, double g)
         if (succ < 0 || ctx->blocked[succ]) {
             continue;
         }
-        step = base_row[direction] + ctx->congestion[succ];
-        step = step + ctx->guide[succ];
-        g_new = (g + ctx->alpha * step) + ctx->pressure[3 * (size_t)succ + color];
+        step = trad_step(ctx, base_row[direction], succ);
+        g_new = (g + ctx->alpha * step) + color_term(ctx, succ, color);
         if (relax(ctx, succ * 3 + color, g_new, 0, node) < 0) {
             return -1;
         }
@@ -471,6 +517,55 @@ acquire(PyObject *obj, BufferSlot *slot, int writable, void **ptr)
     return 0;
 }
 
+/* Scatter the searching net's pressure overlay ({vertex: [r, g, b]}) into
+ * the own-pressure scratch and stamp its vertices with the search epoch.
+ * Runs under the GIL; O(|overlay|). */
+static int
+scatter_overlay(SearchCtx *ctx, PyObject *overlay, Py_ssize_t num_vertices)
+{
+    Py_ssize_t pos = 0, index;
+    PyObject *key, *value, *fast;
+    double own;
+    int color;
+
+    if (!PyDict_Check(overlay)) {
+        PyErr_SetString(PyExc_TypeError, "pressure overlay must be a dict");
+        return -1;
+    }
+    while (PyDict_Next(overlay, &pos, &key, &value)) {
+        index = PyLong_AsSsize_t(key);
+        if (index == -1 && PyErr_Occurred()) {
+            return -1;
+        }
+        if (index < 0 || index >= num_vertices) {
+            PyErr_SetString(PyExc_IndexError, "pressure overlay vertex out of range");
+            return -1;
+        }
+        fast = PySequence_Fast(value, "pressure overlay entry must be a sequence");
+        if (fast == NULL) {
+            return -1;
+        }
+        if (PySequence_Fast_GET_SIZE(fast) != 3) {
+            Py_DECREF(fast);
+            PyErr_SetString(PyExc_ValueError, "pressure overlay entry needs 3 masks");
+            return -1;
+        }
+        for (color = 0; color < 3; color++) {
+            own = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(fast, color));
+            if (own == -1.0 && PyErr_Occurred()) {
+                Py_DECREF(fast);
+                return -1;
+            }
+            ctx->own_pressure[3 * index + color] = own;
+        }
+        Py_DECREF(fast);
+        ctx->own_stamp[index] = ctx->epoch;
+    }
+    return 0;
+}
+
+#define NUM_BUFFERS 19
+
 static PyObject *
 run_search(PyObject *self, PyObject *args)
 {
@@ -478,12 +573,13 @@ run_search(PyObject *self, PyObject *args)
     PyObject *cost_obj, *aux_obj, *parent_obj, *stamp_obj;
     PyObject *exp_cost_obj, *exp_aux_obj, *exp_stamp_obj;
     PyObject *seed_node_obj, *seed_aux_obj, *flags_obj;
-    PyObject *owner_obj, *neighbor_obj, *blocked_obj, *base_obj;
-    PyObject *congestion_obj, *guide_obj, *pressure_obj;
-    Py_ssize_t num_nodes, num_seeds, max_expansions, expansions = 0;
+    PyObject *neighbor_obj, *blocked_obj, *base_obj, *guide_obj;
+    PyObject *history_obj, *owner_obj, *pressure_obj;
+    PyObject *own_pressure_obj, *own_stamp_obj, *overlay_obj;
+    Py_ssize_t num_nodes, num_vertices, num_seeds, max_expansions, expansions = 0;
     int reached = -1, status = 0, i;
-    BufferSlot slots[17];
-    void *ptrs[17];
+    BufferSlot slots[NUM_BUFFERS];
+    void *ptrs[NUM_BUFFERS];
     const int *seed_node = NULL, *seed_aux = NULL;
 
     memset(&ctx, 0, sizeof(ctx));
@@ -500,9 +596,11 @@ run_search(PyObject *self, PyObject *args)
             "ii"       /* plane, rows */
             "dd"       /* improve_eps, tie_eps */
             "in"       /* merge_aux, max_expansions */
-            "iOi"      /* accept_mode, owner, net_id */
-            "OO"       /* neighbor, blocked */
-            "OOOO"     /* base_costs, congestion, guide, pressure */
+            "ii"       /* accept_mode, net_id */
+            "OOOO"     /* neighbor, blocked, base_costs, guide */
+            "OOO"      /* history, owner, pressure */
+            "OOO"      /* own_pressure, own_stamp, overlay */
+            "ddd"      /* history_weight, occupancy_penalty, gamma */
             "dd",      /* stitch, tolerance */
             &ctx.mode, &num_nodes, &ctx.node_stride,
             &cost_obj, &aux_obj, &parent_obj, &stamp_obj,
@@ -516,23 +614,32 @@ run_search(PyObject *self, PyObject *args)
             &ctx.plane, &ctx.rows,
             &ctx.improve_eps, &ctx.tie_eps,
             &ctx.merge_aux, &max_expansions,
-            &ctx.accept_mode, &owner_obj, &ctx.net_id,
-            &neighbor_obj, &blocked_obj,
-            &base_obj, &congestion_obj, &guide_obj, &pressure_obj,
+            &ctx.accept_mode, &ctx.net_id,
+            &neighbor_obj, &blocked_obj, &base_obj, &guide_obj,
+            &history_obj, &owner_obj, &pressure_obj,
+            &own_pressure_obj, &own_stamp_obj, &overlay_obj,
+            &ctx.history_weight, &ctx.occupancy_penalty, &ctx.gamma,
             &ctx.stitch, &ctx.tolerance)) {
         return NULL;
     }
+    if (ctx.node_stride < 1) {
+        PyErr_SetString(PyExc_ValueError, "node_stride must be positive");
+        return NULL;
+    }
+    num_vertices = num_nodes / ctx.node_stride;
 
     {
-        PyObject *objects[17] = {
+        PyObject *objects[NUM_BUFFERS] = {
             cost_obj, aux_obj, parent_obj, stamp_obj,
             exp_cost_obj, exp_aux_obj, exp_stamp_obj,
+            own_pressure_obj, own_stamp_obj,
             seed_node_obj, seed_aux_obj, flags_obj,
-            owner_obj, neighbor_obj, blocked_obj,
-            base_obj, congestion_obj, guide_obj, pressure_obj,
+            neighbor_obj, blocked_obj, base_obj, guide_obj,
+            history_obj, owner_obj, pressure_obj,
         };
-        int writable[17] = {1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
-        for (i = 0; i < 17; i++) {
+        int writable[NUM_BUFFERS] = {1, 1, 1, 1, 1, 1, 1, 1, 1,
+                                     0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
+        for (i = 0; i < NUM_BUFFERS; i++) {
             if (acquire(objects[i], &slots[i], writable[i], &ptrs[i]) < 0) {
                 while (--i >= 0) {
                     if (slots[i].held) {
@@ -550,32 +657,61 @@ run_search(PyObject *self, PyObject *args)
     ctx.exp_cost = (double *)ptrs[4];
     ctx.exp_aux = (int *)ptrs[5];
     ctx.exp_stamp = (long long *)ptrs[6];
-    seed_node = (const int *)ptrs[7];
-    seed_aux = (const int *)ptrs[8];
-    ctx.target_flags = (const unsigned char *)ptrs[9];
-    ctx.owner = (const int *)ptrs[10];
-    ctx.neighbor = (const int *)ptrs[11];
-    ctx.blocked = (const unsigned char *)ptrs[12];
-    ctx.base_costs = (const double *)ptrs[13];
-    ctx.congestion = (const double *)ptrs[14];
+    ctx.own_pressure = (double *)ptrs[7];
+    ctx.own_stamp = (long long *)ptrs[8];
+    seed_node = (const int *)ptrs[9];
+    seed_aux = (const int *)ptrs[10];
+    ctx.target_flags = (const unsigned char *)ptrs[11];
+    ctx.neighbor = (const int *)ptrs[12];
+    ctx.blocked = (const unsigned char *)ptrs[13];
+    ctx.base_costs = (const double *)ptrs[14];
     ctx.guide = (const double *)ptrs[15];
-    ctx.pressure = (const double *)ptrs[16];
+    ctx.history = (const double *)ptrs[16];
+    ctx.owner = (const int *)ptrs[17];
+    ctx.pressure = (const double *)ptrs[18];
 
-    if (heap_init(&ctx.heap, num_seeds > 256 ? num_seeds : 256) < 0) {
-        status = -1;
+    if (ctx.history == NULL || ctx.owner == NULL) {
+        PyErr_SetString(PyExc_ValueError, "history and owner buffers are required");
+        status = -2;
     }
-    else {
-        Py_BEGIN_ALLOW_THREADS
-        status = run_loop(&ctx, seed_node, seed_aux, num_seeds, max_expansions,
-                          &reached, &expansions);
-        Py_END_ALLOW_THREADS
-        heap_free(&ctx.heap);
+    else if (ctx.mode != MODE_TRADITIONAL) {
+        /* Colour modes read pressure and the own-pressure scratch. */
+        if (ctx.pressure == NULL || ctx.own_pressure == NULL ||
+            ctx.own_stamp == NULL || overlay_obj == Py_None) {
+            PyErr_SetString(PyExc_ValueError,
+                            "colour modes need pressure, scratch and overlay");
+            status = -2;
+        }
+        else if (slots[7].view.len < 3 * num_vertices * (Py_ssize_t)sizeof(double) ||
+                 slots[8].view.len < num_vertices * (Py_ssize_t)sizeof(long long)) {
+            PyErr_SetString(PyExc_ValueError, "own-pressure scratch too small");
+            status = -2;
+        }
+        else if (scatter_overlay(&ctx, overlay_obj, num_vertices) < 0) {
+            status = -2;
+        }
     }
 
-    for (i = 0; i < 17; i++) {
+    if (status == 0) {
+        if (heap_init(&ctx.heap, num_seeds > 256 ? num_seeds : 256) < 0) {
+            status = -1;
+        }
+        else {
+            Py_BEGIN_ALLOW_THREADS
+            status = run_loop(&ctx, seed_node, seed_aux, num_seeds, max_expansions,
+                              &reached, &expansions);
+            Py_END_ALLOW_THREADS
+            heap_free(&ctx.heap);
+        }
+    }
+
+    for (i = 0; i < NUM_BUFFERS; i++) {
         if (slots[i].held) {
             PyBuffer_Release(&slots[i].view);
         }
+    }
+    if (status == -2) {
+        return NULL; /* exception already set */
     }
     if (status < 0) {
         return PyErr_NoMemory();

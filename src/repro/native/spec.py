@@ -12,13 +12,15 @@ runs as before, so the Python path remains the always-available fallback
 and the differential oracle.
 
 Specs are built only when the native tier is active
-(:func:`repro.accel.get_native_kernel`), so Python-tier runs never pay the
-table materialisation.
+(:func:`repro.accel.get_native_kernel`).  They carry no per-search tables:
+the kernel reads the grid's live history, owner and pressure buffers and
+computes the congestion and colour-pressure terms inline, so the tier
+needs neither numpy nor any O(V) set-up per search.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 #: Expansion modes -- values mirror the C kernel's constants.
 MODE_TRADITIONAL = 0
@@ -35,19 +37,28 @@ class NativeExpandSpec:
     """Everything the kernel needs to run one adapter's expansion natively.
 
     All table attributes are flat buffers (``array``/``bytearray``) the C
-    side reads through the buffer protocol; they alias the exact objects
-    the Python closure reads, so the two paths can never diverge on data.
+    side reads through the buffer protocol; the grid ones are the live
+    buffers the Python closure reads, so the two paths can never diverge
+    on data.  *overlay* is the searching net's live pressure overlay
+    (``index -> [r, g, b]``), which the kernel scatters into the calling
+    core's own-pressure scratch before each run.
     """
 
     __slots__ = (
         "mode",
         "node_stride",
+        "net_id",
         "neighbor",
         "blocked",
         "base_costs",
-        "congestion",
         "guide",
+        "history",
+        "owner",
         "pressure",
+        "overlay",
+        "history_weight",
+        "occupancy_penalty",
+        "gamma",
         "stitch",
         "tolerance",
     )
@@ -56,36 +67,50 @@ class NativeExpandSpec:
         self,
         mode: int,
         node_stride: int,
+        net_id: int,
         neighbor,
         blocked,
         base_costs,
-        congestion,
         guide,
+        history,
+        owner,
         pressure=None,
+        overlay=None,
+        history_weight: float = 0.0,
+        occupancy_penalty: float = 0.0,
+        gamma: float = 0.0,
         stitch: float = 0.0,
         tolerance: float = 0.0,
     ) -> None:
         self.mode = mode
         self.node_stride = node_stride
+        self.net_id = net_id
         self.neighbor = neighbor
         self.blocked = blocked
         self.base_costs = base_costs
-        self.congestion = congestion
         self.guide = guide
+        self.history = history
+        self.owner = owner
         self.pressure = pressure
+        self.overlay = overlay
+        self.history_weight = history_weight
+        self.occupancy_penalty = occupancy_penalty
+        self.gamma = gamma
         self.stitch = stitch
         self.tolerance = tolerance
 
 
 class NativeAcceptSpec:
-    """Native form of a target-accept predicate (see ``ACCEPT_*``)."""
+    """Native form of a target-accept predicate (see ``ACCEPT_*``).
 
-    __slots__ = ("kind", "owner", "net_id")
+    The free-or-own rule reads the owner buffer and net id of the
+    expansion's :class:`NativeExpandSpec`, so only the kind travels here.
+    """
 
-    def __init__(self, kind: int, owner=None, net_id: int = 0) -> None:
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: int) -> None:
         self.kind = kind
-        self.owner = owner
-        self.net_id = net_id
 
 
 def attach_native_spec(
@@ -101,44 +126,41 @@ def attach_native_spec(
     """Attach a :class:`NativeExpandSpec` to *expand* when the tier is active.
 
     Returns *expand* either way, so factories can ``return
-    attach_native_spec(expand, ...)``.  A spec is attached only when the
-    kernel is loaded *and* the per-search snapshot tables exist (they
-    require the numpy tier; without them the scalar closure is the fastest
-    correct path anyway).
+    attach_native_spec(expand, ...)``.  The spec aliases the grid's live
+    buffers plus the cost model's build-once base-cost and guide tables,
+    so attaching it costs no per-search table work.
     """
     from repro.accel import get_native_kernel
 
     if get_native_kernel() is None:
         return expand
-    congestion = cost_model.congestion_snapshot_flat(net_id)
-    if congestion is None:
-        return expand
-    pressure = None
-    if mode in (MODE_COLOR_STATE, MODE_MASK_EXPANDED):
-        pressure = cost_model.color_pressure_snapshot_flat(net_id)
-        if pressure is None:
-            return expand
+    rules = grid.rules
+    colored = mode != MODE_TRADITIONAL
     expand.native_spec = NativeExpandSpec(
         mode=mode,
         node_stride=3 if mode == MODE_MASK_EXPANDED else 1,
+        net_id=net_id,
         neighbor=grid.neighbor_table(),
         blocked=grid.blocked_buffer(),
         base_costs=cost_model.base_cost_flat(),
-        congestion=congestion,
         guide=cost_model.guide_penalty_flat(net_name),
-        pressure=pressure,
+        history=grid.history_buffer(),
+        owner=grid.owner_buffer(),
+        pressure=grid.pressure_buffer() if colored else None,
+        overlay=grid.net_pressure_overlay(net_id) if colored else None,
+        history_weight=rules.history_weight,
+        occupancy_penalty=rules.occupancy_penalty,
+        gamma=rules.gamma,
         stitch=stitch,
         tolerance=tolerance,
     )
     return expand
 
 
-def attach_accept_spec(accept: Callable, grid, net_id: int) -> Callable:
+def attach_accept_spec(accept: Callable) -> Callable:
     """Attach the free-or-own occupancy accept spec to *accept*."""
     from repro.accel import get_native_kernel
 
     if get_native_kernel() is not None:
-        accept.native_spec = NativeAcceptSpec(
-            kind=ACCEPT_FREE_OR_OWN, owner=grid.owner_buffer(), net_id=net_id
-        )
+        accept.native_spec = NativeAcceptSpec(kind=ACCEPT_FREE_OR_OWN)
     return accept

@@ -229,11 +229,10 @@ def make_color_state_expand(
     Successors are written into the caller's preallocated buffers (the
     :class:`~repro.search.SearchCore` buffered protocol).
 
-    With numpy acceleration on, the per-successor congestion and per-mask
-    pressure reads are hoisted into per-search snapshots
-    (:meth:`CostModel.congestion_snapshot` /
-    :meth:`CostModel.color_pressure_snapshot`); the fallback reads the live
-    buffers per successor with identical arithmetic.
+    Congestion and per-mask pressure are read per successor from the
+    grid's live buffers, with the net's own pressure overlay subtracted
+    (clamped at zero); the native kernel evaluates the same terms inline
+    from the same buffers.
 
     Crossing to another layer (a via) resets the mask freedom: the new
     layer's metal has no stitch relationship with the current one, so all
@@ -251,72 +250,6 @@ def make_color_state_expand(
     # (bitwise identical to the legacy ``step + 0.0``).
     guide_table = cost_model.guide_penalty_table(net_name)
     tolerance = _COST_TOLERANCE
-    congestion_table = cost_model.congestion_snapshot(net_id)
-    pressure_table = (
-        cost_model.color_pressure_snapshot(net_id)
-        if congestion_table is not None
-        else None
-    )
-
-    if pressure_table is not None:
-
-        def expand(
-            node: int,
-            g: float,
-            bits: int,
-            out_node: List[int],
-            out_cost: List[float],
-            out_aux: List[int],
-        ) -> int:
-            base_row = base_costs[node // plane]
-            slot = node * NUM_DIRECTIONS
-            count = 0
-            for direction in range(NUM_DIRECTIONS):
-                succ = neighbor_table[slot + direction]
-                if succ < 0 or blocked[succ]:
-                    continue
-                step = base_row[direction] + congestion_table[succ]
-                step = step + guide_table[succ]
-                base_step = alpha * step
-
-                pressure_slot = 3 * succ
-                cost_red = base_step + pressure_table[pressure_slot]
-                cost_green = base_step + pressure_table[pressure_slot + 1]
-                cost_blue = base_step + pressure_table[pressure_slot + 2]
-                if direction < 4:  # planar move: stitch for masks outside the state
-                    if not bits & 0b100:
-                        cost_red += stitch_penalty
-                    if not bits & 0b010:
-                        cost_green += stitch_penalty
-                    if not bits & 0b001:
-                        cost_blue += stitch_penalty
-                minimum = cost_red if cost_red <= cost_green else cost_green
-                if cost_blue < minimum:
-                    minimum = cost_blue
-                limit = minimum + tolerance
-                out_node[count] = succ
-                out_cost[count] = g + minimum
-                out_aux[count] = (
-                    (0b100 if cost_red <= limit else 0)
-                    | (0b010 if cost_green <= limit else 0)
-                    | (0b001 if cost_blue <= limit else 0)
-                )
-                count += 1
-            return count
-
-        return attach_native_spec(
-            expand,
-            MODE_COLOR_STATE,
-            grid,
-            cost_model,
-            net_name,
-            net_id,
-            stitch=stitch_penalty,
-            tolerance=tolerance,
-        )
-
-    # Pure-Python fallback: per-successor congestion / pressure reads from
-    # the live buffers (identical arithmetic to the snapshots).
     history = grid.history_buffer()
     owner = grid.owner_buffer()
     pressure = grid.pressure_buffer()
@@ -378,4 +311,13 @@ def make_color_state_expand(
             count += 1
         return count
 
-    return expand
+    return attach_native_spec(
+        expand,
+        MODE_COLOR_STATE,
+        grid,
+        cost_model,
+        net_name,
+        net_id,
+        stitch=stitch_penalty,
+        tolerance=tolerance,
+    )

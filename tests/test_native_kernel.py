@@ -13,7 +13,9 @@ These tests enforce it three ways:
   color-state merge lives in aux);
 * fallback behaviour -- gating the tier off mid-process, and loading with
   no binary and auto-build disabled, must leave the engines running (and
-  agreeing) on the buffered tier.
+  agreeing) on the buffered tier; with numpy gated off the kernel must
+  still run, and a stale binary must be rebuilt and used in the process
+  that found it.
 
 Every native leg is skipped cleanly when no kernel can be built (no
 compiler in the environment): the remaining legs still differentially
@@ -189,6 +191,92 @@ class TestLabelParity:
         """Aux bits carry the Alg. 2 mask merge; they must match exactly."""
         assert self._color_result(True) == self._color_result(False)
 
+    def _colored_grid(self):
+        """Return ``(grid, clamp_index, negative_index)`` for overlay parity.
+
+        Net n1 already owns coloured metal next to its source, so its own
+        pressure overlay is non-empty.  At one overlay vertex the pressure
+        is forced below n1's own contribution (``p - own`` clamps to 0);
+        at one vertex outside the overlay it is a tiny negative value,
+        which no clamp may touch.
+        """
+        grid = RoutingGrid(self._design())
+        for name, vertex, color in (
+            ("n1", GridPoint(0, 2, 1), 0),
+            ("n1", GridPoint(0, 3, 1), 1),
+            ("other", GridPoint(0, 4, 4), 0),
+        ):
+            grid.occupy(vertex, name)
+            grid.set_vertex_color(vertex, name, color)
+        overlay = grid.net_pressure_overlay(grid.net_id("n1"))
+        pressure = grid.pressure_buffer()
+        clamp_index = grid.index_of(GridPoint(0, 2, 2))
+        own = overlay[clamp_index]
+        for mask in range(3):
+            pressure[3 * clamp_index + mask] = own[mask] - 0.25
+        negative_index = grid.index_of(GridPoint(0, 8, 8))
+        assert negative_index not in overlay
+        for mask in range(3):
+            pressure[3 * negative_index + mask] = -1e-12
+        return grid, clamp_index, negative_index
+
+    @staticmethod
+    def _label_bytes(core, special):
+        """Every label as exact bits, plus the labelled state of *special*."""
+        parent = core.parent
+        aux = core.aux
+        labels = sorted(
+            (node, cost.hex(), aux[node], parent[node]) for node, cost in core.cost.items()
+        )
+        return labels, [core.is_labelled(node) for node in special]
+
+    def _overlay_color_result(self, native):
+        from repro.tpl.search import ColorStateSearch
+        from repro.tpl.color_state import ColorState
+
+        prev = accel.set_native_enabled(native)
+        try:
+            grid, clamp_index, negative_index = self._colored_grid()
+            result = ColorStateSearch(grid, CostModel(grid)).search(
+                {GridPoint(0, 1, 1): ColorState(0b111)}, {GridPoint(0, 15, 15)}, "n1"
+            )
+            return self._label_bytes(result._core, (clamp_index, negative_index))
+        finally:
+            accel.set_native_enabled(prev)
+
+    def _overlay_mask_expanded_result(self, native):
+        from repro.baselines.dac2012 import MaskExpandedSearch
+
+        prev = accel.set_native_enabled(native)
+        try:
+            grid, clamp_index, negative_index = self._colored_grid()
+            search = MaskExpandedSearch(grid, CostModel(grid))
+            captured = []
+            search.core.on_result = lambda core: captured.append(
+                self._label_bytes(
+                    core, [3 * index + mask for index in (clamp_index, negative_index)
+                           for mask in range(3)]
+                )
+            )
+            path = search.search(
+                [(GridPoint(0, 1, 1), mask) for mask in range(3)], {GridPoint(0, 15, 15)}, "n1"
+            )
+            assert path is not None
+            return captured
+        finally:
+            accel.set_native_enabled(prev)
+
+    def test_color_state_labels_with_own_overlay(self):
+        """Inline own-overlay subtraction and clamp == the lazy closure."""
+        native = self._overlay_color_result(True)
+        assert all(native[1])  # both forced vertices were relaxed
+        assert native == self._overlay_color_result(False)
+
+    def test_mask_expanded_labels_with_own_overlay(self):
+        native = self._overlay_mask_expanded_result(True)
+        assert any(native[0][1])  # the forced vertices were relaxed
+        assert native == self._overlay_mask_expanded_result(False)
+
     def test_tie_breaks_follow_insertion_order(self):
         """Many equal-cost paths: parents must still agree node for node
         (the kernel's heap reproduces heapq's (f, counter) pop order)."""
@@ -243,6 +331,38 @@ class TestFallback:
         finally:
             accel.set_native_enabled(prev)
 
+    @needs_kernel
+    def test_native_tier_runs_without_numpy(self):
+        """numpy off, native on: every adapter dispatches to the kernel."""
+        from repro.baselines.dac2012 import MaskExpandedSearch
+        from repro.dr.maze import make_traditional_expand
+        from repro.tpl.search import make_color_state_expand
+
+        prev_native = accel.set_native_enabled(True)
+        prev_numpy = accel.set_numpy_enabled(False)
+        try:
+            assert accel.active_search_tier() == "native"
+            grid = RoutingGrid(random_design(0))
+            model = CostModel(grid)
+            net_id = grid.net_id("n0")
+            expands = [
+                make_traditional_expand(grid, model, "n0", net_id),
+                make_color_state_expand(grid, model, "n0", net_id),
+                MaskExpandedSearch(grid, model)._make_expand("n0", net_id),
+            ]
+            assert all(hasattr(expand, "native_spec") for expand in expands)
+        finally:
+            accel.set_numpy_enabled(prev_numpy)
+            accel.set_native_enabled(prev_native)
+
+    @needs_kernel
+    @pytest.mark.parametrize("router_key", ["maze", "color-state", "dac2012"])
+    def test_native_without_numpy_routes_identically(self, router_key):
+        router_class = router_classes()[router_key]
+        without = route_with_tier(router_class, random_design(4), native=True, numpy=False)
+        with_numpy = route_with_tier(router_class, random_design(4), native=True, numpy=True)
+        assert without == with_numpy
+
     def test_loader_without_binary_or_autobuild(self, monkeypatch, tmp_path):
         """No binary anywhere + auto-build off => load_kernel() is None."""
         import repro.native as native
@@ -271,6 +391,59 @@ class TestFallback:
             monkeypatch.undo()
             native.reset_loader_state()
         assert native.load_kernel() is not None  # sanity: recovers
+
+    @needs_kernel
+    def test_first_load_rebuilds_stale_binary(self, tmp_path):
+        """A stale-ABI binary is rebuilt and the *same* process's first
+        load_kernel() returns the current ABI, not the cached stale module."""
+        import os
+        import shutil
+        import subprocess
+        import sys
+
+        import repro
+        import repro.native as native
+
+        package = os.path.dirname(os.path.abspath(repro.__file__))
+        copy = tmp_path / "src"
+        shutil.copytree(
+            package,
+            copy / "repro",
+            ignore=shutil.ignore_patterns("*.so", "*.pyd", "__pycache__"),
+        )
+        source = copy / "repro" / "native" / "_relaxation.c"
+        current = source.read_text()
+        marker = f"#define KERNEL_ABI_VERSION {native.EXPECTED_ABI_VERSION}"
+        assert marker in current
+        env = dict(os.environ, PYTHONPATH=str(copy), REPRO_NATIVE_AUTOBUILD="1")
+        env.pop("REPRO_PURE_PYTHON", None)
+        env.pop("REPRO_NO_NATIVE", None)
+
+        def run(code):
+            return subprocess.run(
+                [sys.executable, "-c", code],
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=300,
+            )
+
+        stale_marker = f"#define KERNEL_ABI_VERSION {native.EXPECTED_ABI_VERSION - 1}"
+        source.write_text(current.replace(marker, stale_marker))
+        planted = run("from repro.native.build import build_extension; build_extension()")
+        assert planted.returncode == 0, planted.stderr
+        source.write_text(current)
+        probe = run(
+            "import repro.native as n\n"
+            "k = n.load_kernel()\n"
+            "print(k.KERNEL_ABI_VERSION if k is not None else None)\n"
+            "print(n.kernel_load_error())\n"
+        )
+        assert probe.returncode == 0, probe.stderr
+        abi, error = probe.stdout.split("\n")[:2]
+        assert abi == str(native.EXPECTED_ABI_VERSION), error
+        assert error == "None"
 
 
 class TestEnvKnobs:

@@ -1,10 +1,10 @@
 """Differential tests: numpy-vectorised kernels vs the pure-Python oracle.
 
-The vectorised kernels (color-pressure neighbourhood updates, per-search
-congestion / color-pressure / guide / heuristic tables) must be pure
-representation changes: with the numpy gate forced off, the engines run the
-original scalar loops, and both paths have to produce bit-identical grid
-state and bit-identical routed solutions.  These tests pin that down with
+The vectorised kernels (color-pressure neighbourhood updates, the per-net
+guide table and the heuristic table) must be pure representation changes:
+with the numpy gate forced off, the engines run the original scalar
+loops, and both paths have to produce bit-identical grid state and
+bit-identical routed solutions.  These tests pin that down with
 seeded random workloads, plus the immutability of the shared
 ``interaction_offsets`` cache.
 """
@@ -122,36 +122,7 @@ class TestPressureKernelDifferential:
 
 
 class TestSnapshotKernels:
-    """Per-search vectorised tables == the scalar per-vertex queries."""
-
-    @requires_numpy
-    def test_congestion_snapshot_matches_scalar(self):
-        grid = RoutingGrid(make_design())
-        model = CostModel(grid)
-        rng = random.Random(3)
-        for _ in range(60):
-            index = rng.randrange(grid.num_vertices)
-            grid.add_history_index(index, rng.random() * 3)
-            if rng.random() < 0.5:
-                grid.occupy_index(index, grid.net_id(f"m{rng.randrange(4)}"))
-        net_id = grid.net_id("m1")
-        table = model.congestion_snapshot(net_id)
-        assert table is not None
-        for index in range(grid.num_vertices):
-            assert table[index] == grid.congestion_cost_index(index, net_id)
-
-    @requires_numpy
-    def test_color_pressure_snapshot_matches_scalar(self):
-        grid = RoutingGrid(make_design(color=1))
-        model = CostModel(grid)
-        _random_color_workload(grid, seed=11, rounds=80)
-        net_id = grid.net_id("n2")
-        gamma = grid.rules.gamma
-        table = model.color_pressure_snapshot(net_id)
-        assert table is not None
-        for index in range(grid.num_vertices):
-            expected = [gamma * c for c in grid.color_costs_index(index, net_id)]
-            assert table[3 * index : 3 * index + 3] == expected
+    """Build-once vectorised tables == the scalar per-vertex queries."""
 
     def test_guide_table_matches_point_queries(self):
         from repro.gr import GlobalRouter
