@@ -1,7 +1,7 @@
 """Acceleration tier registry and runtime gates.
 
-The search/cost hot paths run on a three-tier stack, every tier producing
-bit-identical results:
+The search/cost hot paths run on a two-tier stack, both tiers producing
+bit-identical results (pinned by ``tests/test_golden_solutions.py``):
 
 ``native``
     The compiled relaxation kernel (:mod:`repro.native`): the whole
@@ -16,10 +16,6 @@ bit-identical results:
     vectorised through numpy when importable; every vectorised kernel has
     a pure-Python twin producing bit-identical results (same IEEE-754
     operations in the same order) used on numpy-free installs.
-``legacy``
-    The frozen GridPoint-dict reference engines
-    (:mod:`repro.search.legacy`), selected only explicitly
-    (``engine="legacy"``) as the parity oracle.
 
 Gates are process-global and runtime-switchable:
 
@@ -50,7 +46,7 @@ except ImportError:  # pragma: no cover - numpy-free environments
     _numpy = None
 
 #: Tier names, fastest first (``repro.bench.micro`` records the active one).
-SEARCH_TIERS = ("native", "buffered", "legacy")
+SEARCH_TIERS = ("native", "buffered")
 
 #: Tier names of the incremental-check path, fastest first.
 CHECK_TIERS = ("native", "buffered", "pure")
@@ -228,11 +224,7 @@ def active_check_tier() -> str:
 
 
 def active_search_tier() -> str:
-    """Return the name of the fastest tier currently active.
-
-    ``legacy`` never appears here: it is only ever selected explicitly as
-    the parity oracle, not by the registry.
-    """
+    """Return the name of the fastest search tier currently active."""
     if get_native_kernel() is not None:
         return "native"
     return "buffered-numpy" if _enabled else "buffered-python"

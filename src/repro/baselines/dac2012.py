@@ -101,9 +101,7 @@ class MaskExpandedSearch:
         net_id = grid.net_id(net_name)
         expand = self._make_expand(net_name, net_id)
         self.core.max_expansions = self.max_expansions
-        core = self.core.run(
-            seeds, target_nodes, expand, bounds=bounds, node_stride=3, buffered=True
-        )
+        core = self.core.run(seeds, target_nodes, expand, bounds=bounds, node_stride=3)
         if not core.found:
             return None
         nodes = core.node_path()
@@ -191,7 +189,6 @@ class Dac2012Router:
         guides: Optional[GuideSet] = None,
         use_global_router: bool = True,
         max_iterations: Optional[int] = None,
-        engine: str = "flat",
         parallelism: int = 1,
         batch_size: Optional[int] = None,
         batch_backend: str = "serial",
@@ -215,19 +212,9 @@ class Dac2012Router:
             else design.tech.rules.max_ripup_iterations
         )
         self.max_expansions = 6_000_000
-        self._engine_kind = engine
-        if engine == "flat":
-            self.two_pin_engine = MaskExpandedSearch(
-                self.grid, self.cost_model, self.max_expansions
-            )
-        elif engine == "legacy":
-            from repro.search.legacy import LegacyMaskExpandedSearch
-
-            self.two_pin_engine = LegacyMaskExpandedSearch(
-                self.grid, self.cost_model, self.max_expansions
-            )
-        else:
-            raise ValueError(f"unknown search engine {engine!r}; expected 'flat' or 'legacy'")
+        self.two_pin_engine = MaskExpandedSearch(
+            self.grid, self.cost_model, self.max_expansions
+        )
         self.batch_executor = make_batch_executor(
             self,
             parallelism,
@@ -328,15 +315,12 @@ class Dac2012Router:
                 solution.add_route(self.route_net(net))
             self.phases.add("search", perf_counter() - search_started)
 
-    def make_search_engine(self) -> Optional[MaskExpandedSearch]:
-        """Return a fresh flat mask-expanded engine over this router's grid.
+    def make_search_engine(self) -> MaskExpandedSearch:
+        """Return a fresh mask-expanded engine over this router's grid.
 
         The batch executor creates one per worker so concurrent searches
-        never share label buffers.  ``None`` for the legacy engine, which
-        the speculative backends do not support.
+        never share label buffers.
         """
-        if self._engine_kind != "flat":
-            return None
         return MaskExpandedSearch(self.grid, self.cost_model, self.max_expansions)
 
     def worker_spec(self) -> Tuple[type, Dict[str, object]]:
@@ -350,7 +334,6 @@ class Dac2012Router:
             "guides": self.guides,
             "use_global_router": False,
             "max_iterations": self.max_iterations,
-            "engine": self._engine_kind,
         }
 
     # ------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Hand-crafted micro layouts mirroring the paper's figures, plus the
-search-engine micro-benchmarks.
+micro-benchmark modes.
 
 Micro layouts:
 
@@ -13,17 +13,7 @@ Micro layouts:
   with two fixed obstacles on mask 2 and mask 3 forcing the color state of
   the routed path to narrow from ``111`` to ``101`` to ``100``.
 
-Engine micro-benchmarks:
-
-:func:`run_engine_benchmarks` routes synthetic ISPD-like suite cases (the
-ispd18 sweep plus the denser :data:`DENSE_CASES` ispd19-like appendix)
-through each router with both engine generations -- the frozen legacy
-``GridPoint``-dict search engines (:mod:`repro.search.legacy`) and the
-flat-index :class:`repro.search.SearchCore` adapters -- verifying the two
-produce bit-identical solutions and reporting the wall-clock speedup.
-``--repeat N`` routes each case N times per engine and reports the median,
-and the emitted JSON records the repeat count and numpy availability so a
-recorded baseline documents the configuration that produced it.
+Micro-benchmark modes (``python -m repro.bench.micro`` needs exactly one):
 
 :func:`run_native_kernel_benchmarks` (``--native``) benchmarks the
 compiled relaxation kernel (:mod:`repro.native`) against the buffered
@@ -60,7 +50,7 @@ checkpoint-v2 snapshot-folded document, restores each through
 records document sizes, op counts and restore wall-clocks (baseline:
 ``BENCH_checkpoint.json``).
 
-``python -m repro.bench.micro`` writes either result set as a
+``python -m repro.bench.micro`` writes the selected mode's result set as a
 ``BENCH_*.json`` perf baseline so CI and future PRs can track regressions.
 """
 
@@ -81,11 +71,10 @@ from repro.accel import (
     numpy_enabled,
     set_check_scan_enabled,
     set_native_enabled,
-    set_numpy_enabled,
 )
 from repro.profiling import PHASE_NAMES, global_phase_delta, global_phase_snapshot
 from repro.design import Design, Net, Obstacle, Pin
-from repro.geometry import Point, Rect
+from repro.geometry import Rect
 from repro.tech import DesignRules, make_default_tech
 from repro.utils.env import env_float
 
@@ -93,8 +82,8 @@ from repro.utils.env import env_float
 #: ``REPRO_BENCH_SCALE`` environment knob shared with ``benchmarks/``.
 DEFAULT_BENCH_SCALE = 0.7
 
-#: Extra denser cases appended to the engine benchmark beyond the ispd18
-#: sweep: one ispd19-like case (tighter color spacing regime, more nets).
+#: Extra denser cases appended to the native-kernel benchmark beyond the
+#: ispd18 sweep: one ispd19-like case (tighter color spacing regime, more nets).
 DENSE_CASES: Tuple[Tuple[str, int], ...] = (("ispd19", 4),)
 
 #: Production-shaped sparse cases appended to the batched benchmark: small
@@ -208,7 +197,7 @@ def micro_cases() -> List[Tuple[str, Design]]:
 
 
 # ----------------------------------------------------------------------
-# Search-engine micro-benchmarks (legacy GridPoint dicts vs flat index)
+# Solution digests shared by every mode, the tests and the golden digests
 # ----------------------------------------------------------------------
 
 def solution_fingerprint(solution) -> Dict[str, tuple]:
@@ -236,103 +225,6 @@ def solution_metrics(solution) -> Dict[str, float]:
     }
 
 
-def run_engine_benchmarks(
-    suite: str = "ispd18",
-    cases: Tuple[int, ...] = (1, 2, 3),
-    scale: Optional[float] = None,
-    routers: Tuple[str, ...] = ("maze", "color-state", "dac2012"),
-    repeat: int = 1,
-    dense_cases: Tuple[Tuple[str, int], ...] = DENSE_CASES,
-) -> Dict[str, object]:
-    """Benchmark the flat-index engines against the legacy reference.
-
-    For every suite case (the *suite* sweep plus the denser *dense_cases*
-    appendix) and router, the same design is routed *repeat* times per
-    engine generation; the run asserts every produced solution is identical
-    (vertices, colors, edges, stitches) and records the median wall-clock
-    of each engine, so speedup numbers stay stable across noisy runs.
-    Returns the result document that :func:`main` serialises to JSON.
-    """
-    # Imported here: repro.bench must stay importable without the router
-    # stack (and the legacy module must never burden production imports).
-    from repro.baselines.dac2012 import Dac2012Router
-    from repro.bench.suites import suite_case
-    from repro.dr.router import DetailedRouter
-    from repro.tpl.mr_tpl import MrTPLRouter
-
-    if scale is None:
-        scale = default_bench_scale()
-    repeat = max(1, repeat)
-    router_classes = {
-        "maze": DetailedRouter,
-        "color-state": MrTPLRouter,
-        "dac2012": Dac2012Router,
-    }
-    case_list = [(suite, number) for number in cases]
-    case_list.extend(dense_cases)
-    results: List[Dict[str, object]] = []
-    for case_suite, number in case_list:
-        for router_key in routers:
-            router_class = router_classes[router_key]
-            timings: Dict[str, float] = {}
-            outcome: Dict[str, object] = {}
-            identical_repeats = True
-            for engine in ("legacy", "flat"):
-                samples: List[float] = []
-                digests: List[object] = []
-                for _round in range(repeat):
-                    design = suite_case(case_suite, number, scale).build()
-                    router = router_class(design, engine=engine)
-                    start = time.perf_counter()
-                    solution = router.run()
-                    samples.append(time.perf_counter() - start)
-                    digests.append(
-                        (
-                            solution_fingerprint(solution),
-                            solution_metrics(solution),
-                        )
-                    )
-                timings[engine] = median(samples)
-                outcome[engine] = digests[0]
-                identical_repeats = identical_repeats and all(
-                    digest == digests[0] for digest in digests
-                )
-            legacy_digest, legacy_metrics = outcome["legacy"]
-            flat_digest, flat_metrics = outcome["flat"]
-            results.append(
-                {
-                    "suite": case_suite,
-                    "case": number,
-                    "router": router_key,
-                    "legacy_seconds": round(timings["legacy"], 4),
-                    "flat_seconds": round(timings["flat"], 4),
-                    "speedup": round(timings["legacy"] / max(timings["flat"], 1e-9), 3),
-                    "identical_solutions": identical_repeats
-                    and legacy_digest == flat_digest
-                    and legacy_metrics == flat_metrics,
-                    "metrics": flat_metrics,
-                }
-            )
-    speedups = [entry["speedup"] for entry in results]
-    geomean = 1.0
-    for value in speedups:
-        geomean *= max(value, 1e-9)
-    geomean **= 1.0 / max(len(speedups), 1)
-    return {
-        "benchmark": "search-engine flat-index vs legacy",
-        "suite": suite,
-        "scale": scale,
-        "cases": list(cases),
-        "dense_cases": [list(entry) for entry in dense_cases],
-        "repeat": repeat,
-        "numpy_available": have_numpy(),
-        "numpy_enabled": numpy_enabled(),
-        "results": results,
-        "geomean_speedup": round(geomean, 3),
-        "all_identical": all(entry["identical_solutions"] for entry in results),
-    }
-
-
 # ----------------------------------------------------------------------
 # Native-kernel micro-benchmark (compiled relaxation loop vs buffered)
 # ----------------------------------------------------------------------
@@ -348,9 +240,9 @@ def run_native_kernel_benchmarks(
     """Benchmark the compiled relaxation kernel against the buffered tier.
 
     For every suite case and router the same design is routed *repeat*
-    times on the flat engine with the native tier enabled and *repeat*
-    times with it forced off (:func:`repro.accel.set_native_enabled`), i.e.
-    on the PR 3 flat-label Python loop.  Each row records the tier that was
+    times with the native tier enabled and *repeat* times with it forced
+    off (:func:`repro.accel.set_native_enabled`), i.e. on the interpreted
+    flat-label loop.  Each row records the tier that was
     actually active per leg (:func:`repro.accel.active_search_tier`) -- on
     a host without a compiler both legs legitimately report a buffered
     tier and the speedup hovers around 1.0 -- and the run asserts the two
@@ -388,7 +280,7 @@ def run_native_kernel_benchmarks(
                     digests: List[object] = []
                     for _round in range(repeat):
                         design = suite_case(case_suite, number, scale).build()
-                        router = router_class(design, engine="flat")
+                        router = router_class(design)
                         start = time.perf_counter()
                         solution = router.run()
                         samples.append(time.perf_counter() - start)
@@ -1204,7 +1096,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point: run the micro-benchmarks and write a JSON baseline."""
     import argparse
 
-    parser = argparse.ArgumentParser(description=run_engine_benchmarks.__doc__)
+    parser = argparse.ArgumentParser(
+        description="Run one micro-benchmark mode and write its JSON baseline."
+    )
     parser.add_argument("--suite", default="ispd18", choices=("ispd18", "ispd19", "sparse"))
     parser.add_argument("--cases", default="1,2,3", help="comma-separated case numbers")
     parser.add_argument(
@@ -1217,32 +1111,34 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--repeat",
         type=int,
         default=1,
-        help="route each case/engine this many times and report the median, "
+        help="route each case this many times and report the median, "
         "so speedup numbers are stable",
     )
     parser.add_argument(
         "--smoke", action="store_true", help="single small case (CI smoke mode)"
     )
-    parser.add_argument(
+    # Exactly one mode per run: without one, argparse exits naming them.
+    modes = parser.add_mutually_exclusive_group(required=True)
+    modes.add_argument(
         "--incremental",
         action="store_true",
-        help="benchmark incremental checking against the full re-scan instead "
-        "of the search engines",
+        help="benchmark incremental checking against the full re-scan "
+        "(default output: BENCH_incremental_check.json)",
     )
-    parser.add_argument(
+    modes.add_argument(
         "--batched",
         action="store_true",
         help="benchmark the batched rip-up loop (repro.sched disjoint-batch "
-        "executor) against the sequential loop instead of the search engines",
+        "executor) against the sequential loop (default output: "
+        "BENCH_batch_sched.json)",
     )
-    parser.add_argument(
+    modes.add_argument(
         "--native",
         action="store_true",
         help="benchmark the compiled relaxation kernel against the buffered "
-        "flat-label loop instead of the legacy/flat engine comparison "
-        "(default output: BENCH_native_kernel.json)",
+        "flat-label loop (default output: BENCH_native_kernel.json)",
     )
-    parser.add_argument(
+    modes.add_argument(
         "--check-kernel",
         action="store_true",
         help="benchmark the accelerated incremental-check tier (native "
@@ -1250,27 +1146,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         "dict/set loops, plus full-campaign bit-identity legs for all "
         "three routers (default output: BENCH_check_kernel.json)",
     )
+    modes.add_argument(
+        "--checkpoint",
+        action="store_true",
+        help="benchmark checkpoint-v2 snapshot-folded restore against full "
+        "journal replay (default output: BENCH_checkpoint.json)",
+    )
+    modes.add_argument(
+        "--faults",
+        action="store_true",
+        help="benchmark fault-injected recovery (seeded worker crash / hang "
+        "/ slow replies / torn checkpoint against the supervised pool "
+        "executor) (default output: BENCH_fault_tolerance.json)",
+    )
     parser.add_argument(
         "--phases",
         action="store_true",
         help="print the per-phase wall-clock breakdown (plan/search/commit/"
         "check/ipc/checkpoint) accumulated while producing the report; the "
         "breakdown is recorded in the JSON as phase_seconds either way",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        action="store_true",
-        help="benchmark checkpoint-v2 snapshot-folded restore against full "
-        "journal replay instead of the search engines (default output: "
-        "BENCH_checkpoint.json)",
-    )
-    parser.add_argument(
-        "--faults",
-        action="store_true",
-        help="benchmark fault-injected recovery (seeded worker crash / hang "
-        "/ slow replies / torn checkpoint against the supervised pool "
-        "executor) instead of the search engines (default output: "
-        "BENCH_fault_tolerance.json)",
     )
     parser.add_argument(
         "--deadline",
@@ -1319,8 +1213,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--out",
         default=None,
-        help="output JSON path (default: BENCH_native_kernel.json with "
-        "--native, BENCH_micro.json otherwise)",
+        help="output JSON path (default: the selected mode's baseline file)",
     )
     args = parser.parse_args(argv)
     if args.out is None:
@@ -1332,8 +1225,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.out = "BENCH_check_kernel.json"
         elif args.native:
             args.out = "BENCH_native_kernel.json"
+        elif args.batched:
+            args.out = "BENCH_batch_sched.json"
         else:
-            args.out = "BENCH_micro.json"
+            args.out = "BENCH_incremental_check.json"
 
     cases = tuple(int(token) for token in args.cases.split(",") if token.strip())
     backends = tuple(token.strip() for token in args.backend.split(",") if token.strip())
@@ -1391,15 +1286,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 dense_cases=dense_cases,
                 sparse_cases=sparse_cases,
             )
-        if args.native:
-            return run_native_kernel_benchmarks(
-                suite=args.suite,
-                cases=cases,
-                scale=scale,
-                repeat=args.repeat,
-                dense_cases=dense_cases,
-            )
-        return run_engine_benchmarks(
+        return run_native_kernel_benchmarks(
             suite=args.suite,
             cases=cases,
             scale=scale,
@@ -1500,7 +1387,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"forks={stats.get('pool_forks', 0)} "
                 f"replayed={stats.get('replayed_ops', 0)}"
             )
-        elif args.native:
+        else:
             print(
                 f"{entry['suite']} case{entry['case']:>2} {entry['router']:<12} "
                 f"buffered={entry['buffered_seconds']:.3f}s "
@@ -1508,12 +1395,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"speedup={entry['speedup']:.2f}x "
                 f"tier={entry['native_tier']} "
                 f"identical={entry['identical_solutions']}"
-            )
-        else:
-            print(
-                f"{entry['suite']} case{entry['case']:>2} {entry['router']:<12} "
-                f"legacy={entry['legacy_seconds']:.3f}s flat={entry['flat_seconds']:.3f}s "
-                f"speedup={entry['speedup']:.2f}x identical={entry['identical_solutions']}"
             )
     if args.phases:
         phase_total = sum(report["phase_seconds"].values())

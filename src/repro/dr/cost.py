@@ -8,14 +8,14 @@ TPL-aware routers; the plain router uses this model unchanged.
 
 The model exposes two equivalent query surfaces:
 
-* the legacy :class:`~repro.geometry.GridPoint` methods, kept for tests,
-  evaluation and the reference search engines, and
+* :class:`~repro.geometry.GridPoint` methods, kept for tests and
+  evaluation, and
 * flat-index variants (``*_index``) used by :class:`repro.search.SearchCore`
   adapters, backed by a precomputed per-layer base-cost table and a per-net
   out-of-guide memo so the search hot path performs no geometry work.
 
-Both surfaces share one arithmetic path (the GridPoint methods convert and
-delegate), so legacy and flat-index searches produce bit-identical costs.
+Both surfaces add the same terms in the same order, so they produce
+bit-identical costs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.geometry import GridPoint
 from repro.gr.guide import GuideSet
-from repro.grid import ALL_DIRECTIONS, DIRECTION_INDEX, Direction, RoutingGrid
+from repro.grid import ALL_DIRECTIONS, Direction, RoutingGrid
 
 
 @dataclass(frozen=True)
@@ -314,7 +314,7 @@ class CostModel:
         return self.rules.alpha * cost
 
     # ------------------------------------------------------------------
-    # GridPoint query surface (legacy engines, tests, evaluation)
+    # GridPoint query surface (tests, evaluation)
     # ------------------------------------------------------------------
 
     def traditional_cost(
@@ -335,28 +335,6 @@ class CostModel:
         cost += self.out_of_guide_cost(neighbor, net_name)
         return cost
 
-    def weighted_traditional_cost(
-        self,
-        vertex: GridPoint,
-        direction: Direction,
-        neighbor: GridPoint,
-        net_name: str,
-    ) -> float:
-        """Return ``alpha * Cost_trad`` (the Eq. 1 weighting applied)."""
-        if not self.grid.in_bounds(neighbor):
-            # Out-of-grid destination: no flat index exists, fall back to the
-            # pure-GridPoint arithmetic (same result, no buffer reads).
-            return self.rules.alpha * self.traditional_cost(
-                vertex, direction, neighbor, net_name
-            )
-        return self.step_cost_index(
-            vertex.layer,
-            DIRECTION_INDEX[direction],
-            self.grid.index_of(neighbor),
-            net_name,
-            self.grid.net_id_if_known(net_name),
-        )
-
     def out_of_guide_cost(self, vertex: GridPoint, net_name: str) -> float:
         """Return the penalty for *vertex* lying outside the net's guide."""
         if self.guides is None:
@@ -370,17 +348,9 @@ class CostModel:
         """Return ``beta * stitch_cost``: the weighted cost of one stitch."""
         return self.rules.beta * self.rules.stitch_cost
 
-    def color_costs(self, vertex: GridPoint, net_name: str) -> list:
-        """Return ``gamma * Cost_color`` for each of the three masks at *vertex*."""
-        return [self.rules.gamma * c for c in self.grid.color_costs(vertex, net_name)]
-
     def color_costs_index(self, index: int, net_id: int) -> List[float]:
-        """Flat-index variant of :meth:`color_costs`."""
+        """Return ``gamma * Cost_color`` for each of the three masks at *index*."""
         return [self.rules.gamma * c for c in self.grid.color_costs_index(index, net_id)]
-
-    def is_usable(self, vertex: GridPoint) -> bool:
-        """Return ``True`` when *vertex* is not hard-blocked."""
-        return not self.grid.is_blocked(vertex)
 
     def heuristic(self, vertex: GridPoint, targets: list) -> float:
         """Return an admissible lower bound from *vertex* to the nearest target.

@@ -10,8 +10,7 @@ Mr.TPL variant in :mod:`repro.tpl.search` adds the color-state dimension.
 :class:`repro.search.SearchCore` engine: vertices are converted to flat grid
 indices at the API boundary, the hot loop reads the grid's flat state
 buffers, and :class:`GridPoint` objects are materialised only for the
-backtraced path (and lazily for the compatibility ``parents`` / ``costs``
-views).
+backtraced path (and lazily for the ``parents`` / ``costs`` views).
 """
 
 from __future__ import annotations
@@ -32,67 +31,47 @@ from repro.search import CoreResult, SearchCore
 class SearchResult:
     """Outcome of one maze search.
 
-    Constructed either from a :class:`~repro.search.CoreResult` (the flat
-    engine) or from explicit ``GridPoint``-keyed dicts (the legacy reference
-    engine); the public surface is identical either way, and the GridPoint
-    views are materialised lazily so the fast path never pays for them.
+    Wraps a :class:`~repro.search.CoreResult`; the ``GridPoint`` views are
+    materialised lazily so the fast path never pays for them.
     """
 
-    def __init__(
-        self,
-        reached: Optional[GridPoint] = None,
-        parents: Optional[Dict[GridPoint, Optional[GridPoint]]] = None,
-        costs: Optional[Dict[GridPoint, float]] = None,
-        expansions: int = 0,
-        core: Optional[CoreResult] = None,
-        grid: Optional[RoutingGrid] = None,
-    ) -> None:
+    def __init__(self, core: CoreResult, grid: RoutingGrid) -> None:
         self._core = core
         self._grid = grid
-        self._reached = reached
-        self._parents = parents
-        self._costs = costs
-        self.expansions = core.expansions if core is not None else expansions
+        self._reached: Optional[GridPoint] = None
+        self._parents: Optional[Dict[GridPoint, Optional[GridPoint]]] = None
+        self._costs: Optional[Dict[GridPoint, float]] = None
+        self.expansions = core.expansions
 
     @property
     def reached(self) -> Optional[GridPoint]:
         """Return the target vertex the search stopped at, if any."""
-        if self._reached is None and self._core is not None and self._core.found:
+        if self._reached is None and self._core.found:
             self._reached = self._grid.vertex_of(self._core.reached)
         return self._reached
 
     @property
     def found(self) -> bool:
         """Return ``True`` when a target vertex was reached."""
-        if self._core is not None:
-            return self._core.found
-        return self._reached is not None
+        return self._core.found
 
     @property
     def parents(self) -> Dict[GridPoint, Optional[GridPoint]]:
         """Return the predecessor map (GridPoint view, built on demand)."""
         if self._parents is None:
-            if self._core is None:
-                self._parents = {}
-            else:
-                vertex_of = self._grid.vertex_of
-                self._parents = {
-                    vertex_of(node): (vertex_of(pred) if pred >= 0 else None)
-                    for node, pred in self._core.parent.items()
-                }
+            vertex_of = self._grid.vertex_of
+            self._parents = {
+                vertex_of(node): (vertex_of(pred) if pred >= 0 else None)
+                for node, pred in self._core.parent.items()
+            }
         return self._parents
 
     @property
     def costs(self) -> Dict[GridPoint, float]:
         """Return the best-cost map (GridPoint view, built on demand)."""
         if self._costs is None:
-            if self._core is None:
-                self._costs = {}
-            else:
-                vertex_of = self._grid.vertex_of
-                self._costs = {
-                    vertex_of(node): value for node, value in self._core.cost.items()
-                }
+            vertex_of = self._grid.vertex_of
+            self._costs = {vertex_of(node): value for node, value in self._core.cost.items()}
         return self._costs
 
     def backtrace(self) -> List[GridPoint]:
@@ -101,22 +80,12 @@ class SearchResult:
         The path is ordered source-first.  Raises ``ValueError`` when the
         search failed.
         """
-        if self._core is not None:
-            if not self._core.found:
-                raise ValueError("cannot backtrace a failed search")
-            nodes = self._core.node_path()
-            nodes.reverse()
-            vertex_of = self._grid.vertex_of
-            return [vertex_of(node) for node in nodes]
-        if self._reached is None:
+        if not self._core.found:
             raise ValueError("cannot backtrace a failed search")
-        path: List[GridPoint] = []
-        cursor: Optional[GridPoint] = self._reached
-        while cursor is not None:
-            path.append(cursor)
-            cursor = (self._parents or {}).get(cursor)
-        path.reverse()
-        return path
+        nodes = self._core.node_path()
+        nodes.reverse()
+        vertex_of = self._grid.vertex_of
+        return [vertex_of(node) for node in nodes]
 
 
 class MazeRouter:
@@ -150,9 +119,9 @@ class MazeRouter:
             Target vertices covered by another net's metal are still accepted
             when ``True``; the negotiation loop resolves the resulting short.
         """
-        if not targets:
-            return SearchResult()
         grid = self.grid
+        if not targets:
+            return SearchResult(CoreResult.empty(), grid)
         bounds = TargetBounds.from_targets(targets)
         index_of = grid.index_of
         seeds: List[Tuple[int, int]] = []
@@ -174,10 +143,8 @@ class MazeRouter:
 
         expand = make_traditional_expand(grid, self.cost_model, net_name, net_id)
         self.core.max_expansions = self.max_expansions
-        core = self.core.run(
-            seeds, target_nodes, expand, bounds=bounds, accept=accept, buffered=True
-        )
-        return SearchResult(core=core, grid=grid)
+        core = self.core.run(seeds, target_nodes, expand, bounds=bounds, accept=accept)
+        return SearchResult(core, grid)
 
 
 def make_traditional_expand(
@@ -186,13 +153,13 @@ def make_traditional_expand(
     net_name: str,
     net_id: int,
 ) -> Callable[[int, float, int, List[int], List[float], List[int]], int]:
-    """Return the ``Cost_trad`` buffered expansion callback over flat indices.
+    """Return the ``Cost_trad`` expansion callback over flat indices.
 
     One step costs ``alpha * ((base + congestion) + guide)`` exactly as
     :meth:`CostModel.step_cost_index` computes it (same operation order, so
-    flat and legacy searches agree bitwise).  Successors are written into
-    the caller's preallocated buffers (the :class:`~repro.search.SearchCore`
-    buffered protocol) -- the hot loop allocates nothing.  Congestion is
+    the two agree bitwise).  Successors are written into the caller's
+    preallocated buffers (the :class:`~repro.search.SearchCore` expand
+    protocol) -- the hot loop allocates nothing.  Congestion is
     read per successor from the grid's live history / owner buffers; the
     guide penalty comes from the per-net flat table.  The native kernel
     evaluates the same terms inline from the same buffers.  Shared by the
@@ -205,7 +172,7 @@ def make_traditional_expand(
     alpha = rules.alpha
     plane = grid.plane_size
     # All-zero for unguided nets, so the hot loop adds unconditionally
-    # (bitwise identical to the legacy ``step + 0.0``).
+    # (``step + 0.0`` is bitwise ``step``).
     guide_table = cost_model.guide_penalty_table(net_name)
     history = grid.history_buffer()
     owner = grid.owner_buffer()

@@ -49,7 +49,6 @@ class DetailedRouter:
         grid: Optional[RoutingGrid] = None,
         guides: Optional[GuideSet] = None,
         max_iterations: Optional[int] = None,
-        engine: str = "flat",
         parallelism: int = 1,
         batch_size: Optional[int] = None,
         batch_backend: str = "serial",
@@ -61,15 +60,7 @@ class DetailedRouter:
         self.grid = grid if grid is not None else RoutingGrid(design)
         self.guides = guides
         self.cost_model = CostModel(self.grid, guides)
-        self._engine_kind = engine
-        if engine == "flat":
-            self.maze = MazeRouter(self.grid, self.cost_model)
-        elif engine == "legacy":
-            from repro.search.legacy import LegacyMazeSearch
-
-            self.maze = LegacyMazeSearch(self.grid, self.cost_model)
-        else:
-            raise ValueError(f"unknown search engine {engine!r}; expected 'flat' or 'legacy'")
+        self.maze = MazeRouter(self.grid, self.cost_model)
         self.max_iterations = (
             max_iterations
             if max_iterations is not None
@@ -175,15 +166,12 @@ class DetailedRouter:
                 solution.add_route(self.route_net(net))
             self.phases.add("search", perf_counter() - search_started)
 
-    def make_search_engine(self) -> Optional[MazeRouter]:
-        """Return a fresh flat search engine over this router's grid/costs.
+    def make_search_engine(self) -> MazeRouter:
+        """Return a fresh search engine over this router's grid/costs.
 
         The batch executor creates one per worker so concurrent searches
-        never share label buffers.  ``None`` for the legacy engine, which
-        the speculative backends do not support.
+        never share label buffers.
         """
-        if self._engine_kind != "flat":
-            return None
         return MazeRouter(self.grid, self.cost_model)
 
     def worker_spec(self) -> Tuple[type, Dict[str, object]]:
@@ -198,7 +186,6 @@ class DetailedRouter:
         return type(self), {
             "guides": self.guides,
             "max_iterations": self.max_iterations,
-            "engine": self._engine_kind,
         }
 
     def schedule_nets(self) -> List[Net]:

@@ -28,7 +28,7 @@ that integer, so the search engines' hot path is O(1) array reads with no
 :class:`~repro.geometry.GridPoint` allocation and no dict hashing.  A
 precomputed neighbour table (:meth:`RoutingGrid.neighbor_table`) stores, for
 every vertex, its six neighbour indices in :data:`ALL_DIRECTIONS` order
-(``-1`` for out-of-bounds).  The legacy ``GridPoint``-based API is preserved
+(``-1`` for out-of-bounds).  The ``GridPoint``-based API is preserved
 on top as thin shims converting at the boundary.
 
 Two deliberately sparse side tables remain dicts: the rare multi-owner

@@ -1218,29 +1218,19 @@ class BatchExecutor:
 
     # -- thread backend -----------------------------------------------------
 
-    def _ensure_thread_workers(self) -> bool:
+    def _ensure_thread_workers(self) -> None:
         if self._engine_queue is None:
-            engines = []
-            for _ in range(self.parallelism):
-                engine = self.router.make_search_engine()
-                if engine is None:
-                    return False  # legacy engine: speculative routing unsupported
-                engines.append(engine)
             queue: SimpleQueue = SimpleQueue()
-            for engine in engines:
-                queue.put(engine)
+            for _ in range(self.parallelism):
+                queue.put(self.router.make_search_engine())
             self._engine_queue = queue
         if self._thread_pool is None:
             self._thread_pool = ThreadPoolExecutor(
                 max_workers=self.parallelism, thread_name_prefix="repro-sched"
             )
-        return True
 
-    def _compute_batch_threaded(
-        self, batch: Sequence[Net]
-    ) -> Optional[List[SpeculativeRoute]]:
-        if not self._ensure_thread_workers():
-            return None
+    def _compute_batch_threaded(self, batch: Sequence[Net]) -> List[SpeculativeRoute]:
+        self._ensure_thread_workers()
         queue = self._engine_queue
 
         def task(net: Net) -> SpeculativeRoute:
@@ -1295,8 +1285,6 @@ class BatchExecutor:
                 if self._fork_context is not None
                 else multiprocessing.get_context()
             )
-        if self.router.make_search_engine() is None:
-            return None  # legacy engine: speculative routing unsupported
         grid = self.router.grid
         if grid.journal is None:
             # The journal must exist *before* the first worker: workers

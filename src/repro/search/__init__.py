@@ -4,10 +4,6 @@
 router, the Mr.TPL color-state search and the DAC-2012 mask-expanded
 baseline; the router-specific modules are thin adapters supplying an
 expansion callback over flat grid indices.
-
-:mod:`repro.search.legacy` keeps frozen ``GridPoint``-dict reference
-implementations of the three searches (the seed architecture) for parity
-testing and the engine micro-benchmarks; production routers never use them.
 """
 
 from repro.search.core import (

@@ -28,25 +28,19 @@ run on the same core snapshots (C-level ``array`` slice copies) any previous
 result still referenced, so late inspection (tests, debugging) stays
 correct while the common drop-after-backtrace pattern costs nothing.
 
-Expand protocols
-----------------
+Expand protocol
+---------------
 
-Engines supply an expansion callback.  The **buffered protocol** (all
-production adapters) writes successors into preallocated output buffers and
-returns a count::
+Engines supply an expansion callback that writes successors into
+preallocated output buffers and returns a count::
 
     count = expand(node, cost, aux, succ_node, succ_cost, succ_aux)
-
-eliminating the per-expansion tuple-list allocation of the legacy protocol,
-which is kept as a compatibility path (``buffered=False``): ``expand(node,
-cost, aux)`` yielding ``(successor, new_cost, new_aux)`` tuples, as the
-:mod:`repro.search.legacy` parity harnesses and external callers used.
 
 The loop uses :mod:`heapq` with lazy deletion and a monotone push counter,
 which reproduces the pop order of the repo's ``UpdatablePriorityQueue``
 (entries replaced on a strict improvement sort by the new, larger counter;
-ties between distinct nodes resolve by push order) -- so the reference
-engines in :mod:`repro.search.legacy` yield bit-identical results.
+ties between distinct nodes resolve by push order).  The compiled kernel
+reproduces the same order, so both tiers produce bit-identical labels.
 """
 
 from __future__ import annotations
@@ -82,8 +76,9 @@ class CoreResult:
     Views the core's live label buffers; the owning core snapshots the
     buffers into this result (cheap ``array`` slice copies) before reusing
     them for a subsequent run, so the result stays valid indefinitely.  The
-    legacy dict views (:attr:`cost` / :attr:`aux` / :attr:`parent`) are
-    materialised on first access by scanning the epoch stamps.
+    dict views (:attr:`cost` / :attr:`aux` / :attr:`parent`), used by the
+    label-level parity tests, are materialised on first access by scanning
+    the epoch stamps.
     """
 
     __slots__ = (
@@ -122,6 +117,11 @@ class CoreResult:
         self._aux_map: Optional[Dict[int, int]] = None
         self._parent_map: Optional[Dict[int, int]] = None
         self._detached = False
+
+    @classmethod
+    def empty(cls) -> "CoreResult":
+        """Return a failed result with no labels (a search given no targets)."""
+        return cls(-1, 0, array("d"), array("i"), array("i"), array("q"), 1)
 
     @property
     def found(self) -> bool:
@@ -170,7 +170,7 @@ class CoreResult:
             cursor = parent[cursor]
         return path
 
-    # -- dict views (legacy compatibility surface; built on demand) -------
+    # -- dict views (built on demand) --------------------------------------
 
     def _labelled_nodes(self) -> List[int]:
         stamp, epoch = self._stamp_buf, self._epoch
@@ -521,7 +521,6 @@ class SearchCore:
         improve_eps: float = IMPROVE_EPS,
         tie_eps: float = TIE_EPS,
         accept: Optional[Callable[[int], bool]] = None,
-        buffered: bool = False,
     ) -> CoreResult:
         """Run one multi-source search.
 
@@ -533,13 +532,10 @@ class SearchCore:
         targets:
             Node set whose first accepted pop ends the search.
         expand:
-            The expansion callback.  With ``buffered=True`` (the production
-            protocol): ``expand(node, cost, aux, succ_node, succ_cost,
-            succ_aux) -> count`` filling the three preallocated output
-            buffers (capacity :data:`SUCC_CAPACITY`).  With the default
-            compatibility protocol: ``expand(node, cost, aux)`` yielding
-            ``(successor, new_cost, new_aux)`` tuples.  Successors must be
-            valid (in-bounds, unblocked) nodes either way.
+            The expansion callback: ``expand(node, cost, aux, succ_node,
+            succ_cost, succ_aux) -> count`` filling the three preallocated
+            output buffers (capacity :data:`SUCC_CAPACITY`).  Successors
+            must be valid (in-bounds, unblocked) nodes.
         bounds:
             Target bounding box for the admissible A* lower bound (grid
             coordinates); ``None`` disables the heuristic.
@@ -557,8 +553,6 @@ class SearchCore:
         accept:
             Optional extra predicate a popped target must satisfy (e.g. the
             maze router's occupied-target rule).
-        buffered:
-            Selects the expand protocol (see *expand*).
         """
         previous = self._last_result() if self._last_result is not None else None
         if previous is not None:
@@ -569,27 +563,26 @@ class SearchCore:
         self._epoch += 1
         epoch = self._epoch
 
-        if buffered:
-            # Native tier: when the adapter attached a kernel descriptor to
-            # its expand closure (and the accept predicate, if any, is
-            # representable), the whole relaxation loop runs compiled over
-            # the same buffers -- bit-identical by the kernel's contract,
-            # proven by tests/test_native_kernel.py.  Any missing piece
-            # falls through to the interpreted loop below.
-            result = self._try_run_native(
-                seeds,
-                targets,
-                expand,
-                bounds,
-                node_stride,
-                merge_aux,
-                improve_eps,
-                tie_eps,
-                accept,
-                epoch,
-            )
-            if result is not None:
-                return result
+        # Native tier: when the adapter attached a kernel descriptor to
+        # its expand closure (and the accept predicate, if any, is
+        # representable), the whole relaxation loop runs compiled over
+        # the same buffers -- bit-identical by the kernel's contract,
+        # proven by tests/test_native_kernel.py.  Any missing piece
+        # falls through to the interpreted loop below.
+        result = self._try_run_native(
+            seeds,
+            targets,
+            expand,
+            bounds,
+            node_stride,
+            merge_aux,
+            improve_eps,
+            tie_eps,
+            accept,
+            epoch,
+        )
+        if result is not None:
+            return result
 
         cost = self._cost_buf
         aux = self._aux_buf
@@ -663,72 +656,43 @@ class SearchCore:
                 break
             if expansions > max_expansions:
                 break
-            if buffered:
-                count = expand(node, g_cur, a_cur, succ_node, succ_cost, succ_aux)
-                for slot in range(count):
-                    succ = succ_node[slot]
-                    g_new = succ_cost[slot]
-                    if stamp[succ] != epoch:
-                        stamp[succ] = epoch
-                        cost[succ] = g_new
-                        aux[succ] = succ_aux[slot]
-                        parent[succ] = node
-                        heappush(heap, (g_new + heur(succ), counter, succ, g_new))
+            count = expand(node, g_cur, a_cur, succ_node, succ_cost, succ_aux)
+            for slot in range(count):
+                succ = succ_node[slot]
+                g_new = succ_cost[slot]
+                if stamp[succ] != epoch:
+                    stamp[succ] = epoch
+                    cost[succ] = g_new
+                    aux[succ] = succ_aux[slot]
+                    parent[succ] = node
+                    heappush(heap, (g_new + heur(succ), counter, succ, g_new))
+                    counter += 1
+                    continue
+                g_old = cost[succ]
+                if g_new < g_old - improve_eps:
+                    cost[succ] = g_new
+                    aux[succ] = succ_aux[slot]
+                    parent[succ] = node
+                    heappush(heap, (g_new + heur(succ), counter, succ, g_new))
+                    counter += 1
+                elif (
+                    merge_aux
+                    and g_new <= g_old + tie_eps
+                    and (succ_aux[slot] | aux[succ]) != aux[succ]
+                ):
+                    # Equal-cost revisit with extra mask freedom: widen
+                    # the stored color state (paper Alg. 2 merge) keeping
+                    # the established cost and parent.  If the successor
+                    # was already expanded with the narrower state, queue
+                    # it again so the widening propagates downstream; a
+                    # pending queue entry will pick the merged state up
+                    # at pop time.
+                    aux[succ] |= succ_aux[slot]
+                    if exp_stamp[succ] == epoch:
+                        heappush(heap, (g_old + heur(succ), counter, succ, g_old))
                         counter += 1
-                        continue
-                    g_old = cost[succ]
-                    if g_new < g_old - improve_eps:
-                        cost[succ] = g_new
-                        aux[succ] = succ_aux[slot]
-                        parent[succ] = node
-                        heappush(heap, (g_new + heur(succ), counter, succ, g_new))
-                        counter += 1
-                    elif (
-                        merge_aux
-                        and g_new <= g_old + tie_eps
-                        and (succ_aux[slot] | aux[succ]) != aux[succ]
-                    ):
-                        # Equal-cost revisit with extra mask freedom: widen
-                        # the stored color state (paper Alg. 2 merge) keeping
-                        # the established cost and parent.  If the successor
-                        # was already expanded with the narrower state, queue
-                        # it again so the widening propagates downstream; a
-                        # pending queue entry will pick the merged state up
-                        # at pop time.
-                        aux[succ] |= succ_aux[slot]
-                        if exp_stamp[succ] == epoch:
-                            heappush(heap, (g_old + heur(succ), counter, succ, g_old))
-                            counter += 1
-            else:
-                for succ, g_new, a_new in expand(node, g_cur, a_cur):
-                    if stamp[succ] != epoch:
-                        stamp[succ] = epoch
-                        cost[succ] = g_new
-                        aux[succ] = a_new
-                        parent[succ] = node
-                        heappush(heap, (g_new + heur(succ), counter, succ, g_new))
-                        counter += 1
-                        continue
-                    g_old = cost[succ]
-                    if g_new < g_old - improve_eps:
-                        cost[succ] = g_new
-                        aux[succ] = a_new
-                        parent[succ] = node
-                        heappush(heap, (g_new + heur(succ), counter, succ, g_new))
-                        counter += 1
-                    elif (
-                        merge_aux
-                        and g_new <= g_old + tie_eps
-                        and (a_new | aux[succ]) != aux[succ]
-                    ):
-                        aux[succ] |= a_new
-                        if exp_stamp[succ] == epoch:
-                            heappush(heap, (g_old + heur(succ), counter, succ, g_old))
-                            counter += 1
 
-        result = CoreResult(
-            reached, expansions, cost, aux, parent, stamp, epoch
-        )
+        result = CoreResult(reached, expansions, cost, aux, parent, stamp, epoch)
         self._last_result = weakref.ref(result)
         if self.on_result is not None:
             self.on_result(result)

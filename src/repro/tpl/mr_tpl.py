@@ -58,7 +58,6 @@ class MrTPLRouter:
         use_global_router: bool = True,
         max_iterations: Optional[int] = None,
         refine_colors: bool = False,
-        engine: str = "flat",
         parallelism: int = 1,
         batch_size: Optional[int] = None,
         batch_backend: str = "serial",
@@ -72,15 +71,7 @@ class MrTPLRouter:
             guides = GlobalRouter(design).route()
         self.guides = guides
         self.cost_model = CostModel(self.grid, guides)
-        self._engine_kind = engine
-        if engine == "flat":
-            self.search_engine = ColorStateSearch(self.grid, self.cost_model)
-        elif engine == "legacy":
-            from repro.search.legacy import LegacyColorStateSearch
-
-            self.search_engine = LegacyColorStateSearch(self.grid, self.cost_model)
-        else:
-            raise ValueError(f"unknown search engine {engine!r}; expected 'flat' or 'legacy'")
+        self.search_engine = ColorStateSearch(self.grid, self.cost_model)
         self.backtracer = Backtracer(self.grid, self.cost_model)
         # Full re-scan checker: the frozen reference oracle (final evaluation,
         # differential tests).  The rip-up loop consumes the incremental one.
@@ -219,15 +210,12 @@ class MrTPLRouter:
                 solution.add_route(self.route_net(net))
             self.phases.add("search", perf_counter() - search_started)
 
-    def make_search_engine(self) -> Optional[ColorStateSearch]:
-        """Return a fresh flat color-state engine over this router's grid.
+    def make_search_engine(self) -> ColorStateSearch:
+        """Return a fresh color-state engine over this router's grid.
 
         The batch executor creates one per worker so concurrent searches
-        never share label buffers.  ``None`` for the legacy engine, which
-        the speculative backends do not support.
+        never share label buffers.
         """
-        if self._engine_kind != "flat":
-            return None
         return ColorStateSearch(self.grid, self.cost_model)
 
     def worker_spec(self) -> Tuple[type, Dict[str, object]]:
@@ -242,7 +230,6 @@ class MrTPLRouter:
             "use_global_router": False,
             "max_iterations": self.max_iterations,
             "refine_colors": self.refine_colors,
-            "engine": self._engine_kind,
         }
 
     # ------------------------------------------------------------------

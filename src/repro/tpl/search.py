@@ -65,46 +65,33 @@ def _direction_between(parent: GridPoint, child: GridPoint) -> Optional[Directio
 class ColorSearchResult:
     """Outcome of one color-state search.
 
-    Wraps either a :class:`~repro.search.CoreResult` (flat engine) or
-    explicit ``GridPoint``-keyed labels (legacy reference engine); the
-    ``labels`` view is materialised lazily.
+    Wraps a :class:`~repro.search.CoreResult`; the ``labels`` view is
+    materialised lazily.
     """
 
-    def __init__(
-        self,
-        reached: Optional[GridPoint] = None,
-        labels: Optional[Dict[GridPoint, VertexLabel]] = None,
-        expansions: int = 0,
-        core: Optional[CoreResult] = None,
-        grid: Optional[RoutingGrid] = None,
-    ) -> None:
+    def __init__(self, core: CoreResult, grid: RoutingGrid) -> None:
         self._core = core
         self._grid = grid
-        self._reached = reached
-        self._labels = labels
-        self.expansions = core.expansions if core is not None else expansions
+        self._reached: Optional[GridPoint] = None
+        self._labels: Optional[Dict[GridPoint, VertexLabel]] = None
+        self.expansions = core.expansions
 
     @property
     def reached(self) -> Optional[GridPoint]:
         """Return the unreached-pin vertex the search stopped at, if any."""
-        if self._reached is None and self._core is not None and self._core.found:
+        if self._reached is None and self._core.found:
             self._reached = self._grid.vertex_of(self._core.reached)
         return self._reached
 
     @property
     def found(self) -> bool:
         """Return ``True`` when an unreached pin was found."""
-        if self._core is not None:
-            return self._core.found
-        return self._reached is not None
+        return self._core.found
 
     @property
     def labels(self) -> Dict[GridPoint, VertexLabel]:
         """Return the full label map (GridPoint view, built on demand)."""
         if self._labels is None:
-            if self._core is None:
-                self._labels = {}
-                return self._labels
             core, grid = self._core, self._grid
             vertex_of = grid.vertex_of
             labels: Dict[GridPoint, VertexLabel] = {}
@@ -129,25 +116,14 @@ class ColorSearchResult:
         Ordered destination-first (the order the backtrace of Algorithm 3
         walks it).  Raises ``ValueError`` on a failed search.
         """
-        if self._core is not None:
-            if not self._core.found:
-                raise ValueError("cannot backtrace a failed color-state search")
-            vertex_of = self._grid.vertex_of
-            return [vertex_of(node) for node in self._core.node_path()]
-        if self._reached is None:
+        if not self._core.found:
             raise ValueError("cannot backtrace a failed color-state search")
-        path: List[GridPoint] = []
-        cursor: Optional[GridPoint] = self._reached
-        while cursor is not None:
-            path.append(cursor)
-            cursor = self._labels[cursor].parent
-        return path
+        vertex_of = self._grid.vertex_of
+        return [vertex_of(node) for node in self._core.node_path()]
 
     def color_state_of(self, vertex: GridPoint) -> ColorState:
         """Return the color state assigned to *vertex* during the search."""
-        if self._core is not None:
-            return ColorState(self._core.aux_at(self._grid.index_of(vertex)))
-        return self._labels[vertex].color_state
+        return ColorState(self._core.aux_at(self._grid.index_of(vertex)))
 
 
 class ColorStateSearch:
@@ -185,9 +161,9 @@ class ColorStateSearch:
         net_name:
             The net being routed.
         """
-        if not targets:
-            return ColorSearchResult()
         grid = self.grid
+        if not targets:
+            return ColorSearchResult(CoreResult.empty(), grid)
         bounds = TargetBounds.from_targets(targets)
         index_of = grid.index_of
         seeds: List[Tuple[int, int]] = []
@@ -208,9 +184,8 @@ class ColorStateSearch:
             merge_aux=True,
             improve_eps=_COST_TOLERANCE,
             tie_eps=_COST_TOLERANCE,
-            buffered=True,
         )
-        return ColorSearchResult(core=core, grid=grid)
+        return ColorSearchResult(core, grid)
 
 
 def make_color_state_expand(
@@ -219,7 +194,7 @@ def make_color_state_expand(
     net_name: str,
     net_id: int,
 ) -> Callable[[int, float, int, List[int], List[float], List[int]], int]:
-    """Return the Alg. 2 buffered expansion callback over flat indices.
+    """Return the Alg. 2 expansion callback over flat indices.
 
     Implements Algorithm 2 lines 9-17 per direction: the 3x1 per-mask cost
     (weighted traditional cost + color conflict cost + stitch cost for masks
@@ -227,7 +202,7 @@ def make_color_state_expand(
     the edge cost while the set of masks achieving it (within
     ``_COST_TOLERANCE``) becomes the successor's color-state bits.
     Successors are written into the caller's preallocated buffers (the
-    :class:`~repro.search.SearchCore` buffered protocol).
+    :class:`~repro.search.SearchCore` expand protocol).
 
     Congestion and per-mask pressure are read per successor from the
     grid's live buffers, with the net's own pressure overlay subtracted
@@ -247,7 +222,7 @@ def make_color_state_expand(
     stitch_penalty = cost_model.stitch_cost()
     plane = grid.plane_size
     # All-zero for unguided nets, so the hot loop adds unconditionally
-    # (bitwise identical to the legacy ``step + 0.0``).
+    # (``step + 0.0`` is bitwise ``step``).
     guide_table = cost_model.guide_penalty_table(net_name)
     tolerance = _COST_TOLERANCE
     history = grid.history_buffer()

@@ -332,21 +332,6 @@ def test_executor_stats_account_for_every_net():
     assert stats.worker_errors == 0
 
 
-def test_legacy_engine_falls_back_to_serial_batches():
-    """The speculative backends require the flat engine; with the legacy
-    engine the executor must degrade to (still bit-identical) serial
-    batches instead of failing."""
-    sequential = run_router("maze", build_case("ispd18", 1, 0.5), engine="legacy")
-    design = build_case("ispd18", 1, 0.5)
-    router = DetailedRouter(
-        design, engine="legacy", parallelism=4, batch_backend="thread"
-    )
-    solution = router.run()
-    assert (solution_fingerprint(solution), solution_metrics(solution)) == sequential
-    assert router.batch_executor.stats.parallel_batches == 0
-    assert router.make_search_engine() is None
-
-
 def test_grid_sink_and_recording_sink_agree():
     design = build_case("ispd18", 1, 0.5)
     grid = RoutingGrid(design)

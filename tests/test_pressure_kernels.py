@@ -27,24 +27,14 @@ requires_numpy = pytest.mark.skipif(
 )
 
 
-@pytest.fixture
-def pure_python():
-    """Force the pure-Python kernels for the duration of one test."""
-    previous = accel.set_numpy_enabled(False)
-    try:
-        yield
-    finally:
-        accel.set_numpy_enabled(previous)
-
-
 @pytest.fixture(autouse=True)
 def numpy_on_when_available():
     """Run the differential tests with the gate open (when numpy exists).
 
     The tests compare both kernel generations themselves, so they must see
     the vectorised path even when the suite runs under
-    ``REPRO_PURE_PYTHON=1`` (the ``pure_python`` fixture above re-closes
-    the gate per test where the fallback is the subject).
+    ``REPRO_PURE_PYTHON=1`` (tests whose subject is the fallback close the
+    gate themselves).
     """
     previous = accel.set_numpy_enabled(True)
     try:
@@ -169,64 +159,18 @@ class TestRoutedSolutionParity:
             "dac2012": Dac2012Router,
         }[router_key]
         case = suite_case("ispd18", 1, scale=0.5)
-        fast_solution = router_class(case.build(), engine="flat").run()
+        fast_solution = router_class(case.build()).run()
         previous = accel.set_numpy_enabled(False)
         try:
-            slow_solution = router_class(case.build(), engine="flat").run()
+            slow_solution = router_class(case.build()).run()
         finally:
             accel.set_numpy_enabled(previous)
         assert solution_fingerprint(fast_solution) == solution_fingerprint(slow_solution)
         assert solution_metrics(fast_solution) == solution_metrics(slow_solution)
 
-    @pytest.mark.parametrize("router_key", ["maze", "color-state"])
-    def test_fallback_matches_legacy_reference(self, pure_python, router_key):
-        """With numpy off, flat engines still reproduce the frozen oracle."""
-        from repro.dr.router import DetailedRouter
-        from repro.tpl.mr_tpl import MrTPLRouter
-
-        router_class = {"maze": DetailedRouter, "color-state": MrTPLRouter}[router_key]
-        case = suite_case("ispd18", 1, scale=0.5)
-        legacy_solution = router_class(case.build(), engine="legacy").run()
-        flat_solution = router_class(case.build(), engine="flat").run()
-        assert solution_fingerprint(legacy_solution) == solution_fingerprint(flat_solution)
-        assert solution_metrics(legacy_solution) == solution_metrics(flat_solution)
-
 
 class TestBufferedProtocolCompat:
-    """The legacy iterable expand protocol stays available on SearchCore."""
-
-    def test_iterable_and_buffered_expands_agree(self):
-        grid = RoutingGrid(make_design())
-        model = CostModel(grid)
-        net_id = grid.net_id("proto")
-        from repro.dr.maze import make_traditional_expand
-
-        buffered = make_traditional_expand(grid, model, "proto", net_id)
-
-        def iterable_expand(node, g, aux):
-            out_node, out_cost, out_aux = [0] * 8, [0.0] * 8, [0] * 8
-            count = buffered(node, g, aux, out_node, out_cost, out_aux)
-            return [
-                (out_node[i], out_cost[i], out_aux[i]) for i in range(count)
-            ]
-
-        source = GridPoint(0, 2, 2)
-        target = GridPoint(2, 14, 11)
-        seeds = [(grid.index_of(source), 0)]
-        targets = {grid.index_of(target)}
-        bounds = TargetBounds.from_targets([target])
-
-        core = SearchCore(grid, model)
-        buffered_result = core.run(
-            seeds, targets, buffered, bounds=bounds, buffered=True
-        )
-        iterable_result = SearchCore(grid, model).run(
-            seeds, targets, iterable_expand, bounds=bounds
-        )
-        assert buffered_result.found and iterable_result.found
-        assert buffered_result.reached == iterable_result.reached
-        assert buffered_result.node_path() == iterable_result.node_path()
-        assert buffered_result.cost == iterable_result.cost
+    """Results of the buffered expand protocol outlive the core's buffers."""
 
     def test_result_survives_core_reuse(self):
         """A held CoreResult is snapshotted before the core reuses buffers."""
@@ -238,7 +182,7 @@ class TestBufferedProtocolCompat:
         )
         seeds = [(grid.index_of(GridPoint(0, 1, 1)), 0)]
         first_targets = {grid.index_of(GridPoint(0, 9, 9))}
-        first = core.run(seeds, first_targets, expand, buffered=True)
+        first = core.run(seeds, first_targets, expand)
         first_costs = dict(first.cost)
         first_path = first.node_path()
         # Reuse the same core for a different search; the held result must
@@ -247,7 +191,6 @@ class TestBufferedProtocolCompat:
             [(grid.index_of(GridPoint(2, 14, 2)), 0)],
             {grid.index_of(GridPoint(2, 2, 14))},
             expand,
-            buffered=True,
         )
         assert second.found
         assert first.node_path() == first_path

@@ -1,74 +1,37 @@
-"""Parity tests: legacy GridPoint engines vs the flat-index SearchCore path.
+"""Search-adapter behaviour and flat-index / GridPoint API equivalence.
 
-The flat-index refactor must be a pure representation change: routing the
-same design through the frozen legacy reference engines
-(:mod:`repro.search.legacy`) and through the :class:`repro.search.SearchCore`
-adapters has to produce identical solutions -- vertices, colors, edges,
-stitches and metric dicts.  These tests pin that down, plus the grid's
+Whole-solution parity of every search tier is pinned by the committed
+digests of ``tests/test_golden_solutions.py``; these tests cover the
+adapters' edge cases (occupied targets, empty target sets), the grid's
 index/GridPoint API equivalence and the Alg. 2 equal-cost color-state merge.
 """
 
 import pytest
 
-from repro.baselines.dac2012 import Dac2012Router
-from repro.bench import fig1_multi_pin_net, suite_case
-from repro.bench.micro import solution_fingerprint, solution_metrics
+from repro.bench import suite_case
 from repro.dr.cost import CostModel
 from repro.dr.router import DetailedRouter
-from repro.geometry import GridPoint, Rect
+from repro.geometry import GridPoint
 from repro.grid import ALL_DIRECTIONS, DIRECTION_INDEX, RoutingGrid
-from repro.search.legacy import LegacyColorStateSearch
 from repro.tpl.color_state import ColorState, GREEN, RED
-from repro.tpl.mr_tpl import MrTPLRouter
 from repro.tpl.search import ColorStateSearch
 from tests.test_grid import make_design
 
 
-# One shared definition of "identical solutions" for both the parity tests
-# and the CI bench gate (repro.bench.micro), so the two can never drift.
-fingerprint = solution_fingerprint
-metrics = solution_metrics
-
-
 class TestRouterParity:
-    """Same design, both engine generations, identical RoutingSolution."""
-
-    @pytest.mark.parametrize("router_class", [DetailedRouter, MrTPLRouter, Dac2012Router])
-    def test_suite_case_parity(self, router_class):
-        case = suite_case("ispd18", 1, scale=0.5)
-        legacy_solution = router_class(case.build(), engine="legacy").run()
-        flat_solution = router_class(case.build(), engine="flat").run()
-        assert fingerprint(legacy_solution) == fingerprint(flat_solution)
-        assert metrics(legacy_solution) == metrics(flat_solution)
-
-    @pytest.mark.parametrize("router_class", [MrTPLRouter, Dac2012Router])
-    def test_micro_design_parity(self, router_class):
-        legacy_solution = router_class(fig1_multi_pin_net(), engine="legacy").run()
-        flat_solution = router_class(fig1_multi_pin_net(), engine="flat").run()
-        assert fingerprint(legacy_solution) == fingerprint(flat_solution)
-        assert metrics(legacy_solution) == metrics(flat_solution)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            DetailedRouter(fig1_multi_pin_net(), engine="warp-drive")
+    """Adapter edge cases on the flat engine."""
 
     @pytest.mark.parametrize("allow_occupied", [True, False])
-    def test_occupied_target_rule_matches_legacy(self, allow_occupied):
+    def test_occupied_target_rule(self, allow_occupied):
         from repro.dr.maze import MazeRouter
-        from repro.search.legacy import LegacyMazeSearch
 
-        design = make_design()
-        grid_a, grid_b = RoutingGrid(design), RoutingGrid(design)
+        grid = RoutingGrid(make_design())
         source, target = GridPoint(0, 2, 5), GridPoint(0, 8, 5)
-        for grid in (grid_a, grid_b):
-            grid.occupy(target, "squatter")
-        flat = MazeRouter(grid_a, CostModel(grid_a)).search(
+        grid.occupy(target, "squatter")
+        result = MazeRouter(grid, CostModel(grid)).search(
             [source], {target}, "n", allow_occupied_targets=allow_occupied
         )
-        legacy = LegacyMazeSearch(grid_b, CostModel(grid_b)).search(
-            [source], {target}, "n", allow_occupied_targets=allow_occupied
-        )
-        assert flat.found == legacy.found == allow_occupied
+        assert result.found == allow_occupied
 
     def test_empty_target_results_expose_empty_views(self):
         from repro.dr.maze import MazeRouter
@@ -128,7 +91,9 @@ class TestGridIndexApi:
             neighbor = grid.neighbor(vertex, direction)
             if neighbor is None:
                 continue
-            via_shim = model.weighted_traditional_cost(vertex, direction, neighbor, "n1")
+            via_shim = model.rules.alpha * model.traditional_cost(
+                vertex, direction, neighbor, "n1"
+            )
             via_index = model.step_cost_index(
                 vertex.layer,
                 DIRECTION_INDEX[direction],
@@ -150,10 +115,9 @@ class TestGridIndexApi:
 class TestColorStateMerge:
     """Equal-cost revisits must merge color states (paper Alg. 2)."""
 
-    @pytest.mark.parametrize("engine_class", [ColorStateSearch, LegacyColorStateSearch])
-    def test_equal_cost_paths_keep_both_masks(self, engine_class):
+    def test_equal_cost_paths_keep_both_masks(self):
         grid = RoutingGrid(make_design())
-        search = engine_class(grid, CostModel(grid))
+        search = ColorStateSearch(grid, CostModel(grid))
         # Two seeds on one horizontal (preferred-direction) row, constrained
         # to different single masks, equidistant from the middle vertex: the
         # two arrivals tie on cost, so the middle must keep BOTH masks.
@@ -170,24 +134,27 @@ class TestColorStateMerge:
         state = result.color_state_of(middle)
         assert state.allows(RED) and state.allows(GREEN)
 
-    def test_both_engines_agree_on_merged_labels(self):
-        design = make_design()
-        grid_a, grid_b = RoutingGrid(design), RoutingGrid(design)
+    def test_merged_labels_between_seeds(self):
+        """Each seed's single mask spreads along the row; only the
+        equidistant midpoint merges both, and the merged state propagates
+        to the vertices expanded from it."""
+        grid = RoutingGrid(make_design())
         sources = {
             GridPoint(0, 2, 10): ColorState.single(RED),
             GridPoint(0, 10, 10): ColorState.single(GREEN),
         }
-        targets = {GridPoint(0, 6, 2)}
-        flat = ColorStateSearch(grid_a, CostModel(grid_a)).search(sources, targets, "n")
-        legacy = LegacyColorStateSearch(grid_b, CostModel(grid_b)).search(sources, targets, "n")
-        assert flat.reached == legacy.reached
-        flat_labels = flat.labels
-        legacy_labels = legacy.labels
-        assert set(flat_labels) == set(legacy_labels)
-        for vertex, label in flat_labels.items():
-            other = legacy_labels[vertex]
-            assert label.cost == other.cost
-            assert label.color_state == other.color_state
+        result = ColorStateSearch(grid, CostModel(grid)).search(
+            sources, {GridPoint(0, 6, 2)}, "n"
+        )
+        assert result.found
+        red, green = ColorState.single(RED), ColorState.single(GREEN)
+        both = ColorState(red.bits | green.bits)
+        labels = result.labels
+        for col in range(2, 11):
+            label = labels[GridPoint(0, col, 10)]
+            assert label.cost == abs(col - (2 if col <= 6 else 10))
+            assert label.color_state == (red if col < 6 else green if col > 6 else both)
+        assert labels[GridPoint(0, 6, 9)].color_state == both
 
 
 class TestHistoryDecayWiring:
