@@ -45,7 +45,7 @@ try:  # pragma: no cover - exercised indirectly by both CI legs
 except ImportError:  # pragma: no cover - numpy-free environments
     _numpy = None
 
-#: Tier names, fastest first (``repro.bench.micro`` records the active one).
+#: Tier names, fastest first (:func:`active_search_tier` reports the active one).
 SEARCH_TIERS = ("native", "buffered")
 
 #: Tier names of the incremental-check path, fastest first.
@@ -56,11 +56,6 @@ _PURE_PYTHON = env_flag("REPRO_PURE_PYTHON", False)
 _enabled = _numpy is not None and not _PURE_PYTHON
 _native_enabled = not _PURE_PYTHON and not env_flag("REPRO_NO_NATIVE", False)
 _check_native_enabled = not _PURE_PYTHON and not env_flag("REPRO_NO_NATIVE_CHECK", False)
-# Runtime-only gate over the whole accelerated check-scan path (numpy
-# broadcast AND native kernel) that leaves the search-path numpy gate
-# alone -- the check-kernel benchmark forces the pure check tier with it
-# without also slowing the search engines it is not measuring.
-_check_scan_enabled = True
 
 
 def have_numpy() -> bool:
@@ -170,40 +165,16 @@ def set_check_native_enabled(enabled: bool) -> bool:
     return previous
 
 
-def check_scan_enabled() -> bool:
-    """Return ``True`` when the accelerated check-scan path is open."""
-    return _check_scan_enabled
-
-
-def set_check_scan_enabled(enabled: bool) -> bool:
-    """Enable/disable the whole accelerated check scan; return the previous.
-
-    Unlike :func:`set_numpy_enabled` this only gates
-    :func:`repro.check.kernels.scan_hits` (numpy broadcast and native
-    kernel alike), so benchmarks can force the pure check loops while the
-    search engines keep their tiers.
-    """
-    global _check_scan_enabled
-    previous = _check_scan_enabled
-    _check_scan_enabled = bool(enabled)
-    return previous
-
-
-def get_check_numpy() -> Optional[object]:
-    """Return numpy for the check-scan path, or ``None`` to force pure loops."""
-    return _numpy if (_enabled and _check_scan_enabled) else None
-
-
 def get_check_kernel() -> Optional[object]:
     """Return the loaded check-kernel module when its tier is active.
 
     ``None`` when gated off (``REPRO_NO_NATIVE_CHECK``,
-    :func:`set_check_native_enabled`, :func:`set_check_scan_enabled`),
-    when no binary could be loaded or built, or when the numpy tier is off
-    (the Python wrapper stages the kernel's output through numpy arrays).
+    :func:`set_check_native_enabled`), when no binary could be loaded or
+    built, or when the numpy tier is off (the Python wrapper stages the
+    kernel's output through numpy arrays).
     The load attempt is made once per process and cached either way.
     """
-    if not _check_native_enabled or not _enabled or not _check_scan_enabled:
+    if not _check_native_enabled or not _enabled:
         return None
     from repro.native import load_check_kernel
 
@@ -220,7 +191,7 @@ def active_check_tier() -> str:
     """
     if get_check_kernel() is not None:
         return "native"
-    return "buffered-numpy" if _enabled and _check_scan_enabled else "buffered-python"
+    return "buffered-numpy" if _enabled else "buffered-python"
 
 
 def active_search_tier() -> str:

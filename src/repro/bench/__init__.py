@@ -12,7 +12,8 @@ design rules.  Two suites mirror the two experiment tables:
 * :func:`ispd19_suite` -- ten denser cases with tighter color spacing (the
   "advanced rules" regime) for the Table III decomposition comparison.
 
-:mod:`repro.bench.micro` holds the hand-crafted Fig. 1 / Fig. 3 layouts.
+:mod:`repro.bench.micro` holds the hand-crafted Fig. 1 / Fig. 3 layouts and
+the solution digests the parity checks compare.
 """
 
 from repro.bench.synthetic import SyntheticSpec, generate_design

@@ -74,7 +74,7 @@ def scan_hits(
     in hits`` consumers, so the common all-miss refresh allocates nothing
     per probe).
     """
-    np = accel.get_check_numpy()
+    np = accel.get_numpy()
     if np is None:
         return None
     if not len(indices) or not len(offsets):

@@ -84,6 +84,20 @@ class Design:
 
     # -- aggregate geometry -------------------------------------------------------
 
+    def flat_obstacles(self) -> List[Obstacle]:
+        """Return the obstacles followed by every instance obstruction.
+
+        Writers that store no cell instances save this list, so a loaded
+        design keeps every blockage of the original.
+        """
+        obstacles = list(self.obstacles)
+        for instance in self.instances.values():
+            obstacles.extend(
+                Obstacle(layer=shape.layer, rect=shape.rect, name=f"{instance.name}/obs")
+                for shape in instance.obstruction_shapes()
+            )
+        return obstacles
+
     def blockage_shapes(self) -> List[PinShape]:
         """Return every shape the router must treat as a blockage.
 
@@ -91,10 +105,7 @@ class Design:
         pin shapes (pins block other nets, which the routing grid handles as
         per-net occupancy rather than hard blockage).
         """
-        shapes: List[PinShape] = [PinShape(obs.layer, obs.rect) for obs in self.obstacles]
-        for instance in self.instances.values():
-            shapes.extend(instance.obstruction_shapes())
-        return shapes
+        return [PinShape(obs.layer, obs.rect) for obs in self.flat_obstacles()]
 
     def colored_obstacles(self) -> List[Obstacle]:
         """Return obstacles carrying a pre-assigned TPL mask."""

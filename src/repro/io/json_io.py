@@ -2,9 +2,10 @@
 
 The JSON schema is intentionally simple and explicit: every geometric object
 becomes a small dictionary of integers, so saved files diff cleanly and can
-be inspected by hand.  Cell masters/instances are flattened into top-level
-port pins on save (the router only needs chip-space pin shapes), which keeps
-the round-trip lossless with respect to the routing problem.
+be inspected by hand.  Cell masters/instances are flattened on save into
+top-level port pins and obstacles (the router only needs chip-space pin and
+obstruction shapes), which keeps the round-trip lossless with respect to the
+routing problem.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def design_to_dict(design: Design) -> Dict[str, Any]:
                 "name": obstacle.name,
                 "color": obstacle.color,
             }
-            for obstacle in design.obstacles
+            for obstacle in design.flat_obstacles()
         ],
         "nets": [
             {

@@ -51,7 +51,7 @@ def write_def_lite(design: Design, path: PathLike) -> None:
     lines.append(f"DIEAREA ( {die.xlo} {die.ylo} ) ( {die.xhi} {die.yhi} ) ;")
     lines.append(f"LAYERS {design.tech.num_layers} ;")
     lines.append(f"COLORSPACING {design.tech.rules.color_spacing} ;")
-    for obstacle in design.obstacles:
+    for obstacle in design.flat_obstacles():
         rect = obstacle.rect
         color_part = f" COLOR {obstacle.color + 1}" if obstacle.is_colored else ""
         lines.append(
@@ -75,9 +75,9 @@ def write_def_lite(design: Design, path: PathLike) -> None:
 def read_def_lite(path: PathLike, rules: Optional[DesignRules] = None) -> Design:
     """Read a DEF-lite file written by :func:`write_def_lite`.
 
-    Cell instances are not part of the format (pins are stored flat), so the
-    returned design contains ports, nets and obstacles -- everything the
-    routers need.
+    Cell instances are not part of the format (pins and obstructions are
+    stored flat), so the returned design contains ports, nets and obstacles
+    -- everything the routers need.
     """
     text = Path(path).read_text()
     name = "design"

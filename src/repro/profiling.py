@@ -18,13 +18,9 @@ Every rip-up-and-reroute iteration decomposes into a fixed set of phases:
     Journal folding and checkpoint serialisation.
 
 :class:`PhaseTimes` is the per-owner record (one per batch executor /
-router); every ``add`` also feeds a process-global accumulator so the
-bench harness can ask "how much of this process run went to each phase"
-with one snapshot/delta pair, regardless of how many routers and
-executors the scenario constructed.  The timers are plain
-``perf_counter`` differences added from the call sites -- no tracing, no
-callbacks -- so the accounting overhead is one float add per timed
-region and the records are JSON-clean.
+router).  The timers are plain ``perf_counter`` differences added from
+the call sites -- no tracing, no callbacks -- so the accounting overhead
+is one float add per timed region and the records are JSON-clean.
 
 Attribution is non-overlapping by construction: the call sites time
 leaf regions only (a pool batch's wall time is ``ipc``, not ``search``;
@@ -37,9 +33,6 @@ from typing import Dict, Optional
 
 #: Canonical phase names, in display order.
 PHASE_NAMES = ("plan", "search", "commit", "check", "ipc", "checkpoint")
-
-#: Process-global accumulated seconds per phase (all PhaseTimes instances).
-_global_seconds: Dict[str, float] = {name: 0.0 for name in PHASE_NAMES}
 
 
 class PhaseTimes:
@@ -55,9 +48,8 @@ class PhaseTimes:
                     self._seconds[name] = float(value)
 
     def add(self, phase: str, seconds: float) -> None:
-        """Charge *seconds* to *phase* (and to the process-global tally)."""
+        """Charge *seconds* to *phase*."""
         self._seconds[phase] += seconds
-        _global_seconds[phase] += seconds
 
     def as_dict(self) -> Dict[str, float]:
         """Return a JSON-clean copy (every phase present, in display order)."""
@@ -68,32 +60,7 @@ class PhaseTimes:
         return sum(self._seconds.values())
 
     def merge(self, other: Dict[str, float]) -> None:
-        """Add another record's seconds phase-by-phase (no global feed:
-        the other record already fed the global tally when it accumulated)."""
+        """Add another record's seconds phase-by-phase."""
         for name, value in other.items():
             if name in self._seconds:
                 self._seconds[name] += float(value)
-
-
-def global_phase_snapshot() -> Dict[str, float]:
-    """Return a copy of the process-global per-phase tally."""
-    return dict(_global_seconds)
-
-
-def global_phase_delta(snapshot: Dict[str, float]) -> Dict[str, float]:
-    """Return per-phase seconds accumulated since *snapshot*."""
-    return {
-        name: _global_seconds[name] - snapshot.get(name, 0.0) for name in PHASE_NAMES
-    }
-
-
-def merge_phase_seconds(
-    base: Optional[Dict[str, float]], extra: Optional[Dict[str, float]]
-) -> Dict[str, float]:
-    """Return the phase-wise sum of two ``phase_seconds`` dicts (JSON-clean)."""
-    merged = {name: 0.0 for name in PHASE_NAMES}
-    for record in (base, extra):
-        if record:
-            for name, value in record.items():
-                merged[name] = merged.get(name, 0.0) + float(value)
-    return merged

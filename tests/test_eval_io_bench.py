@@ -159,6 +159,14 @@ class TestDesignIO:
             o.color for o in design.colored_obstacles()
         ]
 
+    def test_macro_obstructions_survive_roundtrip(self, tmp_path):
+        design = suite_case("ispd19", 4, scale=0.5).build()
+        assert any(instance.obstruction_shapes() for instance in design.instances.values())
+        path = tmp_path / "case.deflite"
+        write_def_lite(design, path)
+        for loaded in (design_from_dict(design_to_dict(design)), read_def_lite(path)):
+            assert loaded.blockage_shapes() == design.blockage_shapes()
+
     def test_solution_json_roundtrip(self, tmp_path):
         design = fig3_walkthrough_design()
         grid = RoutingGrid(design)
