@@ -1,19 +1,14 @@
-"""Ablations: GR-guide usage and the optional post-routing color refinement.
+"""Ablation: GR-guide usage.
 
-* **Guides** -- the paper's flow "calculates color cost by GR guide": the
-  detailed router prefers staying inside the global-routing guide.  The
-  ablation routes one case with and without guides and reports wirelength,
-  conflicts and runtime.
-* **Refinement** -- the repository adds an optional greedy recoloring pass
-  (:mod:`repro.tpl.refine`) beyond the paper's flow; the ablation measures
-  what it does to conflicts and stitches so the default (off) is justified
-  by data.
+The paper's flow "calculates color cost by GR guide": the detailed router
+prefers staying inside the global-routing guide.  The ablation routes one
+case with and without guides and reports wirelength, conflicts and runtime.
 """
 
 from __future__ import annotations
 
 from benchmarks.conftest import bench_scale, run_once
-from repro.bench.suites import ispd18_suite, ispd19_suite
+from repro.bench.suites import ispd18_suite
 from repro.eval import evaluate_solution
 from repro.gr import GlobalRouter
 from repro.grid import RoutingGrid
@@ -48,28 +43,3 @@ def test_guides_ablation(benchmark):
           f"runtime={free.runtime_seconds:.2f}s")
     assert guided.open_nets == 0 and free.open_nets == 0
 
-
-def test_refinement_ablation(benchmark):
-    """Measure the optional post-routing recoloring pass."""
-    case = ispd19_suite(bench_scale(), cases=[2])[0]
-
-    def run_both():
-        design_plain = case.build()
-        grid_plain = RoutingGrid(design_plain)
-        plain = MrTPLRouter(design_plain, grid=grid_plain, use_global_router=True,
-                            max_iterations=2, refine_colors=False).run()
-        plain_eval = evaluate_solution(design_plain, grid_plain, plain)
-
-        design_refined = case.build()
-        grid_refined = RoutingGrid(design_refined)
-        refined = MrTPLRouter(design_refined, grid=grid_refined, use_global_router=True,
-                              max_iterations=2, refine_colors=True).run()
-        refined_eval = evaluate_solution(design_refined, grid_refined, refined)
-        return plain_eval, refined_eval
-
-    plain, refined = run_once(benchmark, run_both)
-    print()
-    print("Ablation: post-routing color refinement (extension beyond the paper)")
-    print(f"  refinement off : conflicts={plain.conflicts} stitches={plain.stitches}")
-    print(f"  refinement on  : conflicts={refined.conflicts} stitches={refined.stitches}")
-    assert plain.open_nets == 0 and refined.open_nets == 0

@@ -50,7 +50,7 @@ CHAOS_PLAN = (
 
 RECOVERY_KEYS = (
     "worker_errors", "retries", "deadline_timeouts", "worker_replacements",
-    "demotions", "bootstrap_fallbacks", "worker_kills", "heartbeats",
+    "demotions", "worker_kills", "heartbeats",
 )
 
 

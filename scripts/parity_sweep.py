@@ -59,7 +59,6 @@ LEGS = (
     ("native search off", (accel.set_native_enabled,), {}, False),
     ("native check off", (accel.set_check_native_enabled,), {}, False),
     ("numpy off", (accel.set_numpy_enabled, accel.set_native_enabled), {}, False),
-    ("thread x4", (), {"parallelism": 4, "batch_backend": "thread"}, False),
     (
         "pool x4",
         (),

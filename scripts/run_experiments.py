@@ -4,18 +4,14 @@
 Usage::
 
     python scripts/run_experiments.py [scale] [max_cases] [parallelism]
-        [--backend thread|pool|serial]
-        [--min-fork-batch N] [--margin-cells N]
+        [--backend serial|pool] [--min-fork-batch N]
 
 A ``parallelism`` above 1 routes through the :mod:`repro.sched` batched
-rip-up loop (speculative backend, order-preserving prefix policy --
-bit-identical results, concurrent batch computation on multi-core hosts).
-``--backend pool`` uses the persistent journal-replicated worker pool
-(workers fork once and catch up between batches by journal-suffix replay).
-``--min-fork-batch`` and ``--margin-cells`` expose the executor/scheduler
-tuning knobs (defaults: the ``REPRO_MIN_FORK_BATCH`` /
-``REPRO_BATCH_MARGIN`` environment, then 3 / 0) so multi-core hosts can
-tune them from the recorded fallback counters.
+rip-up loop on the persistent journal-replicated worker pool (workers fork
+once and catch up between batches by journal-suffix replay; results stay
+bit-identical to the sequential loop).  ``--backend serial`` keeps the
+batched loop but routes every batch in-process.  ``--min-fork-batch`` is
+the smallest batch worth starting pool workers for (default 3).
 
 Rows are appended to ``experiment_results.jsonl`` in the repository root so a
 partially completed run is still usable for EXPERIMENTS.md.
@@ -41,22 +37,14 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument(
         "--backend",
         default=None,
-        choices=("serial", "thread", "pool"),
-        help="batched-executor backend (default: thread when parallelism > 1)",
+        choices=("serial", "pool"),
+        help="batched-executor backend (default: pool when parallelism > 1)",
     )
     parser.add_argument(
         "--min-fork-batch",
         type=int,
         default=None,
-        help="smallest batch worth forking for "
-        "(default: REPRO_MIN_FORK_BATCH or 3)",
-    )
-    parser.add_argument(
-        "--margin-cells",
-        type=int,
-        default=None,
-        help="extra scheduler window margin in cells "
-        "(default: REPRO_BATCH_MARGIN or 0)",
+        help="smallest batch worth starting pool workers for (default: 3)",
     )
     return parser.parse_args()
 
@@ -68,12 +56,11 @@ def main() -> None:
     parallelism = args.parallelism
     backend = args.backend
     if backend is None:
-        backend = "thread" if parallelism > 1 else "serial"
+        backend = "pool" if parallelism > 1 else "serial"
     knobs = {
         "parallelism": parallelism,
         "batch_backend": backend,
         "min_fork_batch": args.min_fork_batch,
-        "batch_margin": args.margin_cells,
     }
     with OUT.open("a") as handle:
         for case in ispd18_suite(scale, cases=list(range(1, max_cases + 1))):

@@ -174,10 +174,11 @@ class MaskExpandedSearch:
 class Dac2012Router:
     """2-pin, mask-expanded-graph TPL-aware router (Table II baseline).
 
-    The ``parallelism`` / ``batch_size`` / ``batch_backend`` knobs switch
-    the rip-up loop onto the :mod:`repro.sched` disjoint-batch executor
-    (``batch_backend`` one of ``serial`` / ``thread`` / ``pool``); the
-    default keeps the plain sequential loop.
+    The ``parallelism`` / ``batch_size`` / ``batch_backend`` arguments
+    switch the rip-up loop onto the :mod:`repro.sched` disjoint-batch
+    executor (``batch_backend`` one of ``serial`` / ``pool``;
+    ``min_fork_batch`` is the smallest batch worth forking pool workers
+    for); the default keeps the plain sequential loop.
     """
 
     name = "dac2012"
@@ -192,9 +193,7 @@ class Dac2012Router:
         parallelism: int = 1,
         batch_size: Optional[int] = None,
         batch_backend: str = "serial",
-        batch_policy: str = "prefix",
         min_fork_batch: Optional[int] = None,
-        batch_margin: Optional[int] = None,
     ) -> None:
         self.design = design
         self.grid = grid if grid is not None else RoutingGrid(design)
@@ -216,13 +215,7 @@ class Dac2012Router:
             self.grid, self.cost_model, self.max_expansions
         )
         self.batch_executor = make_batch_executor(
-            self,
-            parallelism,
-            batch_size,
-            batch_backend,
-            batch_policy,
-            min_fork_batch=min_fork_batch,
-            margin_cells=batch_margin,
+            self, parallelism, batch_size, batch_backend, min_fork_batch
         )
         # Per-phase wall-clock record: shared with the executor's stats when
         # one is engaged, so campaign merges and bench JSON see one record.
@@ -295,7 +288,7 @@ class Dac2012Router:
         solution.iterations = iterations
         solution.runtime_seconds = timer.stop()
         if self.batch_executor is not None:
-            self.batch_executor.close()  # release worker threads between runs
+            self.batch_executor.close()  # release pool workers between runs
         return solution
 
     def schedule_nets(self) -> List[Net]:
@@ -322,19 +315,6 @@ class Dac2012Router:
         never share label buffers.
         """
         return MaskExpandedSearch(self.grid, self.cost_model, self.max_expansions)
-
-    def worker_spec(self) -> Tuple[type, Dict[str, object]]:
-        """Return ``(router_cls, kwargs)`` rebuilding this router in a worker.
-
-        Used by the snapshot-bootstrapped pool workers, which construct
-        their own router over a grid rebuilt from the journal's fold
-        snapshot instead of inheriting the parent's through fork.
-        """
-        return type(self), {
-            "guides": self.guides,
-            "use_global_router": False,
-            "max_iterations": self.max_iterations,
-        }
 
     # ------------------------------------------------------------------
 

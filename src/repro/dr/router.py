@@ -14,7 +14,7 @@ into the OpenMPL-like layout decomposer.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.campaign import CampaignState
 from repro.check import IncrementalDRCChecker
@@ -34,11 +34,12 @@ _LOG = get_logger("dr.router")
 class DetailedRouter:
     """Sequential negotiation-based detailed router (no TPL awareness).
 
-    The ``parallelism`` / ``batch_size`` / ``batch_backend`` knobs switch
-    the rip-up loop onto the :mod:`repro.sched` disjoint-batch executor
-    (``batch_backend`` one of ``serial`` / ``thread`` / ``pool``); the
-    default (``parallelism=1``, no batch size) keeps the plain sequential
-    loop.
+    The ``parallelism`` / ``batch_size`` / ``batch_backend`` arguments
+    switch the rip-up loop onto the :mod:`repro.sched` disjoint-batch
+    executor (``batch_backend`` one of ``serial`` / ``pool``;
+    ``min_fork_batch`` is the smallest batch worth forking pool workers
+    for); the default (``parallelism=1``, no batch size) keeps the plain
+    sequential loop.
     """
 
     name = "plain-dr"
@@ -52,9 +53,7 @@ class DetailedRouter:
         parallelism: int = 1,
         batch_size: Optional[int] = None,
         batch_backend: str = "serial",
-        batch_policy: str = "prefix",
         min_fork_batch: Optional[int] = None,
-        batch_margin: Optional[int] = None,
     ) -> None:
         self.design = design
         self.grid = grid if grid is not None else RoutingGrid(design)
@@ -70,13 +69,7 @@ class DetailedRouter:
         # re-scan (`_nets_with_shorts`) stays as the frozen reference oracle.
         self.incremental_drc = IncrementalDRCChecker(design, self.grid, guides)
         self.batch_executor = make_batch_executor(
-            self,
-            parallelism,
-            batch_size,
-            batch_backend,
-            batch_policy,
-            min_fork_batch=min_fork_batch,
-            margin_cells=batch_margin,
+            self, parallelism, batch_size, batch_backend, min_fork_batch
         )
         # Per-phase wall-clock record: shared with the executor's stats when
         # one is engaged, so campaign merges and bench JSON see one record.
@@ -153,7 +146,7 @@ class DetailedRouter:
         solution.iterations = iterations
         solution.runtime_seconds = timer.stop()
         if self.batch_executor is not None:
-            self.batch_executor.close()  # release worker threads between runs
+            self.batch_executor.close()  # release pool workers between runs
         return solution
 
     def _route_many(self, nets: List[Net], solution: RoutingSolution) -> None:
@@ -173,20 +166,6 @@ class DetailedRouter:
         never share label buffers.
         """
         return MazeRouter(self.grid, self.cost_model)
-
-    def worker_spec(self) -> Tuple[type, Dict[str, object]]:
-        """Return ``(router_cls, kwargs)`` rebuilding this router in a worker.
-
-        The snapshot-bootstrapped pool workers construct their own router
-        over a grid they rebuilt from the journal's fold snapshot (no fork
-        inheritance), so everything ``compute_route`` depends on must be
-        picklable and listed here.  Batch/parallelism knobs are deliberately
-        absent -- workers route serially.
-        """
-        return type(self), {
-            "guides": self.guides,
-            "max_iterations": self.max_iterations,
-        }
 
     def schedule_nets(self) -> List[Net]:
         """Return routable nets ordered for sequential routing.

@@ -97,15 +97,14 @@ def run_table2_case(
     parallelism: int = 1,
     batch_backend: str = "serial",
     min_fork_batch: Optional[int] = None,
-    batch_margin: Optional[int] = None,
 ) -> Table2Row:
     """Run the Table II comparison on a single suite case.
 
     Both routers receive identical, independently constructed grids and the
     same GR guides (built once and shared) so neither benefits from the
     other's routing state.  ``parallelism`` / ``batch_backend`` switch both
-    routers onto the :mod:`repro.sched` batched rip-up loop (the default
-    ``prefix`` policy keeps results bit-identical to the sequential loop).
+    routers onto the :mod:`repro.sched` batched rip-up loop (results stay
+    bit-identical to the sequential loop).
     """
     design_for_baseline = case.build()
     design_for_ours = case.build()
@@ -123,7 +122,6 @@ def run_table2_case(
         parallelism=parallelism,
         batch_backend=batch_backend,
         min_fork_batch=min_fork_batch,
-        batch_margin=batch_margin,
     )
     baseline_solution = baseline_router.run()
     baseline_eval = evaluate_solution(
@@ -140,7 +138,6 @@ def run_table2_case(
         parallelism=parallelism,
         batch_backend=batch_backend,
         min_fork_batch=min_fork_batch,
-        batch_margin=batch_margin,
     )
     ours_solution = ours_router.run()
     ours_eval = evaluate_solution(design_for_ours, ours_grid, ours_solution, guides_ours)
@@ -155,7 +152,6 @@ def run_table2(
     parallelism: int = 1,
     batch_backend: str = "serial",
     min_fork_batch: Optional[int] = None,
-    batch_margin: Optional[int] = None,
 ) -> List[Table2Row]:
     """Run the full Table II experiment over the ISPD-2018-like suite."""
     suite = ispd18_suite(scale, cases=list(cases) if cases is not None else None)
@@ -169,8 +165,7 @@ def run_table2(
                 parallelism=parallelism,
                 batch_backend=batch_backend,
                 min_fork_batch=min_fork_batch,
-                batch_margin=batch_margin,
-            )
+                    )
         )
     return rows
 
@@ -240,7 +235,6 @@ def run_table3_case(
     parallelism: int = 1,
     batch_backend: str = "serial",
     min_fork_batch: Optional[int] = None,
-    batch_margin: Optional[int] = None,
 ) -> Table3Row:
     """Run the Table III comparison on a single suite case.
 
@@ -266,7 +260,6 @@ def run_table3_case(
         parallelism=parallelism,
         batch_backend=batch_backend,
         min_fork_batch=min_fork_batch,
-        batch_margin=batch_margin,
     )
     plain_solution = plain_router.run()
     decomposer = LayoutDecomposer(design_for_decomposition, decomp_grid)
@@ -282,7 +275,6 @@ def run_table3_case(
         parallelism=parallelism,
         batch_backend=batch_backend,
         min_fork_batch=min_fork_batch,
-        batch_margin=batch_margin,
     )
     ours_solution = ours_router.run()
     # Served from the router's incremental tallies (a delta refresh, not a
@@ -308,7 +300,6 @@ def run_table3(
     parallelism: int = 1,
     batch_backend: str = "serial",
     min_fork_batch: Optional[int] = None,
-    batch_margin: Optional[int] = None,
 ) -> List[Table3Row]:
     """Run the full Table III experiment over the ISPD-2019-like suite."""
     suite = ispd19_suite(scale, cases=list(cases) if cases is not None else None)
@@ -322,8 +313,7 @@ def run_table3(
                 parallelism=parallelism,
                 batch_backend=batch_backend,
                 min_fork_batch=min_fork_batch,
-                batch_margin=batch_margin,
-            )
+                    )
         )
     return rows
 

@@ -69,12 +69,7 @@ Injection sites
     Pool worker closes its pipe and exits cleanly without replying --
     the parent sees a bare EOF.
 ``compute.error``
-    Speculative compute raises :class:`FaultError` (fires on both
-    speculative backends: thread and pool workers both route through
-    ``_compute_speculative``).
-``bootstrap.fail``
-    Snapshot-bootstrapped worker fails its payload *decode* stage with a
-    classified error -- exercising the fall-back-to-fork path.
+    Speculative compute in a pool worker raises :class:`FaultError`.
 ``checkpoint.tear``
     ``journal_io._write_atomic`` writes a torn (truncated, non-atomic)
     document to the *final* path, simulating the power-loss window a
@@ -105,7 +100,6 @@ SITES = (
     "reply.delay",
     "pipe.drop",
     "compute.error",
-    "bootstrap.fail",
     "checkpoint.tear",
 )
 
@@ -124,7 +118,7 @@ _CONTEXT: Dict[str, object] = {}
 
 
 class FaultError(RuntimeError):
-    """An injected failure (the payload of ``compute.error`` / ``bootstrap.fail``)."""
+    """An injected failure (the payload of ``compute.error``)."""
 
 
 class PipeDropFault(Exception):
@@ -324,8 +318,6 @@ def fire(site: str, **ctx: object) -> Optional[FaultClause]:
         raise PipeDropFault(f"injected pipe drop at worker {ctx.get('worker')}")
     elif site == "compute.error":
         raise FaultError(f"injected compute error (net {ctx.get('net')!r})")
-    elif site == "bootstrap.fail":
-        raise FaultError("injected snapshot payload decode failure")
     return clause
 
 

@@ -1318,7 +1318,7 @@ class RoutingGrid:
                 )
 
     # ------------------------------------------------------------------
-    # Dense state snapshots (checkpoint v2 / worker bootstrap)
+    # Dense state snapshots (checkpoint v2)
     # ------------------------------------------------------------------
 
     #: Schema tag of :meth:`snapshot_state` documents.

@@ -189,11 +189,11 @@ class MutationJournal:
         For a complete log this is a plain full replay.  For a folded
         journal the grid is first restored from the fold snapshot
         (``grid.restore_state``) and only the suffix past it is replayed --
-        the O(snapshot + suffix) bootstrap that checkpoint-v2 resume and
-        late-joining pool workers rely on.  The grid must start from the
-        journal's base state (a freshly constructed grid over the same
-        design) and must not have a journal attached yet (attach after, so
-        the replayed ops are not re-recorded into this very journal).
+        the O(snapshot + suffix) bootstrap that checkpoint-v2 resume
+        relies on.  The grid must start from the journal's base state (a
+        freshly constructed grid over the same design) and must not have a
+        journal attached yet (attach after, so the replayed ops are not
+        re-recorded into this very journal).
         """
         if self.snapshot is not None:
             if self._snapshot_cursor < self._base:

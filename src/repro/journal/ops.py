@@ -35,8 +35,7 @@ Ops are also the *suffix* half of a folded journal: once
 :meth:`MutationJournal.fold` compacts the log prefix into a
 :meth:`RoutingGrid.snapshot_state` document, bootstrapping a replica is
 snapshot restore plus replay of exactly these tuples past the fold cursor
--- the O(grid + suffix) path checkpoint-v2 resume and late-joining pool
-workers ride on.
+-- the O(grid + suffix) path checkpoint-v2 resume rides on.
 """
 
 from __future__ import annotations

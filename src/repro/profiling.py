@@ -5,8 +5,8 @@ Every rip-up-and-reroute iteration decomposes into a fixed set of phases:
 ``plan``
     Disjoint-batch planning (``BatchScheduler.plan``).
 ``search``
-    Pathfinding proper: serial batch routing, thread/fork batch compute,
-    and live-reroute fallbacks.
+    Pathfinding proper: serial batch routing and live-reroute fallbacks
+    (pool workers' search shows up as ``ipc`` in the parent).
 ``commit``
     Applying speculative results to the authoritative grid
     (``_commit_batch``).

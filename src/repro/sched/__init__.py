@@ -1,37 +1,36 @@
 """Disjoint-batch scheduling and batched execution of net routing.
 
-PRs 1-3 made single-net searches and per-net re-validation cheap; this
-package converts the remaining serial outer loop into batched throughput:
+With single-net searches and per-net re-validation cheap, this package
+converts the remaining serial outer loop into batched throughput:
 
 * :class:`BatchScheduler` partitions a pending-net queue into batches of
   nets whose interaction-radius-expanded windows are pairwise disjoint
-  (order-preserving ``prefix`` policy, or ``greedy`` first-fit coloring);
+  (each batch the maximal disjoint prefix of the queue, so the batches
+  concatenate back to the sequential order);
 * :class:`BatchExecutor` routes each batch through a deterministic serial
-  backend (bit-identical to the sequential loop -- the parity oracle) or a
-  speculative ``thread`` / persistent ``pool`` backend that routes the
-  whole batch against a frozen snapshot with
-  per-worker search engines, validates every result's explored region
-  against batch-mates' committed deltas, replays accepted commit logs
-  (plain :mod:`repro.journal` ops) through the grid's ``apply_op`` choke
-  point (so the attached journal and the incremental DRC/conflict checkers
-  see the merged batch) and falls back to live routing when regions touch.
-  The ``pool`` backend's workers fork **once** and re-synchronise between
-  batches by replaying the grid journal suffix past their cursor -- no
-  re-fork, no snapshot serialisation.
+  backend (bit-identical to the sequential loop -- the parity oracle) or
+  the speculative ``pool`` backend that routes the whole batch against a
+  frozen snapshot with per-worker search engines, validates every
+  result's explored region against batch-mates' committed deltas, replays
+  accepted commit logs (plain :mod:`repro.journal` ops) through the grid's
+  ``apply_op`` choke point (so the attached journal and the incremental
+  DRC/conflict checkers see the merged batch) and falls back to live
+  routing when regions touch.  The pool's workers fork **once** and
+  re-synchronise between batches by replaying the grid journal suffix
+  past their cursor -- no re-fork, no snapshot serialisation.
 
 All three rip-up loops (``dr/router``, ``tpl/mr_tpl``,
 ``baselines/dac2012``) wire in through their ``parallelism`` /
-``batch_size`` / ``batch_backend`` constructor knobs, plus the
-``min_fork_batch`` / ``batch_margin`` tuning knobs (also settable through
-the ``REPRO_MIN_FORK_BATCH`` / ``REPRO_BATCH_MARGIN`` environment).
+``batch_size`` / ``batch_backend`` / ``min_fork_batch`` constructor
+arguments.
 
 Execution is **supervised** (:mod:`repro.sched.supervisor`): per-batch
 wall-clock deadlines, pool-worker heartbeats, classified failures with
 bounded exponential-backoff retry and single-worker replacement, and a
-graceful-degradation ladder (pool -> thread -> serial) that demotes the
-backend after consecutive failures -- serial being the always-correct
-floor, every recovery path stays bit-identical to the fault-free
-sequential run.
+graceful-degradation ladder (pool -> serial) that demotes the backend
+after consecutive failures -- serial being the always-correct floor,
+every recovery path stays bit-identical to the fault-free sequential run.
+A host without the ``fork`` start method runs serial from the start.
 """
 
 from repro.sched.batches import BatchScheduler, CellWindow, windows_overlap
@@ -42,10 +41,6 @@ from repro.sched.executor import (
     ExecutorStats,
     PersistentWorkerPool,
     make_batch_executor,
-    resolve_batch_margin,
-    resolve_min_fork_batch,
-    resolve_pool_bootstrap,
-    resolve_pool_snapshot_ops,
 )
 from repro.sched.supervisor import (
     FailureDetail,
@@ -73,9 +68,5 @@ __all__ = [
     "make_batch_executor",
     "RecordingSink",
     "apply_route_ops",
-    "resolve_batch_margin",
-    "resolve_min_fork_batch",
-    "resolve_pool_bootstrap",
-    "resolve_pool_snapshot_ops",
     "windows_overlap",
 ]

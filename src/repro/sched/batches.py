@@ -6,23 +6,14 @@ act at the metal itself, and color pressure reaches at most the interaction
 radius (``max(Dcolor, min_spacing)``, :meth:`RoutingGrid.interaction_radius`)
 around it.  The scheduler therefore assigns every net a planar **window** --
 its pin bounding box mapped to grid cells and expanded by the interaction
-reach plus a safety margin -- and groups nets whose windows are pairwise
-disjoint into batches the executor may route concurrently against one
-frozen grid snapshot.
+reach -- and groups nets whose windows are pairwise disjoint into batches
+the executor may route concurrently against one frozen grid snapshot.
 
-Two policies are offered:
-
-* ``"prefix"`` (default): every batch is the maximal *prefix* of the
-  remaining queue whose windows are pairwise disjoint.  Concatenating the
-  batches reproduces the input order exactly, so routing the plan serially
-  is the unmodified sequential loop -- the determinism anchor the
-  differential tests compare every backend against.
-* ``"greedy"``: first-fit greedy coloring -- each net joins the earliest
-  open batch whose members it does not overlap.  Batches are larger (more
-  extractable concurrency) but the concatenated order is a permutation of
-  the queue, so solutions may legitimately differ from the sequential loop;
-  the parity oracle for this policy is the serial executor on the *same*
-  plan.
+Every batch is the maximal *prefix* of the remaining queue whose windows
+are pairwise disjoint.  Concatenating the batches reproduces the input
+order exactly, so routing the plan serially is the unmodified sequential
+loop -- the determinism anchor the differential tests compare every
+backend against.
 
 Windows are a planning heuristic only -- the executor's speculative
 validation (explored-region vs committed-delta boxes, with sequential
@@ -54,36 +45,17 @@ class BatchScheduler:
     grid:
         The routing grid (supplies the cell geometry and the canonical
         interaction radius).
-    policy:
-        ``"prefix"`` (order-preserving, default) or ``"greedy"``
-        (first-fit coloring; permutes the queue).
     max_batch:
         Optional cap on nets per batch (``None`` = unbounded).
-    margin_cells:
-        Extra window expansion beyond the interaction reach, in cells
-        (default 0).  A wider margin trades batch size for fewer
-        speculative fallbacks when searches overshoot their net's bounding
-        box; correctness never depends on this value -- the executor's
-        explored-region validation catches every overshoot.
     """
 
-    def __init__(
-        self,
-        grid: RoutingGrid,
-        policy: str = "prefix",
-        max_batch: Optional[int] = None,
-        margin_cells: Optional[int] = None,
-    ) -> None:
-        if policy not in ("prefix", "greedy"):
-            raise ValueError(f"unknown batch policy {policy!r}; expected 'prefix' or 'greedy'")
+    def __init__(self, grid: RoutingGrid, max_batch: Optional[int] = None) -> None:
         if max_batch is not None and max_batch < 1:
             raise ValueError("max_batch must be positive")
         self.grid = grid
-        self.policy = policy
         self.max_batch = max_batch
         #: Interaction reach in cells at the grid-wide interaction radius.
         self.reach_cells = grid.interaction_reach_cells(grid.interaction_radius())
-        self.margin_cells = 0 if margin_cells is None else max(0, margin_cells)
 
     # ------------------------------------------------------------------
 
@@ -92,10 +64,10 @@ class BatchScheduler:
 
         The pin bounding box mapped onto grid columns/rows (covering every
         cell its metal could seed) and expanded by *expand_cells* (default:
-        interaction reach + margin), clamped to the grid.
+        the interaction reach), clamped to the grid.
         """
         if expand_cells is None:
-            expand_cells = self.reach_cells + self.margin_cells
+            expand_cells = self.reach_cells
         grid = self.grid
         box = net.bounding_box()
         pitch = grid.pitch
@@ -111,17 +83,11 @@ class BatchScheduler:
         )
 
     def plan(self, nets: Sequence[Net]) -> List[List[Net]]:
-        """Partition *nets* into batches according to the policy.
+        """Partition *nets* into maximal disjoint prefix batches.
 
-        Every net appears in exactly one batch; batches preserve the input
-        order of their members.  With the ``prefix`` policy the batches
+        Every net appears in exactly one batch, and the batches
         concatenate back to the input order.
         """
-        if self.policy == "prefix":
-            return self._plan_prefix(nets)
-        return self._plan_greedy(nets)
-
-    def _plan_prefix(self, nets: Sequence[Net]) -> List[List[Net]]:
         batches: List[List[Net]] = []
         current: List[Net] = []
         current_windows: List[CellWindow] = []
@@ -137,24 +103,4 @@ class BatchScheduler:
             current_windows.append(window)
         if current:
             batches.append(current)
-        return batches
-
-    def _plan_greedy(self, nets: Sequence[Net]) -> List[List[Net]]:
-        batches: List[List[Net]] = []
-        batch_windows: List[List[CellWindow]] = []
-        for net in nets:
-            window = self.net_window(net)
-            placed = False
-            for members, windows in zip(batches, batch_windows):
-                if self.max_batch is not None and len(members) >= self.max_batch:
-                    continue
-                if any(windows_overlap(window, other) for other in windows):
-                    continue
-                members.append(net)
-                windows.append(window)
-                placed = True
-                break
-            if not placed:
-                batches.append([net])
-                batch_windows.append([window])
         return batches

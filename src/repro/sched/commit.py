@@ -9,8 +9,8 @@ body serves both execution modes:
   sequential rip-up loops and the deterministic batch backend use it, which
   keeps their behaviour call-for-call identical to the pre-batching code;
 * :class:`RecordingSink` only appends the operations, in order, to a
-  *commit log*.  The speculative batch backends route whole batches against
-  a frozen grid snapshot this way and later replay accepted logs through
+  *commit log*.  The speculative pool backend routes whole batches against
+  a frozen grid snapshot this way and later replays accepted logs through
   :func:`apply_route_ops`.
 
 Since the journal refactor the commit log **is** a slice of the
@@ -21,8 +21,8 @@ tuples that :class:`GridSink`'s grid calls would have pushed through
 through that same choke point -- so deferred and immediate commits produce
 identical grid state, fire identical delta-listener events, and land in the
 attached journal identically.  Ops are flat tuples of ints, so logs cross
-process boundaries (the fork and pool backends pickle them back to the
-parent) without custom reducers.
+process boundaries (pool workers pickle them back to the parent) without
+custom reducers.
 """
 
 from __future__ import annotations

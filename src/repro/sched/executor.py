@@ -1,31 +1,27 @@
 """Batch execution of disjoint net batches over a shared routing grid.
 
 The executor routes the batches a :class:`~repro.sched.batches.BatchScheduler`
-plans, through one of three backends:
+plans, through one of two backends:
 
 ``"serial"`` (default, the parity oracle)
     Routes every batch member with the router's own ``route_net`` --
     immediate grid commits, identical call sequence to the sequential loop.
-    With the scheduler's order-preserving ``prefix`` policy this *is* the
-    sequential loop, so results are bit-identical by construction.
+    The scheduler's batches concatenate back to the input order, so this
+    *is* the sequential loop and results are bit-identical by construction.
 
-``"thread"`` / ``"pool"`` (speculative snapshot routing)
+``"pool"`` (speculative snapshot routing)
     All nets of a batch are routed concurrently against the grid state at
     batch start ("the snapshot"): workers call the router's
     ``compute_route`` with a :class:`~repro.sched.commit.RecordingSink`
-    (reads only, commits recorded) and a per-worker search engine, so the
-    epoch-stamped label buffers of concurrent searches never collide.  The
-    thread backend shares the live buffers under the GIL.
+    (reads only, commits recorded) and their own search engine.
 
-    The ``pool`` backend keeps **persistent journal-replicated workers**:
-    processes fork *once* (attaching a :class:`repro.journal
-    .MutationJournal` to the grid first, so every later mutation is
-    logged), and between batches each worker catches up by replaying only
-    the journal suffix past its cursor through ``RoutingGrid.apply_op`` --
-    no re-fork, no snapshot serialisation.  Because replay is
-    bit-identical (the journal replay guarantee), a caught-up worker's
-    grid is byte-for-byte the parent's, and the same explored-region
-    validation + live-reroute fallback applies unchanged.
+    The workers are **persistent and journal-replicated**: processes fork
+    *once* (attaching a :class:`repro.journal.MutationJournal` to the grid
+    first, so every later mutation is logged), and between batches each
+    worker catches up by replaying only the journal suffix past its cursor
+    through ``RoutingGrid.apply_op`` -- no re-fork, no snapshot
+    serialisation.  Because replay is bit-identical (the journal replay
+    guarantee), a caught-up worker's grid is byte-for-byte the parent's.
 
     Commits are then applied **serially in batch order** with a speculative
     validation step: a snapshot-computed route is exact iff the search
@@ -40,11 +36,14 @@ plans, through one of three backends:
     grid hooks, so the incremental DRC/conflict checkers see the same delta
     stream either way.
 
-Determinism caveat shared by both speculative backends: deferring a net's
-own mid-route color commits is bit-neutral only because pressure values are
+    A host without the ``fork`` start method settles on serial once, when
+    the executor is built.
+
+Determinism caveat of the speculative backend: deferring a net's own
+mid-route color commits is bit-neutral only because pressure values are
 sums of ``conflict_cost`` increments (exact in IEEE-754 for the default
 rule values); the differential suite in ``tests/test_batch_sched.py``
-asserts the end-to-end guarantee per backend.
+asserts the end-to-end guarantee.
 """
 
 from __future__ import annotations
@@ -52,10 +51,7 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
-from queue import SimpleQueue
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
@@ -71,72 +67,14 @@ from repro.sched.supervisor import (
     WorkerFailure,
     await_worker_reply,
     classify_exception,
-    classify_worker_payload,
     degradation_ladder,
 )
-from repro.utils.env import env_int, env_str
 
 #: Backends accepted by :class:`BatchExecutor`.
-BACKENDS = ("serial", "thread", "pool")
+BACKENDS = ("serial", "pool")
 
-#: Environment knobs (overridden by explicit arguments): the smallest batch
-#: worth starting pool workers for, and the scheduler's extra window margin
-#: in cells.
-MIN_FORK_BATCH_ENV = "REPRO_MIN_FORK_BATCH"
-BATCH_MARGIN_ENV = "REPRO_BATCH_MARGIN"
-
-#: How pool workers come to hold the parent's grid state: ``fork`` (inherit
-#: through the fork itself), ``snapshot`` (rebuild from a pickled design +
-#: grid snapshot + journal suffix -- the distributed-worker bootstrap path,
-#: and the only one available without the fork start method), or ``auto``
-#: (fork when available, snapshot otherwise).
-POOL_BOOTSTRAP_ENV = "REPRO_POOL_BOOTSTRAP"
-#: Snapshot-mode payload refresh threshold: once the journal head has moved
-#: this many ops past the cached bootstrap snapshot, the next worker start
-#: re-snapshots the grid instead of shipping an ever-longer suffix.
-POOL_SNAPSHOT_OPS_ENV = "REPRO_POOL_SNAPSHOT_OPS"
-
-#: Built-in defaults behind the env knobs.
+#: Smallest batch worth starting pool workers for (constructor default).
 DEFAULT_MIN_FORK_BATCH = 3
-DEFAULT_BATCH_MARGIN = 0
-DEFAULT_POOL_BOOTSTRAP = "auto"
-DEFAULT_POOL_SNAPSHOT_OPS = 4096
-
-#: Bootstrap modes accepted by :func:`resolve_pool_bootstrap`.
-POOL_BOOTSTRAPS = ("auto", "fork", "snapshot")
-
-
-def resolve_min_fork_batch(explicit: Optional[int] = None) -> int:
-    """Return the effective ``min_fork_batch`` knob (arg > env > default)."""
-    if explicit is not None:
-        return explicit
-    return env_int(MIN_FORK_BATCH_ENV, DEFAULT_MIN_FORK_BATCH)
-
-
-def resolve_batch_margin(explicit: Optional[int] = None) -> int:
-    """Return the effective scheduler window margin in cells (arg > env > default)."""
-    if explicit is not None:
-        return explicit
-    return env_int(BATCH_MARGIN_ENV, DEFAULT_BATCH_MARGIN)
-
-
-def resolve_pool_bootstrap(explicit: Optional[str] = None) -> str:
-    """Return the effective pool bootstrap mode (arg > env > ``auto``)."""
-    mode = explicit if explicit is not None else env_str(
-        POOL_BOOTSTRAP_ENV, DEFAULT_POOL_BOOTSTRAP
-    )
-    if mode not in POOL_BOOTSTRAPS:
-        raise ValueError(
-            f"unknown pool bootstrap {mode!r}; expected one of {POOL_BOOTSTRAPS}"
-        )
-    return mode
-
-
-def resolve_pool_snapshot_ops(explicit: Optional[int] = None) -> int:
-    """Return the snapshot-payload refresh threshold (arg > env > default)."""
-    if explicit is not None:
-        return explicit
-    return env_int(POOL_SNAPSHOT_OPS_ENV, DEFAULT_POOL_SNAPSHOT_OPS)
 
 
 @dataclass
@@ -158,9 +96,6 @@ class ExecutorStats:
     #: Pool workers that ignored the shutdown message and had to be
     #: terminated/killed at close (hung-worker escalation).
     worker_kills: int = 0
-    #: Pool workers that rebuilt their grid from a snapshot payload instead
-    #: of inheriting it through fork (``snapshot`` bootstrap mode).
-    snapshot_bootstraps: int = 0
     #: Failed parallel batches retried on the same backend tier (bounded by
     #: ``REPRO_BATCH_RETRIES``, exponential backoff between attempts).
     retries: int = 0
@@ -169,12 +104,9 @@ class ExecutorStats:
     #: Failed pool workers removed and replaced individually (the pool
     #: survives; only the broken worker restarts).
     worker_replacements: int = 0
-    #: Backend demotions down the degradation ladder (pool -> thread ->
-    #: serial) after consecutive retry-exhausted failures.
+    #: Backend demotions down the degradation ladder (pool -> serial)
+    #: after consecutive retry-exhausted failures.
     demotions: int = 0
-    #: Snapshot-bootstrap decode failures recovered by falling back to the
-    #: fork bootstrap path for that worker slot.
-    bootstrap_fallbacks: int = 0
     #: Heartbeat messages received from pool workers (liveness evidence).
     heartbeats: int = 0
     #: Coalesced journal-suffix catch-up messages actually shipped to pool
@@ -213,12 +145,10 @@ class ExecutorStats:
             "pool_forks": self.pool_forks,
             "replayed_ops": self.replayed_ops,
             "worker_kills": self.worker_kills,
-            "snapshot_bootstraps": self.snapshot_bootstraps,
             "retries": self.retries,
             "deadline_timeouts": self.deadline_timeouts,
             "worker_replacements": self.worker_replacements,
             "demotions": self.demotions,
-            "bootstrap_fallbacks": self.bootstrap_fallbacks,
             "heartbeats": self.heartbeats,
             "suffix_messages": self.suffix_messages,
             "suffix_pickles": self.suffix_pickles,
@@ -279,13 +209,12 @@ class SpeculativeRoute:
 _POOL_ROUTER: Optional[object] = None
 
 
-def _serve_pool_worker(conn, router, engine, worker_index: int = 0) -> None:
-    """Run a pool worker's serve loop until shutdown or pipe close.
+def _pool_worker_main(conn, worker_index: int = 0) -> None:
+    """Run a forked pool worker's serve loop until shutdown or pipe close.
 
-    Shared by both bootstrap paths (fork-inherited and snapshot-rebuilt
-    workers); by the time it runs the worker's grid must be byte-identical
-    to the parent's at some journal cursor, with no journal attached and no
-    delta listeners registered.
+    The worker inherits the parent's router (published in
+    :data:`_POOL_ROUTER` just before the fork) and so starts with a grid
+    byte-identical to the parent's at the fork-time journal cursor.
 
     Protocol: the worker interleaves ``("hb", ops_seen)`` heartbeat
     messages (after catch-up replay, and after each routed net) with the
@@ -298,8 +227,11 @@ def _serve_pool_worker(conn, router, engine, worker_index: int = 0) -> None:
     """
     from repro.journal import replay_ops
 
+    router = _POOL_ROUTER
     grid = router.grid
     design = router.design
+    _strip_worker_grid(grid)
+    engine = router.make_search_engine()
     ops_seen = 0
     faults.set_context(worker=worker_index)
     try:
@@ -379,71 +311,6 @@ def _strip_worker_grid(grid) -> None:
         grid.remove_delta_listener(listener)
 
 
-def _pool_worker_main(conn, worker_index: int = 0) -> None:
-    """Entry point of a fork-bootstrapped worker (state inherited by fork)."""
-    router = _POOL_ROUTER
-    _strip_worker_grid(router.grid)
-    engine = router.make_search_engine()
-    _serve_pool_worker(conn, router, engine, worker_index)
-
-
-def _snapshot_worker_main(conn, worker_index: int = 0) -> None:
-    """Entry point of a snapshot-bootstrapped worker.
-
-    The worker inherits nothing: its first message is the pickled
-    ``(design, router_cls, kwargs, snapshot)`` bootstrap payload plus the
-    journal suffix past the snapshot's cursor.  It rebuilds the grid by
-    snapshot-restore + suffix replay -- bit-identical to the parent's by
-    the snapshot/replay guarantees, at O(grid + suffix) cost regardless of
-    campaign age -- then enters the normal serve loop.  This is the
-    bootstrap path remote (non-fork) workers will use.
-
-    Bootstrap errors report which stage failed -- ``decode`` (unpickling
-    the payload: possibly a transient serialisation problem, worth one
-    fork-bootstrap fallback) vs ``rebuild`` (snapshot restore / replay /
-    router construction: the payload itself is bad).
-    """
-    from repro.grid import RoutingGrid
-    from repro.journal import replay_ops
-
-    stage = "recv"
-    try:
-        try:
-            message = conn.recv()
-        except EOFError:
-            return
-        if message is None:
-            return
-        payload_bytes, suffix_bytes = message
-        stage = "decode"
-        if faults.ARMED:
-            faults.fire("bootstrap.fail", worker=worker_index)
-        design, router_cls, kwargs, snapshot = pickle.loads(payload_bytes)
-        stage = "rebuild"
-        grid = RoutingGrid(design)
-        grid.restore_state(snapshot)
-        replay_ops(grid, pickle.loads(suffix_bytes))
-        router = router_cls(design, grid=grid, **kwargs)
-        _strip_worker_grid(grid)
-        engine = router.make_search_engine()
-    except Exception as exc:
-        try:
-            conn.send(("error", {
-                "kind": "bootstrap", "stage": stage,
-                "error": repr(exc), "worker": worker_index,
-            }))
-        except (BrokenPipeError, OSError):
-            pass
-        conn.close()
-        return
-    try:
-        conn.send(("ok", None))  # bootstrap handshake
-    except (BrokenPipeError, OSError):
-        conn.close()
-        return
-    _serve_pool_worker(conn, router, engine, worker_index)
-
-
 def _shutdown_workers(
     workers: Sequence["_PoolWorker"],
     join_timeout: float = 5.0,
@@ -487,70 +354,37 @@ class _PoolWorker:
 
 
 class PersistentWorkerPool:
-    """A set of persistent worker processes kept in sync by journal replay.
+    """A set of forked worker processes kept in sync by journal replay.
 
-    Workers come to hold the parent's grid state exactly once each --
-    **lazily**, as batches actually demand them, so a campaign whose
-    batches never grow past two nets only ever starts two workers.  Two
-    bootstrap modes:
+    Workers fork **lazily**, as batches actually demand them, so a
+    campaign whose batches never grow past two nets only ever starts two
+    workers.  A worker inherits the parent's full state through ``fork``
+    itself, so a late-forked worker needs no catch-up (born holding the
+    current state, cursor at the journal head).
 
-    ``fork``
-        The worker inherits the parent's full state through ``fork``
-        itself; a late-forked worker needs no catch-up (born holding the
-        current state, cursor at the journal head).
-
-    ``snapshot``
-        The worker inherits nothing and rebuilds its grid from a pickled
-        ``(design, router_cls, kwargs, snapshot)`` payload plus the journal
-        suffix past the snapshot cursor -- O(grid + suffix) regardless of
-        campaign age.  The payload is cached across worker starts and
-        re-snapshotted once the head moves *snapshot_refresh_ops* past it,
-        so a late-joining worker never replays more than one refresh
-        window.  This path works without the fork start method and is the
-        stepping stone to workers on other machines.
-
-    Either way, the parent tracks one journal cursor per worker and, before
-    assigning a batch slice, ships the suffix of ops the worker has not yet
-    seen.  Only workers that participate in a batch catch up -- idle
-    workers simply accumulate a longer suffix for next time.
+    The parent tracks one journal cursor per worker and, before assigning
+    a batch slice, ships the suffix of ops the worker has not yet seen.
+    Only workers that participate in a batch catch up -- idle workers
+    simply accumulate a longer suffix for next time.
     """
 
     def __init__(
-        self,
-        context,
-        router,
-        size: int,
-        bootstrap: str = "fork",
-        snapshot_refresh_ops: Optional[int] = None,
-        config: Optional[SupervisorConfig] = None,
-        fork_ok: bool = False,
+        self, router, size: int, config: Optional[SupervisorConfig] = None
     ) -> None:
         if router.grid.journal is None:
             raise RuntimeError("pool workers require a journal attached to the grid")
-        if bootstrap not in ("fork", "snapshot"):
-            raise ValueError(
-                f"unknown pool bootstrap {bootstrap!r}; expected 'fork' or 'snapshot'"
-            )
-        self.context = context
+        self.context = multiprocessing.get_context("fork")
         self.router = router
         self.size = max(1, size)
-        self.bootstrap = bootstrap
-        self.snapshot_refresh_ops = resolve_pool_snapshot_ops(snapshot_refresh_ops)
         self.config = config if config is not None else SupervisorConfig.from_env()
-        #: Whether :attr:`context` forks (fork-bootstrap fallback possible).
-        self.fork_ok = fork_ok or bootstrap == "fork"
         self.journal = router.grid.journal
         self.workers: List[_PoolWorker] = []
         #: Processes started over this pool's lifetime (stats accounting).
         self.total_forks = 0
-        #: Workers bootstrapped from a snapshot payload (stats accounting).
-        self.total_snapshot_bootstraps = 0
         #: Workers that had to be terminated/killed (close or replacement).
         self.total_kills = 0
         #: Failed workers removed individually (the pool survived them).
         self.total_replacements = 0
-        #: Snapshot-decode bootstrap failures recovered via fork bootstrap.
-        self.total_bootstrap_fallbacks = 0
         #: Heartbeat messages received across all supervised receives.
         self.total_heartbeats = 0
         #: Journal ops shipped as catch-up suffixes, counted **at send
@@ -568,10 +402,6 @@ class PersistentWorkerPool:
         self.total_suffix_elisions = 0
         # Pool-lifetime-unique worker index (replacements get fresh ones).
         self._next_index = 0
-        # Cached snapshot-mode bootstrap payload and the journal cursor the
-        # snapshot inside it was taken at.
-        self._payload: Optional[bytes] = None
-        self._payload_cursor: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.workers)
@@ -580,41 +410,12 @@ class PersistentWorkerPool:
         """Return the oldest journal cursor the pool still needs.
 
         Ops before it can never be shipped again: existing workers are
-        past them, future fork-mode workers fork from the live parent
-        (needing no ops at all), and future snapshot-mode workers replay
-        from the cached payload's cursor -- which therefore pins it.  With
-        nothing to pin, that is the journal head.
+        past them, and future workers fork from the live parent (needing
+        no ops at all).  With no workers, that is the journal head.
         """
-        cursors = [worker.cursor for worker in self.workers]
-        if self._payload_cursor is not None:
-            cursors.append(self._payload_cursor)
-        if not cursors:
-            return self.journal.cursor
-        return min(cursors)
-
-    def _bootstrap_payload(self) -> Tuple[bytes, bytes, int]:
-        """Return ``(payload, suffix, cursor)`` for one snapshot-mode start.
-
-        The payload (design + router spec + grid snapshot) is the expensive
-        part; it is cached and reused until the journal head has moved
-        :attr:`snapshot_refresh_ops` past it (or the journal was folded
-        past its cursor), then refreshed.  The suffix covers payload cursor
-        to head, so the started worker is exactly at *cursor* == head.
-        """
-        head = self.journal.cursor
-        stale = (
-            self._payload is None
-            or self._payload_cursor < self.journal.base
-            or head - self._payload_cursor > self.snapshot_refresh_ops
+        return min(
+            (worker.cursor for worker in self.workers), default=self.journal.cursor
         )
-        if stale:
-            router_cls, kwargs = self.router.worker_spec()
-            self._payload = pickle.dumps(
-                (self.router.design, router_cls, kwargs, self.router.grid.snapshot_state())
-            )
-            self._payload_cursor = head
-        suffix = pickle.dumps(self.journal.suffix(self._payload_cursor))
-        return self._payload, suffix, head
 
     def _suffix_frame(
         self, cursor: int, head: int, cache: Dict[int, Tuple[Optional[bytes], int]]
@@ -645,95 +446,34 @@ class PersistentWorkerPool:
         self.total_suffix_bytes += len(cached[0])
         return cached
 
-    def _start_worker(self, bootstrap: str) -> None:
-        """Start and register one worker via *bootstrap* (fork or snapshot).
-
-        Raises :class:`WorkerFailure` (kind ``bootstrap``) when a
-        snapshot-mode handshake fails; the broken worker is reaped first,
-        so the pool stays consistent for a fallback or retry.
-        """
+    def _start_worker(self) -> None:
+        """Fork and register one worker holding the parent's current state."""
+        global _POOL_ROUTER
         index = self._next_index
         self._next_index += 1
         parent_conn, child_conn = self.context.Pipe()
-        if bootstrap == "fork":
-            global _POOL_ROUTER
-            _POOL_ROUTER = self.router
-            try:
-                process = self.context.Process(
-                    target=_pool_worker_main, args=(child_conn, index), daemon=True
-                )
-                process.start()
-            except Exception:
-                parent_conn.close()
-                child_conn.close()
-                raise
-            finally:
-                _POOL_ROUTER = None
-            child_conn.close()
-            # Born in sync: the child holds the parent's state as of now.
-            self.workers.append(
-                _PoolWorker(process, parent_conn, self.journal.cursor, index)
-            )
-            self.total_forks += 1
-            return
+        _POOL_ROUTER = self.router
         try:
             process = self.context.Process(
-                target=_snapshot_worker_main, args=(child_conn, index), daemon=True
+                target=_pool_worker_main, args=(child_conn, index), daemon=True
             )
             process.start()
         except Exception:
             parent_conn.close()
             child_conn.close()
             raise
+        finally:
+            _POOL_ROUTER = None
         child_conn.close()
-        # Register before the handshake: a bootstrap failure must still
-        # leave the started process reapable.
-        worker = _PoolWorker(process, parent_conn, 0, index)
-        self.workers.append(worker)
+        # Born in sync: the child holds the parent's state as of now.
+        self.workers.append(_PoolWorker(process, parent_conn, self.journal.cursor, index))
         self.total_forks += 1
-        payload, suffix, cursor = self._bootstrap_payload()
-        parent_conn.send((payload, suffix))
-        # Synchronous handshake: a worker that failed to rebuild its grid
-        # must never be handed a batch.
-        try:
-            status, detail = parent_conn.recv()
-        except EOFError:
-            status, detail = "error", "worker pipe closed during bootstrap"
-        if status != "ok":
-            failure = classify_worker_payload(detail, index, None)
-            if failure.kind not in ("bootstrap", "crash"):
-                failure.kind = "bootstrap"
-            self.workers.remove(worker)
-            self.total_kills += _shutdown_workers(
-                [worker], join_timeout=0.2, escalate_timeout=0.5
-            )
-            raise WorkerFailure([failure], context="pool worker bootstrap")
-        worker.cursor = cursor
-        self.total_snapshot_bootstraps += 1
 
     def _ensure_workers(self, needed: int) -> None:
-        """Start workers up to ``min(needed, size)``, one at a time.
-
-        A snapshot bootstrap whose *decode* stage failed falls back to the
-        fork bootstrap path for that slot (once per failure) before giving
-        up: a payload the parent pickled but the child cannot unpickle is
-        an environment problem fork sidesteps entirely, while a *rebuild*
-        failure means the state itself is bad and fork would inherit it.
-        """
+        """Start workers up to ``min(needed, size)``, one at a time."""
         target = min(needed, self.size)
         while len(self.workers) < target:
-            if self.bootstrap == "fork":
-                self._start_worker("fork")
-                continue
-            try:
-                self._start_worker("snapshot")
-            except WorkerFailure as failure:
-                detail = failure.details[0]
-                if detail.stage == "decode" and self.fork_ok:
-                    self.total_bootstrap_fallbacks += 1
-                    self._start_worker("fork")
-                    continue
-                raise
+            self._start_worker()
 
     def remove_workers(self, failed: Sequence[_PoolWorker]) -> None:
         """Remove and reap *failed* workers; the rest of the pool survives.
@@ -904,11 +644,8 @@ class PersistentWorkerPool:
 def _compute_speculative(router, net: Net, engine) -> SpeculativeRoute:
     """Route *net* against the current grid state without mutating it."""
     if faults.ARMED:
-        # These sites live here so both speculative backends -- thread and
-        # persistent pool -- exercise the same hang and compute-error
-        # paths.  The serial oracle never calls this.  (``worker.crash``
-        # fires in :func:`_serve_pool_worker` only: an ``os._exit`` on a
-        # thread-backend hit would take the whole campaign process down.)
+        # Pool workers are the only callers; the serial oracle never gets
+        # here.  (``worker.crash`` fires in the serve loop itself.)
         faults.fire("worker.hang", net=net.name)
         faults.fire("compute.error", net=net.name)
     tracker = ExploredTracker(router.grid, getattr(engine, "node_stride", 1))
@@ -929,35 +666,26 @@ def make_batch_executor(
     parallelism: int = 1,
     batch_size: Optional[int] = None,
     backend: str = "serial",
-    policy: str = "prefix",
     min_fork_batch: Optional[int] = None,
-    margin_cells: Optional[int] = None,
 ) -> Optional["BatchExecutor"]:
     """Build a router's executor from its constructor knobs.
 
     Batching engages when any knob leaves its default (``parallelism > 1``,
     an explicit ``batch_size`` or a non-serial backend); otherwise ``None``
     is returned and the router keeps its plain sequential loop.
-    ``min_fork_batch`` and ``margin_cells`` fall back to the
-    ``REPRO_MIN_FORK_BATCH`` / ``REPRO_BATCH_MARGIN`` environment knobs so
-    multi-core hosts can tune them without touching call sites.
     """
     if parallelism <= 1 and batch_size is None and backend == "serial":
         return None
     parallelism = max(1, parallelism)
     max_batch = batch_size if batch_size is not None else 4 * parallelism
-    scheduler = BatchScheduler(
-        router.grid,
-        policy=policy,
-        max_batch=max_batch,
-        margin_cells=resolve_batch_margin(margin_cells),
-    )
     return BatchExecutor(
         router,
         backend=backend,
         parallelism=parallelism,
-        scheduler=scheduler,
-        min_fork_batch=resolve_min_fork_batch(min_fork_batch),
+        scheduler=BatchScheduler(router.grid, max_batch=max_batch),
+        min_fork_batch=(
+            DEFAULT_MIN_FORK_BATCH if min_fork_batch is None else min_fork_batch
+        ),
     )
 
 
@@ -971,25 +699,21 @@ class BatchExecutor:
         ``compute_route(net, engine=..., sink=...)`` and
         ``make_search_engine()``.
     backend:
-        ``"serial"`` (deterministic default), ``"thread"`` or ``"pool"``
-        (persistent journal-replicated workers: fork once, catch up by
-        journal-suffix replay).  A failing backend demotes down the
-        degradation ladder ``pool -> thread -> serial``.
+        ``"serial"`` (deterministic default) or ``"pool"`` (persistent
+        journal-replicated workers: fork once, catch up by journal-suffix
+        replay).  A failing pool demotes down the degradation ladder
+        ``pool -> serial``; without the ``fork`` start method the executor
+        starts on serial.
     parallelism:
-        Worker count for the concurrent backends (also the default
-        scheduler batch cap when *scheduler* is not supplied).
+        Worker count for the pool (also the default scheduler batch cap
+        when *scheduler* is not supplied).
     scheduler:
-        Optional pre-configured :class:`BatchScheduler`; by default an
-        order-preserving prefix scheduler capped at ``4 * parallelism``
-        nets per batch.
+        Optional pre-configured :class:`BatchScheduler`; by default one
+        capped at ``4 * parallelism`` nets per batch.
     min_fork_batch:
-        Smallest batch worth starting pool workers for.  The ``pool``
-        backend applies it only to pool *creation* -- once started,
-        workers serve every parallel batch.
-    pool_bootstrap:
-        How pool workers obtain the parent's grid state: ``"fork"``,
-        ``"snapshot"`` or ``"auto"`` (default: the ``REPRO_POOL_BOOTSTRAP``
-        env knob, falling back to ``auto`` = fork when available).
+        Smallest batch worth starting pool workers for.  It applies only
+        to pool *creation* -- once started, workers serve every parallel
+        batch.
     """
 
     def __init__(
@@ -999,7 +723,6 @@ class BatchExecutor:
         parallelism: int = 1,
         scheduler: Optional[BatchScheduler] = None,
         min_fork_batch: int = DEFAULT_MIN_FORK_BATCH,
-        pool_bootstrap: Optional[str] = None,
         supervisor: Optional[SupervisorConfig] = None,
     ) -> None:
         if backend not in BACKENDS:
@@ -1008,7 +731,7 @@ class BatchExecutor:
         self.backend = backend
         self.parallelism = max(1, parallelism)
         self.scheduler = scheduler if scheduler is not None else BatchScheduler(
-            router.grid, policy="prefix", max_batch=4 * self.parallelism
+            router.grid, max_batch=4 * self.parallelism
         )
         self.min_fork_batch = max(2, min_fork_batch)
         self.stats = ExecutorStats()
@@ -1018,40 +741,26 @@ class BatchExecutor:
         self.supervisor = (
             supervisor if supervisor is not None else SupervisorConfig.from_env()
         )
-        self._ladder = degradation_ladder(backend)
+        fork_ok = "fork" in multiprocessing.get_all_start_methods()
+        self._ladder = degradation_ladder(backend if fork_ok else "serial")
         self._tier_index = 0
         self._consecutive_failures = 0
-        # Thread pools retired after a deadline timeout: their hung threads
-        # cannot be killed, only abandoned (fresh pool + fresh engines) and
-        # shut down without waiting at close.
-        self._stale_thread_pools: List[ThreadPoolExecutor] = []
         # Influence reach: a committed vertex can change costs at most this
         # many cells away (color-pressure spread at the interaction radius).
         grid = router.grid
         self._influence_reach = grid.interaction_reach_cells(grid.interaction_radius())
         self._plane_size = grid.plane_size
         self._num_rows = grid.num_rows
-        # Lazily built per-worker engines (thread backend).
-        self._engine_queue: Optional[SimpleQueue] = None
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
-        # Persistent worker pool (pool backend) and the journal the
-        # executor attached for it (detached again when the pool closes).
+        # Persistent worker pool and the journal the executor attached for
+        # it (detached again when the pool closes).
         self._pool: Optional[PersistentWorkerPool] = None
         self._owned_journal = None
-        self._pool_bootstrap = resolve_pool_bootstrap(pool_bootstrap)
         # Last-seen pool counters, so stats deltas survive any exit path.
         self._pool_seen: Dict[str, int] = {}
-        self._fork_context = None
-        if backend == "pool":
-            methods = multiprocessing.get_all_start_methods()
-            self._fork_context = (
-                multiprocessing.get_context("fork") if "fork" in methods else None
-            )
-        if backend != "serial":
+        if self.active_backend == "pool":
             # Warm the native kernel in the parent before any worker
-            # exists: threads share the loaded module outright, and forked
-            # pool workers inherit the mapped .so through fork -- no
-            # per-worker build attempt, no N compilers racing on first
+            # exists: forked workers inherit the mapped .so through fork --
+            # no per-worker build attempt, no N compilers racing on first
             # use.  A no-op when the tier is gated off or the extension
             # cannot be built.
             get_native_kernel()
@@ -1064,17 +773,7 @@ class BatchExecutor:
         return self._ladder[self._tier_index]
 
     def close(self) -> None:
-        """Release worker pools (idempotent)."""
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=True)
-            self._thread_pool = None
-        for stale in self._stale_thread_pools:
-            # Hung threads cannot be joined without blocking close (and,
-            # under a real hang, forever); abandon them.  Tests that
-            # inject thread-tier hangs use bounded sleeps so interpreter
-            # exit still completes.
-            stale.shutdown(wait=False)
-        self._stale_thread_pools = []
+        """Release the worker pool (idempotent)."""
         self._discard_pool()
 
     def route_nets(self, nets: Sequence[Net], solution: RoutingSolution) -> None:
@@ -1114,7 +813,7 @@ class BatchExecutor:
     def _run_batch_parallel(
         self, batch: Sequence[Net], solution: RoutingSolution
     ) -> bool:
-        """Try the speculative backend on *batch*.
+        """Try the pool on *batch*.
 
         Returns ``True`` when the batch was computed and committed, or
         ``False`` to let the caller route it serially instead.
@@ -1123,69 +822,47 @@ class BatchExecutor:
         ``supervisor.max_retries`` times with exponential backoff
         (:meth:`_compute_batch_with_retry`); once retries are exhausted the
         batch falls back to serial, and after ``supervisor.demote_after``
-        *consecutive* exhausted batches the executor demotes itself down
-        the degradation ladder (pool -> thread -> serial) for the remainder
-        of the campaign and re-attempts the batch at the lower tier.
-        Serial is the floor: always available, bit-identical by
-        construction.  Every outcome is deterministic in *route terms* --
-        retry, fallback and demotion all recompute from the same
-        authoritative parent grid state.
+        *consecutive* exhausted batches the executor demotes itself to
+        serial for the remainder of the campaign.  Serial is the floor:
+        always available, bit-identical by construction.  Every outcome is
+        deterministic in *route terms* -- retry, fallback and demotion all
+        recompute from the same authoritative parent grid state.
         """
-        while True:
-            backend = self.active_backend
-            if backend == "serial" or len(batch) < 2:
-                return False
-            if backend == "pool" and (
-                self._pool is None and len(batch) < self.min_fork_batch
-            ):
-                # Don't pay the one-time worker start for a campaign of tiny
-                # batches; once the pool exists it serves every parallel batch.
-                # (Whether a pool is even possible -- fork availability,
-                # worker_spec support -- is _ensure_pool's call.)
-                return False
-            # Pool batches spend their wall time in worker traffic (suffix
-            # shipping + result receive): account them as ipc; the thread
-            # backend's is concurrent search.
-            compute_phase = "ipc" if backend == "pool" else "search"
-            compute_started = time.perf_counter()
-            try:
-                results = self._compute_batch_with_retry(backend, batch)
-            except Exception:
-                self.stats.phases.add(
-                    compute_phase, time.perf_counter() - compute_started
-                )
-                self._consecutive_failures += 1
-                if (
-                    self._consecutive_failures >= self.supervisor.demote_after
-                    and self._ladder.index(backend) + 1 < len(self._ladder)
-                ):
-                    self._demote()
-                    continue  # re-attempt this batch at the lower tier
-                return False
-            self.stats.phases.add(compute_phase, time.perf_counter() - compute_started)
-            if results is None:
-                return False
-            self._consecutive_failures = 0
-            self.stats.parallel_batches += 1
-            self._commit_batch(batch, results, solution)
-            return True
+        if self.active_backend == "serial" or len(batch) < 2:
+            return False
+        if self._pool is None and len(batch) < self.min_fork_batch:
+            # Don't pay the one-time worker start for a campaign of tiny
+            # batches; once the pool exists it serves every parallel batch.
+            return False
+        # Pool batches spend their wall time in worker traffic (suffix
+        # shipping + result receive): account them as ipc.
+        compute_started = time.perf_counter()
+        try:
+            results = self._compute_batch_with_retry(batch)
+        except Exception:
+            self.stats.phases.add("ipc", time.perf_counter() - compute_started)
+            self._consecutive_failures += 1
+            if self._consecutive_failures >= self.supervisor.demote_after:
+                self._demote()
+            return False
+        self.stats.phases.add("ipc", time.perf_counter() - compute_started)
+        self._consecutive_failures = 0
+        self.stats.parallel_batches += 1
+        self._commit_batch(batch, results, solution)
+        return True
 
-    def _compute_batch_with_retry(
-        self, backend: str, batch: Sequence[Net]
-    ) -> Optional[List[SpeculativeRoute]]:
-        """Run one batch on *backend* with classified, bounded retry.
+    def _compute_batch_with_retry(self, batch: Sequence[Net]) -> List[SpeculativeRoute]:
+        """Run one batch on the pool with classified, bounded retry.
 
-        Retryable failures (crash/timeout/bootstrap/replay/compute) are
-        retried after exponential backoff -- the pool's surgical worker
-        removal means a retry runs on the surviving workers plus lazily
-        started replacements.  Fatal (design-error) failures and exhausted
-        retries re-raise to the ladder logic above.
+        Retryable failures (crash/timeout/replay/compute) are retried after
+        exponential backoff -- the pool's surgical worker removal means a
+        retry runs on the surviving workers plus lazily started
+        replacements.  Fatal (design-error) failures and exhausted retries
+        re-raise to the ladder logic above.
         """
         attempt = 0
         while True:
             try:
-                if backend == "thread":
-                    return self._compute_batch_threaded(batch)
                 return self._compute_batch_pooled(batch)
             except Exception as exc:
                 self.stats.worker_errors += 1
@@ -1195,10 +872,7 @@ class BatchExecutor:
                         1 for detail in exc.details if detail.kind == "timeout"
                     )
                 else:
-                    kind = classify_exception(exc)
-                    retryable = kind != "fatal"
-                    if kind == "timeout":
-                        self.stats.deadline_timeouts += 1
+                    retryable = classify_exception(exc) != "fatal"
                 if not retryable or attempt >= self.supervisor.max_retries:
                     raise
                 attempt += 1
@@ -1209,90 +883,23 @@ class BatchExecutor:
 
     def _demote(self) -> None:
         """Step down one tier of the degradation ladder (permanently)."""
-        leaving = self.active_backend
         self._tier_index += 1
         self._consecutive_failures = 0
         self.stats.demotions += 1
-        if leaving == "pool":
-            self._discard_pool()
-
-    # -- thread backend -----------------------------------------------------
-
-    def _ensure_thread_workers(self) -> None:
-        if self._engine_queue is None:
-            queue: SimpleQueue = SimpleQueue()
-            for _ in range(self.parallelism):
-                queue.put(self.router.make_search_engine())
-            self._engine_queue = queue
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=self.parallelism, thread_name_prefix="repro-sched"
-            )
-
-    def _compute_batch_threaded(self, batch: Sequence[Net]) -> List[SpeculativeRoute]:
-        self._ensure_thread_workers()
-        queue = self._engine_queue
-
-        def task(net: Net) -> SpeculativeRoute:
-            engine = queue.get()
-            try:
-                return _compute_speculative(self.router, net, engine)
-            finally:
-                queue.put(engine)
-
-        deadline = self.supervisor.deadline_seconds(len(batch))
-        try:
-            if deadline is None:
-                return list(self._thread_pool.map(task, batch))
-            return list(self._thread_pool.map(task, batch, timeout=deadline))
-        except FuturesTimeout:
-            self._retire_thread_pool()
-            raise
-
-    def _retire_thread_pool(self) -> None:
-        """Abandon a timed-out thread pool (hung threads can't be killed).
-
-        The hung threads still hold checked-out engines, so the engine
-        queue is dropped too -- the next attempt builds a fresh pool and
-        fresh engines.  Retired pools are shut down (without waiting) at
-        :meth:`close`.
-        """
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=False)
-            self._stale_thread_pools.append(self._thread_pool)
-            self._thread_pool = None
-        self._engine_queue = None
+        self._discard_pool()
 
     # -- pool (persistent journal-replicated workers) backend ------------------
 
-    def _ensure_pool(self) -> Optional[PersistentWorkerPool]:
+    def _ensure_pool(self) -> PersistentWorkerPool:
         if self._pool is not None:
             return self._pool
-        bootstrap = self._pool_bootstrap
-        if bootstrap == "auto":
-            bootstrap = "fork" if self._fork_context is not None else "snapshot"
-        if bootstrap == "fork":
-            if self._fork_context is None:
-                return None
-            context = self._fork_context
-        else:
-            if not hasattr(self.router, "worker_spec"):
-                return None  # router cannot describe itself for a rebuild
-            # Snapshot bootstrap inherits nothing, so any start method
-            # works; prefer fork for its cheap process creation.
-            context = (
-                self._fork_context
-                if self._fork_context is not None
-                else multiprocessing.get_context()
-            )
         grid = self.router.grid
         if grid.journal is None:
             # The journal must exist *before* the first worker: workers
             # re-sync by replaying everything recorded past their cursor.
             self._owned_journal = grid.attach_journal()
         self._pool = PersistentWorkerPool(
-            context, self.router, self.parallelism, bootstrap=bootstrap,
-            config=self.supervisor, fork_ok=self._fork_context is not None,
+            self.router, self.parallelism, config=self.supervisor
         )
         self._pool_seen = {}
         return self._pool
@@ -1301,10 +908,8 @@ class BatchExecutor:
     #: exit path -- success, classified failure, discard -- accounts once).
     _POOL_STAT_MAP = (
         ("total_forks", "pool_forks"),
-        ("total_snapshot_bootstraps", "snapshot_bootstraps"),
         ("total_kills", "worker_kills"),
         ("total_replacements", "worker_replacements"),
-        ("total_bootstrap_fallbacks", "bootstrap_fallbacks"),
         ("total_heartbeats", "heartbeats"),
         # Replayed ops are counted on the pool at send time (not via
         # compute()'s return value) so ops shipped before a WorkerFailure
@@ -1374,12 +979,8 @@ class BatchExecutor:
         finally:
             self.stats.phases.add("ipc", time.perf_counter() - started)
 
-    def _compute_batch_pooled(
-        self, batch: Sequence[Net]
-    ) -> Optional[List[SpeculativeRoute]]:
+    def _compute_batch_pooled(self, batch: Sequence[Net]) -> List[SpeculativeRoute]:
         pool = self._ensure_pool()
-        if pool is None:
-            return None
         deadline = self.supervisor.deadline_seconds(len(batch))
         try:
             raw, _replayed = pool.compute(

@@ -18,10 +18,9 @@ into an expected, *classified* event:
   dead processes immediately, and classifies deadline/grace expiries as
   timeouts.
 * :func:`degradation_ladder` -- the graceful-degradation order ``pool ->
-  thread -> serial``; serial is the always-correct floor
-  (bit-identical to the sequential loop by construction), so a campaign
-  that demotes all the way down still terminates with the exact fault-free
-  solution.
+  serial``; serial is the always-correct floor (bit-identical to the
+  sequential loop by construction), so a campaign that demotes still
+  terminates with the exact fault-free solution.
 
 Every recovery path re-routes through the executor's existing
 validation/fallback machinery, which is what keeps recovery bit-identical
@@ -64,11 +63,11 @@ DEFAULT_RETRY_BACKOFF = 0.05
 DEFAULT_DEMOTE_AFTER = 2
 
 #: Failure kinds, in the order used to pick an aggregate's headline kind.
-FAILURE_KINDS = ("timeout", "crash", "bootstrap", "replay", "compute", "fatal")
+FAILURE_KINDS = ("timeout", "crash", "replay", "compute", "fatal")
 
 #: The graceful-degradation order.  Serial is the floor: always available,
 #: bit-identical to the sequential loop by construction.
-LADDER = ("pool", "thread", "serial")
+LADDER = ("pool", "serial")
 
 
 def degradation_ladder(backend: str) -> Tuple[str, ...]:
@@ -132,17 +131,12 @@ class FailureDetail:
     message: str
     cursor: Optional[int] = None
     net: Optional[str] = None
-    #: Sub-stage of the failing operation (bootstrap failures report
-    #: ``recv`` / ``decode`` / ``rebuild`` so the pool can decide whether
-    #: the fork-bootstrap fallback is worth trying).
-    stage: Optional[str] = None
 
     def __str__(self) -> str:
         where = "parent" if self.worker is None else f"worker {self.worker}"
         cursor = "" if self.cursor is None else f" @cursor {self.cursor}"
         net = "" if self.net is None else f" (net {self.net!r})"
-        kind = self.kind if self.stage is None else f"{self.kind}/{self.stage}"
-        return f"{where}{cursor} [{kind}]{net}: {self.message}"
+        return f"{where}{cursor} [{self.kind}]{net}: {self.message}"
 
 
 class WorkerFailure(RuntimeError):
@@ -150,11 +144,10 @@ class WorkerFailure(RuntimeError):
 
     ``kind`` is the most severe detail kind (:data:`FAILURE_KINDS` order);
     ``retryable`` says whether a bounded retry (after worker replacement)
-    can plausibly succeed -- bootstrap/replay/compute/crash/timeout
-    failures are retryable because a replaced worker starts from clean,
-    authoritative parent state, while ``fatal`` marks design errors
-    (misconfiguration, unpicklable payloads, bugs) that retrying cannot
-    fix.  The message enumerates **all** failed workers with their index
+    can plausibly succeed -- replay/compute/crash/timeout failures are
+    retryable because a replaced worker starts from clean, authoritative
+    parent state, while ``fatal`` marks design errors (misconfiguration,
+    unpicklable payloads, bugs) that retrying cannot fix.  The message enumerates **all** failed workers with their index
     and journal cursor -- the first failure never hides the rest.
     """
 
@@ -183,14 +176,13 @@ def classify_worker_payload(
             message=str(payload.get("error", payload)),
             cursor=payload.get("ops_seen", cursor),
             net=payload.get("net"),
-            stage=payload.get("stage"),
         )
     # Legacy / free-form error strings: assume a compute-stage failure.
     return FailureDetail(worker=worker, kind="compute", message=str(payload), cursor=cursor)
 
 
 def classify_exception(exc: BaseException) -> str:
-    """Classify a parent-side exception from a thread- or pool-tier batch.
+    """Classify a parent-side exception from a pool-tier batch.
 
     Pipe breakage is a crash (retryable -- the next attempt starts fresh
     workers); anything else raised by the backend machinery itself is
@@ -199,12 +191,8 @@ def classify_exception(exc: BaseException) -> str:
     re-raises identically on every retry, and the serial floor will
     surface it to the caller with a clean traceback).
     """
-    from concurrent.futures import TimeoutError as FuturesTimeout
-
     from repro.faults import FaultError
 
-    if isinstance(exc, FuturesTimeout):
-        return "timeout"
     if isinstance(exc, (BrokenPipeError, EOFError, ConnectionError, OSError)):
         return "crash"
     if isinstance(exc, FaultError):

@@ -18,7 +18,7 @@ evaluation code scores exactly like the baselines' outputs.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.campaign import CampaignState
 from repro.check import IncrementalConflictChecker
@@ -32,7 +32,6 @@ from repro.sched import GridSink, make_batch_executor
 from repro.tpl.backtrace import Backtracer, apply_colored_path
 from repro.tpl.color_state import ColorState
 from repro.tpl.conflict import ConflictChecker, ConflictReport
-from repro.tpl.refine import ColorRefiner
 from repro.tpl.search import ColorStateSearch
 from repro.utils import Timer, get_logger
 
@@ -42,10 +41,11 @@ _LOG = get_logger("tpl.mr_tpl")
 class MrTPLRouter:
     """Triple-patterning-aware multi-pin net detailed router (Mr.TPL).
 
-    The ``parallelism`` / ``batch_size`` / ``batch_backend`` knobs switch
-    the rip-up loop onto the :mod:`repro.sched` disjoint-batch executor
-    (``batch_backend`` one of ``serial`` / ``thread`` / ``pool``); the
-    default keeps the plain sequential loop.
+    The ``parallelism`` / ``batch_size`` / ``batch_backend`` arguments
+    switch the rip-up loop onto the :mod:`repro.sched` disjoint-batch
+    executor (``batch_backend`` one of ``serial`` / ``pool``;
+    ``min_fork_batch`` is the smallest batch worth forking pool workers
+    for); the default keeps the plain sequential loop.
     """
 
     name = "mr-tpl"
@@ -57,13 +57,10 @@ class MrTPLRouter:
         guides: Optional[GuideSet] = None,
         use_global_router: bool = True,
         max_iterations: Optional[int] = None,
-        refine_colors: bool = False,
         parallelism: int = 1,
         batch_size: Optional[int] = None,
         batch_backend: str = "serial",
-        batch_policy: str = "prefix",
         min_fork_batch: Optional[int] = None,
-        batch_margin: Optional[int] = None,
     ) -> None:
         self.design = design
         self.grid = grid if grid is not None else RoutingGrid(design)
@@ -77,20 +74,13 @@ class MrTPLRouter:
         # differential tests).  The rip-up loop consumes the incremental one.
         self.conflict_checker = ConflictChecker(design, self.grid)
         self.incremental_conflicts = IncrementalConflictChecker(design, self.grid)
-        self.refine_colors = refine_colors
         self.max_iterations = (
             max_iterations
             if max_iterations is not None
             else design.tech.rules.max_ripup_iterations
         )
         self.batch_executor = make_batch_executor(
-            self,
-            parallelism,
-            batch_size,
-            batch_backend,
-            batch_policy,
-            min_fork_batch=min_fork_batch,
-            margin_cells=batch_margin,
+            self, parallelism, batch_size, batch_backend, min_fork_batch
         )
         # Per-phase wall-clock record: shared with the executor's stats when
         # one is engaged, so campaign merges and bench JSON see one record.
@@ -180,17 +170,12 @@ class MrTPLRouter:
         campaign.update_executor_stats(self.batch_executor)
         campaign.done = True
 
-        if self.refine_colors:
-            ColorRefiner(
-                self.design, self.grid, conflict_checker=self.incremental_conflicts
-            ).refine(solution)
-
         for route in solution.routes.values():
             route.recount_stitches()
         solution.iterations = iterations
         solution.runtime_seconds = timer.stop()
         if self.batch_executor is not None:
-            self.batch_executor.close()  # release worker threads between runs
+            self.batch_executor.close()  # release pool workers between runs
         return solution
 
     def schedule_nets(self) -> List[Net]:
@@ -217,20 +202,6 @@ class MrTPLRouter:
         never share label buffers.
         """
         return ColorStateSearch(self.grid, self.cost_model)
-
-    def worker_spec(self) -> Tuple[type, Dict[str, object]]:
-        """Return ``(router_cls, kwargs)`` rebuilding this router in a worker.
-
-        Used by the snapshot-bootstrapped pool workers, which construct
-        their own router over a grid rebuilt from the journal's fold
-        snapshot instead of inheriting the parent's through fork.
-        """
-        return type(self), {
-            "guides": self.guides,
-            "use_global_router": False,
-            "max_iterations": self.max_iterations,
-            "refine_colors": self.refine_colors,
-        }
 
     # ------------------------------------------------------------------
     # Single-net routing (Fig. 2 centre and right columns, Algorithm 1)

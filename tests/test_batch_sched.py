@@ -2,11 +2,10 @@
 
 The heart of the suite is the differential harness: for every router and
 every executor backend the batched rip-up loop must produce solutions
-bit-identical to the plain sequential loop (order-preserving ``prefix``
-policy), across batch sizes and worker counts -- including the speculative
-thread and pool backends, whose explored-region validation plus sequential
-fallback is what the guarantee rests on.  The ``greedy`` policy permutes
-the net order, so its oracle is the serial executor on the same plan.
+bit-identical to the plain sequential loop -- including the speculative
+pool backend, whose explored-region validation plus sequential fallback is
+what the guarantee rests on.  A host without ``fork`` must settle on the
+serial floor with the same result.
 """
 
 import multiprocessing
@@ -38,7 +37,9 @@ ROUTERS = {
 
 HAVE_FORK = sys.platform != "win32" and "fork" in multiprocessing.get_all_start_methods()
 
-BACKENDS = ["serial", "thread"] + (["pool"] if HAVE_FORK else [])
+BACKENDS = ["serial"] + (["pool"] if HAVE_FORK else [])
+
+needs_fork = pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
 
 
 def build_case(suite="ispd18", number=2, scale=0.5):
@@ -135,17 +136,16 @@ def test_prefix_plan_preserves_order_and_covers_every_net():
     design = build_case("ispd18", 3, 0.7)
     grid = RoutingGrid(design)
     nets = scheduled_router_nets(design)
-    plan = BatchScheduler(grid, policy="prefix").plan(nets)
+    plan = BatchScheduler(grid).plan(nets)
     flattened = [net for batch in plan for net in batch]
     assert flattened == nets  # concatenation IS the sequential order
 
 
-@pytest.mark.parametrize("policy", ["prefix", "greedy"])
-def test_batches_are_pairwise_disjoint_after_radius_expansion(policy):
+def test_batches_are_pairwise_disjoint_after_radius_expansion():
     design = build_case("ispd18", 3, 0.7)
     grid = RoutingGrid(design)
     nets = scheduled_router_nets(design)
-    scheduler = BatchScheduler(grid, policy=policy)
+    scheduler = BatchScheduler(grid)
     plan = scheduler.plan(nets)
     assert sorted(net.name for batch in plan for net in batch) == sorted(
         net.name for net in nets
@@ -167,15 +167,8 @@ def test_scheduler_respects_max_batch():
     design = build_case("ispd18", 3, 0.7)
     grid = RoutingGrid(design)
     nets = scheduled_router_nets(design)
-    for policy in ("prefix", "greedy"):
-        plan = BatchScheduler(grid, policy=policy, max_batch=2).plan(nets)
-        assert max(len(batch) for batch in plan) <= 2
-
-
-def test_scheduler_rejects_unknown_policy():
-    design = build_case("ispd18", 1, 0.5)
-    with pytest.raises(ValueError):
-        BatchScheduler(RoutingGrid(design), policy="round-robin")
+    plan = BatchScheduler(grid, max_batch=2).plan(nets)
+    assert max(len(batch) for batch in plan) <= 2
 
 
 # ----------------------------------------------------------------------
@@ -233,38 +226,21 @@ def test_batched_prefix_matches_sequential(router_key, backend):
         build_case("ispd18", 2, 0.5),
         parallelism=4,
         batch_backend=backend,
-        batch_policy="prefix",
     )
     assert batched == sequential
 
 
 @pytest.mark.parametrize("router_key", sorted(ROUTERS))
-@pytest.mark.parametrize("backend", ["process", "auto"])
+@pytest.mark.parametrize("backend", ["thread", "process", "auto"])
 def test_unknown_batch_backend_is_rejected(router_key, backend):
     with pytest.raises(ValueError) as excinfo:
         ROUTERS[router_key](build_case("ispd18", 1, 0.5), batch_backend=backend)
     message = str(excinfo.value)
     assert repr(backend) in message
-    assert "('serial', 'thread', 'pool')" in message
+    assert "('serial', 'pool')" in message
 
 
-@pytest.mark.parametrize("router_key", sorted(ROUTERS))
-@pytest.mark.parametrize("parallelism,batch_size", [(2, None), (4, 2), (4, 16)])
-def test_batched_thread_matches_sequential_across_batch_sizes(
-    router_key, parallelism, batch_size
-):
-    sequential = run_router(router_key, build_case("ispd19", 1, 0.5))
-    batched = run_router(
-        router_key,
-        build_case("ispd19", 1, 0.5),
-        parallelism=parallelism,
-        batch_size=batch_size,
-        batch_backend="thread",
-        batch_policy="prefix",
-    )
-    assert batched == sequential
-
-
+@needs_fork
 @pytest.mark.parametrize("seed_case", [("ispd18", 1), ("ispd19", 2)])
 def test_batched_matches_sequential_across_seeds(seed_case):
     suite, number = seed_case
@@ -273,32 +249,37 @@ def test_batched_matches_sequential_across_seeds(seed_case):
         "color-state",
         build_case(suite, number, 0.5),
         parallelism=4,
-        batch_backend="thread",
+        batch_backend="pool",
+        min_fork_batch=2,
     )
     assert batched == sequential
 
 
-def test_greedy_policy_is_backend_invariant():
-    """Greedy permutes the order (so it may differ from sequential), but all
-    backends must agree with the serial executor on the same plan."""
-    reference = run_router(
-        "color-state",
+def test_pool_without_fork_settles_on_serial(monkeypatch):
+    """A host without the ``fork`` start method runs a pool campaign on the
+    serial floor: same solution, no parallel batch, no error."""
+    sequential = run_router("color-state", build_case("ispd18", 2, 0.5))
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
+    )
+    router = MrTPLRouter(
         build_case("ispd18", 2, 0.5),
         parallelism=4,
-        batch_backend="serial",
-        batch_policy="greedy",
+        batch_backend="pool",
+        min_fork_batch=2,
     )
-    for backend in BACKENDS:
-        again = run_router(
-            "color-state",
-            build_case("ispd18", 2, 0.5),
-            parallelism=4,
-            batch_backend=backend,
-            batch_policy="greedy",
-        )
-        assert again == reference
+    solution = router.run()
+    assert (solution_fingerprint(solution), solution_metrics(solution)) == sequential
+    executor = router.batch_executor
+    assert executor.backend == "pool"
+    assert executor.active_backend == "serial"
+    stats = executor.stats
+    assert stats.parallel_batches == 0
+    assert stats.batches > 0
+    assert (stats.pool_forks, stats.worker_errors, stats.demotions) == (0, 0, 0)
 
 
+@needs_fork
 def test_forced_fallback_still_matches_sequential(monkeypatch):
     """With speculation always rejected every net falls back to live
     sequential routing -- results must still match and the counters must
@@ -310,19 +291,23 @@ def test_forced_fallback_still_matches_sequential(monkeypatch):
         BatchExecutor, "_speculation_valid", lambda self, spec, committed: False
     )
     design = build_case("ispd18", 2, 0.5)
-    router = DetailedRouter(design, parallelism=4, batch_backend="thread")
+    router = DetailedRouter(
+        design, parallelism=4, batch_backend="pool", min_fork_batch=2
+    )
     solution = router.run()
     assert (solution_fingerprint(solution), solution_metrics(solution)) == sequential
     stats = router.batch_executor.stats
     assert stats.speculative_accepted == 0
-    if stats.parallel_batches:
-        assert stats.speculative_fallbacks > 0
+    assert stats.parallel_batches > 0
+    assert stats.speculative_fallbacks > 0
 
 
+@needs_fork
 def test_executor_stats_account_for_every_net():
     design = build_case("ispd18", 2, 0.5)
     router = MrTPLRouter(
-        design, use_global_router=False, parallelism=4, batch_backend="thread"
+        design, use_global_router=False, parallelism=4, batch_backend="pool",
+        min_fork_batch=2,
     )
     router.run()
     stats = router.batch_executor.stats

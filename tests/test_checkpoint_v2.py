@@ -456,12 +456,11 @@ def test_checkpoint_refuses_mismatched_campaigns(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# (e) Pool workers: snapshot bootstrap + shutdown escalation
+# (e) Pool workers: fork bootstrap + shutdown escalation
 # ----------------------------------------------------------------------
 
 @needs_fork
-@pytest.mark.parametrize("bootstrap", ["fork", "snapshot"])
-def test_pool_bootstrap_modes_match_serial(bootstrap):
+def test_pool_fork_bootstrap_matches_serial():
     design = build_case()
     reference = solution_fingerprint(make_router("color-state", design).run())
 
@@ -470,14 +469,11 @@ def test_pool_bootstrap_modes_match_serial(bootstrap):
         "color-state", design2, grid=RoutingGrid(design2),
         parallelism=2, batch_backend="pool", min_fork_batch=2,
     )
-    router.batch_executor._pool_bootstrap = bootstrap
     solution = router.run()
     stats = router.batch_executor.stats
     assert solution_fingerprint(solution) == reference
     if stats.parallel_batches:
         assert stats.pool_forks > 0
-        expected = stats.pool_forks if bootstrap == "snapshot" else 0
-        assert stats.snapshot_bootstraps == expected
     assert stats.worker_errors == 0
 
 
@@ -525,9 +521,7 @@ def test_shutdown_workers_escalates_on_hung_worker():
 def test_discard_pool_accounts_worker_kills():
     class FakePool:
         total_forks = 0
-        total_snapshot_bootstraps = 0
         total_replacements = 0
-        total_bootstrap_fallbacks = 0
         total_heartbeats = 0
         total_kills = 0
 

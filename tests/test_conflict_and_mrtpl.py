@@ -10,7 +10,6 @@ from repro.geometry import GridPoint, Rect
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
 from repro.tech import make_default_tech
 from repro.tpl import ConflictChecker, MrTPLRouter
-from repro.tpl.refine import ColorRefiner
 
 
 def empty_design(color_spacing=8):
@@ -182,15 +181,3 @@ class TestMrTPLRouter:
         router = MrTPLRouter(design, grid=grid, use_global_router=False, max_iterations=0)
         solution = router.run()
         assert solution.iterations == 0
-
-    def test_refiner_never_increases_its_own_objective(self):
-        design = generate_design(small_spec(seed=5))
-        grid = RoutingGrid(design)
-        solution = MrTPLRouter(design, grid=grid, use_global_router=False).run()
-        refiner = ColorRefiner(design, grid)
-        changes = refiner.refine(solution)
-        assert changes >= 0
-        # All vertices remain colored with legal masks after refinement.
-        for route in solution.routes.values():
-            for color in route.vertex_colors.values():
-                assert color in (0, 1, 2)

@@ -217,7 +217,6 @@ def test_pool_backend_matches_serial(router_key, batch_size):
         parallelism=4,
         batch_size=batch_size,
         batch_backend="pool",
-        batch_policy="prefix",
         min_fork_batch=2,
     )
     pooled = router.run()
@@ -430,17 +429,6 @@ def test_route_with_checkpoint_rejects_other_routers_campaign(tmp_path):
         route_with_checkpoint(
             build_case("ispd18", 1, 0.5), MrTPLRouter, path, use_global_router=False
         )
-
-
-def test_env_knob_rejects_malformed_values(monkeypatch):
-    from repro.sched import resolve_min_fork_batch
-
-    monkeypatch.setenv("REPRO_MIN_FORK_BATCH", "three")
-    with pytest.raises(ValueError, match="REPRO_MIN_FORK_BATCH"):
-        resolve_min_fork_batch()
-    monkeypatch.setenv("REPRO_MIN_FORK_BATCH", "5")
-    assert resolve_min_fork_batch() == 5
-    assert resolve_min_fork_batch(2) == 2  # explicit argument wins
 
 
 def test_checkpoint_saves_atomically(tmp_path):

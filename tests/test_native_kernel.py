@@ -470,16 +470,6 @@ class TestEnvKnobs:
         monkeypatch.delenv("REPRO_TEST_FLOAT", raising=False)
         assert env_float("REPRO_TEST_FLOAT", 1.0) == 1.0
 
-    def test_resolvers_use_shared_parser(self, monkeypatch):
-        from repro.sched import resolve_min_fork_batch
-
-        monkeypatch.setenv("REPRO_MIN_FORK_BATCH", "5")
-        assert resolve_min_fork_batch() == 5
-        assert resolve_min_fork_batch(2) == 2
-        monkeypatch.setenv("REPRO_MIN_FORK_BATCH", "soon")
-        with pytest.raises(ValueError):
-            resolve_min_fork_batch()
-
 
 @pytest.mark.skipif(
     accel.get_numpy() is None,
