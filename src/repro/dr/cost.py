@@ -12,7 +12,8 @@ The model exposes two equivalent query surfaces:
   evaluation, and
 * flat-index variants (``*_index``) used by :class:`repro.search.SearchCore`
   adapters, backed by a precomputed per-layer base-cost table and a per-net
-  out-of-guide memo so the search hot path performs no geometry work.
+  byte mask over guide gcells (read through one vertex -> gcell-slot map)
+  so the search hot path performs no geometry work.
 
 Both surfaces add the same terms in the same order, so they produce
 bit-identical costs.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.geometry import GridPoint
 from repro.gr.guide import GuideSet
@@ -77,25 +78,21 @@ class CostModel:
         self.rules = grid.rules
         self.guides = guides
         self._base_cost_table: Optional[List[List[float]]] = None
-        # Per-net memo of the out-of-guide penalty per flat index.  Guides
-        # are immutable once built, so entries never invalidate.
-        self._guide_memos: Dict[str, Dict[int, float]] = {}
-        # Per-net flat guide-penalty tables, computed eagerly from the guide
-        # rectangles; the buffer-protocol expand callbacks index these
-        # instead of hashing a dict per successor.  Entries never
-        # invalidate either.  All unguided nets share one all-zero table
-        # (read-only by contract), so only guided nets pay O(V) memory.
-        self._guide_tables: Dict[str, List[float]] = {}
-        self._unguided_table: Optional[List[float]] = None
-        # Cached grid-axis -> gcell-axis run decomposition (see
-        # :meth:`_gcell_axis_runs`).
-        self._gcell_runs: Optional[Tuple[Dict[int, Tuple[int, int]], Dict[int, Tuple[int, int]]]] = None
-        # ``array('d')`` twins of the base-cost and guide tables for the
-        # native kernel (C reads them through the buffer protocol; the
-        # Python expand closures keep indexing the plain lists, whose reads
-        # return cached float objects).  Built once, never invalidated.
-        self._guide_arrs: Dict[str, array] = {}
-        self._unguided_arr: Optional[array] = None
+        # Guide gcell columns/rows (one of each without a guide set), and
+        # the vertex -> gcell-slot map shared by every net (see
+        # :meth:`guide_slot_map`).
+        gcells = guides.gcell_grid if guides is not None else None
+        self._num_gx = gcells.num_gx if gcells is not None else 1
+        self._num_gy = gcells.num_gy if gcells is not None else 1
+        self._slot_of: Optional[array] = None
+        # Per-net guide masks (one byte per gcell slot).  Guides are
+        # immutable once built, so entries never invalidate; nets without
+        # a guide share one all-ones mask.
+        self._guide_masks: Dict[str, bytes] = {}
+        self._open_mask: Optional[bytes] = None
+        # ``array('d')`` twin of the base-cost table for the native kernel
+        # (C reads it through the buffer protocol; the Python expand
+        # closures keep indexing the plain lists).  Built once.
         self._base_cost_flat: Optional[array] = None
 
     # ------------------------------------------------------------------
@@ -125,99 +122,87 @@ class CostModel:
             self._base_cost_table = table
         return self._base_cost_table
 
-    def guide_memo(self, net_name: str) -> Dict[int, float]:
-        """Return the mutable per-net ``index -> out-of-guide penalty`` memo.
+    def guide_slot_map(self) -> array:
+        """Return the ``array('i')`` map from flat vertex index to gcell slot.
 
-        Search adapters fill it lazily while expanding; entries persist
-        across the searches of one net (and across rip-up & reroute, since
-        the guide region of a net never changes).
+        Slot ``(layer * num_gx + gx) * num_gy + gy`` addresses the gcell
+        holding the vertex, so ``guide_mask(net)[slot_of[index]]`` says
+        whether *index* lies inside the net's guide.  Each grid column/row
+        is bucketed with :meth:`GCellGrid.cell_of_point`'s exact clamped
+        arithmetic (the axes are independent), so lookups agree with
+        per-point ``covers_point`` queries.  Built once per model and shared
+        by every net; without a guide set there is one slot per layer.
         """
-        memo = self._guide_memos.get(net_name)
-        if memo is None:
-            memo = {}
-            self._guide_memos[net_name] = memo
-        return memo
-
-    def _gcell_axis_runs(
-        self,
-    ) -> Tuple[Dict[int, Tuple[int, int]], Dict[int, Tuple[int, int]]]:
-        """Return ``(col runs by gx, row runs by gy)`` for the guide gcells.
-
-        Each run is the contiguous ``(lo, hi)`` range of grid columns/rows
-        whose physical track coordinate maps into that gcell column/row --
-        computed through :meth:`GCellGrid.cell_of_point`'s exact clamped
-        arithmetic (the axes are independent), so table entries agree
-        bitwise with per-point ``covers_point`` queries.
-        """
-        if self._gcell_runs is not None:
-            return self._gcell_runs
-        gcells = self.guides.gcell_grid
+        if self._slot_of is not None:
+            return self._slot_of
         grid = self.grid
-        size = gcells.gcell_size
+        num_gx, num_gy = self._num_gx, self._num_gy
+        if self.guides is None:
+            gx_of = [0] * grid.num_cols
+            gy_of = [0] * grid.num_rows
+        else:
+            gcells = self.guides.gcell_grid
+            size = gcells.gcell_size
 
-        def axis_runs(count: int, grid_origin: int, gcell_origin: int, limit: int):
-            runs: Dict[int, Tuple[int, int]] = {}
-            for ordinal in range(count):
-                coordinate = grid_origin + ordinal * grid.pitch
-                bucket = min(max((coordinate - gcell_origin) // size, 0), limit - 1)
-                lo, _hi = runs.get(bucket, (ordinal, ordinal))
-                runs[bucket] = (lo, ordinal)
-            return runs
+            def buckets(count: int, grid_origin: int, gcell_origin: int, limit: int) -> List[int]:
+                start = grid_origin - gcell_origin
+                offsets = (start + ordinal * grid.pitch for ordinal in range(count))
+                return [min(max(offset // size, 0), limit - 1) for offset in offsets]
 
-        self._gcell_runs = (
-            axis_runs(grid.num_cols, grid.origin.x, gcells.origin.x, gcells.num_gx),
-            axis_runs(grid.num_rows, grid.origin.y, gcells.origin.y, gcells.num_gy),
-        )
-        return self._gcell_runs
+            gx_of = buckets(grid.num_cols, grid.origin.x, gcells.origin.x, num_gx)
+            gy_of = buckets(grid.num_rows, grid.origin.y, gcells.origin.y, num_gy)
+        # Every grid column of one (layer, gcell column) shares its run of
+        # row slots.
+        columns: Dict[int, array] = {}
+        slot_of = array("i")
+        for layer in range(grid.num_layers):
+            for gx in gx_of:
+                base = (layer * num_gx + gx) * num_gy
+                column = columns.get(base)
+                if column is None:
+                    column = columns[base] = array("i", [base + gy for gy in gy_of])
+                slot_of.extend(column)
+        self._slot_of = slot_of
+        return slot_of
 
-    def guide_penalty_table(self, net_name: str) -> List[float]:
-        """Return the per-net flat ``index -> out-of-guide penalty`` table.
+    def guide_mask(self, net_name: str) -> bytes:
+        """Return the net's guide as one byte per gcell slot (1 = in guide).
 
-        Built once per net directly from the guide's gcells -- every vertex
-        inside a guide cell is zeroed with slice assignments, everything
-        else keeps the out-of-guide penalty -- and cached for the life of
-        the model, since a net's guide region never changes.  A plain list
-        indexed by flat vertex index, so the expand hot path pays one list
-        read per step with no dict hash and no geometry work.
+        Indexed through :meth:`guide_slot_map`; a vertex's out-of-guide
+        penalty is ``(out_of_guide_penalty, 0.0)[mask[slot_of[index]]]``.
+        Cached for the life of the model, since a net's guide region never
+        changes; unguided nets (and every net without a guide set) share
+        one all-ones mask.
         """
-        table = self._guide_tables.get(net_name)
-        if table is not None:
-            return table
-        grid = self.grid
-        num_vertices = grid.num_vertices
+        mask = self._guide_masks.get(net_name)
+        if mask is not None:
+            return mask
+        num_layers, num_gx, num_gy = self.grid.num_layers, self._num_gx, self._num_gy
         guide = self.guides.guide_of(net_name) if self.guides is not None else None
         if guide is None or not guide.cells:
-            # Unguided nets are everywhere in-guide (no penalty); they all
-            # share one zero table since callers only read it.
-            if self._unguided_table is None:
-                self._unguided_table = [0.0] * num_vertices
-            return self._unguided_table
-        table = [self.rules.out_of_guide_penalty] * num_vertices
-        col_runs, row_runs = self._gcell_axis_runs()
-        cols, rows = grid.num_cols, grid.num_rows
-        num_layers = grid.num_layers
-        zero_rows: Dict[int, List[float]] = {}
-        for cell in guide.cells:
-            if not 0 <= cell.layer < num_layers:
-                continue
-            col_span = col_runs.get(cell.gx)
-            row_span = row_runs.get(cell.gy)
-            if col_span is None or row_span is None:
-                continue
-            row_lo, row_hi = row_span
-            span = row_hi - row_lo + 1
-            zeros = zero_rows.get(span)
-            if zeros is None:
-                zeros = [0.0] * span
-                zero_rows[span] = zeros
-            layer_base = cell.layer * cols
-            for col in range(col_span[0], col_span[1] + 1):
-                base = (layer_base + col) * rows + row_lo
-                table[base : base + span] = zeros
-        self._guide_tables[net_name] = table
-        return table
+            if self._open_mask is None:
+                self._open_mask = b"\x01" * (num_layers * num_gx * num_gy)
+            mask = self._open_mask
+        else:
+            inside = bytearray(num_layers * num_gx * num_gy)
+            for cell in guide.cells:
+                if 0 <= cell.layer < num_layers and 0 <= cell.gx < num_gx and 0 <= cell.gy < num_gy:
+                    inside[(cell.layer * num_gx + cell.gx) * num_gy + cell.gy] = 1
+            mask = bytes(inside)
+        self._guide_masks[net_name] = mask
+        return mask
 
     # -- reference maps (inspection only; no search path reads them) -----
+
+    def guide_penalty_table(self, net_name: str) -> List[float]:
+        """Return the per-vertex out-of-guide penalty of *net_name*, uncached.
+
+        Expands :meth:`guide_mask` through :meth:`guide_slot_map`; the
+        search tiers perform the same lookup inline per successor.
+        """
+        costs = (self.rules.out_of_guide_penalty, 0.0)
+        mask = self.guide_mask(net_name)
+        return [costs[mask[slot]] for slot in self.guide_slot_map()]
 
     def congestion_snapshot(self, net_id: int) -> List[float]:
         """Return the per-vertex congestion cost *net_id* sees, uncached.
@@ -242,7 +227,7 @@ class CostModel:
             table.extend(self.color_costs_index(index, net_id))
         return table
 
-    # -- array('d') twins for the native kernel -------------------------
+    # -- array('d') twins ------------------------------------------------
 
     def base_cost_flat(self) -> array:
         """Return :meth:`base_cost_table` flattened to one ``array('d')``.
@@ -265,22 +250,8 @@ class CostModel:
         return array("d", self.color_pressure_snapshot(net_id))
 
     def guide_penalty_flat(self, net_name: str) -> array:
-        """Return :meth:`guide_penalty_table` as an ``array('d')`` buffer.
-
-        Cached for the life of the model like the list variant (guide
-        regions never change); unguided nets share one all-zero buffer.
-        """
-        cached = self._guide_arrs.get(net_name)
-        if cached is not None:
-            return cached
-        table = self.guide_penalty_table(net_name)
-        if table is self._unguided_table:
-            if self._unguided_arr is None:
-                self._unguided_arr = array("d", table)
-            return self._unguided_arr
-        buffer = array("d", table)
-        self._guide_arrs[net_name] = buffer
-        return buffer
+        """Return :meth:`guide_penalty_table` as an ``array('d')`` buffer."""
+        return array("d", self.guide_penalty_table(net_name))
 
     def out_of_guide_cost_index(self, index: int, net_name: str) -> float:
         """Compute (uncached) the out-of-guide penalty at flat *index*."""
@@ -304,11 +275,7 @@ class CostModel:
         """
         base = self.base_cost_table()[layer][direction_index]
         congestion = self.grid.congestion_cost_index(neighbor_index, net_id)
-        memo = self.guide_memo(net_name)
-        guide = memo.get(neighbor_index)
-        if guide is None:
-            guide = self.out_of_guide_cost_index(neighbor_index, net_name)
-            memo[neighbor_index] = guide
+        guide = self.out_of_guide_cost_index(neighbor_index, net_name)
         cost = base + congestion
         cost = cost + guide
         return self.rules.alpha * cost

@@ -159,11 +159,12 @@ def make_traditional_expand(
     :meth:`CostModel.step_cost_index` computes it (same operation order, so
     the two agree bitwise).  Successors are written into the caller's
     preallocated buffers (the :class:`~repro.search.SearchCore` expand
-    protocol) -- the hot loop allocates nothing.  Congestion is
-    read per successor from the grid's live history / owner buffers; the
-    guide penalty comes from the per-net flat table.  The native kernel
-    evaluates the same terms inline from the same buffers.  Shared by the
-    maze adapter and the DAC-2012 adapter's interpreted tier.
+    protocol) -- the hot loop allocates nothing.  Congestion is read per
+    successor from the grid's live history / owner buffers, and the guide
+    penalty from the net's gcell mask through the cost model's vertex ->
+    gcell-slot map.  The native kernel evaluates the same terms inline from
+    the same buffers.  Shared by the maze adapter and the DAC-2012
+    adapter's interpreted tier.
     """
     neighbor_table = grid.neighbor_table()
     blocked = grid.blocked_buffer()
@@ -171,9 +172,11 @@ def make_traditional_expand(
     rules = grid.rules
     alpha = rules.alpha
     plane = grid.plane_size
-    # All-zero for unguided nets, so the hot loop adds unconditionally
-    # (``step + 0.0`` is bitwise ``step``).
-    guide_table = cost_model.guide_penalty_table(net_name)
+    # Out-of-guide penalty by mask byte: all-ones for unguided nets, so the
+    # hot loop adds unconditionally (``step + 0.0`` is bitwise ``step``).
+    guide_costs = (rules.out_of_guide_penalty, 0.0)
+    guide_mask = cost_model.guide_mask(net_name)
+    slot_of = cost_model.guide_slot_map()
     history = grid.history_buffer()
     owner = grid.owner_buffer()
     history_weight = rules.history_weight
@@ -199,7 +202,7 @@ def make_traditional_expand(
             if holder != 0 and holder != net_id:
                 congestion += occupancy_penalty
             step = base_row[direction] + congestion
-            step = step + guide_table[succ]
+            step = step + guide_costs[guide_mask[slot_of[succ]]]
             out_node[count] = succ
             out_cost[count] = g + alpha * step
             out_aux[count] = 0

@@ -55,7 +55,7 @@ from repro.utils.env import env_flag
 
 #: The argument contract of ``_relaxation.run_search`` this checkout's
 #: Python wrapper speaks; must match the binary's ``KERNEL_ABI_VERSION``.
-EXPECTED_ABI_VERSION = 2
+EXPECTED_ABI_VERSION = 3
 
 #: The argument contract of ``_checkwork.scan_hits``.
 EXPECTED_CHECK_ABI_VERSION = 1

@@ -33,11 +33,22 @@
  * into caller-owned scratch buffers that the search epoch validates, so a
  * call costs O(|overlay|) set-up instead of O(V).
  *
+ * The out-of-guide penalty needs no per-net O(V) buffer: it is read
+ * through the cost model's vertex -> gcell-slot map (built once, shared by
+ * every net) and the searching net's byte mask over gcell slots.  A vertex
+ * costs 0.0 where its mask byte is set and the penalty otherwise, exactly
+ * the two values the Python closures pick from.
+ *
+ * Every vertex-indexed buffer is length-checked before the loop, so a
+ * short buffer raises ValueError instead of being read out of bounds.  A
+ * slot past the end of the mask cannot be found without scanning the
+ * whole slot map, so each mask read is bounds-checked instead: such a
+ * slot reads as outside the guide and the call raises ValueError after
+ * the loop.
+ *
  * The GIL is released for the duration of the loop: the kernel only
  * writes the caller-owned label and scratch buffers (exclusive to one
- * SearchCore) and reads grid buffers nothing mutates while a search runs,
- * so concurrent thread-backend searches run truly in parallel, each inside
- * its own kernel call.
+ * SearchCore) and reads grid buffers nothing mutates while a search runs.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -48,7 +59,7 @@
 
 /* Bumped whenever the run_search argument contract changes; the Python
  * loader refuses (and rebuilds) a stale binary whose ABI does not match. */
-#define KERNEL_ABI_VERSION 2
+#define KERNEL_ABI_VERSION 3
 
 #define MODE_TRADITIONAL 0
 #define MODE_COLOR_STATE 1
@@ -178,7 +189,10 @@ typedef struct {
     const int *neighbor;
     const unsigned char *blocked;
     const double *base_costs;   /* num_layers * 6 */
-    const double *guide;        /* per vertex */
+    const unsigned char *guide_mask; /* per gcell slot: 1 = inside the guide */
+    size_t guide_mask_len;
+    const int *guide_slot;      /* per vertex: index into guide_mask */
+    int bad_slot;               /* set when a slot lies past the mask */
     const double *history;      /* per vertex */
     const int *owner;           /* per vertex */
     const double *pressure;     /* 3 per vertex, or NULL */
@@ -186,6 +200,7 @@ typedef struct {
     /* Scalars. */
     double history_weight;
     double occupancy_penalty;
+    double out_of_guide_penalty;
     double gamma;
     int mode;
     int node_stride;
@@ -279,11 +294,26 @@ relax(SearchCtx *ctx, int succ, double g_new, int a_new, int node)
     return 0;
 }
 
+/* Out-of-guide penalty at *succ*: 0.0 when its gcell is in the net's
+ * mask, the penalty otherwise (also for a slot past the mask, which is
+ * flagged for run_search to report). */
+static inline double
+guide_term(SearchCtx *ctx, int succ)
+{
+    size_t slot = (size_t)(unsigned int)ctx->guide_slot[succ];
+
+    if (slot >= ctx->guide_mask_len) {
+        ctx->bad_slot = 1;
+        return ctx->out_of_guide_penalty;
+    }
+    return ctx->guide_mask[slot] ? 0.0 : ctx->out_of_guide_penalty;
+}
+
 /* (base + congestion) + guide of one move -- the operation order of the
  * Python closures, congestion being CostModel's hw * history plus the
  * occupancy penalty when another net owns the successor. */
 static inline double
-trad_step(const SearchCtx *ctx, double base, int succ)
+trad_step(SearchCtx *ctx, double base, int succ)
 {
     double congestion = ctx->history_weight * ctx->history[succ];
     int holder = ctx->owner[succ];
@@ -293,7 +323,7 @@ trad_step(const SearchCtx *ctx, double base, int succ)
         congestion += ctx->occupancy_penalty;
     }
     step = base + congestion;
-    return step + ctx->guide[succ];
+    return step + guide_term(ctx, succ);
 }
 
 /* gamma-weighted conflict cost of mask *color* at *succ*: the grid's
@@ -564,7 +594,20 @@ scatter_overlay(SearchCtx *ctx, PyObject *overlay, Py_ssize_t num_vertices)
     return 0;
 }
 
-#define NUM_BUFFERS 19
+/* Raise ValueError unless buffer *slot* holds at least *count* items of
+ * *item* bytes (a None buffer holds none). */
+static int
+require_items(const BufferSlot *slot, Py_ssize_t count, size_t item, const char *name)
+{
+    if (!slot->held || slot->view.len / (Py_ssize_t)item < count) {
+        PyErr_Format(PyExc_ValueError, "%s buffer holds fewer than %zd items",
+                     name, count);
+        return -1;
+    }
+    return 0;
+}
+
+#define NUM_BUFFERS 20
 
 static PyObject *
 run_search(PyObject *self, PyObject *args)
@@ -573,10 +616,12 @@ run_search(PyObject *self, PyObject *args)
     PyObject *cost_obj, *aux_obj, *parent_obj, *stamp_obj;
     PyObject *exp_cost_obj, *exp_aux_obj, *exp_stamp_obj;
     PyObject *seed_node_obj, *seed_aux_obj, *flags_obj;
-    PyObject *neighbor_obj, *blocked_obj, *base_obj, *guide_obj;
+    PyObject *neighbor_obj, *blocked_obj, *base_obj;
+    PyObject *guide_mask_obj, *guide_slot_obj;
     PyObject *history_obj, *owner_obj, *pressure_obj;
     PyObject *own_pressure_obj, *own_stamp_obj, *overlay_obj;
-    Py_ssize_t num_nodes, num_vertices, num_seeds, max_expansions, expansions = 0;
+    Py_ssize_t num_nodes, num_vertices, num_layers, num_seeds, max_expansions;
+    Py_ssize_t expansions = 0, seed;
     int reached = -1, status = 0, i;
     BufferSlot slots[NUM_BUFFERS];
     void *ptrs[NUM_BUFFERS];
@@ -597,10 +642,12 @@ run_search(PyObject *self, PyObject *args)
             "dd"       /* improve_eps, tie_eps */
             "in"       /* merge_aux, max_expansions */
             "ii"       /* accept_mode, net_id */
-            "OOOO"     /* neighbor, blocked, base_costs, guide */
+            "OOO"      /* neighbor, blocked, base_costs */
+            "OO"       /* guide_mask, guide_slot */
             "OOO"      /* history, owner, pressure */
             "OOO"      /* own_pressure, own_stamp, overlay */
-            "ddd"      /* history_weight, occupancy_penalty, gamma */
+            "dddd"     /* history_weight, occupancy_penalty,
+                          out_of_guide_penalty, gamma */
             "dd",      /* stitch, tolerance */
             &ctx.mode, &num_nodes, &ctx.node_stride,
             &cost_obj, &aux_obj, &parent_obj, &stamp_obj,
@@ -615,18 +662,26 @@ run_search(PyObject *self, PyObject *args)
             &ctx.improve_eps, &ctx.tie_eps,
             &ctx.merge_aux, &max_expansions,
             &ctx.accept_mode, &ctx.net_id,
-            &neighbor_obj, &blocked_obj, &base_obj, &guide_obj,
+            &neighbor_obj, &blocked_obj, &base_obj,
+            &guide_mask_obj, &guide_slot_obj,
             &history_obj, &owner_obj, &pressure_obj,
             &own_pressure_obj, &own_stamp_obj, &overlay_obj,
-            &ctx.history_weight, &ctx.occupancy_penalty, &ctx.gamma,
+            &ctx.history_weight, &ctx.occupancy_penalty,
+            &ctx.out_of_guide_penalty, &ctx.gamma,
             &ctx.stitch, &ctx.tolerance)) {
         return NULL;
     }
-    if (ctx.node_stride < 1) {
-        PyErr_SetString(PyExc_ValueError, "node_stride must be positive");
+    if (ctx.node_stride < 1 || ctx.plane < 1 || ctx.rows < 1) {
+        PyErr_SetString(PyExc_ValueError,
+                        "node_stride, plane and rows must be positive");
+        return NULL;
+    }
+    if (num_nodes < 0 || num_seeds < 0) {
+        PyErr_SetString(PyExc_ValueError, "num_nodes and num_seeds must be >= 0");
         return NULL;
     }
     num_vertices = num_nodes / ctx.node_stride;
+    num_layers = (num_vertices + ctx.plane - 1) / ctx.plane;
 
     {
         PyObject *objects[NUM_BUFFERS] = {
@@ -634,11 +689,12 @@ run_search(PyObject *self, PyObject *args)
             exp_cost_obj, exp_aux_obj, exp_stamp_obj,
             own_pressure_obj, own_stamp_obj,
             seed_node_obj, seed_aux_obj, flags_obj,
-            neighbor_obj, blocked_obj, base_obj, guide_obj,
+            neighbor_obj, blocked_obj, base_obj,
+            guide_mask_obj, guide_slot_obj,
             history_obj, owner_obj, pressure_obj,
         };
         int writable[NUM_BUFFERS] = {1, 1, 1, 1, 1, 1, 1, 1, 1,
-                                     0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
+                                     0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
         for (i = 0; i < NUM_BUFFERS; i++) {
             if (acquire(objects[i], &slots[i], writable[i], &ptrs[i]) < 0) {
                 while (--i >= 0) {
@@ -665,29 +721,53 @@ run_search(PyObject *self, PyObject *args)
     ctx.neighbor = (const int *)ptrs[12];
     ctx.blocked = (const unsigned char *)ptrs[13];
     ctx.base_costs = (const double *)ptrs[14];
-    ctx.guide = (const double *)ptrs[15];
-    ctx.history = (const double *)ptrs[16];
-    ctx.owner = (const int *)ptrs[17];
-    ctx.pressure = (const double *)ptrs[18];
+    ctx.guide_mask = (const unsigned char *)ptrs[15];
+    ctx.guide_mask_len = slots[15].held ? (size_t)slots[15].view.len : 0;
+    ctx.guide_slot = (const int *)ptrs[16];
+    ctx.history = (const double *)ptrs[17];
+    ctx.owner = (const int *)ptrs[18];
+    ctx.pressure = (const double *)ptrs[19];
 
-    if (ctx.history == NULL || ctx.owner == NULL) {
-        PyErr_SetString(PyExc_ValueError, "history and owner buffers are required");
+    /* Every buffer the loop indexes must cover the node / vertex space. */
+    if (require_items(&slots[0], num_nodes, sizeof(double), "cost") < 0 ||
+        require_items(&slots[1], num_nodes, sizeof(int), "aux") < 0 ||
+        require_items(&slots[2], num_nodes, sizeof(int), "parent") < 0 ||
+        require_items(&slots[3], num_nodes, sizeof(long long), "stamp") < 0 ||
+        require_items(&slots[4], num_nodes, sizeof(double), "exp_cost") < 0 ||
+        require_items(&slots[5], num_nodes, sizeof(int), "exp_aux") < 0 ||
+        require_items(&slots[6], num_nodes, sizeof(long long), "exp_stamp") < 0 ||
+        require_items(&slots[9], num_seeds, sizeof(int), "seed_node") < 0 ||
+        require_items(&slots[10], num_seeds, sizeof(int), "seed_aux") < 0 ||
+        require_items(&slots[11], num_nodes, 1, "target_flags") < 0 ||
+        require_items(&slots[12], NUM_DIRECTIONS * num_vertices, sizeof(int),
+                      "neighbor") < 0 ||
+        require_items(&slots[13], num_vertices, 1, "blocked") < 0 ||
+        require_items(&slots[14], NUM_DIRECTIONS * num_layers, sizeof(double),
+                      "base_costs") < 0 ||
+        require_items(&slots[16], num_vertices, sizeof(int), "guide_slot") < 0 ||
+        require_items(&slots[17], num_vertices, sizeof(double), "history") < 0 ||
+        require_items(&slots[18], num_vertices, sizeof(int), "owner") < 0) {
         status = -2;
     }
     else if (ctx.mode != MODE_TRADITIONAL) {
         /* Colour modes read pressure and the own-pressure scratch. */
-        if (ctx.pressure == NULL || ctx.own_pressure == NULL ||
-            ctx.own_stamp == NULL || overlay_obj == Py_None) {
-            PyErr_SetString(PyExc_ValueError,
-                            "colour modes need pressure, scratch and overlay");
+        if (overlay_obj == Py_None) {
+            PyErr_SetString(PyExc_ValueError, "colour modes need a pressure overlay");
             status = -2;
         }
-        else if (slots[7].view.len < 3 * num_vertices * (Py_ssize_t)sizeof(double) ||
-                 slots[8].view.len < num_vertices * (Py_ssize_t)sizeof(long long)) {
-            PyErr_SetString(PyExc_ValueError, "own-pressure scratch too small");
+        else if (require_items(&slots[19], 3 * num_vertices, sizeof(double),
+                               "pressure") < 0 ||
+                 require_items(&slots[7], 3 * num_vertices, sizeof(double),
+                               "own_pressure") < 0 ||
+                 require_items(&slots[8], num_vertices, sizeof(long long),
+                               "own_stamp") < 0 ||
+                 scatter_overlay(&ctx, overlay_obj, num_vertices) < 0) {
             status = -2;
         }
-        else if (scatter_overlay(&ctx, overlay_obj, num_vertices) < 0) {
+    }
+    for (seed = 0; status == 0 && seed < num_seeds; seed++) {
+        if (seed_node[seed] < 0 || seed_node[seed] >= num_nodes) {
+            PyErr_SetString(PyExc_ValueError, "seed node out of range");
             status = -2;
         }
     }
@@ -702,6 +782,11 @@ run_search(PyObject *self, PyObject *args)
                               &reached, &expansions);
             Py_END_ALLOW_THREADS
             heap_free(&ctx.heap);
+            if (status == 0 && ctx.bad_slot) {
+                PyErr_SetString(PyExc_ValueError,
+                                "guide_slot entry lies past the guide_mask");
+                status = -2;
+            }
         }
     }
 

@@ -36,12 +36,12 @@ ACCEPT_FREE_OR_OWN = 1
 class NativeExpandSpec:
     """Everything the kernel needs to run one adapter's expansion natively.
 
-    All table attributes are flat buffers (``array``/``bytearray``) the C
-    side reads through the buffer protocol; the grid ones are the live
-    buffers the Python closure reads, so the two paths can never diverge
-    on data.  *overlay* is the searching net's live pressure overlay
-    (``index -> [r, g, b]``), which the kernel scatters into the calling
-    core's own-pressure scratch before each run.
+    All table attributes are flat buffers (``array``/``bytearray``/
+    ``bytes``) the C side reads through the buffer protocol; the grid and
+    guide ones are the very buffers the Python closure reads, so the two
+    paths can never diverge on data.  *overlay* is the searching net's
+    live pressure overlay (``index -> [r, g, b]``), which the kernel
+    scatters into the calling core's own-pressure scratch before each run.
     """
 
     __slots__ = (
@@ -51,13 +51,15 @@ class NativeExpandSpec:
         "neighbor",
         "blocked",
         "base_costs",
-        "guide",
+        "guide_mask",
+        "guide_slots",
         "history",
         "owner",
         "pressure",
         "overlay",
         "history_weight",
         "occupancy_penalty",
+        "out_of_guide_penalty",
         "gamma",
         "stitch",
         "tolerance",
@@ -71,13 +73,15 @@ class NativeExpandSpec:
         neighbor,
         blocked,
         base_costs,
-        guide,
+        guide_mask,
+        guide_slots,
         history,
         owner,
         pressure=None,
         overlay=None,
         history_weight: float = 0.0,
         occupancy_penalty: float = 0.0,
+        out_of_guide_penalty: float = 0.0,
         gamma: float = 0.0,
         stitch: float = 0.0,
         tolerance: float = 0.0,
@@ -88,13 +92,15 @@ class NativeExpandSpec:
         self.neighbor = neighbor
         self.blocked = blocked
         self.base_costs = base_costs
-        self.guide = guide
+        self.guide_mask = guide_mask
+        self.guide_slots = guide_slots
         self.history = history
         self.owner = owner
         self.pressure = pressure
         self.overlay = overlay
         self.history_weight = history_weight
         self.occupancy_penalty = occupancy_penalty
+        self.out_of_guide_penalty = out_of_guide_penalty
         self.gamma = gamma
         self.stitch = stitch
         self.tolerance = tolerance
@@ -127,8 +133,9 @@ def attach_native_spec(
 
     Returns *expand* either way, so factories can ``return
     attach_native_spec(expand, ...)``.  The spec aliases the grid's live
-    buffers plus the cost model's build-once base-cost and guide tables,
-    so attaching it costs no per-search table work.
+    buffers plus the cost model's build-once base-cost table, vertex ->
+    gcell-slot map and per-net guide mask, so attaching it costs no
+    per-search table work.
     """
     from repro.accel import get_native_kernel
 
@@ -143,13 +150,15 @@ def attach_native_spec(
         neighbor=grid.neighbor_table(),
         blocked=grid.blocked_buffer(),
         base_costs=cost_model.base_cost_flat(),
-        guide=cost_model.guide_penalty_flat(net_name),
+        guide_mask=cost_model.guide_mask(net_name),
+        guide_slots=cost_model.guide_slot_map(),
         history=grid.history_buffer(),
         owner=grid.owner_buffer(),
         pressure=grid.pressure_buffer() if colored else None,
         overlay=grid.net_pressure_overlay(net_id) if colored else None,
         history_weight=rules.history_weight,
         occupancy_penalty=rules.occupancy_penalty,
+        out_of_guide_penalty=rules.out_of_guide_penalty,
         gamma=rules.gamma,
         stitch=stitch,
         tolerance=tolerance,

@@ -479,7 +479,8 @@ class SearchCore:
                 spec.neighbor,
                 spec.blocked,
                 spec.base_costs,
-                spec.guide,
+                spec.guide_mask,
+                spec.guide_slots,
                 spec.history,
                 spec.owner,
                 spec.pressure,
@@ -488,6 +489,7 @@ class SearchCore:
                 spec.overlay,
                 spec.history_weight,
                 spec.occupancy_penalty,
+                spec.out_of_guide_penalty,
                 spec.gamma,
                 spec.stitch,
                 spec.tolerance,

@@ -221,9 +221,11 @@ def make_color_state_expand(
     gamma = rules.gamma
     stitch_penalty = cost_model.stitch_cost()
     plane = grid.plane_size
-    # All-zero for unguided nets, so the hot loop adds unconditionally
-    # (``step + 0.0`` is bitwise ``step``).
-    guide_table = cost_model.guide_penalty_table(net_name)
+    # Out-of-guide penalty by mask byte: all-ones for unguided nets, so the
+    # hot loop adds unconditionally (``step + 0.0`` is bitwise ``step``).
+    guide_costs = (rules.out_of_guide_penalty, 0.0)
+    guide_mask = cost_model.guide_mask(net_name)
+    slot_of = cost_model.guide_slot_map()
     tolerance = _COST_TOLERANCE
     history = grid.history_buffer()
     owner = grid.owner_buffer()
@@ -252,7 +254,7 @@ def make_color_state_expand(
             if holder != 0 and holder != net_id:
                 congestion += occupancy_penalty
             step = base_row[direction] + congestion
-            step = step + guide_table[succ]
+            step = step + guide_costs[guide_mask[slot_of[succ]]]
             base_step = alpha * step
 
             pressure_slot = 3 * succ

@@ -18,6 +18,10 @@ additionally pins every tier to committed solution digests):
   still run, and a stale binary must be rebuilt and used in the process
   that found it.
 
+The kernel also length-checks every vertex-indexed buffer before its loop,
+so a short buffer raises ``ValueError`` instead of being read out of
+bounds.
+
 Every native leg is skipped cleanly when no kernel can be built (no
 compiler in the environment); the golden digests still pin the buffered
 tiers.
@@ -293,6 +297,56 @@ class TestLabelParity:
                 accel.set_native_enabled(prev)
 
         assert run(True) == run(False)
+
+
+@needs_kernel
+class TestArgumentChecks:
+    """run_search refuses short vertex-indexed buffers before its loop."""
+
+    @pytest.mark.parametrize(
+        "mode, field, buffer",
+        [
+            ("traditional", "guide_slots", "guide_slot"),
+            ("traditional", "history", "history"),
+            ("traditional", "owner", "owner"),
+            ("traditional", "neighbor", "neighbor"),
+            ("traditional", "blocked", "blocked"),
+            ("color-state", "pressure", "pressure"),
+        ],
+    )
+    def test_short_buffer_raises(self, mode, field, buffer):
+        from repro.dr.maze import make_traditional_expand
+        from repro.search import SearchCore
+        from repro.tpl.search import make_color_state_expand
+
+        factory = {"traditional": make_traditional_expand, "color-state": make_color_state_expand}
+        prev = accel.set_native_enabled(True)
+        try:
+            grid = RoutingGrid(random_design(0))
+            model = CostModel(grid)
+            expand = factory[mode](grid, model, "n0", grid.net_id("n0"))
+            spec = expand.native_spec
+            setattr(spec, field, getattr(spec, field)[:-1])
+            with pytest.raises(ValueError, match=f"^{buffer} buffer"):
+                SearchCore(grid, model).run([(0, 7)], {grid.num_vertices - 1}, expand)
+        finally:
+            accel.set_native_enabled(prev)
+
+    def test_slot_past_mask_raises(self):
+        """A slot the mask does not cover is never read; the call raises."""
+        from repro.dr.maze import make_traditional_expand
+        from repro.search import SearchCore
+
+        prev = accel.set_native_enabled(True)
+        try:
+            grid = RoutingGrid(random_design(0))
+            model = CostModel(grid)
+            expand = make_traditional_expand(grid, model, "n0", grid.net_id("n0"))
+            expand.native_spec.guide_mask = b""
+            with pytest.raises(ValueError, match="past the guide_mask"):
+                SearchCore(grid, model).run([(0, 7)], {grid.num_vertices - 1}, expand)
+        finally:
+            accel.set_native_enabled(prev)
 
 
 class TestFallback:

@@ -1,7 +1,7 @@
 """Differential tests: numpy-vectorised kernels vs the pure-Python oracle.
 
 The vectorised kernels (color-pressure neighbourhood updates, the per-net
-guide table and the heuristic table) must be pure representation changes:
+guide mask and the heuristic table) must be pure representation changes:
 with the numpy gate forced off, the engines run the original scalar
 loops, and both paths have to produce bit-identical grid state and
 bit-identical routed solutions.  These tests pin that down with
@@ -115,16 +115,55 @@ class TestSnapshotKernels:
     """Build-once vectorised tables == the scalar per-vertex queries."""
 
     def test_guide_table_matches_point_queries(self):
+        """Mask lookup == per-point guide query == reference table, for a
+        guided net, an unguided net name and a model without guides."""
         from repro.gr import GlobalRouter
 
         design = suite_case("ispd18", 1, scale=0.5).build()
         grid = RoutingGrid(design)
         guides = GlobalRouter(design).route()
-        model = CostModel(grid, guides)
         net_name = design.routable_nets()[0].name
-        table = model.guide_penalty_table(net_name)
-        for index in range(grid.num_vertices):
-            assert table[index] == model.out_of_guide_cost_index(index, net_name)
+        assert guides.guide_of(net_name).cells
+        guided = CostModel(grid, guides)
+        costs = (grid.rules.out_of_guide_penalty, 0.0)
+        for model, name in (
+            (guided, net_name),
+            (guided, "no-such-net"),
+            (CostModel(grid), net_name),
+        ):
+            mask = model.guide_mask(name)
+            slot_of = model.guide_slot_map()
+            assert len(slot_of) == grid.num_vertices
+            assert 0 <= min(slot_of) and max(slot_of) < len(mask)
+            table = model.guide_penalty_table(name)
+            for index in range(grid.num_vertices):
+                penalty = model.out_of_guide_cost_index(index, name)
+                assert costs[mask[slot_of[index]]] == penalty == table[index]
+        assert 0.0 < sum(guided.guide_penalty_table(net_name))
+
+    def test_guide_masks_after_campaign(self, monkeypatch):
+        """A Mr.TPL campaign caches one gcell-sized mask per net and reads
+        every mask through one shared vertex -> slot map."""
+        from repro.tpl.mr_tpl import MrTPLRouter
+
+        design = suite_case("ispd18", 1, scale=0.5).build()
+        slot_maps = []
+        original = CostModel.guide_slot_map
+
+        def recording(model):
+            slot_map = original(model)
+            slot_maps.append(slot_map)
+            return slot_map
+
+        monkeypatch.setattr(CostModel, "guide_slot_map", recording)
+        router = MrTPLRouter(design, max_iterations=1)
+        router.run()
+        model = router.cost_model
+        gcells = router.guides.gcell_grid
+        size = router.grid.num_layers * gcells.num_gx * gcells.num_gy
+        assert model._guide_masks
+        assert all(len(mask) == size for mask in model._guide_masks.values())
+        assert slot_maps and all(slot_map is slot_maps[0] for slot_map in slot_maps)
 
     @requires_numpy
     def test_heuristic_table_matches_scalar(self):
