@@ -21,10 +21,9 @@ with Mr.TPL so the Table II comparison is apples-to-apples.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.campaign import CampaignState
+from repro.campaign import CampaignRouter
 from repro.check import IncrementalConflictChecker
 from repro.design import Design, Net
 from repro.dr.cost import CostModel, TargetBounds
@@ -34,14 +33,10 @@ from repro.gr import GlobalRouter, GuideSet
 from repro.gr.steiner import rectilinear_mst
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
 from repro.native.spec import MODE_MASK_EXPANDED, attach_native_spec
-from repro.profiling import PhaseTimes
-from repro.sched import GridSink, make_batch_executor
+from repro.sched import GridSink
 from repro.search import SearchCore
 from repro.tpl.color_state import ALL_COLORS
-from repro.tpl.conflict import ConflictChecker
-from repro.utils import Timer, get_logger
-
-_LOG = get_logger("baselines.dac2012")
+from repro.tpl.conflict import ConflictReport
 
 #: A search state on the mask-expanded graph: (grid vertex, mask).
 MaskedVertex = Tuple[GridPoint, int]
@@ -171,14 +166,12 @@ class MaskExpandedSearch:
         )
 
 
-class Dac2012Router:
+class Dac2012Router(CampaignRouter):
     """2-pin, mask-expanded-graph TPL-aware router (Table II baseline).
 
-    The ``parallelism`` / ``batch_size`` / ``batch_backend`` arguments
-    switch the rip-up loop onto the :mod:`repro.sched` disjoint-batch
-    executor (``batch_backend`` one of ``serial`` / ``pool``;
-    ``min_fork_batch`` is the smallest batch worth forking pool workers
-    for); the default keeps the plain sequential loop.
+    Runs the shared :class:`~repro.campaign.CampaignRouter` loop with
+    mask-expanded 2-pin search; its check step counts colour conflicts
+    and its rip-up step adds history at the conflict locations only.
     """
 
     name = "dac2012"
@@ -191,122 +184,21 @@ class Dac2012Router:
         use_global_router: bool = True,
         max_iterations: Optional[int] = None,
         parallelism: int = 1,
-        batch_size: Optional[int] = None,
         batch_backend: str = "serial",
         min_fork_batch: Optional[int] = None,
     ) -> None:
-        self.design = design
-        self.grid = grid if grid is not None else RoutingGrid(design)
+        super().__init__(
+            design, grid, max_iterations, parallelism, batch_backend, min_fork_batch
+        )
         if guides is None and use_global_router:
             guides = GlobalRouter(design).route()
         self.guides = guides
         self.cost_model = CostModel(self.grid, guides)
-        # Full re-scan checker kept as the reference oracle; the rip-up loop
-        # consumes the incremental tallies like the host routers do.
-        self.conflict_checker = ConflictChecker(design, self.grid)
         self.incremental_conflicts = IncrementalConflictChecker(design, self.grid)
-        self.max_iterations = (
-            max_iterations
-            if max_iterations is not None
-            else design.tech.rules.max_ripup_iterations
-        )
         self.max_expansions = 6_000_000
         self.two_pin_engine = MaskExpandedSearch(
             self.grid, self.cost_model, self.max_expansions
         )
-        self.batch_executor = make_batch_executor(
-            self, parallelism, batch_size, batch_backend, min_fork_batch
-        )
-        # Per-phase wall-clock record: shared with the executor's stats when
-        # one is engaged, so campaign merges and bench JSON see one record.
-        self.phases = (
-            self.batch_executor.stats.phases
-            if self.batch_executor is not None
-            else PhaseTimes()
-        )
-
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        *,
-        campaign: Optional[CampaignState] = None,
-        on_iteration: Optional[Callable[[CampaignState], None]] = None,
-    ) -> RoutingSolution:
-        """Route and color every net; negotiate conflicts like the host router.
-
-        *campaign* / *on_iteration* follow the shared resumable-campaign
-        protocol (see :class:`~repro.campaign.CampaignState`): the hook
-        fires after initial routing and after every completed rip-up round,
-        and a campaign loaded from a checkpoint resumes at its last
-        completed iteration.
-        """
-        timer = Timer()
-        timer.start()
-        if campaign is None:
-            campaign = CampaignState()
-        if campaign.started:
-            solution = campaign.solution
-        else:
-            solution = RoutingSolution(design_name=self.design.name, router_name=self.name)
-            campaign.solution = solution
-            self._route_many(self.schedule_nets(), solution)
-            if on_iteration is not None:
-                on_iteration(campaign)
-
-        iterations = campaign.iteration
-        for iteration in range(campaign.iteration, self.max_iterations):
-            check_started = perf_counter()
-            report = self.incremental_conflicts.check(solution)
-            self.phases.add("check", perf_counter() - check_started)
-            offenders = report.nets_involved()
-            offenders.update(route.net_name for route in solution.failed_nets())
-            if not offenders:
-                break
-            iterations = iteration + 1
-            # Same negotiation dynamics as the host routers: fade stale
-            # history before this iteration's conflicts add fresh evidence.
-            self.grid.decay_history(self.grid.rules.history_decay)
-            for location in report.conflict_locations():
-                self.grid.add_history(location, 1.0)
-            for net_name in offenders:
-                self.grid.release_net(net_name)
-                solution.routes.pop(net_name, None)
-            self._route_many(
-                [self.design.net_by_name(name) for name in sorted(offenders)], solution
-            )
-            campaign.iteration = iterations
-            if on_iteration is not None:
-                on_iteration(campaign)
-        # Surface the executor's supervision counters on the campaign
-        # before declaring it done (checkpointed or not).
-        campaign.update_executor_stats(self.batch_executor)
-        campaign.done = True
-
-        for route in solution.routes.values():
-            route.recount_stitches()
-        solution.iterations = iterations
-        solution.runtime_seconds = timer.stop()
-        if self.batch_executor is not None:
-            self.batch_executor.close()  # release pool workers between runs
-        return solution
-
-    def schedule_nets(self) -> List[Net]:
-        """Return the same routing order the other routers use."""
-        return sorted(
-            self.design.routable_nets(),
-            key=lambda net: (net.half_perimeter_wirelength(), -net.num_pins, net.name),
-        )
-
-    def _route_many(self, nets: List[Net], solution: RoutingSolution) -> None:
-        """Route *nets* in order -- batched when an executor is configured."""
-        if self.batch_executor is not None:
-            self.batch_executor.route_nets(nets, solution)
-        else:
-            search_started = perf_counter()
-            for net in nets:
-                solution.add_route(self.route_net(net))
-            self.phases.add("search", perf_counter() - search_started)
 
     def make_search_engine(self) -> MaskExpandedSearch:
         """Return a fresh mask-expanded engine over this router's grid.
@@ -316,15 +208,20 @@ class Dac2012Router:
         """
         return MaskExpandedSearch(self.grid, self.cost_model, self.max_expansions)
 
+    def _check(self, solution: RoutingSolution):
+        report = self.incremental_conflicts.check(solution)
+        return report.nets_involved(), report.conflict_count, report
+
+    def _rip_up(
+        self, offenders: Set[str], report: ConflictReport, solution: RoutingSolution
+    ) -> None:
+        for location in report.conflict_locations():
+            self.grid.add_history(location, 1.0)
+        for net_name in offenders:
+            self.grid.release_net(net_name)
+            solution.routes.pop(net_name, None)
+
     # ------------------------------------------------------------------
-
-    def route_net(self, net: Net) -> NetRoute:
-        """Route one net as independent 2-pin connections on the expanded graph.
-
-        Computes the route and commits it to the grid immediately
-        (:meth:`compute_route` with the default :class:`GridSink`).
-        """
-        return self.compute_route(net)
 
     def compute_route(
         self, net: Net, engine: Optional[object] = None, sink: Optional[object] = None

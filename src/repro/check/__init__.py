@@ -15,9 +15,9 @@ This package re-validates only the changed neighbourhood:
   every mutation in ``tests/test_incremental_check.py``; representative
   violation locations may be anchored differently).
 
-All three rip-up loops (plain detailed router, Mr.TPL, DAC-2012 baseline)
-consume these tallies; the full checkers remain the frozen reference used
-by final evaluation and the differential harness.
+The check steps of all three routers (plain detailed router, Mr.TPL,
+DAC-2012 baseline) consume these tallies; the full checkers remain the
+frozen reference used by final evaluation and the differential harness.
 """
 
 from repro.check.dirty import DirtyRegionTracker

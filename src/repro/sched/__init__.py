@@ -19,10 +19,10 @@ converts the remaining serial outer loop into batched throughput:
   re-synchronise between batches by replaying the grid journal suffix
   past their cursor -- no re-fork, no snapshot serialisation.
 
-All three rip-up loops (``dr/router``, ``tpl/mr_tpl``,
-``baselines/dac2012``) wire in through their ``parallelism`` /
-``batch_size`` / ``batch_backend`` / ``min_fork_batch`` constructor
-arguments.
+The rip-up loop all three routers share (:class:`repro.campaign.CampaignRouter`)
+wires in through the routers' ``parallelism`` / ``batch_backend`` /
+``min_fork_batch`` constructor arguments; batches hold at most
+``4 * parallelism`` nets.
 
 Execution is **supervised** (:mod:`repro.sched.supervisor`): per-batch
 wall-clock deadlines, pool-worker heartbeats, classified failures with

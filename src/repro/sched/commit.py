@@ -6,8 +6,8 @@ writes).  The commit side goes through a sink so the same ``compute_route``
 body serves both execution modes:
 
 * :class:`GridSink` applies each commit to the grid immediately -- the
-  sequential rip-up loops and the deterministic batch backend use it, which
-  keeps their behaviour call-for-call identical to the pre-batching code;
+  sequential rip-up loop, the deterministic batch backend and the
+  campaign's keep-best restore use it;
 * :class:`RecordingSink` only appends the operations, in order, to a
   *commit log*.  The speculative pool backend routes whole batches against
   a frozen grid snapshot this way and later replays accepted logs through

@@ -664,25 +664,22 @@ def _compute_speculative(router, net: Net, engine) -> SpeculativeRoute:
 def make_batch_executor(
     router,
     parallelism: int = 1,
-    batch_size: Optional[int] = None,
     backend: str = "serial",
     min_fork_batch: Optional[int] = None,
 ) -> Optional["BatchExecutor"]:
     """Build a router's executor from its constructor knobs.
 
-    Batching engages when any knob leaves its default (``parallelism > 1``,
-    an explicit ``batch_size`` or a non-serial backend); otherwise ``None``
-    is returned and the router keeps its plain sequential loop.
+    Batching engages when a knob leaves its default (``parallelism > 1``
+    or a non-serial backend), with batches capped at ``4 * parallelism``
+    nets; otherwise ``None`` is returned and the router keeps its plain
+    sequential loop.
     """
-    if parallelism <= 1 and batch_size is None and backend == "serial":
+    if parallelism <= 1 and backend == "serial":
         return None
-    parallelism = max(1, parallelism)
-    max_batch = batch_size if batch_size is not None else 4 * parallelism
     return BatchExecutor(
         router,
         backend=backend,
         parallelism=parallelism,
-        scheduler=BatchScheduler(router.grid, max_batch=max_batch),
         min_fork_batch=(
             DEFAULT_MIN_FORK_BATCH if min_fork_batch is None else min_fork_batch
         ),

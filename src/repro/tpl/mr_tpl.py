@@ -11,41 +11,39 @@ The router combines the substrates of this repository:
 4. if conflicts remain and the iteration budget allows, rip up the nets
    involved, bump the history cost at the conflict locations, and reroute.
 
+Steps 3-4 run in the rip-up loop all three routers share
+(:class:`~repro.campaign.CampaignRouter`); this module supplies the
+colour-state engine and the loop's check and rip-up steps.
+
 The output is a colored :class:`~repro.grid.RoutingSolution` that the shared
 evaluation code scores exactly like the baselines' outputs.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Callable, Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
-from repro.campaign import CampaignState
+from repro.campaign import CampaignRouter
 from repro.check import IncrementalConflictChecker
 from repro.design import Design, Net
 from repro.dr.cost import CostModel
 from repro.geometry import GridPoint
 from repro.gr import GlobalRouter, GuideSet
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
-from repro.profiling import PhaseTimes
-from repro.sched import GridSink, make_batch_executor
+from repro.sched import GridSink
 from repro.tpl.backtrace import Backtracer, apply_colored_path
 from repro.tpl.color_state import ColorState
-from repro.tpl.conflict import ConflictChecker, ConflictReport
+from repro.tpl.conflict import ConflictReport
 from repro.tpl.search import ColorStateSearch
-from repro.utils import Timer, get_logger
-
-_LOG = get_logger("tpl.mr_tpl")
 
 
-class MrTPLRouter:
+class MrTPLRouter(CampaignRouter):
     """Triple-patterning-aware multi-pin net detailed router (Mr.TPL).
 
-    The ``parallelism`` / ``batch_size`` / ``batch_backend`` arguments
-    switch the rip-up loop onto the :mod:`repro.sched` disjoint-batch
-    executor (``batch_backend`` one of ``serial`` / ``pool``;
-    ``min_fork_batch`` is the smallest batch worth forking pool workers
-    for); the default keeps the plain sequential loop.
+    Runs the shared :class:`~repro.campaign.CampaignRouter` loop with
+    colour-state search; its check step counts colour conflicts and its
+    rip-up step adds history at the conflict locations and along the
+    ripped routes.
     """
 
     name = "mr-tpl"
@@ -58,142 +56,19 @@ class MrTPLRouter:
         use_global_router: bool = True,
         max_iterations: Optional[int] = None,
         parallelism: int = 1,
-        batch_size: Optional[int] = None,
         batch_backend: str = "serial",
         min_fork_batch: Optional[int] = None,
     ) -> None:
-        self.design = design
-        self.grid = grid if grid is not None else RoutingGrid(design)
+        super().__init__(
+            design, grid, max_iterations, parallelism, batch_backend, min_fork_batch
+        )
         if guides is None and use_global_router:
             guides = GlobalRouter(design).route()
         self.guides = guides
         self.cost_model = CostModel(self.grid, guides)
         self.search_engine = ColorStateSearch(self.grid, self.cost_model)
         self.backtracer = Backtracer(self.grid, self.cost_model)
-        # Full re-scan checker: the frozen reference oracle (final evaluation,
-        # differential tests).  The rip-up loop consumes the incremental one.
-        self.conflict_checker = ConflictChecker(design, self.grid)
         self.incremental_conflicts = IncrementalConflictChecker(design, self.grid)
-        self.max_iterations = (
-            max_iterations
-            if max_iterations is not None
-            else design.tech.rules.max_ripup_iterations
-        )
-        self.batch_executor = make_batch_executor(
-            self, parallelism, batch_size, batch_backend, min_fork_batch
-        )
-        # Per-phase wall-clock record: shared with the executor's stats when
-        # one is engaged, so campaign merges and bench JSON see one record.
-        self.phases = (
-            self.batch_executor.stats.phases
-            if self.batch_executor is not None
-            else PhaseTimes()
-        )
-
-    # ------------------------------------------------------------------
-    # Full flow (Fig. 2, left column)
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        *,
-        campaign: Optional[CampaignState] = None,
-        on_iteration: Optional[Callable[[CampaignState], None]] = None,
-    ) -> RoutingSolution:
-        """Route and color every net, then negotiate color conflicts.
-
-        *campaign* makes the rip-up loop resumable (see
-        :class:`~repro.campaign.CampaignState`): the loop position **and**
-        the keep-the-best-iteration tracking live there, so a checkpointed
-        campaign resumed in another process converges on the same solution
-        as the uninterrupted run.  *on_iteration* fires after initial
-        routing (iteration 0) and after every completed rip-up round.
-        """
-        timer = Timer()
-        timer.start()
-        if campaign is None:
-            campaign = CampaignState()
-        if campaign.started:
-            solution = campaign.solution
-        else:
-            solution = RoutingSolution(design_name=self.design.name, router_name=self.name)
-            campaign.solution = solution
-            self._route_many(self.schedule_nets(), solution)
-            if on_iteration is not None:
-                on_iteration(campaign)
-
-        iterations = campaign.iteration
-        for iteration in range(campaign.iteration, self.max_iterations):
-            check_started = perf_counter()
-            report = self.incremental_conflicts.check(solution)
-            self.phases.add("check", perf_counter() - check_started)
-            offenders = report.nets_involved()
-            offenders.update(route.net_name for route in solution.failed_nets())
-            defects = (len(solution.failed_nets()), report.conflict_count)
-            if campaign.best_defects is None or defects < campaign.best_defects:
-                campaign.best_defects = defects
-                campaign.best_routes = dict(solution.routes)
-            if not offenders:
-                break
-            iterations = iteration + 1
-            _LOG.info(
-                "iteration %d: %d conflicts, ripping up %d nets",
-                iterations,
-                report.conflict_count,
-                len(offenders),
-            )
-            # PathFinder-style negotiation: fade stale congestion evidence
-            # before this iteration's rip-up adds fresh history.
-            self.grid.decay_history(self.grid.rules.history_decay)
-            self._rip_up_and_update_history(offenders, report, solution)
-            self._route_many(
-                [self.design.net_by_name(name) for name in sorted(offenders)], solution
-            )
-            campaign.iteration = iterations
-            if on_iteration is not None:
-                on_iteration(campaign)
-
-        # Rip-up and reroute can oscillate on hard instances; keep the best
-        # iteration rather than blindly returning the last one.
-        check_started = perf_counter()
-        final_report = self.incremental_conflicts.check(solution)
-        self.phases.add("check", perf_counter() - check_started)
-        final_defects = (len(solution.failed_nets()), final_report.conflict_count)
-        if (
-            campaign.best_defects is not None
-            and campaign.best_defects < final_defects
-            and campaign.best_routes is not None
-        ):
-            solution.routes = campaign.best_routes
-        # Surface the executor's supervision counters on the campaign
-        # before declaring it done (checkpointed or not).
-        campaign.update_executor_stats(self.batch_executor)
-        campaign.done = True
-
-        for route in solution.routes.values():
-            route.recount_stitches()
-        solution.iterations = iterations
-        solution.runtime_seconds = timer.stop()
-        if self.batch_executor is not None:
-            self.batch_executor.close()  # release pool workers between runs
-        return solution
-
-    def schedule_nets(self) -> List[Net]:
-        """Return the routing order (small, pin-heavy nets first)."""
-        return sorted(
-            self.design.routable_nets(),
-            key=lambda net: (net.half_perimeter_wirelength(), -net.num_pins, net.name),
-        )
-
-    def _route_many(self, nets: List[Net], solution: RoutingSolution) -> None:
-        """Route *nets* in order -- batched when an executor is configured."""
-        if self.batch_executor is not None:
-            self.batch_executor.route_nets(nets, solution)
-        else:
-            search_started = perf_counter()
-            for net in nets:
-                solution.add_route(self.route_net(net))
-            self.phases.add("search", perf_counter() - search_started)
 
     def make_search_engine(self) -> ColorStateSearch:
         """Return a fresh color-state engine over this router's grid.
@@ -206,14 +81,6 @@ class MrTPLRouter:
     # ------------------------------------------------------------------
     # Single-net routing (Fig. 2 centre and right columns, Algorithm 1)
     # ------------------------------------------------------------------
-
-    def route_net(self, net: Net) -> NetRoute:
-        """Route one multi-pin net with color-state searching.
-
-        Computes the route and commits it to the grid immediately
-        (:meth:`compute_route` with the default :class:`GridSink`).
-        """
-        return self.compute_route(net)
 
     def compute_route(
         self, net: Net, engine: Optional[object] = None, sink: Optional[object] = None
@@ -281,10 +148,14 @@ class MrTPLRouter:
         return route
 
     # ------------------------------------------------------------------
-    # Rip-up & history update (Fig. 2 "Rip Up & Update History Cost")
+    # Loop steps: conflict check, then Fig. 2 "Rip Up & Update History Cost"
     # ------------------------------------------------------------------
 
-    def _rip_up_and_update_history(
+    def _check(self, solution: RoutingSolution):
+        report = self.incremental_conflicts.check(solution)
+        return report.nets_involved(), report.conflict_count, report
+
+    def _rip_up(
         self,
         offenders: Set[str],
         report: ConflictReport,
@@ -328,7 +199,8 @@ class MrTPLRouter:
         """Return the conflict report of *solution* on this router's grid.
 
         Served from the incremental tallies (route-object identity detects
-        snapshot restores and external edits); the full-scan
-        :attr:`conflict_checker` remains available as the reference oracle.
+        snapshot restores and external edits); the full-scan reference
+        oracle is :class:`~repro.tpl.conflict.ConflictChecker`, which
+        :func:`~repro.eval.evaluate_solution` builds for itself.
         """
         return self.incremental_conflicts.check(solution)

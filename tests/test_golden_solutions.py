@@ -22,7 +22,9 @@ What is pinned:
 * the three hand-crafted figure designs: the full campaign of every router.
 
 A change meant to alter routing results regenerates these constants with
-the same helpers and says why.
+the same helpers and says why.  ``(random_2, DetailedRouter)`` postdates
+the reference engines: it was produced on the three flat-index tiers
+alone, which agree.
 """
 
 import hashlib
@@ -93,7 +95,7 @@ GOLDEN = {
     ("random_1", "DetailedRouter"): "79f33bebb91899dedfc61c8e290a743e40e4bbe5e6aec583fd63534ac1c66155",
     ("random_1", "MrTPLRouter"): "aa392cad9c2d6e059925a22c3fb3a409e15019d0b33946630e11e6b02149e110",
     ("random_1", "Dac2012Router"): "d8f23bf69818a4f5728ee67c3763702ef6accb7b55b02de0065bff4925f97436",
-    ("random_2", "DetailedRouter"): "97ce27ff8cf8871a199c8aff599fc978eb4ef221f349ef6915dd00310b05c6fe",
+    ("random_2", "DetailedRouter"): "337f875510b3936c21ab62341099cb5ee623d01ab772f03681044d9208a909fb",
     ("random_2", "MrTPLRouter"): "163d68b8d6aa32c8c01ff222a49e8669834c8d49cf921d76c1835d43a7ead49a",
     ("random_2", "Dac2012Router"): "dc2bb6d2a3e00c53e00bfcf4c062ab61d7ac9e8f82e16cc9589c3b1731fbb21c",
     ("random_3", "DetailedRouter"): "2f91c44dc813c42d5d4c76dad1a0ada0a883bffc7cc9abae567b5e1412a527fa",

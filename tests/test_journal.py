@@ -32,6 +32,7 @@ from repro.io.journal_io import (
     save_journal_json,
 )
 from repro.journal import MutationJournal, ops_from_jsonable, replay_ops
+from repro.sched import BatchScheduler
 from repro.tpl.mr_tpl import MrTPLRouter
 
 ROUTERS = {
@@ -215,10 +216,13 @@ def test_pool_backend_matches_serial(router_key, batch_size):
         router_key,
         build_case("ispd19", 1, 0.5),
         parallelism=4,
-        batch_size=batch_size,
         batch_backend="pool",
         min_fork_batch=2,
     )
+    if batch_size is not None:
+        # Other caps than the default 4 * parallelism: plan with a scheduler
+        # of our own.
+        router.batch_executor.scheduler = BatchScheduler(router.grid, max_batch=batch_size)
     pooled = router.run()
     assert (solution_fingerprint(pooled), solution_metrics(pooled)) == (
         solution_fingerprint(sequential),
