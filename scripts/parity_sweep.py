@@ -8,8 +8,9 @@ tiers (with a mutation journal attached), then routes the same design on
 every leg of :data:`LEGS` and requires the same
 ``solution_fingerprint`` and ``solution_metrics``.  The pool leg is skipped
 where the ``fork`` start method is unavailable.  One checkpoint leg per
-reference restores its campaign from the full journal replay and from the
-snapshot-folded document and requires equal ``snapshot_state()``.
+reference restores the grid from a checkpoint document and replays the
+reference's journal onto a fresh grid, and requires equal
+``snapshot_state()``.
 
 Every mismatch is printed; the exit status is non-zero if there is one.
 
@@ -29,10 +30,10 @@ from repro import accel  # noqa: E402
 from repro.baselines.dac2012 import Dac2012Router  # noqa: E402
 from repro.bench.micro import solution_fingerprint, solution_metrics  # noqa: E402
 from repro.bench.suites import suite_case  # noqa: E402
-from repro.campaign import CampaignState  # noqa: E402
 from repro.dr.router import DetailedRouter  # noqa: E402
 from repro.grid import RoutingGrid  # noqa: E402
-from repro.io.journal_io import checkpoint_from_dict, checkpoint_to_dict  # noqa: E402
+from repro.io.checkpoint_io import checkpoint_from_dict, checkpoint_to_dict  # noqa: E402
+from repro.journal import replay_ops  # noqa: E402
 from repro.tpl.mr_tpl import MrTPLRouter  # noqa: E402
 
 ROUTERS = {
@@ -82,7 +83,7 @@ def _route(router_cls, design, gates, **kwargs):
 
 
 def _restored_state(document):
-    _design, grid, _journal, _solution = checkpoint_from_dict(
+    _design, grid, _solution = checkpoint_from_dict(
         json.loads(json.dumps(document))
     )
     return grid.snapshot_state()
@@ -100,8 +101,7 @@ def check_design(name, build):
         design = build()
         grid = RoutingGrid(design)
         journal = grid.attach_journal()
-        campaign = CampaignState()
-        solution = router_cls(design, grid=grid).run(campaign=campaign)
+        solution = router_cls(design, grid=grid).run()
         reference = _digest(solution)
 
         for leg, gates, kwargs, needs_fork in LEGS:
@@ -112,11 +112,11 @@ def check_design(name, build):
                 mismatches.append(f"{name} {key}: {leg} differs from serial")
 
         legs += 1
-        replayed = _restored_state(checkpoint_to_dict(design, journal, solution, campaign))
-        journal.fold(grid.snapshot_state())
-        folded = _restored_state(checkpoint_to_dict(design, journal, solution, campaign))
-        if folded != replayed:
-            mismatches.append(f"{name} {key}: folded restore differs from full replay")
+        restored = _restored_state(checkpoint_to_dict(design, grid, solution))
+        replayed = RoutingGrid(build())
+        replay_ops(replayed, journal.ops)
+        if restored != replayed.snapshot_state():
+            mismatches.append(f"{name} {key}: checkpoint restore differs from full replay")
     return mismatches, legs
 
 

@@ -35,13 +35,14 @@ completed round:
   finished campaign is returned as-is instead of re-entering the loop.
 
 The dataclass itself is storage-only; (de)serialisation lives in
-:mod:`repro.io.journal_io` (``campaign_to_dict`` / ``campaign_from_dict``)
-next to the checkpoint document code.
+:mod:`repro.io.checkpoint_io` (``campaign_to_dict`` /
+``campaign_from_dict``) next to the checkpoint document code.
 
-Resumability contract (what makes resume bit-identical): every router
-mutates grid state only through journalled ops, iterates rip-up /reroute
-sets in sorted order wherever order can reach a search result, and keeps
-all remaining cross-iteration state in this object.  The incremental
+Resumability contract (what makes resume bit-identical): the checkpoint
+restores the grid byte for byte from its snapshot
+(:meth:`RoutingGrid.snapshot_state`), every router iterates rip-up /
+reroute sets in sorted order wherever order can reach a search result, and
+keeps all remaining cross-iteration state in this object.  The incremental
 checkers need no persistence -- rebuilt fresh over the restored grid they
 produce the same tallies as the warm ones (their differential guarantee).
 """
@@ -287,9 +288,9 @@ class CampaignRouter:
         Only nets whose best route differs in content from the final one
         move -- by content, so a resumed campaign (whose routes were
         rebuilt from a checkpoint) restores the same nets.  Every one of
-        them is released before any is re-committed: a release zeroes the
-        mask colour of every vertex the net occupied, including vertices a
-        re-committed neighbour shares.  The re-commits go through
+        them is released before any is re-committed: a release that leaves
+        a vertex with several owners zeroes its mask colour, including a
+        colour a re-committed net just put there.  The re-commits go through
         :class:`~repro.sched.commit.GridSink`, so the journal and the delta
         listeners see the restore like any other commit.
         """

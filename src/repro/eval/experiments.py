@@ -7,10 +7,10 @@
   suite (conflicts, stitches).
 * :func:`run_fig1_examples` -- the qualitative Fig. 1 scenarios.
 * :func:`run_fig3_walkthrough` -- the Fig. 3 color-state walk-through.
-* :func:`route_with_checkpoint` -- journal-backed resume-able routing: a
-  campaign's grid mutations are journalled and checkpointed to disk; a
-  rerun loads the checkpoint and rebuilds the exact grid + solution by
-  journal replay instead of routing again.
+* :func:`route_with_checkpoint` -- resumable routing: the campaign is
+  checkpointed to disk after every rip-up round as a grid snapshot plus
+  the solution; a rerun restores the exact grid + solution from the
+  checkpoint instead of routing again.
 
 Each harness returns plain dataclass rows so the benchmark scripts, the
 examples and ``EXPERIMENTS.md`` all consume the same numbers.
@@ -427,7 +427,7 @@ def run_fig3_walkthrough(max_iterations: Optional[int] = None) -> Fig3Result:
 
 
 # ----------------------------------------------------------------------
-# Journal-backed checkpoint / resume
+# Checkpoint / resume
 # ----------------------------------------------------------------------
 
 def route_with_checkpoint(
@@ -441,21 +441,19 @@ def route_with_checkpoint(
 ) -> Tuple["RoutingSolution", RoutingGrid, bool]:
     """Route *design* with *router_cls*, checkpointing **every iteration**.
 
-    When *checkpoint_path* does not exist the design is routed with a
-    :class:`~repro.journal.MutationJournal` attached to the grid, and the
+    When *checkpoint_path* does not exist the design is routed and the
     campaign is checkpointed after initial routing and after every
     *checkpoint_every*-th completed rip-up iteration (plus once more at the
-    end): each save folds the journal into a grid snapshot
-    (:meth:`MutationJournal.fold`, after catching up any live pool
-    workers) and atomically writes a ``repro-checkpoint-v2`` document with
-    the in-progress solution and the campaign cursor -- so checkpoint size
-    and restore time stay bounded by the grid, not by campaign age.
+    end): each save atomically writes a ``repro-checkpoint-v3`` document
+    holding the grid snapshot (:meth:`RoutingGrid.snapshot_state`), the
+    in-progress solution and the campaign cursor -- so checkpoint size and
+    restore time stay bounded by the grid, not by campaign age.
 
     When the path exists, the campaign is **resumed**: the checkpoint is
     loaded, verified to describe the *same* design and router (a stale
     checkpoint for a different case/scale raises rather than silently
-    returning the wrong campaign), and the grid rebuilt bit-identically
-    (snapshot restore + journal suffix replay).  A finished campaign's
+    returning the wrong campaign), and the grid restored bit-identically
+    from the snapshot.  A finished campaign's
     solution is returned without routing anything; an **interrupted** one
     (the process died mid-campaign -- preemption, SIGKILL) re-enters the
     rip-up loop at its last completed iteration and finishes the campaign,
@@ -475,7 +473,7 @@ def route_with_checkpoint(
     """
     from repro.campaign import CampaignState
     from repro.io.json_io import design_to_dict
-    from repro.io.journal_io import (
+    from repro.io.checkpoint_io import (
         checkpoint_campaign,
         checkpoint_candidates,
         checkpoint_from_dict,
@@ -500,7 +498,7 @@ def route_with_checkpoint(
                 "checkpoint %s is corrupt; resuming from retained generation %s",
                 path, used_path,
             )
-        saved_design, grid, journal, solution = checkpoint_from_dict(document)
+        saved_design, grid, solution = checkpoint_from_dict(document)
         if design_to_dict(saved_design) != design_to_dict(design):
             raise ValueError(
                 f"checkpoint {path} was recorded for design "
@@ -518,8 +516,6 @@ def route_with_checkpoint(
             )
         campaign = checkpoint_campaign(document, solution)
         if campaign is None or campaign.done:
-            # v1 documents (no campaign section) were only written for
-            # finished campaigns; v2 documents say so explicitly.
             return solution, grid, True
         if used_fallback:
             campaign.note_checkpoint_fallback()
@@ -530,28 +526,21 @@ def route_with_checkpoint(
         resumed = True
     else:
         grid = RoutingGrid(design)
-        journal = grid.attach_journal()
         campaign = CampaignState()
     router = router_cls(design, grid=grid, **router_kwargs)
 
     def _checkpoint(state) -> None:
         if state.iteration % checkpoint_every and not state.done:
             return
-        executor = getattr(router, "batch_executor", None)
-        if executor is not None:
-            # Folding compacts the journal; every pool worker cursor must
-            # be at the head first or the pool could never re-sync.
-            executor.sync_pool_cursors()
         # Surface the executor's supervision counters (retries, timeouts,
         # replacements, demotions) into the persisted campaign state, on
         # top of whatever an earlier (preempted) life already recorded.
-        state.update_executor_stats(executor)
+        state.update_executor_stats(getattr(router, "batch_executor", None))
         checkpoint_started = perf_counter()
-        journal.fold(grid.snapshot_state())
         save_checkpoint(
-            path, design, journal, state.solution, state, keep=checkpoint_keep
+            path, design, grid, state.solution, state, keep=checkpoint_keep
         )
-        # The fold+save cost of this very checkpoint lands in the *next*
+        # The save cost of this very checkpoint lands in the *next*
         # saved stats record (update_executor_stats ran above); the live
         # PhaseTimes record sees it immediately.
         phases = getattr(router, "phases", None)

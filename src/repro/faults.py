@@ -71,7 +71,7 @@ Injection sites
 ``compute.error``
     Speculative compute in a pool worker raises :class:`FaultError`.
 ``checkpoint.tear``
-    ``journal_io._write_atomic`` writes a torn (truncated, non-atomic)
+    ``checkpoint_io._write_atomic`` writes a torn (truncated, non-atomic)
     document to the *final* path, simulating the power-loss window a
     non-atomic filesystem would expose.  The integrity checksum plus the
     retained-checkpoint fallback must absorb it.

@@ -47,7 +47,8 @@ thin wrappers that build the op; ``apply_op`` dispatches it to the private
 :class:`~repro.journal.MutationJournal` (if any), and taps the delta
 listeners of :mod:`repro.check`.  Replaying a journal onto a fresh grid
 over the same design therefore reproduces every buffer bit-identically --
-the property the persistent worker pool and checkpoint/resume rest on.
+the property the persistent worker pool rests on.  Checkpoints take the
+other route: :meth:`RoutingGrid.snapshot_state` exports the buffers whole.
 """
 
 from __future__ import annotations
@@ -442,23 +443,19 @@ class RoutingGrid:
         """Return the attached mutation journal, or ``None``."""
         return self._journal
 
-    def attach_journal(
-        self, journal: Optional[MutationJournal] = None
-    ) -> MutationJournal:
-        """Attach (creating if needed) a journal recording every future op.
+    def attach_journal(self) -> MutationJournal:
+        """Attach a new journal recording every future op and return it.
 
         The journal captures only post-attach mutations; a replica must
         start from the state the grid had at attach time (for an attach
         right after construction: a fresh grid over the same design).
-        Re-attaching while a different journal is active raises -- two
-        concurrent journals would each hold an incomplete stream.
+        Attaching while a journal is active raises -- two concurrent
+        journals would each hold an incomplete stream.
         """
-        if journal is None:
-            journal = MutationJournal()
-        if self._journal is not None and self._journal is not journal:
-            raise RuntimeError("grid already has a different journal attached")
-        self._journal = journal
-        return journal
+        if self._journal is not None:
+            raise RuntimeError("grid already has a journal attached")
+        self._journal = MutationJournal()
+        return self._journal
 
     def detach_journal(self) -> Optional[MutationJournal]:
         """Stop recording and return the previously attached journal."""
@@ -1025,16 +1022,22 @@ class RoutingGrid:
             owner = self._owner_buf[index]
             if owner == net_id:
                 self._owner_buf[index] = 0
+                self._color_buf[index] = 0
             elif owner == -1:
                 owners = self._multi_owners[index]
                 owners.discard(net_id)
                 if len(owners) == 1:
-                    self._owner_buf[index] = owners.pop()
+                    keeper = owners.pop()
+                    self._owner_buf[index] = keeper
                     del self._multi_owners[index]
+                    # The remaining owner keeps its own mask colour here.
+                    color = self._net_colored_vertices.get(keeper, {}).get(index)
+                    self._color_buf[index] = 0 if color is None else color + 1
+                else:
+                    self._color_buf[index] = 0
             else:
                 continue
             released += 1
-            self._color_buf[index] = 0
         colored_vertices = self._net_colored_vertices.pop(net_id, {})
         for index, color in colored_vertices.items():
             self._add_vertex_pressure_index(index, net_id, color, sign=-1.0)
@@ -1318,7 +1321,7 @@ class RoutingGrid:
                 )
 
     # ------------------------------------------------------------------
-    # Dense state snapshots (checkpoint v2)
+    # Dense state snapshots (checkpoints)
     # ------------------------------------------------------------------
 
     #: Schema tag of :meth:`snapshot_state` documents.
@@ -1332,9 +1335,8 @@ class RoutingGrid:
         through :meth:`restore_state` on a fresh grid over the same design,
         reproduces every buffer and side table **bit-identically** --
         including the exact IEEE-754 pressure/history doubles, which travel
-        as raw bytes rather than decimal round-trips.  This is the
-        checkpoint-v2 alternative to replaying a whole campaign journal:
-        O(grid) instead of O(campaign ops).
+        as raw bytes rather than decimal round-trips.  Campaign checkpoints
+        (:mod:`repro.io.checkpoint_io`) hold exactly this document.
         """
         colored_shapes: List[list] = []
         for layer in range(self.num_layers):
@@ -1405,8 +1407,7 @@ class RoutingGrid:
         if self._journal is not None:
             raise RuntimeError(
                 "cannot restore_state while a journal is attached; "
-                "detach it first and re-attach (or attach the checkpoint "
-                "journal) afterwards"
+                "detach it first"
             )
         dims = list(snapshot["dims"])
         if dims != [self.num_layers, self.num_cols, self.num_rows]:

@@ -7,24 +7,20 @@
   keeps the parsing code path of a real router exercised without shipping
   the multi-hundred-megabyte originals,
 * :mod:`repro.io.guide_io` -- ISPD-style ``.guide`` files for route guides,
-* :mod:`repro.io.journal_io` -- grid mutation journals and campaign
-  checkpoints (design + journal + solution; the grid is rebuilt by journal
-  replay on load, making rip-up campaigns resume-able).
+* :mod:`repro.io.checkpoint_io` -- campaign checkpoints (design + grid
+  snapshot + solution + campaign cursor; the grid is restored from the
+  snapshot on load, making rip-up campaigns resumable).
 """
 
-from repro.io.journal_io import (
+from repro.io.checkpoint_io import (
     campaign_from_dict,
     campaign_to_dict,
     checkpoint_campaign,
     checkpoint_from_dict,
     checkpoint_to_dict,
-    journal_from_dict,
-    journal_to_dict,
     load_checkpoint,
     load_checkpoint_document,
-    load_journal_json,
     save_checkpoint,
-    save_journal_json,
 )
 from repro.io.json_io import (
     design_to_dict,
@@ -61,11 +57,7 @@ __all__ = [
     "checkpoint_campaign",
     "checkpoint_from_dict",
     "checkpoint_to_dict",
-    "journal_from_dict",
-    "journal_to_dict",
     "load_checkpoint",
     "load_checkpoint_document",
-    "load_journal_json",
     "save_checkpoint",
-    "save_journal_json",
 ]

@@ -1,32 +1,19 @@
-"""JSON persistence of grid mutation journals and campaign checkpoints.
+"""JSON persistence of campaign checkpoints.
 
-A :class:`~repro.journal.MutationJournal` is a list of flat op tuples, so it
-serialises to JSON with no custom encoders.  On top of the plain journal
-round-trip this module defines the **checkpoint**: one JSON document holding
-the design, the journal of every grid mutation since construction, the
-(possibly in-progress) routing solution and the campaign cursor.  Loading a
-checkpoint rebuilds the grid bit-identically to the one that was saved --
-by full journal replay for complete logs, or snapshot-restore plus suffix
-replay for folded ones -- which makes long rip-up campaigns resume-able
-(see :func:`repro.eval.experiments.route_with_checkpoint`).
+A checkpoint is one JSON document holding the design, a dense snapshot of
+the grid (:meth:`RoutingGrid.snapshot_state`), the (possibly in-progress)
+routing solution and the campaign cursor.  Loading a checkpoint builds a
+fresh grid over the design and restores the snapshot into it, bit-identical
+to the grid that was saved, which makes long rip-up campaigns resumable
+(see :func:`repro.eval.experiments.route_with_checkpoint`).  Size and
+restore time are bounded by the grid, not by campaign age.
 
-Checkpoint formats
-------------------
-
-``repro-checkpoint-v1``
-    Design + complete journal (+ optional finished solution).  Still
-    loaded; a v1 document is simply a v2 document with no fold snapshot
-    and no campaign section.
-
-``repro-checkpoint-v2`` (written by :func:`save_checkpoint`)
-    The journal dictionary may carry a **fold snapshot** (``base`` +
-    ``snapshot``; see :meth:`MutationJournal.fold`), so the document holds
-    *snapshot + suffix* instead of the whole campaign history -- size and
-    restore time are bounded by the grid plus the ops since the last fold,
-    not by campaign age.  An optional ``campaign`` section records the
-    rip-up loop position (iteration cursor, best-iteration tracking,
-    completion flag) so a preempted campaign resumes from its last
-    completed iteration.
+The document (``repro-checkpoint-v3``, written by :func:`save_checkpoint`)
+has the keys ``format``, ``design``, ``grid``, ``solution``, ``campaign``
+and ``checksum``.  The optional ``campaign`` section records the rip-up
+loop position (iteration cursor, best-iteration tracking, completion flag)
+so a preempted campaign resumes from its last completed iteration.  Older,
+journal-based formats are refused.
 """
 
 from __future__ import annotations
@@ -50,7 +37,6 @@ from repro.io.json_io import (
     solution_from_dict,
     solution_to_dict,
 )
-from repro.journal import MutationJournal, ops_from_jsonable, ops_to_jsonable
 from repro.utils.env import env_int
 
 PathLike = Union[str, Path]
@@ -70,15 +56,9 @@ class CheckpointIntegrityError(ValueError):
     back to an older retained generation instead of aborting the resume.
     """
 
-#: Schema tags of the checkpoint document generations.
-CHECKPOINT_FORMAT_V1 = "repro-checkpoint-v1"
-CHECKPOINT_FORMAT_V2 = "repro-checkpoint-v2"
-
-#: The tag :func:`save_checkpoint` writes (newest generation).
-CHECKPOINT_FORMAT = CHECKPOINT_FORMAT_V2
-
-#: Every tag :func:`load_checkpoint` accepts.
-CHECKPOINT_FORMATS = (CHECKPOINT_FORMAT_V1, CHECKPOINT_FORMAT_V2)
+#: Schema tag of the documents :func:`save_checkpoint` writes and
+#: :func:`load_checkpoint` accepts.
+CHECKPOINT_FORMAT = "repro-checkpoint-v3"
 
 
 def _write_atomic(path: PathLike, text: str) -> None:
@@ -126,56 +106,6 @@ def _write_atomic(path: PathLike, text: str) -> None:
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
-
-
-# ----------------------------------------------------------------------
-# Journals
-# ----------------------------------------------------------------------
-
-def journal_to_dict(journal: MutationJournal) -> Dict[str, Any]:
-    """Serialise *journal* to a JSON-compatible dictionary.
-
-    Only journals that can still rebuild a fresh grid may be persisted: a
-    complete log, or a **folded** one (:meth:`MutationJournal.fold`), which
-    serialises as its fold snapshot plus the op suffix past it.  A journal
-    compacted without (or past) its fold snapshot has lost its prefix for
-    good and is refused.
-    """
-    if journal.base and journal.snapshot is None:
-        raise ValueError(
-            "cannot persist a compacted journal "
-            f"(ops before cursor {journal.base} were dropped); "
-            "fold() it instead of compact() to keep it persistable"
-        )
-    if journal.snapshot is not None and journal.snapshot_cursor < journal.base:
-        raise ValueError(
-            "cannot persist a journal compacted past its fold snapshot "
-            f"(snapshot at {journal.snapshot_cursor}, base {journal.base})"
-        )
-    document: Dict[str, Any] = {"ops": ops_to_jsonable(journal.ops)}
-    if journal.snapshot is not None:
-        document["base"] = journal.base
-        document["snapshot"] = journal.snapshot
-    return document
-
-
-def journal_from_dict(data: Dict[str, Any]) -> MutationJournal:
-    """Rebuild (and validate) a journal from :func:`journal_to_dict` output."""
-    return MutationJournal(
-        ops_from_jsonable(data["ops"]),
-        base=data.get("base", 0),
-        snapshot=data.get("snapshot"),
-    )
-
-
-def save_journal_json(journal: MutationJournal, path: PathLike) -> None:
-    """Write *journal* to *path* as JSON (atomically)."""
-    _write_atomic(path, json.dumps(journal_to_dict(journal)))
-
-
-def load_journal_json(path: PathLike) -> MutationJournal:
-    """Read a journal previously written by :func:`save_journal_json`."""
-    return journal_from_dict(json.loads(Path(path).read_text()))
 
 
 # ----------------------------------------------------------------------
@@ -229,12 +159,12 @@ def campaign_from_dict(
 
 
 # ----------------------------------------------------------------------
-# Checkpoints (design + journal + solution + campaign)
+# Checkpoints (design + grid snapshot + solution + campaign)
 # ----------------------------------------------------------------------
 
 def checkpoint_to_dict(
     design: Design,
-    journal: MutationJournal,
+    grid: RoutingGrid,
     solution: Optional[RoutingSolution] = None,
     campaign: Optional[CampaignState] = None,
 ) -> Dict[str, Any]:
@@ -242,7 +172,7 @@ def checkpoint_to_dict(
     document: Dict[str, Any] = {
         "format": CHECKPOINT_FORMAT,
         "design": design_to_dict(design),
-        "journal": journal_to_dict(journal),
+        "grid": grid.snapshot_state(),
     }
     if solution is not None:
         document["solution"] = solution_to_dict(solution)
@@ -267,32 +197,25 @@ def checkpoint_checksum(document: Dict[str, Any]) -> str:
 
 def checkpoint_from_dict(
     data: Dict[str, Any],
-) -> Tuple[Design, RoutingGrid, MutationJournal, Optional[RoutingSolution]]:
-    """Rebuild ``(design, grid, journal, solution)`` from a checkpoint dict.
+) -> Tuple[Design, RoutingGrid, Optional[RoutingSolution]]:
+    """Rebuild ``(design, grid, solution)`` from a checkpoint dict.
 
-    Accepts both checkpoint generations.  The grid is reconstructed by
-    :meth:`MutationJournal.bootstrap` -- full replay for a complete log
-    (every v1 document), snapshot-restore + suffix replay for a folded v2
-    journal; bit-identical to the grid that was saved either way.  The
-    journal is then re-attached so a resumed campaign keeps appending to
-    the same log (saving again extends the checkpoint instead of
-    forgetting history).  Use :func:`checkpoint_campaign` for the campaign
-    section.
+    The grid is a fresh :class:`RoutingGrid` over the saved design with the
+    saved snapshot restored into it -- bit-identical to the grid that was
+    saved, and with no journal attached.  Use :func:`checkpoint_campaign`
+    for the campaign section.
     """
-    if data.get("format") not in CHECKPOINT_FORMATS:
+    if data.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(
-            f"not a {' / '.join(CHECKPOINT_FORMATS)} document "
-            f"(format={data.get('format')!r})"
+            f"not a {CHECKPOINT_FORMAT} document (format={data.get('format')!r})"
         )
     design = design_from_dict(data["design"])
-    journal = journal_from_dict(data["journal"])
     grid = RoutingGrid(design)
-    journal.bootstrap(grid)
-    grid.attach_journal(journal)
+    grid.restore_state(data["grid"])
     solution = (
         solution_from_dict(data["solution"]) if "solution" in data else None
     )
-    return design, grid, journal, solution
+    return design, grid, solution
 
 
 def checkpoint_campaign(
@@ -300,8 +223,8 @@ def checkpoint_campaign(
 ) -> Optional[CampaignState]:
     """Return the checkpoint's campaign state, or ``None`` when absent.
 
-    v1 documents have no campaign section: they were only ever written for
-    finished campaigns, so absence means "complete".
+    A checkpoint saved without a campaign holds a finished solution, so
+    absence means "complete".
     """
     if "campaign" not in data:
         return None
@@ -354,7 +277,7 @@ def rotate_checkpoints(path: PathLike, keep: Optional[int] = None) -> None:
 def save_checkpoint(
     path: PathLike,
     design: Design,
-    journal: MutationJournal,
+    grid: RoutingGrid,
     solution: Optional[RoutingSolution] = None,
     campaign: Optional[CampaignState] = None,
     keep: Optional[int] = None,
@@ -370,13 +293,13 @@ def save_checkpoint(
     if resolve_checkpoint_keep(keep) > 1:
         rotate_checkpoints(path, keep)
     _write_atomic(
-        path, json.dumps(checkpoint_to_dict(design, journal, solution, campaign))
+        path, json.dumps(checkpoint_to_dict(design, grid, solution, campaign))
     )
 
 
 def load_checkpoint(
     path: PathLike,
-) -> Tuple[Design, RoutingGrid, MutationJournal, Optional[RoutingSolution]]:
+) -> Tuple[Design, RoutingGrid, Optional[RoutingSolution]]:
     """Read a checkpoint previously written by :func:`save_checkpoint`."""
     return checkpoint_from_dict(load_checkpoint_document(path))
 
@@ -386,8 +309,8 @@ def load_checkpoint_document(path: PathLike) -> Dict[str, Any]:
 
     Raises :class:`CheckpointIntegrityError` for unreadable JSON (torn or
     truncated writes), a non-dictionary document, or a checksum mismatch;
-    a missing file stays ``FileNotFoundError``.  Documents without a
-    ``checksum`` field (pre-hardening checkpoints) are accepted as-is.
+    a missing file stays ``FileNotFoundError``.  A document without a
+    ``checksum`` field is accepted as-is.
     """
     target = Path(path)
     try:

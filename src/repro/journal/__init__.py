@@ -2,24 +2,25 @@
 
 The rip-up-and-reroute loops are long campaigns of small grid mutations:
 occupancy commits, releases, mask (re)colorings, history bumps and decays.
-This package makes that mutation stream a first-class, serialisable
+This package makes that mutation stream a first-class, in-memory
 subsystem:
 
 * :mod:`repro.journal.ops` defines the **op model** -- every grid mutation
-  is one plain tuple of ints/floats/strings (JSON- and pickle-friendly,
-  crosses process boundaries with no custom reducers);
+  is one plain tuple of ints/floats/strings (pickle-friendly, crosses
+  process boundaries with no custom reducers);
 * :class:`MutationJournal` is the **ordered log**: the grid appends every
   op it applies (see :meth:`RoutingGrid.apply_op`, the single mutation
   choke point) to its attached journal, and replaying the log onto a fresh
   grid over the same design reproduces the live grid's occupancy, color,
   pressure and history buffers **bit-identically**;
-* :func:`replay_ops` / :meth:`MutationJournal.replay_onto` perform that
-  replay, and **cursors** (plain op counts) let a consumer catch up by
-  replaying only the suffix it has not seen -- the mechanism behind the
-  persistent ``pool`` backend of :class:`repro.sched.BatchExecutor`, whose
-  workers fork once and re-synchronise between batches by suffix replay
-  instead of re-forking, and behind the checkpoint/resume path of
-  :mod:`repro.io.journal_io`.
+* :func:`replay_ops` performs that replay, and **cursors** (plain op
+  counts) let a consumer catch up by replaying only the suffix it has not
+  seen -- the mechanism behind the persistent ``pool`` backend of
+  :class:`repro.sched.BatchExecutor`, whose workers fork once and
+  re-synchronise between batches by suffix replay instead of re-forking.
+
+Campaign checkpoints do not use the journal: they hold a
+:meth:`RoutingGrid.snapshot_state` document (:mod:`repro.io.checkpoint_io`).
 """
 
 from repro.journal.log import MutationJournal, replay_ops
@@ -30,13 +31,10 @@ from repro.journal.ops import (
     OP_DECAY,
     OP_HISTORY,
     OP_INTERN,
-    OP_KINDS,
     OP_OCCUPY,
     OP_RELEASE,
     OP_RESET,
     Op,
-    ops_from_jsonable,
-    ops_to_jsonable,
 )
 
 __all__ = [
@@ -48,11 +46,8 @@ __all__ = [
     "OP_DECAY",
     "OP_HISTORY",
     "OP_INTERN",
-    "OP_KINDS",
     "OP_OCCUPY",
     "OP_RELEASE",
     "OP_RESET",
-    "ops_from_jsonable",
-    "ops_to_jsonable",
     "replay_ops",
 ]

@@ -13,9 +13,9 @@ Every rip-up-and-reroute iteration decomposes into a fixed set of phases:
 ``check``
     Incremental DRC / conflict re-validation in the routers' loops.
 ``ipc``
-    Pool-backend traffic: suffix shipping, result receive, cursor syncs.
+    Pool-backend traffic: suffix shipping and result receive.
 ``checkpoint``
-    Journal folding and checkpoint serialisation.
+    Grid snapshot and checkpoint serialisation.
 
 :class:`PhaseTimes` is the per-owner record (one per batch executor /
 router).  The timers are plain ``perf_counter`` differences added from

@@ -573,56 +573,6 @@ class PersistentWorkerPool:
             raise WorkerFailure(failures, context="pool batch")
         return results, replayed
 
-    def catch_up_all(self, deadline: Optional[float] = None) -> int:
-        """Replay every worker up to the current journal head; return ops shipped.
-
-        Run this before :meth:`MutationJournal.fold` / ``compact`` on the
-        pool's journal: folding drops ops before the fold cursor, and a
-        worker whose cursor still pointed below it could never be
-        re-synchronised (its next ``suffix()`` would raise).  Supervised
-        like :meth:`compute`: failed workers are removed and reaped, the
-        survivors (all at the head afterwards) keep the pool alive, and a
-        :class:`WorkerFailure` aggregating every detail is raised.
-        """
-        head = self.journal.cursor
-        payload_cache: Dict[int, Tuple[Optional[bytes], int]] = {}
-        pending: List[_PoolWorker] = []
-        failures: List[FailureDetail] = []
-        failed_workers: List[_PoolWorker] = []
-        replayed = 0
-        for worker in self.workers:
-            if worker.cursor >= head:
-                continue
-            frame, op_count = self._suffix_frame(worker.cursor, head, payload_cache)
-            # An empty net list makes this a pure catch-up round trip.
-            try:
-                worker.conn.send((frame, []))
-            except (BrokenPipeError, OSError) as exc:
-                failures.append(FailureDetail(
-                    worker=worker.index, kind="crash", cursor=worker.cursor,
-                    message=f"send to worker failed: {exc!r}",
-                ))
-                failed_workers.append(worker)
-                continue
-            worker.cursor = head
-            self.total_replayed_ops += op_count
-            replayed += op_count
-            pending.append(worker)
-        deadline_at = time.monotonic() + deadline if deadline else None
-        for worker in pending:
-            outcome = await_worker_reply(
-                worker.conn, worker.process, worker.index, worker.cursor,
-                deadline_at, self.config.heartbeat_grace,
-            )
-            self.total_heartbeats += outcome.heartbeats
-            if outcome.failure is not None:
-                failures.append(outcome.failure)
-                failed_workers.append(worker)
-        if failures:
-            self.remove_workers(failed_workers)
-            raise WorkerFailure(failures, context="pool catch-up")
-        return replayed
-
     def close(self) -> int:
         """Shut every worker down (idempotent); return how many were killed.
 
@@ -940,41 +890,10 @@ class BatchExecutor:
             self._pool_seen = {}
         if self._owned_journal is not None:
             # Only detach what we attached; a caller-provided journal keeps
-            # recording (checkpoint/resume wants the full campaign log).
+            # recording.
             if self.router.grid.journal is self._owned_journal:
                 self.router.grid.detach_journal()
             self._owned_journal = None
-
-    def sync_pool_cursors(self) -> None:
-        """Catch every pool worker up to the journal head (checkpoint hook).
-
-        ``route_with_checkpoint`` calls this before folding a live campaign
-        journal: after it, no worker cursor lies below the head, so the
-        fold's compaction cannot strand one.  A classified catch-up failure
-        removes just the failed workers (the survivors are at the head, so
-        the post-condition still holds); an unclassified failure discards
-        the pool (the next parallel batch starts fresh workers from the
-        authoritative parent state).
-        """
-        pool = self._pool
-        if pool is None:
-            return
-        deadline = self.supervisor.deadline_seconds(max(1, len(pool.workers)))
-        started = time.perf_counter()
-        try:
-            # Replayed-op accounting happens on the pool's own counters at
-            # send time (drained below): the return value is informational.
-            pool.catch_up_all(deadline=deadline)
-        except WorkerFailure:
-            self.stats.worker_errors += 1
-            self._drain_pool_stats()
-        except Exception:
-            self.stats.worker_errors += 1
-            self._discard_pool()
-        else:
-            self._drain_pool_stats()
-        finally:
-            self.stats.phases.add("ipc", time.perf_counter() - started)
 
     def _compute_batch_pooled(self, batch: Sequence[Net]) -> List[SpeculativeRoute]:
         pool = self._ensure_pool()
@@ -1001,7 +920,7 @@ class BatchExecutor:
             # The executor's own journal exists solely to feed the pool;
             # ops every worker has consumed can never be shipped again, so
             # drop them to bound a long campaign's memory.  (A
-            # caller-attached journal is a campaign log -- never touched.)
+            # caller-attached journal is the caller's -- never touched.)
             self._owned_journal.compact(pool.min_cursor())
         return [
             SpeculativeRoute(route=route, ops=ops, explored_box=box)

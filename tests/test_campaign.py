@@ -7,8 +7,8 @@ exactly the solution's metal:
 
 * every vertex of a routed net's route is occupied by that net;
 * every occupancy on the grid belongs to the occupying net's route;
-* a vertex with a single owner and a mask colour carries the colour its
-  owner's route assigns there.
+* a vertex with a single owner carries exactly the mask colour its owner's
+  route assigns there (none where the route assigns none).
 
 Whether keep-best fires depends on the hash seed until conflict-pair
 orientation is made seed-independent, so CI also runs this file under
@@ -40,8 +40,7 @@ def grid_solution_mismatches(grid, solution):
             if route is None or vertex not in route.vertices:
                 mismatches.append(("unowned", name, vertex))
             elif len(names) == 1:
-                color = grid.vertex_color(vertex)
-                if color is not None and route.vertex_colors.get(vertex) != color:
+                if grid.vertex_color(vertex) != route.vertex_colors.get(vertex):
                     mismatches.append(("colour", name, vertex))
     return mismatches
 
@@ -78,18 +77,21 @@ def test_restore_skips_routes_equal_in_content():
 
 
 def test_restore_releases_every_net_before_recommitting():
-    # The best route of `first` takes a vertex from `last`'s final route.
-    # Were `last` released after `first` is re-committed, the release
-    # would wipe the mask colour `first` just put there.
+    # The best route of `first` takes a vertex from `last`'s final route,
+    # where a third net also has metal.  Were `last` released after
+    # `first` is re-committed, the release would leave two owners there
+    # and wipe the mask colour `first` just put there.
     router, solution = routed_once()
     first, last = min(solution.routes), max(solution.routes)
     vertex, color = next(iter(solution.routes[last].vertex_colors.items()))
     color = (color + 1) % 3
+    router.grid.occupy(vertex, "third")
     best = dict(solution.routes)
     best[first] = NetRoute(net_name=first, vertices={vertex}, vertex_colors={vertex: color})
     best[last] = NetRoute(net_name=last, routed=False)
     router._restore(solution, best)
-    assert router.grid.occupants(vertex) == {first}
+    assert router.grid.occupants(vertex) == {first, "third"}
     assert router.grid.vertex_color(vertex) == color
     assert solution.routes[first] is best[first]
+    router.grid.release_net("third")
     assert grid_solution_mismatches(router.grid, solution) == []

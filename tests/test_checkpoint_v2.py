@@ -1,21 +1,21 @@
-"""Checkpoint v2: snapshot-compacted journals and preemption-safe resume.
+"""Grid-snapshot checkpoints and preemption-safe resume.
 
-Four layers of guarantees, each proven differentially:
+Three layers of guarantees, each proven differentially:
 
 * **Snapshot layer** -- ``RoutingGrid.snapshot_state`` / ``restore_state``
   reproduce a campaign-mutated grid byte-for-byte, equal to full journal
   replay, for seeded campaigns of all three routers.
-* **Fold layer** -- a folded journal (snapshot + suffix) still bootstraps
-  a fresh grid and still serialises; plain compaction still refuses both.
 * **Durability layer** -- ``_write_atomic`` survives crash injection
   (SIGKILL mid-save leaves either the previous complete document or
   nothing), uses unique scratch names, and cleans up on failure.
 * **Campaign layer** -- ``route_with_checkpoint`` checkpoints every rip-up
-  iteration and a SIGKILLed campaign resumes from its last completed
-  iteration with a solution bit-identical to the uninterrupted run, with
-  the saved document bounded by snapshot + suffix (not campaign age).
+  iteration as a grid snapshot, and a SIGKILLed campaign resumes from its
+  last completed iteration with a solution bit-identical to the
+  uninterrupted run.  Journal-based documents of earlier formats are
+  refused.
 
-Plus the shutdown path: pool workers that ignore SIGTERM are
+Plus the pool paths: a pool campaign under ``route_with_checkpoint``
+matches serial, and pool workers that ignore SIGTERM are
 terminate/kill-escalated instead of leaked.
 """
 
@@ -35,20 +35,18 @@ from repro.campaign import CampaignState
 from repro.dr.router import DetailedRouter
 from repro.eval.experiments import route_with_checkpoint
 from repro.grid import RoutingGrid
-from repro.io.journal_io import (
-    CHECKPOINT_FORMAT_V1,
-    CHECKPOINT_FORMAT_V2,
+from repro.io.checkpoint_io import (
+    CHECKPOINT_FORMAT,
     _write_atomic,
+    checkpoint_checksum,
     checkpoint_from_dict,
     checkpoint_to_dict,
-    journal_from_dict,
-    journal_to_dict,
     load_checkpoint,
     load_checkpoint_document,
     save_checkpoint,
 )
 from repro.io.json_io import solution_to_dict
-from repro.journal import MutationJournal
+from repro.journal import MutationJournal, replay_ops
 from repro.sched.executor import PersistentWorkerPool, _PoolWorker, _shutdown_workers
 from repro.tpl.mr_tpl import MrTPLRouter
 
@@ -119,7 +117,7 @@ def test_snapshot_restore_equals_full_replay(router_key):
     restored = RoutingGrid(design)
     restored.restore_state(snapshot)
     replayed = RoutingGrid(design)
-    journal.replay_onto(replayed, 0)
+    replay_ops(replayed, journal.ops)
 
     assert_grids_bit_identical(grid, restored)
     assert_grids_bit_identical(replayed, restored)
@@ -150,67 +148,6 @@ def test_snapshot_restore_validates_and_fires_reset_hooks():
     assert fired, "restore_state must fire on_reset so stale tallies are dropped"
 
 
-# ----------------------------------------------------------------------
-# (b) Fold layer: snapshot + suffix stays bootstrappable and persistable
-# ----------------------------------------------------------------------
-
-def test_fold_keeps_journal_bootstrappable():
-    design = fig1_dense_cluster()
-    grid = RoutingGrid(design)
-    journal = grid.attach_journal()
-    router = MrTPLRouter(design, grid=grid, use_global_router=False)
-    solution = router.run()
-
-    # Fold mid-log: snapshot now, mutate more, then fold at the snapshot's
-    # cursor -- bootstrap must replay exactly the suffix past it.
-    grid.detach_journal()
-    snapshot = grid.snapshot_state()
-    cursor = journal.cursor
-    grid.attach_journal(journal)
-    for route in list(solution.routes.values())[:2]:
-        grid.release_net(route.net_name)
-
-    dropped = journal.fold(snapshot, cursor)
-    assert dropped == cursor
-    assert journal.base == cursor
-    assert journal.snapshot_cursor == cursor
-    assert len(journal.ops) > 0  # the releases above are the suffix
-
-    fresh = RoutingGrid(design)
-    replayed = journal.bootstrap(fresh)
-    assert replayed == journal.cursor - cursor
-    grid.detach_journal()
-    assert_grids_bit_identical(grid, fresh)
-
-    # And the folded journal round-trips through the dict form.
-    clone = journal_from_dict(json.loads(json.dumps(journal_to_dict(journal))))
-    fresh2 = RoutingGrid(design)
-    clone.bootstrap(fresh2)
-    assert_grids_bit_identical(grid, fresh2)
-
-
-def test_plain_compaction_still_refuses_bootstrap_and_persistence():
-    journal = MutationJournal()
-    journal.record(("history", 1, 3, 1.0))
-    journal.record(("history", 1, 4, 1.0))
-    journal.compact(1)
-    with pytest.raises(ValueError, match="compacted"):
-        journal_to_dict(journal)
-    with pytest.raises(ValueError, match="compacted"):
-        journal.bootstrap(RoutingGrid(fig1_dense_cluster()))
-    # Compacting *past* the fold snapshot loses the suffix the snapshot
-    # needs -- both paths must refuse rather than silently skip ops.
-    folded = MutationJournal()
-    folded.record(("history", 1, 3, 1.0))
-    folded.record(("history", 1, 4, 1.0))
-    folded.fold({"fake": "snapshot"}, 1)
-    folded.compact(2)
-    with pytest.raises(ValueError, match="past its fold snapshot"):
-        journal_to_dict(folded)
-    with pytest.raises(ValueError, match="compacted past"):
-        folded.bootstrap(RoutingGrid(fig1_dense_cluster()))
-
-
 def test_journal_suffix_raises_on_future_cursor():
     journal = MutationJournal()
     journal.record(("history", 1, 3, 1.0))
@@ -219,12 +156,10 @@ def test_journal_suffix_raises_on_future_cursor():
     # replay" -- it must fail loudly.
     with pytest.raises(ValueError, match="desynchronised"):
         journal.suffix(journal.cursor + 1)
-    with pytest.raises(ValueError):
-        MutationJournal(base=3)  # non-zero base needs the fold snapshot
 
 
 # ----------------------------------------------------------------------
-# (c) Durability: atomic writes under crash injection
+# (b) Durability: atomic writes under crash injection
 # ----------------------------------------------------------------------
 
 def test_write_atomic_uses_unique_scratch_names(tmp_path, monkeypatch):
@@ -267,12 +202,11 @@ def _checkpoint_writer_loop(path, design_payload):
 
     design = design_from_dict(design_payload)
     grid = RoutingGrid(design)
-    journal = grid.attach_journal()
     sequence = 0
     while True:
         grid.occupy(grid.vertex_of(sequence % grid.plane_size), f"net{sequence}")
         sequence += 1
-        save_checkpoint(path, design, journal)
+        save_checkpoint(path, design, grid)
 
 
 @needs_fork
@@ -297,14 +231,14 @@ def test_sigkill_mid_save_never_surfaces_a_torn_checkpoint(tmp_path):
     if path.exists():
         # Whatever survived must be a complete, loadable document --
         # never a torn or zero-length one.
-        loaded_design, grid, journal, solution = load_checkpoint(path)
+        loaded_design, _grid, _solution = load_checkpoint(path)
         assert loaded_design.name == design.name
     else:
         pytest.skip("writer was killed before its first complete save")
 
 
 # ----------------------------------------------------------------------
-# (d) Campaign layer: per-iteration checkpoints + preemption-safe resume
+# (c) Campaign layer: per-iteration checkpoints + preemption-safe resume
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("router_key", sorted(ROUTERS))
@@ -324,17 +258,16 @@ def test_route_with_checkpoint_saves_every_iteration(router_key, tmp_path):
     assert seen[-1] == (solution.iterations, True)  # final save marks done
 
     document = load_checkpoint_document(path)
-    assert document["format"] == CHECKPOINT_FORMAT_V2
+    assert document["format"] == CHECKPOINT_FORMAT
     assert document["campaign"]["done"] is True
-    # Folded at every save: the persisted journal is snapshot + suffix,
-    # bounded by the grid -- not the whole campaign's op history.
-    assert document["journal"]["ops"] == []
-    assert document["journal"]["snapshot"]["format"] == "repro-grid-snapshot-v1"
+    # The grid travels as a snapshot, bounded by the grid -- not the
+    # campaign's op history.
+    assert "journal" not in document
+    assert document["grid"]["format"] == RoutingGrid.SNAPSHOT_FORMAT
 
     # Restoring the document reproduces the final grid bit-for-bit.
-    _design, restored_grid, _journal, saved_solution = checkpoint_from_dict(document)
-    grid.detach_journal()
-    restored_grid.detach_journal()
+    _design, restored_grid, saved_solution = checkpoint_from_dict(document)
+    assert grid.journal is None and restored_grid.journal is None
     assert_grids_bit_identical(grid, restored_grid)
     assert routes_dict(saved_solution) == routes_dict(solution)
 
@@ -364,34 +297,26 @@ def test_route_with_checkpoint_every_n(tmp_path):
                               checkpoint_every=0, use_global_router=False)
 
 
-def test_v1_checkpoints_still_load(tmp_path):
+def test_v2_checkpoints_are_refused(tmp_path):
+    """Journal-based documents of the previous format no longer load."""
     design = fig1_dense_cluster()
     grid = RoutingGrid(design)
-    journal = grid.attach_journal()
     solution = MrTPLRouter(design, grid=grid, use_global_router=False).run()
 
-    document = checkpoint_to_dict(design, journal, solution)
-    document["format"] = CHECKPOINT_FORMAT_V1
-    document.pop("campaign", None)
-    document.pop("checksum", None)  # v1 documents predate the integrity field
-    path = tmp_path / "v1.json"
+    document = checkpoint_to_dict(design, grid, solution)
+    document["format"] = "repro-checkpoint-v2"
+    document["journal"] = {"ops": [], "base": 0, "snapshot": document.pop("grid")}
+    document["checksum"] = checkpoint_checksum(document)
+    path = tmp_path / "v2.json"
     path.write_text(json.dumps(document))
 
-    _design, restored_grid, _journal, loaded = checkpoint_from_dict(
-        load_checkpoint_document(path)
-    )
-    grid.detach_journal()
-    restored_grid.detach_journal()
-    assert_grids_bit_identical(grid, restored_grid)
-    assert routes_dict(loaded) == routes_dict(solution)
-
-    # route_with_checkpoint treats a v1 document as a finished campaign.
-    solution2, _grid2, resumed = route_with_checkpoint(
-        fig1_dense_cluster(), MrTPLRouter, path, use_global_router=False
-    )
-    assert resumed
-    assert routes_dict(solution2) == routes_dict(solution)
-
+    loaded = load_checkpoint_document(path)  # intact, so the checksum passes
+    with pytest.raises(ValueError, match="repro-checkpoint-v3"):
+        checkpoint_from_dict(loaded)
+    with pytest.raises(ValueError, match="repro-checkpoint-v3"):
+        route_with_checkpoint(
+            fig1_dense_cluster(), MrTPLRouter, path, use_global_router=False
+        )
     with pytest.raises(ValueError, match="repro-checkpoint"):
         checkpoint_from_dict({"format": "not-a-checkpoint"})
 
@@ -436,7 +361,7 @@ def test_sigkilled_campaign_resumes_bit_identical(router_key, design_key, tmp_pa
     """The acceptance criterion: preemption mid-rip-up loses nothing.
 
     A campaign SIGKILLed after its second completed iteration resumes from
-    the v2 checkpoint at that exact iteration and converges on a solution
+    the checkpoint at that exact iteration and converges on a solution
     and a grid (occupancy and mask colours) bit-identical to an
     uninterrupted run's.
     """
@@ -486,7 +411,7 @@ def test_checkpoint_refuses_mismatched_campaigns(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# (e) Pool workers: fork bootstrap + shutdown escalation
+# (d) Pool workers: fork bootstrap, checkpointed campaigns, shutdown
 # ----------------------------------------------------------------------
 
 @needs_fork
@@ -508,18 +433,18 @@ def test_pool_fork_bootstrap_matches_serial():
 
 
 @needs_fork
-def test_sync_pool_cursors_allows_live_fold(tmp_path):
-    """Folding a live campaign journal must not strand pool workers."""
+def test_pool_campaign_under_checkpoint_matches_serial(tmp_path):
+    """Checkpoints taken while pool workers are live leave routing exact."""
     design = build_case()
     path = tmp_path / "ckpt.json"
-    folds = []
+    saves = []
     solution, grid, _resumed = route_with_checkpoint(
         design, MrTPLRouter, path,
-        on_checkpoint=lambda campaign: folds.append(campaign.iteration),
+        on_checkpoint=lambda campaign: saves.append(campaign.iteration),
         use_global_router=False,
         parallelism=2, batch_backend="pool", min_fork_batch=2,
     )
-    assert folds  # checkpoints (and thus folds) happened with the pool live
+    assert saves  # checkpoints happened with the pool live
     reference = solution_fingerprint(make_router("color-state", build_case()).run())
     assert solution_fingerprint(solution) == reference
 

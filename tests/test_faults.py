@@ -35,7 +35,7 @@ from repro.dr.router import DetailedRouter
 from repro.eval.experiments import route_with_checkpoint
 from repro.faults import FaultError, PipeDropFault, injected, parse_plan
 from repro.grid import RoutingGrid
-from repro.io.journal_io import (
+from repro.io.checkpoint_io import (
     CheckpointIntegrityError,
     checkpoint_candidates,
     checkpoint_checksum,
@@ -287,9 +287,8 @@ def test_supervisor_config_from_env(monkeypatch):
 def _saved_checkpoint(path):
     design = fig1_dense_cluster()
     grid = RoutingGrid(design)
-    journal = grid.attach_journal()
     grid.occupy(grid.vertex_of(0), "net0")
-    save_checkpoint(path, design, journal)
+    save_checkpoint(path, design, grid)
     return design
 
 
@@ -326,12 +325,11 @@ def test_rotation_retains_generations_and_never_unlinks_live(tmp_path):
     path = tmp_path / "ckpt.json"
     design = fig1_dense_cluster()
     grid = RoutingGrid(design)
-    journal = grid.attach_journal()
 
     generations = []
     for step in range(3):
         grid.occupy(grid.vertex_of(step), f"net{step}")
-        save_checkpoint(path, design, journal, keep=3)
+        save_checkpoint(path, design, grid, keep=3)
         generations.append(path.read_text())
         assert path.exists()  # the live path never disappears mid-rotation
 
@@ -342,8 +340,8 @@ def test_rotation_retains_generations_and_never_unlinks_live(tmp_path):
 
     # keep=1 disables rotation entirely.
     solo = tmp_path / "solo.json"
-    save_checkpoint(solo, design, journal, keep=1)
-    save_checkpoint(solo, design, journal, keep=1)
+    save_checkpoint(solo, design, grid, keep=1)
+    save_checkpoint(solo, design, grid, keep=1)
     assert not checkpoint_candidates(solo, keep=3)[1].exists()
 
 
@@ -351,10 +349,9 @@ def test_fallback_loader_prefers_newest_valid(tmp_path):
     path = tmp_path / "ckpt.json"
     design = fig1_dense_cluster()
     grid = RoutingGrid(design)
-    journal = grid.attach_journal()
-    save_checkpoint(path, design, journal, keep=2)
+    save_checkpoint(path, design, grid, keep=2)
     grid.occupy(grid.vertex_of(1), "net1")
-    save_checkpoint(path, design, journal, keep=2)
+    save_checkpoint(path, design, grid, keep=2)
     aged = checkpoint_candidates(path, keep=2)[1]
 
     document, used = load_checkpoint_document_with_fallback(path, keep=2)
@@ -379,10 +376,9 @@ def test_injected_tear_leaves_recoverable_generation(tmp_path):
     path = tmp_path / "ckpt.json"
     design = _saved_checkpoint(path)
     grid = RoutingGrid(design)
-    journal = grid.attach_journal()
     grid.occupy(grid.vertex_of(2), "torn-net")
     with injected("checkpoint.tear"):
-        save_checkpoint(path, design, journal, keep=2)
+        save_checkpoint(path, design, grid, keep=2)
     # The fault tore the *newest* document mid-write...
     with pytest.raises(CheckpointIntegrityError):
         load_checkpoint_document(path)

@@ -134,6 +134,16 @@ class TestRoutingGrid:
         assert grid.vertex_color(vertex) is None
         assert grid.color_costs(probe, "n1") == [0.0, 0.0, 0.0]
 
+    def test_release_keeps_remaining_owners_color(self):
+        grid = RoutingGrid(make_design())
+        vertex = GridPoint(0, 6, 5)
+        for net, color in (("a", 1), ("b", 2)):
+            grid.occupy(vertex, net)
+            grid.set_vertex_color(vertex, net, color)
+        assert grid.release_net("b") == 1
+        assert grid.occupants(vertex) == {"a"}
+        assert grid.vertex_color(vertex) == 1
+
     def test_fixed_colored_obstacle_pressure(self):
         grid = RoutingGrid(make_design(color=1))
         near = grid.nearest_vertex(0, Point(44, 46))

@@ -9,8 +9,7 @@ the persistent ``pool`` executor backend (which rests on that guarantee)
 bit-identical to the serial oracle across batch sizes, checks that the
 pool's lifetime counters (forks, replayed ops, suffix-message batching)
 survive pool discard and re-fork without loss or double counting, and
-round-trips
-journals and checkpoints through the :mod:`repro.io.journal_io` path.
+round-trips checkpoints through :mod:`repro.io.checkpoint_io`.
 """
 
 import multiprocessing
@@ -23,15 +22,8 @@ from repro.bench.micro import solution_fingerprint, solution_metrics
 from repro.bench.suites import sparse_suite, suite_case
 from repro.dr.router import DetailedRouter
 from repro.grid import RoutingGrid, RoutingSolution
-from repro.io.journal_io import (
-    journal_from_dict,
-    journal_to_dict,
-    load_checkpoint,
-    load_journal_json,
-    save_checkpoint,
-    save_journal_json,
-)
-from repro.journal import MutationJournal, ops_from_jsonable, replay_ops
+from repro.io.checkpoint_io import load_checkpoint, save_checkpoint
+from repro.journal import replay_ops
 from repro.sched import BatchScheduler
 from repro.tpl.mr_tpl import MrTPLRouter
 
@@ -160,21 +152,20 @@ def test_apply_op_rejects_unknown_and_malformed_ops():
     with pytest.raises(ValueError):
         grid.apply_op(("warp", 1, 2))
     with pytest.raises(ValueError):
-        MutationJournal([("occupy", 1)])  # wrong arity
-    with pytest.raises(ValueError):
-        ops_from_jsonable([["no_such_op"]])
+        grid.apply_op(("color", 1))  # wrong arity
 
 
 def test_attach_journal_is_exclusive_and_detachable():
     grid = RoutingGrid(build_case("ispd18", 1, 0.5))
     journal = grid.attach_journal()
-    assert grid.attach_journal(journal) is journal  # re-attach same: ok
     with pytest.raises(RuntimeError):
-        grid.attach_journal(MutationJournal())
+        grid.attach_journal()
+    assert grid.journal is journal
     assert grid.detach_journal() is journal
     recorded = journal.cursor
     grid.occupy(grid.vertex_of(1), "untracked")
     assert journal.cursor == recorded  # detached: mutations go unrecorded
+    assert grid.attach_journal() is not journal  # a fresh one after detach
 
 
 def test_journal_compaction_preserves_cursor_arithmetic():
@@ -194,13 +185,6 @@ def test_journal_compaction_preserves_cursor_arithmetic():
     with pytest.raises(ValueError):
         journal.suffix(0)
     assert journal.compact(0) == 0  # never un-compacts
-
-
-def test_compacted_journal_refuses_persistence():
-    journal = MutationJournal([("history", 1, 1.0), ("decay", 0.5)])
-    journal.compact(1)
-    with pytest.raises(ValueError):
-        journal_to_dict(journal)
 
 
 # ----------------------------------------------------------------------
@@ -348,47 +332,21 @@ def test_suffix_message_batching_accounts_and_elides():
 
 
 # ----------------------------------------------------------------------
-# (c) Journal and checkpoint round-trips through repro.io
+# (c) Checkpoint round-trips through repro.io
 # ----------------------------------------------------------------------
-
-def test_journal_json_roundtrip_replays_bit_identical(tmp_path):
-    design = build_case("ispd19", 1, 0.5)
-    grid = RoutingGrid(design)
-    journal = grid.attach_journal()
-    make_router("color-state", design, grid=grid).run()
-
-    path = tmp_path / "journal.json"
-    save_journal_json(journal, path)
-    loaded = load_journal_json(path)
-    assert loaded.ops == journal.ops  # tuples restored exactly
-
-    fresh = RoutingGrid(build_case("ispd19", 1, 0.5))
-    replay_ops(fresh, loaded.ops)
-    assert_grids_bit_identical(grid, fresh)
-
-
-def test_journal_dict_roundtrip_preserves_float_amounts():
-    journal = MutationJournal([("history", 7, 0.1 + 0.2), ("decay", 0.7)])
-    restored = journal_from_dict(journal_to_dict(journal))
-    assert restored.ops == journal.ops
-
 
 def test_checkpoint_roundtrip_restores_grid_and_solution(tmp_path):
     design = build_case("ispd18", 1, 0.5)
     grid = RoutingGrid(design)
-    journal = grid.attach_journal()
     solution = make_router("maze", design, grid=grid).run()
 
     path = tmp_path / "campaign.ckpt.json"
-    save_checkpoint(path, design, journal, solution)
-    _design2, grid2, journal2, solution2 = load_checkpoint(path)
+    save_checkpoint(path, design, grid, solution)
+    _design2, grid2, solution2 = load_checkpoint(path)
     assert_grids_bit_identical(grid, grid2)
     assert solution_fingerprint(solution2) == solution_fingerprint(solution)
-    # The journal is re-attached, so a resumed campaign keeps recording.
-    assert grid2.journal is journal2
-    before = journal2.cursor
-    grid2.add_history(grid2.vertex_of(0), 1.0)
-    assert journal2.cursor == before + 1
+    # The restored grid records nothing until a journal is attached.
+    assert grid2.journal is None
 
 
 def test_route_with_checkpoint_resumes_without_rerouting(tmp_path):
@@ -438,10 +396,9 @@ def test_route_with_checkpoint_rejects_other_routers_campaign(tmp_path):
 def test_checkpoint_saves_atomically(tmp_path):
     design = build_case("ispd18", 1, 0.5)
     grid = RoutingGrid(design)
-    journal = grid.attach_journal()
     solution = make_router("maze", design, grid=grid).run()
     path = tmp_path / "atomic.ckpt.json"
-    save_checkpoint(path, design, journal, solution)
-    save_checkpoint(path, design, journal, solution)  # overwrite in place
+    save_checkpoint(path, design, grid, solution)
+    save_checkpoint(path, design, grid, solution)  # overwrite in place
     assert not list(tmp_path.glob("*.tmp"))  # scratch file renamed away
     load_checkpoint(path)
