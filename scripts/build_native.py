@@ -14,7 +14,7 @@ usable kernels are already importable and, if not, why -- without
 building anything (it sets ``REPRO_NATIVE_AUTOBUILD=0`` for the probe).
 
 The build is optional by design: the routers and checkers run
-bit-identically on the buffered Python tiers when no kernel is
+bit-identically on the pure-Python tier when no kernel is
 available.  Exit status: 0 when every kernel is (now) loadable, 1
 otherwise.
 """

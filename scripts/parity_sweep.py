@@ -54,12 +54,17 @@ SCALE = 1.0
 HAVE_FORK = sys.platform != "win32" and "fork" in multiprocessing.get_all_start_methods()
 
 #: ``(name, tier gates forced off, router keyword arguments, needs fork)``.
-#: Turning numpy off also turns the native search off, so that leg runs
-#: the pure check loops and the buffered-python search.
+#: The pure-python leg closes both native gates, so it runs the Python
+#: search loop and the pure check loops together.
 LEGS = (
     ("native search off", (accel.set_native_enabled,), {}, False),
     ("native check off", (accel.set_check_native_enabled,), {}, False),
-    ("numpy off", (accel.set_numpy_enabled, accel.set_native_enabled), {}, False),
+    (
+        "pure python",
+        (accel.set_native_enabled, accel.set_check_native_enabled),
+        {},
+        False,
+    ),
     (
         "pool x4",
         (),

@@ -1,13 +1,13 @@
-"""Legacy setup script.
+"""Setup script: the project's only packaging metadata.
 
-The project is fully described by ``pyproject.toml``; this file additionally
-declares the optional compiled kernels (``repro.native._relaxation`` and
-``repro.native._checkwork``) so ``python setup.py build_ext --inplace``
-builds them ahead of time.  The extensions are strictly optional: when one
-is absent (or the build fails -- see the ``optional`` flag) the engines and
-checkers run on the buffered Python tiers with identical results, and
+It declares the ``repro`` package under ``src/`` and the optional compiled
+kernels (``repro.native._relaxation`` and ``repro.native._checkwork``), so
+``python setup.py build_ext --inplace`` builds them ahead of time.  The
+extensions are strictly optional: when one is absent (or the build fails
+-- see the ``optional`` flag) the engines and checkers run on the
+pure-Python tier with identical results, and
 ``repro.native.load_kernel`` / ``load_check_kernel`` can still auto-build
-them lazily at runtime.
+them lazily at runtime.  No runtime dependency is needed.
 
 On offline machines whose setuptools/pip combination cannot build PEP 660
 editable wheels (no ``wheel`` package available) use::

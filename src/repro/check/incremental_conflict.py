@@ -19,10 +19,10 @@ conflict lists stay valid until one of the nets changes:
   dirty nets only.
 
 The candidate-partner neighborhood scan runs on the tiered
-:func:`repro.check.kernels.scan_hits` fast path (native ``_checkwork``
-kernel or a numpy broadcast over the flat feature-owner mirror) when
-:mod:`repro.accel` has an accelerated tier open; the original pure
-dict/set loop is kept verbatim as the fallback and behavioral reference.
+:func:`repro.check.kernels.scan_hits` fast path (the native
+``_checkwork`` kernel over the flat feature-owner mirror) when :mod:`repro.accel`
+has it open; the original pure dict/set loop is kept verbatim as the
+fallback and behavioral reference.
 
 The running tallies therefore match a fresh full scan on counts, kinds and
 net pairs (locations are anchored at the feature vertex nearest the

@@ -21,10 +21,10 @@ spacing radius (the per-vertex interaction offsets are the dirty-region
 expansion of :mod:`repro.check.dirty`, applied net by net).
 
 The neighborhood scan itself runs on the tiered
-:func:`repro.check.kernels.scan_hits` fast path (native ``_checkwork``
-kernel or a numpy broadcast over the flat owner mirror) when
-:mod:`repro.accel` has an accelerated tier open; the original pure
-dict/set loop is kept verbatim as the fallback and behavioral reference.
+:func:`repro.check.kernels.scan_hits` fast path (the native
+``_checkwork`` kernel over the flat owner mirror) when :mod:`repro.accel`
+has it open; the original pure dict/set loop is kept verbatim as the
+fallback and behavioral reference.
 
 The full :class:`DRCChecker` remains the frozen reference oracle;
 ``tests/test_incremental_check.py`` and ``tests/test_check_kernels.py``

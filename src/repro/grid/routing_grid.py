@@ -58,7 +58,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.accel import get_numpy
 from repro.design import Design
 from repro.geometry import GridPoint, Point, Rect, SpatialIndex
 from repro.journal import (
@@ -249,13 +248,6 @@ class RoutingGrid:
         # Per-layer canonical reach offsets (max(Dcolor, min_spacing)) so
         # the incremental checkers and the scheduler share one table.
         self._layer_offsets_cache: Dict[int, Tuple[Tuple[int, int, int], ...]] = {}
-        # Per-radius block half-width when the offsets form a full square
-        # (they do for the L-infinity spacing predicate); lets the numpy
-        # pressure kernel use strided-slice adds instead of offset loops.
-        self._block_reach_cache: Dict[int, Optional[int]] = {}
-        # Cached numpy view over the live pressure buffer, invalidated when
-        # the buffer object is replaced (reset_routing_state).
-        self._pressure_np_view: Optional[Tuple[object, object]] = None
         # Lazily built flat-index -> GridPoint table (geometry is immutable).
         self._vertex_table: Optional[Tuple[GridPoint, ...]] = None
 
@@ -848,43 +840,6 @@ class RoutingGrid:
         """Return the offsets interacting at *layer*'s color spacing ``Dcolor``."""
         return self.interaction_offsets(self.rules.color_spacing_on(layer))
 
-    def _interaction_block_reach(self, radius: int) -> Optional[int]:
-        """Return the half-width R when the *radius* offsets form a full
-        ``(2R+1) x (2R+1)`` square, else ``None``.
-
-        The L-infinity spacing predicate is separable per axis, so the
-        interacting offsets always form a square block in practice; the
-        numpy pressure kernel relies on that to replace the offset loop
-        with one strided-slice add, and this validation keeps the fallback
-        loop authoritative should the predicate ever change shape.
-        """
-        if radius in self._block_reach_cache:
-            return self._block_reach_cache[radius]
-        offsets = self.interaction_offsets(radius)
-        reach = max(dcol for dcol, _drow, _delta in offsets)
-        square = {
-            (dcol, drow)
-            for dcol in range(-reach, reach + 1)
-            for drow in range(-reach, reach + 1)
-        }
-        value: Optional[int] = reach
-        if {(dcol, drow) for dcol, drow, _delta in offsets} != square:
-            value = None
-        self._block_reach_cache[radius] = value
-        return value
-
-    def _pressure_view(self, np: object) -> object:
-        """Return the cached 4-D numpy view ``[layer, col, row, mask]`` over
-        the live pressure buffer, rebuilt when the buffer is replaced."""
-        cached = self._pressure_np_view
-        if cached is not None and cached[0] is self._pressure_buf:
-            return cached[1]
-        view = np.frombuffer(self._pressure_buf).reshape(
-            self.num_layers, self.num_cols, self.num_rows, 3
-        )
-        self._pressure_np_view = (self._pressure_buf, view)
-        return view
-
     def _net_overlay(self, net_id: int) -> Dict[int, List[float]]:
         """Return (creating if needed) the mutable overlay map of *net_id*."""
         overlay = self._net_pressure.get(net_id)
@@ -898,11 +853,8 @@ class RoutingGrid:
     ) -> None:
         """Add (or remove, with ``sign=-1``) the pressure of one colored vertex.
 
-        The shared pressure map is updated with a numpy strided-slice add
-        over the ``Dcolor`` block when acceleration is on; the pure-Python
-        offset loop below is the fallback and the differential oracle (both
-        perform one identical IEEE add per in-bounds block vertex, so the
-        resulting maps are bit-identical).
+        Every in-bounds vertex within ``Dcolor`` of *index* gets one add on
+        the shared pressure map and on the net's own overlay.
         """
         layer, rem = divmod(index, self.plane_size)
         if not self.tech.layers[layer].tpl:
@@ -911,30 +863,6 @@ class RoutingGrid:
         cols, rows = self.num_cols, self.num_rows
         amount = sign * self.rules.conflict_cost
         overlay = self._net_overlay(net_id)
-        np = get_numpy()
-        reach = (
-            self._interaction_block_reach(self.rules.color_spacing_on(layer))
-            if np is not None
-            else None
-        )
-        if reach is not None:
-            col_lo = col - reach if col >= reach else 0
-            col_hi = min(col + reach, cols - 1)
-            row_lo = row - reach if row >= reach else 0
-            row_hi = min(row + reach, rows - 1)
-            view = self._pressure_view(np)
-            view[layer, col_lo : col_hi + 1, row_lo : row_hi + 1, color] += amount
-            # The per-net overlay is a sparse dict; update it per block
-            # vertex (the block is small: (2R+1)^2 entries at most).
-            for target_col in range(col_lo, col_hi + 1):
-                base = (layer * cols + target_col) * rows
-                for target in range(base + row_lo, base + row_hi + 1):
-                    own = overlay.get(target)
-                    if own is None:
-                        own = [0.0, 0.0, 0.0]
-                        overlay[target] = own
-                    own[color] += amount
-            return
         pressure = self._pressure_buf
         for dcol, drow, delta in self._pressure_offsets(layer):
             target_col = col + dcol
@@ -1294,7 +1222,6 @@ class RoutingGrid:
         self._color_buf = bytearray(num_vertices)
         self._history_buf = array("d", [0.0]) * num_vertices
         self._pressure_buf = array("d", [0.0, 0.0, 0.0]) * num_vertices
-        self._pressure_np_view = None
         self._multi_owners.clear()
         self._net_occupied.clear()
         self._history_touched.clear()
@@ -1443,7 +1370,6 @@ class RoutingGrid:
         self._color_buf = color
         self._history_buf = history
         self._pressure_buf = pressure
-        self._pressure_np_view = None
         self._net_names = [""] + [str(name) for name in snapshot["net_names"]]
         self._net_ids = {name: i for i, name in enumerate(self._net_names) if i}
         self._multi_owners = {

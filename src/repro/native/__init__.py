@@ -6,7 +6,7 @@ incremental-check dirty-vertex neighborhood scan (``_checkwork.c``) --
 the build machinery (:mod:`repro.native.build`) and the runtime loaders.
 Nothing here is required: when an extension is absent and cannot be
 built, its loader returns ``None`` and the callers keep running on the
-buffered-Python tiers, bit-identically.
+pure-Python tier, bit-identically.
 
 Loading order (per extension):
 
@@ -26,9 +26,9 @@ system and the dynamic loader would hand that module back again.  Every
 outcome is cached for the process lifetime -- a missing compiler costs
 one failed probe per process per extension, not one per call.
 
-Tier *selection* (env overrides, runtime toggles, interplay with the numpy
-gate) lives in :mod:`repro.accel`; this module only answers "is there a
-usable binary?".
+Tier *selection* (the ``REPRO_PURE_PYTHON`` gate and the runtime toggles)
+lives in :mod:`repro.accel`; this module only answers "is there a usable
+binary?".
 """
 
 from __future__ import annotations
@@ -53,9 +53,10 @@ from repro.native.build import (
 )
 from repro.utils.env import env_flag
 
-#: The argument contract of ``_relaxation.run_search`` this checkout's
-#: Python wrapper speaks; must match the binary's ``KERNEL_ABI_VERSION``.
-EXPECTED_ABI_VERSION = 3
+#: The argument contract of ``_relaxation`` (``run_search`` and
+#: ``labelled_box``) this checkout's Python wrappers speak; must match the
+#: binary's ``KERNEL_ABI_VERSION``.
+EXPECTED_ABI_VERSION = 4
 
 #: The argument contract of ``_checkwork.scan_hits``.
 EXPECTED_CHECK_ABI_VERSION = 1

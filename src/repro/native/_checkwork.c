@@ -12,7 +12,7 @@
  * interpreter.
  *
  * Everything is integer arithmetic over caller-owned flat buffers
- * (int64 little-endian as produced by array('q') / numpy int64), so
+ * (int64 little-endian, as produced by array('q')), so
  * there is no floating-point rounding contract to defend; the loop runs
  * with the GIL released.
  *

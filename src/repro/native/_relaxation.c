@@ -57,9 +57,10 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Bumped whenever the run_search argument contract changes; the Python
- * loader refuses (and rebuilds) a stale binary whose ABI does not match. */
-#define KERNEL_ABI_VERSION 3
+/* Bumped whenever the module's argument contract changes (run_search or
+ * labelled_box); the Python loader refuses (and rebuilds) a stale binary
+ * whose ABI does not match. */
+#define KERNEL_ABI_VERSION 4
 
 #define MODE_TRADITIONAL 0
 #define MODE_COLOR_STATE 1
@@ -221,8 +222,8 @@ typedef struct {
     Heap heap;
 } SearchCtx;
 
-/* A* lower bound -- the exact arithmetic of SearchCore._heuristic_table
- * and its scalar twin: alpha * (planar + dlayer * via_cost). */
+/* A* lower bound -- the exact arithmetic of SearchCore.run's inline heur:
+ * alpha * (planar + dlayer * via_cost). */
 static inline double
 heur_of(const SearchCtx *ctx, int node)
 {
@@ -804,9 +805,84 @@ run_search(PyObject *self, PyObject *args)
     return Py_BuildValue("in", reached, expansions);
 }
 
+/* labelled_box(stamp, epoch, node_stride, plane_size, num_rows): the planar
+ * (col_lo, row_lo, col_hi, row_hi) bounding box of every node whose stamp
+ * equals epoch, or None when there is none -- CoreResult.labelled_planar_box
+ * without the interpreted O(nodes) scan. */
+static PyObject *
+labelled_box(PyObject *self, PyObject *args)
+{
+    PyObject *stamp_obj;
+    BufferSlot slot;
+    void *ptr;
+    const long long *stamp;
+    long long epoch;
+    Py_ssize_t num_nodes, node;
+    int node_stride, plane, rows, found = 0;
+    long long vertex, rem, col, row;
+    long long col_lo = 0, row_lo = 0, col_hi = 0, row_hi = 0;
+
+    if (!PyArg_ParseTuple(args, "OLiii", &stamp_obj, &epoch, &node_stride,
+                          &plane, &rows)) {
+        return NULL;
+    }
+    if (node_stride < 1 || plane < 1 || rows < 1) {
+        PyErr_SetString(PyExc_ValueError,
+                        "node_stride, plane and rows must be positive");
+        return NULL;
+    }
+    if (acquire(stamp_obj, &slot, 0, &ptr) < 0) {
+        return NULL;
+    }
+    if (!slot.held) {
+        PyErr_SetString(PyExc_TypeError, "stamp must be a buffer");
+        return NULL;
+    }
+    stamp = (const long long *)ptr;
+    num_nodes = slot.view.len / (Py_ssize_t)sizeof(long long);
+
+    Py_BEGIN_ALLOW_THREADS
+    for (node = 0; node < num_nodes; node++) {
+        if (stamp[node] != epoch) {
+            continue;
+        }
+        vertex = (long long)node / node_stride;
+        rem = vertex % plane;
+        col = rem / rows;
+        row = rem % rows;
+        if (!found) {
+            col_lo = col_hi = col;
+            row_lo = row_hi = row;
+            found = 1;
+            continue;
+        }
+        if (col < col_lo) {
+            col_lo = col;
+        }
+        else if (col > col_hi) {
+            col_hi = col;
+        }
+        if (row < row_lo) {
+            row_lo = row;
+        }
+        else if (row > row_hi) {
+            row_hi = row;
+        }
+    }
+    Py_END_ALLOW_THREADS
+
+    PyBuffer_Release(&slot.view);
+    if (!found) {
+        Py_RETURN_NONE;
+    }
+    return Py_BuildValue("(LLLL)", col_lo, row_lo, col_hi, row_hi);
+}
+
 static PyMethodDef relaxation_methods[] = {
     {"run_search", run_search, METH_VARARGS,
      "Run one compiled multi-source Dijkstra/A* search over flat buffers."},
+    {"labelled_box", labelled_box, METH_VARARGS,
+     "Return the planar bounding box of the nodes stamped with an epoch."},
     {NULL, NULL, 0, NULL},
 };
 

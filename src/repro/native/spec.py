@@ -15,7 +15,7 @@ Specs are built only when the native tier is active
 (:func:`repro.accel.get_native_kernel`).  They carry no per-search tables:
 the kernel reads the grid's live history, owner and pressure buffers and
 computes the congestion and colour-pressure terms inline, so the tier
-needs neither numpy nor any O(V) set-up per search.
+needs no O(V) set-up per search.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ from array import array
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.accel import get_native_kernel, get_numpy
+from repro.accel import get_native_kernel
 from repro.native.spec import ACCEPT_ALWAYS
 
 if TYPE_CHECKING:  # imported lazily to keep this module dependency-free
@@ -174,9 +174,6 @@ class CoreResult:
 
     def _labelled_nodes(self) -> List[int]:
         stamp, epoch = self._stamp_buf, self._epoch
-        np = get_numpy()
-        if np is not None:
-            return np.flatnonzero(np.frombuffer(stamp, dtype=np.int64) == epoch).tolist()
         return [node for node, mark in enumerate(stamp) if mark == epoch]
 
     def labelled_planar_box(
@@ -191,19 +188,12 @@ class CoreResult:
         so this box bounds the state the result depends on -- the
         speculative batch executor compares it against committed batch-mate
         deltas to decide whether a snapshot-computed route is still exact.
+        The scan runs in the native kernel when it is active.
         """
         stamp, epoch = self._stamp_buf, self._epoch
-        np = get_numpy()
-        if np is not None:
-            nodes = np.flatnonzero(np.frombuffer(stamp, dtype=np.int64) == epoch)
-            if not nodes.size:
-                return None
-            if node_stride != 1:
-                nodes = nodes // node_stride
-            rem = nodes % plane_size
-            cols = rem // num_rows
-            rows = rem % num_rows
-            return (int(cols.min()), int(rows.min()), int(cols.max()), int(rows.max()))
+        kernel = get_native_kernel()
+        if kernel is not None:
+            return kernel.labelled_box(stamp, epoch, node_stride, plane_size, num_rows)
         box = None
         for node, mark in enumerate(stamp):
             if mark != epoch:
@@ -290,14 +280,6 @@ class SearchCore:
         # The previous run's (possibly still referenced) result: snapshot it
         # before its buffers are overwritten.
         self._last_result: Optional[weakref.ref] = None
-        # Cached per-vertex coordinate arrays for the vectorised heuristic.
-        self._coord_cache: Optional[Tuple[object, object, object]] = None
-        # Per-(target bounds, stride) heuristic tables, reused across the
-        # searches of one net and across rip-up iterations: the lower bound
-        # reads only the target box and the grid's immutable geometry/rules,
-        # never mutable grid state, so entries stay exact for the life of
-        # the core regardless of RoutingGrid.mutation_epoch.
-        self._heur_tables: Dict[Tuple["TargetBounds", int], List[float]] = {}
         # Per-node target flags for the native kernel (set before a kernel
         # call, cleared right after; allocated lazily with the labels).
         self._target_flags: Optional[bytearray] = None
@@ -325,57 +307,6 @@ class SearchCore:
         self._exp_cost_buf = array("d", [0.0]) * num_nodes
         self._exp_aux_buf = array("i", [0]) * num_nodes
         self._exp_stamp_buf = array("q", [0]) * num_nodes
-
-    #: Cap on cached per-bounds heuristic tables; a router cycling through
-    #: more distinct target boxes than this simply rebuilds (correctness is
-    #: unaffected, the cache only saves the O(V) vectorised pass).
-    _HEUR_CACHE_LIMIT = 128
-
-    def _heuristic_table(
-        self, bounds: "TargetBounds", node_stride: int
-    ) -> Optional[List[float]]:
-        """Return per-node A* lower bounds as a flat list, or ``None``.
-
-        Vectorised hoist of the inline heuristic: the bounding box changes
-        per *net*, but the per-vertex coordinate decomposition is fixed, so
-        one numpy pass produces every node's ``h`` value with the exact
-        scalar arithmetic (``alpha * (planar + dlayer * via_cost)``).
-        Tables are cached per ``(bounds, stride)`` -- a net's target box
-        recurs across its multi-pin searches and across every rip-up
-        iteration that reroutes it, and the bound depends on no mutable
-        grid state, so the rebuild-per-search of earlier revisions was
-        pure waste.
-        """
-        np = get_numpy()
-        if np is None:
-            return None
-        key = (bounds, node_stride)
-        cached = self._heur_tables.get(key)
-        if cached is not None:
-            return cached
-        grid = self.grid
-        if self._coord_cache is None:
-            indices = np.arange(grid.num_vertices)
-            layer, rem = np.divmod(indices, grid.plane_size)
-            col, row = np.divmod(rem, grid.num_rows)
-            self._coord_cache = (layer, col, row)
-        layer, col, row = self._coord_cache
-        zero = 0
-        dcol = np.maximum(np.maximum(bounds.min_col - col, zero), col - bounds.max_col)
-        drow = np.maximum(np.maximum(bounds.min_row - row, zero), row - bounds.max_row)
-        dlayer = np.maximum(
-            np.maximum(bounds.min_layer - layer, zero), layer - bounds.max_layer
-        )
-        rules = self.grid.rules
-        heights = (dcol + drow).astype(float) + dlayer.astype(float) * rules.via_cost
-        table = rules.alpha * heights
-        if node_stride != 1:
-            table = np.repeat(table, node_stride)
-        result = table.tolist()
-        if len(self._heur_tables) >= self._HEUR_CACHE_LIMIT:
-            self._heur_tables.clear()
-        self._heur_tables[key] = result
-        return result
 
     def _try_run_native(
         self,
@@ -597,12 +528,7 @@ class SearchCore:
         succ_cost = self._succ_cost
         succ_aux = self._succ_aux
 
-        heur_table: Optional[List[float]] = None
         if bounds is not None:
-            heur_table = self._heuristic_table(bounds, node_stride)
-        if heur_table is not None:
-            heur = heur_table.__getitem__
-        elif bounds is not None:
             rules = grid.rules
             alpha = rules.alpha
             via_cost = rules.via_cost

@@ -1,14 +1,15 @@
 """Differential fuzz of the tiered incremental-check fast path.
 
-The incremental checkers' neighborhood scan runs on three tiers (native
-``_checkwork`` kernel, numpy broadcast, pure dict/set loops -- see
+The incremental checkers' neighborhood scan runs on two tiers (the native
+``_checkwork`` kernel and the pure dict/set loops -- see
 :mod:`repro.check.kernels`).  These tests force each tier on the same
 randomized mutation streams as ``tests/test_incremental_check.py`` and
 require every tier's report to equal the frozen full-scan oracles exactly,
 plus:
 
 * gate/fallback behaviour (``set_check_native_enabled``,
-  ``REPRO_NO_NATIVE_CHECK``, ``scan_hits`` returning ``None`` without numpy),
+  ``REPRO_PURE_PYTHON``, ``scan_hits`` returning ``None`` on the Python
+  tier),
 * owner-mirror consistency across snapshot restore and journal replay,
 * the ``id()``-reuse regression (route replacement must be detected by
   revision, not address),
@@ -57,22 +58,17 @@ from repro.utils import SeededRNG
 @contextmanager
 def forced_tier(tier):
     """Force one incremental-check tier for the duration of the block."""
-    previous_numpy = accel.set_numpy_enabled(tier != "pure")
     previous_native = accel.set_check_native_enabled(tier == "native")
     try:
         yield
     finally:
-        accel.set_numpy_enabled(previous_numpy)
         accel.set_check_native_enabled(previous_native)
 
 
 def available_tiers():
-    tiers = ["pure"]
-    if accel.have_numpy():
-        tiers.append("buffered")
-        if accel.check_native_available():
-            tiers.append("native")
-    return tiers
+    if accel.check_native_available():
+        return ["python", "native"]
+    return ["python"]
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +128,7 @@ def test_full_router_solutions_identical_across_tiers():
             )
             for name, route in solution.routes.items()
         }
-    reference = fingerprints["pure"]
+    reference = fingerprints["python"]
     for tier, fingerprint in fingerprints.items():
         assert fingerprint == reference, f"tier {tier!r} changed the campaign result"
 
@@ -162,18 +158,18 @@ def brute_force_hits(grid, indices, offsets, owner, self_id):
     return hits
 
 
-def test_scan_hits_returns_none_without_numpy():
+def test_scan_hits_returns_none_on_python_tier():
     grid = make_scan_grid()
     offsets = grid.interaction_offset_arrays(grid.rules.min_spacing, include_center=False)
     owner = zero_owner_mirror(grid.num_vertices)
     from array import array
 
     indices = array("q", [grid.index_of(v) for v in [grid.vertex_of(5)]])
-    with forced_tier("pure"):
+    with forced_tier("python"):
         assert scan_hits(indices, offsets, owner, 1, grid.num_cols, grid.num_rows) is None
 
 
-@pytest.mark.skipif(not accel.have_numpy(), reason="needs numpy")
+@pytest.mark.skipif(not accel.check_native_available(), reason="needs the check kernel")
 def test_scan_hits_matches_brute_force_on_all_tiers():
     from array import array
 
@@ -189,12 +185,9 @@ def test_scan_hits_matches_brute_force_on_all_tiers():
         "q", sorted({rng.randint(0, grid.num_vertices - 1) for _ in range(40)})
     )
     expected = brute_force_hits(grid, indices, offsets, owner, self_id=2)
-    tiers = [tier for tier in available_tiers() if tier != "pure"]
-    for tier in tiers:
-        with forced_tier(tier):
-            got = scan_hits(indices, offsets, owner, 2, grid.num_cols, grid.num_rows)
-        assert list(got) == expected, f"tier {tier!r} scan mismatch"
-    with forced_tier("buffered"):
+    with forced_tier("native"):
+        got = scan_hits(indices, offsets, owner, 2, grid.num_cols, grid.num_rows)
+        assert list(got) == expected
         assert scan_hits(array("q"), offsets, owner, 2, grid.num_cols, grid.num_rows) == []
 
 
@@ -213,32 +206,29 @@ def test_check_native_gate_toggles():
         accel.set_check_native_enabled(previous)
 
 
-def test_check_tier_requires_numpy():
-    previous = accel.set_numpy_enabled(False)
-    try:
-        assert accel.get_check_kernel() is None
-        assert accel.active_check_tier() == "buffered-python"
-    finally:
-        accel.set_numpy_enabled(previous)
-
-
 @pytest.mark.parametrize(
     "env_name, forbidden",
-    [("REPRO_NO_NATIVE_CHECK", ("native",)),
-     ("REPRO_PURE_PYTHON", ("native", "buffered-numpy"))],
+    [("REPRO_NO_NATIVE_CHECK", ()),
+     ("REPRO_PURE_PYTHON", ("native",))],
 )
 def test_check_env_gates(env_name, forbidden):
+    """``REPRO_PURE_PYTHON=1`` closes both native kernels at import time;
+    the retired ``REPRO_NO_NATIVE_CHECK`` closes nothing."""
     env = dict(os.environ)
+    env.pop("REPRO_PURE_PYTHON", None)
     env[env_name] = "1"
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    tier = subprocess.run(
+    tiers = subprocess.run(
         [sys.executable, "-c",
-         "from repro.accel import active_check_tier; print(active_check_tier())"],
+         "from repro.accel import active_check_tier, active_search_tier\n"
+         "print(active_search_tier(), active_check_tier())"],
         env=env, capture_output=True, text=True, check=True,
-    ).stdout.strip()
-    assert tier in accel.CHECK_TIERS or tier in ("buffered-numpy", "buffered-python")
-    assert tier not in forbidden
+    ).stdout.split()
+    assert len(tiers) == 2 and all(tier in accel.TIERS for tier in tiers)
+    assert not set(tiers) & set(forbidden)
+    if not forbidden and accel.native_available() and accel.check_native_available():
+        assert tiers == ["native", "native"]
 
 
 # ----------------------------------------------------------------------

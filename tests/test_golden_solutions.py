@@ -1,15 +1,14 @@
-"""Golden routing digests: the committed oracle for every search tier.
+"""Golden routing digests: the committed oracle for both search tiers.
 
 Each constant is ``sha256(repr((solution_fingerprint(s), solution_metrics(s))))``
 of one routed (design, router) pair, with the helpers of
 :mod:`repro.bench.micro`.  The constants were produced by routing every pair
 through the frozen ``GridPoint``-dict reference engines (the seed search
-architecture) and through the flat-index ``SearchCore`` engines on the
-``native``, ``buffered-numpy`` and ``buffered-python`` tiers; all four runs
-agreed on every pair, and the same digests came out under
-``PYTHONHASHSEED`` 0, 1, 2 and unset.  The reference engines have since been
-deleted, so these constants carry their authority: any drift of any tier
-fails here.
+architecture) and through the flat-index ``SearchCore`` engines on every
+tier of the time; all runs agreed on every pair, and the same digests came
+out under ``PYTHONHASHSEED`` 0, 1, 2 and unset.  The reference engines have
+since been deleted, so these constants carry their authority: any drift of
+the ``native`` or ``python`` tier fails here, with numpy importable or not.
 
 What is pinned:
 
@@ -23,11 +22,16 @@ What is pinned:
 
 A change meant to alter routing results regenerates these constants with
 the same helpers and says why.  ``(random_2, DetailedRouter)`` postdates
-the reference engines: it was produced on the three flat-index tiers
-alone, which agree.
+the reference engines: it was produced on the flat-index tiers alone,
+which agree.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,22 +122,6 @@ GOLDEN = {
     ("fig3_walkthrough_design", "Dac2012Router"): "1ddc3e0809911e44c7fb35d12feff9fef9b75bf0bc7ec99de074273b0a985161",
 }
 
-#: Search tiers and the ``(native, numpy)`` gates that select them.
-TIERS = {
-    "native": (True, True),
-    "buffered-numpy": (False, True),
-    "buffered-python": (False, False),
-}
-
-
-def _tier_available(tier):
-    if tier == "native":
-        return accel.native_available()
-    if tier == "buffered-numpy":
-        return accel.have_numpy()
-    return True
-
-
 def golden_digest(design_name, router_name):
     """Route one golden pair on the active tier and return its digest."""
     kwargs = {}
@@ -144,20 +132,23 @@ def golden_digest(design_name, router_name):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-@pytest.fixture(params=list(TIERS))
+#: Test id -> search tier.  The Python tier runs the buffered expand
+#: protocol, so its cases are named ``buffered-python``.
+TIER_IDS = {"native": "native", "buffered-python": "python"}
+
+
+@pytest.fixture(params=list(TIER_IDS))
 def search_tier(request):
-    """Force one search tier for the test, restoring the gates after."""
-    tier = request.param
-    if not _tier_available(tier):
-        pytest.skip(f"search tier {tier} unavailable on this host")
-    native, numpy = TIERS[tier]
+    """Force one search tier for the test, restoring the gate after."""
+    tier = TIER_IDS[request.param]
+    native = tier == "native"
+    if native and not accel.native_available():
+        pytest.skip("native search tier unavailable on this host")
     prev_native = accel.set_native_enabled(native)
-    prev_numpy = accel.set_numpy_enabled(numpy)
     try:
         assert accel.active_search_tier() == tier
         yield tier
     finally:
-        accel.set_numpy_enabled(prev_numpy)
         accel.set_native_enabled(prev_native)
 
 
@@ -168,3 +159,47 @@ def test_every_design_and_router_is_pinned():
 @pytest.mark.parametrize("design_name,router_name", list(GOLDEN))
 def test_golden_solution(search_tier, design_name, router_name):
     assert golden_digest(design_name, router_name) == GOLDEN[(design_name, router_name)]
+
+
+#: Routes every golden pair on both tiers with ``import numpy`` blocked and
+#: prints ``{tier: {"design|router": digest}}`` as JSON.
+_NUMPY_BLOCKED_SCRIPT = """
+import json, sys
+sys.modules["numpy"] = None
+from repro import accel
+from tests.test_golden_solutions import GOLDEN, golden_digest
+digests = {}
+for tier in accel.TIERS:
+    accel.set_native_enabled(tier == "native")
+    if accel.active_search_tier() != tier:
+        continue
+    digests[tier] = {
+        design + "|" + router: golden_digest(design, router) for design, router in GOLDEN
+    }
+print(json.dumps(digests))
+"""
+
+
+def test_golden_solutions_without_numpy():
+    """Both tiers reproduce every digest in a process that cannot import numpy."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env.pop("REPRO_PURE_PYTHON", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _NUMPY_BLOCKED_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert completed.returncode == 0, completed.stderr
+    digests = json.loads(completed.stdout)
+    expected = {f"{design}|{router}": digest for (design, router), digest in GOLDEN.items()}
+    assert "python" in digests
+    if accel.native_available():
+        assert "native" in digests
+    for tier, got in digests.items():
+        assert got == expected, f"{tier} tier drifted with numpy blocked"

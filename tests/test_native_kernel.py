@@ -4,30 +4,30 @@ The native tier's one promise is *bit-identical* behaviour: running the
 same search compiled must produce exactly the labels, parents, aux bits,
 tie-breaks and therefore solutions the buffered Python loop produces.
 These tests enforce it three ways (``tests/test_golden_solutions.py``
-additionally pins every tier to committed solution digests):
+additionally pins both tiers to committed solution digests):
 
 * seeded fuzz parity -- randomized designs routed through every router
-  with the kernel on, the kernel off and numpy off (buffered-python), all
-  three compared digest-for-digest;
+  with the kernel on and off, compared digest-for-digest;
 * label-level parity -- single searches compared on the raw CoreResult
   cost / parent / aux maps (tie-breaks live in parents, the Alg. 2
-  color-state merge lives in aux);
+  color-state merge lives in aux), plus the kernel's labelled-box scan
+  against the interpreted one;
 * fallback behaviour -- gating the tier off mid-process, and loading with
   no binary and auto-build disabled, must leave the engines running (and
-  agreeing) on the buffered tier; with numpy gated off the kernel must
-  still run, and a stale binary must be rebuilt and used in the process
-  that found it.
+  agreeing) on the Python tier, and a stale binary must be rebuilt and
+  used in the process that found it.
 
 The kernel also length-checks every vertex-indexed buffer before its loop,
 so a short buffer raises ``ValueError`` instead of being read out of
 bounds.
 
 Every native leg is skipped cleanly when no kernel can be built (no
-compiler in the environment); the golden digests still pin the buffered
-tiers.
+compiler in the environment); the golden digests still pin the Python
+tier.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -78,15 +78,13 @@ def random_design(seed: int) -> Design:
     return design
 
 
-def route_with_tier(router_class, design, native=True, numpy=True):
-    """Route *design* with the given tier gates forced, restoring them after."""
+def route_with_tier(router_class, design, native=True):
+    """Route *design* with the native gate forced, restoring it after."""
     prev_native = accel.set_native_enabled(native)
-    prev_numpy = accel.set_numpy_enabled(numpy)
     try:
         solution = router_class(design).run()
         return solution_fingerprint(solution), solution_metrics(solution)
     finally:
-        accel.set_numpy_enabled(prev_numpy)
         accel.set_native_enabled(prev_native)
 
 
@@ -116,13 +114,12 @@ class TestFuzzParity:
 
     @pytest.mark.parametrize("router_key", ["maze", "color-state", "dac2012"])
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_native_vs_buffered_python(self, router_key, seed):
-        """The kernel must also agree with the numpy-free scalar loop."""
+    def test_native_vs_buffered_python(self, router_key, seed, monkeypatch):
+        """The kernel must also agree with the Python loop run with numpy unimportable."""
         router_class = router_classes()[router_key]
         native = route_with_tier(router_class, random_design(seed), native=True)
-        scalar = route_with_tier(
-            router_class, random_design(seed), native=False, numpy=False
-        )
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        scalar = route_with_tier(router_class, random_design(seed), native=False)
         assert native == scalar
 
 
@@ -298,6 +295,55 @@ class TestLabelParity:
 
         assert run(True) == run(False)
 
+    def _labelled_result(self, stride):
+        """Return ``(grid, CoreResult)`` of one search with node stride *stride*."""
+        grid = RoutingGrid(self._design())
+        model = CostModel(grid)
+        if stride == 1:
+            from repro.dr.maze import MazeRouter
+
+            result = MazeRouter(grid, model).search(
+                [GridPoint(0, 1, 1)], {GridPoint(0, 15, 15)}, "n1"
+            )
+            return grid, result._core
+        from repro.baselines.dac2012 import MaskExpandedSearch
+
+        search = MaskExpandedSearch(grid, model)
+        captured = []
+        search.core.on_result = captured.append
+        search.search(
+            [(GridPoint(0, 1, 1), mask) for mask in range(3)], {GridPoint(0, 15, 15)}, "n1"
+        )
+        return grid, captured[-1]
+
+    @staticmethod
+    def _boxes(result, plane_size, num_rows, stride):
+        """The labelled planar box from the kernel and from the Python loop."""
+        boxes = []
+        for native in (True, False):
+            prev = accel.set_native_enabled(native)
+            try:
+                boxes.append(result.labelled_planar_box(plane_size, num_rows, stride))
+            finally:
+                accel.set_native_enabled(prev)
+        return boxes
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_labelled_box_matches_python(self, stride):
+        grid, result = self._labelled_result(stride)
+        native, python = self._boxes(result, grid.plane_size, grid.num_rows, stride)
+        assert native is not None
+        assert native == python
+
+    def test_labelled_box_none_without_labels(self):
+        from array import array
+
+        from repro.search.core import CoreResult
+
+        stale = CoreResult(-1, 0, array("d"), array("i"), array("i"), array("q", [3] * 50), 7)
+        for result in (CoreResult.empty(), stale):
+            assert self._boxes(result, 25, 5, 1) == [None, None]
+
 
 @needs_kernel
 class TestArgumentChecks:
@@ -377,14 +423,14 @@ class TestFallback:
             accel.set_native_enabled(prev)
 
     @needs_kernel
-    def test_native_tier_runs_without_numpy(self):
-        """numpy off, native on: every adapter dispatches to the kernel."""
+    def test_native_tier_runs_without_numpy(self, monkeypatch):
+        """numpy unimportable, native on: every adapter dispatches to the kernel."""
         from repro.baselines.dac2012 import MaskExpandedSearch
         from repro.dr.maze import make_traditional_expand
         from repro.tpl.search import make_color_state_expand
 
+        monkeypatch.setitem(sys.modules, "numpy", None)
         prev_native = accel.set_native_enabled(True)
-        prev_numpy = accel.set_numpy_enabled(False)
         try:
             assert accel.active_search_tier() == "native"
             grid = RoutingGrid(random_design(0))
@@ -397,15 +443,15 @@ class TestFallback:
             ]
             assert all(hasattr(expand, "native_spec") for expand in expands)
         finally:
-            accel.set_numpy_enabled(prev_numpy)
             accel.set_native_enabled(prev_native)
 
     @needs_kernel
     @pytest.mark.parametrize("router_key", ["maze", "color-state", "dac2012"])
-    def test_native_without_numpy_routes_identically(self, router_key):
+    def test_native_without_numpy_routes_identically(self, router_key, monkeypatch):
         router_class = router_classes()[router_key]
-        without = route_with_tier(router_class, random_design(4), native=True, numpy=False)
-        with_numpy = route_with_tier(router_class, random_design(4), native=True, numpy=True)
+        with_numpy = route_with_tier(router_class, random_design(4), native=True)
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        without = route_with_tier(router_class, random_design(4), native=True)
         assert without == with_numpy
 
     def test_loader_without_binary_or_autobuild(self, monkeypatch, tmp_path):
@@ -462,7 +508,6 @@ class TestFallback:
         assert marker in current
         env = dict(os.environ, PYTHONPATH=str(copy), REPRO_NATIVE_AUTOBUILD="1")
         env.pop("REPRO_PURE_PYTHON", None)
-        env.pop("REPRO_NO_NATIVE", None)
 
         def run(code):
             return subprocess.run(
@@ -523,34 +568,3 @@ class TestEnvKnobs:
         assert env_float("REPRO_TEST_FLOAT", 1.0) == 0.25
         monkeypatch.delenv("REPRO_TEST_FLOAT", raising=False)
         assert env_float("REPRO_TEST_FLOAT", 1.0) == 1.0
-
-
-@pytest.mark.skipif(
-    accel.get_numpy() is None,
-    reason="heuristic tables exist only on the numpy tier",
-)
-class TestHeuristicCache:
-    """Satellite: per-(bounds, stride) heuristic tables are reused."""
-
-    def test_cache_hit_across_runs(self):
-        from repro.search import SearchCore
-        from repro.dr.cost import TargetBounds
-        from repro.dr.maze import make_traditional_expand
-
-        grid = RoutingGrid(random_design(0))
-        core = SearchCore(grid, CostModel(grid))
-        bounds = TargetBounds(0, 1, 2, 10, 2, 10)
-        table_a = core._heuristic_table(bounds, 1)
-        table_b = core._heuristic_table(bounds, 1)
-        assert table_a is table_b  # same object: no rebuild
-        assert core._heuristic_table(bounds, 3) is not table_a  # stride keyed
-
-    def test_cache_bounded(self):
-        from repro.search import SearchCore
-        from repro.dr.cost import TargetBounds
-
-        grid = RoutingGrid(random_design(0))
-        core = SearchCore(grid, CostModel(grid))
-        for index in range(core._HEUR_CACHE_LIMIT + 5):
-            core._heuristic_table(TargetBounds(0, 0, 0, index % 11, 0, 5), 1)
-        assert len(core._heur_tables) <= core._HEUR_CACHE_LIMIT
