@@ -74,8 +74,9 @@ class CampaignState:
     #: Cumulative :class:`~repro.sched.executor.ExecutorStats` counters of
     #: the whole campaign, across preemptions: on resume the checkpointed
     #: counters become the baseline and the new executor's (process-local)
-    #: counters are added on top, so a campaign's failure history --
-    #: retries, timeouts, replacements, demotions -- survives restarts.
+    #: counters are added on top, so a campaign's history -- batches,
+    #: worker errors, checkpoint fallbacks, phase seconds -- survives
+    #: restarts.
     executor_stats: Optional[Dict[str, int]] = None
     # Baseline captured from a resumed checkpoint at the first
     # update_executor_stats call (the live executor restarts at zero).
@@ -232,8 +233,8 @@ class CampaignRouter:
             _offenders, final_defects, _evidence = self._timed_check(solution)
             if campaign.best_defects < final_defects:
                 self._restore(solution, campaign.best_routes)
-        # Surface the executor's supervision counters on the campaign
-        # before declaring it done (checkpointed or not).
+        # Surface the executor's counters on the campaign before declaring
+        # it done (checkpointed or not).
         campaign.update_executor_stats(self.batch_executor)
         campaign.done = True
 

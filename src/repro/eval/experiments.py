@@ -463,9 +463,12 @@ def route_with_checkpoint(
     generations (default: the ``REPRO_CHECKPOINT_KEEP`` env knob, 2) and
     resume falls back to the newest generation whose integrity checksum
     validates, so a torn or corrupted newest file costs at most one
-    checkpoint interval, not the campaign.  The campaign's cumulative
-    executor failure history (retries, timeouts, demotions, ...) is
-    carried in the checkpoint and keeps accumulating across resumes.
+    checkpoint interval, not the campaign.  Rotation retains only a live
+    document that validates, so a resume from a fallback generation never
+    overwrites that generation with the torn file.  The campaign's
+    cumulative executor counters (worker errors, checkpoint fallbacks,
+    phase seconds, ...) are carried in the checkpoint and keep
+    accumulating across resumes.
 
     *on_checkpoint* (called with the :class:`~repro.campaign.CampaignState`
     after each save) exists for tests and progress streaming.  Returns
@@ -532,9 +535,9 @@ def route_with_checkpoint(
     def _checkpoint(state) -> None:
         if state.iteration % checkpoint_every and not state.done:
             return
-        # Surface the executor's supervision counters (retries, timeouts,
-        # replacements, demotions) into the persisted campaign state, on
-        # top of whatever an earlier (preempted) life already recorded.
+        # Surface the executor's counters (worker errors, phase seconds,
+        # ...) into the persisted campaign state, on top of whatever an
+        # earlier (preempted) life already recorded.
         state.update_executor_stats(getattr(router, "batch_executor", None))
         checkpoint_started = perf_counter()
         save_checkpoint(

@@ -25,7 +25,6 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro import faults
 from repro.campaign import CampaignState
 from repro.design import Design
 from repro.grid import RoutingGrid, RoutingSolution
@@ -78,14 +77,6 @@ def _write_atomic(path: PathLike, text: str) -> None:
       entry itself is durable.
     """
     target = Path(path)
-    if faults.ARMED and faults.fire("checkpoint.tear", path=str(target)) is not None:
-        # Injected torn write: bypass the temp-file dance and leave a
-        # truncated document under the final name -- the power-loss window
-        # a non-atomic writer would expose.  The integrity checksum plus
-        # the retained-checkpoint fallback must absorb exactly this.
-        with open(target, "w") as handle:
-            handle.write(text[: len(text) // 2])
-        return
     fd, scratch = tempfile.mkstemp(
         dir=str(target.parent) or ".", prefix=target.name + ".", suffix=".tmp"
     )
@@ -132,9 +123,9 @@ def campaign_to_dict(campaign: CampaignState) -> Dict[str, Any]:
         ),
     }
     if campaign.executor_stats is not None:
-        # The campaign's cumulative failure history (retries, demotions,
-        # replacements, timeouts, ...): a preempted-and-resumed campaign
-        # must not forget what its earlier life survived.
+        # The campaign's cumulative executor counters (batches, worker
+        # errors, checkpoint fallbacks, phase seconds, ...): a preempted-
+        # and-resumed campaign must not forget its earlier life.
         document["executor_stats"] = dict(campaign.executor_stats)
     return document
 
@@ -261,17 +252,25 @@ def rotate_checkpoints(path: PathLike, keep: Optional[int] = None) -> None:
     document exists at ``path``, and a torn in-place overwrite of
     ``path`` can never reach back and corrupt the retained generation
     through a shared inode.
+
+    Only a live document that passes :func:`load_checkpoint_document` is
+    retained: after a resume from ``path.1`` because ``path`` was torn,
+    rotating the torn file would overwrite the last good generation.  A
+    corrupt live file is left in place, untouched, for the coming save to
+    replace.
     """
     candidates = checkpoint_candidates(path, keep)
     if len(candidates) < 2:
         return
-    aged = candidates[1:]
+    live, aged = candidates[0], candidates[1:]
+    try:
+        load_checkpoint_document(live)
+    except (FileNotFoundError, CheckpointIntegrityError):
+        return
     for older, newer in zip(reversed(aged[1:]), reversed(aged[:-1])):
         if newer.exists():
             os.replace(newer, older)
-    live, first_age = candidates[0], aged[0]
-    if live.exists():
-        first_age.write_bytes(live.read_bytes())
+    aged[0].write_bytes(live.read_bytes())
 
 
 def save_checkpoint(
@@ -286,8 +285,8 @@ def save_checkpoint(
 
     With ``keep > 1`` (default: the ``REPRO_CHECKPOINT_KEEP`` env knob,
     2), the previous generations are rotated to ``path.1`` .. first, so a
-    save that lands torn (filesystem without atomic rename, injected
-    ``checkpoint.tear`` fault) still leaves an older complete document for
+    save that lands torn (filesystem without atomic rename, power loss)
+    still leaves an older complete document for
     :func:`load_checkpoint_document_with_fallback` to resume from.
     """
     if resolve_checkpoint_keep(keep) > 1:

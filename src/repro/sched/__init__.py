@@ -24,13 +24,12 @@ wires in through the routers' ``parallelism`` / ``batch_backend`` /
 ``min_fork_batch`` constructor arguments; batches hold at most
 ``4 * parallelism`` nets.
 
-Execution is **supervised** (:mod:`repro.sched.supervisor`): per-batch
-wall-clock deadlines, pool-worker heartbeats, classified failures with
-bounded exponential-backoff retry and single-worker replacement, and a
-graceful-degradation ladder (pool -> serial) that demotes the backend
-after consecutive failures -- serial being the always-correct floor,
-every recovery path stays bit-identical to the fault-free sequential run.
-A host without the ``fork`` start method runs serial from the start.
+Pool failures follow one rule: a pool batch that fails in any way (an
+error reply, a closed pipe, a failed send or a missed batch deadline)
+closes the pool and reroutes the batch serially, and the executor stays
+on serial from then on.  Nothing is committed before every reply is in,
+so the result is bit-identical to the serial run.  A host without the
+``fork`` start method runs serial from the start.
 """
 
 from repro.sched.batches import BatchScheduler, CellWindow, windows_overlap
@@ -42,14 +41,6 @@ from repro.sched.executor import (
     PersistentWorkerPool,
     make_batch_executor,
 )
-from repro.sched.supervisor import (
-    FailureDetail,
-    SupervisorConfig,
-    WorkerFailure,
-    classify_exception,
-    classify_worker_payload,
-    degradation_ladder,
-)
 
 __all__ = [
     "BACKENDS",
@@ -57,14 +48,8 @@ __all__ = [
     "BatchScheduler",
     "CellWindow",
     "ExecutorStats",
-    "FailureDetail",
     "GridSink",
     "PersistentWorkerPool",
-    "SupervisorConfig",
-    "WorkerFailure",
-    "classify_exception",
-    "classify_worker_payload",
-    "degradation_ladder",
     "make_batch_executor",
     "RecordingSink",
     "apply_route_ops",

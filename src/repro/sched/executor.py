@@ -39,6 +39,14 @@ plans, through one of two backends:
     A host without the ``fork`` start method settles on serial once, when
     the executor is built.
 
+    **One failure rule.**  If a pool batch fails in any way -- a worker's
+    ``("error", message)`` reply, a closed pipe, a failed send, or the batch
+    deadline passing -- the executor counts one ``worker_errors``, closes
+    the whole pool, switches ``active_backend`` to ``"serial"`` for the rest
+    of its life and routes the batch serially.  Nothing is committed before
+    every reply has arrived, so the result stays bit-identical to the
+    serial run.
+
 Determinism caveat of the speculative backend: deferring a net's own
 mid-route color commits is bit-neutral only because pressure values are
 sums of ``conflict_cost`` increments (exact in IEEE-754 for the default
@@ -51,30 +59,31 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import faults
 from repro.accel import get_native_kernel
 from repro.design import Net
 from repro.grid import RoutingSolution
 from repro.profiling import PhaseTimes
 from repro.sched.batches import BatchScheduler, CellWindow, windows_overlap
 from repro.sched.commit import CommitOp, RecordingSink, apply_route_ops
-from repro.sched.supervisor import (
-    FailureDetail,
-    SupervisorConfig,
-    WorkerFailure,
-    await_worker_reply,
-    classify_exception,
-    degradation_ladder,
-)
+from repro.utils.logging import get_logger
+
+_LOG = get_logger("sched.executor")
 
 #: Backends accepted by :class:`BatchExecutor`.
 BACKENDS = ("serial", "pool")
 
 #: Smallest batch worth starting pool workers for (constructor default).
 DEFAULT_MIN_FORK_BATCH = 3
+
+#: Wall-clock budget of one pool batch: ``BATCH_DEADLINE_BASE +
+#: BATCH_DEADLINE_PER_NET * len(batch)`` seconds.  A worker that has not
+#: replied by then is treated as hung, which fails the batch.
+BATCH_DEADLINE_BASE = 60.0
+BATCH_DEADLINE_PER_NET = 15.0
 
 
 @dataclass
@@ -96,19 +105,6 @@ class ExecutorStats:
     #: Pool workers that ignored the shutdown message and had to be
     #: terminated/killed at close (hung-worker escalation).
     worker_kills: int = 0
-    #: Failed parallel batches retried on the same backend tier (bounded by
-    #: ``REPRO_BATCH_RETRIES``, exponential backoff between attempts).
-    retries: int = 0
-    #: Worker failures classified as deadline/heartbeat timeouts.
-    deadline_timeouts: int = 0
-    #: Failed pool workers removed and replaced individually (the pool
-    #: survives; only the broken worker restarts).
-    worker_replacements: int = 0
-    #: Backend demotions down the degradation ladder (pool -> serial)
-    #: after consecutive retry-exhausted failures.
-    demotions: int = 0
-    #: Heartbeat messages received from pool workers (liveness evidence).
-    heartbeats: int = 0
     #: Coalesced journal-suffix catch-up messages actually shipped to pool
     #: workers (one framed message per worker per batch).
     suffix_messages: int = 0
@@ -145,11 +141,6 @@ class ExecutorStats:
             "pool_forks": self.pool_forks,
             "replayed_ops": self.replayed_ops,
             "worker_kills": self.worker_kills,
-            "retries": self.retries,
-            "deadline_timeouts": self.deadline_timeouts,
-            "worker_replacements": self.worker_replacements,
-            "demotions": self.demotions,
-            "heartbeats": self.heartbeats,
             "suffix_messages": self.suffix_messages,
             "suffix_pickles": self.suffix_pickles,
             "suffix_bytes": self.suffix_bytes,
@@ -209,21 +200,14 @@ class SpeculativeRoute:
 _POOL_ROUTER: Optional[object] = None
 
 
-def _pool_worker_main(conn, worker_index: int = 0) -> None:
+def _pool_worker_main(conn) -> None:
     """Run a forked pool worker's serve loop until shutdown or pipe close.
 
     The worker inherits the parent's router (published in
     :data:`_POOL_ROUTER` just before the fork) and so starts with a grid
-    byte-identical to the parent's at the fork-time journal cursor.
-
-    Protocol: the worker interleaves ``("hb", ops_seen)`` heartbeat
-    messages (after catch-up replay, and after each routed net) with the
-    terminal ``("ok", payload)`` / ``("error", detail)`` reply, so the
-    parent's supervised receive loop can tell "slow but alive" from
-    "hung".  Errors are structured dicts carrying the failure kind
-    (``replay`` vs ``compute``), the worker index, the cumulative
-    replayed-op count and the failing net -- the classification the
-    supervisor's retry policy runs on.
+    byte-identical to the parent's at the fork-time journal cursor.  Each
+    batch gets exactly one reply: ``("ok", payload)`` or
+    ``("error", message)``.
     """
     from repro.journal import replay_ops
 
@@ -232,8 +216,6 @@ def _pool_worker_main(conn, worker_index: int = 0) -> None:
     design = router.design
     _strip_worker_grid(grid)
     engine = router.make_search_engine()
-    ops_seen = 0
-    faults.set_context(worker=worker_index)
     try:
         while True:
             try:
@@ -244,53 +226,21 @@ def _pool_worker_main(conn, worker_index: int = 0) -> None:
                 break
             suffix_payload, net_names = message
             try:
-                if faults.ARMED:
-                    faults.fire("reply.delay", worker=worker_index)
-                try:
-                    # The suffix arrives pre-pickled: the parent serialises
-                    # each distinct catch-up suffix once, not once per
-                    # worker.  ``None`` means "already at the head" -- no
-                    # payload at all rides the pipe for an in-sync worker.
-                    if suffix_payload is not None:
-                        ops = pickle.loads(suffix_payload)
-                        replay_ops(grid, ops)
-                        ops_seen += len(ops)
-                except Exception as exc:
-                    conn.send(("error", {
-                        "kind": "replay", "error": repr(exc),
-                        "ops_seen": ops_seen, "worker": worker_index,
-                    }))
-                    continue
-                if faults.ARMED:
-                    faults.fire("worker.crash", worker=worker_index, ops_seen=ops_seen)
-                # Liveness: catch-up replay done, compute starting.
-                conn.send(("hb", ops_seen))
+                # The suffix arrives pre-pickled: the parent serialises each
+                # distinct catch-up suffix once, not once per worker.
+                # ``None`` means "already at the head" -- no payload at all
+                # rides the pipe for an in-sync worker.
+                if suffix_payload is not None:
+                    replay_ops(grid, pickle.loads(suffix_payload))
                 payload = []
-                failed = None
                 for name in net_names:
-                    if faults.ARMED:
-                        faults.fire("worker.crash", worker=worker_index, ops_seen=ops_seen)
-                    try:
-                        spec = _compute_speculative(
-                            router, design.net_by_name(name), engine
-                        )
-                    except Exception as exc:
-                        failed = {
-                            "kind": "compute", "error": repr(exc),
-                            "ops_seen": ops_seen, "net": name,
-                            "worker": worker_index,
-                        }
-                        break
+                    spec = _compute_speculative(router, design.net_by_name(name), engine)
                     payload.append((spec.route, spec.ops, spec.explored_box))
-                    conn.send(("hb", ops_seen))
-                if faults.ARMED and failed is None:
-                    faults.fire("pipe.drop", worker=worker_index)
-                if failed is not None:
-                    conn.send(("error", failed))
-                else:
-                    conn.send(("ok", payload))
-            except faults.PipeDropFault:
-                break
+                reply = ("ok", payload)
+            except Exception:
+                reply = ("error", traceback.format_exc())
+            try:
+                conn.send(reply)
             except (BrokenPipeError, OSError):
                 break
     finally:
@@ -339,18 +289,12 @@ def _shutdown_workers(
 
 
 class _PoolWorker:
-    """One persistent worker: its process, pipe, journal cursor and index.
+    """One persistent worker: its process, pipe and journal cursor."""
 
-    The index is a pool-lifetime-unique identity (monotonically assigned,
-    never reused by a replacement) so failure details and ``worker=K``
-    fault-plan targeting name a specific incarnation.
-    """
-
-    def __init__(self, process, conn, cursor: int, index: int = 0) -> None:
+    def __init__(self, process, conn, cursor: int) -> None:
         self.process = process
         self.conn = conn
         self.cursor = cursor
-        self.index = index
 
 
 class PersistentWorkerPool:
@@ -366,42 +310,20 @@ class PersistentWorkerPool:
     a batch slice, ships the suffix of ops the worker has not yet seen.
     Only workers that participate in a batch catch up -- idle workers
     simply accumulate a longer suffix for next time.
+
+    Forks, shipped ops and the suffix-frame accounting are counted
+    straight into *stats* (the owning executor's record).
     """
 
-    def __init__(
-        self, router, size: int, config: Optional[SupervisorConfig] = None
-    ) -> None:
+    def __init__(self, router, size: int, stats: ExecutorStats) -> None:
         if router.grid.journal is None:
             raise RuntimeError("pool workers require a journal attached to the grid")
         self.context = multiprocessing.get_context("fork")
         self.router = router
         self.size = max(1, size)
-        self.config = config if config is not None else SupervisorConfig.from_env()
+        self.stats = stats
         self.journal = router.grid.journal
         self.workers: List[_PoolWorker] = []
-        #: Processes started over this pool's lifetime (stats accounting).
-        self.total_forks = 0
-        #: Workers that had to be terminated/killed (close or replacement).
-        self.total_kills = 0
-        #: Failed workers removed individually (the pool survived them).
-        self.total_replacements = 0
-        #: Heartbeat messages received across all supervised receives.
-        self.total_heartbeats = 0
-        #: Journal ops shipped as catch-up suffixes, counted **at send
-        #: time** so a later WorkerFailure in the same batch cannot lose
-        #: them (the executor drains this as deltas, like every other pool
-        #: counter, instead of trusting a return value that a raise eats).
-        self.total_replayed_ops = 0
-        #: Suffix-frame accounting (suffix-message batching): messages
-        #: shipped, distinct serialisations, bytes shipped, bytes the
-        #: shared frame cache saved, and sends elided for in-sync workers.
-        self.total_suffix_messages = 0
-        self.total_suffix_pickles = 0
-        self.total_suffix_bytes = 0
-        self.total_suffix_bytes_saved = 0
-        self.total_suffix_elisions = 0
-        # Pool-lifetime-unique worker index (replacements get fresh ones).
-        self._next_index = 0
 
     def __len__(self) -> int:
         return len(self.workers)
@@ -426,36 +348,32 @@ class PersistentWorkerPool:
         serialised as a single payload (never per-op pipe writes), the
         pickled frame is cached per distinct cursor so same-cursor workers
         share one serialisation, and a worker already at *head* gets the
-        ``None`` sentinel -- no suffix bytes ride the pipe at all.  Every
-        path updates the pool's suffix counters, which the executor drains
-        into :class:`ExecutorStats` (bytes/messages saved are part of the
-        bench record).
+        ``None`` sentinel -- no suffix bytes ride the pipe at all.
         """
+        stats = self.stats
         if cursor >= head:
-            self.total_suffix_elisions += 1
+            stats.suffix_elisions += 1
             return None, 0
         cached = cache.get(cursor)
         if cached is None:
             suffix = self.journal.suffix(cursor)
             cached = (pickle.dumps(suffix), len(suffix))
             cache[cursor] = cached
-            self.total_suffix_pickles += 1
+            stats.suffix_pickles += 1
         else:
-            self.total_suffix_bytes_saved += len(cached[0])
-        self.total_suffix_messages += 1
-        self.total_suffix_bytes += len(cached[0])
+            stats.suffix_bytes_saved += len(cached[0])
+        stats.suffix_messages += 1
+        stats.suffix_bytes += len(cached[0])
         return cached
 
     def _start_worker(self) -> None:
         """Fork and register one worker holding the parent's current state."""
         global _POOL_ROUTER
-        index = self._next_index
-        self._next_index += 1
         parent_conn, child_conn = self.context.Pipe()
         _POOL_ROUTER = self.router
         try:
             process = self.context.Process(
-                target=_pool_worker_main, args=(child_conn, index), daemon=True
+                target=_pool_worker_main, args=(child_conn,), daemon=True
             )
             process.start()
         except Exception:
@@ -466,8 +384,8 @@ class PersistentWorkerPool:
             _POOL_ROUTER = None
         child_conn.close()
         # Born in sync: the child holds the parent's state as of now.
-        self.workers.append(_PoolWorker(process, parent_conn, self.journal.cursor, index))
-        self.total_forks += 1
+        self.workers.append(_PoolWorker(process, parent_conn, self.journal.cursor))
+        self.stats.pool_forks += 1
 
     def _ensure_workers(self, needed: int) -> None:
         """Start workers up to ``min(needed, size)``, one at a time."""
@@ -475,44 +393,17 @@ class PersistentWorkerPool:
         while len(self.workers) < target:
             self._start_worker()
 
-    def remove_workers(self, failed: Sequence[_PoolWorker]) -> None:
-        """Remove and reap *failed* workers; the rest of the pool survives.
-
-        Single-worker replacement instead of whole-pool discard: the
-        surviving workers completed their replies, so their grids are in
-        sync and keep serving; the next :meth:`compute` lazily starts
-        replacements (fresh index, current parent state) on demand.
-        """
-        if not failed:
-            return
-        for worker in failed:
-            if worker in self.workers:
-                self.workers.remove(worker)
-        self.total_kills += _shutdown_workers(
-            failed, join_timeout=0.2, escalate_timeout=0.5
-        )
-        self.total_replacements += len(failed)
-
-    def compute(
-        self, net_names: Sequence[str], deadline: Optional[float] = None
-    ) -> Tuple[List[Tuple], int]:
+    def compute(self, net_names: Sequence[str], deadline: float) -> List[Tuple]:
         """Compute speculative routes for *net_names* across the workers.
 
         Nets are dealt round-robin over the workers actually needed; the
-        result list is reassembled in input order.  Returns ``(results,
-        replayed_ops)`` where each result is the worker's ``(route, ops,
-        explored_box)`` tuple.
+        result list is reassembled in input order, one ``(route, ops,
+        explored_box)`` tuple per net.
 
-        The receive phase is supervised: *deadline* bounds the whole batch
-        in wall-clock seconds, the config's heartbeat grace bounds any
-        single worker's silence, and a dead process is detected without
-        waiting for either.  On failure, **every** active worker is still
-        drained (survivors' replies must not leak into the next batch),
-        the failed workers are removed and reaped
-        (:meth:`remove_workers`), and a :class:`WorkerFailure` aggregating
-        *all* per-worker details -- index, journal cursor, classified kind
-        -- is raised; the caller may then simply retry on the surviving
-        (still in-sync) pool.
+        Raises when the batch fails: a failed send, a closed pipe
+        (``EOFError``), an ``("error", message)`` reply, or no reply within
+        *deadline* seconds of the sends.  The pool is then out of step with
+        the parent and must be closed.
         """
         self._ensure_workers(len(net_names))
         head = self.journal.cursor
@@ -523,10 +414,6 @@ class PersistentWorkerPool:
         # cursors, pinning min_cursor() and defeating journal compaction.
         self.workers = self.workers[count:] + active
         stride = len(active)
-        replayed = 0
-        failures: List[FailureDetail] = []
-        failed_workers: List[_PoolWorker] = []
-        sent: List[Tuple[int, _PoolWorker]] = []
         # Workers that were active together share a cursor, so the common
         # case serialises one suffix once and ships the same bytes to all.
         payload_cache: Dict[int, Tuple[Optional[bytes], int]] = {}
@@ -535,45 +422,24 @@ class PersistentWorkerPool:
             # grid between the head snapshot and these sends, so the
             # suffix past each worker's cursor ends exactly at `head`.
             frame, op_count = self._suffix_frame(worker.cursor, head, payload_cache)
-            try:
-                worker.conn.send((frame, list(net_names[slot::stride])))
-            except (BrokenPipeError, OSError) as exc:
-                failures.append(FailureDetail(
-                    worker=worker.index, kind="crash", cursor=worker.cursor,
-                    message=f"send to worker failed: {exc!r}",
-                ))
-                failed_workers.append(worker)
-                continue
+            worker.conn.send((frame, list(net_names[slot::stride])))
             worker.cursor = head
-            # Counted at send time on the pool itself: a WorkerFailure
-            # raised below must not lose ops that were actually shipped.
-            self.total_replayed_ops += op_count
-            replayed += op_count
-            sent.append((slot, worker))
-        deadline_at = time.monotonic() + deadline if deadline else None
+            self.stats.replayed_ops += op_count
+        deadline_at = time.monotonic() + deadline
         results: List[Optional[Tuple]] = [None] * len(net_names)
-        for slot, worker in sent:
-            outcome = await_worker_reply(
-                worker.conn, worker.process, worker.index, worker.cursor,
-                deadline_at, self.config.heartbeat_grace,
-            )
-            self.total_heartbeats += outcome.heartbeats
-            if outcome.failure is not None:
-                failures.append(outcome.failure)
-                # A worker that *replied* with a classified compute error
-                # is alive and in sync (it replayed the suffix before the
-                # net failed) -- keep it for the retry.  Crashed, hung and
-                # replay-failed workers are gone or out of sync: remove.
-                if outcome.failure.kind != "compute":
-                    failed_workers.append(worker)
-                continue
-            results[slot::stride] = outcome.payload
-        if failures:
-            self.remove_workers(failed_workers)
-            raise WorkerFailure(failures, context="pool batch")
-        return results, replayed
+        for slot, worker in enumerate(active):
+            # A dead worker's pipe reads as ready, and recv() then raises
+            # EOFError; a reply already waiting is accepted even past the
+            # deadline.
+            if not worker.conn.poll(max(0.0, deadline_at - time.monotonic())):
+                raise TimeoutError(f"pool worker missed the {deadline:.3g}s batch deadline")
+            status, payload = worker.conn.recv()
+            if status != "ok":
+                raise RuntimeError(f"pool worker failed: {payload}")
+            results[slot::stride] = payload
+        return results
 
-    def close(self) -> int:
+    def close(self, join_timeout: float = 5.0) -> int:
         """Shut every worker down (idempotent); return how many were killed.
 
         Cooperative shutdown first (the ``None`` message), then
@@ -585,19 +451,13 @@ class PersistentWorkerPool:
                 worker.conn.send(None)
             except (BrokenPipeError, OSError):
                 pass
-        killed = _shutdown_workers(self.workers)
-        self.total_kills += killed
+        killed = _shutdown_workers(self.workers, join_timeout=join_timeout)
         self.workers = []
         return killed
 
 
 def _compute_speculative(router, net: Net, engine) -> SpeculativeRoute:
     """Route *net* against the current grid state without mutating it."""
-    if faults.ARMED:
-        # Pool workers are the only callers; the serial oracle never gets
-        # here.  (``worker.crash`` fires in the serve loop itself.)
-        faults.fire("worker.hang", net=net.name)
-        faults.fire("compute.error", net=net.name)
     tracker = ExploredTracker(router.grid, getattr(engine, "node_stride", 1))
     core = getattr(engine, "core", None)
     if core is not None:
@@ -648,9 +508,9 @@ class BatchExecutor:
     backend:
         ``"serial"`` (deterministic default) or ``"pool"`` (persistent
         journal-replicated workers: fork once, catch up by journal-suffix
-        replay).  A failing pool demotes down the degradation ladder
-        ``pool -> serial``; without the ``fork`` start method the executor
-        starts on serial.
+        replay).  The first failed pool batch switches the executor to
+        serial for good; without the ``fork`` start method it starts on
+        serial.
     parallelism:
         Worker count for the pool (also the default scheduler batch cap
         when *scheduler* is not supplied).
@@ -670,7 +530,6 @@ class BatchExecutor:
         parallelism: int = 1,
         scheduler: Optional[BatchScheduler] = None,
         min_fork_batch: int = DEFAULT_MIN_FORK_BATCH,
-        supervisor: Optional[SupervisorConfig] = None,
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"unknown batch backend {backend!r}; expected one of {BACKENDS}")
@@ -682,16 +541,11 @@ class BatchExecutor:
         )
         self.min_fork_batch = max(2, min_fork_batch)
         self.stats = ExecutorStats()
-        # Supervision: deadlines/retries/backoff policy plus the graceful-
-        # degradation ladder.  `backend` stays the *configured* tier;
-        # `active_backend` is the current (possibly demoted) one.
-        self.supervisor = (
-            supervisor if supervisor is not None else SupervisorConfig.from_env()
-        )
+        # `backend` stays the configured tier; `active_backend` is the one
+        # in use, which drops to serial without fork or after a failed
+        # pool batch.
         fork_ok = "fork" in multiprocessing.get_all_start_methods()
-        self._ladder = degradation_ladder(backend if fork_ok else "serial")
-        self._tier_index = 0
-        self._consecutive_failures = 0
+        self.active_backend = backend if fork_ok else "serial"
         # Influence reach: a committed vertex can change costs at most this
         # many cells away (color-pressure spread at the interaction radius).
         grid = router.grid
@@ -702,8 +556,6 @@ class BatchExecutor:
         # it (detached again when the pool closes).
         self._pool: Optional[PersistentWorkerPool] = None
         self._owned_journal = None
-        # Last-seen pool counters, so stats deltas survive any exit path.
-        self._pool_seen: Dict[str, int] = {}
         if self.active_backend == "pool":
             # Warm the native kernel in the parent before any worker
             # exists: forked workers inherit the mapped .so through fork --
@@ -713,11 +565,6 @@ class BatchExecutor:
             get_native_kernel()
 
     # ------------------------------------------------------------------
-
-    @property
-    def active_backend(self) -> str:
-        """The backend tier currently in use (after any ladder demotions)."""
-        return self._ladder[self._tier_index]
 
     def close(self) -> None:
         """Release the worker pool (idempotent)."""
@@ -763,17 +610,10 @@ class BatchExecutor:
         """Try the pool on *batch*.
 
         Returns ``True`` when the batch was computed and committed, or
-        ``False`` to let the caller route it serially instead.
-
-        Supervised: a failed attempt is retried up to
-        ``supervisor.max_retries`` times with exponential backoff
-        (:meth:`_compute_batch_with_retry`); once retries are exhausted the
-        batch falls back to serial, and after ``supervisor.demote_after``
-        *consecutive* exhausted batches the executor demotes itself to
-        serial for the remainder of the campaign.  Serial is the floor:
-        always available, bit-identical by construction.  Every outcome is
-        deterministic in *route terms* -- retry, fallback and demotion all
-        recompute from the same authoritative parent grid state.
+        ``False`` to let the caller route it serially instead.  A failed
+        pool batch closes the pool and leaves the executor on serial for
+        good; nothing was committed, so the serial reroute is bit-identical
+        to a run that never used the pool.
         """
         if self.active_backend == "serial" or len(batch) < 2:
             return False
@@ -785,55 +625,20 @@ class BatchExecutor:
         # shipping + result receive): account them as ipc.
         compute_started = time.perf_counter()
         try:
-            results = self._compute_batch_with_retry(batch)
-        except Exception:
-            self.stats.phases.add("ipc", time.perf_counter() - compute_started)
-            self._consecutive_failures += 1
-            if self._consecutive_failures >= self.supervisor.demote_after:
-                self._demote()
+            results = self._compute_batch_pooled(batch)
+        except Exception as exc:
+            _LOG.warning("pool batch failed, routing serially from now on: %s", exc)
+            self.stats.worker_errors += 1
+            self.active_backend = "serial"
+            # Surviving workers get the shutdown message; a hung one is
+            # terminated after a short join instead of the close-time wait.
+            self._discard_pool(join_timeout=0.2)
             return False
-        self.stats.phases.add("ipc", time.perf_counter() - compute_started)
-        self._consecutive_failures = 0
+        finally:
+            self.stats.phases.add("ipc", time.perf_counter() - compute_started)
         self.stats.parallel_batches += 1
         self._commit_batch(batch, results, solution)
         return True
-
-    def _compute_batch_with_retry(self, batch: Sequence[Net]) -> List[SpeculativeRoute]:
-        """Run one batch on the pool with classified, bounded retry.
-
-        Retryable failures (crash/timeout/replay/compute) are retried after
-        exponential backoff -- the pool's surgical worker removal means a
-        retry runs on the surviving workers plus lazily started
-        replacements.  Fatal (design-error) failures and exhausted retries
-        re-raise to the ladder logic above.
-        """
-        attempt = 0
-        while True:
-            try:
-                return self._compute_batch_pooled(batch)
-            except Exception as exc:
-                self.stats.worker_errors += 1
-                if isinstance(exc, WorkerFailure):
-                    retryable = exc.retryable
-                    self.stats.deadline_timeouts += sum(
-                        1 for detail in exc.details if detail.kind == "timeout"
-                    )
-                else:
-                    retryable = classify_exception(exc) != "fatal"
-                if not retryable or attempt >= self.supervisor.max_retries:
-                    raise
-                attempt += 1
-                self.stats.retries += 1
-                backoff = self.supervisor.backoff_seconds(attempt)
-                if backoff > 0:
-                    time.sleep(backoff)
-
-    def _demote(self) -> None:
-        """Step down one tier of the degradation ladder (permanently)."""
-        self._tier_index += 1
-        self._consecutive_failures = 0
-        self.stats.demotions += 1
-        self._discard_pool()
 
     # -- pool (persistent journal-replicated workers) backend ------------------
 
@@ -845,49 +650,13 @@ class BatchExecutor:
             # The journal must exist *before* the first worker: workers
             # re-sync by replaying everything recorded past their cursor.
             self._owned_journal = grid.attach_journal()
-        self._pool = PersistentWorkerPool(
-            self.router, self.parallelism, config=self.supervisor
-        )
-        self._pool_seen = {}
+        self._pool = PersistentWorkerPool(self.router, self.parallelism, self.stats)
         return self._pool
 
-    #: Pool counter -> ExecutorStats counter (drained as deltas so every
-    #: exit path -- success, classified failure, discard -- accounts once).
-    _POOL_STAT_MAP = (
-        ("total_forks", "pool_forks"),
-        ("total_kills", "worker_kills"),
-        ("total_replacements", "worker_replacements"),
-        ("total_heartbeats", "heartbeats"),
-        # Replayed ops are counted on the pool at send time (not via
-        # compute()'s return value) so ops shipped before a WorkerFailure
-        # are never lost, and drained as deltas so the discard + lazy
-        # re-fork cycle never double-counts them.
-        ("total_replayed_ops", "replayed_ops"),
-        ("total_suffix_messages", "suffix_messages"),
-        ("total_suffix_pickles", "suffix_pickles"),
-        ("total_suffix_bytes", "suffix_bytes"),
-        ("total_suffix_bytes_saved", "suffix_bytes_saved"),
-        ("total_suffix_elisions", "suffix_elisions"),
-    )
-
-    def _drain_pool_stats(self) -> None:
-        pool = self._pool
-        if pool is None:
-            return
-        seen = self._pool_seen
-        for pool_attr, stat_attr in self._POOL_STAT_MAP:
-            value = getattr(pool, pool_attr, 0)
-            delta = value - seen.get(pool_attr, 0)
-            if delta:
-                setattr(self.stats, stat_attr, getattr(self.stats, stat_attr) + delta)
-                seen[pool_attr] = value
-
-    def _discard_pool(self) -> None:
+    def _discard_pool(self, join_timeout: float = 5.0) -> None:
         if self._pool is not None:
-            self._pool.close()
-            self._drain_pool_stats()
+            self.stats.worker_kills += self._pool.close(join_timeout=join_timeout)
             self._pool = None
-            self._pool_seen = {}
         if self._owned_journal is not None:
             # Only detach what we attached; a caller-provided journal keeps
             # recording.
@@ -897,25 +666,8 @@ class BatchExecutor:
 
     def _compute_batch_pooled(self, batch: Sequence[Net]) -> List[SpeculativeRoute]:
         pool = self._ensure_pool()
-        deadline = self.supervisor.deadline_seconds(len(batch))
-        try:
-            raw, _replayed = pool.compute(
-                [net.name for net in batch], deadline=deadline
-            )
-        except WorkerFailure:
-            # Classified failure: the pool already removed and reaped just
-            # the failed workers; the survivors are in sync and keep the
-            # pool alive for the retry.
-            self._drain_pool_stats()
-            raise
-        except Exception:
-            # Unclassified failure: trust nothing, drop the whole pool.
-            # The next parallel batch re-forks from the (authoritative)
-            # parent state.
-            self._drain_pool_stats()
-            self._discard_pool()
-            raise
-        self._drain_pool_stats()
+        deadline = BATCH_DEADLINE_BASE + BATCH_DEADLINE_PER_NET * len(batch)
+        raw = pool.compute([net.name for net in batch], deadline)
         if self._owned_journal is not None:
             # The executor's own journal exists solely to feed the pool;
             # ops every worker has consumed can never be shipped again, so

@@ -9,7 +9,7 @@ so that every synthetic benchmark is reproducible bit-for-bit.
 
 from repro.utils.priority_queue import UpdatablePriorityQueue
 from repro.utils.disjoint_set import DisjointSet
-from repro.utils.env import env_flag, env_float, env_int, env_str
+from repro.utils.env import env_flag, env_int
 from repro.utils.timer import Timer, Stopwatch
 from repro.utils.rng import SeededRNG
 from repro.utils.logging import get_logger, set_verbosity
@@ -21,9 +21,7 @@ __all__ = [
     "Stopwatch",
     "SeededRNG",
     "env_flag",
-    "env_float",
     "env_int",
-    "env_str",
     "get_logger",
     "set_verbosity",
 ]

@@ -12,8 +12,6 @@ being silently interpreted.
 from __future__ import annotations
 
 import os
-from typing import Optional
-
 #: Accepted spellings (lower-cased, stripped) of a truthy flag value.
 TRUTHY = frozenset(("1", "true", "yes", "on"))
 
@@ -54,24 +52,3 @@ def env_int(name: str, fallback: int) -> int:
         raise ValueError(
             f"environment knob {name} must be an integer, got {raw!r}"
         ) from None
-
-
-def env_float(name: str, fallback: float) -> float:
-    """Return float knob *name*, or *fallback* when unset/blank."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return fallback
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(
-            f"environment knob {name} must be a number, got {raw!r}"
-        ) from None
-
-
-def env_str(name: str, fallback: Optional[str] = None) -> Optional[str]:
-    """Return string knob *name* stripped, or *fallback* when unset/blank."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return fallback
-    return raw.strip()

@@ -5,17 +5,20 @@ every executor backend the batched rip-up loop must produce solutions
 bit-identical to the plain sequential loop -- including the speculative
 pool backend, whose explored-region validation plus sequential fallback is
 what the guarantee rests on.  A host without ``fork`` must settle on the
-serial floor with the same result.
+serial floor with the same result, and so must a pool batch that fails in
+any way (worker crash, hang past the deadline, error reply).
 """
 
 import multiprocessing
+import os
 import sys
+import time
 
 import pytest
 
 from repro.baselines.dac2012 import Dac2012Router
 from repro.bench.micro import solution_fingerprint, solution_metrics
-from repro.bench.suites import suite_case
+from repro.bench.suites import sparse_suite, suite_case
 from repro.design import Net, Pin
 from repro.dr.router import DetailedRouter
 from repro.geometry import Rect
@@ -27,6 +30,7 @@ from repro.sched import (
     apply_route_ops,
     windows_overlap,
 )
+from repro.sched import executor as executor_module
 from repro.tpl.mr_tpl import MrTPLRouter
 
 ROUTERS = {
@@ -276,7 +280,7 @@ def test_pool_without_fork_settles_on_serial(monkeypatch):
     stats = executor.stats
     assert stats.parallel_batches == 0
     assert stats.batches > 0
-    assert (stats.pool_forks, stats.worker_errors, stats.demotions) == (0, 0, 0)
+    assert (stats.pool_forks, stats.worker_errors) == (0, 0)
 
 
 @needs_fork
@@ -315,6 +319,65 @@ def test_executor_stats_account_for_every_net():
     assert stats.batches >= 1
     assert stats.largest_batch >= 1
     assert stats.worker_errors == 0
+
+
+# ----------------------------------------------------------------------
+# One failure rule: a failed pool batch closes the pool, goes serial
+# ----------------------------------------------------------------------
+
+def sparse_router(router_key, **kwargs):
+    """The sparse case, whose batches reliably engage a 2-worker pool."""
+    design = sparse_suite(0.4)[0].build()
+    if router_key != "maze":
+        kwargs.setdefault("use_global_router", False)
+    return ROUTERS[router_key](design, grid=RoutingGrid(design), **kwargs)
+
+
+_SPARSE_SERIAL = {}
+
+
+def sparse_serial_reference(router_key):
+    if router_key not in _SPARSE_SERIAL:
+        _SPARSE_SERIAL[router_key] = solution_fingerprint(sparse_router(router_key).run())
+    return _SPARSE_SERIAL[router_key]
+
+
+# Stand-ins for ``_compute_speculative``; forked workers inherit the patch.
+
+def _worker_crashes(router, net, engine):
+    os._exit(1)
+
+
+def _worker_hangs(router, net, engine):
+    time.sleep(60)
+
+
+def _worker_raises(router, net, engine):
+    raise RuntimeError(f"compute failed on {net.name}")
+
+
+POOL_FAILURES = {"crash": _worker_crashes, "hang": _worker_hangs, "error": _worker_raises}
+
+
+@needs_fork
+@pytest.mark.parametrize("router_key", sorted(ROUTERS))
+@pytest.mark.parametrize("failure", sorted(POOL_FAILURES))
+def test_failed_pool_batch_falls_back_to_serial(failure, router_key, monkeypatch):
+    reference = sparse_serial_reference(router_key)
+    monkeypatch.setattr(executor_module, "_compute_speculative", POOL_FAILURES[failure])
+    if failure == "hang":
+        monkeypatch.setattr(executor_module, "BATCH_DEADLINE_BASE", 0.5)
+        monkeypatch.setattr(executor_module, "BATCH_DEADLINE_PER_NET", 0.0)
+    router = sparse_router(
+        router_key, parallelism=2, batch_backend="pool", min_fork_batch=2
+    )
+    fingerprint = solution_fingerprint(router.run())
+    executor = router.batch_executor
+    assert fingerprint == reference
+    assert executor.active_backend == "serial"
+    assert executor.stats.worker_errors == 1
+    assert executor.stats.parallel_batches == 0
+    assert multiprocessing.active_children() == []
 
 
 def test_grid_sink_and_recording_sink_agree():

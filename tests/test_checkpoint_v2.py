@@ -8,6 +8,10 @@ Three layers of guarantees, each proven differentially:
 * **Durability layer** -- ``_write_atomic`` survives crash injection
   (SIGKILL mid-save leaves either the previous complete document or
   nothing), uses unique scratch names, and cleans up on failure.
+* **Hardening layer** -- the integrity checksum rejects torn and corrupt
+  documents, keep-K rotation retains older generations (and never rotates
+  a torn live file over the last good one), and the fallback loader plus
+  ``route_with_checkpoint`` resume from the newest valid generation.
 * **Campaign layer** -- ``route_with_checkpoint`` checkpoints every rip-up
   iteration as a grid snapshot, and a SIGKILLed campaign resumes from its
   last completed iteration with a solution bit-identical to the
@@ -35,14 +39,19 @@ from repro.campaign import CampaignState
 from repro.dr.router import DetailedRouter
 from repro.eval.experiments import route_with_checkpoint
 from repro.grid import RoutingGrid
+from repro.io import checkpoint_io
 from repro.io.checkpoint_io import (
     CHECKPOINT_FORMAT,
+    CheckpointIntegrityError,
     _write_atomic,
+    checkpoint_candidates,
     checkpoint_checksum,
     checkpoint_from_dict,
     checkpoint_to_dict,
     load_checkpoint,
     load_checkpoint_document,
+    load_checkpoint_document_with_fallback,
+    rotate_checkpoints,
     save_checkpoint,
 )
 from repro.io.json_io import solution_to_dict
@@ -238,7 +247,170 @@ def test_sigkill_mid_save_never_surfaces_a_torn_checkpoint(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# (c) Campaign layer: per-iteration checkpoints + preemption-safe resume
+# (c) Hardening: checksum, keep-K rotation, fallback loading
+# ----------------------------------------------------------------------
+
+def _saved_checkpoint(path):
+    design = fig1_dense_cluster()
+    grid = RoutingGrid(design)
+    grid.occupy(grid.vertex_of(0), "net0")
+    save_checkpoint(path, design, grid)
+    return design
+
+
+def test_checksum_guards_document_integrity(tmp_path):
+    path = tmp_path / "ckpt.json"
+    _saved_checkpoint(path)
+
+    document = load_checkpoint_document(path)  # valid: loads fine
+    assert document["checksum"] == checkpoint_checksum(document)
+
+    # Silent in-place corruption (bit rot): checksum mismatch.
+    document["design"]["name"] = "tampered"
+    path.write_text(json.dumps(document))
+    with pytest.raises(CheckpointIntegrityError, match="checksum"):
+        load_checkpoint_document(path)
+
+    # Torn write: unparseable JSON.
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    with pytest.raises(CheckpointIntegrityError, match="corrupt"):
+        load_checkpoint_document(path)
+
+    # Wrong shape entirely.
+    path.write_text("[1, 2, 3]")
+    with pytest.raises(CheckpointIntegrityError, match="not a JSON object"):
+        load_checkpoint_document(path)
+
+    # A missing file stays FileNotFoundError (callers branch on it).
+    with pytest.raises(FileNotFoundError):
+        load_checkpoint_document(tmp_path / "absent.json")
+
+
+def test_rotation_retains_generations_and_never_unlinks_live(tmp_path):
+    path = tmp_path / "ckpt.json"
+    design = fig1_dense_cluster()
+    grid = RoutingGrid(design)
+
+    generations = []
+    for step in range(3):
+        grid.occupy(grid.vertex_of(step), f"net{step}")
+        save_checkpoint(path, design, grid, keep=3)
+        generations.append(path.read_text())
+        assert path.exists()  # the live path never disappears mid-rotation
+
+    one, two = checkpoint_candidates(path, keep=3)[1:]
+    assert path.read_text() == generations[2]
+    assert one.read_text() == generations[1]
+    assert two.read_text() == generations[0]
+
+    # keep=1 disables rotation entirely.
+    solo = tmp_path / "solo.json"
+    save_checkpoint(solo, design, grid, keep=1)
+    save_checkpoint(solo, design, grid, keep=1)
+    assert not checkpoint_candidates(solo, keep=3)[1].exists()
+
+
+def test_rotation_never_rotates_a_torn_live_file(tmp_path):
+    # After a resume from path.1 (because path is torn), the next save
+    # rotates first.  Copying the torn file over path.1 would leave no
+    # valid generation until the new write lands.
+    path = tmp_path / "ckpt.json"
+    design = fig1_dense_cluster()
+    grid = RoutingGrid(design)
+    save_checkpoint(path, design, grid, keep=2)
+    grid.occupy(grid.vertex_of(1), "net1")
+    save_checkpoint(path, design, grid, keep=2)
+    aged = checkpoint_candidates(path, keep=2)[1]
+    last_good = aged.read_text()
+
+    path.write_text(path.read_text()[:40])  # tear the live document
+    rotate_checkpoints(path, keep=2)
+    assert aged.read_text() == last_good
+    document = load_checkpoint_document(aged)
+    assert document["checksum"] == checkpoint_checksum(document)
+
+
+def test_fallback_loader_prefers_newest_valid(tmp_path):
+    path = tmp_path / "ckpt.json"
+    design = fig1_dense_cluster()
+    grid = RoutingGrid(design)
+    save_checkpoint(path, design, grid, keep=2)
+    grid.occupy(grid.vertex_of(1), "net1")
+    save_checkpoint(path, design, grid, keep=2)
+    aged = checkpoint_candidates(path, keep=2)[1]
+
+    document, used = load_checkpoint_document_with_fallback(path, keep=2)
+    assert used == path  # newest valid wins when intact
+
+    path.write_text(path.read_text()[:40])  # tear the newest
+    document, used = load_checkpoint_document_with_fallback(path, keep=2)
+    assert used == aged
+    assert document["checksum"] == checkpoint_checksum(document)
+
+    aged.write_text("{")  # now every generation is corrupt
+    with pytest.raises(CheckpointIntegrityError, match="ckpt.json"):
+        load_checkpoint_document_with_fallback(path, keep=2)
+
+    path.unlink()
+    aged.unlink()
+    with pytest.raises(FileNotFoundError):
+        load_checkpoint_document_with_fallback(path, keep=2)
+
+
+def test_injected_tear_leaves_recoverable_generation(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.json"
+    design = _saved_checkpoint(path)
+    grid = RoutingGrid(design)
+    grid.occupy(grid.vertex_of(2), "torn-net")
+
+    def torn_write(target, text):
+        # The power-loss window a non-atomic writer would expose: half a
+        # document under the final name.
+        with open(target, "w") as handle:
+            handle.write(text[: len(text) // 2])
+
+    monkeypatch.setattr(checkpoint_io, "_write_atomic", torn_write)
+    save_checkpoint(path, design, grid, keep=2)
+    # The newest document landed torn...
+    with pytest.raises(CheckpointIntegrityError):
+        load_checkpoint_document(path)
+    # ...but rotation preserved the previous complete generation.
+    document, used = load_checkpoint_document_with_fallback(path, keep=2)
+    assert used == checkpoint_candidates(path, keep=2)[1]
+    assert document["format"].startswith("repro-checkpoint")
+
+
+@pytest.mark.parametrize("router_key", sorted(ROUTERS))
+def test_torn_final_checkpoint_resume(router_key, tmp_path):
+    # A campaign's final checkpoint lands torn (power loss mid-write).
+    # Resume must fall back to the retained previous generation, finish
+    # the campaign and still produce the uninterrupted run's solution,
+    # with the fallback recorded in the campaign's stats.
+    design = fig1_dense_cluster()
+    path = tmp_path / "ckpt.json"
+    kwargs = _router_kwargs(router_key)
+    solution, _grid, resumed = route_with_checkpoint(
+        design, ROUTERS[router_key], path, checkpoint_keep=2, **kwargs
+    )
+    assert not resumed
+    reference = solution_fingerprint(solution)
+
+    path.write_text(path.read_text()[:64])  # tear the newest document
+    solution2, _grid2, resumed2 = route_with_checkpoint(
+        fig1_dense_cluster(), ROUTERS[router_key], path, checkpoint_keep=2, **kwargs
+    )
+    assert resumed2
+    assert solution_fingerprint(solution2) == reference
+    # The re-finished campaign re-saved a valid document recording the
+    # fallback, so a *resumed* campaign keeps its history.
+    document = load_checkpoint_document(path)
+    assert document["campaign"]["done"] is True
+    assert document["campaign"]["executor_stats"]["checkpoint_fallbacks"] == 1
+
+
+# ----------------------------------------------------------------------
+# (d) Campaign layer: per-iteration checkpoints + preemption-safe resume
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("router_key", sorted(ROUTERS))
@@ -411,7 +583,7 @@ def test_checkpoint_refuses_mismatched_campaigns(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# (d) Pool workers: fork bootstrap, checkpointed campaigns, shutdown
+# (e) Pool workers: fork bootstrap, checkpointed campaigns, shutdown
 # ----------------------------------------------------------------------
 
 @needs_fork
@@ -475,13 +647,7 @@ def test_shutdown_workers_escalates_on_hung_worker():
 
 def test_discard_pool_accounts_worker_kills():
     class FakePool:
-        total_forks = 0
-        total_replacements = 0
-        total_heartbeats = 0
-        total_kills = 0
-
-        def close(self):
-            self.total_kills += 3
+        def close(self, join_timeout=5.0):
             return 3
 
     design = fig1_dense_cluster()

@@ -554,8 +554,8 @@ class TestEnvKnobs:
         with pytest.raises(ValueError):
             env_flag("REPRO_TEST_FLAG")
 
-    def test_int_and_float(self, monkeypatch):
-        from repro.utils.env import env_float, env_int
+    def test_int(self, monkeypatch):
+        from repro.utils.env import env_int
 
         monkeypatch.setenv("REPRO_TEST_INT", "7")
         assert env_int("REPRO_TEST_INT", 3) == 7
@@ -564,7 +564,3 @@ class TestEnvKnobs:
         monkeypatch.setenv("REPRO_TEST_INT", "seven")
         with pytest.raises(ValueError):
             env_int("REPRO_TEST_INT", 3)
-        monkeypatch.setenv("REPRO_TEST_FLOAT", "0.25")
-        assert env_float("REPRO_TEST_FLOAT", 1.0) == 0.25
-        monkeypatch.delenv("REPRO_TEST_FLOAT", raising=False)
-        assert env_float("REPRO_TEST_FLOAT", 1.0) == 1.0
