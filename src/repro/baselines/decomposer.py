@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.design import Design
-from repro.geometry import GridPoint, Rect, SpatialIndex
+from repro.geometry import GridPoint
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
 from repro.baselines.coloring import ColoringProblem, solve_coloring
 from repro.tpl.conflict import ConflictChecker, ConflictReport
@@ -268,29 +268,37 @@ class LayoutDecomposer:
             conflict_weight=self.conflict_weight, stitch_weight=self.stitch_weight
         )
         unit_of_vertex: Dict[Tuple[str, GridPoint], UnitId] = {}
-        index_by_layer: Dict[int, SpatialIndex] = defaultdict(
-            lambda: SpatialIndex(bucket_size=max(self.grid.pitch * 8, 16))
-        )
-        for unit in units:
+        # Per layer: track key -> positions of the units covering that vertex.
+        owners_by_layer: Dict[int, Dict[int, List[int]]] = defaultdict(dict)
+        windows: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
+        for position, unit in enumerate(units):
+            if unit.layer not in windows:
+                windows[unit.layer] = self.grid.track_probe(
+                    self.rules.color_spacing_on(unit.layer)
+                )
+            stride = windows[unit.layer][0]
+            owners = owners_by_layer[unit.layer]
             for vertex in unit.vertices:
                 unit_of_vertex[(unit.net_name, vertex)] = unit.unit_id
-                index_by_layer[unit.layer].insert(self.grid.vertex_rect(vertex), unit.unit_id)
+                owners.setdefault(vertex.col * stride + vertex.row, []).append(position)
 
         # Conflict edges: different nets, same layer, within Dcolor.
         conflict_pairs: Set[Tuple[UnitId, UnitId]] = set()
-        units_by_id = {unit.unit_id: unit for unit in units}
-        for unit in units:
-            dcolor = self.rules.color_spacing_on(unit.layer)
+        for position, unit in enumerate(units):
+            stride, window = windows[unit.layer]
+            owners = owners_by_layer[unit.layer]
             for vertex in unit.vertices:
-                rect = self.grid.vertex_rect(vertex)
-                for _other_rect, other_id in index_by_layer[unit.layer].within(rect, dcolor):
-                    if other_id == unit.unit_id:
-                        continue
-                    other = units_by_id[other_id]
-                    if other.net_name == unit.net_name:
-                        continue
-                    pair = tuple(sorted((unit.unit_id, other_id)))
-                    conflict_pairs.add(pair)  # type: ignore[arg-type]
+                base = vertex.col * stride + vertex.row
+                for delta in window:
+                    for other_position in owners.get(base + delta, ()):
+                        # Lower positions already added this pair from their side.
+                        if other_position <= position:
+                            continue
+                        other = units[other_position]
+                        if other.net_name == unit.net_name:
+                            continue
+                        pair = tuple(sorted((unit.unit_id, other.unit_id)))
+                        conflict_pairs.add(pair)  # type: ignore[arg-type]
         problem.conflict_edges = sorted(conflict_pairs)
 
         # Stitch edges: same net, same layer, adjacent units (share a routed edge).
@@ -306,12 +314,17 @@ class LayoutDecomposer:
         for index, obstacle in enumerate(self.design.colored_obstacles()):
             node: UnitId = (f"__fixed__{obstacle.name or index}", index)
             problem.fixed_colors[node] = obstacle.color
+            window = self.grid.track_window(
+                obstacle.rect, self.rules.color_spacing_on(obstacle.layer)
+            )
+            if window is None:
+                continue
+            col_lo, col_hi, row_lo, row_hi = window
             for unit in units:
                 if unit.layer != obstacle.layer:
                     continue
-                dcolor = self.rules.color_spacing_on(unit.layer)
                 if any(
-                    self.grid.vertex_rect(v).distance_to(obstacle.rect) < dcolor
+                    col_lo <= v.col <= col_hi and row_lo <= v.row <= row_hi
                     for v in unit.vertices
                 ):
                     problem.conflict_edges.append((node, unit.unit_id))

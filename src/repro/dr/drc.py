@@ -11,6 +11,17 @@ the rip-up decisions:
 
 Color-specific checks (same-mask spacing) live in :mod:`repro.tpl.conflict`
 because they depend on the mask assignment, not only the geometry.
+
+Spacing is integer math on the track lattice.  Every vertex's metal is the
+same ``extent = 2 * (wire_width // 2)`` square centred on a track crossing,
+so two vertices ``cheb`` tracks apart (Chebyshev distance over ``col`` /
+``row``) have the gap ``max(0, cheb * pitch - extent)``, and "gap <
+min_spacing" is "``1 <= cheb <= k``" with
+``k = (min_spacing + extent - 1) // pitch`` (:meth:`RoutingGrid.track_reach`).
+The scan keys each layer's routed vertices by track and probes the
+``(2k+1)^2`` window around every routed vertex, so spacing violations come
+out in probe order.  When ``k == 0`` (for example ``min_spacing`` 1 on a
+pitch-4 lattice) no spacing violation is possible and the probe is skipped.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.design import Design
-from repro.geometry import GridPoint, Rect, SpatialIndex
+from repro.geometry import GridPoint
 from repro.gr.guide import GuideSet
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
 
@@ -68,22 +79,26 @@ class DRCChecker:
         """Compute shorts and spacing violations in one walk over the routes.
 
         One traversal fills both the vertex-ownership map (shorts) and the
-        per-layer spatial index (spacing), so :meth:`check` / :meth:`summary`
-        pay a single pass instead of one per violation kind.
+        per-layer track map of routed metal (spacing), so :meth:`check` /
+        :meth:`summary` pay a single pass instead of one per violation kind.
         """
         ownership: Dict[GridPoint, Set[str]] = {}
         min_spacing = self.rules.min_spacing
-        per_layer: Dict[int, SpatialIndex] = {
-            layer: SpatialIndex(bucket_size=max(self.grid.pitch * 8, 16))
-            for layer in range(self.grid.num_layers)
+        stride, window = self.grid.track_probe(min_spacing)
+        # The window always holds the vertex itself (exact overlap is a
+        # short); with nothing else in it no spacing violation is possible.
+        spacing_possible = len(window) > 1
+        per_layer: Dict[int, Dict[int, List[Tuple[str, GridPoint]]]] = {
+            layer: {} for layer in range(self.grid.num_layers)
         }
         for route in solution.routes.values():
-            spacing_checked = route.routed and min_spacing > 0
+            spacing_checked = route.routed and spacing_possible
             for vertex in route.vertices:
                 ownership.setdefault(vertex, set()).add(route.net_name)
                 if spacing_checked:
-                    rect = self.grid.vertex_rect(vertex)
-                    per_layer[vertex.layer].insert(rect, (route.net_name, vertex))
+                    per_layer[vertex.layer].setdefault(
+                        vertex.col * stride + vertex.row, []
+                    ).append((route.net_name, vertex))
 
         shorts: List[Violation] = []
         for vertex, owners in ownership.items():
@@ -98,31 +113,32 @@ class DRCChecker:
                 )
 
         spacing: List[Violation] = []
-        if min_spacing <= 0:
+        if not spacing_possible:
             return shorts, spacing
         seen: Set[Tuple[str, str, GridPoint, GridPoint]] = set()
         for route in solution.routed_nets():
+            net_name = route.net_name
             for vertex in route.vertices:
-                rect = self.grid.vertex_rect(vertex)
-                for _other_rect, (other_net, other_vertex) in per_layer[vertex.layer].within(
-                    rect, min_spacing
-                ):
-                    if other_net == route.net_name:
-                        continue
-                    if other_vertex == vertex:
-                        continue  # exact overlap is reported as a short
-                    key = self._pair_key(route.net_name, vertex, other_net, other_vertex)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    spacing.append(
-                        Violation(
-                            kind="spacing",
-                            nets=tuple(sorted((route.net_name, other_net))),
-                            location=vertex,
-                            detail=f"below min spacing {min_spacing}",
+                owners_by_track = per_layer[vertex.layer]
+                base = vertex.col * stride + vertex.row
+                for delta in window:
+                    for other_net, other_vertex in owners_by_track.get(base + delta, ()):
+                        if other_net == net_name:
+                            continue
+                        if other_vertex == vertex:
+                            continue  # exact overlap is reported as a short
+                        key = self._pair_key(net_name, vertex, other_net, other_vertex)
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                        spacing.append(
+                            Violation(
+                                kind="spacing",
+                                nets=tuple(sorted((net_name, other_net))),
+                                location=vertex,
+                                detail=f"below min spacing {min_spacing}",
+                            )
                         )
-                    )
         return shorts, spacing
 
     def find_open_nets(self, solution: RoutingSolution) -> List[Violation]:

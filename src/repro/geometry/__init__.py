@@ -4,8 +4,8 @@ All coordinates are integers in database units (DBU), matching how detailed
 routers and the ISPD contest benchmarks represent layouts.  The kernel
 provides points (2-D and 3-D with a layer index), axis-aligned rectangles,
 closed integer intervals, rectilinear wire segments, macro placement
-transforms, and a uniform-bucket spatial index used for spacing / color
-conflict queries.
+transforms, and a uniform-bucket spatial index used for the routing grid's
+colored-shape and blockage queries.
 """
 
 from repro.geometry.point import Point, GridPoint

@@ -542,6 +542,58 @@ class RoutingGrid:
         point = self.physical_point(vertex)
         return Rect(point.x - half, point.y - half, point.x + half, point.y + half)
 
+    def track_reach(self, distance: int) -> int:
+        """Return the largest track distance at which vertex metal sits closer than *distance*.
+
+        Every :meth:`vertex_rect` is the same ``extent = 2 * (wire_width // 2)``
+        square on the pitch lattice, so two vertices ``cheb`` tracks apart
+        (Chebyshev distance over ``col`` / ``row``) have the gap
+        ``max(0, cheb * pitch - extent)``.  Hence ``gap < distance`` exactly
+        when ``cheb <= (distance + extent - 1) // pitch``.  Returns ``-1``
+        when *distance* is not positive: no gap is below it.
+        """
+        if distance <= 0:
+            return -1
+        extent = 2 * max(self.rules.wire_width // 2, 0)
+        return (distance + extent - 1) // self.pitch
+
+    def track_probe(self, distance: int) -> Tuple[int, Tuple[int, ...]]:
+        """Return ``(stride, deltas)`` probing the vertices closer than *distance*.
+
+        Key a layer's vertices by ``col * stride + row``; then the keys
+        ``key + delta`` over *deltas* are the ``(2k+1)^2`` Chebyshev window
+        of :meth:`track_reach` ``k`` around a vertex, itself included (an
+        empty window when ``k < 0``).  The stride pads the row span by ``k``
+        on both sides, so a probe past the die edge never aliases into the
+        neighbouring column.
+        """
+        reach = self.track_reach(distance)
+        stride = self.num_rows + 2 * max(reach, 0)
+        return stride, tuple(
+            dcol * stride + drow
+            for dcol in range(-reach, reach + 1)
+            for drow in range(-reach, reach + 1)
+        )
+
+    def track_window(self, rect: Rect, distance: int) -> Optional[Tuple[int, int, int, int]]:
+        """Return ``(col_lo, col_hi, row_lo, row_hi)`` of vertices closer than *distance* to *rect*.
+
+        A vertex's metal is closer than *distance* to *rect* exactly when
+        its track crossing lies in ``rect.expanded(distance + half - 1)``
+        (``half = wire_width // 2``), so the window is the bounds of
+        :meth:`vertices_covering` on that rect, left unclamped.  ``None``
+        when *distance* is not positive.
+        """
+        if distance <= 0:
+            return None
+        bloat = distance + max(self.rules.wire_width // 2, 0) - 1
+        return (
+            -((self.origin.x - rect.xlo + bloat) // self.pitch),
+            (rect.xhi + bloat - self.origin.x) // self.pitch,
+            -((self.origin.y - rect.ylo + bloat) // self.pitch),
+            (rect.yhi + bloat - self.origin.y) // self.pitch,
+        )
+
     def nearest_vertex(self, layer: int, point: Point) -> GridPoint:
         """Return the grid vertex on *layer* closest to *point* (clamped)."""
         col = round((point.x - self.origin.x) / self.pitch)

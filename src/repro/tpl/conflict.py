@@ -11,6 +11,19 @@ same-net, same-layer, same-mask routed metal.  Each offending feature pair
 counts once, which is how layout decomposers (OpenMPL) report conflicts as
 well -- the same counter is applied to every router and baseline in this
 repository.
+
+Proximity is integer math on the track lattice.  Every vertex's metal is
+the same ``extent = 2 * (wire_width // 2)`` square centred on a track
+crossing, so two vertices ``cheb`` tracks apart (Chebyshev distance over
+``col`` / ``row``) have the gap ``max(0, cheb * pitch - extent)``, and
+"gap < d" is "``cheb <= k``" with ``k = (d + extent - 1) // pitch``
+(:meth:`RoutingGrid.track_reach`).  The full scan keys each layer's
+feature vertices by track, probes the ``(2k+1)^2`` window around every
+feature vertex for ``d = max(Dcolor, min_spacing)``, and reports each pair
+once, at the first vertex of the lower-id feature that meets the other; so
+conflicts come out in probe order.  A feature vertex sits closer than
+``Dcolor`` to an obstacle when its track crossing lies in the obstacle's
+``rect.expanded(Dcolor + wire_width // 2 - 1)`` (:meth:`RoutingGrid.track_window`).
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.design import Design
-from repro.geometry import GridPoint, Rect, SpatialIndex
+from repro.geometry import GridPoint
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
 from repro.utils import DisjointSet
 
@@ -77,6 +90,21 @@ class ConflictReport:
     def conflict_locations(self) -> List[GridPoint]:
         """Return one representative grid location per conflict."""
         return [conflict.location for conflict in self.conflicts]
+
+    def counts_by_class(self) -> Dict[str, int]:
+        """Return the conflict count split into strap, same-mask and min-spacing.
+
+        A strap conflict is one against a pre-colored obstacle (``net_b``
+        starts with ``__fixed__``); the other two classes are the net-to-net
+        kinds.  The three counts sum to :attr:`conflict_count`.
+        """
+        counts = {"strap": 0, "same-mask": 0, "min-spacing": 0}
+        for conflict in self.conflicts:
+            if conflict.net_b.startswith("__fixed__"):
+                counts["strap"] += 1
+            else:
+                counts[conflict.kind] += 1
+        return counts
 
 
 class ConflictChecker:
@@ -151,36 +179,45 @@ class ConflictChecker:
         features = self.extract_features(solution)
         report.uncolored_vertices = self._count_uncolored(solution)
 
-        index_by_layer: Dict[int, SpatialIndex] = defaultdict(
-            lambda: SpatialIndex(bucket_size=max(self.grid.pitch * 8, 16))
-        )
-        feature_rects: Dict[int, List[Tuple[Rect, GridPoint]]] = {}
+        # Per layer: track key -> the ids of the features covering that
+        # vertex, in insertion order (a short puts several on one vertex).
+        owners_by_layer: Dict[int, Dict[int, List[int]]] = defaultdict(dict)
+        windows: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
         for feature_id, feature in enumerate(features):
-            rects = []
+            layer = feature.layer
+            if layer not in windows:
+                windows[layer] = self.grid.track_probe(
+                    max(self.rules.color_spacing_on(layer), self.rules.min_spacing)
+                )
+            stride = windows[layer][0]
+            owners = owners_by_layer[layer]
             for vertex in feature.vertices:
-                rect = self.grid.vertex_rect(vertex)
-                rects.append((rect, vertex))
-                index_by_layer[feature.layer].insert(rect, feature_id)
-            feature_rects[feature_id] = rects
+                owners.setdefault(vertex.col * stride + vertex.row, []).append(feature_id)
 
-        seen_pairs: Set[Tuple[int, int]] = set()
         for feature_id, feature in enumerate(features):
-            dcolor = self.rules.color_spacing_on(feature.layer)
-            reach = max(dcolor, self.rules.min_spacing)
-            for rect, vertex in feature_rects[feature_id]:
-                for _other_rect, other_id in index_by_layer[feature.layer].within(rect, reach):
-                    if other_id == feature_id:
+            layer = feature.layer
+            stride, window = windows[layer]
+            owners = owners_by_layer[layer]
+            dcolor = self.rules.color_spacing_on(layer)
+            net_name = feature.net_name
+            met: Set[int] = set()
+            for vertex in feature.vertices:
+                base = vertex.col * stride + vertex.row
+                for delta in window:
+                    ids = owners.get(base + delta)
+                    if ids is None:
                         continue
-                    other = features[other_id]
-                    if other.net_name == feature.net_name:
-                        continue
-                    pair = (min(feature_id, other_id), max(feature_id, other_id))
-                    if pair in seen_pairs:
-                        continue
-                    seen_pairs.add(pair)
-                    conflict = self._classify_pair(feature, other, vertex, dcolor)
-                    if conflict is not None:
-                        report.conflicts.append(conflict)
+                    for other_id in ids:
+                        # Lower ids already met this pair from their side.
+                        if other_id <= feature_id or other_id in met:
+                            continue
+                        other = features[other_id]
+                        if other.net_name == net_name:
+                            continue
+                        met.add(other_id)
+                        conflict = self._classify_pair(feature, other, vertex, dcolor)
+                        if conflict is not None:
+                            report.conflicts.append(conflict)
         report.conflicts.extend(self._obstacle_conflicts(features))
         return report
 
@@ -250,31 +287,34 @@ class ConflictChecker:
 
     def _obstacle_conflicts(self, features: Iterable[Feature]) -> List[ColorConflict]:
         conflicts: List[ColorConflict] = []
-        obstacles = self.design.colored_obstacles()
-        if not obstacles:
-            return conflicts
+        # (layer, mask) -> (name, col_lo, col_hi, row_lo, row_hi) per obstacle,
+        # in design order: a feature vertex inside the track window sits
+        # closer than Dcolor to the obstacle.
+        windows: Dict[Tuple[int, int], List[Tuple[str, int, int, int, int]]] = defaultdict(list)
+        for obstacle in self.design.colored_obstacles():
+            window = self.grid.track_window(
+                obstacle.rect, self.rules.color_spacing_on(obstacle.layer)
+            )
+            if window is not None:
+                name = f"__fixed__{obstacle.name or 'obstacle'}"
+                windows[(obstacle.layer, obstacle.color)].append((name, *window))
         for feature in features:
-            dcolor = self.rules.color_spacing_on(feature.layer)
-            for obstacle in obstacles:
-                if obstacle.layer != feature.layer or obstacle.color != feature.color:
-                    continue
-                hit = None
+            for name, col_lo, col_hi, row_lo, row_hi in windows.get(
+                (feature.layer, feature.color), ()
+            ):
                 for vertex in feature.vertices:
-                    rect = self.grid.vertex_rect(vertex)
-                    if rect.distance_to(obstacle.rect) < dcolor:
-                        hit = vertex
-                        break
-                if hit is not None:
-                    conflicts.append(
-                        ColorConflict(
-                            net_a=feature.net_name,
-                            net_b=f"__fixed__{obstacle.name or 'obstacle'}",
-                            layer=feature.layer,
-                            color=feature.color,
-                            location=hit,
-                            kind="same-mask",
+                    if col_lo <= vertex.col <= col_hi and row_lo <= vertex.row <= row_hi:
+                        conflicts.append(
+                            ColorConflict(
+                                net_a=feature.net_name,
+                                net_b=name,
+                                layer=feature.layer,
+                                color=feature.color,
+                                location=vertex,
+                                kind="same-mask",
+                            )
                         )
-                    )
+                        break
         return conflicts
 
     def _count_uncolored(self, solution: RoutingSolution) -> int:

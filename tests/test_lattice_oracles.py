@@ -1,0 +1,285 @@
+"""Brute-force differential for the full-scan oracles' track-lattice probes.
+
+``ConflictChecker.check``, ``DRCChecker`` spacing and the decomposer's
+``build_problem`` find nearby metal by integer Chebyshev probes on the
+track lattice (:meth:`RoutingGrid.track_probe` / ``track_window``).  Here
+each of them is compared with an O(V^2) loop over
+``grid.vertex_rect(a).distance_to(grid.vertex_rect(b))`` on seeded random
+layouts.  The layouts cover wire widths 1-3 (so the metal square has a
+non-zero extent), a die whose origin is not ``(0, 0)``, a per-layer
+``Dcolor`` override, ``min_spacing`` of 1, the pitch and pitch + 2,
+vertices shared by several nets (shorts), failed routes, and pre-coloured
+obstacles that stick out over the die edge.
+
+The second part pins the full-scan report of one suite case, recorded
+before the lattice probes replaced the spatial-index search.
+"""
+
+import hashlib
+from collections import Counter
+
+import pytest
+
+from repro.baselines.decomposer import LayoutDecomposer
+from repro.bench import suite_case
+from repro.design import Design, Obstacle
+from repro.dr import DRCChecker
+from repro.geometry import GridPoint, Rect
+from repro.grid import NetRoute, RoutingGrid, RoutingSolution
+from repro.tech import DesignRules, make_default_tech
+from repro.tpl import ConflictChecker
+from repro.tpl.mr_tpl import MrTPLRouter
+from repro.utils.rng import SeededRNG
+
+PITCH = 4
+
+
+def random_layout(rng):
+    """Return ``(design, grid, solution)`` for one random layout."""
+    wire_width = rng.choice((1, 2, 3))
+    min_spacing = rng.choice((1, PITCH, PITCH + 2))
+    color_spacing = rng.choice((5, 8, 11))
+    rules = DesignRules(
+        min_spacing=min_spacing,
+        color_spacing=color_spacing,
+        wire_width=wire_width,
+        color_spacing_per_layer={1: rng.choice((3, 9, 14))},
+    )
+    num_layers = 3
+    tech = make_default_tech(
+        num_layers=num_layers, pitch=PITCH, color_spacing=color_spacing, rules=rules
+    )
+    x0, y0 = rng.randint(-13, 13), rng.randint(-13, 13)
+    cols, rows = rng.randint(6, 12), rng.randint(6, 12)
+    die = Rect(x0, y0, x0 + (cols - 1) * PITCH, y0 + (rows - 1) * PITCH)
+    design = Design(name="lattice", tech=tech, die_area=die)
+    for index in range(rng.randint(1, 4)):
+        layer = rng.randint(0, num_layers - 1)
+        # Straps hanging over the die edge, plus one inside the die.
+        if index % 2 == 0:
+            xlo = die.xlo - rng.randint(0, 6)
+            xhi = die.xlo + rng.randint(-2, 7)
+        else:
+            xhi = die.xhi + rng.randint(0, 6)
+            xlo = die.xhi - rng.randint(-2, 7)
+        ylo = rng.randint(die.ylo - 3, die.yhi)
+        rect = Rect(xlo, ylo, max(xhi, xlo), ylo + rng.randint(0, 5))
+        if index == 3:
+            xlo = rng.randint(die.xlo, die.xhi)
+            rect = Rect(xlo, ylo, xlo + rng.randint(0, 6), rect.yhi)
+        design.add_obstacle(
+            Obstacle(layer=layer, rect=rect, name=f"strap{index}", color=rng.randint(0, 2))
+        )
+    grid = RoutingGrid(design)
+
+    solution = RoutingSolution(design_name="lattice")
+    placed = []
+    for net_index in range(rng.randint(2, 7)):
+        route = NetRoute(net_name=f"n{net_index}")
+        for _ in range(rng.randint(1, 3)):
+            if placed and rng.random() < 0.3:
+                vertex = rng.choice(placed)  # start on another net's metal
+            else:
+                vertex = GridPoint(
+                    rng.randint(0, num_layers - 1),
+                    rng.randint(0, grid.num_cols - 1),
+                    rng.randint(0, grid.num_rows - 1),
+                )
+            path = [vertex]
+            for _ in range(rng.randint(0, 7)):
+                layer, col, row = path[-1].layer, path[-1].col, path[-1].row
+                step = rng.randint(0, 5)
+                if step == 0:
+                    col += 1
+                elif step == 1:
+                    col -= 1
+                elif step == 2:
+                    row += 1
+                elif step == 3:
+                    row -= 1
+                elif step == 4:
+                    layer += 1
+                else:
+                    layer -= 1
+                if 0 <= layer < num_layers and 0 <= col < grid.num_cols and 0 <= row < grid.num_rows:
+                    path.append(GridPoint(layer, col, row))
+            route.add_path(path)
+        for vertex in route.vertices:
+            if rng.random() < 0.9:
+                route.set_color(vertex, rng.randint(0, 2))
+        route.routed = rng.random() < 0.85
+        placed.extend(route.vertices)
+        solution.add_route(route)
+    return design, grid, solution
+
+
+def gap(grid, a, b):
+    return grid.vertex_rect(a).distance_to(grid.vertex_rect(b))
+
+
+def brute_conflicts(checker, grid, design, solution):
+    """O(V^2) conflict scan: one entry per interacting feature pair."""
+    rules = grid.rules
+    features = checker.extract_features(solution)
+    conflicts = []
+    for i, feature in enumerate(features):
+        dcolor = rules.color_spacing_on(feature.layer)
+        reach = max(dcolor, rules.min_spacing)
+        for other in features[i + 1:]:
+            if other.layer != feature.layer or other.net_name == feature.net_name:
+                continue
+            hits = [
+                vertex
+                for vertex in feature.vertices
+                if any(gap(grid, vertex, w) < reach for w in other.vertices)
+            ]
+            if not hits:
+                continue
+            location = next(v for v in feature.vertices if v in hits)
+            distance = min(gap(grid, v, w) for v in feature.vertices for w in other.vertices)
+            if distance < rules.min_spacing:
+                kind = "min-spacing"
+            elif feature.color == other.color and distance < dcolor:
+                kind = "same-mask"
+            else:
+                continue
+            conflicts.append(
+                (kind, feature.net_name, other.net_name, feature.layer, feature.color, location)
+            )
+    for feature in features:
+        dcolor = rules.color_spacing_on(feature.layer)
+        for obstacle in design.colored_obstacles():
+            if obstacle.layer != feature.layer or obstacle.color != feature.color:
+                continue
+            for vertex in feature.vertices:
+                if grid.vertex_rect(vertex).distance_to(obstacle.rect) < dcolor:
+                    conflicts.append(
+                        (
+                            "same-mask",
+                            feature.net_name,
+                            f"__fixed__{obstacle.name}",
+                            feature.layer,
+                            feature.color,
+                            vertex,
+                        )
+                    )
+                    break
+    return conflicts
+
+
+def brute_spacing(grid, solution):
+    """O(V^2) spacing scan, located at the first member in scan order."""
+    entries = [(route.net_name, vertex) for route in solution.routed_nets() for vertex in route.vertices]
+    violations = []
+    for i, (net_a, vertex_a) in enumerate(entries):
+        for net_b, vertex_b in entries[i + 1:]:
+            if net_a == net_b or vertex_a == vertex_b or vertex_a.layer != vertex_b.layer:
+                continue
+            if gap(grid, vertex_a, vertex_b) < grid.rules.min_spacing:
+                violations.append((tuple(sorted((net_a, net_b))), vertex_a))
+    return violations
+
+
+def brute_shorts(solution):
+    owners = {}
+    for route in solution.routes.values():
+        for vertex in route.vertices:
+            owners.setdefault(vertex, set()).add(route.net_name)
+    return sorted((vertex, tuple(sorted(nets))) for vertex, nets in owners.items() if len(nets) > 1)
+
+
+def brute_conflict_edges(decomposer, grid, design, units):
+    rules = grid.rules
+    pairs = set()
+    for i, unit in enumerate(units):
+        dcolor = rules.color_spacing_on(unit.layer)
+        for other in units[i + 1:]:
+            if other.layer != unit.layer or other.net_name == unit.net_name:
+                continue
+            if any(gap(grid, v, w) < dcolor for v in unit.vertices for w in other.vertices):
+                pairs.add(tuple(sorted((unit.unit_id, other.unit_id))))
+    edges = sorted(pairs)
+    for index, obstacle in enumerate(design.colored_obstacles()):
+        node = (f"__fixed__{obstacle.name or index}", index)
+        dcolor = rules.color_spacing_on(obstacle.layer)
+        for unit in units:
+            if unit.layer == obstacle.layer and any(
+                grid.vertex_rect(v).distance_to(obstacle.rect) < dcolor for v in unit.vertices
+            ):
+                edges.append((node, unit.unit_id))
+    return edges
+
+
+@pytest.mark.parametrize("seed", [3, 41])
+def test_lattice_oracles_match_brute_force(seed, rng_rounds):
+    rng = SeededRNG(seed)
+    for round_number in range(rng_rounds):
+        design, grid, solution = random_layout(rng)
+        context = f"seed {seed}, round {round_number}"
+
+        checker = ConflictChecker(design, grid)
+        report = checker.check(solution)
+        got = Counter(
+            (c.kind, c.net_a, c.net_b, c.layer, c.color, c.location) for c in report.conflicts
+        )
+        assert got == Counter(brute_conflicts(checker, grid, design, solution)), context
+
+        grouped = DRCChecker(design, grid).check(solution)
+        assert sorted((v.location, v.nets) for v in grouped["short"]) == brute_shorts(
+            solution
+        ), context
+        assert Counter((v.nets, v.location) for v in grouped["spacing"]) == Counter(
+            brute_spacing(grid, solution)
+        ), context
+
+        for stitch_candidates in (True, False):
+            decomposer = LayoutDecomposer(design, grid, stitch_candidates=stitch_candidates)
+            units = decomposer.extract_units(solution)
+            problem = decomposer.build_problem(units)
+            assert problem.conflict_edges == brute_conflict_edges(
+                decomposer, grid, design, units
+            ), context
+
+
+def test_lattice_layouts_exercise_every_rule():
+    """The random layouts do hit every conflict kind, spacing and shorts."""
+    rng = SeededRNG(3)
+    kinds = Counter()
+    for _ in range(40):
+        design, grid, solution = random_layout(rng)
+        report = ConflictChecker(design, grid).check(solution)
+        kinds.update(report.counts_by_class())
+        grouped = DRCChecker(design, grid).check(solution)
+        kinds["short"] += len(grouped["short"])
+        kinds["spacing"] += len(grouped["spacing"])
+    for kind in ("strap", "same-mask", "min-spacing", "short", "spacing"):
+        assert kinds[kind] > 0, kinds
+
+
+# ----------------------------------------------------------------------
+# Golden pin of the full-scan report
+# ----------------------------------------------------------------------
+
+#: ispd19 test3 at scale 0.5, Mr.TPL initial pass (``max_iterations=0``):
+#: sha256 of the sorted ``(kind, net_a, net_b, layer, color,
+#: tuple(location))`` tuples, recorded with the spatial-index oracle.
+GOLDEN_REPORT_SHA256 = "9bc2cb7ecc89910e7bb9bef49ffd00fa0dd2db54ed231b32139b9f0edfc9976a"
+GOLDEN_CLASSES = {"strap": 3, "same-mask": 2, "min-spacing": 1}
+GOLDEN_DRC_SUMMARY = {"shorts": 1, "spacing": 0, "opens": 0, "out_of_guide": 4, "wrong_way": 58}
+
+
+def test_full_scan_report_golden():
+    design = suite_case("ispd19", 3, scale=0.5).build()
+    router = MrTPLRouter(design, max_iterations=0)
+    solution = router.run()
+    report = ConflictChecker(design, router.grid).check(solution)
+    rows = sorted(
+        (c.kind, c.net_a, c.net_b, c.layer, c.color, tuple(c.location)) for c in report.conflicts
+    )
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == GOLDEN_REPORT_SHA256
+    assert report.uncolored_vertices == 0
+    counts = report.counts_by_class()
+    assert counts == GOLDEN_CLASSES
+    assert sum(counts.values()) == report.conflict_count
+    summary = DRCChecker(design, router.grid, router.guides).summary(solution)
+    assert summary == GOLDEN_DRC_SUMMARY
