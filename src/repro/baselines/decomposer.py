@@ -311,8 +311,8 @@ class LayoutDecomposer:
         problem.stitch_edges = sorted(stitch_pairs - conflict_pairs)
 
         # Pre-colored obstacles become fixed pseudo-units.
-        for index, obstacle in enumerate(self.design.colored_obstacles()):
-            node: UnitId = (f"__fixed__{obstacle.name or index}", index)
+        for index, (name, obstacle) in enumerate(self.design.fixed_color_nets()):
+            node: UnitId = (name, index)
             problem.fixed_colors[node] = obstacle.color
             window = self.grid.track_window(
                 obstacle.rect, self.rules.color_spacing_on(obstacle.layer)

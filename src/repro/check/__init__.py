@@ -6,9 +6,7 @@ full-scan checkers (:class:`repro.dr.drc.DRCChecker`,
 This package re-validates only the changed neighbourhood:
 
 * :class:`DirtyRegionTracker` drains the grid's per-net occupancy/color
-  delta hooks into dirty-net and dirty-flat-index sets, expanding deltas by
-  the relevant interaction radius (``Dcolor`` for conflicts, ``min_spacing``
-  for DRC),
+  delta hooks into dirty-net and dirty-flat-index sets,
 * :class:`IncrementalDRCChecker` / :class:`IncrementalConflictChecker`
   maintain running violation and conflict tallies that match the full-scan
   oracles on counts, kinds and net pairs (differentially tested after

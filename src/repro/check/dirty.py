@@ -7,13 +7,12 @@ thanks to the per-net reverse occupancy index) and accumulates
 
 * the set of **dirty nets** -- nets whose metal or masks changed since the
   tracker was last drained, and
-* the set of **raw dirty flat indices** -- every vertex index touched by a
-  commit, release or recolor,
+* the set of **dirty flat indices** -- every vertex index touched by a
+  commit, release or recolor.
 
-which :meth:`DirtyRegionTracker.expanded_indices` grows by an interaction
-radius (``Dcolor`` for color conflicts, ``min_spacing`` for DRC) into the
-flat-index dirty *region*: the only vertices whose check verdicts can have
-changed.  The incremental checkers in this package drain one tracker each.
+The incremental checkers in this package drain one tracker each and
+re-scan each dirty net's metal over the interaction offsets of
+:meth:`RoutingGrid.track_offsets`.
 """
 
 from __future__ import annotations
@@ -68,28 +67,6 @@ class DirtyRegionTracker:
     def dirty_nets(self) -> Set[str]:
         """Return the names of nets with pending deltas."""
         return {self.grid.net_name_of(net_id) for net_id in self._dirty_net_ids}
-
-    def raw_indices(self) -> Set[int]:
-        """Return the raw (unexpanded) dirty flat-index set."""
-        return set(self._dirty_indices)
-
-    def expanded_indices(self, radius: int) -> Set[int]:
-        """Return the dirty region: raw indices grown by *radius* (same layer).
-
-        Only vertices inside this set can have gained or lost a violation or
-        conflict whose interaction distance is *radius*.
-        """
-        grid = self.grid
-        offsets = grid.interaction_offsets(radius)
-        cols, rows, plane = grid.num_cols, grid.num_rows, grid.plane_size
-        region: Set[int] = set()
-        for index in self._dirty_indices:
-            rem = index % plane
-            col, row = divmod(rem, rows)
-            for dcol, drow, delta in offsets:
-                if 0 <= col + dcol < cols and 0 <= row + drow < rows:
-                    region.add(index + delta)
-        return region
 
     def consume(self) -> Tuple[Set[str], Set[int], bool]:
         """Drain and return ``(dirty nets, raw dirty indices, needs_rebuild)``."""

@@ -11,10 +11,11 @@ conflict lists stay valid until one of the nets changes:
   get their features re-extracted with the *same* ``_net_features``
   routine the full checker uses,
 * every cached pair involving a dirty net is dropped, and partners within
-  the interaction radius (``max(Dcolor, min_spacing)``, the dirty-region
-  expansion applied to the net's feature vertices) are re-classified with
-  the full checker's own ``_classify_pair`` / ``_obstacle_conflicts``
-  helpers, so kinds and thresholds cannot drift apart,
+  the interaction radius (``max(Dcolor, min_spacing)``, probed over
+  :meth:`RoutingGrid.track_offsets` around the net's feature vertices) are
+  re-classified with the full checker's own ``_classify_pair`` /
+  ``_obstacle_conflicts`` helpers, so kinds and thresholds cannot drift
+  apart,
 * per-net obstacle-conflict and uncolored-vertex tallies are recomputed for
   dirty nets only.
 
@@ -36,31 +37,32 @@ from array import array
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.check.dirty import DirtyRegionTracker
-from repro.check.kernels import scan_hits, zero_owner_mirror
+from repro.check.kernels import OffsetBuffers, offset_buffers, scan_hits, zero_owner_mirror
 from repro.design import Design
-from repro.geometry import GridPoint, Rect
+from repro.geometry import GridPoint
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
 from repro.tpl.conflict import ColorConflict, ConflictChecker, ConflictReport, Feature
 
 #: Canonical unordered net-pair key.
 NetPair = Tuple[str, str]
 
+#: A :meth:`RoutingGrid.track_offsets` table.
+Offsets = Tuple[Tuple[int, int, int], ...]
+
 
 class _FeatureEntry(NamedTuple):
     """One cached feature with everything the scan/classify paths need.
 
-    ``ordered`` / ``coords`` hold the feature's vertices in sorted order
-    with their vertex-rect corner coordinates, so the conflict-anchor
-    search runs over plain ints instead of rebuilding ``Rect`` objects on
-    every candidate pair (the sorted order reproduces the reference
-    ``min``'s smallest-vertex tie-breaking exactly).
+    ``box`` is the feature's track bounding box ``(col_lo, col_hi, row_lo,
+    row_hi)``; ``ordered`` holds its vertices in sorted order (the
+    conflict-anchor search walks them, and the sorted order reproduces the
+    reference ``min``'s smallest-vertex tie-breaking exactly).
     """
 
     feature: Feature
-    bbox: Rect
+    box: Tuple[int, int, int, int]
     indices: array
     ordered: Tuple[GridPoint, ...]
-    coords: Tuple[Tuple[int, int, int, int], ...]
 
 
 class IncrementalConflictChecker:
@@ -77,14 +79,16 @@ class IncrementalConflictChecker:
         self.rules = grid.rules
         self.oracle = ConflictChecker(design, grid)
         self.tracker = tracker if tracker is not None else DirtyRegionTracker(grid)
+        # Per layer: the interaction offsets and their kernel buffers.
+        self._layer_offsets: Dict[int, Tuple[Offsets, OffsetBuffers]] = {}
         self._reset_state()
 
     def _reset_state(self) -> None:
         self._built = False
         self._route_revisions: Dict[str, int] = {}
-        # Per net: features plus their bounding boxes (pair prefilter),
-        # flat vertex indices (the scan kernels' input) and cached
-        # sorted-vertex rect coordinates (the anchor search's input).
+        # Per net: features plus their track bounding boxes (pair
+        # prefilter), flat vertex indices (the scan kernels' input) and
+        # sorted vertices (the anchor search's input).
         self._features: Dict[str, List[_FeatureEntry]] = {}
         # Flat index -> names of nets with a feature vertex there.
         self._occ: Dict[int, Set[str]] = {}
@@ -109,10 +113,18 @@ class IncrementalConflictChecker:
             self._id_names.append(name)
         return ident
 
-    def _offsets_for(self, layer: int) -> Tuple[Tuple[int, int, int], ...]:
-        # The canonical per-layer interaction radius (max(Dcolor,
-        # min_spacing)) shared with the batch scheduler, cached on the grid.
-        return self.grid.layer_interaction_offsets(layer)
+    def _offsets_for(self, layer: int) -> Tuple[Offsets, OffsetBuffers]:
+        """Return *layer*'s interaction offsets and their kernel buffers.
+
+        The reach is the layer's :meth:`RoutingGrid.interaction_radius`
+        (``max(Dcolor, min_spacing)``).
+        """
+        cached = self._layer_offsets.get(layer)
+        if cached is None:
+            offsets = self.grid.track_offsets(self.grid.interaction_radius(layer=layer))
+            cached = (offsets, offset_buffers(offsets))
+            self._layer_offsets[layer] = cached
+        return cached
 
     # ------------------------------------------------------------------
     # Refresh
@@ -251,72 +263,28 @@ class IncrementalConflictChecker:
     def _add_net(self, name: str, route: NetRoute) -> None:
         features = self._extract_features(route)
         index_of = self.grid.index_of
-        vertex_rect = self.grid.vertex_rect
         net_id = self._intern(name)
         owner = self._occ_owner
         entries: List[_FeatureEntry] = []
         for feature in features:
             ordered = tuple(sorted(feature.vertices))
-            rects = [vertex_rect(v) for v in ordered]
-            bbox = Rect.bounding(rects)
-            coords = tuple((r.xlo, r.ylo, r.xhi, r.yhi) for r in rects)
+            cols = [v.col for v in ordered]
+            rows = [v.row for v in ordered]
+            box = (min(cols), max(cols), min(rows), max(rows))
             indices = array("q", [index_of(v) for v in ordered])
-            entries.append(_FeatureEntry(feature, bbox, indices, ordered, coords))
+            entries.append(_FeatureEntry(feature, box, indices, ordered))
             for index in indices:
                 occ = self._occ.setdefault(index, set())
                 occ.add(name)
                 owner[index] = net_id if len(occ) == 1 else -1
         self._features[name] = entries
         if features:
-            obstacle = self._obstacle_conflicts_prefiltered(entries)
+            obstacle = self.oracle._obstacle_conflicts(features)
             if obstacle:
                 self._obstacle_conflicts[name] = obstacle
         uncolored = self._count_uncolored(route, entries)
         if uncolored:
             self._uncolored[name] = uncolored
-
-    def _obstacle_conflicts_prefiltered(
-        self, entries: List[_FeatureEntry]
-    ) -> List[ColorConflict]:
-        """Bbox-prefiltered twin of the oracle's ``_obstacle_conflicts``.
-
-        The feature bbox contains every member rect, so its gap to the
-        obstacle lower-bounds every member gap: pairs whose bbox gap already
-        meets ``dcolor`` skip the per-vertex rect walk.  Surviving pairs run
-        the oracle's exact loop over the same frozenset (same iteration
-        order), so the emitted conflicts -- and their order -- are identical.
-        """
-        obstacles = self.design.colored_obstacles()
-        if not obstacles:
-            return []
-        conflicts: List[ColorConflict] = []
-        vertex_rect = self.grid.vertex_rect
-        for entry in entries:
-            feature = entry.feature
-            dcolor = self.rules.color_spacing_on(feature.layer)
-            bbox = entry.bbox
-            for obstacle in obstacles:
-                if obstacle.layer != feature.layer or obstacle.color != feature.color:
-                    continue
-                if bbox.distance_to(obstacle.rect) >= dcolor:
-                    continue
-                hit = None
-                for vertex in feature.vertices:
-                    if vertex_rect(vertex).distance_to(obstacle.rect) < dcolor:
-                        hit = vertex
-                        break
-                if hit is not None:
-                    conflicts.append(
-                        ColorConflict(
-                            net_a=feature.net_name,
-                            net_b=f"__fixed__{obstacle.name or 'obstacle'}",
-                            layer=feature.layer,
-                            color=feature.color,
-                            location=hit,
-                            kind="same-mask",
-                        )
-                    )
-        return conflicts
 
     def _count_uncolored(self, route: NetRoute, entries: List[_FeatureEntry]) -> int:
         """Count routed TPL-layer vertices without a mask assignment.
@@ -366,7 +334,7 @@ class IncrementalConflictChecker:
                     merged.extend(entry.indices)
             hits = scan_hits(
                 merged,
-                grid.layer_interaction_offset_arrays(layer),
+                self._offsets_for(layer)[1],
                 self._occ_owner,
                 self_id,
                 grid.num_cols,
@@ -407,7 +375,7 @@ class IncrementalConflictChecker:
         grid = self.grid
         rows, cols, plane = grid.num_rows, grid.num_cols, grid.plane_size
         occ_get = self._occ.get
-        offsets = self._offsets_for(feature.layer)
+        offsets = self._offsets_for(feature.layer)[0]
         for index in indices:
             col, row = divmod(index % plane, rows)
             for dcol, drow, delta in offsets:
@@ -418,47 +386,48 @@ class IncrementalConflictChecker:
                     candidates.update(others)
 
     def _classify_net_pair(self, name: str, partner: str) -> List[ColorConflict]:
+        """Classify every same-layer feature pair of *name* and *partner*.
+
+        Integer track math throughout: two vertex squares ``t`` tracks
+        apart (Chebyshev) have the gap ``t * pitch - extent``, which is
+        monotone in ``t``, so comparing track distances compares gaps.
+        """
         conflicts: List[ColorConflict] = []
         partner_entries = self._features.get(partner, ())
+        grid = self.grid
+        # A signed track distance up to ``touch`` means the squares touch.
+        touch = 2 * max(self.rules.wire_width // 2, 0) // grid.pitch
         for entry in self._features.get(name, ()):
-            feature, bbox = entry.feature, entry.bbox
+            feature = entry.feature
+            col_lo, col_hi, row_lo, row_hi = entry.box
             dcolor = self.rules.color_spacing_on(feature.layer)
-            reach = max(dcolor, self.rules.min_spacing)
+            reach = grid.track_reach(max(dcolor, self.rules.min_spacing))
             for other_entry in partner_entries:
                 other = other_entry.feature
                 if other.layer != feature.layer:
                     continue
-                # The bbox gap lower-bounds every vertex-pair gap, so pairs
-                # outside the reach can be skipped without exact distances.
-                if bbox.distance_to(other_entry.bbox) >= reach:
+                # The box distance lower-bounds every vertex-pair distance,
+                # so pairs outside the reach can be skipped.
+                ocol_lo, ocol_hi, orow_lo, orow_hi = other_entry.box
+                if max(
+                    ocol_lo - col_hi, col_lo - ocol_hi, orow_lo - row_hi, row_lo - orow_hi
+                ) > reach:
                     continue
                 # Anchor the conflict at the feature vertex nearest the
-                # partner so rip-up history lands where the metal clashes.
-                # Inlined L-infinity rect gap over the cached corner ints;
-                # the sorted walk keeps only strictly closer vertices, which
-                # reproduces the reference min()'s smallest-vertex
-                # tie-breaking, and a zero gap cannot be beaten.
-                oxlo, oylo, oxhi, oyhi = (
-                    other_entry.bbox.xlo,
-                    other_entry.bbox.ylo,
-                    other_entry.bbox.xhi,
-                    other_entry.bbox.yhi,
-                )
+                # partner's box so rip-up history lands where the metal
+                # clashes.  The sorted walk keeps only strictly closer
+                # vertices, which reproduces the reference min()'s
+                # smallest-vertex tie-breaking, and touching cannot be beaten.
                 anchor = entry.ordered[0]
                 best = None
-                for vertex, (xlo, ylo, xhi, yhi) in zip(entry.ordered, entry.coords):
-                    gap = oxlo - xhi
-                    if xlo - oxhi > gap:
-                        gap = xlo - oxhi
-                    if oylo - yhi > gap:
-                        gap = oylo - yhi
-                    if ylo - oyhi > gap:
-                        gap = ylo - oyhi
-                    if gap <= 0:
+                for vertex in entry.ordered:
+                    col, row = vertex.col, vertex.row
+                    tracks = max(ocol_lo - col, col - ocol_hi, orow_lo - row, row - orow_hi)
+                    if tracks <= touch:
                         anchor = vertex
                         break
-                    if best is None or gap < best:
-                        best = gap
+                    if best is None or tracks < best:
+                        best = tracks
                         anchor = vertex
                 conflict = self.oracle._classify_pair(feature, other, anchor, dcolor)
                 if conflict is not None:

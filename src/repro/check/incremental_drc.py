@@ -17,8 +17,8 @@ Violations between two *clean* nets cannot change -- shorts and spacing
 depend only on the two nets' geometry -- so invalidation is exact: every
 cached violation involving a dirty net is dropped and the dirty net's new
 metal is re-scanned against the maintained occupancy mirror inside its
-spacing radius (the per-vertex interaction offsets are the dirty-region
-expansion of :mod:`repro.check.dirty`, applied net by net).
+spacing radius (the :meth:`RoutingGrid.track_offsets` of ``min_spacing``,
+applied net by net).
 
 The neighborhood scan itself runs on the tiered
 :func:`repro.check.kernels.scan_hits` fast path (the native
@@ -38,7 +38,7 @@ from array import array
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.check.dirty import DirtyRegionTracker
-from repro.check.kernels import scan_hits, zero_owner_mirror
+from repro.check.kernels import offset_buffers, scan_hits, zero_owner_mirror
 from repro.design import Design
 from repro.dr.drc import DRCChecker, Violation
 from repro.geometry import GridPoint
@@ -69,12 +69,14 @@ class IncrementalDRCChecker:
         self.rules = grid.rules
         self.oracle = DRCChecker(design, grid, guides)
         self.tracker = tracker if tracker is not None else DirtyRegionTracker(grid)
-        # Canonical offset table shared through the grid cache; the center
-        # offset is dropped because exact overlap is a short, not spacing.
-        self._offset_arrays = grid.interaction_offset_arrays(
-            self.rules.min_spacing, include_center=False
+        # The center offset is dropped because exact overlap is a short,
+        # not a spacing violation.
+        self._spacing_offsets = tuple(
+            offset
+            for offset in grid.track_offsets(self.rules.min_spacing)
+            if offset != (0, 0, 0)
         )
-        self._spacing_offsets = self._offset_arrays.offsets
+        self._spacing_buffers = offset_buffers(self._spacing_offsets)
         self._reset_state()
 
     def _reset_state(self) -> None:
@@ -238,7 +240,7 @@ class IncrementalDRCChecker:
             return
         hits = scan_hits(
             indices,
-            self._offset_arrays,
+            self._spacing_buffers,
             self._spacing_owner,
             self._name_ids.get(name, 0),
             self.grid.num_cols,

@@ -1,12 +1,12 @@
-"""Accelerated neighborhood scan shared by the incremental checkers.
+"""Native neighborhood scan shared by the incremental checkers.
 
 The hot loop of both :class:`~repro.check.IncrementalDRCChecker` and
 :class:`~repro.check.IncrementalConflictChecker` is the same shape: for
-every flat vertex index of a dirty net, probe every precomputed planar
-interaction offset against an occupancy mirror and do real work only for
-neighbors held by *another* net.  The overwhelming majority of probes
-miss (empty cell, or the net's own metal), so :func:`scan_hits` filters
-them in bulk:
+every flat vertex index of a dirty net, probe every planar
+:meth:`~repro.grid.RoutingGrid.track_offsets` offset against an occupancy
+mirror and do real work only for neighbors held by *another* net.  The
+overwhelming majority of probes miss (empty cell, or the net's own metal),
+so :func:`scan_hits` filters them in bulk:
 
 ``native``
     ``repro.native._checkwork.scan_hits`` runs the whole double loop in C
@@ -15,10 +15,12 @@ them in bulk:
     :func:`scan_hits` returns ``None`` and the caller runs its original
     pure dict/set loop, which stays the behavioral reference.
 
-The surviving ``(source, neighbor)`` pairs are returned in the pure
-loop's i-major order and post-processed by the checker's unchanged
-per-hit Python logic, so both tiers produce identical reports -- the
-contract ``tests/test_check_kernels.py`` fuzzes.
+The kernel reads an offset table as three ``array('q')`` columns, which
+:func:`offset_buffers` builds once per table.  The surviving
+``(source, neighbor)`` pairs are returned in the pure loop's i-major order
+and post-processed by the checker's unchanged per-hit Python logic, so both
+tiers produce identical reports -- the contract
+``tests/test_check_kernels.py`` fuzzes.
 
 The *owner* mirror is an ``array('q')`` the checkers maintain
 incrementally alongside their occupancy dicts: ``0`` = empty, a positive
@@ -30,13 +32,15 @@ scanned net's own id as *self_id* drops same-net probes in the kernel.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from repro import accel
-from repro.grid.routing_grid import OffsetArrays
 
 #: A surviving probe: (source flat index, neighbor flat index).
 Hit = Tuple[int, int]
+
+#: An offset table as the kernel reads it: ``(dcols, drows, deltas)``.
+OffsetBuffers = Tuple[array, array, array]
 
 # Staging buffers for the native kernel's output, grown geometrically; the
 # hit pairs are copied to Python lists before returning, so reuse across
@@ -45,9 +49,18 @@ _out_src = array("q")
 _out_dst = array("q")
 
 
+def offset_buffers(offsets: Sequence[Tuple[int, int, int]]) -> OffsetBuffers:
+    """Return the ``(dcols, drows, deltas)`` ``array('q')`` columns of *offsets*."""
+    return (
+        array("q", [dcol for dcol, _drow, _delta in offsets]),
+        array("q", [drow for _dcol, drow, _delta in offsets]),
+        array("q", [delta for _dcol, _drow, delta in offsets]),
+    )
+
+
 def scan_hits(
     indices: array,
-    offsets: OffsetArrays,
+    offsets: OffsetBuffers,
     owner: array,
     self_id: int,
     num_cols: int,
@@ -65,7 +78,8 @@ def scan_hits(
     kernel = accel.get_check_kernel()
     if kernel is None:
         return None
-    capacity = len(indices) * len(offsets)
+    dcols, drows, deltas = offsets
+    capacity = len(indices) * len(deltas)
     if not capacity:
         return []
     if len(_out_src) < capacity:
@@ -74,9 +88,9 @@ def scan_hits(
         _out_dst.frombytes(extra)
     count = kernel.scan_hits(
         indices,
-        offsets.dcols,
-        offsets.drows,
-        offsets.deltas,
+        dcols,
+        drows,
+        deltas,
         owner,
         num_cols,
         num_rows,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.design.cell import CellInstance, CellMaster
 from repro.design.net import Net
@@ -110,6 +110,19 @@ class Design:
     def colored_obstacles(self) -> List[Obstacle]:
         """Return obstacles carrying a pre-assigned TPL mask."""
         return [obs for obs in self.obstacles if obs.is_colored]
+
+    def fixed_color_nets(self) -> List[Tuple[str, Obstacle]]:
+        """Return ``(pseudo-net name, obstacle)`` for every pre-colored obstacle.
+
+        The grid's pressure owner, the conflict reports' ``net_b`` and the
+        decomposer's fixed nodes all use this name: ``__fixed__`` plus the
+        obstacle's name, or its index in :meth:`colored_obstacles` when it
+        has none, so equal designs always name their obstacles alike.
+        """
+        return [
+            (f"__fixed__{obstacle.name or index}", obstacle)
+            for index, obstacle in enumerate(self.colored_obstacles())
+        ]
 
     def pin_shapes_by_net(self) -> Dict[str, List[PinShape]]:
         """Return every pin shape grouped by owning net name."""

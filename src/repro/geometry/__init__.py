@@ -3,9 +3,8 @@
 All coordinates are integers in database units (DBU), matching how detailed
 routers and the ISPD contest benchmarks represent layouts.  The kernel
 provides points (2-D and 3-D with a layer index), axis-aligned rectangles,
-closed integer intervals, rectilinear wire segments, macro placement
-transforms, and a uniform-bucket spatial index used for the routing grid's
-colored-shape and blockage queries.
+closed integer intervals, rectilinear wire segments and macro placement
+transforms.
 """
 
 from repro.geometry.point import Point, GridPoint
@@ -13,7 +12,6 @@ from repro.geometry.interval import Interval
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
 from repro.geometry.transform import Orientation, Transform
-from repro.geometry.spatial import SpatialIndex
 
 __all__ = [
     "Point",
@@ -23,5 +21,4 @@ __all__ = [
     "Segment",
     "Orientation",
     "Transform",
-    "SpatialIndex",
 ]

@@ -40,16 +40,6 @@ class Rect:
         return cls(min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
 
     @classmethod
-    def from_center(cls, center: Point, half_width: int, half_height: int) -> "Rect":
-        """Return a rectangle centred on *center*."""
-        return cls(
-            center.x - half_width,
-            center.y - half_height,
-            center.x + half_width,
-            center.y + half_height,
-        )
-
-    @classmethod
     def bounding(cls, rects: List["Rect"]) -> "Rect":
         """Return the bounding box of a non-empty list of rectangles."""
         if not rects:
@@ -147,31 +137,11 @@ class Rect:
         dy = self.y_interval.distance_to(other.y_interval)
         return max(dx, dy)
 
-    def manhattan_distance_to(self, other: "Rect") -> int:
-        """Return ``dx + dy`` gap between the rectangles."""
-        dx = self.x_interval.distance_to(other.x_interval)
-        dy = self.y_interval.distance_to(other.y_interval)
-        return dx + dy
-
-    def distance_to_point(self, point: Point) -> int:
-        """Return the L-infinity distance from *point* to this rectangle."""
-        dx = 0 if self.xlo <= point.x <= self.xhi else min(
-            abs(point.x - self.xlo), abs(point.x - self.xhi)
-        )
-        dy = 0 if self.ylo <= point.y <= self.yhi else min(
-            abs(point.y - self.ylo), abs(point.y - self.yhi)
-        )
-        return max(dx, dy)
-
     # -- constructive operations -----------------------------------------------
 
     def expanded(self, amount: int) -> "Rect":
         """Return the rectangle bloated by *amount* on all four sides."""
         return Rect(self.xlo - amount, self.ylo - amount, self.xhi + amount, self.yhi + amount)
-
-    def expanded_xy(self, dx: int, dy: int) -> "Rect":
-        """Return the rectangle bloated by *dx* horizontally and *dy* vertically."""
-        return Rect(self.xlo - dx, self.ylo - dy, self.xhi + dx, self.yhi + dy)
 
     def translated(self, dx: int, dy: int) -> "Rect":
         """Return the rectangle shifted by ``(dx, dy)``."""
@@ -196,10 +166,6 @@ class Rect:
             max(self.xhi, other.xhi),
             max(self.yhi, other.yhi),
         )
-
-    def clipped_to(self, bounds: "Rect") -> Optional["Rect"]:
-        """Return this rectangle clipped to *bounds* (``None`` if outside)."""
-        return self.intersection(bounds)
 
     def as_tuple(self) -> Tuple[int, int, int, int]:
         """Return ``(xlo, ylo, xhi, yhi)``."""

@@ -54,12 +54,11 @@ other route: :meth:`RoutingGrid.snapshot_state` exports the buffers whole.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.design import Design
-from repro.geometry import GridPoint, Point, Rect, SpatialIndex
+from repro.geometry import GridPoint, Point, Rect
 from repro.journal import (
     MutationJournal,
     OP_BLOCK_RECT,
@@ -148,35 +147,6 @@ INDEX_DIRECTION: Tuple[Direction, ...] = ALL_DIRECTIONS
 FIRST_VIA_DIRECTION = 4
 
 
-@dataclass(frozen=True)
-class OffsetArrays:
-    """Flat-buffer twin of an :meth:`RoutingGrid.interaction_offsets` table.
-
-    The tuple-of-tuples table drives the pure-Python loops; the three
-    parallel ``array('q')`` buffers are what the vectorised / native check
-    kernels consume directly (zero-copy ``frombuffer`` / ``Py_buffer``).
-    Frozen and cached on the grid so every consumer shares one copy.
-    """
-
-    offsets: Tuple[Tuple[int, int, int], ...]
-    dcols: array
-    drows: array
-    deltas: array
-
-    def __len__(self) -> int:
-        return len(self.offsets)
-
-
-@dataclass(frozen=True)
-class ColoredShape:
-    """A piece of colored metal registered on the grid for TPL interactions."""
-
-    net_name: str
-    color: int
-    rect: Rect
-    layer: int
-
-
 class RoutingGrid:
     """Mutable routing grid over a :class:`~repro.design.Design`.
 
@@ -239,15 +209,9 @@ class RoutingGrid:
         self._net_pressure: Dict[int, Dict[int, List[float]]] = {}
         # Per-net colored vertices: net id -> {index: color}.
         self._net_colored_vertices: Dict[int, Dict[int, int]] = {}
-        # Interaction offsets precomputed per radius (pressure, checkers),
+        # track_offsets tables per distance (pressure, incremental checkers),
         # frozen to tuples so no caller can corrupt the shared cache.
-        self._interaction_offsets_cache: Dict[int, Tuple[Tuple[int, int, int], ...]] = {}
-        # Flat-buffer twins of the offset tables (repro.check kernels),
-        # keyed by (radius, include_center).
-        self._offset_arrays_cache: Dict[Tuple[int, bool], "OffsetArrays"] = {}
-        # Per-layer canonical reach offsets (max(Dcolor, min_spacing)) so
-        # the incremental checkers and the scheduler share one table.
-        self._layer_offsets_cache: Dict[int, Tuple[Tuple[int, int, int], ...]] = {}
+        self._track_offsets_cache: Dict[int, Tuple[Tuple[int, int, int], ...]] = {}
         # Lazily built flat-index -> GridPoint table (geometry is immutable).
         self._vertex_table: Optional[Tuple[GridPoint, ...]] = None
 
@@ -278,18 +242,8 @@ class RoutingGrid:
         self._color_hooks: List = []
         self._reset_hooks: List = []
 
-        # Colored metal shapes (routed wires and pre-colored obstacles) for
-        # color-distance queries, one spatial index per layer.
-        self._colored_shapes: List[SpatialIndex[ColoredShape]] = [
-            SpatialIndex(bucket_size=max(self.pitch * 8, 16)) for _ in range(self.num_layers)
-        ]
-        # Blockage shapes per layer for spacing-aware cost queries.
-        self._blockage_shapes: List[SpatialIndex[str]] = [
-            SpatialIndex(bucket_size=max(self.pitch * 8, 16)) for _ in range(self.num_layers)
-        ]
-
         self._apply_design_blockages()
-        self._register_fixed_colors()
+        self._seed_fixed_pressure()
 
     # ------------------------------------------------------------------
     # Flat vertex indexing
@@ -575,6 +529,27 @@ class RoutingGrid:
             for drow in range(-reach, reach + 1)
         )
 
+    def track_offsets(self, distance: int) -> Tuple[Tuple[int, int, int], ...]:
+        """Return the planar ``(dcol, drow, flat_delta)`` offsets closer than *distance*.
+
+        The ``(2k+1)^2`` Chebyshev square of :meth:`track_reach` ``k``,
+        ``dcol``-major, ``(0, 0, 0)`` included (empty when ``k < 0``); the
+        flat delta is ``dcol * num_rows + drow``.  Color pressure and the
+        incremental checkers probe with it.  Cached per distance and frozen
+        to a tuple of tuples, because every consumer shares one table.
+        """
+        cached = self._track_offsets_cache.get(distance)
+        if cached is None:
+            reach = self.track_reach(distance)
+            rows = self.num_rows
+            cached = tuple(
+                (dcol, drow, dcol * rows + drow)
+                for dcol in range(-reach, reach + 1)
+                for drow in range(-reach, reach + 1)
+            )
+            self._track_offsets_cache[distance] = cached
+        return cached
+
     def track_window(self, rect: Rect, distance: int) -> Optional[Tuple[int, int, int, int]]:
         """Return ``(col_lo, col_hi, row_lo, row_hi)`` of vertices closer than *distance* to *rect*.
 
@@ -717,20 +692,16 @@ class RoutingGrid:
         self._mutation_epoch += 1
         self._blocked_buf[op[1]] = 1
 
-    def block_rect(self, layer: int, rect: Rect, name: str = "blockage") -> int:
+    def block_rect(self, layer: int, rect: Rect) -> int:
         """Block every vertex covered by *rect* on *layer*; return the count."""
-        return self.apply_op(
-            (OP_BLOCK_RECT, layer, rect.xlo, rect.ylo, rect.xhi, rect.yhi, name)
-        )
+        return self.apply_op((OP_BLOCK_RECT, layer, rect.xlo, rect.ylo, rect.xhi, rect.yhi))
 
     def _apply_block_rect(self, op: Op) -> int:
-        _kind, layer, xlo, ylo, xhi, yhi, name = op
-        rect = Rect(xlo, ylo, xhi, yhi)
+        _kind, layer, xlo, ylo, xhi, yhi = op
         self._mutation_epoch += 1
-        vertices = self.vertices_covering(layer, rect)
+        vertices = self.vertices_covering(layer, Rect(xlo, ylo, xhi, yhi))
         for vertex in vertices:
             self._blocked_buf[self.index_of(vertex)] = 1
-        self._blockage_shapes[layer].insert(rect, name)
         return len(vertices)
 
     def is_blocked(self, vertex: GridPoint) -> bool:
@@ -758,17 +729,10 @@ class RoutingGrid:
             if 0 <= shape.layer < self.num_layers:
                 self.block_rect(shape.layer, shape.rect)
 
-    def _register_fixed_colors(self) -> None:
-        for obstacle in self.design.colored_obstacles():
+    def _seed_fixed_pressure(self) -> None:
+        """Spread the color pressure of every pre-colored obstacle."""
+        for net_name, obstacle in self.design.fixed_color_nets():
             if 0 <= obstacle.layer < self.num_layers:
-                net_name = f"__fixed__{obstacle.name or id(obstacle)}"
-                shape = ColoredShape(
-                    net_name=net_name,
-                    color=obstacle.color,
-                    rect=obstacle.rect,
-                    layer=obstacle.layer,
-                )
-                self._colored_shapes[obstacle.layer].insert(obstacle.rect, shape)
                 self._add_rect_pressure(obstacle.layer, obstacle.rect, net_name, obstacle.color)
 
     # ------------------------------------------------------------------
@@ -803,94 +767,11 @@ class RoutingGrid:
         metal rectangles extend ``wire_width // 2`` beyond the track
         crossing on both sides, so the cell reach is
         ``ceil((radius + wire_width) / pitch)`` (with a floor of one cell).
-        :meth:`interaction_offsets` enumerates exactly the offsets within
-        this reach; the batch scheduler expands net windows by it.
+        It never falls below :meth:`track_reach` of *radius*, the exact
+        reach; the batch scheduler expands net windows by it.
         """
         half = max(self.rules.wire_width // 2, 0)
         return max(1, -(-(radius + 2 * half) // self.pitch))
-
-    def interaction_offsets(self, radius: int) -> Tuple[Tuple[int, int, int], ...]:
-        """Return planar ``(dcol, drow, flat_delta)`` offsets interacting at *radius*.
-
-        Two same-layer vertices interact when the spacing between their metal
-        rectangles (:meth:`Rect.distance_to`, the L-infinity gap) is strictly
-        below *radius* -- the predicate shared by color-pressure updates, the
-        spacing/conflict checkers and the dirty-region expansion of
-        :mod:`repro.check`.  ``(0, 0, 0)`` is included; callers that must
-        skip the vertex itself filter it out.  The flat delta
-        (``dcol * num_rows + drow``) spares the consumers a re-encode.
-        Precomputed once per radius and frozen to a tuple of tuples: the
-        cache is shared between every consumer, so it must be immutable.
-        """
-        cached = self._interaction_offsets_cache.get(radius)
-        if cached is not None:
-            return cached
-        half = max(self.rules.wire_width // 2, 0)
-        reach = self.interaction_reach_cells(radius)
-        offsets: List[Tuple[int, int, int]] = []
-        base = Rect(-half, -half, half, half)
-        for dcol in range(-reach, reach + 1):
-            for drow in range(-reach, reach + 1):
-                other = Rect(
-                    dcol * self.pitch - half,
-                    drow * self.pitch - half,
-                    dcol * self.pitch + half,
-                    drow * self.pitch + half,
-                )
-                if base.distance_to(other) < radius:
-                    offsets.append((dcol, drow, dcol * self.num_rows + drow))
-        frozen = tuple(offsets)
-        self._interaction_offsets_cache[radius] = frozen
-        return frozen
-
-    def interaction_offset_arrays(self, radius: int, include_center: bool = True) -> OffsetArrays:
-        """Return the :class:`OffsetArrays` twin of :meth:`interaction_offsets`.
-
-        With ``include_center=False`` the ``(0, 0, 0)`` self-offset is
-        dropped (the spacing checker's view: exact overlap is a short, not a
-        spacing violation).  Cached per ``(radius, include_center)`` and
-        frozen, so the incremental checkers, the dirty-region expansion and
-        the check kernels all share one table per radius instead of each
-        deriving their own.
-        """
-        key = (radius, include_center)
-        cached = self._offset_arrays_cache.get(key)
-        if cached is not None:
-            return cached
-        offsets = self.interaction_offsets(radius)
-        if not include_center:
-            offsets = tuple(offset for offset in offsets if offset != (0, 0, 0))
-        arrays = OffsetArrays(
-            offsets=offsets,
-            dcols=array("q", [dcol for dcol, _drow, _delta in offsets]),
-            drows=array("q", [drow for _dcol, drow, _delta in offsets]),
-            deltas=array("q", [delta for _dcol, _drow, delta in offsets]),
-        )
-        self._offset_arrays_cache[key] = arrays
-        return arrays
-
-    def layer_interaction_offsets(self, layer: int) -> Tuple[Tuple[int, int, int], ...]:
-        """Return the canonical reach offsets of *layer* (cached per layer).
-
-        The reach is :meth:`interaction_radius` of the layer
-        (``max(Dcolor, min_spacing)``) -- the table the incremental conflict
-        checker scans with and the batch scheduler's window expansion is
-        derived from.  Delegates to :meth:`interaction_offsets`, so the
-        per-radius cache deduplicates layers sharing one ``Dcolor``.
-        """
-        cached = self._layer_offsets_cache.get(layer)
-        if cached is None:
-            cached = self.interaction_offsets(self.interaction_radius(layer=layer))
-            self._layer_offsets_cache[layer] = cached
-        return cached
-
-    def layer_interaction_offset_arrays(self, layer: int) -> OffsetArrays:
-        """Return the :class:`OffsetArrays` twin of :meth:`layer_interaction_offsets`."""
-        return self.interaction_offset_arrays(self.interaction_radius(layer=layer))
-
-    def _pressure_offsets(self, layer: int) -> Tuple[Tuple[int, int, int], ...]:
-        """Return the offsets interacting at *layer*'s color spacing ``Dcolor``."""
-        return self.interaction_offsets(self.rules.color_spacing_on(layer))
 
     def _net_overlay(self, net_id: int) -> Dict[int, List[float]]:
         """Return (creating if needed) the mutable overlay map of *net_id*."""
@@ -916,7 +797,7 @@ class RoutingGrid:
         amount = sign * self.rules.conflict_cost
         overlay = self._net_overlay(net_id)
         pressure = self._pressure_buf
-        for dcol, drow, delta in self._pressure_offsets(layer):
+        for dcol, drow, delta in self.track_offsets(self.rules.color_spacing_on(layer)):
             target_col = col + dcol
             target_row = row + drow
             if not (0 <= target_col < cols and 0 <= target_row < rows):
@@ -933,15 +814,19 @@ class RoutingGrid:
         """Spread the pressure of a colored rectangle (fixed obstacle) on *layer*."""
         if not (0 <= color <= 2) or not self.tech.layers[layer].tpl:
             return
+        window = self.track_window(rect, self.rules.color_spacing_on(layer))
+        if window is None:
+            return
+        col_lo, col_hi, row_lo, row_hi = window
         overlay = self._net_overlay(self.net_id(net_name))
-        dcolor = self.rules.color_spacing_on(layer)
-        region = rect.expanded(dcolor + self.pitch)
-        for vertex in self.vertices_covering(layer, region):
-            if self.vertex_rect(vertex).distance_to(rect) < dcolor:
-                index = self.index_of(vertex)
-                self._pressure_buf[3 * index + color] += self.rules.conflict_cost
+        amount = self.rules.conflict_cost
+        rows = self.num_rows
+        for col in range(max(col_lo, 0), min(col_hi, self.num_cols - 1) + 1):
+            for row in range(max(row_lo, 0), min(row_hi, rows - 1) + 1):
+                index = (layer * self.num_cols + col) * rows + row
+                self._pressure_buf[3 * index + color] += amount
                 own = overlay.setdefault(index, [0.0, 0.0, 0.0])
-                own[color] += self.rules.conflict_cost
+                own[color] += amount
 
     # ------------------------------------------------------------------
     # Occupancy (routed metal ownership)
@@ -976,10 +861,11 @@ class RoutingGrid:
         occupied.add(index)
 
     def release_net(self, net_name: str) -> int:
-        """Remove all occupancy, colors and colored shapes of *net_name*.
+        """Remove all occupancy, mask colors and color pressure of *net_name*.
 
         Returns the number of vertices released.  Used by rip-up & reroute.
-        O(|net's metal|) thanks to the per-net reverse occupancy index.
+        O(|net's metal|) thanks to the per-net reverse occupancy and
+        colored-vertex indices.
         """
         net_id = self.net_id_if_known(net_name)
         if net_id == 0:
@@ -994,7 +880,6 @@ class RoutingGrid:
         :meth:`apply_op` fires them from the returned value.
         """
         net_id = op[1]
-        net_name = self._net_names[net_id]
         released = 0
         self._mutation_epoch += 1
         occupied_indices = sorted(self._net_occupied.pop(net_id, ()))
@@ -1021,11 +906,6 @@ class RoutingGrid:
         colored_vertices = self._net_colored_vertices.pop(net_id, {})
         for index, color in colored_vertices.items():
             self._add_vertex_pressure_index(index, net_id, color, sign=-1.0)
-        for layer_index in range(self.num_layers):
-            spatial = self._colored_shapes[layer_index]
-            stale = [item for _rect, item in spatial.items() if item.net_name == net_name]
-            for item in stale:
-                spatial.remove_item(item)
         delta: Optional[Set[int]] = None
         if self._release_hooks and (occupied_indices or colored_vertices):
             # The per-net reverse index makes the released delta O(|net|).
@@ -1099,8 +979,6 @@ class RoutingGrid:
 
     def _apply_color(self, op: Op) -> None:
         _kind, net_id, index, color = op
-        net_name = self._net_names[net_id]
-        vertex = self.vertex_of(index)
         self._mutation_epoch += 1
         registered = self._net_colored_vertices.get(net_id)
         if registered is None:
@@ -1113,24 +991,7 @@ class RoutingGrid:
         if previous is not None:
             self._add_vertex_pressure_index(index, net_id, previous, sign=-1.0)
             del registered[index]
-            # Purge the old-mask shape, or color-distance queries would keep
-            # seeing phantom metal of the previous mask at this vertex.
-            self._colored_shapes[vertex.layer].remove_item(
-                ColoredShape(
-                    net_name=net_name,
-                    color=previous,
-                    rect=self.vertex_rect(vertex),
-                    layer=vertex.layer,
-                )
-            )
         self._color_buf[index] = color + 1
-        shape = ColoredShape(
-            net_name=net_name,
-            color=color,
-            rect=self.vertex_rect(vertex),
-            layer=vertex.layer,
-        )
-        self._colored_shapes[vertex.layer].insert(shape.rect, shape)
         registered[index] = color
         self._add_vertex_pressure_index(index, net_id, color, sign=1.0)
 
@@ -1145,14 +1006,6 @@ class RoutingGrid:
         """Index variant of :meth:`vertex_color`."""
         stored = self._color_buf[index]
         return None if stored == 0 else stored - 1
-
-    def colored_shapes_near(
-        self, layer: int, rect: Rect, distance: int
-    ) -> Iterator[Tuple[Rect, ColoredShape]]:
-        """Yield colored shapes on *layer* closer than *distance* to *rect*."""
-        if not 0 <= layer < self.num_layers:
-            return
-        yield from self._colored_shapes[layer].within(rect, distance)
 
     def color_cost(self, vertex: GridPoint, net_name: str, color: int) -> float:
         """Return the TPL color cost of putting *color* metal of *net_name* at *vertex*.
@@ -1279,32 +1132,14 @@ class RoutingGrid:
         self._history_touched.clear()
         self._net_pressure.clear()
         self._net_colored_vertices.clear()
-        for layer_index in range(self.num_layers):
-            spatial = self._colored_shapes[layer_index]
-            fixed = [
-                (rect, item)
-                for rect, item in spatial.items()
-                if item.net_name.startswith("__fixed__")
-            ]
-            spatial.clear()
-            for rect, item in fixed:
-                spatial.insert(rect, item)
-        # Re-seed the pressure of the fixed, pre-colored obstacles.
-        for obstacle in self.design.colored_obstacles():
-            if 0 <= obstacle.layer < self.num_layers:
-                self._add_rect_pressure(
-                    obstacle.layer,
-                    obstacle.rect,
-                    f"__fixed__{obstacle.name or id(obstacle)}",
-                    obstacle.color,
-                )
+        self._seed_fixed_pressure()
 
     # ------------------------------------------------------------------
     # Dense state snapshots (checkpoints)
     # ------------------------------------------------------------------
 
     #: Schema tag of :meth:`snapshot_state` documents.
-    SNAPSHOT_FORMAT = "repro-grid-snapshot-v1"
+    SNAPSHOT_FORMAT = "repro-grid-snapshot-v2"
 
     def snapshot_state(self) -> Dict[str, object]:
         """Export the complete mutable grid state as a flat document.
@@ -1317,18 +1152,6 @@ class RoutingGrid:
         as raw bytes rather than decimal round-trips.  Campaign checkpoints
         (:mod:`repro.io.checkpoint_io`) hold exactly this document.
         """
-        colored_shapes: List[list] = []
-        for layer in range(self.num_layers):
-            colored_shapes.append([
-                [item.net_name, item.color, rect.xlo, rect.ylo, rect.xhi, rect.yhi]
-                for rect, item in self._colored_shapes[layer].items()
-            ])
-        blockage_shapes: List[list] = []
-        for layer in range(self.num_layers):
-            blockage_shapes.append([
-                [rect.xlo, rect.ylo, rect.xhi, rect.yhi, name]
-                for rect, name in self._blockage_shapes[layer].items()
-            ])
         from base64 import b64encode
 
         def encode(buffer) -> str:
@@ -1364,8 +1187,6 @@ class RoutingGrid:
                 [net_id, [[index, color] for index, color in sorted(registered.items())]]
                 for net_id, registered in sorted(self._net_colored_vertices.items())
             ],
-            "colored_shapes": colored_shapes,
-            "blockage_shapes": blockage_shapes,
         }
 
     def restore_state(self, snapshot: Dict[str, object]) -> None:
@@ -1439,21 +1260,6 @@ class RoutingGrid:
             int(net_id): {int(index): color for index, color in registered}
             for net_id, registered in snapshot["net_colored"]
         }
-        for layer in range(self.num_layers):
-            spatial = self._colored_shapes[layer]
-            spatial.clear()
-            for net_name, shape_color, xlo, ylo, xhi, yhi in snapshot["colored_shapes"][layer]:
-                rect = Rect(xlo, ylo, xhi, yhi)
-                spatial.insert(
-                    rect,
-                    ColoredShape(
-                        net_name=net_name, color=shape_color, rect=rect, layer=layer
-                    ),
-                )
-            blockages = self._blockage_shapes[layer]
-            blockages.clear()
-            for xlo, ylo, xhi, yhi, name in snapshot["blockage_shapes"][layer]:
-                blockages.insert(Rect(xlo, ylo, xhi, yhi), name)
         self._mutation_epoch = snapshot["epoch"]
         for callback in self._reset_hooks:
             callback()

@@ -21,7 +21,7 @@ Op shapes (vertex addresses are flat indices, see
 ``("history", index, amount)``      add *amount* history cost at *index*
 ``("decay", factor)``               multiply all history entries by *factor*
 ``("block_vertex", index)``         hard-block one vertex
-``("block_rect", layer, xlo, ylo, xhi, yhi, name)``  block a rectangle
+``("block_rect", layer, xlo, ylo, xhi, yhi)``  block a rectangle
 ``("reset",)``                      drop all routing state (keep blockages)
 =================  =====================================================
 

@@ -37,6 +37,10 @@ from repro.geometry import GridPoint
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
 from repro.utils import DisjointSet
 
+#: ``(layer, mask) -> [(pseudo-net name, col_lo, col_hi, row_lo, row_hi)]``
+#: per pre-colored obstacle (:meth:`ConflictChecker._obstacle_window_table`).
+ObstacleWindows = Dict[Tuple[int, int], List[Tuple[str, int, int, int, int]]]
+
 
 @dataclass(frozen=True)
 class Feature:
@@ -114,6 +118,7 @@ class ConflictChecker:
         self.design = design
         self.grid = grid
         self.rules = grid.rules
+        self._obstacle_windows: Optional[ObstacleWindows] = None
 
     # ------------------------------------------------------------------
 
@@ -285,19 +290,28 @@ class ConflictChecker:
         distance = best * pitch - extent
         return distance if distance > 0 else 0
 
+    def _obstacle_window_table(self) -> ObstacleWindows:
+        """Return ``(layer, mask) -> [(name, col_lo, col_hi, row_lo, row_hi)]``, cached.
+
+        One entry per pre-colored obstacle, in design order: a feature
+        vertex inside the track window sits closer than ``Dcolor`` to the
+        obstacle.  The design's obstacles never change, so the table is
+        built once per checker.
+        """
+        if self._obstacle_windows is None:
+            windows: ObstacleWindows = defaultdict(list)
+            for name, obstacle in self.design.fixed_color_nets():
+                window = self.grid.track_window(
+                    obstacle.rect, self.rules.color_spacing_on(obstacle.layer)
+                )
+                if window is not None:
+                    windows[(obstacle.layer, obstacle.color)].append((name, *window))
+            self._obstacle_windows = windows
+        return self._obstacle_windows
+
     def _obstacle_conflicts(self, features: Iterable[Feature]) -> List[ColorConflict]:
         conflicts: List[ColorConflict] = []
-        # (layer, mask) -> (name, col_lo, col_hi, row_lo, row_hi) per obstacle,
-        # in design order: a feature vertex inside the track window sits
-        # closer than Dcolor to the obstacle.
-        windows: Dict[Tuple[int, int], List[Tuple[str, int, int, int, int]]] = defaultdict(list)
-        for obstacle in self.design.colored_obstacles():
-            window = self.grid.track_window(
-                obstacle.rect, self.rules.color_spacing_on(obstacle.layer)
-            )
-            if window is not None:
-                name = f"__fixed__{obstacle.name or 'obstacle'}"
-                windows[(obstacle.layer, obstacle.color)].append((name, *window))
+        windows = self._obstacle_window_table()
         for feature in features:
             for name, col_lo, col_hi, row_lo, row_hi in windows.get(
                 (feature.layer, feature.color), ()

@@ -114,15 +114,18 @@ def test_interaction_radius_per_layer_and_global():
 def test_interaction_reach_cells_bounds_offsets():
     design = build_case("ispd18", 1, 0.5)
     grid = RoutingGrid(design)
+    # The scheduler expands net windows by interaction_reach_cells; it is
+    # sound when that reach covers every track offset that interacts,
+    # i.e. never falls below the exact track_reach.
+    for radius in range(-2, 40):
+        reach = grid.interaction_reach_cells(radius)
+        assert reach >= 1 and reach >= grid.track_reach(radius)
+        assert all(
+            abs(dcol) <= reach and abs(drow) <= reach
+            for dcol, drow, _delta in grid.track_offsets(radius)
+        )
     radius = grid.interaction_radius()
     reach = grid.interaction_reach_cells(radius)
-    offsets = grid.interaction_offsets(radius)
-    # The reach is the enumeration bound of interaction_offsets: every
-    # interacting offset lies within it (the strict `< radius` predicate may
-    # prune the outermost ring, so the bound is conservative, never tight
-    # from below).
-    assert reach >= 1
-    assert all(abs(dcol) <= reach and abs(drow) <= reach for dcol, drow, _ in offsets)
     # One cell further can never interact.
     half = max(grid.rules.wire_width // 2, 0)
     assert (reach + 1) * grid.pitch - 2 * half >= radius

@@ -40,7 +40,7 @@ from repro import accel
 from repro.bench import SyntheticSpec, generate_design
 from repro.campaign import CampaignState
 from repro.check import IncrementalConflictChecker, IncrementalDRCChecker
-from repro.check.kernels import scan_hits, zero_owner_mirror
+from repro.check.kernels import offset_buffers, scan_hits, zero_owner_mirror
 from repro.dr import DRCChecker
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
 from repro.io.checkpoint_io import load_checkpoint_document
@@ -148,7 +148,7 @@ def brute_force_hits(grid, indices, offsets, owner, self_id):
     rows, cols, plane = grid.num_rows, grid.num_cols, grid.plane_size
     for index in indices:
         col, row = divmod(index % plane, rows)
-        for dcol, drow, delta in offsets.offsets:
+        for dcol, drow, delta in offsets:
             if not (0 <= col + dcol < cols and 0 <= row + drow < rows):
                 continue
             occupant = owner[index + delta]
@@ -160,7 +160,7 @@ def brute_force_hits(grid, indices, offsets, owner, self_id):
 
 def test_scan_hits_returns_none_on_python_tier():
     grid = make_scan_grid()
-    offsets = grid.interaction_offset_arrays(grid.rules.min_spacing, include_center=False)
+    offsets = offset_buffers(grid.track_offsets(grid.rules.min_spacing))
     owner = zero_owner_mirror(grid.num_vertices)
     from array import array
 
@@ -174,7 +174,7 @@ def test_scan_hits_matches_brute_force_on_all_tiers():
     from array import array
 
     grid = make_scan_grid()
-    offsets = grid.interaction_offset_arrays(4, include_center=False)
+    offsets = tuple(offset for offset in grid.track_offsets(4) if offset != (0, 0, 0))
     owner = zero_owner_mirror(grid.num_vertices)
     rng = SeededRNG(41)
     # Scatter foreign metal (ids 2, 3) and a few multi-occupant cells (-1)
@@ -185,10 +185,38 @@ def test_scan_hits_matches_brute_force_on_all_tiers():
         "q", sorted({rng.randint(0, grid.num_vertices - 1) for _ in range(40)})
     )
     expected = brute_force_hits(grid, indices, offsets, owner, self_id=2)
+    buffers = offset_buffers(offsets)
     with forced_tier("native"):
-        got = scan_hits(indices, offsets, owner, 2, grid.num_cols, grid.num_rows)
+        got = scan_hits(indices, buffers, owner, 2, grid.num_cols, grid.num_rows)
         assert list(got) == expected
-        assert scan_hits(array("q"), offsets, owner, 2, grid.num_cols, grid.num_rows) == []
+        assert scan_hits(array("q"), buffers, owner, 2, grid.num_cols, grid.num_rows) == []
+
+
+# ----------------------------------------------------------------------
+# The shared track-offset table and its scan-kernel buffers
+# ----------------------------------------------------------------------
+
+def test_interaction_offset_arrays_cached_and_consistent():
+    grid = make_scan_grid()
+    offsets = grid.track_offsets(5)
+    assert grid.track_offsets(5) is offsets
+    assert (0, 0, 0) in offsets
+    for dcol, drow, delta in offsets:
+        assert delta == dcol * grid.num_rows + drow
+    buffers = offset_buffers(offsets)
+    assert [len(column) for column in buffers] == [len(offsets)] * 3
+    # The native scan kernel reads the same table column by column.
+    assert list(zip(*buffers)) == list(offsets)
+    assert grid.track_offsets(0) == ()
+
+
+def test_layer_interaction_offsets_cached_per_layer():
+    grid = make_scan_grid()
+    for layer in range(grid.num_layers):
+        radius = grid.interaction_radius(layer=layer)
+        offsets = grid.track_offsets(radius)
+        assert offsets
+        assert grid.track_offsets(radius) is offsets
 
 
 # ----------------------------------------------------------------------
@@ -229,36 +257,6 @@ def test_check_env_gates(env_name, forbidden):
     assert not set(tiers) & set(forbidden)
     if not forbidden and accel.native_available() and accel.check_native_available():
         assert tiers == ["native", "native"]
-
-
-# ----------------------------------------------------------------------
-# Canonical offset caches (the former per-checker recomputation)
-# ----------------------------------------------------------------------
-
-def test_interaction_offset_arrays_cached_and_consistent():
-    grid = make_scan_grid()
-    arrays = grid.interaction_offset_arrays(5)
-    assert grid.interaction_offset_arrays(5) is arrays
-    assert tuple(arrays.offsets) == grid.interaction_offsets(5)
-    assert len(arrays.dcols) == len(arrays.drows) == len(arrays.deltas) == len(arrays)
-    for (dcol, drow, delta), flat in zip(arrays.offsets, arrays.deltas):
-        assert flat == delta == dcol * grid.num_rows + drow
-    trimmed = grid.interaction_offset_arrays(5, include_center=False)
-    assert (0, 0, 0) in arrays.offsets
-    assert (0, 0, 0) not in trimmed.offsets
-    assert len(trimmed) == len(arrays) - 1
-
-
-def test_layer_interaction_offsets_cached_per_layer():
-    grid = make_scan_grid()
-    for layer in range(grid.num_layers):
-        offsets = grid.layer_interaction_offsets(layer)
-        assert grid.layer_interaction_offsets(layer) is offsets
-        radius = grid.interaction_radius(layer=layer)
-        assert offsets == grid.interaction_offsets(radius)
-        assert grid.layer_interaction_offset_arrays(layer) is (
-            grid.interaction_offset_arrays(radius)
-        )
 
 
 # ----------------------------------------------------------------------

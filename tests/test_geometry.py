@@ -9,7 +9,6 @@ from repro.geometry import (
     Point,
     Rect,
     Segment,
-    SpatialIndex,
     Transform,
 )
 
@@ -195,50 +194,3 @@ class TestTransform:
         assert rect.xlo <= rect.xhi and rect.ylo <= rect.yhi
         assert rect == Rect(12, 11, 14, 14)
 
-
-class TestSpatialIndex:
-    def test_insert_and_query(self):
-        index = SpatialIndex(bucket_size=8)
-        index.insert(Rect(0, 0, 4, 4), "a")
-        index.insert(Rect(20, 20, 24, 24), "b")
-        assert index.query_items(Rect(2, 2, 6, 6)) == {"a"}
-        assert index.query_items(Rect(0, 0, 30, 30)) == {"a", "b"}
-
-    def test_within_uses_strict_distance(self):
-        index = SpatialIndex(bucket_size=8)
-        index.insert(Rect(10, 0, 12, 2), "far")
-        hits = list(index.within(Rect(0, 0, 2, 2), distance=8))
-        assert [item for _rect, item in hits] == []
-        hits = list(index.within(Rect(0, 0, 2, 2), distance=9))
-        assert [item for _rect, item in hits] == ["far"]
-
-    def test_remove_item(self):
-        index = SpatialIndex(bucket_size=8)
-        index.insert(Rect(0, 0, 4, 4), "a")
-        index.insert(Rect(1, 1, 2, 2), "a")
-        assert index.remove_item("a") == 2
-        assert index.query_items(Rect(0, 0, 10, 10)) == set()
-
-    def test_large_rect_spanning_buckets_reported_once(self):
-        index = SpatialIndex(bucket_size=4)
-        index.insert(Rect(0, 0, 40, 40), "big")
-        hits = list(index.query(Rect(0, 0, 40, 40)))
-        assert len(hits) == 1
-
-    @given(
-        st.lists(
-            st.tuples(coords, coords, st.integers(0, 20), st.integers(0, 20)),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    def test_query_matches_linear_scan(self, raw):
-        index = SpatialIndex(bucket_size=16)
-        rects = []
-        for i, (x, y, w, h) in enumerate(raw):
-            rect = Rect(x, y, x + w, y + h)
-            rects.append((rect, i))
-            index.insert(rect, i)
-        probe = Rect(-50, -50, 50, 50)
-        expected = {i for rect, i in rects if rect.overlaps(probe)}
-        assert index.query_items(probe) == expected

@@ -1,8 +1,12 @@
 """Tests for the routing grid, GCell grid and routed-result structures."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.decomposer import LayoutDecomposer
+from repro.check import IncrementalConflictChecker
 from repro.design import Design, Net, Obstacle, Pin
 from repro.geometry import GridPoint, Point, Rect
 from repro.grid import (
@@ -17,6 +21,7 @@ from repro.grid import (
 )
 from repro.grid.gcell import GCell
 from repro.tech import make_default_tech
+from repro.tpl import ConflictChecker
 
 
 def make_design(color=-1, die=80):
@@ -160,23 +165,91 @@ class TestRoutingGrid:
         assert costs[0] == 0.0 and costs[2] > 0
 
     def test_pressure_matches_bruteforce(self):
-        grid = RoutingGrid(make_design(color=2))
-        placements = [
-            (GridPoint(0, 5, 5), "x", 0),
-            (GridPoint(0, 6, 5), "y", 0),
-            (GridPoint(0, 7, 6), "y", 1),
-            (GridPoint(0, 10, 10), "z", 2),
-        ]
-        for vertex, net, color in placements:
-            grid.set_vertex_color(vertex, net, color)
+        design = make_design(color=2)
+        grid = RoutingGrid(design)
         dcolor = grid.rules.color_spacing_on(0)
-        for probe in [GridPoint(0, c, r) for c in range(3, 13) for r in range(3, 13)]:
-            brute = [0.0, 0.0, 0.0]
-            for _rect, shape in grid.colored_shapes_near(0, grid.vertex_rect(probe), dcolor):
-                if shape.net_name == "q":
-                    continue
-                brute[shape.color] += grid.rules.conflict_cost
-            assert grid.color_costs(probe, "q") == pytest.approx(brute)
+        cost = grid.rules.conflict_cost
+        probes = [GridPoint(0, c, r) for c in range(3, 14) for r in range(3, 14)]
+        placed = {}
+
+        def brute():
+            # Independent reference: the L-infinity rect gap to every placed
+            # vertex and pre-colored obstacle, no offset table involved.
+            expected = {}
+            for probe in probes:
+                rect = grid.vertex_rect(probe)
+                costs = [0.0, 0.0, 0.0]
+                for (vertex, _net), color in placed.items():
+                    if rect.distance_to(grid.vertex_rect(vertex)) < dcolor:
+                        costs[color] += cost
+                for obstacle in design.colored_obstacles():
+                    if obstacle.layer == 0 and rect.distance_to(obstacle.rect) < dcolor:
+                        costs[obstacle.color] += cost
+                expected[probe] = costs
+            return expected
+
+        def observed():
+            return {probe: grid.color_costs(probe, "q") for probe in probes}
+
+        def place(vertex, net, color):
+            grid.set_vertex_color(vertex, net, color)
+            placed[(vertex, net)] = color
+
+        assert observed() == brute()
+        assert any(costs[2] for costs in brute().values())
+        place(GridPoint(0, 5, 5), "x", 0)
+        place(GridPoint(0, 10, 10), "z", 2)
+        without_y = observed()
+        assert without_y == brute()
+        place(GridPoint(0, 6, 5), "y", 0)
+        place(GridPoint(0, 7, 6), "y", 1)
+        assert observed() == brute()
+        # A recolour replaces the vertex's old mask contribution.
+        place(GridPoint(0, 6, 5), "y", 2)
+        assert observed() == brute()
+        # Releasing the net restores the exact pressure it found.
+        grid.release_net("y")
+        del placed[(GridPoint(0, 6, 5), "y")], placed[(GridPoint(0, 7, 6), "y")]
+        assert observed() == without_y == brute()
+
+    def test_unnamed_fixed_obstacle_name_is_deterministic(self):
+        def build():
+            design = make_design()
+            design.add_obstacle(Obstacle(layer=0, rect=Rect(40, 40, 48, 44), color=1))
+            return RoutingGrid(design)
+
+        grid, twin = build(), build()
+        snapshot = grid.snapshot_state()
+        assert snapshot == twin.snapshot_state()
+        fixed = [name for name in snapshot["net_names"] if name.startswith("__fixed__")]
+        assert fixed == ["__fixed__0"]
+        route = NetRoute(net_name="n1")
+        route.add_path([GridPoint(0, 10, 9), GridPoint(0, 11, 9)])
+        for vertex in route.vertices:
+            route.set_color(vertex, 1)
+        solution = RoutingSolution(design_name=grid.design.name)
+        solution.add_route(route)
+        for checker in (ConflictChecker, IncrementalConflictChecker):
+            report = checker(grid.design, grid).check(solution)
+            assert [conflict.net_b for conflict in report.conflicts] == fixed
+        decomposer = LayoutDecomposer(grid.design, grid)
+        problem = decomposer.build_problem(decomposer.extract_units(solution))
+        assert [node for node, _index in problem.fixed_colors] == fixed
+
+    def test_snapshot_format_v2_round_trip_and_v1_rejected(self):
+        grid = RoutingGrid(make_design(color=1))
+        grid.occupy(GridPoint(0, 5, 5), "n1")
+        grid.set_vertex_color(GridPoint(0, 5, 5), "n1", 2)
+        grid.add_history(GridPoint(0, 5, 5), 0.5)
+        snapshot = grid.snapshot_state()
+        assert snapshot["format"] == "repro-grid-snapshot-v2"
+        fresh = RoutingGrid(make_design(color=1))
+        fresh.restore_state(snapshot)
+        assert json.dumps(fresh.snapshot_state(), sort_keys=True) == json.dumps(
+            snapshot, sort_keys=True
+        )
+        with pytest.raises(ValueError, match="not a repro-grid-snapshot"):
+            fresh.restore_state(dict(snapshot, format="repro-grid-snapshot-v1"))
 
     def test_reset_routing_state_keeps_blockages_and_fixed_colors(self):
         grid = RoutingGrid(make_design(color=0))

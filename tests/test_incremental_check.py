@@ -14,9 +14,11 @@ import pytest
 
 from repro.bench import SyntheticSpec, generate_design
 from repro.check import DirtyRegionTracker, IncrementalConflictChecker, IncrementalDRCChecker
+from repro.design import Design
 from repro.dr import DetailedRouter, DRCChecker
-from repro.geometry import GridPoint
-from repro.grid import RoutingGrid, RoutingSolution
+from repro.geometry import GridPoint, Rect
+from repro.grid import NetRoute, RoutingGrid, RoutingSolution
+from repro.tech import make_default_tech
 from repro.tpl import ConflictChecker, MrTPLRouter
 from repro.utils import SeededRNG
 
@@ -235,19 +237,31 @@ def test_tracker_release_uses_reverse_index():
     assert indices == {grid.index_of(v) for v in vertices}
 
 
-def test_expanded_indices_covers_interaction_radius():
-    grid, tracker = make_tracked_grid()
-    vertex = GridPoint(0, 5, 5)
-    grid.occupy(vertex, "netA")
-    radius = grid.rules.color_spacing_on(0)
-    region = tracker.expanded_indices(radius)
-    index = grid.index_of(vertex)
-    offsets = grid.interaction_offsets(radius)
-    assert (0, 0, 0) in offsets
-    expected = {index + delta for dcol, drow, delta in offsets
-                if 0 <= 5 + dcol < grid.num_cols and 0 <= 5 + drow < grid.num_rows}
-    assert region == expected
-    # Every vertex in the region really is within the radius.
-    base_rect = grid.vertex_rect(vertex)
-    for other in region:
-        assert base_rect.distance_to(grid.vertex_rect(grid.vertex_of(other))) < radius
+
+def test_conflict_anchor_is_first_vertex_touching_partner_box():
+    """The anchor is the smallest vertex nearest the partner's track box,
+    and the first one inside or touching that box wins."""
+    tech = make_default_tech(num_layers=3)
+    design = Design(name="anchor", tech=tech, die_area=Rect(0, 0, 48, 48))
+    grid = RoutingGrid(design)
+    solution = RoutingSolution(design_name="anchor")
+    # "a" runs along row 5; "b" hooks around it with a box spanning cols
+    # 2-8 and rows 4-7, so a's vertices at cols 2..6 all lie inside the box.
+    # "b" is added first, so the refresh that adds "a" classifies (a, b)
+    # and anchors on a's vertices whatever the set order.
+    paths = {
+        "b": [GridPoint(0, col, 4) for col in range(2, 9)]
+        + [GridPoint(0, 8, row) for row in range(5, 8)],
+        "a": [GridPoint(0, col, 5) for col in range(7)],
+    }
+    checker = IncrementalConflictChecker(design, grid)
+    for name, path in paths.items():
+        route = NetRoute(net_name=name)
+        route.add_path(path)
+        for vertex in route.vertices:
+            route.set_color(vertex, 0)
+        solution.add_route(route)
+        report = checker.check(solution)
+    assert [(c.net_a, c.net_b, c.kind, c.location) for c in report.conflicts] == [
+        ("a", "b", "same-mask", GridPoint(0, 2, 5))
+    ]

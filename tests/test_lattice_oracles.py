@@ -257,6 +257,37 @@ def test_lattice_layouts_exercise_every_rule():
 
 
 # ----------------------------------------------------------------------
+# The shared offset table
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [5, 23])
+def test_track_offsets_match_brute_force(seed, rng_rounds):
+    """``track_offsets(d)`` is the ``Rect.distance_to`` enumeration, in order."""
+    rng = SeededRNG(seed)
+    for round_number in range(rng_rounds):
+        pitch = rng.randint(1, 9)
+        wire_width = rng.randint(0, 3)
+        tech = make_default_tech(
+            num_layers=2, pitch=pitch, rules=DesignRules(wire_width=wire_width)
+        )
+        die = Rect(0, 0, 5 * pitch, rng.randint(5, 9) * pitch)
+        grid = RoutingGrid(Design(name="offsets", tech=tech, die_area=die))
+        half = wire_width // 2
+        base = Rect(-half, -half, half, half)
+        for _ in range(6):
+            distance = rng.randint(-2, 5 * pitch + 6)
+            bound = (abs(distance) + wire_width) // pitch + 2
+            expected = tuple(
+                (dcol, drow, dcol * grid.num_rows + drow)
+                for dcol in range(-bound, bound + 1)
+                for drow in range(-bound, bound + 1)
+                if base.distance_to(base.translated(dcol * pitch, drow * pitch)) < distance
+            )
+            context = f"seed {seed}, round {round_number}, pitch {pitch}, d {distance}"
+            assert grid.track_offsets(distance) == expected, context
+
+
+# ----------------------------------------------------------------------
 # Golden pin of the full-scan report
 # ----------------------------------------------------------------------
 

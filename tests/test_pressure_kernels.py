@@ -1,8 +1,8 @@
 """Grid and search-core caches the engines share.
 
-The frozen ``interaction_offsets`` cache, the per-net guide masks read
-through one vertex -> gcell-slot map, identical solutions with the native
-search kernel gated off, and the survival of a held
+The frozen ``track_offsets`` cache, the per-net guide masks read through
+one vertex -> gcell-slot map, identical solutions with the native search
+kernel gated off, and the survival of a held
 :class:`~repro.search.CoreResult` when its core is reused.
 """
 
@@ -23,11 +23,11 @@ class TestInteractionOffsets:
 
     def test_interaction_offsets_cache_is_frozen(self):
         grid = RoutingGrid(make_design())
-        offsets = grid.interaction_offsets(grid.rules.color_spacing)
+        offsets = grid.track_offsets(grid.rules.color_spacing)
         assert isinstance(offsets, tuple)
         with pytest.raises(TypeError):
             offsets[0] = (99, 99, 99)
-        assert grid.interaction_offsets(grid.rules.color_spacing) == offsets
+        assert grid.track_offsets(grid.rules.color_spacing) is offsets
 
 
 class TestSnapshotKernels:
