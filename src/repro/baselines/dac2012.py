@@ -33,7 +33,6 @@ from repro.gr import GlobalRouter, GuideSet
 from repro.gr.steiner import rectilinear_mst
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
 from repro.native.spec import MODE_MASK_EXPANDED, attach_native_spec
-from repro.sched import GridSink
 from repro.search import SearchCore
 from repro.tpl.color_state import ALL_COLORS
 from repro.tpl.conflict import ConflictReport
@@ -113,8 +112,7 @@ class MaskExpandedSearch:
         stitch_penalty = cost_model.stitch_cost()
         # Grid moves delegate to the shared traditional expand; the mask's
         # conflict cost is read per successor from the live pressure buffer
-        # minus the net's own overlay (the native kernel does the same
-        # inline).
+        # (the native kernel does the same inline).
         traditional = make_traditional_expand(grid, cost_model, net_name, net_id)
         # Scratch buffers for the embedded traditional (grid-move) expand;
         # its successors are re-based onto the mask-expanded node space.
@@ -122,7 +120,6 @@ class MaskExpandedSearch:
         move_cost: List[float] = [0.0] * 8
         move_aux: List[int] = [0] * 8
         pressure = grid.pressure_buffer()
-        net_pressure_get = grid.net_pressure_overlay(net_id).get
 
         def expand(
             node: int,
@@ -144,13 +141,8 @@ class MaskExpandedSearch:
             moves = traditional(vertex, g, 0, move_node, move_cost, move_aux)
             for slot in range(moves):
                 succ = move_node[slot]
-                own = net_pressure_get(succ)
-                if own is None:
-                    conflict = gamma * pressure[3 * succ + color]
-                else:
-                    conflict = gamma * max(pressure[3 * succ + color] - own[color], 0.0)
                 out_node[count] = succ * 3 + color
-                out_cost[count] = move_cost[slot] + conflict
+                out_cost[count] = move_cost[slot] + gamma * pressure[3 * succ + color]
                 out_aux[count] = 0
                 count += 1
             return count
@@ -223,21 +215,18 @@ class Dac2012Router(CampaignRouter):
 
     # ------------------------------------------------------------------
 
-    def compute_route(
-        self, net: Net, engine: Optional[object] = None, sink: Optional[object] = None
-    ) -> NetRoute:
+    def compute_route(self, net: Net, sink: object, engine: Optional[object] = None) -> NetRoute:
         """Route one net through *engine*, sending grid commits to *sink*.
 
-        The 2-pin formulation commits each connection's colors as soon as
-        the path is found; with a :class:`~repro.sched.commit.RecordingSink`
-        those eager commits are logged instead (route-local colors still
-        steer the next connection, so the defining limitation is preserved
-        bit for bit).
+        The 2-pin formulation fixes each connection's colors as soon as the
+        path is found: they go to *sink* (a
+        :class:`~repro.sched.commit.RecordingSink`) at once, and the
+        route-local colors steer the next connection, which preserves the
+        defining limitation.  The grid holds none of the net's metal until
+        the whole log is committed in one route commit afterwards.
         """
         if engine is None:
             engine = self.two_pin_engine
-        if sink is None:
-            sink = GridSink(self.grid, net.name)
         route = NetRoute(net_name=net.name)
         pin_groups = [self.grid.pin_access_vertices(pin) for pin in net.pins]
         if any(not group for group in pin_groups):

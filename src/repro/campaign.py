@@ -56,7 +56,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.design import Design, Net
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
 from repro.profiling import PhaseTimes
-from repro.sched import GridSink, make_batch_executor
+from repro.sched import RecordingSink, commit, make_batch_executor
 from repro.utils import Timer, get_logger
 
 _LOG = get_logger("campaign")
@@ -258,12 +258,17 @@ class CampaignRouter:
         )
 
     def route_net(self, net: Net) -> NetRoute:
-        """Route one net and commit it to the grid immediately.
+        """Route one net and commit it to the grid.
 
-        :meth:`compute_route` with the router's own engine and the default
-        :class:`~repro.sched.commit.GridSink`.
+        :meth:`compute_route` with the router's own engine records the
+        net's commits against a grid that holds none of its metal; the log
+        is then applied in one route commit
+        (:func:`repro.sched.commit.apply_route_ops`).
         """
-        return self.compute_route(net)
+        sink = RecordingSink(self.grid, net.name)
+        route = self.compute_route(net, sink)
+        commit.apply_route_ops(self.grid, sink.ops)
+        return route
 
     def _route_many(self, nets: List[Net], solution: RoutingSolution) -> None:
         """Route *nets* in order -- batched when an executor is configured."""
@@ -291,9 +296,10 @@ class CampaignRouter:
         rebuilt from a checkpoint) restores the same nets.  Every one of
         them is released before any is re-committed: a release that leaves
         a vertex with several owners zeroes its mask colour, including a
-        colour a re-committed net just put there.  The re-commits go through
-        :class:`~repro.sched.commit.GridSink`, so the journal and the delta
-        listeners see the restore like any other commit.
+        colour a re-committed net just put there.  Each re-commit is one
+        route commit (:func:`repro.sched.commit.apply_route_ops`), so the
+        journal and the delta listeners see the restore like any other
+        commit.
         """
         changed = sorted(
             name for name, route in best_routes.items() if solution.routes.get(name) != route
@@ -302,13 +308,14 @@ class CampaignRouter:
             self.grid.release_net(name)
         for name in changed:
             route = best_routes[name]
-            sink = GridSink(self.grid, name)
+            sink = RecordingSink(self.grid, name)
             for vertex, color in route.vertex_colors.items():
                 sink.set_color(vertex, color)
             # A failed route's own commit stopped at its partial paths (and,
             # for Mr.TPL, their pins): re-occupy its coloured vertices only.
             for vertex in route.vertices if route.routed else route.vertex_colors:
                 sink.occupy(vertex)
+            commit.apply_route_ops(self.grid, sink.ops)
             solution.routes[name] = route
 
     # -- supplied by each router -------------------------------------------

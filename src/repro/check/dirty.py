@@ -17,7 +17,7 @@ re-scan each dirty net's metal over the interaction offsets of
 
 from __future__ import annotations
 
-from typing import Set, Tuple
+from typing import Iterable, Set, Tuple
 
 from repro.grid import RoutingGrid
 
@@ -41,20 +41,15 @@ class DirtyRegionTracker:
 
     # -- grid delta hooks ---------------------------------------------------
 
-    def on_occupy(self, net_id: int, index: int) -> None:
-        """Record a single-vertex occupancy commit of *net_id*."""
+    def on_commit(self, net_id: int, indices: Iterable[int]) -> None:
+        """Record *net_id*'s occupancy or mask commits at *indices*."""
         self._dirty_net_ids.add(net_id)
-        self._dirty_indices.add(index)
+        self._dirty_indices.update(indices)
 
     def on_release(self, net_id: int, indices: Set[int]) -> None:
         """Record the release of every vertex *net_id* occupied or colored."""
         self._dirty_net_ids.add(net_id)
         self._dirty_indices.update(indices)
-
-    def on_color(self, net_id: int, index: int, color: int) -> None:
-        """Record a mask (re)assignment at *index*."""
-        self._dirty_net_ids.add(net_id)
-        self._dirty_indices.add(index)
 
     def on_reset(self) -> None:
         """Record a bulk grid reset: incremental state must be rebuilt."""

@@ -215,16 +215,15 @@ class CostModel:
         congestion_at = self.grid.congestion_cost_index
         return [congestion_at(index, net_id) for index in range(self.grid.num_vertices)]
 
-    def color_pressure_snapshot(self, net_id: int) -> List[float]:
+    def color_pressure_snapshot(self) -> List[float]:
         """Return the ``gamma``-weighted per-mask pressure map, uncached.
 
-        ``3 * num_vertices`` entries built from :meth:`color_costs_index`:
-        the grid's pressure minus *net_id*'s own contribution, clamped at
-        zero.  Like :meth:`congestion_snapshot`, a reference map only.
+        ``3 * num_vertices`` entries built from :meth:`color_costs_index`.
+        Like :meth:`congestion_snapshot`, a reference map only.
         """
         table: List[float] = []
         for index in range(self.grid.num_vertices):
-            table.extend(self.color_costs_index(index, net_id))
+            table.extend(self.color_costs_index(index))
         return table
 
     # -- array('d') twins ------------------------------------------------
@@ -245,9 +244,9 @@ class CostModel:
         """Return :meth:`congestion_snapshot` as an ``array('d')`` buffer."""
         return array("d", self.congestion_snapshot(net_id))
 
-    def color_pressure_snapshot_flat(self, net_id: int) -> array:
+    def color_pressure_snapshot_flat(self) -> array:
         """Return :meth:`color_pressure_snapshot` as an ``array('d')`` buffer."""
-        return array("d", self.color_pressure_snapshot(net_id))
+        return array("d", self.color_pressure_snapshot())
 
     def guide_penalty_flat(self, net_name: str) -> array:
         """Return :meth:`guide_penalty_table` as an ``array('d')`` buffer."""
@@ -315,9 +314,9 @@ class CostModel:
         """Return ``beta * stitch_cost``: the weighted cost of one stitch."""
         return self.rules.beta * self.rules.stitch_cost
 
-    def color_costs_index(self, index: int, net_id: int) -> List[float]:
+    def color_costs_index(self, index: int) -> List[float]:
         """Return ``gamma * Cost_color`` for each of the three masks at *index*."""
-        return [self.rules.gamma * c for c in self.grid.color_costs_index(index, net_id)]
+        return [self.rules.gamma * c for c in self.grid.color_costs_index(index)]
 
     def heuristic(self, vertex: GridPoint, targets: list) -> float:
         """Return an admissible lower bound from *vertex* to the nearest target.

@@ -23,7 +23,6 @@ from repro.dr.maze import MazeRouter
 from repro.geometry import GridPoint
 from repro.gr.guide import GuideSet
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
-from repro.sched import GridSink
 
 
 class DetailedRouter(CampaignRouter):
@@ -62,20 +61,17 @@ class DetailedRouter(CampaignRouter):
         """
         return MazeRouter(self.grid, self.cost_model)
 
-    def compute_route(
-        self, net: Net, engine: Optional[object] = None, sink: Optional[object] = None
-    ) -> NetRoute:
+    def compute_route(self, net: Net, sink: object, engine: Optional[object] = None) -> NetRoute:
         """Route one net through *engine*, sending grid commits to *sink*.
 
-        With the defaults this is the sequential ``route_net`` behaviour.
-        A :class:`~repro.sched.commit.RecordingSink` turns the call into a
-        pure snapshot computation (no grid mutation) -- the speculative
-        batch backends route this way with per-worker engines.
+        A pure computation against a grid that holds none of the net's
+        metal: the occupancy goes to *sink* (a
+        :class:`~repro.sched.commit.RecordingSink`) and is committed in one
+        route commit afterwards -- by ``route_net``, or by the pool parent
+        for routes its workers computed with their own engines.
         """
         if engine is None:
             engine = self.maze
-        if sink is None:
-            sink = GridSink(self.grid, net.name)
         route = NetRoute(net_name=net.name)
         pin_groups = [self.grid.pin_access_vertices(pin) for pin in net.pins]
         usable_groups = [group for group in pin_groups if group]

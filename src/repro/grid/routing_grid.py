@@ -31,31 +31,39 @@ every vertex, its six neighbour indices in :data:`ALL_DIRECTIONS` order
 (``-1`` for out-of-bounds).  The ``GridPoint``-based API is preserved
 on top as thin shims converting at the boundary.
 
-Two deliberately sparse side tables remain dicts: the rare multi-owner
-occupancy case (a short, negotiated away by rip-up & reroute) and the
-per-net color-pressure overlay (non-zero only near a net's own metal).
+Sparse side tables stay dicts: the rare multi-owner occupancy case (a
+short, negotiated away by rip-up & reroute) and the per-net reverse
+indices of occupied and coloured vertices that make a release O(|net|).
 
-The mutation choke point
-------------------------
+Colour pressure holds every committed coloured vertex, so it is exactly
+the ``Cost_color`` another net sees.  A net never sees its own metal
+there: every router computes a route against a grid that holds none of
+the net's metal, then commits it whole (:meth:`RoutingGrid.commit_route`).
 
-Every mutation of searchable state flows through **one** method,
-:meth:`RoutingGrid.apply_op`, as a :mod:`repro.journal` op tuple.  The
-public mutators (``occupy``/``release_net``/``set_vertex_color``/
+The op stream
+-------------
+
+Every mutation of searchable state is a :mod:`repro.journal` op tuple.
+The public mutators (``occupy``/``release_net``/``set_vertex_color``/
 ``add_history``/``decay_history``/``block_*``/``reset_routing_state``) are
-thin wrappers that build the op; ``apply_op`` dispatches it to the private
-``_apply_*`` handler, records it in the attached
-:class:`~repro.journal.MutationJournal` (if any), and taps the delta
-listeners of :mod:`repro.check`.  Replaying a journal onto a fresh grid
-over the same design therefore reproduces every buffer bit-identically --
-the property the persistent worker pool rests on.  Checkpoints take the
-other route: :meth:`RoutingGrid.snapshot_state` exports the buffers whole.
+thin wrappers that build one op for :meth:`RoutingGrid.apply_op`, which
+dispatches it to the private ``_apply_*`` handler, records it in the
+attached :class:`~repro.journal.MutationJournal` (if any), and taps the
+delta listeners of :mod:`repro.check`.  :meth:`RoutingGrid.commit_route`
+applies a whole route's occupy / colour ops in one pass through the same
+handler code, records the same ops and hands the listeners the same
+indices in one event.
+Replaying a journal onto a fresh grid over the same design therefore
+reproduces every buffer bit-identically -- the property the persistent
+worker pool rests on.  Checkpoints take the other route:
+:meth:`RoutingGrid.snapshot_state` exports the buffers whole.
 """
 
 from __future__ import annotations
 
 from array import array
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.design import Design
 from repro.geometry import GridPoint, Point, Rect
@@ -201,17 +209,13 @@ class RoutingGrid:
         self._net_occupied: Dict[int, Set[int]] = {}
         # Indices with (potentially) non-zero history, for O(touched) decay.
         self._history_touched: Set[int] = set()
-        # Per-net pressure overlay: net id -> {index: [r, g, b]}.  Nested so
-        # a search can grab one net's whole overlay up front (the vectorised
-        # per-search pressure snapshot enumerates it), while the hot-path
-        # lookup stays one int-keyed dict get on the inner map.  Allows
-        # excluding a net's own contribution when it is the one being routed.
-        self._net_pressure: Dict[int, Dict[int, List[float]]] = {}
         # Per-net colored vertices: net id -> {index: color}.
         self._net_colored_vertices: Dict[int, Dict[int, int]] = {}
         # track_offsets tables per distance (pressure, incremental checkers),
         # frozen to tuples so no caller can corrupt the shared cache.
         self._track_offsets_cache: Dict[int, Tuple[Tuple[int, int, int], ...]] = {}
+        # Per-vertex pressure deltas of its Dcolor window (geometry only).
+        self._stamp_deltas = self._build_stamp_deltas()
         # Lazily built flat-index -> GridPoint table (geometry is immutable).
         self._vertex_table: Optional[Tuple[GridPoint, ...]] = None
 
@@ -237,9 +241,8 @@ class RoutingGrid:
         # paths pay one truthiness test plus direct calls -- no per-event
         # attribute lookup.
         self._delta_listeners: List[object] = []
-        self._occupy_hooks: List = []
+        self._commit_hooks: List = []
         self._release_hooks: List = []
-        self._color_hooks: List = []
         self._reset_hooks: List = []
 
         self._apply_design_blockages()
@@ -349,10 +352,12 @@ class RoutingGrid:
     def add_delta_listener(self, listener: object) -> None:
         """Subscribe *listener* to per-net occupancy/color delta events.
 
-        A listener may implement any subset of ``on_occupy(net_id, index)``,
-        ``on_release(net_id, indices)``, ``on_color(net_id, index, color)``
-        and ``on_reset()``; missing hooks are skipped.  Listeners must not
-        mutate the grid from inside a callback.
+        A listener may implement any subset of ``on_commit(net_id,
+        indices)`` (the net placed metal or mask colours at *indices*: one
+        index per ``occupy`` / ``color`` op, a whole route's for a route
+        commit), ``on_release(net_id, indices)`` and ``on_reset()``;
+        missing hooks are skipped.  Listeners must not mutate the grid from
+        inside a callback.
         """
         if listener not in self._delta_listeners:
             self._delta_listeners.append(listener)
@@ -367,9 +372,8 @@ class RoutingGrid:
         self._rebuild_delta_hooks()
 
     def _rebuild_delta_hooks(self) -> None:
-        self._occupy_hooks = self._bound_hooks("on_occupy")
+        self._commit_hooks = self._bound_hooks("on_commit")
         self._release_hooks = self._bound_hooks("on_release")
-        self._color_hooks = self._bound_hooks("on_color")
         self._reset_hooks = self._bound_hooks("on_reset")
 
     def _bound_hooks(self, hook: str) -> List:
@@ -381,7 +385,7 @@ class RoutingGrid:
         ]
 
     # ------------------------------------------------------------------
-    # Mutation choke point (journal ops)
+    # The op stream (journal ops)
     # ------------------------------------------------------------------
 
     @property
@@ -410,16 +414,16 @@ class RoutingGrid:
         return journal
 
     def apply_op(self, op: Op):
-        """Apply one :mod:`repro.journal` op -- THE mutation choke point.
+        """Apply one :mod:`repro.journal` op.
 
-        Every grid mutation flows through here, whether issued by a public
-        mutator, replayed from a commit log (:mod:`repro.sched.commit`), or
-        replayed from a journal (:func:`repro.journal.replay_ops`).  The op
-        is dispatched to its ``_apply_*`` handler, recorded in the attached
-        journal, and then tapped to the delta listeners of
-        :mod:`repro.check` -- so journal replicas and incremental checkers
-        observe the exact same event stream.  Returns the handler's result
-        (e.g. the new net id for ``intern`` ops).
+        Every grid mutation but a route commit (:meth:`commit_route`) flows
+        through here, whether issued by a public mutator or replayed from a
+        journal (:func:`repro.journal.replay_ops`).  The op is dispatched
+        to its ``_apply_*`` handler, recorded in the attached journal, and
+        then tapped to the delta listeners of :mod:`repro.check` -- so
+        journal replicas and incremental checkers observe the exact same
+        event stream.  Returns the handler's result (e.g. the new net id
+        for ``intern`` ops).
         """
         kind = op[0]
         handler = _OP_HANDLERS.get(kind)
@@ -429,14 +433,9 @@ class RoutingGrid:
         if self._journal is not None:
             self._journal.record(op)
         # Delta-listener tap: the live consumers of the op stream.
-        if kind == OP_OCCUPY:
-            if self._occupy_hooks:
-                for callback in self._occupy_hooks:
-                    callback(op[1], op[2])
-        elif kind == OP_COLOR:
-            if self._color_hooks:
-                for callback in self._color_hooks:
-                    callback(op[1], op[2], op[3])
+        if kind == OP_OCCUPY or kind == OP_COLOR:
+            for callback in self._commit_hooks:
+                callback(op[1], (op[2],))
         elif kind == OP_RELEASE:
             if self._release_hooks and result[1]:
                 for callback in self._release_hooks:
@@ -445,6 +444,44 @@ class RoutingGrid:
             for callback in self._reset_hooks:
                 callback()
         return result
+
+    def commit_route(self, ops: Sequence[Op]) -> None:
+        """Apply one net's recorded commit log in one pass -- the route commit.
+
+        *ops* are the ``occupy`` / ``color`` ops a
+        :class:`~repro.sched.commit.RecordingSink` logged for one net, in
+        order.  The grid ends in the state and the journal holds the ops
+        that applying them one by one through :meth:`apply_op` gives, but
+        the occupancy and the colours (with their pressure stamps) each
+        take one loop, and each delta listener gets one ``on_commit`` with
+        every op's index.
+
+        Routers compute a route against a grid that holds none of the net's
+        metal; a net that still holds occupancy or colours (not released
+        since its last commit) raises ``ValueError``, as does a log mixing
+        nets or holding other ops.  Nothing changes before the log is
+        checked.
+        """
+        if not ops:
+            return
+        net_id = ops[0][1]
+        if net_id in self._net_occupied or net_id in self._net_colored_vertices:
+            raise ValueError(
+                f"net {self._net_names[net_id]!r} already holds metal on the grid; "
+                "release it before committing a route"
+            )
+        shapes = {(op[0], op[1], len(op)) for op in ops}
+        if not shapes <= {(OP_OCCUPY, net_id, 3), (OP_COLOR, net_id, 4)}:
+            raise ValueError(f"not a route log of net id {net_id}: op shapes {sorted(shapes)}")
+        self._mutation_epoch += len(ops)
+        self._place(net_id, [op[2] for op in ops if op[0] == OP_OCCUPY])
+        self._paint(net_id, [op[2:] for op in ops if op[0] == OP_COLOR])
+        if self._journal is not None:
+            self._journal.extend(ops)
+        if self._commit_hooks:
+            indices = [op[2] for op in ops]
+            for callback in self._commit_hooks:
+                callback(net_id, indices)
 
     # ------------------------------------------------------------------
     # Net-name interning
@@ -731,9 +768,9 @@ class RoutingGrid:
 
     def _seed_fixed_pressure(self) -> None:
         """Spread the color pressure of every pre-colored obstacle."""
-        for net_name, obstacle in self.design.fixed_color_nets():
+        for obstacle in self.design.colored_obstacles():
             if 0 <= obstacle.layer < self.num_layers:
-                self._add_rect_pressure(obstacle.layer, obstacle.rect, net_name, obstacle.color)
+                self._add_rect_pressure(obstacle.layer, obstacle.rect, obstacle.color)
 
     # ------------------------------------------------------------------
     # Incremental color pressure
@@ -773,44 +810,62 @@ class RoutingGrid:
         half = max(self.rules.wire_width // 2, 0)
         return max(1, -(-(radius + 2 * half) // self.pitch))
 
-    def _net_overlay(self, net_id: int) -> Dict[int, List[float]]:
-        """Return (creating if needed) the mutable overlay map of *net_id*."""
-        overlay = self._net_pressure.get(net_id)
-        if overlay is None:
-            overlay = {}
-            self._net_pressure[net_id] = overlay
-        return overlay
+    def _build_stamp_deltas(self) -> List[Tuple[int, ...]]:
+        """Return, per vertex, the pressure-buffer deltas of its ``Dcolor`` window.
 
-    def _add_vertex_pressure_index(
-        self, index: int, net_id: int, color: int, sign: float
-    ) -> None:
-        """Add (or remove, with ``sign=-1``) the pressure of one colored vertex.
-
-        Every in-bounds vertex within ``Dcolor`` of *index* gets one add on
-        the shared pressure map and on the net's own overlay.
+        Entry *index* lists ``3 * flat_delta`` for every in-bounds vertex of
+        :meth:`track_offsets` of the layer's ``Dcolor`` around *index*, in
+        that order, so a stamp of mask ``c`` adds at ``3 * index + c + d``.
+        Windows that clip at the die edge keep their in-bounds deltas only;
+        non-TPL layers have empty windows.  Vertices that clip alike share
+        one tuple, so the table costs one reference per vertex.
         """
-        layer, rem = divmod(index, self.plane_size)
-        if not self.tech.layers[layer].tpl:
-            return
-        col, row = divmod(rem, self.num_rows)
         cols, rows = self.num_cols, self.num_rows
-        amount = sign * self.rules.conflict_cost
-        overlay = self._net_overlay(net_id)
-        pressure = self._pressure_buf
-        for dcol, drow, delta in self.track_offsets(self.rules.color_spacing_on(layer)):
-            target_col = col + dcol
-            target_row = row + drow
-            if not (0 <= target_col < cols and 0 <= target_row < rows):
+        table: List[Tuple[int, ...]] = []
+        for layer in range(self.num_layers):
+            if not self.tech.layers[layer].tpl:
+                table.extend([()] * self.plane_size)
                 continue
-            target = index + delta
-            pressure[3 * target + color] += amount
-            own = overlay.get(target)
-            if own is None:
-                own = [0.0, 0.0, 0.0]
-                overlay[target] = own
-            own[color] += amount
+            distance = self.rules.color_spacing_on(layer)
+            reach = max(self.track_reach(distance), 0)
+            offsets = self.track_offsets(distance)
+            windows: Dict[Tuple[int, int, int, int], Tuple[int, ...]] = {}
+            columns: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
+            for col in range(cols):
+                col_room = (min(col, reach), min(cols - 1 - col, reach))
+                column = columns.get(col_room)
+                if column is None:
+                    column = []
+                    for row in range(rows):
+                        room = col_room + (min(row, reach), min(rows - 1 - row, reach))
+                        window = windows.get(room)
+                        if window is None:
+                            left, right, below, above = room
+                            window = windows[room] = tuple(
+                                3 * delta
+                                for dcol, drow, delta in offsets
+                                if -left <= dcol <= right and -below <= drow <= above
+                            )
+                        column.append(window)
+                    columns[col_room] = column
+                table.extend(column)
+        return table
 
-    def _add_rect_pressure(self, layer: int, rect: Rect, net_name: str, color: int) -> None:
+    def _stamp_pressure(self, stamps: Iterable[Tuple[int, int, float]]) -> None:
+        """Apply every ``(index, color, amount)`` pressure stamp, in order.
+
+        A stamp adds *amount* to mask *color*'s pressure at each in-bounds
+        vertex within the layer's ``Dcolor`` of coloured vertex *index*, in
+        :meth:`track_offsets` order.  Non-TPL layers carry no pressure.
+        """
+        deltas_at = self._stamp_deltas
+        pressure = self._pressure_buf
+        for index, color, amount in stamps:
+            base = 3 * index + color
+            for delta in deltas_at[index]:
+                pressure[base + delta] += amount
+
+    def _add_rect_pressure(self, layer: int, rect: Rect, color: int) -> None:
         """Spread the pressure of a colored rectangle (fixed obstacle) on *layer*."""
         if not (0 <= color <= 2) or not self.tech.layers[layer].tpl:
             return
@@ -818,15 +873,12 @@ class RoutingGrid:
         if window is None:
             return
         col_lo, col_hi, row_lo, row_hi = window
-        overlay = self._net_overlay(self.net_id(net_name))
         amount = self.rules.conflict_cost
         rows = self.num_rows
         for col in range(max(col_lo, 0), min(col_hi, self.num_cols - 1) + 1):
             for row in range(max(row_lo, 0), min(row_hi, rows - 1) + 1):
                 index = (layer * self.num_cols + col) * rows + row
                 self._pressure_buf[3 * index + color] += amount
-                own = overlay.setdefault(index, [0.0, 0.0, 0.0])
-                own[color] += amount
 
     # ------------------------------------------------------------------
     # Occupancy (routed metal ownership)
@@ -835,30 +887,33 @@ class RoutingGrid:
     def occupy(self, vertex: GridPoint, net_name: str) -> None:
         """Record that *net_name* has metal at *vertex* (out-of-bounds ignored)."""
         if self.in_bounds(vertex):
-            self.occupy_index(self.index_of(vertex), self.net_id(net_name))
-
-    def occupy_index(self, index: int, net_id: int) -> None:
-        """Index/net-id variant of :meth:`occupy`."""
-        self.apply_op((OP_OCCUPY, net_id, index))
+            self.apply_op((OP_OCCUPY, self.net_id(net_name), self.index_of(vertex)))
 
     def _apply_occupy(self, op: Op) -> None:
         _kind, net_id, index = op
         self._mutation_epoch += 1
-        owner = self._owner_buf[index]
-        if owner == 0:
-            self._owner_buf[index] = net_id
-        elif owner == net_id:
-            pass
-        elif owner == -1:
-            self._multi_owners[index].add(net_id)
-        else:
-            self._multi_owners[index] = {owner, net_id}
-            self._owner_buf[index] = -1
+        self._place(net_id, (index,))
+
+    def _place(self, net_id: int, indices: Sequence[int]) -> None:
+        """Record *net_id*'s metal at every flat index of *indices*."""
+        if not indices:
+            return
+        owner_buf = self._owner_buf
+        multi_owners = self._multi_owners
+        for index in indices:
+            owner = owner_buf[index]
+            if owner == 0:
+                owner_buf[index] = net_id
+            elif owner == -1:
+                multi_owners[index].add(net_id)
+            elif owner != net_id:
+                multi_owners[index] = {owner, net_id}
+                owner_buf[index] = -1
         occupied = self._net_occupied.get(net_id)
         if occupied is None:
-            occupied = set()
-            self._net_occupied[net_id] = occupied
-        occupied.add(index)
+            self._net_occupied[net_id] = set(indices)
+        else:
+            occupied.update(indices)
 
     def release_net(self, net_name: str) -> int:
         """Remove all occupancy, mask colors and color pressure of *net_name*.
@@ -883,29 +938,32 @@ class RoutingGrid:
         released = 0
         self._mutation_epoch += 1
         occupied_indices = sorted(self._net_occupied.pop(net_id, ()))
+        owner_buf, color_buf = self._owner_buf, self._color_buf
         for index in occupied_indices:
-            owner = self._owner_buf[index]
+            owner = owner_buf[index]
             if owner == net_id:
-                self._owner_buf[index] = 0
-                self._color_buf[index] = 0
+                owner_buf[index] = 0
+                color_buf[index] = 0
             elif owner == -1:
                 owners = self._multi_owners[index]
                 owners.discard(net_id)
                 if len(owners) == 1:
                     keeper = owners.pop()
-                    self._owner_buf[index] = keeper
+                    owner_buf[index] = keeper
                     del self._multi_owners[index]
                     # The remaining owner keeps its own mask colour here.
                     color = self._net_colored_vertices.get(keeper, {}).get(index)
-                    self._color_buf[index] = 0 if color is None else color + 1
+                    color_buf[index] = 0 if color is None else color + 1
                 else:
-                    self._color_buf[index] = 0
+                    color_buf[index] = 0
             else:
                 continue
             released += 1
         colored_vertices = self._net_colored_vertices.pop(net_id, {})
-        for index, color in colored_vertices.items():
-            self._add_vertex_pressure_index(index, net_id, color, sign=-1.0)
+        amount = -self.rules.conflict_cost
+        self._stamp_pressure(
+            (index, color, amount) for index, color in colored_vertices.items()
+        )
         delta: Optional[Set[int]] = None
         if self._release_hooks and (occupied_indices or colored_vertices):
             # The per-net reverse index makes the released delta O(|net|).
@@ -980,20 +1038,35 @@ class RoutingGrid:
     def _apply_color(self, op: Op) -> None:
         _kind, net_id, index, color = op
         self._mutation_epoch += 1
+        self._paint(net_id, ((index, color),))
+
+    def _paint(self, net_id: int, colors: Sequence[Tuple[int, int]]) -> None:
+        """Colour *net_id*'s metal at each ``(index, color)``, in order.
+
+        A vertex's colour contributes pressure once: re-colouring it with
+        the same mask only rewrites the colour byte, with another mask it
+        unstamps the old mask before stamping the new one.  The stamps are
+        applied in one loop after the colours.
+        """
+        if not colors:
+            return
         registered = self._net_colored_vertices.get(net_id)
         if registered is None:
-            registered = {}
-            self._net_colored_vertices[net_id] = registered
-        previous = registered.get(index)
-        if previous == color:
-            self._color_buf[index] = color + 1
-            return
-        if previous is not None:
-            self._add_vertex_pressure_index(index, net_id, previous, sign=-1.0)
-            del registered[index]
-        self._color_buf[index] = color + 1
-        registered[index] = color
-        self._add_vertex_pressure_index(index, net_id, color, sign=1.0)
+            registered = self._net_colored_vertices[net_id] = {}
+        color_buf = self._color_buf
+        amount = self.rules.conflict_cost
+        stamps: List[Tuple[int, int, float]] = []
+        for index, color in colors:
+            color_buf[index] = color + 1
+            previous = registered.get(index)
+            if previous == color:
+                continue
+            if previous is not None:
+                stamps.append((index, previous, -amount))
+                del registered[index]
+            registered[index] = color
+            stamps.append((index, color, amount))
+        self._stamp_pressure(stamps)
 
     def vertex_color(self, vertex: GridPoint) -> Optional[int]:
         """Return the mask color of routed metal at *vertex*, if any."""
@@ -1007,55 +1080,36 @@ class RoutingGrid:
         stored = self._color_buf[index]
         return None if stored == 0 else stored - 1
 
-    def color_cost(self, vertex: GridPoint, net_name: str, color: int) -> float:
-        """Return the TPL color cost of putting *color* metal of *net_name* at *vertex*.
+    def color_cost(self, vertex: GridPoint, color: int) -> float:
+        """Return the TPL color cost of putting *color* metal at *vertex*.
 
-        This is the ``Cost_color`` term of Eq. (1): each already-colored piece
-        of metal of a *different* net on the same layer within ``Dcolor`` and
-        sharing the candidate mask contributes one conflict penalty.  Metal of
-        the same net never conflicts (it will be electrically connected).
+        This is the ``Cost_color`` term of Eq. (1): each committed piece of
+        colored metal on the same layer within ``Dcolor`` and sharing the
+        candidate mask contributes one conflict penalty.  Routers ask while
+        the net they route has no metal on the grid, so the sum covers
+        other nets' metal (and pre-colored obstacles) only.
         """
-        return self.color_costs(vertex, net_name)[color]
+        return self.color_costs(vertex)[color]
 
-    def color_costs(self, vertex: GridPoint, net_name: str) -> List[float]:
+    def color_costs(self, vertex: GridPoint) -> List[float]:
         """Return the color cost for each of the three masks at *vertex*.
 
-        The value is served from the incrementally maintained color-pressure
-        buffer (updated on :meth:`set_vertex_color` / :meth:`release_net`),
-        with the querying net's own contribution subtracted out.
+        Served from the incrementally maintained color-pressure buffer
+        (updated on every colour commit and release).
         """
         if not self.in_bounds(vertex):
             return [0.0, 0.0, 0.0]
-        return self.color_costs_index(
-            self.index_of(vertex), self.net_id_if_known(net_name)
-        )
+        return self.color_costs_index(self.index_of(vertex))
 
-    def color_costs_index(self, index: int, net_id: int) -> List[float]:
-        """Index/net-id variant of :meth:`color_costs` (hot path)."""
+    def color_costs_index(self, index: int) -> List[float]:
+        """Index variant of :meth:`color_costs` (hot path)."""
         base = 3 * index
         pressure = self._pressure_buf
-        overlay = self._net_pressure.get(net_id)
-        own = overlay.get(index) if overlay else None
-        if own is None:
-            return [pressure[base], pressure[base + 1], pressure[base + 2]]
-        return [
-            max(pressure[base] - own[0], 0.0),
-            max(pressure[base + 1] - own[1], 0.0),
-            max(pressure[base + 2] - own[2], 0.0),
-        ]
+        return [pressure[base], pressure[base + 1], pressure[base + 2]]
 
     def pressure_buffer(self) -> array:
         """Return the live color-pressure buffer (3 doubles per vertex)."""
         return self._pressure_buf
-
-    def net_pressure_overlay(self, net_id: int) -> Dict[int, List[float]]:
-        """Return *net_id*'s pressure overlay map (``index -> [r, g, b]``).
-
-        Read-only use by search engines (the per-search color-pressure
-        snapshot enumerates it); maintained by :meth:`set_vertex_color` /
-        :meth:`release_net`.  Returns an empty map for nets without one.
-        """
-        return self._net_pressure.get(net_id) or {}
 
     # ------------------------------------------------------------------
     # History cost (negotiated congestion)
@@ -1064,11 +1118,7 @@ class RoutingGrid:
     def add_history(self, vertex: GridPoint, amount: float = 1.0) -> None:
         """Increase the history cost at *vertex* (rip-up & reroute feedback)."""
         if self.in_bounds(vertex):
-            self.add_history_index(self.index_of(vertex), amount)
-
-    def add_history_index(self, index: int, amount: float = 1.0) -> None:
-        """Index variant of :meth:`add_history`."""
-        self.apply_op((OP_HISTORY, index, amount))
+            self.apply_op((OP_HISTORY, self.index_of(vertex), amount))
 
     def _apply_history(self, op: Op) -> None:
         _kind, index, amount = op
@@ -1130,7 +1180,6 @@ class RoutingGrid:
         self._multi_owners.clear()
         self._net_occupied.clear()
         self._history_touched.clear()
-        self._net_pressure.clear()
         self._net_colored_vertices.clear()
         self._seed_fixed_pressure()
 
@@ -1139,7 +1188,7 @@ class RoutingGrid:
     # ------------------------------------------------------------------
 
     #: Schema tag of :meth:`snapshot_state` documents.
-    SNAPSHOT_FORMAT = "repro-grid-snapshot-v2"
+    SNAPSHOT_FORMAT = "repro-grid-snapshot-v3"
 
     def snapshot_state(self) -> Dict[str, object]:
         """Export the complete mutable grid state as a flat document.
@@ -1179,10 +1228,6 @@ class RoutingGrid:
                 for net_id, indices in sorted(self._net_occupied.items())
             ],
             "history_touched": sorted(self._history_touched),
-            "net_pressure": [
-                [net_id, [[index, list(rgb)] for index, rgb in sorted(overlay.items())]]
-                for net_id, overlay in sorted(self._net_pressure.items())
-            ],
             "net_colored": [
                 [net_id, [[index, color] for index, color in sorted(registered.items())]]
                 for net_id, registered in sorted(self._net_colored_vertices.items())
@@ -1252,10 +1297,6 @@ class RoutingGrid:
             int(net_id): set(indices) for net_id, indices in snapshot["net_occupied"]
         }
         self._history_touched = set(snapshot["history_touched"])
-        self._net_pressure = {
-            int(net_id): {int(index): list(rgb) for index, rgb in overlay}
-            for net_id, overlay in snapshot["net_pressure"]
-        }
         self._net_colored_vertices = {
             int(net_id): {int(index): color for index, color in registered}
             for net_id, registered in snapshot["net_colored"]
@@ -1280,7 +1321,7 @@ class RoutingGrid:
 
 #: Op kind -> unbound ``RoutingGrid`` handler; the dispatch table of
 #: :meth:`RoutingGrid.apply_op`.  Module-level (not per-instance) so the
-#: choke point pays one dict get per op and forked replicas share it.
+#: op stream pays one dict get per op and forked replicas share it.
 _OP_HANDLERS = {
     OP_INTERN: RoutingGrid._apply_intern,
     OP_OCCUPY: RoutingGrid._apply_occupy,

@@ -9,8 +9,8 @@ subsystem:
   is one plain tuple of ints/floats/strings (pickle-friendly, crosses
   process boundaries with no custom reducers);
 * :class:`MutationJournal` is the **ordered log**: the grid appends every
-  op it applies (see :meth:`RoutingGrid.apply_op`, the single mutation
-  choke point) to its attached journal, and replaying the log onto a fresh
+  op it applies (see :meth:`RoutingGrid.apply_op` and
+  :meth:`RoutingGrid.commit_route`) to its attached journal, and replaying the log onto a fresh
   grid over the same design reproduces the live grid's occupancy, color,
   pressure and history buffers **bit-identically**;
 * :func:`replay_ops` performs that replay, and **cursors** (plain op

@@ -47,8 +47,8 @@ class MutationJournal:
 
     Attach with :meth:`RoutingGrid.attach_journal`; from then on every op
     the grid applies is recorded here.  The journal itself never touches a
-    grid -- replay goes through :func:`replay_ops` so the grid's single
-    choke point stays the only mutation path.
+    grid -- replay goes through :func:`replay_ops`, one
+    :meth:`RoutingGrid.apply_op` per op.
     """
 
     __slots__ = ("ops", "_base")
@@ -64,6 +64,10 @@ class MutationJournal:
     def record(self, op: Op) -> None:
         """Append one op (called by ``RoutingGrid.apply_op``)."""
         self.ops.append(op)
+
+    def extend(self, ops: Sequence[Op]) -> None:
+        """Append *ops* in order (called by ``RoutingGrid.commit_route``)."""
+        self.ops.extend(ops)
 
     # -- cursors ------------------------------------------------------------
 

@@ -2,10 +2,10 @@
 
 Every mutation of searchable grid state is one **op**: a plain tuple whose
 first element is the kind tag and whose remaining elements are ints, floats
-or strings.  Ops are what :meth:`RoutingGrid.apply_op` -- the single
-mutation choke point -- consumes, what the attached
-:class:`~repro.journal.MutationJournal` records and what the
-:mod:`repro.sched` commit sinks log.  Keeping them flat tuples means they
+or strings.  Ops are what :meth:`RoutingGrid.apply_op` consumes (and
+:meth:`RoutingGrid.commit_route`, a whole route's ``occupy`` / ``color``
+ops at once), what the attached :class:`~repro.journal.MutationJournal`
+records and what the :mod:`repro.sched` commit sinks log.  Keeping them flat tuples means they
 pickle across process boundaries with no custom reducers: the persistent
 worker pool ships journal suffixes through pipes.  Ops never leave the
 process any other way, and ``apply_op`` rejects an unknown kind.

@@ -25,13 +25,11 @@
  *
  * Cost inputs are read in place: the congestion term (hw * history, plus
  * the occupancy penalty at vertices a foreign net owns) and the colour
- * pressure term (gamma * pressure, with the searching net's own
- * contribution subtracted and clamped at zero where it has one) are
- * computed per successor from the grid's live history / owner / pressure
- * buffers, exactly as the lazy Python closures compute them.  The net's
- * own contribution is its sparse pressure overlay, scattered once per call
- * into caller-owned scratch buffers that the search epoch validates, so a
- * call costs O(|overlay|) set-up instead of O(V).
+ * pressure term (gamma * pressure) are computed per successor from the
+ * grid's live history / owner / pressure buffers, exactly as the lazy
+ * Python closures compute them, so a call needs no O(V) set-up.  The
+ * grid holds none of the searching net's own metal while it routes, so
+ * the pressure needs no correction for it.
  *
  * The out-of-guide penalty needs no per-net O(V) buffer: it is read
  * through the cost model's vertex -> gcell-slot map (built once, shared by
@@ -47,8 +45,8 @@
  * the loop.
  *
  * The GIL is released for the duration of the loop: the kernel only
- * writes the caller-owned label and scratch buffers (exclusive to one
- * SearchCore) and reads grid buffers nothing mutates while a search runs.
+ * writes the caller-owned label buffers (exclusive to one SearchCore) and
+ * reads grid buffers nothing mutates while a search runs.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -60,7 +58,7 @@
 /* Bumped whenever the module's argument contract changes (run_search or
  * labelled_box); the Python loader refuses (and rebuilds) a stale binary
  * whose ABI does not match. */
-#define KERNEL_ABI_VERSION 4
+#define KERNEL_ABI_VERSION 5
 
 #define MODE_TRADITIONAL 0
 #define MODE_COLOR_STATE 1
@@ -182,10 +180,6 @@ typedef struct {
     int *exp_aux;
     long long *exp_stamp;
     long long epoch;
-    /* Own-pressure scratch (exclusive to the calling SearchCore): a vertex
-     * carries the searching net's contribution iff own_stamp == epoch. */
-    double *own_pressure;       /* 3 per vertex, or NULL */
-    long long *own_stamp;       /* per vertex, or NULL */
     /* Read-only grid/cost tables (the grid's live buffers). */
     const int *neighbor;
     const unsigned char *blocked;
@@ -327,22 +321,11 @@ trad_step(SearchCtx *ctx, double base, int succ)
     return step + guide_term(ctx, succ);
 }
 
-/* gamma-weighted conflict cost of mask *color* at *succ*: the grid's
- * pressure, minus the searching net's own contribution (clamped at zero
- * the way Python's max(p - own, 0.0) clamps) where it has one. */
+/* gamma-weighted conflict cost of mask *color* at *succ*. */
 static inline double
 color_term(const SearchCtx *ctx, int succ, int color)
 {
-    size_t slot = 3 * (size_t)succ + (size_t)color;
-    double value = ctx->pressure[slot];
-
-    if (ctx->own_stamp[succ] == ctx->epoch) {
-        value = value - ctx->own_pressure[slot];
-        if (0.0 > value) {
-            value = 0.0;
-        }
-    }
-    return ctx->gamma * value;
+    return ctx->gamma * ctx->pressure[3 * (size_t)succ + (size_t)color];
 }
 
 /* dr/maze make_traditional_expand: 6 grid moves at Cost_trad. */
@@ -548,53 +531,6 @@ acquire(PyObject *obj, BufferSlot *slot, int writable, void **ptr)
     return 0;
 }
 
-/* Scatter the searching net's pressure overlay ({vertex: [r, g, b]}) into
- * the own-pressure scratch and stamp its vertices with the search epoch.
- * Runs under the GIL; O(|overlay|). */
-static int
-scatter_overlay(SearchCtx *ctx, PyObject *overlay, Py_ssize_t num_vertices)
-{
-    Py_ssize_t pos = 0, index;
-    PyObject *key, *value, *fast;
-    double own;
-    int color;
-
-    if (!PyDict_Check(overlay)) {
-        PyErr_SetString(PyExc_TypeError, "pressure overlay must be a dict");
-        return -1;
-    }
-    while (PyDict_Next(overlay, &pos, &key, &value)) {
-        index = PyLong_AsSsize_t(key);
-        if (index == -1 && PyErr_Occurred()) {
-            return -1;
-        }
-        if (index < 0 || index >= num_vertices) {
-            PyErr_SetString(PyExc_IndexError, "pressure overlay vertex out of range");
-            return -1;
-        }
-        fast = PySequence_Fast(value, "pressure overlay entry must be a sequence");
-        if (fast == NULL) {
-            return -1;
-        }
-        if (PySequence_Fast_GET_SIZE(fast) != 3) {
-            Py_DECREF(fast);
-            PyErr_SetString(PyExc_ValueError, "pressure overlay entry needs 3 masks");
-            return -1;
-        }
-        for (color = 0; color < 3; color++) {
-            own = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(fast, color));
-            if (own == -1.0 && PyErr_Occurred()) {
-                Py_DECREF(fast);
-                return -1;
-            }
-            ctx->own_pressure[3 * index + color] = own;
-        }
-        Py_DECREF(fast);
-        ctx->own_stamp[index] = ctx->epoch;
-    }
-    return 0;
-}
-
 /* Raise ValueError unless buffer *slot* holds at least *count* items of
  * *item* bytes (a None buffer holds none). */
 static int
@@ -608,7 +544,7 @@ require_items(const BufferSlot *slot, Py_ssize_t count, size_t item, const char 
     return 0;
 }
 
-#define NUM_BUFFERS 20
+#define NUM_BUFFERS 18
 
 static PyObject *
 run_search(PyObject *self, PyObject *args)
@@ -620,7 +556,6 @@ run_search(PyObject *self, PyObject *args)
     PyObject *neighbor_obj, *blocked_obj, *base_obj;
     PyObject *guide_mask_obj, *guide_slot_obj;
     PyObject *history_obj, *owner_obj, *pressure_obj;
-    PyObject *own_pressure_obj, *own_stamp_obj, *overlay_obj;
     Py_ssize_t num_nodes, num_vertices, num_layers, num_seeds, max_expansions;
     Py_ssize_t expansions = 0, seed;
     int reached = -1, status = 0, i;
@@ -646,7 +581,6 @@ run_search(PyObject *self, PyObject *args)
             "OOO"      /* neighbor, blocked, base_costs */
             "OO"       /* guide_mask, guide_slot */
             "OOO"      /* history, owner, pressure */
-            "OOO"      /* own_pressure, own_stamp, overlay */
             "dddd"     /* history_weight, occupancy_penalty,
                           out_of_guide_penalty, gamma */
             "dd",      /* stitch, tolerance */
@@ -666,7 +600,6 @@ run_search(PyObject *self, PyObject *args)
             &neighbor_obj, &blocked_obj, &base_obj,
             &guide_mask_obj, &guide_slot_obj,
             &history_obj, &owner_obj, &pressure_obj,
-            &own_pressure_obj, &own_stamp_obj, &overlay_obj,
             &ctx.history_weight, &ctx.occupancy_penalty,
             &ctx.out_of_guide_penalty, &ctx.gamma,
             &ctx.stitch, &ctx.tolerance)) {
@@ -688,13 +621,12 @@ run_search(PyObject *self, PyObject *args)
         PyObject *objects[NUM_BUFFERS] = {
             cost_obj, aux_obj, parent_obj, stamp_obj,
             exp_cost_obj, exp_aux_obj, exp_stamp_obj,
-            own_pressure_obj, own_stamp_obj,
             seed_node_obj, seed_aux_obj, flags_obj,
             neighbor_obj, blocked_obj, base_obj,
             guide_mask_obj, guide_slot_obj,
             history_obj, owner_obj, pressure_obj,
         };
-        int writable[NUM_BUFFERS] = {1, 1, 1, 1, 1, 1, 1, 1, 1,
+        int writable[NUM_BUFFERS] = {1, 1, 1, 1, 1, 1, 1,
                                      0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
         for (i = 0; i < NUM_BUFFERS; i++) {
             if (acquire(objects[i], &slots[i], writable[i], &ptrs[i]) < 0) {
@@ -714,20 +646,18 @@ run_search(PyObject *self, PyObject *args)
     ctx.exp_cost = (double *)ptrs[4];
     ctx.exp_aux = (int *)ptrs[5];
     ctx.exp_stamp = (long long *)ptrs[6];
-    ctx.own_pressure = (double *)ptrs[7];
-    ctx.own_stamp = (long long *)ptrs[8];
-    seed_node = (const int *)ptrs[9];
-    seed_aux = (const int *)ptrs[10];
-    ctx.target_flags = (const unsigned char *)ptrs[11];
-    ctx.neighbor = (const int *)ptrs[12];
-    ctx.blocked = (const unsigned char *)ptrs[13];
-    ctx.base_costs = (const double *)ptrs[14];
-    ctx.guide_mask = (const unsigned char *)ptrs[15];
-    ctx.guide_mask_len = slots[15].held ? (size_t)slots[15].view.len : 0;
-    ctx.guide_slot = (const int *)ptrs[16];
-    ctx.history = (const double *)ptrs[17];
-    ctx.owner = (const int *)ptrs[18];
-    ctx.pressure = (const double *)ptrs[19];
+    seed_node = (const int *)ptrs[7];
+    seed_aux = (const int *)ptrs[8];
+    ctx.target_flags = (const unsigned char *)ptrs[9];
+    ctx.neighbor = (const int *)ptrs[10];
+    ctx.blocked = (const unsigned char *)ptrs[11];
+    ctx.base_costs = (const double *)ptrs[12];
+    ctx.guide_mask = (const unsigned char *)ptrs[13];
+    ctx.guide_mask_len = slots[13].held ? (size_t)slots[13].view.len : 0;
+    ctx.guide_slot = (const int *)ptrs[14];
+    ctx.history = (const double *)ptrs[15];
+    ctx.owner = (const int *)ptrs[16];
+    ctx.pressure = (const double *)ptrs[17];
 
     /* Every buffer the loop indexes must cover the node / vertex space. */
     if (require_items(&slots[0], num_nodes, sizeof(double), "cost") < 0 ||
@@ -737,34 +667,24 @@ run_search(PyObject *self, PyObject *args)
         require_items(&slots[4], num_nodes, sizeof(double), "exp_cost") < 0 ||
         require_items(&slots[5], num_nodes, sizeof(int), "exp_aux") < 0 ||
         require_items(&slots[6], num_nodes, sizeof(long long), "exp_stamp") < 0 ||
-        require_items(&slots[9], num_seeds, sizeof(int), "seed_node") < 0 ||
-        require_items(&slots[10], num_seeds, sizeof(int), "seed_aux") < 0 ||
-        require_items(&slots[11], num_nodes, 1, "target_flags") < 0 ||
-        require_items(&slots[12], NUM_DIRECTIONS * num_vertices, sizeof(int),
+        require_items(&slots[7], num_seeds, sizeof(int), "seed_node") < 0 ||
+        require_items(&slots[8], num_seeds, sizeof(int), "seed_aux") < 0 ||
+        require_items(&slots[9], num_nodes, 1, "target_flags") < 0 ||
+        require_items(&slots[10], NUM_DIRECTIONS * num_vertices, sizeof(int),
                       "neighbor") < 0 ||
-        require_items(&slots[13], num_vertices, 1, "blocked") < 0 ||
-        require_items(&slots[14], NUM_DIRECTIONS * num_layers, sizeof(double),
+        require_items(&slots[11], num_vertices, 1, "blocked") < 0 ||
+        require_items(&slots[12], NUM_DIRECTIONS * num_layers, sizeof(double),
                       "base_costs") < 0 ||
-        require_items(&slots[16], num_vertices, sizeof(int), "guide_slot") < 0 ||
-        require_items(&slots[17], num_vertices, sizeof(double), "history") < 0 ||
-        require_items(&slots[18], num_vertices, sizeof(int), "owner") < 0) {
+        require_items(&slots[14], num_vertices, sizeof(int), "guide_slot") < 0 ||
+        require_items(&slots[15], num_vertices, sizeof(double), "history") < 0 ||
+        require_items(&slots[16], num_vertices, sizeof(int), "owner") < 0) {
         status = -2;
     }
-    else if (ctx.mode != MODE_TRADITIONAL) {
-        /* Colour modes read pressure and the own-pressure scratch. */
-        if (overlay_obj == Py_None) {
-            PyErr_SetString(PyExc_ValueError, "colour modes need a pressure overlay");
-            status = -2;
-        }
-        else if (require_items(&slots[19], 3 * num_vertices, sizeof(double),
-                               "pressure") < 0 ||
-                 require_items(&slots[7], 3 * num_vertices, sizeof(double),
-                               "own_pressure") < 0 ||
-                 require_items(&slots[8], num_vertices, sizeof(long long),
-                               "own_stamp") < 0 ||
-                 scatter_overlay(&ctx, overlay_obj, num_vertices) < 0) {
-            status = -2;
-        }
+    else if (ctx.mode != MODE_TRADITIONAL &&
+             require_items(&slots[17], 3 * num_vertices, sizeof(double),
+                           "pressure") < 0) {
+        /* Colour modes read the pressure buffer. */
+        status = -2;
     }
     for (seed = 0; status == 0 && seed < num_seeds; seed++) {
         if (seed_node[seed] < 0 || seed_node[seed] >= num_nodes) {

@@ -39,9 +39,7 @@ class NativeExpandSpec:
     All table attributes are flat buffers (``array``/``bytearray``/
     ``bytes``) the C side reads through the buffer protocol; the grid and
     guide ones are the very buffers the Python closure reads, so the two
-    paths can never diverge on data.  *overlay* is the searching net's
-    live pressure overlay (``index -> [r, g, b]``), which the kernel
-    scatters into the calling core's own-pressure scratch before each run.
+    paths can never diverge on data.
     """
 
     __slots__ = (
@@ -56,7 +54,6 @@ class NativeExpandSpec:
         "history",
         "owner",
         "pressure",
-        "overlay",
         "history_weight",
         "occupancy_penalty",
         "out_of_guide_penalty",
@@ -78,7 +75,6 @@ class NativeExpandSpec:
         history,
         owner,
         pressure=None,
-        overlay=None,
         history_weight: float = 0.0,
         occupancy_penalty: float = 0.0,
         out_of_guide_penalty: float = 0.0,
@@ -97,7 +93,6 @@ class NativeExpandSpec:
         self.history = history
         self.owner = owner
         self.pressure = pressure
-        self.overlay = overlay
         self.history_weight = history_weight
         self.occupancy_penalty = occupancy_penalty
         self.out_of_guide_penalty = out_of_guide_penalty
@@ -142,7 +137,6 @@ def attach_native_spec(
     if get_native_kernel() is None:
         return expand
     rules = grid.rules
-    colored = mode != MODE_TRADITIONAL
     expand.native_spec = NativeExpandSpec(
         mode=mode,
         node_stride=3 if mode == MODE_MASK_EXPANDED else 1,
@@ -154,8 +148,7 @@ def attach_native_spec(
         guide_slots=cost_model.guide_slot_map(),
         history=grid.history_buffer(),
         owner=grid.owner_buffer(),
-        pressure=grid.pressure_buffer() if colored else None,
-        overlay=grid.net_pressure_overlay(net_id) if colored else None,
+        pressure=grid.pressure_buffer() if mode != MODE_TRADITIONAL else None,
         history_weight=rules.history_weight,
         occupancy_penalty=rules.occupancy_penalty,
         out_of_guide_penalty=rules.out_of_guide_penalty,

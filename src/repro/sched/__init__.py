@@ -11,11 +11,11 @@ converts the remaining serial outer loop into batched throughput:
   backend (bit-identical to the sequential loop -- the parity oracle) or
   the speculative ``pool`` backend that routes the whole batch against a
   frozen snapshot with per-worker search engines, validates every
-  result's explored region against batch-mates' committed deltas, replays
+  result's explored region against batch-mates' committed deltas, commits
   accepted commit logs (plain :mod:`repro.journal` ops) through the grid's
-  ``apply_op`` choke point (so the attached journal and the incremental
-  DRC/conflict checkers see the merged batch) and falls back to live
-  routing when regions touch.  The pool's workers fork **once** and
+  route commit, as serial routing does (so the attached journal and the
+  incremental DRC/conflict checkers see the merged batch), and falls back
+  to live routing when regions touch.  The pool's workers fork **once** and
   re-synchronise between batches by replaying the grid journal suffix
   past their cursor -- no re-fork, no snapshot serialisation.
 

@@ -1,28 +1,27 @@
-"""Route-commit sinks: immediate grid commits vs recorded journal ops.
+"""Route-commit sinks: recorded commit logs and the route commit.
 
 Every router separates *computing* a net's route (searches, backtraces --
 pure reads of the grid) from *committing* it (occupancy and mask-color
-writes).  The commit side goes through a sink so the same ``compute_route``
-body serves both execution modes:
+writes).  ``compute_route`` sends its commits to a sink:
 
-* :class:`GridSink` applies each commit to the grid immediately -- the
-  sequential rip-up loop, the deterministic batch backend and the
-  campaign's keep-best restore use it;
-* :class:`RecordingSink` only appends the operations, in order, to a
-  *commit log*.  The speculative pool backend routes whole batches against
-  a frozen grid snapshot this way and later replays accepted logs through
-  :func:`apply_route_ops`.
+* :class:`RecordingSink` appends the operations, in order, to a *commit
+  log* and leaves the grid untouched, so every route is computed against
+  a grid that holds none of the net's own metal.  The campaign's
+  ``route_net``, the pool parent and the keep-best restore then apply the
+  log once through :func:`apply_route_ops`, that is
+  :meth:`RoutingGrid.commit_route`: one pass that sets occupancy and
+  colours and stamps colour pressure;
+* :class:`GridSink` applies each commit to the grid at once, one
+  :meth:`RoutingGrid.apply_op` per vertex.  No router uses it.
 
-Since the journal refactor the commit log **is** a slice of the
-:mod:`repro.journal` op model: a :class:`RecordingSink` records exactly the
-``("occupy", net_id, index)`` / ``("color", net_id, index, color)`` op
-tuples that :class:`GridSink`'s grid calls would have pushed through
-:meth:`RoutingGrid.apply_op`, and :func:`apply_route_ops` replays them
-through that same choke point -- so deferred and immediate commits produce
-identical grid state, fire identical delta-listener events, and land in the
-attached journal identically.  Ops are flat tuples of ints, so logs cross
-process boundaries (pool workers pickle them back to the parent) without
-custom reducers.
+The commit log is a slice of the :mod:`repro.journal` op model: a
+:class:`RecordingSink` records exactly the ``("occupy", net_id, index)`` /
+``("color", net_id, index, color)`` op tuples that :class:`GridSink`'s grid
+calls would have pushed through :meth:`RoutingGrid.apply_op`.  The route
+commit leaves the grid and the attached journal exactly as applying them
+one by one would, and hands the delta listeners the same indices.  Ops
+are flat tuples of ints, so logs cross process boundaries (pool workers
+pickle them back to the parent) without custom reducers.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import List, Sequence
 
 from repro.geometry import GridPoint
 from repro.grid import RoutingGrid
-from repro.journal import OP_COLOR, OP_OCCUPY, Op, replay_ops
+from repro.journal import OP_COLOR, OP_OCCUPY, Op
 
 #: One commit operation -- a :mod:`repro.journal` op (``occupy``/``color``).
 CommitOp = Op
@@ -59,19 +58,18 @@ class RecordingSink:
     """Commit sink that records journal ops (in order) instead of applying.
 
     The grid is only consulted for geometry (vertex -> flat index) and the
-    net id -- never mutated; :attr:`ops` is the commit log to replay with
-    :func:`apply_route_ops` once the route is accepted.  The recorded ops
-    mirror :class:`GridSink` gating exactly (out-of-bounds commits are
-    dropped, invalid mask colors raise), so replaying the log is
-    bit-equivalent to having committed immediately.
+    net id -- never mutated; :attr:`ops` is the commit log to apply with
+    :func:`apply_route_ops`.  The recorded ops mirror :class:`GridSink`
+    gating exactly (out-of-bounds commits are dropped, invalid mask colors
+    raise).
     """
 
     __slots__ = ("grid", "net_id", "ops")
 
     def __init__(self, grid: RoutingGrid, net_name: str) -> None:
         self.grid = grid
-        # Interning here (not at replay) keeps id assignment in routing
-        # order, matching what the GridSink path would have produced.
+        # Interning here (not at commit) keeps id assignment in routing
+        # order.
         self.net_id = grid.net_id(net_name)
         self.ops: List[CommitOp] = []
 
@@ -89,11 +87,11 @@ class RecordingSink:
 
 
 def apply_route_ops(grid: RoutingGrid, ops: Sequence[CommitOp]) -> None:
-    """Replay a recorded commit log onto *grid*, in order.
+    """Commit one net's recorded commit log to *grid*.
 
-    The ops flow through :meth:`RoutingGrid.apply_op` -- the same choke
-    point immediate commits use -- so deferred and immediate commits
-    produce identical grid state, identical delta-listener events, and
-    identical journal entries.
+    :meth:`RoutingGrid.commit_route`: the grid state, the journal entries
+    and the indices the delta listeners see equal those of applying the
+    ops one by one, and a net that still holds metal on the grid is
+    refused.
     """
-    replay_ops(grid, ops)
+    grid.commit_route(ops)

@@ -5,9 +5,10 @@ plans, through one of two backends:
 
 ``"serial"`` (default, the parity oracle)
     Routes every batch member with the router's own ``route_net`` --
-    immediate grid commits, identical call sequence to the sequential loop.
-    The scheduler's batches concatenate back to the input order, so this
-    *is* the sequential loop and results are bit-identical by construction.
+    one route commit per net, identical call sequence to the sequential
+    loop.  The scheduler's batches concatenate back to the input order, so
+    this *is* the sequential loop and results are bit-identical by
+    construction.
 
 ``"pool"`` (speculative snapshot routing)
     All nets of a batch are routed concurrently against the grid state at
@@ -32,9 +33,9 @@ plans, through one of two backends:
     them (color pressure), so the executor accepts the speculative route
     when the explored box is disjoint from every committed influence box --
     and otherwise **falls back to routing the net live**, which reproduces
-    the sequential result exactly.  Accepted logs replay through the normal
-    grid hooks, so the incremental DRC/conflict checkers see the same delta
-    stream either way.
+    the sequential result exactly.  Accepted logs go through the same route
+    commit as serial routing (:meth:`RoutingGrid.commit_route`), so the
+    incremental DRC/conflict checkers see the same delta stream either way.
 
     A host without the ``fork`` start method settles on serial once, when
     the executor is built.
@@ -47,11 +48,10 @@ plans, through one of two backends:
     every reply has arrived, so the result stays bit-identical to the
     serial run.
 
-Determinism caveat of the speculative backend: deferring a net's own
-mid-route color commits is bit-neutral only because pressure values are
-sums of ``conflict_cost`` increments (exact in IEEE-754 for the default
-rule values); the differential suite in ``tests/test_batch_sched.py``
-asserts the end-to-end guarantee.
+Every router computes a net's route against a grid that holds none of
+the net's metal, in a worker or in the parent alike, so a worker's
+snapshot route differs from the serial one only through batch-mates'
+commits -- which the validation step rules out.
 """
 
 from __future__ import annotations

@@ -283,12 +283,6 @@ class SearchCore:
         # Per-node target flags for the native kernel (set before a kernel
         # call, cleared right after; allocated lazily with the labels).
         self._target_flags: Optional[bytearray] = None
-        # Native own-pressure scratch: the kernel scatters the searching
-        # net's pressure overlay here (3 doubles per vertex) and stamps
-        # those vertices with the run's epoch, so entries of earlier runs
-        # are dead without clearing.  Allocated on the first colour search.
-        self._own_pressure: Optional[array] = None
-        self._own_stamp: Optional[array] = None
         # Optional observer called with every finished CoreResult while its
         # label buffers are guaranteed live (the batch executor's explored-
         # region tracker hooks in here without forcing buffer snapshots).
@@ -343,14 +337,6 @@ class SearchCore:
             if accept_spec is None:
                 return None
             accept_kind = accept_spec.kind
-
-        own_pressure = own_stamp = None
-        if spec.overlay is not None:
-            num_vertices = self.grid.num_vertices
-            if self._own_stamp is None or len(self._own_stamp) < num_vertices:
-                self._own_pressure = array("d", [0.0]) * (3 * num_vertices)
-                self._own_stamp = array("q", [0]) * num_vertices
-            own_pressure, own_stamp = self._own_pressure, self._own_stamp
 
         seed_node = array("i")
         seed_aux = array("i")
@@ -415,9 +401,6 @@ class SearchCore:
                 spec.history,
                 spec.owner,
                 spec.pressure,
-                own_pressure,
-                own_stamp,
-                spec.overlay,
                 spec.history_weight,
                 spec.occupancy_penalty,
                 spec.out_of_guide_penalty,

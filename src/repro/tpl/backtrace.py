@@ -148,7 +148,7 @@ class Backtracer:
             current = PathSegmentSet(color_state=state_of(vertex), vertices=[vertex])
             segments.append(current)
 
-        self._assign_final_colors(segments, net_name, tree_colors)
+        self._assign_final_colors(segments, tree_colors)
         # A stitch is only real if the two sides ended up on different masks;
         # two segSets split by a via are not stitches, and segSets that happen
         # to choose the same mask merge back seamlessly.
@@ -169,7 +169,6 @@ class Backtracer:
     def _assign_final_colors(
         self,
         segments: Sequence[PathSegmentSet],
-        net_name: str,
         tree_colors: Dict[GridPoint, int],
     ) -> None:
         """Collapse every segSet to one mask.
@@ -191,7 +190,7 @@ class Backtracer:
                 continue
             penalties = [0.0, 0.0, 0.0]
             for vertex in segment.vertices:
-                vertex_costs = self.grid.color_costs(vertex, net_name)
+                vertex_costs = self.grid.color_costs(vertex)
                 for color in ALL_COLORS:
                     penalties[color] += vertex_costs[color]
             candidates = segment.color_state.colors() or list(ALL_COLORS)
@@ -224,11 +223,10 @@ def apply_colored_path(
     """Write a backtraced path into the net's route and a commit *sink*.
 
     The route gains the path edges, the final vertex colors, and the
-    confirmed stitches; the sink receives the color and occupancy commits
-    in the exact order the grid would -- a
-    :class:`~repro.sched.commit.GridSink` applies them immediately (the
-    sequential loop), a :class:`~repro.sched.commit.RecordingSink` logs
-    them for deferred replay (the speculative batch backends).
+    confirmed stitches; the sink (a
+    :class:`~repro.sched.commit.RecordingSink`) receives the color and
+    occupancy commits in order, for one route commit once the whole net is
+    routed.
     """
     ordered = path.vertices
     route.add_path(ordered)
@@ -248,9 +246,12 @@ def commit_colored_path(
 ) -> None:
     """Write a backtraced path into the net's route and the shared grid.
 
-    Immediate-commit convenience over :func:`apply_colored_path`, kept for
-    callers holding a grid rather than a sink.
+    Convenience over :func:`apply_colored_path` for callers holding a grid
+    rather than a sink: the path's commits go to the grid in one route
+    commit, so the net must hold no metal there yet.
     """
-    from repro.sched.commit import GridSink
+    from repro.sched.commit import RecordingSink
 
-    apply_colored_path(path, route, GridSink(grid, route.net_name))
+    sink = RecordingSink(grid, route.net_name)
+    apply_colored_path(path, route, sink)
+    grid.commit_route(sink.ops)

@@ -30,7 +30,6 @@ from repro.dr.cost import CostModel
 from repro.geometry import GridPoint
 from repro.gr import GlobalRouter, GuideSet
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
-from repro.sched import GridSink
 from repro.tpl.backtrace import Backtracer, apply_colored_path
 from repro.tpl.color_state import ColorState
 from repro.tpl.conflict import ConflictReport
@@ -82,9 +81,7 @@ class MrTPLRouter(CampaignRouter):
     # Single-net routing (Fig. 2 centre and right columns, Algorithm 1)
     # ------------------------------------------------------------------
 
-    def compute_route(
-        self, net: Net, engine: Optional[object] = None, sink: Optional[object] = None
-    ) -> NetRoute:
+    def compute_route(self, net: Net, sink: object, engine: Optional[object] = None) -> NetRoute:
         """Route one net (paper Algorithm 1) through *engine*, sending grid
         commits to *sink*.
 
@@ -92,15 +89,14 @@ class MrTPLRouter(CampaignRouter):
         first pin at color state ``111``, repeatedly search until an
         unreached pin is found, backtrace to color the path, and keep the
         colored path vertices as sources for the next search until every pin
-        is routed.  With a :class:`~repro.sched.commit.RecordingSink` the
-        grid stays untouched (colors/occupancy logged for deferred replay);
-        the searches still see exact costs because the net's own deferred
-        pressure contribution cancels out of its color costs.
+        is routed.  The grid holds none of the net's metal throughout: the
+        colors and occupancy go to *sink* (a
+        :class:`~repro.sched.commit.RecordingSink`) and are committed in
+        one route commit afterwards, so the grid's color pressure is
+        exactly the other nets' metal that ``Cost_color`` charges for.
         """
         if engine is None:
             engine = self.search_engine
-        if sink is None:
-            sink = GridSink(self.grid, net.name)
         route = NetRoute(net_name=net.name)
         pin_groups = [self.grid.pin_access_vertices(pin) for pin in net.pins]
         if any(not group for group in pin_groups):

@@ -205,8 +205,7 @@ def make_color_state_expand(
     :class:`~repro.search.SearchCore` expand protocol).
 
     Congestion and per-mask pressure are read per successor from the
-    grid's live buffers, with the net's own pressure overlay subtracted
-    (clamped at zero); the native kernel evaluates the same terms inline
+    grid's live buffers; the native kernel evaluates the same terms inline
     from the same buffers.
 
     Crossing to another layer (a via) resets the mask freedom: the new
@@ -230,7 +229,6 @@ def make_color_state_expand(
     history = grid.history_buffer()
     owner = grid.owner_buffer()
     pressure = grid.pressure_buffer()
-    net_pressure_get = grid.net_pressure_overlay(net_id).get
     history_weight = rules.history_weight
     occupancy_penalty = rules.occupancy_penalty
 
@@ -258,15 +256,9 @@ def make_color_state_expand(
             base_step = alpha * step
 
             pressure_slot = 3 * succ
-            own = net_pressure_get(succ)
-            if own is None:
-                cost_red = base_step + gamma * pressure[pressure_slot]
-                cost_green = base_step + gamma * pressure[pressure_slot + 1]
-                cost_blue = base_step + gamma * pressure[pressure_slot + 2]
-            else:
-                cost_red = base_step + gamma * max(pressure[pressure_slot] - own[0], 0.0)
-                cost_green = base_step + gamma * max(pressure[pressure_slot + 1] - own[1], 0.0)
-                cost_blue = base_step + gamma * max(pressure[pressure_slot + 2] - own[2], 0.0)
+            cost_red = base_step + gamma * pressure[pressure_slot]
+            cost_green = base_step + gamma * pressure[pressure_slot + 1]
+            cost_blue = base_step + gamma * pressure[pressure_slot + 2]
             if direction < 4:  # planar move: stitch for masks outside the state
                 if not bits & 0b100:
                     cost_red += stitch_penalty

@@ -93,7 +93,6 @@ def full_grid_digest(grid):
         grid._multi_owners,
         grid._net_occupied,
         grid._history_touched,
-        grid._net_pressure,
         grid._net_colored_vertices,
     )
 

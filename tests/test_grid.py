@@ -116,16 +116,18 @@ class TestRoutingGrid:
         grid.decay_history(0.5)
         assert grid.history(vertex) == 1.0
 
-    def test_color_costs_reflect_other_nets_only(self):
+    def test_color_costs_reflect_committed_metal(self):
         grid = RoutingGrid(make_design())
         vertex = GridPoint(0, 5, 5)
         neighbor = GridPoint(0, 6, 5)
+        assert grid.color_costs(vertex) == [0.0, 0.0, 0.0]
         grid.set_vertex_color(neighbor, "other", 2)
-        costs_self = grid.color_costs(vertex, "other")
-        costs_other = grid.color_costs(vertex, "n1")
-        assert costs_self == [0.0, 0.0, 0.0]
-        assert costs_other[2] > 0 and costs_other[0] == 0.0
-        assert grid.color_cost(vertex, "n1", 2) == costs_other[2]
+        costs = grid.color_costs(vertex)
+        assert costs == [0.0, 0.0, grid.rules.conflict_cost]
+        assert grid.color_cost(vertex, 2) == costs[2]
+        # The coloured vertex lies in its own window: pressure is every
+        # committed coloured vertex's, whoever asks.
+        assert grid.color_costs(neighbor) == costs
 
     def test_release_net_clears_colors_and_pressure(self):
         grid = RoutingGrid(make_design())
@@ -133,11 +135,11 @@ class TestRoutingGrid:
         probe = GridPoint(0, 5, 5)
         grid.occupy(vertex, "other")
         grid.set_vertex_color(vertex, "other", 1)
-        assert grid.color_costs(probe, "n1")[1] > 0
+        assert grid.color_costs(probe)[1] > 0
         released = grid.release_net("other")
         assert released == 1
         assert grid.vertex_color(vertex) is None
-        assert grid.color_costs(probe, "n1") == [0.0, 0.0, 0.0]
+        assert grid.color_costs(probe) == [0.0, 0.0, 0.0]
 
     def test_release_keeps_remaining_owners_color(self):
         grid = RoutingGrid(make_design())
@@ -152,7 +154,7 @@ class TestRoutingGrid:
     def test_fixed_colored_obstacle_pressure(self):
         grid = RoutingGrid(make_design(color=1))
         near = grid.nearest_vertex(0, Point(44, 46))
-        costs = grid.color_costs(near, "n1")
+        costs = grid.color_costs(near)
         assert costs[1] > 0 and costs[0] == 0.0
 
     def test_recolor_same_vertex_replaces_pressure(self):
@@ -161,7 +163,7 @@ class TestRoutingGrid:
         probe = GridPoint(0, 5, 5)
         grid.set_vertex_color(vertex, "other", 0)
         grid.set_vertex_color(vertex, "other", 2)
-        costs = grid.color_costs(probe, "n1")
+        costs = grid.color_costs(probe)
         assert costs[0] == 0.0 and costs[2] > 0
 
     def test_pressure_matches_bruteforce(self):
@@ -189,7 +191,7 @@ class TestRoutingGrid:
             return expected
 
         def observed():
-            return {probe: grid.color_costs(probe, "q") for probe in probes}
+            return {probe: grid.color_costs(probe) for probe in probes}
 
         def place(vertex, net, color):
             grid.set_vertex_color(vertex, net, color)
@@ -221,7 +223,9 @@ class TestRoutingGrid:
         grid, twin = build(), build()
         snapshot = grid.snapshot_state()
         assert snapshot == twin.snapshot_state()
-        fixed = [name for name in snapshot["net_names"] if name.startswith("__fixed__")]
+        # A strap is colour pressure on the grid, not an interned net.
+        assert snapshot["net_names"] == []
+        fixed = [name for name, _obstacle in grid.design.fixed_color_nets()]
         assert fixed == ["__fixed__0"]
         route = NetRoute(net_name="n1")
         route.add_path([GridPoint(0, 10, 9), GridPoint(0, 11, 9)])
@@ -236,20 +240,21 @@ class TestRoutingGrid:
         problem = decomposer.build_problem(decomposer.extract_units(solution))
         assert [node for node, _index in problem.fixed_colors] == fixed
 
-    def test_snapshot_format_v2_round_trip_and_v1_rejected(self):
+    def test_snapshot_format_v3_round_trip_and_v2_rejected(self):
         grid = RoutingGrid(make_design(color=1))
         grid.occupy(GridPoint(0, 5, 5), "n1")
         grid.set_vertex_color(GridPoint(0, 5, 5), "n1", 2)
         grid.add_history(GridPoint(0, 5, 5), 0.5)
         snapshot = grid.snapshot_state()
-        assert snapshot["format"] == "repro-grid-snapshot-v2"
+        assert snapshot["format"] == "repro-grid-snapshot-v3"
+        assert "net_pressure" not in snapshot
         fresh = RoutingGrid(make_design(color=1))
         fresh.restore_state(snapshot)
         assert json.dumps(fresh.snapshot_state(), sort_keys=True) == json.dumps(
             snapshot, sort_keys=True
         )
         with pytest.raises(ValueError, match="not a repro-grid-snapshot"):
-            fresh.restore_state(dict(snapshot, format="repro-grid-snapshot-v1"))
+            fresh.restore_state(dict(snapshot, format="repro-grid-snapshot-v2"))
 
     def test_reset_routing_state_keeps_blockages_and_fixed_colors(self):
         grid = RoutingGrid(make_design(color=0))
@@ -260,7 +265,7 @@ class TestRoutingGrid:
         assert stats["occupied"] == 0 and stats["colored"] == 0
         assert grid.is_blocked(GridPoint(1, 6, 6))
         near_fixed = grid.nearest_vertex(0, Point(44, 46))
-        assert grid.color_costs(near_fixed, "n1")[0] > 0
+        assert grid.color_costs(near_fixed)[0] > 0
 
 
 class TestGCellGrid:

@@ -184,33 +184,27 @@ class TestLabelParity:
         assert self._color_result(True) == self._color_result(False)
 
     def _colored_grid(self):
-        """Return ``(grid, clamp_index, negative_index)`` for overlay parity.
+        """Return ``(grid, negative_index)`` for colour-pressure parity.
 
-        Net n1 already owns coloured metal next to its source, so its own
-        pressure overlay is non-empty.  At one overlay vertex the pressure
-        is forced below n1's own contribution (``p - own`` clamps to 0);
-        at one vertex outside the overlay it is a tiny negative value,
-        which no clamp may touch.
+        Nets other than the searching n1 own coloured metal around its
+        source, and one vertex carries a tiny negative pressure residue
+        (what an inexact cost sum could leave behind after a release),
+        which both tiers must read as it is, unclamped.
         """
         grid = RoutingGrid(self._design())
         for name, vertex, color in (
-            ("n1", GridPoint(0, 2, 1), 0),
-            ("n1", GridPoint(0, 3, 1), 1),
-            ("other", GridPoint(0, 4, 4), 0),
+            ("a", GridPoint(0, 2, 1), 0),
+            ("a", GridPoint(0, 3, 1), 1),
+            ("b", GridPoint(0, 2, 2), 2),
+            ("b", GridPoint(0, 4, 4), 0),
         ):
             grid.occupy(vertex, name)
             grid.set_vertex_color(vertex, name, color)
-        overlay = grid.net_pressure_overlay(grid.net_id("n1"))
         pressure = grid.pressure_buffer()
-        clamp_index = grid.index_of(GridPoint(0, 2, 2))
-        own = overlay[clamp_index]
-        for mask in range(3):
-            pressure[3 * clamp_index + mask] = own[mask] - 0.25
         negative_index = grid.index_of(GridPoint(0, 8, 8))
-        assert negative_index not in overlay
         for mask in range(3):
             pressure[3 * negative_index + mask] = -1e-12
-        return grid, clamp_index, negative_index
+        return grid, negative_index
 
     @staticmethod
     def _label_bytes(core, special):
@@ -222,33 +216,30 @@ class TestLabelParity:
         )
         return labels, [core.is_labelled(node) for node in special]
 
-    def _overlay_color_result(self, native):
+    def _colored_color_result(self, native):
         from repro.tpl.search import ColorStateSearch
         from repro.tpl.color_state import ColorState
 
         prev = accel.set_native_enabled(native)
         try:
-            grid, clamp_index, negative_index = self._colored_grid()
+            grid, negative_index = self._colored_grid()
             result = ColorStateSearch(grid, CostModel(grid)).search(
                 {GridPoint(0, 1, 1): ColorState(0b111)}, {GridPoint(0, 15, 15)}, "n1"
             )
-            return self._label_bytes(result._core, (clamp_index, negative_index))
+            return self._label_bytes(result._core, (negative_index,))
         finally:
             accel.set_native_enabled(prev)
 
-    def _overlay_mask_expanded_result(self, native):
+    def _colored_mask_expanded_result(self, native):
         from repro.baselines.dac2012 import MaskExpandedSearch
 
         prev = accel.set_native_enabled(native)
         try:
-            grid, clamp_index, negative_index = self._colored_grid()
+            grid, negative_index = self._colored_grid()
             search = MaskExpandedSearch(grid, CostModel(grid))
             captured = []
             search.core.on_result = lambda core: captured.append(
-                self._label_bytes(
-                    core, [3 * index + mask for index in (clamp_index, negative_index)
-                           for mask in range(3)]
-                )
+                self._label_bytes(core, [3 * negative_index + mask for mask in range(3)])
             )
             path = search.search(
                 [(GridPoint(0, 1, 1), mask) for mask in range(3)], {GridPoint(0, 15, 15)}, "n1"
@@ -258,16 +249,16 @@ class TestLabelParity:
         finally:
             accel.set_native_enabled(prev)
 
-    def test_color_state_labels_with_own_overlay(self):
-        """Inline own-overlay subtraction and clamp == the lazy closure."""
-        native = self._overlay_color_result(True)
-        assert all(native[1])  # both forced vertices were relaxed
-        assert native == self._overlay_color_result(False)
+    def test_color_state_labels_on_colored_grid(self):
+        """Inline pressure reads, negative residue included == the lazy closure."""
+        native = self._colored_color_result(True)
+        assert all(native[1])  # the residue vertex was relaxed
+        assert native == self._colored_color_result(False)
 
-    def test_mask_expanded_labels_with_own_overlay(self):
-        native = self._overlay_mask_expanded_result(True)
-        assert any(native[0][1])  # the forced vertices were relaxed
-        assert native == self._overlay_mask_expanded_result(False)
+    def test_mask_expanded_labels_on_colored_grid(self):
+        native = self._colored_mask_expanded_result(True)
+        assert any(native[0][1])  # the residue vertex was relaxed
+        assert native == self._colored_mask_expanded_result(False)
 
     def test_tie_breaks_follow_insertion_order(self):
         """Many equal-cost paths: parents must still agree node for node

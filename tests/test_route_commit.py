@@ -1,0 +1,236 @@
+"""The route commit against op-by-op commits, and the invariant it guards.
+
+:meth:`RoutingGrid.commit_route` applies one net's whole recorded commit
+log in one pass.  Random route logs go through it on one grid and op by op
+through :meth:`RoutingGrid.apply_op` on an identically built twin; after
+every commit and release both grids must hold the same
+:meth:`RoutingGrid.snapshot_state` (pressure bytes included), their
+:class:`~repro.check.DirtyRegionTracker` s the same dirty sets and their
+journals the same ops.
+
+Every router computes a route against a grid that holds none of the net's
+metal, so ``compute_route`` must leave the grid untouched, and the route
+commit refuses a net that already holds metal.
+
+Run longer campaigns with ``pytest tests/test_route_commit.py
+--rng-rounds=200`` (the CI nightly job does).
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.baselines import Dac2012Router
+from repro.bench import suite_case
+from repro.check import DirtyRegionTracker
+from repro.design import Design, Obstacle
+from repro.dr import DetailedRouter
+from repro.geometry import Rect
+from repro.grid import RoutingGrid
+from repro.journal import OP_COLOR, OP_OCCUPY
+from repro.sched import RecordingSink
+from repro.tech import DesignRules, make_default_tech
+from repro.tpl import MrTPLRouter
+from repro.utils import SeededRNG
+
+PITCH = 4
+NETS = ("a", "b", "c", "d")
+
+
+def random_params(rng):
+    """Draw the rules and die of one random grid (layer 2 is not TPL)."""
+    return {
+        "color_spacing": rng.choice((5, 8, 11)),
+        "layer1_spacing": rng.choice((3, 9, 14)),
+        "wire_width": rng.choice((1, 2)),
+        "cols": rng.randint(5, 10),
+        "rows": rng.randint(5, 10),
+        "strap": (rng.randint(0, 1), rng.randint(0, 12), rng.randint(0, 12), rng.randint(0, 2)),
+    }
+
+
+def build_grid(params):
+    rules = DesignRules(
+        color_spacing=params["color_spacing"],
+        wire_width=params["wire_width"],
+        color_spacing_per_layer={1: params["layer1_spacing"]},
+    )
+    tech = make_default_tech(
+        num_layers=3,
+        pitch=PITCH,
+        color_spacing=params["color_spacing"],
+        tpl_layer_count=2,
+        rules=rules,
+    )
+    die = Rect(0, 0, (params["cols"] - 1) * PITCH, (params["rows"] - 1) * PITCH)
+    design = Design(name="commit", tech=tech, die_area=die)
+    layer, x, y, color = params["strap"]
+    design.add_obstacle(
+        Obstacle(layer=layer, rect=Rect(x, y, x + 4, y + 1), name="strap", color=color)
+    )
+    return RoutingGrid(design)
+
+
+def random_log(rng, grid, net_id, foreign, coverage):
+    """Return one random route log of *net_id*: occupy and colour ops.
+
+    Vertices come from anywhere (the non-TPL layer 2 and layer 1 with its
+    own ``Dcolor`` included), from the die edge, where the pressure window
+    clips, and from *foreign* -- other nets' metal, which makes
+    multi-owner vertices.  Some vertices are coloured twice, some coloured
+    but not occupied.
+    """
+    cols, rows = grid.num_cols, grid.num_rows
+    ops = []
+    colored = []
+    for _ in range(rng.randint(1, 10)):
+        roll = rng.random()
+        if foreign and roll < 0.25:
+            index = rng.choice(foreign)
+            coverage["multi-owner"] += 1
+        else:
+            layer = rng.randint(0, grid.num_layers - 1)
+            col, row = rng.randint(0, cols - 1), rng.randint(0, rows - 1)
+            if roll > 0.75:
+                col = rng.choice((0, cols - 1))
+            if roll > 0.9:
+                row = rng.choice((0, rows - 1))
+            index = (layer * cols + col) * rows + row
+        layer, rem = divmod(index, grid.plane_size)
+        col, row = divmod(rem, rows)
+        reach = grid.track_reach(grid.rules.color_spacing_on(layer))
+        if not (reach <= col < cols - reach and reach <= row < rows - reach):
+            coverage["clipped"] += 1
+        coverage[f"layer{layer}"] += 1
+        if rng.random() < 0.8:
+            ops.append((OP_COLOR, net_id, index, rng.randint(0, 2)))
+            colored.append(index)
+            if rng.random() < 0.2:
+                continue  # colour without occupancy
+        ops.append((OP_OCCUPY, net_id, index))
+        if colored and rng.random() < 0.3:
+            ops.append((OP_COLOR, net_id, rng.choice(colored), rng.randint(0, 2)))
+            coverage["recolour"] += 1
+    return ops
+
+
+@pytest.mark.parametrize("seed", [5, 29])
+def test_route_commit_matches_op_by_op(seed, rng_rounds):
+    rng = SeededRNG(seed)
+    coverage = Counter()
+    for round_number in range(rng_rounds):
+        params = random_params(rng)
+        routed, stepped = build_grid(params), build_grid(params)
+        trackers = [DirtyRegionTracker(grid) for grid in (routed, stepped)]
+        journals = [grid.attach_journal() for grid in (routed, stepped)]
+        net_ids = {name: [grid.net_id(name) for grid in (routed, stepped)] for name in NETS}
+        metal = {}
+        for step in range(8):
+            name = rng.choice(NETS)
+            context = f"seed {seed}, round {round_number}, step {step}"
+            if name in metal:
+                for grid in (routed, stepped):
+                    grid.release_net(name)
+                del metal[name]
+                coverage["release"] += 1
+            foreign = sorted(index for indices in metal.values() for index in indices)
+            net_id = net_ids[name][0]
+            assert net_ids[name][1] == net_id
+            ops = random_log(rng, routed, net_id, foreign, coverage)
+            routed.commit_route(ops)
+            for op in ops:
+                stepped.apply_op(op)
+            metal[name] = {op[2] for op in ops}
+            assert routed.snapshot_state() == stepped.snapshot_state(), context
+            assert trackers[0].consume() == trackers[1].consume(), context
+            assert list(journals[0]) == list(journals[1]), context
+    for case in ("recolour", "multi-owner", "layer1", "layer2", "clipped", "release"):
+        assert coverage[case] > 0, coverage
+
+
+def brute_pressure(grid, colors):
+    """Return the pressure buffer that the straps and *colors* (``index -> mask``) give.
+
+    An independent reference: ``Rect.distance_to`` below the layer's
+    ``Dcolor`` between vertex metal rectangles, no offset table involved.
+    """
+    expected = [0.0] * (3 * grid.num_vertices)
+    cost = grid.rules.conflict_cost
+    shapes = [
+        (vertex, grid.vertex_rect(vertex), color)
+        for vertex, color in ((grid.vertex_of(index), color) for index, color in colors.items())
+    ]
+    for index in range(grid.num_vertices):
+        vertex = grid.vertex_of(index)
+        if not grid.tech.layers[vertex.layer].tpl:
+            continue
+        rect = grid.vertex_rect(vertex)
+        dcolor = grid.rules.color_spacing_on(vertex.layer)
+        for other, other_rect, color in shapes:
+            if other.layer == vertex.layer and rect.distance_to(other_rect) < dcolor:
+                expected[3 * index + color] += cost
+        for obstacle in grid.design.colored_obstacles():
+            if obstacle.layer == vertex.layer and rect.distance_to(obstacle.rect) < dcolor:
+                expected[3 * index + obstacle.color] += cost
+    return expected
+
+
+@pytest.mark.parametrize("seed", [7, 31])
+def test_route_commit_pressure_matches_brute_force(seed, rng_rounds):
+    """Stamps clip exactly at the die edge, per layer ``Dcolor``, TPL layers only."""
+    rng = SeededRNG(seed)
+    for round_number in range(rng_rounds):
+        grid = build_grid(random_params(rng))
+        ops = random_log(rng, grid, grid.net_id("a"), [], Counter())
+        grid.commit_route(ops)
+        colors = {op[2]: op[3] for op in ops if op[0] == OP_COLOR}
+        assert list(grid.pressure_buffer()) == brute_pressure(grid, colors), round_number
+        grid.release_net("a")
+        assert list(grid.pressure_buffer()) == brute_pressure(grid, {}), round_number
+
+
+ROUTERS = {"maze": DetailedRouter, "color-state": MrTPLRouter, "dac2012": Dac2012Router}
+
+
+def make_router(router_key):
+    design = suite_case("ispd18", 1, 0.4).build()
+    if router_key == "maze":
+        return DetailedRouter(design)
+    return ROUTERS[router_key](design, use_global_router=False)
+
+
+@pytest.mark.parametrize("router_key", sorted(ROUTERS))
+def test_compute_route_leaves_grid_untouched_and_commit_guards_it(router_key):
+    router = make_router(router_key)
+    grid = router.grid
+    nets = router.schedule_nets()
+    for net in nets[:6]:
+        router.route_net(net)
+    for net in nets[6:9]:
+        sink = RecordingSink(grid, net.name)  # interns the net, as route_net does
+        before = grid.snapshot_state()
+        router.compute_route(net, sink)
+        assert grid.snapshot_state() == before, net.name
+        assert sink.ops
+        grid.commit_route(sink.ops)
+        committed = grid.snapshot_state()
+        with pytest.raises(ValueError, match="already holds metal"):
+            grid.commit_route(sink.ops)
+        assert grid.snapshot_state() == committed
+        grid.release_net(net.name)
+        grid.commit_route(sink.ops)
+        assert grid.snapshot_state()["owner"] == committed["owner"]
+
+
+def test_route_commit_refuses_mixed_logs_unchanged():
+    grid = build_grid(random_params(SeededRNG(1)))
+    first, second = grid.net_id("a"), grid.net_id("b")
+    before = grid.snapshot_state()
+    for ops in (
+        [(OP_OCCUPY, first, 3), (OP_OCCUPY, second, 4)],
+        [(OP_COLOR, first, 3, 1), ("history", 3, 1.0)],
+        [(OP_COLOR, first, 3)],
+    ):
+        with pytest.raises(ValueError):
+            grid.commit_route(ops)
+        assert grid.snapshot_state() == before

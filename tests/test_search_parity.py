@@ -75,7 +75,7 @@ class TestGridIndexApi:
         net_id = grid.net_id("c")
         assert grid.is_occupied_by_other(vertex, "c") == grid.is_occupied_by_other_index(index, net_id)
         assert grid.congestion_cost(vertex, "c") == grid.congestion_cost_index(index, net_id)
-        assert grid.color_costs(vertex, "c") == grid.color_costs_index(index, net_id)
+        assert grid.color_costs(vertex) == grid.color_costs_index(index)
         assert grid.occupants(vertex) == {"a", "b"}
         grid.release_net("a")
         assert grid.occupants(vertex) == {"b"}
