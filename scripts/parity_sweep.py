@@ -55,7 +55,7 @@ HAVE_FORK = sys.platform != "win32" and "fork" in multiprocessing.get_all_start_
 
 #: ``(name, tier gates forced off, router keyword arguments, needs fork)``.
 #: The pure-python leg closes both native gates, so it runs the Python
-#: search loop and the pure check loops together.
+#: search loop and the Python check scan together.
 LEGS = (
     ("native search off", (accel.set_native_enabled,), {}, False),
     ("native check off", (accel.set_check_native_enabled,), {}, False),

@@ -13,8 +13,9 @@ two-tier stack, both tiers producing bit-identical results (pinned by
 ``python``
     The pure-Python loops: the zero-allocation search loop over
     epoch-stamped flat buffers, with the expand closures reading grid
-    state lazily per successor, and the checkers' original dict/set scans.
-    They are the differential reference for the native tier.
+    state lazily per successor, and the check scan's double loop
+    (:func:`repro.check.kernels.scan_hits`).  They are the differential
+    reference for the native tier.
 
 Gates are process-global and runtime-switchable:
 

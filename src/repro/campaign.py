@@ -298,8 +298,8 @@ class CampaignRouter:
         a vertex with several owners zeroes its mask colour, including a
         colour a re-committed net just put there.  Each re-commit is one
         route commit (:func:`repro.sched.commit.apply_route_ops`), so the
-        journal and the delta listeners see the restore like any other
-        commit.
+        journal sees the restore like any other commit, and the incremental
+        checkers see the restored route objects' revisions.
         """
         changed = sorted(
             name for name, route in best_routes.items() if solution.routes.get(name) != route

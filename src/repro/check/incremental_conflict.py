@@ -5,11 +5,11 @@ same-mask connected runs).  A conflict between features of nets *A* and *B*
 depends only on the two nets' geometry and masks, so the cached per-pair
 conflict lists stay valid until one of the nets changes:
 
-* on :meth:`refresh`, nets dirtied by grid deltas (via the
-  :class:`~repro.check.dirty.DirtyRegionTracker`) or by route-object
-  replacement (detected through the routes' monotone ``revision`` stamps)
-  get their features re-extracted with the *same* ``_net_features``
-  routine the full checker uses,
+* on :meth:`refresh`, the dirty nets -- those whose route's monotone
+  ``revision`` stamp changed since the previous refresh (a replaced route
+  object, or an in-place :meth:`NetRoute.set_color`), plus those gone from
+  the solution -- get their features re-extracted with the *same*
+  ``_net_features`` routine the full checker uses,
 * every cached pair involving a dirty net is dropped, and partners within
   the interaction radius (``max(Dcolor, min_spacing)``, probed over
   :meth:`RoutingGrid.track_offsets` around the net's feature vertices) are
@@ -19,11 +19,10 @@ conflict lists stay valid until one of the nets changes:
 * per-net obstacle-conflict and uncolored-vertex tallies are recomputed for
   dirty nets only.
 
-The candidate-partner neighborhood scan runs on the tiered
-:func:`repro.check.kernels.scan_hits` fast path (the native
-``_checkwork`` kernel over the flat feature-owner mirror) when :mod:`repro.accel`
-has it open; the original pure dict/set loop is kept verbatim as the
-fallback and behavioral reference.
+The tallies are computed from the solution alone; the grid supplies only
+static geometry.  The candidate-partner neighborhood scan runs on the
+tiered :func:`repro.check.kernels.scan_hits` (the native ``_checkwork``
+kernel or its Python loop) over the flat feature-owner mirror.
 
 The running tallies therefore match a fresh full scan on counts, kinds and
 net pairs (locations are anchored at the feature vertex nearest the
@@ -34,9 +33,8 @@ partner), which ``tests/test_incremental_check.py`` and
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Set, Tuple
 
-from repro.check.dirty import DirtyRegionTracker
 from repro.check.kernels import OffsetBuffers, offset_buffers, scan_hits, zero_owner_mirror
 from repro.design import Design
 from repro.geometry import GridPoint
@@ -45,9 +43,6 @@ from repro.tpl.conflict import ColorConflict, ConflictChecker, ConflictReport, F
 
 #: Canonical unordered net-pair key.
 NetPair = Tuple[str, str]
-
-#: A :meth:`RoutingGrid.track_offsets` table.
-Offsets = Tuple[Tuple[int, int, int], ...]
 
 
 class _FeatureEntry(NamedTuple):
@@ -68,22 +63,14 @@ class _FeatureEntry(NamedTuple):
 class IncrementalConflictChecker:
     """Incrementally maintained color-conflict tallies over a solution."""
 
-    def __init__(
-        self,
-        design: Design,
-        grid: RoutingGrid,
-        tracker: Optional[DirtyRegionTracker] = None,
-    ) -> None:
+    def __init__(self, design: Design, grid: RoutingGrid) -> None:
         self.design = design
         self.grid = grid
         self.rules = grid.rules
         self.oracle = ConflictChecker(design, grid)
-        self.tracker = tracker if tracker is not None else DirtyRegionTracker(grid)
-        # Per layer: the interaction offsets and their kernel buffers.
-        self._layer_offsets: Dict[int, Tuple[Offsets, OffsetBuffers]] = {}
-        self._reset_state()
-
-    def _reset_state(self) -> None:
+        # Per layer: the interaction offsets as kernel buffers.
+        self._layer_offsets: Dict[int, OffsetBuffers] = {}
+        # The first refresh validates every net of the solution.
         self._built = False
         self._route_revisions: Dict[str, int] = {}
         # Per net: features plus their track bounding boxes (pair
@@ -113,16 +100,17 @@ class IncrementalConflictChecker:
             self._id_names.append(name)
         return ident
 
-    def _offsets_for(self, layer: int) -> Tuple[Offsets, OffsetBuffers]:
-        """Return *layer*'s interaction offsets and their kernel buffers.
+    def _offsets_for(self, layer: int) -> OffsetBuffers:
+        """Return *layer*'s interaction offsets as kernel buffers.
 
         The reach is the layer's :meth:`RoutingGrid.interaction_radius`
         (``max(Dcolor, min_spacing)``).
         """
         cached = self._layer_offsets.get(layer)
         if cached is None:
-            offsets = self.grid.track_offsets(self.grid.interaction_radius(layer=layer))
-            cached = (offsets, offset_buffers(offsets))
+            cached = offset_buffers(
+                self.grid.track_offsets(self.grid.interaction_radius(layer=layer))
+            )
             self._layer_offsets[layer] = cached
         return cached
 
@@ -132,13 +120,11 @@ class IncrementalConflictChecker:
 
     def refresh(self, solution: RoutingSolution) -> Set[str]:
         """Re-validate dirty nets against *solution*; return the dirty set."""
-        tracked_nets, _raw, rebuild = self.tracker.consume()
-        if rebuild or not self._built:
-            self._reset_state()
+        if not self._built:
             self._built = True
             dirty = set(solution.routes)
         else:
-            dirty = set(tracked_nets)
+            dirty = set()
             for name, route in solution.routes.items():
                 if self._route_revisions.get(name) != route.revision:
                     dirty.add(name)
@@ -312,9 +298,8 @@ class IncrementalConflictChecker:
         """Re-classify *name* against every net within its interaction radius.
 
         Candidate partners are found by expanding the net's feature vertices
-        by the layer's reach (the same offsets the dirty-region expansion
-        uses) and reading the feature-occupancy mirror -- a net outside the
-        expanded region cannot conflict with *name*.
+        by the layer's reach and reading the feature-occupancy mirror -- a
+        net outside the expanded region cannot conflict with *name*.
         """
         grid = self.grid
         occ_get = self._occ.get
@@ -334,18 +319,12 @@ class IncrementalConflictChecker:
                     merged.extend(entry.indices)
             hits = scan_hits(
                 merged,
-                self._offsets_for(layer)[1],
+                self._offsets_for(layer),
                 self._occ_owner,
                 self_id,
                 grid.num_cols,
                 grid.num_rows,
             )
-            if hits is None:
-                for entry in entries:
-                    self._feature_candidates_pure(
-                        entry.feature, entry.indices, candidates
-                    )
-                continue
             owner = self._occ_owner
             id_names = self._id_names
             for _src, dst in hits:
@@ -367,23 +346,6 @@ class IncrementalConflictChecker:
             self._pair_conflicts[pair] = conflicts
             self._pairs_by_net.setdefault(name, set()).add(pair)
             self._pairs_by_net.setdefault(partner, set()).add(pair)
-
-    def _feature_candidates_pure(
-        self, feature: Feature, indices: array, candidates: Set[str]
-    ) -> None:
-        """The original dict/set scan: fallback tier and behavioral reference."""
-        grid = self.grid
-        rows, cols, plane = grid.num_rows, grid.num_cols, grid.plane_size
-        occ_get = self._occ.get
-        offsets = self._offsets_for(feature.layer)[0]
-        for index in indices:
-            col, row = divmod(index % plane, rows)
-            for dcol, drow, delta in offsets:
-                if not (0 <= col + dcol < cols and 0 <= row + drow < rows):
-                    continue
-                others = occ_get(index + delta)
-                if others:
-                    candidates.update(others)
 
     def _classify_net_pair(self, name: str, partner: str) -> List[ColorConflict]:
         """Classify every same-layer feature pair of *name* and *partner*.
@@ -465,7 +427,3 @@ class IncrementalConflictChecker:
         """Refresh against *solution* and return only the conflict count."""
         self.refresh(solution)
         return self.conflict_count()
-
-    def detach(self) -> None:
-        """Stop listening to grid deltas (the tallies freeze)."""
-        self.tracker.detach()

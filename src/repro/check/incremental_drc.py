@@ -3,15 +3,13 @@
 The full checker re-walks the entire solution on every call; this one
 maintains running tallies (shorts, spacing violations, open nets, guide and
 direction statistics) and, on :meth:`refresh`, re-validates only the nets
-dirtied since the previous call.  Dirtiness comes from two sources:
-
-* the :class:`~repro.check.dirty.DirtyRegionTracker` draining the grid's
-  per-net occupancy/color delta hooks, and
-* route-object replacement in the :class:`~repro.grid.RoutingSolution`
-  (rip-up & reroute swaps ``NetRoute`` instances; snapshot restores swap
-  them back), detected by the routes' monotone ``revision`` stamps
-  (identity comparison is unsound: the allocator reuses addresses of
-  collected routes).
+whose route changed since the previous call, read from the
+:class:`~repro.grid.RoutingSolution` alone: a route whose monotone
+``revision`` stamp moved (rip-up & reroute swaps ``NetRoute`` instances,
+snapshot restores swap them back, :meth:`NetRoute.set_color` re-stamps in
+place) or a net gone from the solution.  Identity comparison would be
+unsound: the allocator reuses addresses of collected routes.  The grid
+supplies only static geometry.
 
 Violations between two *clean* nets cannot change -- shorts and spacing
 depend only on the two nets' geometry -- so invalidation is exact: every
@@ -21,10 +19,8 @@ spacing radius (the :meth:`RoutingGrid.track_offsets` of ``min_spacing``,
 applied net by net).
 
 The neighborhood scan itself runs on the tiered
-:func:`repro.check.kernels.scan_hits` fast path (the native
-``_checkwork`` kernel over the flat owner mirror) when :mod:`repro.accel`
-has it open; the original pure dict/set loop is kept verbatim as the
-fallback and behavioral reference.
+:func:`repro.check.kernels.scan_hits` (the native ``_checkwork`` kernel or
+its Python loop) over the flat owner mirror.
 
 The full :class:`DRCChecker` remains the frozen reference oracle;
 ``tests/test_incremental_check.py`` and ``tests/test_check_kernels.py``
@@ -37,7 +33,6 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.check.dirty import DirtyRegionTracker
 from repro.check.kernels import offset_buffers, scan_hits, zero_owner_mirror
 from repro.design import Design
 from repro.dr.drc import DRCChecker, Violation
@@ -61,14 +56,12 @@ class IncrementalDRCChecker:
         design: Design,
         grid: RoutingGrid,
         guides: Optional[GuideSet] = None,
-        tracker: Optional[DirtyRegionTracker] = None,
     ) -> None:
         self.design = design
         self.grid = grid
         self.guides = guides
         self.rules = grid.rules
         self.oracle = DRCChecker(design, grid, guides)
-        self.tracker = tracker if tracker is not None else DirtyRegionTracker(grid)
         # The center offset is dropped because exact overlap is a short,
         # not a spacing violation.
         self._spacing_offsets = tuple(
@@ -77,9 +70,7 @@ class IncrementalDRCChecker:
             if offset != (0, 0, 0)
         )
         self._spacing_buffers = offset_buffers(self._spacing_offsets)
-        self._reset_state()
-
-    def _reset_state(self) -> None:
+        # The first refresh validates every net of the solution.
         self._built = False
         self._route_revisions: Dict[str, int] = {}
         # Per-net caches (all routes, including failed ones, mirror
@@ -121,15 +112,12 @@ class IncrementalDRCChecker:
 
     def refresh(self, solution: RoutingSolution) -> Set[str]:
         """Re-validate dirty nets against *solution*; return the dirty set."""
-        tracked_nets, raw_indices, rebuild = self.tracker.consume()
-        if rebuild or not self._built:
-            self._reset_state()
+        if not self._built:
             self._built = True
             self._routable = {net.name: net for net in self.design.routable_nets()}
             dirty = set(solution.routes) | set(self._routable)
-            raw_indices = set()
         else:
-            dirty = set(tracked_nets)
+            dirty = set()
             for name, route in solution.routes.items():
                 if self._route_revisions.get(name) != route.revision:
                     dirty.add(name)
@@ -140,7 +128,7 @@ class IncrementalDRCChecker:
         if not dirty:
             return dirty
 
-        touched = set(raw_indices)
+        touched: Set[int] = set()
         for name in dirty:
             self._remove_net(name, touched)
         # Register all dirty nets' metal before pair scanning so dirty-dirty
@@ -246,9 +234,6 @@ class IncrementalDRCChecker:
             self.grid.num_cols,
             self.grid.num_rows,
         )
-        if hits is None:
-            self._scan_spacing_pure(name)
-            return
         vertex_table = self.grid.vertex_table()
         detail = f"below min spacing {self.rules.min_spacing}"
         occ_get = self._spacing_occ.get
@@ -285,42 +270,6 @@ class IncrementalDRCChecker:
                 )
                 self._spacing_by_net.setdefault(name, set()).add(key)
                 self._spacing_by_net.setdefault(other, set()).add(key)
-
-    def _scan_spacing_pure(self, name: str) -> None:
-        """The original dict/set scan: fallback tier and behavioral reference."""
-        grid = self.grid
-        rows, cols, plane = grid.num_rows, grid.num_cols, grid.plane_size
-        vertex_table = grid.vertex_table()
-        detail = f"below min spacing {self.rules.min_spacing}"
-        occ_get = self._spacing_occ.get
-        spacing = self._spacing
-        for index in self._net_indices.get(name, ()):
-            col, row = divmod(index % plane, rows)
-            for dcol, drow, delta in self._spacing_offsets:
-                if not (0 <= col + dcol < cols and 0 <= row + drow < rows):
-                    continue
-                neighbor = index + delta
-                others = occ_get(neighbor)
-                if not others:
-                    continue
-                for other in others:
-                    if other == name:
-                        continue
-                    key = (
-                        (name, other, index, neighbor)
-                        if name < other
-                        else (other, name, neighbor, index)
-                    )
-                    if key in spacing:
-                        continue
-                    spacing[key] = Violation(
-                        kind="spacing",
-                        nets=(key[0], key[1]),
-                        location=vertex_table[key[2]],
-                        detail=detail,
-                    )
-                    self._spacing_by_net.setdefault(name, set()).add(key)
-                    self._spacing_by_net.setdefault(other, set()).add(key)
 
     # -- opens / statistics -------------------------------------------------
 
@@ -420,10 +369,6 @@ class IncrementalDRCChecker:
         for violation in self._shorts.values():
             offenders.update(violation.nets)
         return offenders
-
-    def detach(self) -> None:
-        """Stop listening to grid deltas (the tallies freeze)."""
-        self.tracker.detach()
 
 
 def _violation_order(violation: Violation) -> Tuple:

@@ -1,4 +1,4 @@
-"""Native neighborhood scan shared by the incremental checkers.
+"""Tiered neighborhood scan shared by the incremental checkers.
 
 The hot loop of both :class:`~repro.check.IncrementalDRCChecker` and
 :class:`~repro.check.IncrementalConflictChecker` is the same shape: for
@@ -12,15 +12,14 @@ so :func:`scan_hits` filters them in bulk:
     ``repro.native._checkwork.scan_hits`` runs the whole double loop in C
     over the caller's flat buffers (GIL released).
 ``python``
-    :func:`scan_hits` returns ``None`` and the caller runs its original
-    pure dict/set loop, which stays the behavioral reference.
+    the same double loop in Python.
 
 The kernel reads an offset table as three ``array('q')`` columns, which
-:func:`offset_buffers` builds once per table.  The surviving
-``(source, neighbor)`` pairs are returned in the pure loop's i-major order
-and post-processed by the checker's unchanged per-hit Python logic, so both
-tiers produce identical reports -- the contract
-``tests/test_check_kernels.py`` fuzzes.
+:func:`offset_buffers` builds once per table.  Both tiers return the
+surviving ``(source, neighbor)`` pairs in the same i-major order, and the
+checker's per-hit Python logic post-processes them, so both tiers produce
+identical reports -- the contract ``tests/test_check_kernels.py`` checks
+against a brute-force loop and the full-scan oracles.
 
 The *owner* mirror is an ``array('q')`` the checkers maintain
 incrementally alongside their occupancy dicts: ``0`` = empty, a positive
@@ -32,7 +31,7 @@ scanned net's own id as *self_id* drops same-net probes in the kernel.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro import accel
 
@@ -65,19 +64,20 @@ def scan_hits(
     self_id: int,
     num_cols: int,
     num_rows: int,
-) -> Optional[Iterable[Hit]]:
-    """Return surviving probe pairs, or ``None`` when the native kernel is off.
+) -> Iterable[Hit]:
+    """Return the ``(source, neighbor)`` probe pairs that hit another net.
 
-    ``None`` tells the caller to run its pure-Python loop.  Otherwise the
-    scan ran and the result is an iterable of ``(source, neighbor)`` pairs
-    in the pure loop's i-major order -- a list when empty, else a single-use
-    lazy ``zip`` (CPython reuses the yielded tuple for plain ``for src, dst
-    in hits`` consumers, so the common all-miss refresh allocates nothing
-    per probe).
+    For every flat index of *indices* (i-major) and every in-bounds offset
+    of *offsets*, in order, a pair survives when *owner* holds neither
+    ``0`` nor *self_id* at the neighbor.  On the native tier the result is
+    a list when empty, else a single-use lazy ``zip`` (CPython reuses the
+    yielded tuple for plain ``for src, dst in hits`` consumers, so the
+    common all-miss refresh allocates nothing per probe); on the Python
+    tier it is a list.
     """
     kernel = accel.get_check_kernel()
     if kernel is None:
-        return None
+        return _scan_hits_python(indices, offsets, owner, self_id, num_cols, num_rows)
     dcols, drows, deltas = offsets
     capacity = len(indices) * len(deltas)
     if not capacity:
@@ -101,6 +101,28 @@ def scan_hits(
     if count == 0:
         return []
     return zip(_out_src[:count].tolist(), _out_dst[:count].tolist())
+
+
+def _scan_hits_python(
+    indices: array,
+    offsets: OffsetBuffers,
+    owner: array,
+    self_id: int,
+    num_cols: int,
+    num_rows: int,
+) -> List[Hit]:
+    """The ``python`` tier of :func:`scan_hits`: the kernel's loop, in Python."""
+    table = list(zip(*offsets))
+    plane = num_cols * num_rows
+    hits: List[Hit] = []
+    for index in indices:
+        col, row = divmod(index % plane, num_rows)
+        for dcol, drow, delta in table:
+            if 0 <= col + dcol < num_cols and 0 <= row + drow < num_rows:
+                occupant = owner[index + delta]
+                if occupant != 0 and occupant != self_id:
+                    hits.append((index, index + delta))
+    return hits
 
 
 def zero_owner_mirror(num_vertices: int) -> array:

@@ -63,13 +63,15 @@ class NetRoute:
     stitches:
         The mask changes introduced inside this net.
     revision:
-        Process-unique monotone stamp assigned at construction.  The
-        incremental checkers detect route-object replacement (rip-up &
-        reroute, snapshot restore) by comparing it -- identity (``id()``)
-        is unusable because CPython reuses addresses of collected routes.
-        Excluded from equality; re-stamped on unpickle so a route shipped
-        across a process boundary always reads as replaced (a conservative
-        extra rescan, never a missed one).
+        Process-unique monotone stamp assigned at construction and
+        re-stamped by :meth:`set_color`.  The incremental checkers learn
+        which nets changed by comparing it alone: a replaced route object
+        (rip-up & reroute, snapshot restore) or an in-place recolour both
+        read as a new revision -- identity (``id()``) is unusable because
+        CPython reuses addresses of collected routes.  Excluded from
+        equality; re-stamped on unpickle so a route shipped across a
+        process boundary always reads as replaced (a conservative extra
+        rescan, never a missed one).
     """
 
     net_name: str
@@ -108,11 +110,12 @@ class NetRoute:
             self.add_edge(a, b)
 
     def set_color(self, vertex: GridPoint, color: int) -> None:
-        """Assign the final mask *color* to *vertex*."""
+        """Assign the final mask *color* to *vertex* and re-stamp :attr:`revision`."""
         if not 0 <= color <= 2:
             raise ValueError(f"invalid mask color {color}")
         self.vertices.add(vertex)
         self.vertex_colors[vertex] = color
+        self.revision = next(_route_revisions)
 
     def add_stitch(self, a: GridPoint, b: GridPoint) -> None:
         """Record a stitch between two adjacent vertices of this net."""

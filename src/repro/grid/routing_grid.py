@@ -47,12 +47,10 @@ Every mutation of searchable state is a :mod:`repro.journal` op tuple.
 The public mutators (``occupy``/``release_net``/``set_vertex_color``/
 ``add_history``/``decay_history``/``block_*``/``reset_routing_state``) are
 thin wrappers that build one op for :meth:`RoutingGrid.apply_op`, which
-dispatches it to the private ``_apply_*`` handler, records it in the
-attached :class:`~repro.journal.MutationJournal` (if any), and taps the
-delta listeners of :mod:`repro.check`.  :meth:`RoutingGrid.commit_route`
-applies a whole route's occupy / colour ops in one pass through the same
-handler code, records the same ops and hands the listeners the same
-indices in one event.
+dispatches it to the private ``_apply_*`` handler and records it in the
+attached :class:`~repro.journal.MutationJournal` (if any).
+:meth:`RoutingGrid.commit_route` applies a whole route's occupy / colour
+ops in one pass through the same handler code and records the same ops.
 Replaying a journal onto a fresh grid over the same design therefore
 reproduces every buffer bit-identically -- the property the persistent
 worker pool rests on.  Checkpoints take the other route:
@@ -223,27 +221,10 @@ class RoutingGrid:
         # also constructed by code that never searches them).
         self._neighbor_table: Optional[array] = None
 
-        # Monotone counter bumped on every mutation of searchable state
-        # (occupancy, colors, pressure, history, blockages, resets).  Cost
-        # snapshots key their caches on it: as long as the epoch is
-        # unchanged, a previously built per-net snapshot is still exact.
-        self._mutation_epoch = 0
-
         # Attached mutation journal (None = not recording).  When set,
         # apply_op appends every applied op, so the journal is a complete,
         # replayable event log of this grid's post-attach mutations.
         self._journal: Optional[MutationJournal] = None
-
-        # Delta listeners (repro.check.DirtyRegionTracker): notified of
-        # per-net occupancy / color commits and releases so incremental
-        # checkers can re-validate only the changed neighbourhood.  Bound
-        # hook methods are cached per event at subscribe time, so the hot
-        # paths pay one truthiness test plus direct calls -- no per-event
-        # attribute lookup.
-        self._delta_listeners: List[object] = []
-        self._commit_hooks: List = []
-        self._release_hooks: List = []
-        self._reset_hooks: List = []
 
         self._apply_design_blockages()
         self._seed_fixed_pressure()
@@ -256,17 +237,6 @@ class RoutingGrid:
     def num_vertices(self) -> int:
         """Return the total vertex count."""
         return self.num_layers * self.plane_size
-
-    @property
-    def mutation_epoch(self) -> int:
-        """Return the monotone mutation counter over searchable grid state.
-
-        Bumped by every occupancy/color/history/blockage mutation and by
-        :meth:`reset_routing_state`.  Consumers (per-search cost snapshots,
-        the batch executor) may reuse any state derived from the grid for
-        as long as the epoch is unchanged.
-        """
-        return self._mutation_epoch
 
     def index_of(self, vertex: GridPoint) -> int:
         """Return the flat index of an **in-bounds** *vertex*.
@@ -346,45 +316,6 @@ class RoutingGrid:
         return array("i", table)
 
     # ------------------------------------------------------------------
-    # Delta listeners (incremental checking hooks)
-    # ------------------------------------------------------------------
-
-    def add_delta_listener(self, listener: object) -> None:
-        """Subscribe *listener* to per-net occupancy/color delta events.
-
-        A listener may implement any subset of ``on_commit(net_id,
-        indices)`` (the net placed metal or mask colours at *indices*: one
-        index per ``occupy`` / ``color`` op, a whole route's for a route
-        commit), ``on_release(net_id, indices)`` and ``on_reset()``;
-        missing hooks are skipped.  Listeners must not mutate the grid from
-        inside a callback.
-        """
-        if listener not in self._delta_listeners:
-            self._delta_listeners.append(listener)
-            self._rebuild_delta_hooks()
-
-    def remove_delta_listener(self, listener: object) -> None:
-        """Unsubscribe *listener*; unknown listeners are ignored."""
-        try:
-            self._delta_listeners.remove(listener)
-        except ValueError:
-            return
-        self._rebuild_delta_hooks()
-
-    def _rebuild_delta_hooks(self) -> None:
-        self._commit_hooks = self._bound_hooks("on_commit")
-        self._release_hooks = self._bound_hooks("on_release")
-        self._reset_hooks = self._bound_hooks("on_reset")
-
-    def _bound_hooks(self, hook: str) -> List:
-        return [
-            callback
-            for listener in self._delta_listeners
-            for callback in (getattr(listener, hook, None),)
-            if callback is not None
-        ]
-
-    # ------------------------------------------------------------------
     # The op stream (journal ops)
     # ------------------------------------------------------------------
 
@@ -419,30 +350,16 @@ class RoutingGrid:
         Every grid mutation but a route commit (:meth:`commit_route`) flows
         through here, whether issued by a public mutator or replayed from a
         journal (:func:`repro.journal.replay_ops`).  The op is dispatched
-        to its ``_apply_*`` handler, recorded in the attached journal, and
-        then tapped to the delta listeners of :mod:`repro.check` -- so
-        journal replicas and incremental checkers observe the exact same
-        event stream.  Returns the handler's result (e.g. the new net id
-        for ``intern`` ops).
+        to its ``_apply_*`` handler and recorded in the attached journal,
+        so a journal replica observes the exact same op stream.  Returns
+        the handler's result (e.g. the new net id for ``intern`` ops).
         """
-        kind = op[0]
-        handler = _OP_HANDLERS.get(kind)
+        handler = _OP_HANDLERS.get(op[0])
         if handler is None:
             raise ValueError(f"unknown journal op {op!r}")
         result = handler(self, op)
         if self._journal is not None:
             self._journal.record(op)
-        # Delta-listener tap: the live consumers of the op stream.
-        if kind == OP_OCCUPY or kind == OP_COLOR:
-            for callback in self._commit_hooks:
-                callback(op[1], (op[2],))
-        elif kind == OP_RELEASE:
-            if self._release_hooks and result[1]:
-                for callback in self._release_hooks:
-                    callback(op[1], result[1])
-        elif kind == OP_RESET:
-            for callback in self._reset_hooks:
-                callback()
         return result
 
     def commit_route(self, ops: Sequence[Op]) -> None:
@@ -453,8 +370,7 @@ class RoutingGrid:
         order.  The grid ends in the state and the journal holds the ops
         that applying them one by one through :meth:`apply_op` gives, but
         the occupancy and the colours (with their pressure stamps) each
-        take one loop, and each delta listener gets one ``on_commit`` with
-        every op's index.
+        take one loop.
 
         Routers compute a route against a grid that holds none of the net's
         metal; a net that still holds occupancy or colours (not released
@@ -473,15 +389,10 @@ class RoutingGrid:
         shapes = {(op[0], op[1], len(op)) for op in ops}
         if not shapes <= {(OP_OCCUPY, net_id, 3), (OP_COLOR, net_id, 4)}:
             raise ValueError(f"not a route log of net id {net_id}: op shapes {sorted(shapes)}")
-        self._mutation_epoch += len(ops)
         self._place(net_id, [op[2] for op in ops if op[0] == OP_OCCUPY])
         self._paint(net_id, [op[2:] for op in ops if op[0] == OP_COLOR])
         if self._journal is not None:
             self._journal.extend(ops)
-        if self._commit_hooks:
-            indices = [op[2] for op in ops]
-            for callback in self._commit_hooks:
-                callback(net_id, indices)
 
     # ------------------------------------------------------------------
     # Net-name interning
@@ -720,13 +631,8 @@ class RoutingGrid:
         """Mark a single vertex as unusable."""
         if self.in_bounds(vertex):
             self.apply_op((OP_BLOCK_VERTEX, self.index_of(vertex)))
-        else:
-            # Out-of-bounds blocks mutate nothing journal-worthy, but the
-            # epoch bump is preserved for cache-invalidation parity.
-            self._mutation_epoch += 1
 
     def _apply_block_vertex(self, op: Op) -> None:
-        self._mutation_epoch += 1
         self._blocked_buf[op[1]] = 1
 
     def block_rect(self, layer: int, rect: Rect) -> int:
@@ -735,7 +641,6 @@ class RoutingGrid:
 
     def _apply_block_rect(self, op: Op) -> int:
         _kind, layer, xlo, ylo, xhi, yhi = op
-        self._mutation_epoch += 1
         vertices = self.vertices_covering(layer, Rect(xlo, ylo, xhi, yhi))
         for vertex in vertices:
             self._blocked_buf[self.index_of(vertex)] = 1
@@ -779,9 +684,9 @@ class RoutingGrid:
     def interaction_radius(self, net: "object" = None, layer: Optional[int] = None) -> int:
         """Return the canonical interaction radius in DBU.
 
-        Two pieces of metal interact -- through color pressure, the
-        conflict checkers, or the dirty-region expansion -- when their gap
-        is strictly below ``max(Dcolor, min_spacing)``.  With *layer* given
+        Two pieces of metal interact -- through color pressure or the
+        conflict checkers -- when their gap is strictly below
+        ``max(Dcolor, min_spacing)``.  With *layer* given
         the layer's own ``Dcolor`` override applies; otherwise the maximum
         over all layers is returned, which is the sound radius for a whole
         *net*: routes may use any layer, so a per-net radius can never be
@@ -891,7 +796,6 @@ class RoutingGrid:
 
     def _apply_occupy(self, op: Op) -> None:
         _kind, net_id, index = op
-        self._mutation_epoch += 1
         self._place(net_id, (index,))
 
     def _place(self, net_id: int, indices: Sequence[int]) -> None:
@@ -925,21 +829,19 @@ class RoutingGrid:
         net_id = self.net_id_if_known(net_name)
         if net_id == 0:
             return 0
-        return self.apply_op((OP_RELEASE, net_id))[0]
+        return self.apply_op((OP_RELEASE, net_id))
 
-    def _apply_release(self, op: Op) -> Tuple[int, Optional[Set[int]]]:
-        """Release one net; return ``(released_count, delta_or_None)``.
+    def _apply_release(self, op: Op) -> int:
+        """Release one net; return the number of vertices it occupied.
 
-        The delta (every vertex the net occupied or colored) is what the
-        release hooks receive; it is built only when listeners exist --
-        :meth:`apply_op` fires them from the returned value.
+        Every vertex the net occupied or coloured falls back to the mask of
+        its single remaining owner, or to no colour.
         """
         net_id = op[1]
         released = 0
-        self._mutation_epoch += 1
-        occupied_indices = sorted(self._net_occupied.pop(net_id, ()))
+        occupied = self._net_occupied.pop(net_id, set())
         owner_buf, color_buf = self._owner_buf, self._color_buf
-        for index in occupied_indices:
+        for index in occupied:
             owner = owner_buf[index]
             if owner == net_id:
                 owner_buf[index] = 0
@@ -948,27 +850,29 @@ class RoutingGrid:
                 owners = self._multi_owners[index]
                 owners.discard(net_id)
                 if len(owners) == 1:
-                    keeper = owners.pop()
-                    owner_buf[index] = keeper
+                    owner_buf[index] = owners.pop()
                     del self._multi_owners[index]
-                    # The remaining owner keeps its own mask colour here.
-                    color = self._net_colored_vertices.get(keeper, {}).get(index)
-                    color_buf[index] = 0 if color is None else color + 1
-                else:
-                    color_buf[index] = 0
+                color_buf[index] = self._owner_color_byte(index)
             else:
                 continue
             released += 1
         colored_vertices = self._net_colored_vertices.pop(net_id, {})
+        for index in colored_vertices:
+            if index not in occupied:
+                color_buf[index] = self._owner_color_byte(index)
         amount = -self.rules.conflict_cost
         self._stamp_pressure(
             (index, color, amount) for index, color in colored_vertices.items()
         )
-        delta: Optional[Set[int]] = None
-        if self._release_hooks and (occupied_indices or colored_vertices):
-            # The per-net reverse index makes the released delta O(|net|).
-            delta = set(occupied_indices) | set(colored_vertices)
-        return released, delta
+        return released
+
+    def _owner_color_byte(self, index: int) -> int:
+        """Return the colour byte of *index*'s single owner's mask (``0``: none)."""
+        owner = self._owner_buf[index]
+        if owner <= 0:
+            return 0
+        color = self._net_colored_vertices.get(owner, {}).get(index)
+        return 0 if color is None else color + 1
 
     def occupants(self, vertex: GridPoint) -> Set[str]:
         """Return the set of net names with metal at *vertex*."""
@@ -1037,7 +941,6 @@ class RoutingGrid:
 
     def _apply_color(self, op: Op) -> None:
         _kind, net_id, index, color = op
-        self._mutation_epoch += 1
         self._paint(net_id, ((index, color),))
 
     def _paint(self, net_id: int, colors: Sequence[Tuple[int, int]]) -> None:
@@ -1122,7 +1025,6 @@ class RoutingGrid:
 
     def _apply_history(self, op: Op) -> None:
         _kind, index, amount = op
-        self._mutation_epoch += 1
         self._history_buf[index] += amount
         self._history_touched.add(index)
 
@@ -1150,7 +1052,6 @@ class RoutingGrid:
 
     def _apply_decay(self, op: Op) -> None:
         factor = op[1]
-        self._mutation_epoch += 1
         history = self._history_buf
         dead: List[int] = []
         for index in self._history_touched:
@@ -1171,7 +1072,6 @@ class RoutingGrid:
         self.apply_op((OP_RESET,))
 
     def _apply_reset(self, op: Op) -> None:
-        self._mutation_epoch += 1
         num_vertices = self.num_vertices
         self._owner_buf = array("i", [0]) * num_vertices
         self._color_buf = bytearray(num_vertices)
@@ -1188,7 +1088,7 @@ class RoutingGrid:
     # ------------------------------------------------------------------
 
     #: Schema tag of :meth:`snapshot_state` documents.
-    SNAPSHOT_FORMAT = "repro-grid-snapshot-v3"
+    SNAPSHOT_FORMAT = "repro-grid-snapshot-v4"
 
     def snapshot_state(self) -> Dict[str, object]:
         """Export the complete mutable grid state as a flat document.
@@ -1212,7 +1112,6 @@ class RoutingGrid:
             "design_name": self.design.name,
             "dims": [self.num_layers, self.num_cols, self.num_rows],
             "pitch": self.pitch,
-            "epoch": self._mutation_epoch,
             "blocked": encode(self._blocked_buf),
             "owner": encode(self._owner_buf),
             "color": encode(self._color_buf),
@@ -1241,8 +1140,6 @@ class RoutingGrid:
         pitch are validated) and must not have a journal attached -- a bulk
         restore is a bootstrap, not a journalled mutation, and recording it
         as none would silently desynchronise any replica of that journal.
-        Restoring fires the delta listeners' ``on_reset`` hooks so attached
-        incremental checkers drop their now-stale tallies.
         """
         if snapshot.get("format") != self.SNAPSHOT_FORMAT:
             raise ValueError(
@@ -1301,9 +1198,6 @@ class RoutingGrid:
             int(net_id): {int(index): color for index, color in registered}
             for net_id, registered in snapshot["net_colored"]
         }
-        self._mutation_epoch = snapshot["epoch"]
-        for callback in self._reset_hooks:
-            callback()
 
     def snapshot_statistics(self) -> Dict[str, int]:
         """Return grid occupancy statistics (used by reports and tests)."""

@@ -6,8 +6,8 @@
  * whose occupancy-owner slot holds *another* net (owner != 0 and
  * owner != self_id; the multi-owner sentinel -1 always reports).  The
  * caller post-processes the surviving (source, neighbor) pairs through
- * the exact per-hit Python logic the pure loop uses, so reports are
- * identical by construction -- this kernel only removes the
+ * the same per-hit Python logic as the Python tier's pairs, so reports
+ * are identical by construction -- this kernel only removes the
  * overwhelmingly common empty / same-net neighbor probes from the
  * interpreter.
  *

@@ -19,7 +19,7 @@ The commit log is a slice of the :mod:`repro.journal` op model: a
 ``("color", net_id, index, color)`` op tuples that :class:`GridSink`'s grid
 calls would have pushed through :meth:`RoutingGrid.apply_op`.  The route
 commit leaves the grid and the attached journal exactly as applying them
-one by one would, and hands the delta listeners the same indices.  Ops
+one by one would.  Ops
 are flat tuples of ints, so logs cross process boundaries (pool workers
 pickle them back to the parent) without custom reducers.
 """
@@ -89,9 +89,8 @@ class RecordingSink:
 def apply_route_ops(grid: RoutingGrid, ops: Sequence[CommitOp]) -> None:
     """Commit one net's recorded commit log to *grid*.
 
-    :meth:`RoutingGrid.commit_route`: the grid state, the journal entries
-    and the indices the delta listeners see equal those of applying the
-    ops one by one, and a net that still holds metal on the grid is
-    refused.
+    :meth:`RoutingGrid.commit_route`: the grid state and the journal
+    entries equal those of applying the ops one by one, and a net that
+    still holds metal on the grid is refused.
     """
     grid.commit_route(ops)

@@ -35,7 +35,7 @@ plans, through one of two backends:
     and otherwise **falls back to routing the net live**, which reproduces
     the sequential result exactly.  Accepted logs go through the same route
     commit as serial routing (:meth:`RoutingGrid.commit_route`), so the
-    incremental DRC/conflict checkers see the same delta stream either way.
+    grid and its journal end the same either way.
 
     A host without the ``fork`` start method settles on serial once, when
     the executor is built.
@@ -214,7 +214,9 @@ def _pool_worker_main(conn) -> None:
     router = _POOL_ROUTER
     grid = router.grid
     design = router.design
-    _strip_worker_grid(grid)
+    # A worker's journal would only duplicate what the parent already
+    # holds, and suffix replay must not be re-recorded in the child.
+    grid.detach_journal()
     engine = router.make_search_engine()
     try:
         while True:
@@ -245,20 +247,6 @@ def _pool_worker_main(conn) -> None:
                 break
     finally:
         conn.close()
-
-
-def _strip_worker_grid(grid) -> None:
-    """Drop per-process grid attachments a worker must not carry.
-
-    The journal: a worker's copy would only duplicate what the parent
-    already holds, and suffix replay must not be re-recorded in the child.
-    The incremental-checker delta listeners: nobody ever drains them in a
-    worker, so their dirty-set bookkeeping per replayed op would be pure
-    waste (and unbounded memory).
-    """
-    grid.detach_journal()
-    for listener in list(grid._delta_listeners):
-        grid.remove_delta_listener(listener)
 
 
 def _shutdown_workers(

@@ -202,11 +202,11 @@ def test_recorded_commit_log_replays_to_identical_grid_state(router_key):
     nets_replay = replay.schedule_nets()
     for net_d, net_r in zip(nets_direct, nets_replay):
         route_d = direct.route_net(net_d)
-        before = replay.grid.mutation_epoch
-        sink = RecordingSink(replay.grid, net_r.name)
+        sink = RecordingSink(replay.grid, net_r.name)  # interns the net
+        before = replay.grid.snapshot_state()
         route_r = replay.compute_route(net_r, sink=sink)
         # Pure snapshot computation: the grid must be untouched...
-        assert replay.grid.mutation_epoch == before
+        assert replay.grid.snapshot_state() == before
         # ...and replaying the log must land in the exact same state the
         # direct commit produced.
         apply_route_ops(replay.grid, sink.ops)

@@ -71,9 +71,11 @@ def test_restore_skips_routes_equal_in_content():
     # A resumed campaign rebuilds its routes from the checkpoint: equal
     # content, new objects.  Restoring them must not touch the grid.
     router, solution = routed_once()
-    epoch = router.grid.mutation_epoch
+    before = router.grid.snapshot_state()
+    journal = router.grid.attach_journal()
     router._restore(solution, copy.deepcopy(solution.routes))
-    assert router.grid.mutation_epoch == epoch
+    assert router.grid.snapshot_state() == before
+    assert list(journal) == []
 
 
 def test_restore_releases_every_net_before_recommitting():

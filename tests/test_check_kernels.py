@@ -1,15 +1,15 @@
 """Differential fuzz of the tiered incremental-check fast path.
 
 The incremental checkers' neighborhood scan runs on two tiers (the native
-``_checkwork`` kernel and the pure dict/set loops -- see
+``_checkwork`` kernel and its Python loop -- see
 :mod:`repro.check.kernels`).  These tests force each tier on the same
 randomized mutation streams as ``tests/test_incremental_check.py`` and
 require every tier's report to equal the frozen full-scan oracles exactly,
 plus:
 
 * gate/fallback behaviour (``set_check_native_enabled``,
-  ``REPRO_PURE_PYTHON``, ``scan_hits`` returning ``None`` on the Python
-  tier),
+  ``REPRO_PURE_PYTHON``) and ``scan_hits`` against a brute-force loop on
+  both tiers,
 * owner-mirror consistency across snapshot restore and journal replay,
 * the ``id()``-reuse regression (route replacement must be detected by
   revision, not address),
@@ -158,23 +158,14 @@ def brute_force_hits(grid, indices, offsets, owner, self_id):
     return hits
 
 
-def test_scan_hits_returns_none_on_python_tier():
-    grid = make_scan_grid()
-    offsets = offset_buffers(grid.track_offsets(grid.rules.min_spacing))
-    owner = zero_owner_mirror(grid.num_vertices)
-    from array import array
-
-    indices = array("q", [grid.index_of(v) for v in [grid.vertex_of(5)]])
-    with forced_tier("python"):
-        assert scan_hits(indices, offsets, owner, 1, grid.num_cols, grid.num_rows) is None
-
-
-@pytest.mark.skipif(not accel.check_native_available(), reason="needs the check kernel")
 def test_scan_hits_matches_brute_force_on_all_tiers():
     from array import array
 
     grid = make_scan_grid()
-    offsets = tuple(offset for offset in grid.track_offsets(4) if offset != (0, 0, 0))
+    # A 5x5 track window without its centre (a reach of two tracks).
+    offsets = tuple(
+        offset for offset in grid.track_offsets(3 * grid.pitch) if offset != (0, 0, 0)
+    )
     owner = zero_owner_mirror(grid.num_vertices)
     rng = SeededRNG(41)
     # Scatter foreign metal (ids 2, 3) and a few multi-occupant cells (-1)
@@ -185,11 +176,14 @@ def test_scan_hits_matches_brute_force_on_all_tiers():
         "q", sorted({rng.randint(0, grid.num_vertices - 1) for _ in range(40)})
     )
     expected = brute_force_hits(grid, indices, offsets, owner, self_id=2)
+    assert expected
     buffers = offset_buffers(offsets)
-    with forced_tier("native"):
-        got = scan_hits(indices, buffers, owner, 2, grid.num_cols, grid.num_rows)
-        assert list(got) == expected
-        assert scan_hits(array("q"), buffers, owner, 2, grid.num_cols, grid.num_rows) == []
+    for tier in available_tiers():
+        with forced_tier(tier):
+            got = scan_hits(indices, buffers, owner, 2, grid.num_cols, grid.num_rows)
+            assert list(got) == expected, tier
+            empty = scan_hits(array("q"), buffers, owner, 2, grid.num_cols, grid.num_rows)
+            assert list(empty) == [], tier
 
 
 # ----------------------------------------------------------------------
@@ -341,8 +335,6 @@ def test_mirror_consistent_after_snapshot_restore():
 
     driver.grid.restore_state(snapshot)
     driver.solution = pickle.loads(saved_solution)
-    assert driver.inc_drc.tracker.needs_rebuild
-    assert driver.inc_conflicts.tracker.needs_rebuild
     assert_matches_oracle(driver)
     # The rebuilt mirrors must keep tracking incrementally afterwards.
     for _ in range(6):
@@ -366,8 +358,8 @@ def test_mirror_consistent_after_journal_replay():
         driver.mutate(rng)
     assert_matches_oracle(driver)
 
-    # Replay the journal onto the replica: the mirrors must be maintained
-    # purely from the replayed ops' delta hooks (no rebuild flag raised).
+    # Replay the journal onto the replica: its checkers read only the
+    # solution, so they must agree with the replica's full-scan oracles.
     replay_ops(replica, journal.ops)
     assert drc_digest(inc_drc.check(driver.solution)) == drc_digest(
         DRCChecker(driver.design, replica).check(driver.solution)

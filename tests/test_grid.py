@@ -151,6 +151,25 @@ class TestRoutingGrid:
         assert grid.occupants(vertex) == {"a"}
         assert grid.vertex_color(vertex) == 1
 
+    def test_release_clears_colors_placed_without_occupancy(self):
+        grid = RoutingGrid(make_design())
+        alone = GridPoint(0, 2, 2)
+        grid.set_vertex_color(alone, "a", 1)
+        # "a" also colours a vertex that "b" occupies and has coloured.
+        shared = GridPoint(0, 9, 9)
+        grid.occupy(shared, "b")
+        grid.set_vertex_color(shared, "b", 2)
+        grid.set_vertex_color(shared, "a", 0)
+        # ... and one that "c" occupies without a colour.
+        bare = GridPoint(0, 14, 14)
+        grid.occupy(bare, "c")
+        grid.set_vertex_color(bare, "a", 1)
+        assert grid.release_net("a") == 0
+        assert grid.vertex_color(alone) is None
+        assert grid.vertex_color(shared) == 2
+        assert grid.vertex_color(bare) is None
+        assert grid.snapshot_statistics()["colored"] == 1
+
     def test_fixed_colored_obstacle_pressure(self):
         grid = RoutingGrid(make_design(color=1))
         near = grid.nearest_vertex(0, Point(44, 46))
@@ -240,21 +259,21 @@ class TestRoutingGrid:
         problem = decomposer.build_problem(decomposer.extract_units(solution))
         assert [node for node, _index in problem.fixed_colors] == fixed
 
-    def test_snapshot_format_v3_round_trip_and_v2_rejected(self):
+    def test_snapshot_format_v4_round_trip_and_v3_rejected(self):
         grid = RoutingGrid(make_design(color=1))
         grid.occupy(GridPoint(0, 5, 5), "n1")
         grid.set_vertex_color(GridPoint(0, 5, 5), "n1", 2)
         grid.add_history(GridPoint(0, 5, 5), 0.5)
         snapshot = grid.snapshot_state()
-        assert snapshot["format"] == "repro-grid-snapshot-v3"
-        assert "net_pressure" not in snapshot
+        assert snapshot["format"] == "repro-grid-snapshot-v4"
+        assert "net_pressure" not in snapshot and "epoch" not in snapshot
         fresh = RoutingGrid(make_design(color=1))
         fresh.restore_state(snapshot)
         assert json.dumps(fresh.snapshot_state(), sort_keys=True) == json.dumps(
             snapshot, sort_keys=True
         )
         with pytest.raises(ValueError, match="not a repro-grid-snapshot"):
-            fresh.restore_state(dict(snapshot, format="repro-grid-snapshot-v2"))
+            fresh.restore_state(dict(snapshot, format="repro-grid-snapshot-v3"))
 
     def test_reset_routing_state_keeps_blockages_and_fixed_colors(self):
         grid = RoutingGrid(make_design(color=0))

@@ -13,7 +13,7 @@ Run longer campaigns with ``pytest tests/test_incremental_check.py
 import pytest
 
 from repro.bench import SyntheticSpec, generate_design
-from repro.check import DirtyRegionTracker, IncrementalConflictChecker, IncrementalDRCChecker
+from repro.check import IncrementalConflictChecker, IncrementalDRCChecker
 from repro.design import Design
 from repro.dr import DetailedRouter, DRCChecker
 from repro.geometry import GridPoint, Rect
@@ -193,49 +193,57 @@ def test_grid_reset_forces_rebuild():
     assert_matches_oracle(driver)
     driver.grid.reset_routing_state()
     driver.solution.routes.clear()
-    assert driver.inc_drc.tracker.needs_rebuild
-    assert driver.inc_conflicts.tracker.needs_rebuild
     assert_matches_oracle(driver)
 
 
 # ----------------------------------------------------------------------
-# DirtyRegionTracker unit behaviour
+# The dirty set comes from the solution alone
 # ----------------------------------------------------------------------
 
-def make_tracked_grid():
-    spec = SyntheticSpec(name="tracker", seed=1, cols=10, rows=10, num_layers=2,
-                         num_nets=2, obstacle_count=0)
-    design = generate_design(spec)
-    grid = RoutingGrid(design)
-    tracker = DirtyRegionTracker(grid)
-    tracker.consume()  # drop the initial needs_rebuild flag
-    return grid, tracker
+def routed_driver(seed):
+    """Return a driver with four Mr.TPL routes in its solution, checkers refreshed."""
+    driver = MutationDriver(seed=seed, num_nets=5)
+    for name in driver.net_names[:4]:
+        net = driver.design.net_by_name(name)
+        driver.solution.add_route(driver.tpl_router.route_net(net))
+    assert_matches_oracle(driver)
+    return driver
 
 
-def test_tracker_collects_occupancy_and_color_deltas():
-    grid, tracker = make_tracked_grid()
-    vertex = GridPoint(0, 3, 3)
-    grid.occupy(vertex, "netA")
-    grid.set_vertex_color(vertex, "netA", 2)
-    nets, indices, rebuild = tracker.consume()
-    assert nets == {"netA"}
-    assert grid.index_of(vertex) in indices
-    assert not rebuild
-    # Draining empties the tracker.
-    assert tracker.consume() == (set(), set(), False)
+def test_grid_only_mutations_leave_dirty_set_empty():
+    driver = routed_driver(seed=9)
+    grid, solution = driver.grid, driver.solution
+    routed = sorted(solution.routes)
+    assert routed
+    vertex = next(iter(solution.routes[routed[0]].vertices))
+    ghost = next(name for name in driver.net_names if name not in solution.routes)
+    grid.occupy(vertex, ghost)
+    grid.set_vertex_color(vertex, ghost, 1)
+    mutations = [
+        lambda: grid.add_history(vertex, 2.0),
+        lambda: grid.decay_history(),
+        lambda: grid.release_net(ghost),
+        lambda: grid.reset_routing_state(),
+    ]
+    for mutate in mutations:
+        mutate()
+        assert driver.inc_drc.refresh(solution) == set()
+        assert driver.inc_conflicts.refresh(solution) == set()
+    assert_matches_oracle(driver)
 
 
-def test_tracker_release_uses_reverse_index():
-    grid, tracker = make_tracked_grid()
-    vertices = [GridPoint(0, 2, row) for row in range(2, 6)]
-    for vertex in vertices:
-        grid.occupy(vertex, "netA")
-    tracker.consume()
-    grid.release_net("netA")
-    nets, indices, _ = tracker.consume()
-    assert nets == {"netA"}
-    assert indices == {grid.index_of(v) for v in vertices}
-
+def test_in_place_set_color_is_revalidated():
+    driver = routed_driver(seed=21)
+    name = next(
+        name for name, route in sorted(driver.solution.routes.items()) if route.vertex_colors
+    )
+    route = driver.solution.routes[name]
+    vertex = sorted(route.vertex_colors)[0]
+    # Recolour the route object only: the grid never hears of it.
+    route.set_color(vertex, (route.vertex_colors[vertex] + 1) % 3)
+    assert driver.inc_drc.refresh(driver.solution) == {name}
+    assert driver.inc_conflicts.refresh(driver.solution) == {name}
+    assert_matches_oracle(driver)
 
 
 def test_conflict_anchor_is_first_vertex_touching_partner_box():

@@ -3,10 +3,11 @@
 :meth:`RoutingGrid.commit_route` applies one net's whole recorded commit
 log in one pass.  Random route logs go through it on one grid and op by op
 through :meth:`RoutingGrid.apply_op` on an identically built twin; after
-every commit and release both grids must hold the same
-:meth:`RoutingGrid.snapshot_state` (pressure bytes included), their
-:class:`~repro.check.DirtyRegionTracker` s the same dirty sets and their
-journals the same ops.
+every commit both grids must hold the same
+:meth:`RoutingGrid.snapshot_state` (pressure bytes included) and their
+journals the same ops, and after every release each vertex the released net
+occupied or coloured must carry the mask of its single remaining owner, or
+no colour.
 
 Every router computes a route against a grid that holds none of the net's
 metal, so ``compute_route`` must leave the grid untouched, and the route
@@ -22,7 +23,6 @@ import pytest
 
 from repro.baselines import Dac2012Router
 from repro.bench import suite_case
-from repro.check import DirtyRegionTracker
 from repro.design import Design, Obstacle
 from repro.dr import DetailedRouter
 from repro.geometry import Rect
@@ -121,17 +121,21 @@ def test_route_commit_matches_op_by_op(seed, rng_rounds):
     for round_number in range(rng_rounds):
         params = random_params(rng)
         routed, stepped = build_grid(params), build_grid(params)
-        trackers = [DirtyRegionTracker(grid) for grid in (routed, stepped)]
         journals = [grid.attach_journal() for grid in (routed, stepped)]
         net_ids = {name: [grid.net_id(name) for grid in (routed, stepped)] for name in NETS}
-        metal = {}
+        metal, occupied, colors = {}, {}, {}
         for step in range(8):
             name = rng.choice(NETS)
             context = f"seed {seed}, round {round_number}, step {step}"
             if name in metal:
+                released = metal.pop(name)
+                del occupied[name], colors[name]
                 for grid in (routed, stepped):
                     grid.release_net(name)
-                del metal[name]
+                    for index in released:
+                        owners = [net for net, held in occupied.items() if index in held]
+                        expected = colors[owners[0]].get(index) if len(owners) == 1 else None
+                        assert grid.vertex_color_index(index) == expected, context
                 coverage["release"] += 1
             foreign = sorted(index for indices in metal.values() for index in indices)
             net_id = net_ids[name][0]
@@ -141,8 +145,9 @@ def test_route_commit_matches_op_by_op(seed, rng_rounds):
             for op in ops:
                 stepped.apply_op(op)
             metal[name] = {op[2] for op in ops}
+            occupied[name] = {op[2] for op in ops if op[0] == OP_OCCUPY}
+            colors[name] = {op[2]: op[3] for op in ops if op[0] == OP_COLOR}
             assert routed.snapshot_state() == stepped.snapshot_state(), context
-            assert trackers[0].consume() == trackers[1].consume(), context
             assert list(journals[0]) == list(journals[1]), context
     for case in ("recolour", "multi-owner", "layer1", "layer2", "clipped", "release"):
         assert coverage[case] > 0, coverage
