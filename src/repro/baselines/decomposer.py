@@ -267,7 +267,9 @@ class LayoutDecomposer:
         problem = ColoringProblem(
             conflict_weight=self.conflict_weight, stitch_weight=self.stitch_weight
         )
-        unit_of_vertex: Dict[Tuple[str, GridPoint], UnitId] = {}
+        # Per net: flat vertex index -> the unit holding that vertex.
+        unit_of_index: Dict[str, Dict[int, UnitId]] = defaultdict(dict)
+        index_of = self.grid.index_of
         # Per layer: track key -> positions of the units covering that vertex.
         owners_by_layer: Dict[int, Dict[int, List[int]]] = defaultdict(dict)
         windows: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
@@ -278,8 +280,9 @@ class LayoutDecomposer:
                 )
             stride = windows[unit.layer][0]
             owners = owners_by_layer[unit.layer]
+            net_units = unit_of_index[unit.net_name]
             for vertex in unit.vertices:
-                unit_of_vertex[(unit.net_name, vertex)] = unit.unit_id
+                net_units[index_of(vertex)] = unit.unit_id
                 owners.setdefault(vertex.col * stride + vertex.row, []).append(position)
 
         # Conflict edges: different nets, same layer, within Dcolor.
@@ -304,10 +307,9 @@ class LayoutDecomposer:
         # Stitch edges: same net, same layer, adjacent units (share a routed edge).
         stitch_pairs: Set[Tuple[UnitId, UnitId]] = set()
         for unit in units:
-            for vertex in unit.vertices:
-                for neighbor_unit in self._adjacent_units_of(vertex, unit, unit_of_vertex):
-                    pair = tuple(sorted((unit.unit_id, neighbor_unit)))
-                    stitch_pairs.add(pair)  # type: ignore[arg-type]
+            for neighbor_unit in self._adjacent_units_of(unit, unit_of_index[unit.net_name]):
+                pair = tuple(sorted((unit.unit_id, neighbor_unit)))
+                stitch_pairs.add(pair)  # type: ignore[arg-type]
         problem.stitch_edges = sorted(stitch_pairs - conflict_pairs)
 
         # Pre-colored obstacles become fixed pseudo-units.
@@ -330,18 +332,30 @@ class LayoutDecomposer:
                     problem.conflict_edges.append((node, unit.unit_id))
         return problem
 
-    def _adjacent_units_of(
-        self,
-        vertex: GridPoint,
-        unit: ColoringUnit,
-        unit_of_vertex: Dict[Tuple[str, GridPoint], UnitId],
-    ) -> List[UnitId]:
+    def _adjacent_units_of(self, unit: ColoringUnit, net_units: Dict[int, UnitId]) -> List[UnitId]:
+        """Return the other units of *unit*'s net planar-adjacent to its vertices.
+
+        *net_units* maps the net's flat vertex indices to their units.
+        """
+        grid = self.grid
+        num_cols, num_rows = grid.num_cols, grid.num_rows
+        index_of = grid.index_of
         neighbors = []
-        for dcol, drow in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            candidate = GridPoint(vertex.layer, vertex.col + dcol, vertex.row + drow)
-            other = unit_of_vertex.get((unit.net_name, candidate))
-            if other is not None and other != unit.unit_id:
-                neighbors.append(other)
+        for vertex in unit.vertices:
+            index = index_of(vertex)
+            candidates = []
+            if vertex.col + 1 < num_cols:
+                candidates.append(index + num_rows)
+            if vertex.col > 0:
+                candidates.append(index - num_rows)
+            if vertex.row + 1 < num_rows:
+                candidates.append(index + 1)
+            if vertex.row > 0:
+                candidates.append(index - 1)
+            for candidate in candidates:
+                other = net_units.get(candidate)
+                if other is not None and other != unit.unit_id:
+                    neighbors.append(other)
         return neighbors
 
     # ------------------------------------------------------------------

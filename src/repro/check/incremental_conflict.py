@@ -8,8 +8,8 @@ conflict lists stay valid until one of the nets changes:
 * on :meth:`refresh`, the dirty nets -- those whose route's monotone
   ``revision`` stamp changed since the previous refresh (a replaced route
   object, or an in-place :meth:`NetRoute.set_color`), plus those gone from
-  the solution -- get their features re-extracted with the *same*
-  ``_net_features`` routine the full checker uses,
+  the solution -- get their features re-extracted with the full checker's
+  own ``_net_groups`` routine (one union-find over flat vertex indices),
 * every cached pair involving a dirty net is dropped, and partners within
   the interaction radius (``max(Dcolor, min_spacing)``, probed over
   :meth:`RoutingGrid.track_offsets` around the net's feature vertices) are
@@ -172,82 +172,15 @@ class IncrementalConflictChecker:
         self._obstacle_conflicts.pop(name, None)
         self._uncolored.pop(name, None)
 
-    def _extract_features(self, route: NetRoute) -> List[Feature]:
-        """Flat-index twin of the oracle's ``_net_features``.
-
-        Returns the identical feature list -- same partition, same order,
-        same fields -- built with an int-keyed union-find instead of the
-        oracle's GridPoint-keyed DisjointSet.  Extraction runs for every
-        dirty net on every refresh, where GridPoint hashing dominated the
-        profile; group order is preserved because a group enters the result
-        when its first member appears in ``vertex_colors`` order, exactly
-        like the oracle's ``groups[dsu.find(vertex)]`` insertion.  The
-        differential suites pin the equivalence against the oracle.
-        """
-        vertices = route.vertices
-        colored = [
-            (vertex, color)
-            for vertex, color in route.vertex_colors.items()
-            if vertex in vertices
-        ]
-        if not colored:
-            return []
-        index_of = self.grid.index_of
-        color_at: Dict[int, int] = {}
-        parent: Dict[int, int] = {}
-        keyed: List[Tuple[int, GridPoint]] = []
-        for vertex, color in colored:
-            index = index_of(vertex)
-            color_at[index] = color
-            parent[index] = index
-            keyed.append((index, vertex))
-        color_get = color_at.get
-        for a, b in route.edges:
-            if a.layer != b.layer:
-                continue
-            ia = index_of(a)
-            color_a = color_get(ia)
-            if color_a is None:
-                continue
-            ib = index_of(b)
-            if color_get(ib) != color_a:
-                continue
-            # Union by path-halving find; root choice cannot affect the
-            # partition, which is all the oracle's grouping depends on.
-            while parent[ia] != ia:
-                parent[ia] = parent[parent[ia]]
-                ia = parent[ia]
-            while parent[ib] != ib:
-                parent[ib] = parent[parent[ib]]
-                ib = parent[ib]
-            if ia != ib:
-                parent[ib] = ia
-        groups: Dict[int, List[GridPoint]] = {}
-        group_colors: Dict[int, int] = {}
-        for index, vertex in keyed:
-            root = index
-            while parent[root] != root:
-                parent[root] = parent[parent[root]]
-                root = parent[root]
-            members = groups.get(root)
-            if members is None:
-                groups[root] = [vertex]
-                group_colors[root] = color_at[index]
-            else:
-                members.append(vertex)
-        name = route.net_name
-        return [
-            Feature(
-                net_name=name,
-                layer=members[0].layer,
-                color=group_colors[root],
-                vertices=frozenset(members),
-            )
-            for root, members in groups.items()
-        ]
-
     def _add_net(self, name: str, route: NetRoute) -> None:
-        features = self._extract_features(route)
+        # Frozen from the member list, not from a set as the full scan does:
+        # obstacle conflicts are anchored at the first feature vertex in
+        # iteration order, rip-up history goes there, and the routing
+        # digests are pinned to this order.
+        features = [
+            Feature(net_name=name, layer=layer, color=color, vertices=frozenset(members))
+            for layer, color, members in self.oracle._net_groups(route)
+        ]
         index_of = self.grid.index_of
         net_id = self._intern(name)
         owner = self._occ_owner
@@ -268,29 +201,9 @@ class IncrementalConflictChecker:
             obstacle = self.oracle._obstacle_conflicts(features)
             if obstacle:
                 self._obstacle_conflicts[name] = obstacle
-        uncolored = self._count_uncolored(route, entries)
+        uncolored = self.oracle._route_uncolored(route, features)
         if uncolored:
             self._uncolored[name] = uncolored
-
-    def _count_uncolored(self, route: NetRoute, entries: List[_FeatureEntry]) -> int:
-        """Count routed TPL-layer vertices without a mask assignment.
-
-        Equivalent to the oracle's per-vertex ``vertex not in colors``
-        membership walk: the cached feature entries hold exactly the
-        colored vertices that are part of the route, so the count is the
-        route's TPL-layer vertex total minus the entries' TPL-layer vertex
-        total -- no per-vertex hashing.
-        """
-        if not route.routed:
-            return 0
-        layers = self.design.tech.layers
-        total = sum(1 for vertex in route.vertices if layers[vertex.layer].tpl)
-        colored = sum(
-            len(entry.ordered)
-            for entry in entries
-            if layers[entry.feature.layer].tpl
-        )
-        return total - colored
 
     # -- pair scanning ------------------------------------------------------
 

@@ -285,7 +285,7 @@ class IncrementalDRCChecker:
             net = self._routable[name]
             groups = [self.grid.pin_access_vertices(pin) for pin in net.pins]
             self._pin_groups[name] = groups
-        if self._route_connects_all(route, groups):
+        if self.oracle.route_connects_all(route, groups):
             self._opens.pop(name, None)
         else:
             anchor = next(iter(route.vertices), GridPoint(0, 0, 0))
@@ -295,49 +295,6 @@ class IncrementalDRCChecker:
                 location=anchor,
                 detail="routed metal does not connect every pin",
             )
-
-    def _route_connects_all(self, route, groups: List[List[GridPoint]]) -> bool:
-        """Int-keyed twin of :meth:`NetRoute.connects_all`.
-
-        Same union structure over the same members (union-find partitions do
-        not depend on root choice), keyed by flat index so the per-refresh
-        open re-check skips GridPoint hashing on every union/find.
-        """
-        if not groups:
-            return True
-        index_of = self.grid.index_of
-        vertices = route.vertices
-        parent: Dict[int, int] = {}
-        for vertex in vertices:
-            index = index_of(vertex)
-            parent[index] = index
-
-        def find(index: int) -> int:
-            root = parent.setdefault(index, index)
-            while parent[root] != root:
-                parent[root] = parent[parent[root]]
-                root = parent[root]
-            return root
-
-        for a, b in route.edges:
-            root_a = find(index_of(a))
-            root_b = find(index_of(b))
-            if root_a != root_b:
-                parent[root_b] = root_a
-        anchors: List[int] = []
-        for group in groups:
-            touched = [v for v in group if v in vertices]
-            if not touched:
-                return False
-            first = index_of(touched[0])
-            anchors.append(first)
-            for vertex in touched[1:]:
-                root_a = find(first)
-                root_b = find(index_of(vertex))
-                if root_a != root_b:
-                    parent[root_b] = root_a
-        root = find(anchors[0])
-        return all(find(anchor) == root for anchor in anchors[1:])
 
     # ------------------------------------------------------------------
     # Reports (same shapes as the full checker)

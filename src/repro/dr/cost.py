@@ -12,8 +12,10 @@ The model exposes two equivalent query surfaces:
   evaluation, and
 * flat-index variants (``*_index``) used by :class:`repro.search.SearchCore`
   adapters, backed by a precomputed per-layer base-cost table and a per-net
-  byte mask over guide gcells (read through one vertex -> gcell-slot map)
-  so the search hot path performs no geometry work.
+  byte mask over guide gcells, read through one vertex -> gcell-slot map
+  (:class:`~repro.gr.guide.GuideTables`, which the DRC checker's
+  out-of-guide count reads too), so the search hot path performs no
+  geometry work.
 
 Both surfaces add the same terms in the same order, so they produce
 bit-identical costs.
@@ -23,10 +25,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from repro.geometry import GridPoint
-from repro.gr.guide import GuideSet
+from repro.gr.guide import GuideSet, GuideTables
 from repro.grid import ALL_DIRECTIONS, Direction, RoutingGrid
 
 
@@ -78,18 +80,7 @@ class CostModel:
         self.rules = grid.rules
         self.guides = guides
         self._base_cost_table: Optional[List[List[float]]] = None
-        # Guide gcell columns/rows (one of each without a guide set), and
-        # the vertex -> gcell-slot map shared by every net (see
-        # :meth:`guide_slot_map`).
-        gcells = guides.gcell_grid if guides is not None else None
-        self._num_gx = gcells.num_gx if gcells is not None else 1
-        self._num_gy = gcells.num_gy if gcells is not None else 1
-        self._slot_of: Optional[array] = None
-        # Per-net guide masks (one byte per gcell slot).  Guides are
-        # immutable once built, so entries never invalidate; nets without
-        # a guide share one all-ones mask.
-        self._guide_masks: Dict[str, bytes] = {}
-        self._open_mask: Optional[bytes] = None
+        self.guide_tables = GuideTables(grid, guides)
         # ``array('d')`` twin of the base-cost table for the native kernel
         # (C reads it through the buffer protocol; the Python expand
         # closures keep indexing the plain lists).  Built once.
@@ -123,74 +114,21 @@ class CostModel:
         return self._base_cost_table
 
     def guide_slot_map(self) -> array:
-        """Return the ``array('i')`` map from flat vertex index to gcell slot.
+        """Return the vertex -> gcell-slot map of :class:`GuideTables`.
 
-        Slot ``(layer * num_gx + gx) * num_gy + gy`` addresses the gcell
-        holding the vertex, so ``guide_mask(net)[slot_of[index]]`` says
-        whether *index* lies inside the net's guide.  Each grid column/row
-        is bucketed with :meth:`GCellGrid.cell_of_point`'s exact clamped
-        arithmetic (the axes are independent), so lookups agree with
-        per-point ``covers_point`` queries.  Built once per model and shared
-        by every net; without a guide set there is one slot per layer.
+        Built once per model and shared by every net;
+        ``guide_mask(net)[slot_of[index]]`` says whether *index* lies inside
+        the net's guide.
         """
-        if self._slot_of is not None:
-            return self._slot_of
-        grid = self.grid
-        num_gx, num_gy = self._num_gx, self._num_gy
-        if self.guides is None:
-            gx_of = [0] * grid.num_cols
-            gy_of = [0] * grid.num_rows
-        else:
-            gcells = self.guides.gcell_grid
-            size = gcells.gcell_size
-
-            def buckets(count: int, grid_origin: int, gcell_origin: int, limit: int) -> List[int]:
-                start = grid_origin - gcell_origin
-                offsets = (start + ordinal * grid.pitch for ordinal in range(count))
-                return [min(max(offset // size, 0), limit - 1) for offset in offsets]
-
-            gx_of = buckets(grid.num_cols, grid.origin.x, gcells.origin.x, num_gx)
-            gy_of = buckets(grid.num_rows, grid.origin.y, gcells.origin.y, num_gy)
-        # Every grid column of one (layer, gcell column) shares its run of
-        # row slots.
-        columns: Dict[int, array] = {}
-        slot_of = array("i")
-        for layer in range(grid.num_layers):
-            for gx in gx_of:
-                base = (layer * num_gx + gx) * num_gy
-                column = columns.get(base)
-                if column is None:
-                    column = columns[base] = array("i", [base + gy for gy in gy_of])
-                slot_of.extend(column)
-        self._slot_of = slot_of
-        return slot_of
+        return self.guide_tables.slot_map()
 
     def guide_mask(self, net_name: str) -> bytes:
         """Return the net's guide as one byte per gcell slot (1 = in guide).
 
         Indexed through :meth:`guide_slot_map`; a vertex's out-of-guide
         penalty is ``(out_of_guide_penalty, 0.0)[mask[slot_of[index]]]``.
-        Cached for the life of the model, since a net's guide region never
-        changes; unguided nets (and every net without a guide set) share
-        one all-ones mask.
         """
-        mask = self._guide_masks.get(net_name)
-        if mask is not None:
-            return mask
-        num_layers, num_gx, num_gy = self.grid.num_layers, self._num_gx, self._num_gy
-        guide = self.guides.guide_of(net_name) if self.guides is not None else None
-        if guide is None or not guide.cells:
-            if self._open_mask is None:
-                self._open_mask = b"\x01" * (num_layers * num_gx * num_gy)
-            mask = self._open_mask
-        else:
-            inside = bytearray(num_layers * num_gx * num_gy)
-            for cell in guide.cells:
-                if 0 <= cell.layer < num_layers and 0 <= cell.gx < num_gx and 0 <= cell.gy < num_gy:
-                    inside[(cell.layer * num_gx + cell.gx) * num_gy + cell.gy] = 1
-            mask = bytes(inside)
-        self._guide_masks[net_name] = mask
-        return mask
+        return self.guide_tables.mask(net_name)
 
     # -- reference maps (inspection only; no search path reads them) -----
 

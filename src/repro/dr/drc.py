@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.design import Design
 from repro.geometry import GridPoint
-from repro.gr.guide import GuideSet
+from repro.gr.guide import GuideSet, GuideTables
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
 
 
@@ -58,6 +58,7 @@ class DRCChecker:
         self.grid = grid
         self.guides = guides
         self.rules = grid.rules
+        self.guide_tables = GuideTables(grid, guides)
 
     # -- individual checks -----------------------------------------------------
 
@@ -153,7 +154,7 @@ class DRCChecker:
                 )
                 continue
             pin_groups = [self.grid.pin_access_vertices(pin) for pin in net.pins]
-            if not route.connects_all(pin_groups):
+            if not self.route_connects_all(route, pin_groups):
                 anchor = next(iter(route.vertices), GridPoint(0, 0, 0))
                 violations.append(
                     Violation(
@@ -165,6 +166,47 @@ class DRCChecker:
                 )
         return violations
 
+    def route_connects_all(self, route: NetRoute, pin_groups: List[List[GridPoint]]) -> bool:
+        """Return ``True`` when every pin group touches one routed component of *route*.
+
+        ``pin_groups`` holds, per pin, the access vertices of that pin; a
+        pin is reached when at least one of them belongs to the route, and
+        a pin's own access vertices are electrically the same metal.  A
+        union-find over flat vertex indices; the incremental checker's
+        open re-check calls this too.
+        """
+        if not pin_groups:
+            return True
+        index_of = self.grid.index_of
+        parent: Dict[int, int] = {}
+
+        def find(index: int) -> int:
+            root = parent.setdefault(index, index)
+            while parent[root] != root:
+                parent[root] = parent[parent[root]]
+                root = parent[root]
+            return root
+
+        for a, b in route.edges:
+            root_a = find(index_of(a))
+            root_b = find(index_of(b))
+            if root_a != root_b:
+                parent[root_b] = root_a
+        vertices = route.vertices
+        anchors: List[int] = []
+        for group in pin_groups:
+            touched = [index_of(vertex) for vertex in group if vertex in vertices]
+            if not touched:
+                return False
+            anchor = find(touched[0])
+            for index in touched[1:]:
+                root = find(index)
+                if root != anchor:
+                    parent[root] = anchor
+            anchors.append(anchor)
+        root = find(anchors[0])
+        return all(find(anchor) == root for anchor in anchors[1:])
+
     def out_of_guide_vertices(self, solution: RoutingSolution) -> int:
         """Return the number of routed vertices falling outside their net's guide."""
         if self.guides is None:
@@ -174,17 +216,15 @@ class DRCChecker:
     def route_out_of_guide(self, route: NetRoute) -> int:
         """Return the out-of-guide vertex count of one route.
 
-        Per-route building block shared with the incremental checker so the
-        guide-coverage rule has exactly one implementation.
+        Read from the :class:`GuideTables` the search charges its guide
+        penalty from; the incremental checker calls this per route too.
         """
         if self.guides is None:
             return 0
-        count = 0
-        for vertex in route.vertices:
-            point = self.grid.physical_point(vertex)
-            if not self.guides.covers_point(route.net_name, vertex.layer, point):
-                count += 1
-        return count
+        mask = self.guide_tables.mask(route.net_name)
+        slot_of = self.guide_tables.slot_map()
+        index_of = self.grid.index_of
+        return sum(1 for vertex in route.vertices if not mask[slot_of[index_of(vertex)]])
 
     def wrong_way_edges(self, solution: RoutingSolution) -> int:
         """Return the number of planar edges routed against the preferred direction."""

@@ -9,6 +9,7 @@ can charge the out-of-guide penalty of the contest cost model.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -112,3 +113,94 @@ class GuideSet:
             "mean_cells": sum(sizes) / len(sizes),
             "max_cells": max(sizes),
         }
+
+
+class GuideTables:
+    """A guide set read through the flat vertex indices of one routing grid.
+
+    ``mask(net)[slot_map()[index]]`` is 1 when vertex *index* lies inside
+    the net's guide.  The search tiers charge the out-of-guide penalty from
+    these tables and :class:`repro.dr.drc.DRCChecker` counts out-of-guide
+    vertices from them, so guide membership has one implementation.
+    *grid* is a :class:`repro.grid.RoutingGrid`; *guides* may be ``None``,
+    which makes every vertex in-guide.
+    """
+
+    def __init__(self, grid, guides: Optional[GuideSet]) -> None:
+        self.grid = grid
+        self.guides = guides
+        # Guide gcell columns/rows (one of each without a guide set).
+        gcells = guides.gcell_grid if guides is not None else None
+        self._num_gx = gcells.num_gx if gcells is not None else 1
+        self._num_gy = gcells.num_gy if gcells is not None else 1
+        self._slot_of: Optional[array] = None
+        # Guides are immutable once built, so masks never invalidate; nets
+        # without a guide share one all-ones mask.
+        self._masks: Dict[str, bytes] = {}
+        self._open_mask: Optional[bytes] = None
+
+    def slot_map(self) -> array:
+        """Return the ``array('i')`` map from flat vertex index to gcell slot.
+
+        Slot ``(layer * num_gx + gx) * num_gy + gy`` addresses the gcell
+        holding the vertex.  Each grid column/row is bucketed with
+        :meth:`GCellGrid.cell_of_point`'s exact clamped arithmetic (the axes
+        are independent), so lookups agree with per-point
+        :meth:`GuideSet.covers_point` queries.  Built once, lazily; without
+        a guide set there is one slot per layer.
+        """
+        if self._slot_of is not None:
+            return self._slot_of
+        grid = self.grid
+        num_gx, num_gy = self._num_gx, self._num_gy
+        if self.guides is None:
+            gx_of = [0] * grid.num_cols
+            gy_of = [0] * grid.num_rows
+        else:
+            gcells = self.guides.gcell_grid
+            size = gcells.gcell_size
+
+            def buckets(count: int, grid_origin: int, gcell_origin: int, limit: int) -> List[int]:
+                start = grid_origin - gcell_origin
+                offsets = (start + ordinal * grid.pitch for ordinal in range(count))
+                return [min(max(offset // size, 0), limit - 1) for offset in offsets]
+
+            gx_of = buckets(grid.num_cols, grid.origin.x, gcells.origin.x, num_gx)
+            gy_of = buckets(grid.num_rows, grid.origin.y, gcells.origin.y, num_gy)
+        # Every grid column of one (layer, gcell column) shares its run of
+        # row slots.
+        columns: Dict[int, array] = {}
+        slot_of = array("i")
+        for layer in range(grid.num_layers):
+            for gx in gx_of:
+                base = (layer * num_gx + gx) * num_gy
+                column = columns.get(base)
+                if column is None:
+                    column = columns[base] = array("i", [base + gy for gy in gy_of])
+                slot_of.extend(column)
+        self._slot_of = slot_of
+        return slot_of
+
+    def mask(self, net_name: str) -> bytes:
+        """Return the net's guide as one byte per gcell slot (1 = in guide).
+
+        Cached; unguided nets (and every net without a guide set) share one
+        all-ones mask.
+        """
+        mask = self._masks.get(net_name)
+        if mask is not None:
+            return mask
+        num_layers, num_gx, num_gy = self.grid.num_layers, self._num_gx, self._num_gy
+        guide = self.guides.guide_of(net_name) if self.guides is not None else None
+        if guide is None or not guide.cells:
+            if self._open_mask is None:
+                self._open_mask = b"\x01" * (num_layers * num_gx * num_gy)
+            mask = self._open_mask
+        else:
+            inside = bytearray(num_layers * num_gx * num_gy)
+            for cell in guide.cells:
+                if 0 <= cell.layer < num_layers and 0 <= cell.gx < num_gx and 0 <= cell.gy < num_gy:
+                    inside[(cell.layer * num_gx + cell.gx) * num_gy + cell.gy] = 1
+            mask = bytes(inside)
+        self._masks[net_name] = mask
+        return mask

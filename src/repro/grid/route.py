@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.geometry import GridPoint, Point, Segment
-from repro.utils import DisjointSet
 
 #: Process-global monotone revision source for :class:`NetRoute`.  Every
 #: constructed (or unpickled) route gets the next value, so two distinct
@@ -134,42 +133,6 @@ class NetRoute:
     def stitch_count(self) -> int:
         """Return the number of stitches recorded for this net."""
         return len(self.stitches)
-
-    def is_connected(self) -> bool:
-        """Return ``True`` when the routed metal forms a single component."""
-        if not self.vertices:
-            return False
-        if not self.edges:
-            return len(self.vertices) == 1
-        dsu = DisjointSet(self.vertices)
-        for a, b in self.edges:
-            dsu.union(a, b)
-        roots = {dsu.find(v) for v in self.vertices}
-        return len(roots) == 1
-
-    def connects_all(self, pin_vertex_groups: List[List[GridPoint]]) -> bool:
-        """Return ``True`` when every pin group touches the same routed component.
-
-        ``pin_vertex_groups`` holds, per pin, the access vertices of that pin;
-        a pin is reached when at least one of its access vertices belongs to
-        the route.
-        """
-        if not pin_vertex_groups:
-            return True
-        dsu = DisjointSet(self.vertices)
-        for a, b in self.edges:
-            dsu.union(a, b)
-        anchors: List[GridPoint] = []
-        for group in pin_vertex_groups:
-            touched = [v for v in group if v in self.vertices]
-            if not touched:
-                return False
-            anchors.append(touched[0])
-            for vertex in touched[1:]:
-                # A pin's own access vertices are electrically the same metal.
-                dsu.union(touched[0], vertex)
-        first = dsu.find(anchors[0])
-        return all(dsu.find(anchor) == first for anchor in anchors[1:])
 
     def adjacency(self) -> Dict[GridPoint, List[GridPoint]]:
         """Return the adjacency map of the routed tree."""

@@ -35,7 +35,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 from repro.design import Design
 from repro.geometry import GridPoint
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
-from repro.utils import DisjointSet
 
 #: ``(layer, mask) -> [(pseudo-net name, col_lo, col_hi, row_lo, row_hi)]``
 #: per pre-colored obstacle (:meth:`ConflictChecker._obstacle_window_table`).
@@ -130,38 +129,72 @@ class ConflictChecker:
         return features
 
     def _net_features(self, route: NetRoute) -> List[Feature]:
-        colored = {
-            vertex: color
-            for vertex, color in route.vertex_colors.items()
-            if vertex in route.vertices
-        }
-        if not colored:
-            return []
-        dsu = DisjointSet(colored)
+        """Split one route into features (see :meth:`_net_groups`).
+
+        Each feature's vertex set is filled in ``vertex_colors`` order, so
+        its iteration order -- the probe order of :meth:`check`, hence the
+        conflict locations -- depends only on the route.
+        """
+        name = route.net_name
+        return [
+            Feature(net_name=name, layer=layer, color=color, vertices=frozenset(set(members)))
+            for layer, color, members in self._net_groups(route)
+        ]
+
+    def _net_groups(self, route: NetRoute) -> List[Tuple[int, int, List[GridPoint]]]:
+        """Return ``(layer, color, members)`` per feature of *route*.
+
+        A union-find over flat vertex indices: same-layer route edges join
+        colored vertices of equal mask.  Groups come in the order their
+        first member appears in ``vertex_colors``, and so do the members
+        of each group.  The incremental checker extracts dirty nets here
+        too.
+        """
+        vertices = route.vertices
+        index_of = self.grid.index_of
+        color_at: Dict[int, int] = {}
+        parent: Dict[int, int] = {}
+        keyed: List[Tuple[int, GridPoint]] = []
+        for vertex, color in route.vertex_colors.items():
+            if vertex in vertices:
+                index = index_of(vertex)
+                color_at[index] = color
+                parent[index] = index
+                keyed.append((index, vertex))
+        color_get = color_at.get
         for a, b in route.edges:
             if a.layer != b.layer:
                 continue
-            color_a = colored.get(a)
-            color_b = colored.get(b)
-            if color_a is None or color_b is None:
+            ia = index_of(a)
+            color_a = color_get(ia)
+            if color_a is None:
                 continue
-            if color_a == color_b:
-                dsu.union(a, b)
-        groups: Dict[GridPoint, Set[GridPoint]] = defaultdict(set)
-        for vertex in colored:
-            groups[dsu.find(vertex)].add(vertex)
-        features = []
-        for members in groups.values():
-            anchor = next(iter(members))
-            features.append(
-                Feature(
-                    net_name=route.net_name,
-                    layer=anchor.layer,
-                    color=colored[anchor],
-                    vertices=frozenset(members),
-                )
-            )
-        return features
+            ib = index_of(b)
+            if color_get(ib) != color_a:
+                continue
+            while parent[ia] != ia:
+                parent[ia] = parent[parent[ia]]
+                ia = parent[ia]
+            while parent[ib] != ib:
+                parent[ib] = parent[parent[ib]]
+                ib = parent[ib]
+            if ia != ib:
+                parent[ib] = ia
+        groups: Dict[int, List[GridPoint]] = {}
+        for index, vertex in keyed:
+            root = index
+            while parent[root] != root:
+                parent[root] = parent[parent[root]]
+                root = parent[root]
+            members = groups.get(root)
+            if members is None:
+                groups[root] = [vertex]
+            else:
+                members.append(vertex)
+        plane_size = self.grid.plane_size
+        return [
+            (root // plane_size, color_at[root], members) for root, members in groups.items()
+        ]
 
     # ------------------------------------------------------------------
 
@@ -181,8 +214,11 @@ class ConflictChecker:
         solution should never look conflict-free for free.
         """
         report = ConflictReport()
-        features = self.extract_features(solution)
-        report.uncolored_vertices = self._count_uncolored(solution)
+        features: List[Feature] = []
+        for route in solution.routes.values():
+            net_features = self._net_features(route)
+            features.extend(net_features)
+            report.uncolored_vertices += self._route_uncolored(route, net_features)
 
         # Per layer: track key -> the ids of the features covering that
         # vertex, in insertion order (a short puts several on one vertex).
@@ -331,14 +367,15 @@ class ConflictChecker:
                         break
         return conflicts
 
-    def _count_uncolored(self, solution: RoutingSolution) -> int:
-        uncolored = 0
-        for route in solution.routes.values():
-            if not route.routed:
-                continue
-            for vertex in route.vertices:
-                if vertex not in route.vertex_colors:
-                    layer = self.design.tech.layers[vertex.layer]
-                    if layer.tpl:
-                        uncolored += 1
-        return uncolored
+    def _route_uncolored(self, route: NetRoute, features: List[Feature]) -> int:
+        """Return how many TPL-layer vertices of a routed *route* carry no mask.
+
+        *features* are the route's :meth:`_net_features`, which hold exactly
+        its colored vertices, so the count is the route's TPL-layer vertex
+        total minus the features' TPL-layer sizes.
+        """
+        if not route.routed:
+            return 0
+        layers = self.design.tech.layers
+        total = sum(1 for vertex in route.vertices if layers[vertex.layer].tpl)
+        return total - sum(feature.size for feature in features if layers[feature.layer].tpl)

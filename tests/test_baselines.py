@@ -10,9 +10,11 @@ from repro.baselines import (
     color_component_greedy,
     solve_coloring,
 )
+from repro.baselines.decomposer import ColoringUnit
 from repro.bench import SyntheticSpec, generate_design
-from repro.dr import DetailedRouter
+from repro.dr import DetailedRouter, DRCChecker
 from repro.eval import evaluate_solution
+from repro.geometry import GridPoint
 from repro.grid import RoutingGrid
 from repro.tpl import ConflictChecker, MrTPLRouter
 
@@ -104,10 +106,11 @@ class TestDac2012Router:
         design = generate_design(small_spec(seed=17))
         grid = RoutingGrid(design)
         solution = Dac2012Router(design, grid=grid, use_global_router=False).run()
+        drc = DRCChecker(design, grid)
         for net in design.routable_nets():
             route = solution.route_of(net.name)
             groups = [grid.pin_access_vertices(pin) for pin in net.pins]
-            assert route.connects_all(groups), net.name
+            assert drc.route_connects_all(route, groups), net.name
 
     def test_two_pin_topology_spans_pins(self):
         design = generate_design(small_spec(seed=19))
@@ -168,6 +171,29 @@ class TestLayoutDecomposer:
             if not route.routed:
                 continue
             assert sorted(per_net[route.net_name]) == sorted(route.vertices)
+
+    def test_stitch_edges_join_only_planar_neighbours(self):
+        """Same-net units one track apart share a stitch edge; nothing wraps.
+
+        A vertex on the last row and the next column's row 0 have flat
+        indices one apart, yet are not adjacent.
+        """
+        design = generate_design(small_spec())
+        grid = RoutingGrid(design)
+        last = grid.num_rows - 1
+        cells = [
+            ("x", (2, last)), ("x", (3, 0)),  # flat neighbours across a column
+            ("x", (5, 4)), ("x", (5, 5)),  # row neighbours
+            ("x", (7, 4)), ("x", (8, 4)),  # column neighbours
+            ("y", (5, 6)),  # another net next to ("x", 3)
+        ]
+        units = [
+            ColoringUnit(unit_id=(net, position), net_name=net, layer=0,
+                         vertices=[GridPoint(0, col, row)])
+            for position, (net, (col, row)) in enumerate(cells)
+        ]
+        problem = LayoutDecomposer(design, grid).build_problem(units)
+        assert problem.stitch_edges == [(("x", 2), ("x", 3)), (("x", 4), ("x", 5))]
 
     def test_conflict_report_uses_shared_checker(self):
         design, grid, solution = self.make_routed(seed=43)

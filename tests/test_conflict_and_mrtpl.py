@@ -5,6 +5,7 @@ import pytest
 from repro.bench import SyntheticSpec, generate_design
 from repro.bench.micro import fig1_dense_cluster, fig1_multi_pin_net
 from repro.design import Design, Net, Obstacle, Pin
+from repro.dr import DRCChecker
 from repro.eval import evaluate_solution
 from repro.geometry import GridPoint, Rect
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
@@ -133,10 +134,11 @@ class TestMrTPLRouter:
         assert not solution.failed_nets()
         result = evaluate_solution(design, grid, solution)
         assert result.open_nets == 0
+        drc = DRCChecker(design, grid)
         for route in solution.routes.values():
             net = design.net_by_name(route.net_name)
             groups = [grid.pin_access_vertices(pin) for pin in net.pins]
-            assert route.connects_all(groups)
+            assert drc.route_connects_all(route, groups)
 
     def test_every_routed_wire_vertex_has_exactly_one_mask(self):
         design = generate_design(small_spec(seed=21))

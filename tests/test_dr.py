@@ -123,7 +123,7 @@ class TestDetailedRouter:
         route = solution.route_of("n1")
         assert route.routed
         pin_groups = [grid.pin_access_vertices(pin) for pin in design.nets[0].pins]
-        assert route.connects_all(pin_groups)
+        assert DRCChecker(design, grid).route_connects_all(route, pin_groups)
         assert route.wirelength() > 0
 
     def test_routes_synthetic_case_without_opens(self):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.decomposer import LayoutDecomposer
 from repro.check import IncrementalConflictChecker
 from repro.design import Design, Net, Obstacle, Pin
+from repro.dr import DRCChecker
 from repro.geometry import GridPoint, Point, Rect
 from repro.grid import (
     ALL_DIRECTIONS,
@@ -321,26 +322,35 @@ class TestGCellGrid:
             assert gcells.in_bounds(neighbor)
 
 
+def connects_every_vertex(route):
+    """Return whether *route*'s metal is one component, by the DRC oracle."""
+    design = make_design()
+    drc = DRCChecker(design, RoutingGrid(design))
+    return drc.route_connects_all(route, [[vertex] for vertex in route.vertices])
+
+
 class TestNetRoute:
     def test_add_path_and_metrics(self):
         route = NetRoute(net_name="n")
         path = [GridPoint(0, 0, 0), GridPoint(0, 1, 0), GridPoint(1, 1, 0), GridPoint(1, 1, 1)]
         route.add_path(path)
         assert route.wirelength() == 2 and route.via_count() == 1
-        assert route.is_connected()
+        assert connects_every_vertex(route)
 
     def test_connects_all(self):
+        design = make_design()
+        drc = DRCChecker(design, RoutingGrid(design))
         route = NetRoute(net_name="n")
         route.add_path([GridPoint(0, 0, 0), GridPoint(0, 1, 0), GridPoint(0, 2, 0)])
         groups = [[GridPoint(0, 0, 0)], [GridPoint(0, 2, 0)]]
-        assert route.connects_all(groups)
-        assert not route.connects_all(groups + [[GridPoint(0, 9, 9)]])
+        assert drc.route_connects_all(route, groups)
+        assert not drc.route_connects_all(route, groups + [[GridPoint(0, 9, 9)]])
 
     def test_disconnected_route(self):
         route = NetRoute(net_name="n")
         route.add_edge(GridPoint(0, 0, 0), GridPoint(0, 1, 0))
         route.add_edge(GridPoint(0, 5, 5), GridPoint(0, 6, 5))
-        assert not route.is_connected()
+        assert not connects_every_vertex(route)
 
     def test_stitch_canonical_order(self):
         a, b = GridPoint(0, 2, 2), GridPoint(0, 1, 2)

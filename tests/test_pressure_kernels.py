@@ -80,8 +80,8 @@ class TestSnapshotKernels:
         model = router.cost_model
         gcells = router.guides.gcell_grid
         size = router.grid.num_layers * gcells.num_gx * gcells.num_gy
-        assert model._guide_masks
-        assert all(len(mask) == size for mask in model._guide_masks.values())
+        assert model.guide_tables._masks
+        assert all(len(mask) == size for mask in model.guide_tables._masks.values())
         assert slot_maps and all(slot_map is slot_maps[0] for slot_map in slot_maps)
 
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils import DisjointSet, SeededRNG, Stopwatch, Timer, UpdatablePriorityQueue
+from repro.utils import SeededRNG, Stopwatch, Timer, UpdatablePriorityQueue
 
 
 class TestUpdatablePriorityQueue:
@@ -67,46 +67,6 @@ class TestUpdatablePriorityQueue:
             popped.append(priority)
         assert popped == sorted(popped)
         assert not reference
-
-
-class TestDisjointSet:
-    def test_union_find(self):
-        dsu = DisjointSet()
-        dsu.union(1, 2)
-        dsu.union(3, 4)
-        assert dsu.connected(1, 2)
-        assert not dsu.connected(1, 3)
-        dsu.union(2, 3)
-        assert dsu.connected(1, 4)
-
-    def test_component_count_and_sizes(self):
-        dsu = DisjointSet(range(5))
-        assert dsu.component_count() == 5
-        dsu.union(0, 1)
-        dsu.union(1, 2)
-        assert dsu.component_count() == 3
-        assert dsu.size_of(2) == 3
-        assert dsu.size_of(4) == 1
-
-    def test_components(self):
-        dsu = DisjointSet()
-        dsu.union("a", "b")
-        dsu.add("c")
-        groups = sorted(sorted(group) for group in dsu.components())
-        assert groups == [["a", "b"], ["c"]]
-
-    @given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=50))
-    def test_matches_naive_partition(self, unions):
-        dsu = DisjointSet(range(16))
-        naive = {i: {i} for i in range(16)}
-        for a, b in unions:
-            dsu.union(a, b)
-            merged = naive[a] | naive[b]
-            for member in merged:
-                naive[member] = merged
-        for a in range(16):
-            for b in range(16):
-                assert dsu.connected(a, b) == (b in naive[a])
 
 
 class TestTimers:
