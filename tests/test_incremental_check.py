@@ -166,12 +166,7 @@ def test_randomized_mutations_match_full_scan(seed, rng_rounds):
 
 
 def test_full_router_flows_match_full_scan():
-    """After complete router runs the incremental tallies still equal a re-scan.
-
-    The checkers read only the solution, so checkers built over a second
-    grid of the same design, which saw none of the routing, agree with
-    that grid's full-scan oracles too.
-    """
+    """After complete router runs the incremental tallies still equal a re-scan."""
     spec = SyntheticSpec(
         name="inc-flow", seed=11, cols=16, rows=16, num_layers=3, num_nets=8,
         color_spacing=10, net_radius=8, obstacle_count=2,
@@ -187,19 +182,6 @@ def test_full_router_flows_match_full_scan():
     )
     assert conflict_digest(inc_conflicts.check(solution)) == conflict_digest(
         ConflictChecker(design, grid).check(solution)
-    )
-
-    replica = RoutingGrid(design)
-    replica_drc = IncrementalDRCChecker(design, replica)
-    replica_conflicts = IncrementalConflictChecker(design, replica)
-    empty = RoutingSolution(design_name=design.name, router_name="harness")
-    replica_drc.check(empty)
-    replica_conflicts.check(empty)
-    assert drc_digest(replica_drc.check(solution)) == drc_digest(
-        DRCChecker(design, replica).check(solution)
-    )
-    assert conflict_digest(replica_conflicts.check(solution)) == conflict_digest(
-        ConflictChecker(design, replica).check(solution)
     )
 
 
