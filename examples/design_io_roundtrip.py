@@ -68,7 +68,7 @@ def main() -> None:
     reloaded_def = read_def_lite(def_path)
     reloaded_json = load_design_json(json_path)
     reloaded_guides = read_guides(guide_path, GCellGrid(design, gcell_size=16))
-    reloaded_solution = load_solution_json(solution_path)
+    reloaded_solution = load_solution_json(solution_path, grid.route_dims)
 
     assert len(reloaded_def.nets) == len(design.nets)
     assert len(reloaded_json.nets) == len(design.nets)

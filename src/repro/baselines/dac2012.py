@@ -71,11 +71,11 @@ class MaskExpandedSearch:
         sources: List[MaskedVertex],
         targets: Set[GridPoint],
         net_name: str,
-    ) -> Optional[List[MaskedVertex]]:
+    ) -> Optional[List[Tuple[int, int]]]:
         """Search from *sources* to any vertex of *targets* (any mask).
 
-        Returns the ``(vertex, mask)`` path ordered source-first, or ``None``
-        when the search exhausts.
+        Returns the ``(flat index, mask)`` path ordered source-first, or
+        ``None`` when the search exhausts.
         """
         if not targets:
             return None
@@ -100,8 +100,7 @@ class MaskExpandedSearch:
             return None
         nodes = core.node_path()
         nodes.reverse()
-        vertex_of = grid.vertex_of
-        return [(vertex_of(node // 3), node % 3) for node in nodes]
+        return [divmod(node, 3) for node in nodes]
 
     def _make_expand(
         self, net_name: str, net_id: int
@@ -227,14 +226,16 @@ class Dac2012Router(CampaignRouter):
         """
         if engine is None:
             engine = self.two_pin_engine
-        route = NetRoute(net_name=net.name)
-        pin_groups = [self.grid.pin_access_vertices(pin) for pin in net.pins]
+        grid = self.grid
+        route = NetRoute(net.name, grid.route_dims)
+        pin_groups = [grid.pin_access_vertices(pin) for pin in net.pins]
         if any(not group for group in pin_groups):
             route.routed = False
             route.failure_reason = "pin without reachable access vertex"
             return route
+        index_of = grid.index_of
         for group in pin_groups:
-            route.vertices.update(group)
+            route.nodes.update([index_of(vertex) for vertex in group])
 
         for index_a, index_b in self._two_pin_topology(net):
             found = self._route_two_pin(
@@ -249,8 +250,7 @@ class Dac2012Router(CampaignRouter):
                 break
 
         if route.routed:
-            for vertex in route.vertices:
-                sink.occupy(vertex)
+            sink.occupy_all(route.nodes)
             route.recount_stitches()
         return route
 
@@ -283,11 +283,15 @@ class Dac2012Router(CampaignRouter):
         -- the defining limitation of the 2-pin formulation.
         """
         net_name = route.net_name
+        index_of = self.grid.index_of
+        blocked = self.grid.blocked_buffer()
+        committed_get = route.node_colors.get
         sources: List[MaskedVertex] = []
         for vertex in source_group:
-            if self.grid.is_blocked(vertex):
+            node = index_of(vertex)
+            if blocked[node]:
                 continue
-            committed = route.vertex_colors.get(vertex)
+            committed = committed_get(node)
             colors = [committed] if committed is not None else list(ALL_COLORS)
             for color in colors:
                 sources.append((vertex, color))
@@ -297,12 +301,12 @@ class Dac2012Router(CampaignRouter):
         if path is None:
             return False
 
-        previous_vertex: Optional[GridPoint] = None
-        for vertex, color in path:
-            if previous_vertex is not None and previous_vertex != vertex:
-                route.add_edge(previous_vertex, vertex)
-            previous_vertex = vertex
-            route.set_color(vertex, color)
-            sink.set_color(vertex, color)
-            sink.occupy(vertex)
+        previous: Optional[int] = None
+        for node, color in path:
+            if previous is not None and previous != node:
+                route.add_node_path((previous, node))
+            previous = node
+            route.set_node_color(node, color)
+            sink.set_color(node, color)
+            sink.occupy(node)
         return True

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.design import Design
-from repro.geometry import GridPoint
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
 from repro.baselines.coloring import ColoringProblem, solve_coloring
 from repro.tpl.conflict import ConflictChecker, ConflictReport
@@ -44,12 +43,12 @@ UnitId = Tuple[str, int]
 
 @dataclass
 class ColoringUnit:
-    """A straight run of one net's routed metal on one layer."""
+    """A straight run of one net's routed metal on one layer (flat indices)."""
 
     unit_id: UnitId
     net_name: str
     layer: int
-    vertices: List[GridPoint] = field(default_factory=list)
+    nodes: List[int] = field(default_factory=list)
 
 
 @dataclass
@@ -149,15 +148,16 @@ class LayoutDecomposer:
 
     def _net_units(self, route: NetRoute) -> List[ColoringUnit]:
         adjacency = route.adjacency()
-        vertices_by_layer: Dict[int, List[GridPoint]] = defaultdict(list)
-        for vertex in route.vertices:
-            vertices_by_layer[vertex.layer].append(vertex)
+        plane_size = self.grid.plane_size
+        nodes_by_layer: Dict[int, List[int]] = defaultdict(list)
+        for node in route.nodes:
+            nodes_by_layer[node // plane_size].append(node)
 
         if not self.stitch_candidates:
-            return self._polygon_units(route, adjacency, vertices_by_layer)
+            return self._polygon_units(route, adjacency, nodes_by_layer)
 
         units: List[ColoringUnit] = []
-        assigned: Dict[GridPoint, int] = {}
+        assigned: Dict[int, int] = {}
         counter = 0
 
         def new_unit(layer: int) -> ColoringUnit:
@@ -169,52 +169,53 @@ class LayoutDecomposer:
             units.append(unit)
             return unit
 
-        for layer, vertices in sorted(vertices_by_layer.items()):
+        for layer, nodes in sorted(nodes_by_layer.items()):
             # Horizontal runs first: consecutive columns in the same row that
             # are actually connected by route edges.
-            for vertex in sorted(vertices):
-                if vertex in assigned:
+            for node in sorted(nodes):
+                if node in assigned:
                     continue
-                run = self._collect_run(vertex, adjacency, horizontal=True)
+                run = self._collect_run(node, adjacency, horizontal=True)
                 if len(run) > 1:
                     unit = new_unit(layer)
                     for member in run:
                         if member not in assigned:
                             assigned[member] = len(units) - 1
-                            unit.vertices.append(member)
+                            unit.nodes.append(member)
             # Vertical runs over whatever is left, then isolated vertices.
-            for vertex in sorted(vertices):
-                if vertex in assigned:
+            for node in sorted(nodes):
+                if node in assigned:
                     continue
-                run = self._collect_run(vertex, adjacency, horizontal=False)
+                run = self._collect_run(node, adjacency, horizontal=False)
                 unit = new_unit(layer)
                 for member in run:
                     if member not in assigned:
                         assigned[member] = len(units) - 1
-                        unit.vertices.append(member)
-        return [unit for unit in units if unit.vertices]
+                        unit.nodes.append(member)
+        return [unit for unit in units if unit.nodes]
 
     def _polygon_units(
         self,
         route: NetRoute,
-        adjacency: Dict[GridPoint, List[GridPoint]],
-        vertices_by_layer: Dict[int, List[GridPoint]],
+        adjacency: Dict[int, List[int]],
+        nodes_by_layer: Dict[int, List[int]],
     ) -> List[ColoringUnit]:
         """Return one unit per same-layer connected component (no stitch candidates)."""
         units: List[ColoringUnit] = []
         counter = 0
-        for layer, vertices in sorted(vertices_by_layer.items()):
-            remaining = set(vertices)
+        plane_size = self.grid.plane_size
+        for layer, nodes in sorted(nodes_by_layer.items()):
+            remaining = set(nodes)
             while remaining:
                 seed = min(remaining)
-                component: List[GridPoint] = []
+                component: List[int] = []
                 stack = [seed]
                 seen = {seed}
                 while stack:
-                    vertex = stack.pop()
-                    component.append(vertex)
-                    for neighbor in adjacency.get(vertex, ()):
-                        if neighbor.layer == layer and neighbor not in seen:
+                    node = stack.pop()
+                    component.append(node)
+                    for neighbor in adjacency.get(node, ()):
+                        if neighbor // plane_size == layer and neighbor not in seen:
                             seen.add(neighbor)
                             stack.append(neighbor)
                 remaining -= seen
@@ -223,7 +224,7 @@ class LayoutDecomposer:
                         unit_id=(route.net_name, counter),
                         net_name=route.net_name,
                         layer=layer,
-                        vertices=sorted(component),
+                        nodes=sorted(component),
                     )
                 )
                 counter += 1
@@ -231,28 +232,33 @@ class LayoutDecomposer:
 
     def _collect_run(
         self,
-        seed: GridPoint,
-        adjacency: Dict[GridPoint, List[GridPoint]],
+        seed: int,
+        adjacency: Dict[int, List[int]],
         horizontal: bool,
-    ) -> List[GridPoint]:
-        """Return the maximal straight run through *seed* in one axis."""
+    ) -> List[int]:
+        """Return the maximal straight run through *seed* in one axis.
 
-        def step_matches(a: GridPoint, b: GridPoint) -> bool:
-            if a.layer != b.layer:
+        On flat indices a same-layer column step is ``num_rows`` apart and
+        a row step ``1`` apart within one column.
+        """
+        plane_size, num_rows = self.grid.plane_size, self.grid.num_rows
+
+        def step_matches(a: int, b: int) -> bool:
+            if a // plane_size != b // plane_size:
                 return False
             if horizontal:
-                return a.row == b.row and abs(a.col - b.col) == 1
-            return a.col == b.col and abs(a.row - b.row) == 1
+                return abs(a - b) == num_rows
+            return abs(a - b) == 1 and a // num_rows == b // num_rows
 
         run = [seed]
         frontier = [seed]
         visited = {seed}
         while frontier:
-            vertex = frontier.pop()
-            for neighbor in adjacency.get(vertex, ()):
+            node = frontier.pop()
+            for neighbor in adjacency.get(node, ()):
                 if neighbor in visited:
                     continue
-                if step_matches(vertex, neighbor):
+                if step_matches(node, neighbor):
                     visited.add(neighbor)
                     run.append(neighbor)
                     frontier.append(neighbor)
@@ -269,7 +275,11 @@ class LayoutDecomposer:
         )
         # Per net: flat vertex index -> the unit holding that vertex.
         unit_of_index: Dict[str, Dict[int, UnitId]] = defaultdict(dict)
-        index_of = self.grid.index_of
+        plane_size, num_rows = self.grid.plane_size, self.grid.num_rows
+        # Per unit: the (col, row) track cell of each of its vertices.
+        cells: List[List[Tuple[int, int]]] = [
+            [divmod(node % plane_size, num_rows) for node in unit.nodes] for unit in units
+        ]
         # Per layer: track key -> positions of the units covering that vertex.
         owners_by_layer: Dict[int, Dict[int, List[int]]] = defaultdict(dict)
         windows: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
@@ -281,17 +291,17 @@ class LayoutDecomposer:
             stride = windows[unit.layer][0]
             owners = owners_by_layer[unit.layer]
             net_units = unit_of_index[unit.net_name]
-            for vertex in unit.vertices:
-                net_units[index_of(vertex)] = unit.unit_id
-                owners.setdefault(vertex.col * stride + vertex.row, []).append(position)
+            for node, (col, row) in zip(unit.nodes, cells[position]):
+                net_units[node] = unit.unit_id
+                owners.setdefault(col * stride + row, []).append(position)
 
         # Conflict edges: different nets, same layer, within Dcolor.
         conflict_pairs: Set[Tuple[UnitId, UnitId]] = set()
         for position, unit in enumerate(units):
             stride, window = windows[unit.layer]
             owners = owners_by_layer[unit.layer]
-            for vertex in unit.vertices:
-                base = vertex.col * stride + vertex.row
+            for col, row in cells[position]:
+                base = col * stride + row
                 for delta in window:
                     for other_position in owners.get(base + delta, ()):
                         # Lower positions already added this pair from their side.
@@ -322,12 +332,12 @@ class LayoutDecomposer:
             if window is None:
                 continue
             col_lo, col_hi, row_lo, row_hi = window
-            for unit in units:
+            for position, unit in enumerate(units):
                 if unit.layer != obstacle.layer:
                     continue
                 if any(
-                    col_lo <= v.col <= col_hi and row_lo <= v.row <= row_hi
-                    for v in unit.vertices
+                    col_lo <= col <= col_hi and row_lo <= row <= row_hi
+                    for col, row in cells[position]
                 ):
                     problem.conflict_edges.append((node, unit.unit_id))
         return problem
@@ -336,21 +346,23 @@ class LayoutDecomposer:
         """Return the other units of *unit*'s net planar-adjacent to its vertices.
 
         *net_units* maps the net's flat vertex indices to their units.
+        Index +- 1 wraps across columns and +- ``num_rows`` across the
+        die edge, so each step is guarded by the vertex's row / column.
         """
         grid = self.grid
+        plane_size = grid.plane_size
         num_cols, num_rows = grid.num_cols, grid.num_rows
-        index_of = grid.index_of
         neighbors = []
-        for vertex in unit.vertices:
-            index = index_of(vertex)
+        for index in unit.nodes:
+            col, row = divmod(index % plane_size, num_rows)
             candidates = []
-            if vertex.col + 1 < num_cols:
+            if col + 1 < num_cols:
                 candidates.append(index + num_rows)
-            if vertex.col > 0:
+            if col > 0:
                 candidates.append(index - num_rows)
-            if vertex.row + 1 < num_rows:
+            if row + 1 < num_rows:
                 candidates.append(index + 1)
-            if vertex.row > 0:
+            if row > 0:
                 candidates.append(index - 1)
             for candidate in candidates:
                 other = net_units.get(candidate)
@@ -377,8 +389,9 @@ class LayoutDecomposer:
         for route in solution.routes.values():
             clone = NetRoute(
                 net_name=route.net_name,
-                vertices=set(route.vertices),
-                edges=set(route.edges),
+                dims=route.dims,
+                nodes=set(route.nodes),
+                node_edges=set(route.node_edges),
                 routed=route.routed,
                 failure_reason=route.failure_reason,
             )
@@ -388,8 +401,8 @@ class LayoutDecomposer:
             if color is None:
                 continue
             route = colored.routes[unit.net_name]
-            for vertex in unit.vertices:
-                route.set_color(vertex, color)
+            for node in unit.nodes:
+                route.set_node_color(node, color)
         for route in colored.routes.values():
             route.recount_stitches()
         return colored

@@ -309,12 +309,11 @@ class CampaignRouter:
         for name in changed:
             route = best_routes[name]
             sink = RecordingSink(self.grid, name)
-            for vertex, color in route.vertex_colors.items():
-                sink.set_color(vertex, color)
+            for node, color in route.node_colors.items():
+                sink.set_color(node, color)
             # A failed route's own commit stopped at its partial paths (and,
             # for Mr.TPL, their pins): re-occupy its coloured vertices only.
-            for vertex in route.vertices if route.routed else route.vertex_colors:
-                sink.occupy(vertex)
+            sink.occupy_all(route.nodes if route.routed else route.node_colors)
             commit.apply_route_ops(self.grid, sink.ops)
             solution.routes[name] = route
 

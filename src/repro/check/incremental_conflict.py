@@ -13,7 +13,7 @@ conflict lists stay valid until one of the nets changes:
 * every cached pair involving a dirty net is dropped, and partners within
   the interaction radius (``max(Dcolor, min_spacing)``, probed over
   :meth:`RoutingGrid.track_offsets` around the net's feature vertices) are
-  re-classified with the full checker's own ``_classify_pair`` /
+  re-classified with the full checker's own ``_pair_kind`` /
   ``_obstacle_conflicts`` helpers, so kinds and thresholds cannot drift
   apart,
 * per-net obstacle-conflict and uncolored-vertex tallies are recomputed for
@@ -37,27 +37,35 @@ from typing import Dict, List, NamedTuple, Set, Tuple
 
 from repro.check.kernels import OffsetBuffers, offset_buffers, scan_hits, zero_owner_mirror
 from repro.design import Design
-from repro.geometry import GridPoint
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
-from repro.tpl.conflict import ColorConflict, ConflictChecker, ConflictReport, Feature
+from repro.tpl.conflict import ColorConflict, ConflictChecker, ConflictReport
 
 #: Canonical unordered net-pair key.
 NetPair = Tuple[str, str]
 
 
 class _FeatureEntry(NamedTuple):
-    """One cached feature with everything the scan/classify paths need.
+    """One cached feature on flat vertex indices.
 
-    ``box`` is the feature's track bounding box ``(col_lo, col_hi, row_lo,
-    row_hi)``; ``ordered`` holds its vertices in sorted order (the
-    conflict-anchor search walks them, and the sorted order reproduces the
-    reference ``min``'s smallest-vertex tie-breaking exactly).
+    ``members`` are the feature's indices in extraction order (an obstacle
+    conflict is anchored in the iteration order of their frozen
+    ``GridPoint`` copy); ``indices`` holds them sorted, and ``cols`` /
+    ``rows`` their track coordinates in that order (the conflict-anchor
+    search walks them, and the sorted order reproduces the reference
+    ``min``'s smallest-vertex tie-breaking exactly); ``box`` is the track
+    bounding box ``(col_lo, col_hi, row_lo, row_hi)``.  The fields
+    :meth:`ConflictChecker._pair_kind` and ``_obstacle_conflicts`` read are
+    named as on :class:`~repro.tpl.conflict.Feature`.
     """
 
-    feature: Feature
-    box: Tuple[int, int, int, int]
+    net_name: str
+    layer: int
+    color: int
+    members: List[int]
     indices: array
-    ordered: Tuple[GridPoint, ...]
+    cols: Tuple[int, ...]
+    rows: Tuple[int, ...]
+    box: Tuple[int, int, int, int]
 
 
 class IncrementalConflictChecker:
@@ -70,12 +78,16 @@ class IncrementalConflictChecker:
         self.oracle = ConflictChecker(design, grid)
         # Per layer: the interaction offsets as kernel buffers.
         self._layer_offsets: Dict[int, OffsetBuffers] = {}
+        # Per layer: the track reach within which a feature pair can conflict.
+        self._pair_reach = [
+            max(self.oracle._layer_reaches(layer)) for layer in range(grid.num_layers)
+        ]
         # The first refresh validates every net of the solution.
         self._built = False
         self._route_revisions: Dict[str, int] = {}
-        # Per net: features plus their track bounding boxes (pair
-        # prefilter), flat vertex indices (the scan kernels' input) and
-        # sorted vertices (the anchor search's input).
+        # Per net: its feature entries (bounding boxes for the pair
+        # prefilter, flat indices for the scan kernels, sorted track
+        # coordinates for the threshold walk and the anchor search).
         self._features: Dict[str, List[_FeatureEntry]] = {}
         # Flat index -> names of nets with a feature vertex there.
         self._occ: Dict[int, Set[str]] = {}
@@ -173,35 +185,50 @@ class IncrementalConflictChecker:
         self._uncolored.pop(name, None)
 
     def _add_net(self, name: str, route: NetRoute) -> None:
-        # Frozen from the member list, not from a set as the full scan does:
-        # obstacle conflicts are anchored at the first feature vertex in
-        # iteration order, rip-up history goes there, and the routing
-        # digests are pinned to this order.
-        features = [
-            Feature(net_name=name, layer=layer, color=color, vertices=frozenset(members))
-            for layer, color, members in self.oracle._net_groups(route)
-        ]
-        index_of = self.grid.index_of
+        grid = self.grid
+        plane_size, num_rows = grid.plane_size, grid.num_rows
+        vertex_of = grid.vertex_of
         net_id = self._intern(name)
         owner = self._occ_owner
+        occ_setdefault = self._occ.setdefault
         entries: List[_FeatureEntry] = []
-        for feature in features:
-            ordered = tuple(sorted(feature.vertices))
-            cols = [v.col for v in ordered]
-            rows = [v.row for v in ordered]
-            box = (min(cols), max(cols), min(rows), max(rows))
-            indices = array("q", [index_of(v) for v in ordered])
-            entries.append(_FeatureEntry(feature, box, indices, ordered))
+        obstacle: List[ColorConflict] = []
+        for layer, color, members in self.oracle._net_groups(route):
+            indices = array("q", sorted(members))
+            base = layer * plane_size
+            cols = []
+            rows = []
             for index in indices:
-                occ = self._occ.setdefault(index, set())
+                col, row = divmod(index - base, num_rows)
+                cols.append(col)
+                rows.append(row)
+                occ = occ_setdefault(index, set())
                 occ.add(name)
                 owner[index] = net_id if len(occ) == 1 else -1
+            entry = _FeatureEntry(
+                name,
+                layer,
+                color,
+                members,
+                indices,
+                tuple(cols),
+                tuple(rows),
+                (cols[0], cols[-1], min(rows), max(rows)),
+            )
+            entries.append(entry)
+            # Frozen from the member list, not from a set as the full scan
+            # does: obstacle conflicts are anchored at the first feature
+            # vertex in iteration order, rip-up history goes there, and the
+            # routing digests are pinned to this order.
+            obstacle.extend(
+                self.oracle._obstacle_conflicts(
+                    entry, lambda: frozenset([vertex_of(index) for index in members])
+                )
+            )
         self._features[name] = entries
-        if features:
-            obstacle = self.oracle._obstacle_conflicts(features)
-            if obstacle:
-                self._obstacle_conflicts[name] = obstacle
-        uncolored = self.oracle._route_uncolored(route, features)
+        if obstacle:
+            self._obstacle_conflicts[name] = obstacle
+        uncolored = self.oracle._route_uncolored(route, entries)
         if uncolored:
             self._uncolored[name] = uncolored
 
@@ -222,7 +249,7 @@ class IncrementalConflictChecker:
         # are concatenated so small features do not pay per-call overhead.
         by_layer: Dict[int, List[_FeatureEntry]] = {}
         for entry in self._features.get(name, ()):
-            by_layer.setdefault(entry.feature.layer, []).append(entry)
+            by_layer.setdefault(entry.layer, []).append(entry)
         for layer, entries in by_layer.items():
             if len(entries) == 1:
                 merged = entries[0].indices
@@ -263,50 +290,61 @@ class IncrementalConflictChecker:
     def _classify_net_pair(self, name: str, partner: str) -> List[ColorConflict]:
         """Classify every same-layer feature pair of *name* and *partner*.
 
-        Integer track math throughout: two vertex squares ``t`` tracks
-        apart (Chebyshev) have the gap ``t * pitch - extent``, which is
-        monotone in ``t``, so comparing track distances compares gaps.
+        Kinds come from the full checker's :meth:`ConflictChecker._pair_kind`;
+        only a conflicting pair pays for its anchor.
         """
         conflicts: List[ColorConflict] = []
         partner_entries = self._features.get(partner, ())
         grid = self.grid
+        vertex_of = grid.vertex_of
+        pair_kind = self.oracle._pair_kind
         # A signed track distance up to ``touch`` means the squares touch.
         touch = 2 * max(self.rules.wire_width // 2, 0) // grid.pitch
         for entry in self._features.get(name, ()):
-            feature = entry.feature
+            layer = entry.layer
+            reach = self._pair_reach[layer]
             col_lo, col_hi, row_lo, row_hi = entry.box
-            dcolor = self.rules.color_spacing_on(feature.layer)
-            reach = grid.track_reach(max(dcolor, self.rules.min_spacing))
-            for other_entry in partner_entries:
-                other = other_entry.feature
-                if other.layer != feature.layer:
+            for other in partner_entries:
+                if other.layer != layer:
                     continue
                 # The box distance lower-bounds every vertex-pair distance,
                 # so pairs outside the reach can be skipped.
-                ocol_lo, ocol_hi, orow_lo, orow_hi = other_entry.box
-                if max(
-                    ocol_lo - col_hi, col_lo - ocol_hi, orow_lo - row_hi, row_lo - orow_hi
-                ) > reach:
+                ocol_lo, ocol_hi, orow_lo, orow_hi = other.box
+                if (
+                    ocol_lo - col_hi > reach
+                    or col_lo - ocol_hi > reach
+                    or orow_lo - row_hi > reach
+                    or row_lo - orow_hi > reach
+                ):
+                    continue
+                kind = pair_kind(entry, other)
+                if kind is None:
                     continue
                 # Anchor the conflict at the feature vertex nearest the
                 # partner's box so rip-up history lands where the metal
                 # clashes.  The sorted walk keeps only strictly closer
                 # vertices, which reproduces the reference min()'s
                 # smallest-vertex tie-breaking, and touching cannot be beaten.
-                anchor = entry.ordered[0]
+                anchor = 0
                 best = None
-                for vertex in entry.ordered:
-                    col, row = vertex.col, vertex.row
+                for position, (col, row) in enumerate(zip(entry.cols, entry.rows)):
                     tracks = max(ocol_lo - col, col - ocol_hi, orow_lo - row, row - orow_hi)
                     if tracks <= touch:
-                        anchor = vertex
+                        anchor = position
                         break
                     if best is None or tracks < best:
                         best = tracks
-                        anchor = vertex
-                conflict = self.oracle._classify_pair(feature, other, anchor, dcolor)
-                if conflict is not None:
-                    conflicts.append(conflict)
+                        anchor = position
+                conflicts.append(
+                    ColorConflict(
+                        net_a=entry.net_name,
+                        net_b=other.net_name,
+                        layer=layer,
+                        color=entry.color,
+                        location=vertex_of(entry.indices[anchor]),
+                        kind=kind,
+                    )
+                )
         return conflicts
 
     # ------------------------------------------------------------------

@@ -41,10 +41,9 @@ from repro.gr.guide import GuideSet
 from repro.grid import RoutingGrid, RoutingSolution
 
 #: Canonical spacing-pair key: ``(net_a, net_b, index_a, index_b)``.
-#: Net names ordered ascending with each flat index kept on its net's side;
-#: flat index order equals GridPoint (layer, col, row) order, so the key
-#: reproduces the full checker's ``_pair_key`` canonicalisation (two nets in
-#: a spacing pair never share a name) without hashing GridPoints per probe.
+#: Net names ordered ascending with each flat index kept on its net's side,
+#: the full checker's ``_pair_key`` canonicalisation (two nets in a spacing
+#: pair never share a name).
 PairKey = Tuple[str, str, int, int]
 
 
@@ -73,8 +72,8 @@ class IncrementalDRCChecker:
         # The first refresh validates every net of the solution.
         self._built = False
         self._route_revisions: Dict[str, int] = {}
-        # Per-net caches (all routes, including failed ones, mirror
-        # RoutingSolution.vertex_ownership()).
+        # Per-net caches over every route, failed ones included (the full
+        # checker's short scan reads failed routes' metal too).
         self._net_indices: Dict[str, array] = {}
         self._net_routed: Dict[str, bool] = {}
         # Flat-index mirrors.
@@ -184,8 +183,7 @@ class IncrementalDRCChecker:
         self._wrong_way.pop(name, None)
 
     def _add_net(self, name: str, route, touched: Set[int]) -> None:
-        index_of = self.grid.index_of
-        indices = array("q", [index_of(vertex) for vertex in route.vertices])
+        indices = array("q", route.nodes)
         self._net_indices[name] = indices
         self._net_routed[name] = bool(route.routed)
         for index in indices:
@@ -234,7 +232,7 @@ class IncrementalDRCChecker:
             self.grid.num_cols,
             self.grid.num_rows,
         )
-        vertex_table = self.grid.vertex_table()
+        vertex_of = self.grid.vertex_of
         detail = f"below min spacing {self.rules.min_spacing}"
         occ_get = self._spacing_occ.get
         owner = self._spacing_owner
@@ -265,7 +263,7 @@ class IncrementalDRCChecker:
                 spacing[key] = Violation(
                     kind="spacing",
                     nets=(key[0], key[1]),
-                    location=vertex_table[key[2]],
+                    location=vertex_of(key[2]),
                     detail=detail,
                 )
                 self._spacing_by_net.setdefault(name, set()).add(key)
@@ -288,11 +286,10 @@ class IncrementalDRCChecker:
         if self.oracle.route_connects_all(route, groups):
             self._opens.pop(name, None)
         else:
-            anchor = next(iter(route.vertices), GridPoint(0, 0, 0))
             self._opens[name] = Violation(
                 kind="open",
                 nets=(name,),
-                location=anchor,
+                location=self.oracle.open_anchor(route),
                 detail="routed metal does not connect every pin",
             )
 

@@ -234,8 +234,12 @@ class CostModel:
         soft occupancy at the destination, and the out-of-guide penalty when
         the destination leaves the net's GR guide.
         """
-        cost = self.grid.base_edge_cost(vertex, direction)
-        cost += self.grid.congestion_cost(neighbor, net_name)
+        grid = self.grid
+        cost = grid.base_edge_cost(vertex, direction)
+        if grid.in_bounds(neighbor):
+            cost += grid.congestion_cost_index(
+                grid.index_of(neighbor), grid.net_id_if_known(net_name)
+            )
         cost += self.out_of_guide_cost(neighbor, net_name)
         return cost
 

@@ -83,32 +83,40 @@ class DRCChecker:
         per-layer track map of routed metal (spacing), so :meth:`check` /
         :meth:`summary` pay a single pass instead of one per violation kind.
         """
-        ownership: Dict[GridPoint, Set[str]] = {}
+        ownership: Dict[int, Set[str]] = {}
         min_spacing = self.rules.min_spacing
         stride, window = self.grid.track_probe(min_spacing)
+        plane_size, num_rows = self.grid.plane_size, self.grid.num_rows
+        vertex_of = self.grid.vertex_of
         # The window always holds the vertex itself (exact overlap is a
         # short); with nothing else in it no spacing violation is possible.
         spacing_possible = len(window) > 1
-        per_layer: Dict[int, Dict[int, List[Tuple[str, GridPoint]]]] = {
+        # Per layer: track key -> (net, flat index) of the routed metal there.
+        per_layer: Dict[int, Dict[int, List[Tuple[str, int]]]] = {
             layer: {} for layer in range(self.grid.num_layers)
         }
+        # Flat index -> (layer, track key).
+        keys: Dict[int, Tuple[int, int]] = {}
         for route in solution.routes.values():
             spacing_checked = route.routed and spacing_possible
-            for vertex in route.vertices:
-                ownership.setdefault(vertex, set()).add(route.net_name)
+            for node in route.nodes:
+                ownership.setdefault(node, set()).add(route.net_name)
                 if spacing_checked:
-                    per_layer[vertex.layer].setdefault(
-                        vertex.col * stride + vertex.row, []
-                    ).append((route.net_name, vertex))
+                    key = keys.get(node)
+                    if key is None:
+                        layer, rem = divmod(node, plane_size)
+                        col, row = divmod(rem, num_rows)
+                        key = keys[node] = (layer, col * stride + row)
+                    per_layer[key[0]].setdefault(key[1], []).append((route.net_name, node))
 
         shorts: List[Violation] = []
-        for vertex, owners in ownership.items():
+        for node, owners in ownership.items():
             if len(owners) > 1:
                 shorts.append(
                     Violation(
                         kind="short",
                         nets=tuple(sorted(owners)),
-                        location=vertex,
+                        location=vertex_of(node),
                         detail=f"{len(owners)} nets overlap",
                     )
                 )
@@ -116,19 +124,19 @@ class DRCChecker:
         spacing: List[Violation] = []
         if not spacing_possible:
             return shorts, spacing
-        seen: Set[Tuple[str, str, GridPoint, GridPoint]] = set()
+        seen: Set[Tuple[str, str, int, int]] = set()
         for route in solution.routed_nets():
             net_name = route.net_name
-            for vertex in route.vertices:
-                owners_by_track = per_layer[vertex.layer]
-                base = vertex.col * stride + vertex.row
+            for node in route.nodes:
+                layer, base = keys[node]
+                owners_by_track = per_layer[layer]
                 for delta in window:
-                    for other_net, other_vertex in owners_by_track.get(base + delta, ()):
+                    for other_net, other_node in owners_by_track.get(base + delta, ()):
                         if other_net == net_name:
                             continue
-                        if other_vertex == vertex:
+                        if other_node == node:
                             continue  # exact overlap is reported as a short
-                        key = self._pair_key(net_name, vertex, other_net, other_vertex)
+                        key = self._pair_key(net_name, node, other_net, other_node)
                         if key in seen:
                             continue
                         seen.add(key)
@@ -136,7 +144,7 @@ class DRCChecker:
                             Violation(
                                 kind="spacing",
                                 nets=tuple(sorted((net_name, other_net))),
-                                location=vertex,
+                                location=vertex_of(node),
                                 detail=f"below min spacing {min_spacing}",
                             )
                         )
@@ -155,16 +163,21 @@ class DRCChecker:
                 continue
             pin_groups = [self.grid.pin_access_vertices(pin) for pin in net.pins]
             if not self.route_connects_all(route, pin_groups):
-                anchor = next(iter(route.vertices), GridPoint(0, 0, 0))
                 violations.append(
                     Violation(
                         kind="open",
                         nets=(net.name,),
-                        location=anchor,
+                        location=self.open_anchor(route),
                         detail="routed metal does not connect every pin",
                     )
                 )
         return violations
+
+    def open_anchor(self, route: NetRoute) -> GridPoint:
+        """Return where an open *route* is reported: its smallest vertex."""
+        if not route.nodes:
+            return GridPoint(0, 0, 0)
+        return self.grid.vertex_of(min(route.nodes))
 
     def route_connects_all(self, route: NetRoute, pin_groups: List[List[GridPoint]]) -> bool:
         """Return ``True`` when every pin group touches one routed component of *route*.
@@ -187,15 +200,15 @@ class DRCChecker:
                 root = parent[root]
             return root
 
-        for a, b in route.edges:
-            root_a = find(index_of(a))
-            root_b = find(index_of(b))
+        for a, b in route.node_edges:
+            root_a = find(a)
+            root_b = find(b)
             if root_a != root_b:
                 parent[root_b] = root_a
-        vertices = route.vertices
+        nodes = route.nodes
         anchors: List[int] = []
         for group in pin_groups:
-            touched = [index_of(vertex) for vertex in group if vertex in vertices]
+            touched = [index for index in map(index_of, group) if index in nodes]
             if not touched:
                 return False
             anchor = find(touched[0])
@@ -223,8 +236,7 @@ class DRCChecker:
             return 0
         mask = self.guide_tables.mask(route.net_name)
         slot_of = self.guide_tables.slot_map()
-        index_of = self.grid.index_of
-        return sum(1 for vertex in route.vertices if not mask[slot_of[index_of(vertex)]])
+        return sum(1 for node in route.nodes if not mask[slot_of[node]])
 
     def wrong_way_edges(self, solution: RoutingSolution) -> int:
         """Return the number of planar edges routed against the preferred direction."""
@@ -234,11 +246,13 @@ class DRCChecker:
         """Return the wrong-way edge count of one route (shared building block)."""
         count = 0
         layers = self.design.tech.layers
-        for a, b in route.edges:
-            if a.layer != b.layer:
+        plane_size, num_rows = self.grid.plane_size, self.grid.num_rows
+        for a, b in route.node_edges:
+            layer_index = a // plane_size
+            if layer_index != b // plane_size:
                 continue
-            layer = layers[a.layer]
-            horizontal_move = a.row == b.row
+            layer = layers[layer_index]
+            horizontal_move = a % num_rows == b % num_rows
             if layer.is_horizontal and not horizontal_move:
                 count += 1
             elif layer.is_vertical and horizontal_move:
@@ -278,8 +292,8 @@ class DRCChecker:
 
     @staticmethod
     def _pair_key(
-        net_a: str, vertex_a: GridPoint, net_b: str, vertex_b: GridPoint
-    ) -> Tuple[str, str, GridPoint, GridPoint]:
-        if (net_a, vertex_a) <= (net_b, vertex_b):
-            return net_a, net_b, vertex_a, vertex_b
-        return net_b, net_a, vertex_b, vertex_a
+        net_a: str, node_a: int, net_b: str, node_b: int
+    ) -> Tuple[str, str, int, int]:
+        if (net_a, node_a) <= (net_b, node_b):
+            return net_a, net_b, node_a, node_b
+        return net_b, net_a, node_b, node_a

@@ -9,8 +9,9 @@ Mr.TPL variant in :mod:`repro.tpl.search` adds the color-state dimension.
 :class:`MazeRouter` is a thin adapter over the shared
 :class:`repro.search.SearchCore` engine: vertices are converted to flat grid
 indices at the API boundary, the hot loop reads the grid's flat state
-buffers, and :class:`GridPoint` objects are materialised only for the
-backtraced path (and lazily for the ``parents`` / ``costs`` views).
+buffers, and the backtraced path is returned as flat indices
+(:class:`GridPoint` objects are materialised only for the lazy
+``parents`` / ``costs`` views).
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class SearchResult:
             self._costs = {vertex_of(node): value for node, value in self._core.cost.items()}
         return self._costs
 
-    def backtrace(self) -> List[GridPoint]:
-        """Return the path from a source (cost 0) to the reached vertex.
+    def backtrace(self) -> List[int]:
+        """Return the flat-index path from a source (cost 0) to the reached vertex.
 
         The path is ordered source-first.  Raises ``ValueError`` when the
         search failed.
@@ -84,8 +85,7 @@ class SearchResult:
             raise ValueError("cannot backtrace a failed search")
         nodes = self._core.node_path()
         nodes.reverse()
-        vertex_of = self._grid.vertex_of
-        return [vertex_of(node) for node in nodes]
+        return nodes
 
 
 class MazeRouter:
@@ -124,11 +124,15 @@ class MazeRouter:
             return SearchResult(CoreResult.empty(), grid)
         bounds = TargetBounds.from_targets(targets)
         index_of = grid.index_of
+        in_bounds = grid.in_bounds
+        blocked = grid.blocked_buffer()
         seeds: List[Tuple[int, int]] = []
         for source in sources:
-            if not grid.in_bounds(source) or grid.is_blocked(source):
+            if not in_bounds(source):
                 continue
-            seeds.append((index_of(source), 0))
+            index = index_of(source)
+            if not blocked[index]:
+                seeds.append((index, 0))
         target_nodes = {index_of(t) for t in targets if grid.in_bounds(t)}
 
         net_id = grid.net_id(net_name)

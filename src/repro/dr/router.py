@@ -72,16 +72,20 @@ class DetailedRouter(CampaignRouter):
         """
         if engine is None:
             engine = self.maze
-        route = NetRoute(net_name=net.name)
-        pin_groups = [self.grid.pin_access_vertices(pin) for pin in net.pins]
+        grid = self.grid
+        route = NetRoute(net.name, grid.route_dims)
+        pin_groups = [grid.pin_access_vertices(pin) for pin in net.pins]
         usable_groups = [group for group in pin_groups if group]
         if len(usable_groups) < len(pin_groups):
             route.routed = False
             route.failure_reason = "pin without reachable access vertex"
             return route
+        index_of = grid.index_of
+        vertex_of = grid.vertex_of
+        # GridPoint-keyed: the search seeds follow this set's iteration
+        # order, and the kernel breaks cost ties by push order.
         tree_vertices: Set[GridPoint] = set(usable_groups[0])
-        for vertex in tree_vertices:
-            route.vertices.add(vertex)
+        route.nodes.update([index_of(vertex) for vertex in usable_groups[0]])
         unreached = list(range(1, len(usable_groups)))
         while unreached:
             targets: Dict[GridPoint, int] = {}
@@ -94,15 +98,17 @@ class DetailedRouter(CampaignRouter):
                 route.failure_reason = "maze search exhausted without reaching a pin"
                 break
             path = search.backtrace()
-            route.add_path(path)
+            route.add_node_path(path)
             reached_pin = targets[search.reached]
             unreached.remove(reached_pin)
-            tree_vertices.update(path)
+            tree_vertices.update([vertex_of(node) for node in path])
             tree_vertices.update(usable_groups[reached_pin])
-            route.vertices.update(usable_groups[reached_pin])
+            route.nodes.update([index_of(vertex) for vertex in usable_groups[reached_pin]])
+            # Release the result: the engine copies the label buffers of a
+            # previous result that is still referenced when it runs again.
+            del search
         if route.routed:
-            for vertex in route.vertices:
-                sink.occupy(vertex)
+            sink.occupy_all(route.nodes)
         return route
 
     # ------------------------------------------------------------------
@@ -120,5 +126,4 @@ class DetailedRouter(CampaignRouter):
             route = solution.routes.get(net_name)
             if route is None:
                 continue
-            for vertex in route.vertices:
-                self.grid.add_history(vertex, 1.0)
+            self.grid.add_history_nodes(route.nodes, 1.0)

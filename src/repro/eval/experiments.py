@@ -416,7 +416,7 @@ def run_fig3_walkthrough(max_iterations: Optional[int] = None) -> Fig3Result:
     evaluation = evaluate_solution(design, grid, solution)
     colors_used: Dict[int, int] = {0: 0, 1: 0, 2: 0}
     for route in solution.routes.values():
-        for color in route.vertex_colors.values():
+        for color in route.node_colors.values():
             colors_used[color] += 1
     return Fig3Result(
         evaluation=evaluation,

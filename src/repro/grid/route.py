@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
-from repro.geometry import GridPoint, Point, Segment
+from repro.geometry import GridPoint
 
 #: Process-global monotone revision source for :class:`NetRoute`.  Every
 #: constructed (or unpickled) route gets the next value, so two distinct
@@ -43,40 +44,54 @@ class Stitch:
 
 @dataclass
 class NetRoute:
-    """The routed tree of a single net.
+    """The routed tree of a single net, stored on flat vertex indices.
+
+    A route addresses vertices by the grid's flat index
+    ``(layer * num_cols + col) * num_rows + row``
+    (:meth:`~repro.grid.RoutingGrid.index_of`), so flat index order equals
+    ``GridPoint`` order.  Routers, the commit log and the checkers read the
+    index storage; :attr:`vertices`, :attr:`edges` and
+    :attr:`vertex_colors` are read-only ``GridPoint`` views for I/O, digests
+    and tests, built per call.
 
     Attributes
     ----------
     net_name:
         Name of the routed net.
-    vertices:
-        All grid vertices covered by the net's metal (including pin access
-        vertices that anchor the tree).
-    edges:
-        Adjacent vertex pairs used by the route; together with ``vertices``
-        they describe the routed tree (or forest while routing is partial).
-    vertex_colors:
-        Final mask assignment per vertex (0=red/mask1, 1=green/mask2,
-        2=blue/mask3).  Vertices without an entry are uncolored, which the
-        evaluator reports as defects rather than silently accepting.
+    dims:
+        ``(num_cols, num_rows)`` of the grid the indices address
+        (:attr:`~repro.grid.RoutingGrid.route_dims`).
+    nodes:
+        Flat indices of every vertex covered by the net's metal (including
+        pin access vertices that anchor the tree).
+    node_edges:
+        Adjacent index pairs used by the route, each stored ``(lo, hi)``;
+        together with ``nodes`` they describe the routed tree (or forest
+        while routing is partial).
+    node_colors:
+        Final mask per index (0=red/mask1, 1=green/mask2, 2=blue/mask3), in
+        insertion order, which the conflict checkers' feature order follows.
+        Vertices without an entry are uncolored, which the evaluator
+        reports as defects rather than silently accepting.
     stitches:
         The mask changes introduced inside this net.
     revision:
         Process-unique monotone stamp assigned at construction and
-        re-stamped by :meth:`set_color`.  The incremental checkers learn
-        which nets changed by comparing it alone: a replaced route object
-        (rip-up & reroute, snapshot restore) or an in-place recolour both
-        read as a new revision -- identity (``id()``) is unusable because
-        CPython reuses addresses of collected routes.  Excluded from
-        equality; re-stamped on unpickle so a route shipped across a
+        re-stamped by :meth:`set_node_color`.  The incremental checkers
+        learn which nets changed by comparing it alone: a replaced route
+        object (rip-up & reroute, snapshot restore) or an in-place recolour
+        both read as a new revision -- identity (``id()``) is unusable
+        because CPython reuses addresses of collected routes.  Excluded
+        from equality; re-stamped on unpickle so a route shipped across a
         process boundary always reads as replaced (a conservative extra
         rescan, never a missed one).
     """
 
     net_name: str
-    vertices: Set[GridPoint] = field(default_factory=set)
-    edges: Set[Tuple[GridPoint, GridPoint]] = field(default_factory=set)
-    vertex_colors: Dict[GridPoint, int] = field(default_factory=dict)
+    dims: Tuple[int, int]
+    nodes: Set[int] = field(default_factory=set)
+    node_edges: Set[Tuple[int, int]] = field(default_factory=set)
+    node_colors: Dict[int, int] = field(default_factory=dict)
     stitches: Set[Stitch] = field(default_factory=set)
     routed: bool = True
     failure_reason: str = ""
@@ -88,56 +103,106 @@ class NetRoute:
         self.__dict__.update(state)
         self.__dict__["revision"] = next(_route_revisions)
 
-    # -- construction -------------------------------------------------------
+    # -- flat index <-> GridPoint ---------------------------------------------
+
+    def node_of(self, vertex: GridPoint) -> int:
+        """Return the flat index of *vertex* on this route's grid."""
+        num_cols, num_rows = self.dims
+        return (vertex.layer * num_cols + vertex.col) * num_rows + vertex.row
+
+    def vertex_at(self, node: int) -> GridPoint:
+        """Return the :class:`GridPoint` of flat index *node*."""
+        num_cols, num_rows = self.dims
+        layer, rem = divmod(node, num_cols * num_rows)
+        col, row = divmod(rem, num_rows)
+        return GridPoint(layer, col, row)
+
+    # -- construction on flat indices ---------------------------------------
+
+    def add_node_path(self, path: Sequence[int]) -> None:
+        """Add an index path: every vertex, and consecutive distinct ones as edges."""
+        if not path:
+            return
+        self.nodes.update(path)
+        edges = self.node_edges
+        for a, b in zip(path, path[1:]):
+            if a < b:
+                edges.add((a, b))
+            elif b < a:
+                edges.add((b, a))
+
+    def set_node_color(self, node: int, color: int) -> None:
+        """Assign the final mask *color* to *node* and re-stamp :attr:`revision`."""
+        if not 0 <= color <= 2:
+            raise ValueError(f"invalid mask color {color}")
+        self.nodes.add(node)
+        self.node_colors[node] = color
+        self.revision = next(_route_revisions)
+
+    # -- construction from GridPoints (I/O and tests) -------------------------
 
     def add_edge(self, a: GridPoint, b: GridPoint) -> None:
         """Add an edge (and its endpoints) to the route."""
-        if a == b:
-            self.vertices.add(a)
-            return
-        key = (a, b) if a < b else (b, a)
-        self.edges.add(key)
-        self.vertices.add(a)
-        self.vertices.add(b)
+        self.add_node_path([self.node_of(a), self.node_of(b)])
 
-    def add_path(self, path: List[GridPoint]) -> None:
+    def add_path(self, path: Sequence[GridPoint]) -> None:
         """Add a vertex path (consecutive vertices become edges)."""
-        if not path:
-            return
-        self.vertices.add(path[0])
-        for a, b in zip(path, path[1:]):
-            self.add_edge(a, b)
+        self.add_node_path([self.node_of(vertex) for vertex in path])
 
     def set_color(self, vertex: GridPoint, color: int) -> None:
-        """Assign the final mask *color* to *vertex* and re-stamp :attr:`revision`."""
-        if not 0 <= color <= 2:
-            raise ValueError(f"invalid mask color {color}")
-        self.vertices.add(vertex)
-        self.vertex_colors[vertex] = color
-        self.revision = next(_route_revisions)
+        """Assign the final mask *color* to *vertex* (see :meth:`set_node_color`)."""
+        self.set_node_color(self.node_of(vertex), color)
 
     def add_stitch(self, a: GridPoint, b: GridPoint) -> None:
         """Record a stitch between two adjacent vertices of this net."""
         self.stitches.add(Stitch(self.net_name, a, b))
 
+    # -- read-only GridPoint views (built per call) ----------------------------
+
+    @property
+    def vertices(self) -> FrozenSet[GridPoint]:
+        """Return every route vertex as a :class:`GridPoint`."""
+        vertex_at = self.vertex_at
+        return frozenset(vertex_at(node) for node in self.nodes)
+
+    @property
+    def edges(self) -> FrozenSet[Tuple[GridPoint, GridPoint]]:
+        """Return every route edge as an ordered ``(a, b)`` pair with ``a < b``."""
+        vertex_at = self.vertex_at
+        return frozenset((vertex_at(a), vertex_at(b)) for a, b in self.node_edges)
+
+    @property
+    def vertex_colors(self) -> Mapping[GridPoint, int]:
+        """Return the final masks keyed by :class:`GridPoint`, in insertion order."""
+        vertex_at = self.vertex_at
+        return MappingProxyType(
+            {vertex_at(node): color for node, color in self.node_colors.items()}
+        )
+
     # -- derived queries ------------------------------------------------------
+
+    def _plane(self) -> int:
+        num_cols, num_rows = self.dims
+        return num_cols * num_rows
 
     def wirelength(self) -> int:
         """Return the routed wirelength in grid units (planar edges only)."""
-        return sum(1 for a, b in self.edges if a.layer == b.layer)
+        plane = self._plane()
+        return sum(1 for a, b in self.node_edges if a // plane == b // plane)
 
     def via_count(self) -> int:
         """Return the number of vias (layer-changing edges)."""
-        return sum(1 for a, b in self.edges if a.layer != b.layer)
+        plane = self._plane()
+        return sum(1 for a, b in self.node_edges if a // plane != b // plane)
 
     def stitch_count(self) -> int:
         """Return the number of stitches recorded for this net."""
         return len(self.stitches)
 
-    def adjacency(self) -> Dict[GridPoint, List[GridPoint]]:
-        """Return the adjacency map of the routed tree."""
-        adj: Dict[GridPoint, List[GridPoint]] = defaultdict(list)
-        for a, b in self.edges:
+    def adjacency(self) -> Dict[int, List[int]]:
+        """Return the adjacency map of the routed tree, on flat indices."""
+        adj: Dict[int, List[int]] = defaultdict(list)
+        for a, b in self.node_edges:
             adj[a].append(b)
             adj[b].append(a)
         return dict(adj)
@@ -150,76 +215,19 @@ class NetRoute:
         recorded set may be stale after rip-up & reroute).
         """
         stitches: Set[Stitch] = set()
-        for a, b in self.edges:
-            if a.layer != b.layer:
+        plane = self._plane()
+        colors = self.node_colors
+        for a, b in self.node_edges:
+            if a // plane != b // plane:
                 continue
-            color_a = self.vertex_colors.get(a)
-            color_b = self.vertex_colors.get(b)
+            color_a = colors.get(a)
+            color_b = colors.get(b)
             if color_a is None or color_b is None:
                 continue
             if color_a != color_b:
-                stitches.add(Stitch(self.net_name, a, b))
+                stitches.add(Stitch(self.net_name, self.vertex_at(a), self.vertex_at(b)))
         self.stitches = stitches
         return len(stitches)
-
-    def segments(self, grid: "object") -> List[Segment]:
-        """Decompose the route into maximal straight wire segments.
-
-        *grid* must provide ``physical_point(vertex)`` and the design rules
-        (``rules.wire_width``); passing the :class:`RoutingGrid` keeps this
-        module free of a circular import.
-        """
-        width = grid.rules.wire_width
-        segments: List[Segment] = []
-        horizontal_runs: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-        vertical_runs: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-        for a, b in self.edges:
-            if a.layer != b.layer:
-                continue
-            if a.row == b.row:
-                horizontal_runs[(a.layer, a.row)].extend([a.col, b.col])
-            else:
-                vertical_runs[(a.layer, a.col)].extend([a.row, b.row])
-        for (layer, row), cols in horizontal_runs.items():
-            for lo, hi in _merge_runs(sorted(set(cols)), self._edge_lookup(layer, row, True)):
-                p0 = grid.physical_point(GridPoint(layer, lo, row))
-                p1 = grid.physical_point(GridPoint(layer, hi, row))
-                segments.append(Segment(layer, p0, p1, width))
-        for (layer, col), rows in vertical_runs.items():
-            for lo, hi in _merge_runs(sorted(set(rows)), self._edge_lookup(layer, col, False)):
-                p0 = grid.physical_point(GridPoint(layer, col, lo))
-                p1 = grid.physical_point(GridPoint(layer, col, hi))
-                segments.append(Segment(layer, p0, p1, width))
-        return segments
-
-    def _edge_lookup(self, layer: int, fixed: int, horizontal: bool):
-        edge_set = set()
-        for a, b in self.edges:
-            if a.layer != layer or b.layer != layer:
-                continue
-            if horizontal and a.row == fixed and b.row == fixed:
-                edge_set.add((min(a.col, b.col), max(a.col, b.col)))
-            elif not horizontal and a.col == fixed and b.col == fixed:
-                edge_set.add((min(a.row, b.row), max(a.row, b.row)))
-
-        def connected(lo: int, hi: int) -> bool:
-            return (lo, hi) in edge_set
-
-        return connected
-
-
-def _merge_runs(indices: List[int], connected) -> Iterator[Tuple[int, int]]:
-    """Merge sorted track indices into maximal runs of consecutive connected steps."""
-    if not indices:
-        return
-    start = prev = indices[0]
-    for value in indices[1:]:
-        if value == prev + 1 and connected(prev, value):
-            prev = value
-            continue
-        yield start, prev
-        start = prev = value
-    yield start, prev
 
 
 @dataclass
@@ -259,19 +267,3 @@ class RoutingSolution:
     def total_stitches(self) -> int:
         """Return the summed stitch count over all nets."""
         return sum(route.stitch_count() for route in self.routes.values())
-
-    def colored_vertex_fraction(self) -> float:
-        """Return the fraction of routed vertices that carry a final mask."""
-        total = sum(len(route.vertices) for route in self.routes.values())
-        if total == 0:
-            return 1.0
-        colored = sum(len(route.vertex_colors) for route in self.routes.values())
-        return colored / total
-
-    def vertex_ownership(self) -> Dict[GridPoint, Set[str]]:
-        """Return, per vertex, the set of nets whose routes cover it."""
-        ownership: Dict[GridPoint, Set[str]] = defaultdict(set)
-        for route in self.routes.values():
-            for vertex in route.vertices:
-                ownership[vertex].add(route.net_name)
-        return dict(ownership)

@@ -28,8 +28,11 @@ that integer, so the search engines' hot path is O(1) array reads with no
 :class:`~repro.geometry.GridPoint` allocation and no dict hashing.  A
 precomputed neighbour table (:meth:`RoutingGrid.neighbor_table`) stores, for
 every vertex, its six neighbour indices in :data:`ALL_DIRECTIONS` order
-(``-1`` for out-of-bounds).  The ``GridPoint``-based API is preserved
-on top as thin shims converting at the boundary.
+(``-1`` for out-of-bounds).  Routes (:class:`~repro.grid.NetRoute`) store
+the same flat indices, so routers, commits, rip-up and the checkers never
+convert.  ``GridPoint`` methods remain where callers hold vertices
+(geometry mapping, pin access, the public mutators); state reads that
+have an index form take the index only.
 
 Sparse side tables stay dicts: the rare multi-owner occupancy case (a
 short, negotiated away by rip-up & reroute) and the per-net reverse
@@ -180,6 +183,9 @@ class RoutingGrid:
         self.num_rows = max(2, die.height // self.pitch + 1)
         #: Vertices per layer plane (``num_cols * num_rows``).
         self.plane_size = self.num_cols * self.num_rows
+        #: ``(num_cols, num_rows)``: what a :class:`~repro.grid.NetRoute`
+        #: needs to address this grid's flat indices.
+        self.route_dims: Tuple[int, int] = (self.num_cols, self.num_rows)
         num_vertices = self.num_layers * self.plane_size
 
         # --- Flat per-vertex state buffers (indexed by the flat index) ---
@@ -214,8 +220,6 @@ class RoutingGrid:
         self._track_offsets_cache: Dict[int, Tuple[Tuple[int, int, int], ...]] = {}
         # Per-vertex pressure deltas of its Dcolor window (geometry only).
         self._stamp_deltas = self._build_stamp_deltas()
-        # Lazily built flat-index -> GridPoint table (geometry is immutable).
-        self._vertex_table: Optional[Tuple[GridPoint, ...]] = None
 
         # Precomputed neighbour table, built lazily on first use (grids are
         # also constructed by code that never searches them).
@@ -243,7 +247,7 @@ class RoutingGrid:
 
         The mapping is ``(layer * num_cols + col) * num_rows + row``; callers
         holding possibly out-of-bounds vertices must check :meth:`in_bounds`
-        first (the GridPoint compatibility shims do).
+        first.
         """
         return (vertex.layer * self.num_cols + vertex.col) * self.num_rows + vertex.row
 
@@ -260,21 +264,6 @@ class RoutingGrid:
             and 0 <= vertex.col < self.num_cols
             and 0 <= vertex.row < self.num_rows
         )
-
-    def vertex_table(self) -> Tuple[GridPoint, ...]:
-        """Return every :class:`GridPoint` indexed by flat index, cached.
-
-        The geometry never changes after construction, so hit-processing
-        loops (the incremental checkers translate thousands of flat kernel
-        hits back to vertices per refresh) index this table instead of
-        paying a :meth:`vertex_of` divmod + allocation per hit.
-        """
-        table = self._vertex_table
-        if table is None:
-            vertex_of = self.vertex_of
-            table = tuple(vertex_of(index) for index in range(self.num_vertices))
-            self._vertex_table = table
-        return table
 
     def neighbor_table(self) -> array:
         """Return the precomputed flat neighbour table.
@@ -545,11 +534,14 @@ class RoutingGrid:
         every pin stays reachable.
         """
         vertices: List[GridPoint] = []
+        blocked = self._blocked_buf
         for shape in pin.shapes:
             covered = self.vertices_covering(shape.layer, shape.rect)
             if not covered:
                 covered = [self.nearest_vertex(shape.layer, shape.rect.center)]
-            vertices.extend(v for v in covered if not self.is_blocked(v))
+            vertices.extend(
+                v for v in covered if self.in_bounds(v) and not blocked[self.index_of(v)]
+            )
         if not vertices:
             # Every covered vertex is blocked; fall back to the raw cover so
             # the router can at least report the failure meaningfully.
@@ -605,16 +597,8 @@ class RoutingGrid:
         )
         return 1.0 if preferred else self.rules.wrong_way_penalty
 
-    def congestion_cost(self, vertex: GridPoint, net_name: str) -> float:
-        """Return history + occupancy cost of placing *net_name* metal at *vertex*."""
-        if not self.in_bounds(vertex):
-            return 0.0
-        return self.congestion_cost_index(
-            self.index_of(vertex), self.net_id_if_known(net_name)
-        )
-
     def congestion_cost_index(self, index: int, net_id: int) -> float:
-        """Index/net-id variant of :meth:`congestion_cost` (hot path)."""
+        """Return history + occupancy cost of placing net *net_id*'s metal at *index*."""
         cost = self.rules.history_weight * self._history_buf[index]
         owner = self._owner_buf[index]
         if owner != 0 and owner != net_id:
@@ -646,12 +630,8 @@ class RoutingGrid:
             self._blocked_buf[self.index_of(vertex)] = 1
         return len(vertices)
 
-    def is_blocked(self, vertex: GridPoint) -> bool:
-        """Return ``True`` when *vertex* is covered by a hard blockage."""
-        return self.in_bounds(vertex) and bool(self._blocked_buf[self.index_of(vertex)])
-
     def is_blocked_index(self, index: int) -> bool:
-        """Index variant of :meth:`is_blocked`."""
+        """Return ``True`` when vertex *index* is covered by a hard blockage."""
         return bool(self._blocked_buf[index])
 
     def blocked_buffer(self) -> bytearray:
@@ -886,16 +866,8 @@ class RoutingGrid:
             return {self._net_names[net_id] for net_id in ids}
         return {self._net_names[owner]}
 
-    def is_occupied_by_other(self, vertex: GridPoint, net_name: str) -> bool:
-        """Return ``True`` when a different net already has metal at *vertex*."""
-        if not self.in_bounds(vertex):
-            return False
-        return self.is_occupied_by_other_index(
-            self.index_of(vertex), self.net_id_if_known(net_name)
-        )
-
     def is_occupied_by_other_index(self, index: int, net_id: int) -> bool:
-        """Index/net-id variant of :meth:`is_occupied_by_other`."""
+        """Return ``True`` when a net other than *net_id* has metal at *index*."""
         owner = self._owner_buf[index]
         # A multi-owner vertex holds >= 2 distinct nets, so some owner is
         # always foreign; a single owner is foreign unless it is net_id.
@@ -971,41 +943,22 @@ class RoutingGrid:
             stamps.append((index, color, amount))
         self._stamp_pressure(stamps)
 
-    def vertex_color(self, vertex: GridPoint) -> Optional[int]:
-        """Return the mask color of routed metal at *vertex*, if any."""
-        if not self.in_bounds(vertex):
-            return None
-        stored = self._color_buf[self.index_of(vertex)]
-        return None if stored == 0 else stored - 1
-
     def vertex_color_index(self, index: int) -> Optional[int]:
-        """Index variant of :meth:`vertex_color`."""
+        """Return the mask color of routed metal at vertex *index*, if any."""
         stored = self._color_buf[index]
         return None if stored == 0 else stored - 1
 
-    def color_cost(self, vertex: GridPoint, color: int) -> float:
-        """Return the TPL color cost of putting *color* metal at *vertex*.
+    def color_costs_index(self, index: int) -> List[float]:
+        """Return the ``Cost_color`` of each of the three masks at vertex *index*.
 
         This is the ``Cost_color`` term of Eq. (1): each committed piece of
         colored metal on the same layer within ``Dcolor`` and sharing the
         candidate mask contributes one conflict penalty.  Routers ask while
         the net they route has no metal on the grid, so the sum covers
-        other nets' metal (and pre-colored obstacles) only.
+        other nets' metal (and pre-colored obstacles) only.  Served from
+        the incrementally maintained color-pressure buffer (updated on
+        every colour commit and release).
         """
-        return self.color_costs(vertex)[color]
-
-    def color_costs(self, vertex: GridPoint) -> List[float]:
-        """Return the color cost for each of the three masks at *vertex*.
-
-        Served from the incrementally maintained color-pressure buffer
-        (updated on every colour commit and release).
-        """
-        if not self.in_bounds(vertex):
-            return [0.0, 0.0, 0.0]
-        return self.color_costs_index(self.index_of(vertex))
-
-    def color_costs_index(self, index: int) -> List[float]:
-        """Index variant of :meth:`color_costs` (hot path)."""
         base = 3 * index
         pressure = self._pressure_buf
         return [pressure[base], pressure[base + 1], pressure[base + 2]]
@@ -1022,6 +975,21 @@ class RoutingGrid:
         """Increase the history cost at *vertex* (rip-up & reroute feedback)."""
         if self.in_bounds(vertex):
             self.apply_op((OP_HISTORY, self.index_of(vertex), amount))
+
+    def add_history_nodes(self, nodes: Iterable[int], amount: float) -> None:
+        """Increase the history cost at every flat index of *nodes* by *amount*.
+
+        The rip-up step's per-route bump in one call: the buffer and the
+        attached journal end as one :meth:`add_history` per vertex leaves
+        them (one ``history`` op per index, in order).
+        """
+        nodes = list(nodes)
+        history = self._history_buf
+        for index in nodes:
+            history[index] += amount
+        self._history_touched.update(nodes)
+        if self._journal is not None:
+            self._journal.extend([(OP_HISTORY, index, amount) for index in nodes])
 
     def _apply_history(self, op: Op) -> None:
         _kind, index, amount = op

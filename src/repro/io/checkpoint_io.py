@@ -131,12 +131,16 @@ def campaign_to_dict(campaign: CampaignState) -> Dict[str, Any]:
 
 
 def campaign_from_dict(
-    data: Dict[str, Any], solution: Optional[RoutingSolution]
+    data: Dict[str, Any], solution: Optional[RoutingSolution], dims: Tuple[int, int]
 ) -> CampaignState:
-    """Rebuild a :class:`CampaignState` around the checkpoint's *solution*."""
+    """Rebuild a :class:`CampaignState` around the checkpoint's *solution*.
+
+    *dims* is the grid's :attr:`RoutingGrid.route_dims`, which the routes'
+    flat indices address.
+    """
     best_routes = None
     if data.get("best_routes") is not None:
-        routes = [route_from_dict(route_data) for route_data in data["best_routes"]]
+        routes = [route_from_dict(route_data, dims) for route_data in data["best_routes"]]
         best_routes = {route.net_name: route for route in routes}
     best_defects = data.get("best_defects")
     return CampaignState(
@@ -204,7 +208,7 @@ def checkpoint_from_dict(
     grid = RoutingGrid(design)
     grid.restore_state(data["grid"])
     solution = (
-        solution_from_dict(data["solution"]) if "solution" in data else None
+        solution_from_dict(data["solution"], grid.route_dims) if "solution" in data else None
     )
     return design, grid, solution
 
@@ -219,7 +223,8 @@ def checkpoint_campaign(
     """
     if "campaign" not in data:
         return None
-    return campaign_from_dict(data["campaign"], solution)
+    _layers, num_cols, num_rows = data["grid"]["dims"]
+    return campaign_from_dict(data["campaign"], solution, (num_cols, num_rows))
 
 
 def resolve_checkpoint_keep(explicit: Optional[int] = None) -> int:

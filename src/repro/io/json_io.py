@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Tuple, Union
 
 from repro.design import Design, Net, Obstacle, Pin
 from repro.geometry import GridPoint, Rect
@@ -214,15 +214,20 @@ def route_to_dict(route: NetRoute) -> Dict[str, Any]:
     }
 
 
-def route_from_dict(route_data: Dict[str, Any]) -> NetRoute:
-    """Rebuild one net route from :func:`route_to_dict` output."""
+def route_from_dict(route_data: Dict[str, Any], dims: Tuple[int, int]) -> NetRoute:
+    """Rebuild one net route from :func:`route_to_dict` output.
+
+    *dims* is the ``(num_cols, num_rows)`` of the grid the route lives on
+    (:attr:`RoutingGrid.route_dims`), which its flat indices address.
+    """
     route = NetRoute(
         net_name=route_data["net"],
+        dims=dims,
         routed=route_data["routed"],
         failure_reason=route_data.get("failure_reason", ""),
     )
-    for vertex in route_data["vertices"]:
-        route.vertices.add(_vertex_from_list(vertex))
+    node_of = route.node_of
+    route.nodes.update([node_of(_vertex_from_list(vertex)) for vertex in route_data["vertices"]])
     for a, b in route_data["edges"]:
         route.add_edge(_vertex_from_list(a), _vertex_from_list(b))
     for vertex, color in route_data["colors"]:
@@ -243,8 +248,12 @@ def solution_to_dict(solution: RoutingSolution) -> Dict[str, Any]:
     }
 
 
-def solution_from_dict(data: Dict[str, Any]) -> RoutingSolution:
-    """Rebuild a routing solution from :func:`solution_to_dict` output."""
+def solution_from_dict(data: Dict[str, Any], dims: Tuple[int, int]) -> RoutingSolution:
+    """Rebuild a routing solution from :func:`solution_to_dict` output.
+
+    *dims* is the grid's :attr:`RoutingGrid.route_dims` (see
+    :func:`route_from_dict`).
+    """
     solution = RoutingSolution(
         design_name=data["design_name"],
         router_name=data.get("router_name", ""),
@@ -252,7 +261,7 @@ def solution_from_dict(data: Dict[str, Any]) -> RoutingSolution:
         iterations=data.get("iterations", 0),
     )
     for route_data in data["routes"]:
-        solution.add_route(route_from_dict(route_data))
+        solution.add_route(route_from_dict(route_data, dims))
     return solution
 
 
@@ -261,6 +270,10 @@ def save_solution_json(solution: RoutingSolution, path: PathLike) -> None:
     Path(path).write_text(json.dumps(solution_to_dict(solution), indent=2))
 
 
-def load_solution_json(path: PathLike) -> RoutingSolution:
-    """Read a solution previously written by :func:`save_solution_json`."""
-    return solution_from_dict(json.loads(Path(path).read_text()))
+def load_solution_json(path: PathLike, dims: Tuple[int, int]) -> RoutingSolution:
+    """Read a solution previously written by :func:`save_solution_json`.
+
+    *dims* is the grid's :attr:`RoutingGrid.route_dims` (see
+    :func:`route_from_dict`).
+    """
+    return solution_from_dict(json.loads(Path(path).read_text()), dims)

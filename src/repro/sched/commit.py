@@ -14,6 +14,9 @@ writes).  ``compute_route`` sends its commits to a sink:
 * :class:`GridSink` applies each commit to the grid at once, one
   :meth:`RoutingGrid.apply_op` per vertex.  No router uses it.
 
+Both sinks address vertices by flat index, as :class:`~repro.grid.NetRoute`
+stores them.
+
 The commit log is a slice of the :mod:`repro.journal` op model: a
 :class:`RecordingSink` records exactly the ``("occupy", net_id, index)`` /
 ``("color", net_id, index, color)`` op tuples that :class:`GridSink`'s grid
@@ -26,9 +29,8 @@ pickle them back to the parent) without custom reducers.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Iterable, List, Sequence
 
-from repro.geometry import GridPoint
 from repro.grid import RoutingGrid
 from repro.journal import OP_COLOR, OP_OCCUPY, Op
 
@@ -39,51 +41,59 @@ CommitOp = Op
 class GridSink:
     """Commit sink that applies every operation to the grid immediately."""
 
-    __slots__ = ("grid", "net_name")
+    __slots__ = ("grid", "net_id")
 
     def __init__(self, grid: RoutingGrid, net_name: str) -> None:
         self.grid = grid
-        self.net_name = net_name
+        self.net_id = grid.net_id(net_name)
 
-    def occupy(self, vertex: GridPoint) -> None:
-        """Record the net's metal at *vertex* on the grid."""
-        self.grid.occupy(vertex, self.net_name)
+    def occupy(self, node: int) -> None:
+        """Record the net's metal at flat index *node* on the grid."""
+        self.grid.apply_op((OP_OCCUPY, self.net_id, node))
 
-    def set_color(self, vertex: GridPoint, color: int) -> None:
-        """Color the net's metal at *vertex* on the grid."""
-        self.grid.set_vertex_color(vertex, self.net_name, color)
+    def occupy_all(self, nodes: Iterable[int]) -> None:
+        """Record the net's metal at every flat index of *nodes* on the grid."""
+        for node in nodes:
+            self.occupy(node)
+
+    def set_color(self, node: int, color: int) -> None:
+        """Color the net's metal at flat index *node* on the grid."""
+        if not 0 <= color <= 2:
+            raise ValueError(f"TPL mask color must be 0, 1 or 2, got {color}")
+        self.grid.apply_op((OP_COLOR, self.net_id, node, color))
 
 
 class RecordingSink:
     """Commit sink that records journal ops (in order) instead of applying.
 
-    The grid is only consulted for geometry (vertex -> flat index) and the
-    net id -- never mutated; :attr:`ops` is the commit log to apply with
-    :func:`apply_route_ops`.  The recorded ops mirror :class:`GridSink`
-    gating exactly (out-of-bounds commits are dropped, invalid mask colors
-    raise).
+    The grid is only consulted for the net id -- never mutated; :attr:`ops`
+    is the commit log to apply with :func:`apply_route_ops`.  Commits
+    address vertices by flat index, as routes store them, so an op is
+    appended as is; invalid mask colors raise, as :class:`GridSink`'s do.
     """
 
-    __slots__ = ("grid", "net_id", "ops")
+    __slots__ = ("net_id", "ops")
 
     def __init__(self, grid: RoutingGrid, net_name: str) -> None:
-        self.grid = grid
         # Interning here (not at commit) keeps id assignment in routing
         # order.
         self.net_id = grid.net_id(net_name)
         self.ops: List[CommitOp] = []
 
-    def occupy(self, vertex: GridPoint) -> None:
-        """Append an occupancy op to the log."""
-        if self.grid.in_bounds(vertex):
-            self.ops.append((OP_OCCUPY, self.net_id, self.grid.index_of(vertex)))
+    def occupy(self, node: int) -> None:
+        """Append an occupancy op for flat index *node* to the log."""
+        self.ops.append((OP_OCCUPY, self.net_id, node))
 
-    def set_color(self, vertex: GridPoint, color: int) -> None:
-        """Append a mask-color op to the log."""
+    def occupy_all(self, nodes: Iterable[int]) -> None:
+        """Append one occupancy op per flat index of *nodes*, in order."""
+        net_id = self.net_id
+        self.ops.extend([(OP_OCCUPY, net_id, node) for node in nodes])
+
+    def set_color(self, node: int, color: int) -> None:
+        """Append a mask-color op for flat index *node* to the log."""
         if not 0 <= color <= 2:
             raise ValueError(f"TPL mask color must be 0, 1 or 2, got {color}")
-        if self.grid.in_bounds(vertex):
-            self.ops.append((OP_COLOR, self.net_id, self.grid.index_of(vertex), color))
+        self.ops.append((OP_COLOR, self.net_id, node, color))
 
 
 def apply_route_ops(grid: RoutingGrid, ops: Sequence[CommitOp]) -> None:

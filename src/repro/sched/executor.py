@@ -690,7 +690,7 @@ class BatchExecutor:
                 fallback_started = time.perf_counter()
                 route = self.router.route_net(net)
                 fallback_seconds += time.perf_counter() - fallback_started
-                influence = self._vertices_influence_box(route.vertices)
+                influence = self._nodes_influence_box(route.nodes)
             solution.add_route(route)
             if influence is not None:
                 committed.append(influence)
@@ -721,14 +721,15 @@ class BatchExecutor:
         return not any(windows_overlap(box, other) for other in committed)
 
     def _ops_influence_box(self, ops: Sequence[CommitOp]) -> Optional[CellWindow]:
-        # Journal ops address vertices by flat index (op[2]); decode the
-        # planar cell in place of building GridPoints.
+        # Journal ops address vertices by flat index (op[2]).
+        return self._nodes_influence_box(op[2] for op in ops)
+
+    def _nodes_influence_box(self, nodes) -> Optional[CellWindow]:
+        # Decode the planar cell of each flat index in place of building
+        # GridPoints.
         rows = self._num_rows
         plane = self._plane_size
-        return self._influence_box(divmod(op[2] % plane, rows) for op in ops)
-
-    def _vertices_influence_box(self, vertices) -> Optional[CellWindow]:
-        return self._influence_box((vertex.col, vertex.row) for vertex in vertices)
+        return self._influence_box(divmod(node % plane, rows) for node in nodes)
 
     def _influence_box(self, cells) -> Optional[CellWindow]:
         """Return the planar box the given commits can influence, expanded

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dr.cost import CostModel
-from repro.geometry import GridPoint
 from repro.grid import NetRoute, RoutingGrid
 from repro.tpl.color_state import ALL_COLORS, ColorState
 from repro.tpl.search import ColorSearchResult
@@ -30,67 +29,44 @@ from repro.tpl.search import ColorSearchResult
 
 @dataclass
 class PathSegmentSet:
-    """A segSet: a run of path vertices that will receive one common mask."""
+    """A segSet: a run of path vertices (flat indices) that will receive one common mask."""
 
     color_state: ColorState
-    vertices: List[GridPoint] = field(default_factory=list)
+    nodes: List[int] = field(default_factory=list)
     final_color: Optional[int] = None
-
-    def add_vertex(self, vertex: GridPoint, state: ColorState) -> bool:
-        """Try to absorb *vertex* with color state *state*.
-
-        Returns ``True`` when the vertex joins this segSet (the states share a
-        mask); the segSet's state narrows to the common masks, mirroring
-        Algorithm 3 lines 11-15.  Returns ``False`` when a stitch is needed.
-        """
-        common = self.color_state.intersection(state)
-        if common.is_empty:
-            return False
-        self.color_state = common
-        self.vertices.append(vertex)
-        return True
-
-    @property
-    def first(self) -> GridPoint:
-        """Return the first vertex added (closest to the destination pin)."""
-        return self.vertices[0]
-
-    @property
-    def last(self) -> GridPoint:
-        """Return the last vertex added (closest to the routed tree)."""
-        return self.vertices[-1]
 
 
 @dataclass
 class ColoredPath:
-    """The outcome of backtracing one search: colored vertices plus stitches."""
+    """The outcome of backtracing one search: colored vertices plus stitches.
+
+    Vertices are flat grid indices; :attr:`nodes` is the path ordered
+    destination-first.
+    """
 
     net_name: str
-    vertices: List[GridPoint]
+    nodes: List[int]
     segments: List[PathSegmentSet]
-    stitches: List[Tuple[GridPoint, GridPoint]]
+    stitches: List[Tuple[int, int]]
 
-    def color_of(self, vertex: GridPoint) -> Optional[int]:
-        """Return the final mask of *vertex* on this path, if assigned."""
-        for segment in self.segments:
-            if segment.final_color is not None and vertex in segment.vertices:
-                return segment.final_color
-        return None
-
-    def colors(self) -> Dict[GridPoint, int]:
-        """Return the final mask of every path vertex."""
-        result: Dict[GridPoint, int] = {}
+    def colors(self) -> Dict[int, int]:
+        """Return the final mask of every path vertex, in path order."""
+        result: Dict[int, int] = {}
         for segment in self.segments:
             if segment.final_color is None:
                 continue
-            for vertex in segment.vertices:
-                result[vertex] = segment.final_color
+            for node in segment.nodes:
+                result[node] = segment.final_color
         return result
 
     @property
     def stitch_count(self) -> int:
         """Return the number of stitches introduced along this path."""
         return len(self.stitches)
+
+
+#: Table I bit of each single mask (red=0b100, green=0b010, blue=0b001).
+_MASK_BIT = tuple(1 << (2 - color) for color in ALL_COLORS)
 
 
 class Backtracer:
@@ -104,7 +80,7 @@ class Backtracer:
         self,
         search: ColorSearchResult,
         net_name: str,
-        tree_colors: Optional[Dict[GridPoint, int]] = None,
+        tree_colors: Optional[Dict[int, int]] = None,
     ) -> ColoredPath:
         """Walk from the reached pin back to the tree and color the path.
 
@@ -115,38 +91,49 @@ class Backtracer:
         net_name:
             The net being routed.
         tree_colors:
-            Final masks of vertices already committed for this net (the
-            routed tree).  The path's last vertex joins the tree; when the
-            join vertex already has a mask the first/last segSet is
-            constrained to it so a disagreement is surfaced as a stitch
-            rather than silently overwritten.
+            Final masks of vertices (flat indices) already committed for
+            this net (the routed tree).  The path's last vertex joins the
+            tree; when the join vertex already has a mask the first/last
+            segSet is constrained to it so a disagreement is surfaced as a
+            stitch rather than silently overwritten.
         """
         if not search.found:
             raise ValueError("backtrace requires a successful search")
         tree_colors = tree_colors or {}
-        path = search.path_to_source()
+        path = search.node_path()
+        aux_at = search.aux_at
+        committed_get = tree_colors.get
+        plane = self.grid.plane_size
+
+        def bits_of(node: int) -> int:
+            committed = committed_get(node)
+            if committed is not None:
+                return _MASK_BIT[committed]
+            return aux_at(node)
 
         segments: List[PathSegmentSet] = []
-        stitches: List[Tuple[GridPoint, GridPoint]] = []
-
-        def state_of(vertex: GridPoint) -> ColorState:
-            committed = tree_colors.get(vertex)
-            if committed is not None:
-                return ColorState.single(committed)
-            return search.color_state_of(vertex)
-
-        current = PathSegmentSet(color_state=state_of(path[0]), vertices=[path[0]])
-        segments.append(current)
-        for previous, vertex in zip(path, path[1:]):
-            same_layer = previous.layer == vertex.layer
-            if same_layer and current.add_vertex(vertex, state_of(vertex)):
-                continue
+        # (a, b, index of a's segSet): a stitch between two segSets.
+        splits: List[Tuple[int, int, int]] = []
+        state = bits_of(path[0])
+        members = [path[0]]
+        for previous, node in zip(path, path[1:]):
+            bits = bits_of(node)
+            same_layer = previous // plane == node // plane
             if same_layer:
+                # Algorithm 3 lines 11-15: join the segSet while the states
+                # share a mask, narrowing to the common masks.
+                common = state & bits
+                if common:
+                    state = common
+                    members.append(node)
+                    continue
                 # No common mask: Algorithm 3's "else" branch -- a stitch
                 # separates the two segment sets.
-                stitches.append((previous, vertex))
-            current = PathSegmentSet(color_state=state_of(vertex), vertices=[vertex])
-            segments.append(current)
+                splits.append((previous, node, len(segments)))
+            segments.append(PathSegmentSet(color_state=ColorState(state), nodes=members))
+            state = bits
+            members = [node]
+        segments.append(PathSegmentSet(color_state=ColorState(state), nodes=members))
 
         self._assign_final_colors(segments, tree_colors)
         # A stitch is only real if the two sides ended up on different masks;
@@ -154,12 +141,12 @@ class Backtracer:
         # to choose the same mask merge back seamlessly.
         confirmed = [
             (a, b)
-            for (a, b) in stitches
-            if self._final_color_at(segments, a) != self._final_color_at(segments, b)
+            for a, b, index in splits
+            if segments[index].final_color != segments[index + 1].final_color
         ]
         return ColoredPath(
             net_name=net_name,
-            vertices=path,
+            nodes=path,
             segments=segments,
             stitches=confirmed,
         )
@@ -169,7 +156,7 @@ class Backtracer:
     def _assign_final_colors(
         self,
         segments: Sequence[PathSegmentSet],
-        tree_colors: Dict[GridPoint, int],
+        tree_colors: Dict[int, int],
     ) -> None:
         """Collapse every segSet to one mask.
 
@@ -179,20 +166,21 @@ class Backtracer:
         (c) match the neighbouring segSet's mask when costs tie, which avoids
         gratuitous stitches.
         """
+        pressure = self.grid.pressure_buffer()
         previous_color: Optional[int] = None
         for segment in segments:
-            committed = [
-                tree_colors[v] for v in segment.vertices if v in tree_colors
-            ]
+            committed = [tree_colors[node] for node in segment.nodes if node in tree_colors]
             if committed:
                 segment.final_color = committed[0]
                 previous_color = segment.final_color
                 continue
-            penalties = [0.0, 0.0, 0.0]
-            for vertex in segment.vertices:
-                vertex_costs = self.grid.color_costs(vertex)
-                for color in ALL_COLORS:
-                    penalties[color] += vertex_costs[color]
+            red = green = blue = 0.0
+            for node in segment.nodes:
+                base = 3 * node
+                red += pressure[base]
+                green += pressure[base + 1]
+                blue += pressure[base + 2]
+            penalties = (red, green, blue)
             candidates = segment.color_state.colors() or list(ALL_COLORS)
             best = min(
                 candidates,
@@ -204,15 +192,6 @@ class Backtracer:
             )
             segment.final_color = best
             previous_color = best
-
-    @staticmethod
-    def _final_color_at(
-        segments: Sequence[PathSegmentSet], vertex: GridPoint
-    ) -> Optional[int]:
-        for segment in segments:
-            if vertex in segment.vertices:
-                return segment.final_color
-        return None
 
 
 def apply_colored_path(
@@ -228,15 +207,15 @@ def apply_colored_path(
     occupancy commits in order, for one route commit once the whole net is
     routed.
     """
-    ordered = path.vertices
-    route.add_path(ordered)
-    for vertex, color in path.colors().items():
-        route.set_color(vertex, color)
-        sink.set_color(vertex, color)
-    for vertex in ordered:
-        sink.occupy(vertex)
+    ordered = path.nodes
+    route.add_node_path(ordered)
+    for node, color in path.colors().items():
+        route.set_node_color(node, color)
+        sink.set_color(node, color)
+    sink.occupy_all(ordered)
+    vertex_at = route.vertex_at
     for a, b in path.stitches:
-        route.add_stitch(a, b)
+        route.add_stitch(vertex_at(a), vertex_at(b))
 
 
 def commit_colored_path(

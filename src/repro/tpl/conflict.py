@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.design import Design
 from repro.geometry import GridPoint
@@ -43,12 +43,21 @@ ObstacleWindows = Dict[Tuple[int, int], List[Tuple[str, int, int, int, int]]]
 
 @dataclass(frozen=True)
 class Feature:
-    """A maximal connected run of same-mask metal of one net on one layer."""
+    """A maximal connected run of same-mask metal of one net on one layer.
+
+    ``cols`` / ``rows`` hold the track coordinates of :attr:`vertices` (in
+    its iteration order) and ``box`` their ``(col_lo, col_hi, row_lo,
+    row_hi)`` bounds: the integer geometry :meth:`ConflictChecker._pair_kind`
+    and the obstacle test read.
+    """
 
     net_name: str
     layer: int
     color: int
     vertices: FrozenSet[GridPoint]
+    cols: Tuple[int, ...] = field(compare=False, repr=False)
+    rows: Tuple[int, ...] = field(compare=False, repr=False)
+    box: Tuple[int, int, int, int] = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -118,6 +127,9 @@ class ConflictChecker:
         self.grid = grid
         self.rules = grid.rules
         self._obstacle_windows: Optional[ObstacleWindows] = None
+        # Per layer: (min-spacing reach, Dcolor reach) in tracks.
+        self._reaches: Dict[int, Tuple[int, int]] = {}
+        self._tpl_layers = tuple(layer.tpl for layer in design.tech.layers)
 
     # ------------------------------------------------------------------
 
@@ -131,46 +143,56 @@ class ConflictChecker:
     def _net_features(self, route: NetRoute) -> List[Feature]:
         """Split one route into features (see :meth:`_net_groups`).
 
-        Each feature's vertex set is filled in ``vertex_colors`` order, so
-        its iteration order -- the probe order of :meth:`check`, hence the
-        conflict locations -- depends only on the route.
+        Each feature's vertex set is the frozen copy of a ``set`` filled in
+        ``node_colors`` order, so its iteration order -- the probe order of
+        :meth:`check`, hence the conflict locations -- depends only on the
+        route.
         """
         name = route.net_name
-        return [
-            Feature(net_name=name, layer=layer, color=color, vertices=frozenset(set(members)))
-            for layer, color, members in self._net_groups(route)
-        ]
+        vertex_of = self.grid.vertex_of
+        features: List[Feature] = []
+        for layer, color, members in self._net_groups(route):
+            vertices = frozenset(set([vertex_of(node) for node in members]))
+            cols = tuple(vertex.col for vertex in vertices)
+            rows = tuple(vertex.row for vertex in vertices)
+            features.append(
+                Feature(
+                    net_name=name,
+                    layer=layer,
+                    color=color,
+                    vertices=vertices,
+                    cols=cols,
+                    rows=rows,
+                    box=(min(cols), max(cols), min(rows), max(rows)),
+                )
+            )
+        return features
 
-    def _net_groups(self, route: NetRoute) -> List[Tuple[int, int, List[GridPoint]]]:
-        """Return ``(layer, color, members)`` per feature of *route*.
+    def _net_groups(self, route: NetRoute) -> List[Tuple[int, int, List[int]]]:
+        """Return ``(layer, color, member flat indices)`` per feature of *route*.
 
-        A union-find over flat vertex indices: same-layer route edges join
-        colored vertices of equal mask.  Groups come in the order their
-        first member appears in ``vertex_colors``, and so do the members
-        of each group.  The incremental checker extracts dirty nets here
-        too.
+        A union-find over the route's flat vertex indices: same-layer route
+        edges join colored vertices of equal mask.  Groups come in the
+        order their first member appears in ``node_colors``, and so do the
+        members of each group.  The incremental checker extracts dirty nets
+        here too.
         """
-        vertices = route.vertices
-        index_of = self.grid.index_of
+        nodes = route.nodes
         color_at: Dict[int, int] = {}
         parent: Dict[int, int] = {}
-        keyed: List[Tuple[int, GridPoint]] = []
-        for vertex, color in route.vertex_colors.items():
-            if vertex in vertices:
-                index = index_of(vertex)
-                color_at[index] = color
-                parent[index] = index
-                keyed.append((index, vertex))
+        keyed: List[int] = []
+        for node, color in route.node_colors.items():
+            if node in nodes:
+                color_at[node] = color
+                parent[node] = node
+                keyed.append(node)
         color_get = color_at.get
-        for a, b in route.edges:
-            if a.layer != b.layer:
+        plane_size = self.grid.plane_size
+        for ia, ib in route.node_edges:
+            if ia // plane_size != ib // plane_size:
                 continue
-            ia = index_of(a)
             color_a = color_get(ia)
-            if color_a is None:
-                continue
-            ib = index_of(b)
-            if color_get(ib) != color_a:
+            if color_a is None or color_get(ib) != color_a:
                 continue
             while parent[ia] != ia:
                 parent[ia] = parent[parent[ia]]
@@ -180,18 +202,17 @@ class ConflictChecker:
                 ib = parent[ib]
             if ia != ib:
                 parent[ib] = ia
-        groups: Dict[int, List[GridPoint]] = {}
-        for index, vertex in keyed:
-            root = index
+        groups: Dict[int, List[int]] = {}
+        for node in keyed:
+            root = node
             while parent[root] != root:
                 parent[root] = parent[parent[root]]
                 root = parent[root]
             members = groups.get(root)
             if members is None:
-                groups[root] = [vertex]
+                groups[root] = [node]
             else:
-                members.append(vertex)
-        plane_size = self.grid.plane_size
+                members.append(node)
         return [
             (root // plane_size, color_at[root], members) for root, members in groups.items()
         ]
@@ -239,7 +260,6 @@ class ConflictChecker:
             layer = feature.layer
             stride, window = windows[layer]
             owners = owners_by_layer[layer]
-            dcolor = self.rules.color_spacing_on(layer)
             net_name = feature.net_name
             met: Set[int] = set()
             for vertex in feature.vertices:
@@ -256,10 +276,22 @@ class ConflictChecker:
                         if other.net_name == net_name:
                             continue
                         met.add(other_id)
-                        conflict = self._classify_pair(feature, other, vertex, dcolor)
-                        if conflict is not None:
-                            report.conflicts.append(conflict)
-        report.conflicts.extend(self._obstacle_conflicts(features))
+                        kind = self._pair_kind(feature, other)
+                        if kind is not None:
+                            report.conflicts.append(
+                                ColorConflict(
+                                    net_a=net_name,
+                                    net_b=other.net_name,
+                                    layer=layer,
+                                    color=feature.color,
+                                    location=vertex,
+                                    kind=kind,
+                                )
+                            )
+        for feature in features:
+            report.conflicts.extend(
+                self._obstacle_conflicts(feature, lambda: feature.vertices)
+            )
         return report
 
     def count(self, solution: RoutingSolution) -> int:
@@ -268,63 +300,60 @@ class ConflictChecker:
 
     # ------------------------------------------------------------------
 
-    def _classify_pair(
-        self,
-        feature: Feature,
-        other: Feature,
-        location: GridPoint,
-        dcolor: int,
-    ) -> Optional[ColorConflict]:
-        distance = self._feature_distance(feature, other)
-        if distance < self.rules.min_spacing:
-            return ColorConflict(
-                net_a=feature.net_name,
-                net_b=other.net_name,
-                layer=feature.layer,
-                color=feature.color,
-                location=location,
-                kind="min-spacing",
+    def _layer_reaches(self, layer: int) -> Tuple[int, int]:
+        """Return *layer*'s ``(min-spacing reach, Dcolor reach)`` in tracks."""
+        reaches = self._reaches.get(layer)
+        if reaches is None:
+            reaches = self._reaches[layer] = (
+                self.grid.track_reach(self.rules.min_spacing),
+                self.grid.track_reach(self.rules.color_spacing_on(layer)),
             )
-        if feature.color == other.color and distance < dcolor:
-            return ColorConflict(
-                net_a=feature.net_name,
-                net_b=other.net_name,
-                layer=feature.layer,
-                color=feature.color,
-                location=location,
-                kind="same-mask",
-            )
-        return None
+        return reaches
 
-    def _feature_distance(self, feature: Feature, other: Feature) -> int:
-        # Every vertex rect is the same wire-width square centred on a
-        # uniform track lattice, so the L-infinity rect gap reduces to
-        # ``max(0, chebyshev(col, row) * pitch - wire_width)`` -- the gap is
-        # monotone in the per-axis track distance, making the minimum over
-        # vertex pairs the gap of the minimum Chebyshev distance.  Pure
-        # integer arithmetic; no Rect/Interval objects on this hot path.
-        if not feature.vertices or not other.vertices:
-            return 1 << 30
-        pitch = self.grid.pitch
-        extent = 2 * max(self.rules.wire_width // 2, 0)
-        others = other.vertices
-        best = None
-        for vertex in feature.vertices:
-            col, row = vertex.col, vertex.row
-            for other_vertex in others:
-                dcol = col - other_vertex.col
+    def _pair_kind(self, feature, other) -> Optional[str]:
+        """Return the conflict kind of two same-layer features of different nets.
+
+        ``"min-spacing"`` when some vertex pair sits closer than
+        ``min_spacing``, else ``"same-mask"`` when the masks are equal and
+        some pair sits closer than the layer's ``Dcolor``, else ``None``.
+        Every vertex rect is the same wire-width square on a uniform track
+        lattice, so "gap < d" is "Chebyshev track distance <=
+        :meth:`RoutingGrid.track_reach` of d" and only those two thresholds
+        matter, not the exact minimum distance.  The walk reads the
+        features' ``cols`` / ``rows`` / ``box`` (a :class:`Feature` or the
+        incremental checker's cached entry): it rejects the pair by bounding
+        box, skips vertices whose distance to the other box cannot beat the
+        closest pair so far, and stops at the first pair within the
+        min-spacing reach.
+        """
+        spacing_reach, color_reach = self._layer_reaches(feature.layer)
+        if feature.color != other.color:
+            color_reach = -1
+        reach = spacing_reach if spacing_reach > color_reach else color_reach
+        col_lo, col_hi, row_lo, row_hi = other.box
+        box_lo, box_hi, box_row_lo, box_row_hi = feature.box
+        if max(col_lo - box_hi, box_lo - col_hi, row_lo - box_row_hi, box_row_lo - row_hi) > reach:
+            return None
+        best = reach + 1
+        other_cells = list(zip(other.cols, other.rows))
+        for col, row in zip(feature.cols, feature.rows):
+            if max(col_lo - col, col - col_hi, row_lo - row, row - row_hi) >= best:
+                continue
+            for other_col, other_row in other_cells:
+                dcol = col - other_col
                 if dcol < 0:
                     dcol = -dcol
-                drow = row - other_vertex.row
+                drow = row - other_row
                 if drow < 0:
                     drow = -drow
                 chebyshev = dcol if dcol > drow else drow
-                if best is None or chebyshev < best:
+                if chebyshev < best:
+                    if chebyshev <= spacing_reach:
+                        return "min-spacing"
                     best = chebyshev
-                    if best * pitch <= extent:
-                        return 0
-        distance = best * pitch - extent
-        return distance if distance > 0 else 0
+        if best <= color_reach:
+            return "same-mask"
+        return None
 
     def _obstacle_window_table(self) -> ObstacleWindows:
         """Return ``(layer, mask) -> [(name, col_lo, col_hi, row_lo, row_hi)]``, cached.
@@ -345,37 +374,57 @@ class ConflictChecker:
             self._obstacle_windows = windows
         return self._obstacle_windows
 
-    def _obstacle_conflicts(self, features: Iterable[Feature]) -> List[ColorConflict]:
+    def _obstacle_conflicts(
+        self, feature, anchors: Callable[[], Iterable[GridPoint]]
+    ) -> List[ColorConflict]:
+        """Return *feature*'s conflicts against pre-colored obstacles.
+
+        Window membership is tested on the feature's ``cols`` / ``rows``;
+        each conflict is anchored at the first vertex of ``anchors()`` --
+        called only when an obstacle is hit -- inside the window.
+        """
+        windows = self._obstacle_window_table().get((feature.layer, feature.color))
+        if not windows:
+            return []
         conflicts: List[ColorConflict] = []
-        windows = self._obstacle_window_table()
-        for feature in features:
-            for name, col_lo, col_hi, row_lo, row_hi in windows.get(
-                (feature.layer, feature.color), ()
+        box_lo, box_hi, box_row_lo, box_row_hi = feature.box
+        ordered = None
+        for name, col_lo, col_hi, row_lo, row_hi in windows:
+            if col_hi < box_lo or col_lo > box_hi or row_hi < box_row_lo or row_lo > box_row_hi:
+                continue
+            if not any(
+                col_lo <= col <= col_hi and row_lo <= row <= row_hi
+                for col, row in zip(feature.cols, feature.rows)
             ):
-                for vertex in feature.vertices:
-                    if col_lo <= vertex.col <= col_hi and row_lo <= vertex.row <= row_hi:
-                        conflicts.append(
-                            ColorConflict(
-                                net_a=feature.net_name,
-                                net_b=name,
-                                layer=feature.layer,
-                                color=feature.color,
-                                location=vertex,
-                                kind="same-mask",
-                            )
+                continue
+            if ordered is None:
+                ordered = anchors()
+            for vertex in ordered:
+                if col_lo <= vertex.col <= col_hi and row_lo <= vertex.row <= row_hi:
+                    conflicts.append(
+                        ColorConflict(
+                            net_a=feature.net_name,
+                            net_b=name,
+                            layer=feature.layer,
+                            color=feature.color,
+                            location=vertex,
+                            kind="same-mask",
                         )
-                        break
+                    )
+                    break
         return conflicts
 
-    def _route_uncolored(self, route: NetRoute, features: List[Feature]) -> int:
+    def _route_uncolored(self, route: NetRoute, features) -> int:
         """Return how many TPL-layer vertices of a routed *route* carry no mask.
 
-        *features* are the route's :meth:`_net_features`, which hold exactly
-        its colored vertices, so the count is the route's TPL-layer vertex
-        total minus the features' TPL-layer sizes.
+        *features* are the route's features (:meth:`_net_features`, or the
+        incremental checker's entries), which hold exactly its colored
+        vertices, so the count is the route's TPL-layer vertex total minus
+        the features' TPL-layer sizes.
         """
         if not route.routed:
             return 0
-        layers = self.design.tech.layers
-        total = sum(1 for vertex in route.vertices if layers[vertex.layer].tpl)
-        return total - sum(feature.size for feature in features if layers[feature.layer].tpl)
+        tpl = self._tpl_layers
+        plane_size = self.grid.plane_size
+        total = sum(1 for node in route.nodes if tpl[node // plane_size])
+        return total - sum(len(feature.cols) for feature in features if tpl[feature.layer])

@@ -31,9 +31,13 @@ from repro.geometry import GridPoint
 from repro.gr import GlobalRouter, GuideSet
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
 from repro.tpl.backtrace import Backtracer, apply_colored_path
-from repro.tpl.color_state import ColorState
+from repro.tpl.color_state import ALL_COLORS, ColorState
 from repro.tpl.conflict import ConflictReport
 from repro.tpl.search import ColorStateSearch
+
+#: Shared seed states (``ColorState`` is immutable).
+_ALL_MASKS = ColorState.all()
+_SINGLE_MASK = tuple(ColorState.single(color) for color in ALL_COLORS)
 
 
 class MrTPLRouter(CampaignRouter):
@@ -97,16 +101,22 @@ class MrTPLRouter(CampaignRouter):
         """
         if engine is None:
             engine = self.search_engine
-        route = NetRoute(net_name=net.name)
-        pin_groups = [self.grid.pin_access_vertices(pin) for pin in net.pins]
+        grid = self.grid
+        route = NetRoute(net.name, grid.route_dims)
+        pin_groups = [grid.pin_access_vertices(pin) for pin in net.pins]
         if any(not group for group in pin_groups):
             route.routed = False
             route.failure_reason = "pin without reachable access vertex"
             return route
+        index_of = grid.index_of
+        vertex_of = grid.vertex_of
+        pin_nodes = [[index_of(vertex) for vertex in group] for group in pin_groups]
 
-        tree_colors: Dict[GridPoint, int] = {}
+        tree_colors: Dict[int, int] = {}
+        # GridPoint-keyed: the search seeds follow this set's iteration
+        # order, and the kernel breaks cost ties by push order.
         tree_vertices: Set[GridPoint] = set(pin_groups[0])
-        route.vertices.update(tree_vertices)
+        route.nodes.update(pin_nodes[0])
         unreached = list(range(1, len(pin_groups)))
 
         while unreached:
@@ -131,15 +141,16 @@ class MrTPLRouter(CampaignRouter):
 
             reached_pin = targets[search.reached]
             unreached.remove(reached_pin)
-            tree_vertices.update(colored_path.vertices)
+            tree_vertices.update([vertex_of(node) for node in colored_path.nodes])
             tree_vertices.update(pin_groups[reached_pin])
-            route.vertices.update(pin_groups[reached_pin])
-            for vertex in pin_groups[reached_pin]:
-                sink.occupy(vertex)
+            route.nodes.update(pin_nodes[reached_pin])
+            sink.occupy_all(pin_nodes[reached_pin])
+            # Release the result: the engine copies the label buffers of a
+            # previous result that is still referenced when it runs again.
+            del search, colored_path
 
         if route.routed:
-            for vertex in tree_vertices:
-                sink.occupy(vertex)
+            sink.occupy_all(route.nodes)
             route.recount_stitches()
         return route
 
@@ -163,8 +174,7 @@ class MrTPLRouter(CampaignRouter):
             self.grid.release_net(net_name)
             route = solution.routes.get(net_name)
             if route is not None:
-                for vertex in route.vertices:
-                    self.grid.add_history(vertex, 0.25)
+                self.grid.add_history_nodes(route.nodes, 0.25)
             solution.routes.pop(net_name, None)
 
     # ------------------------------------------------------------------
@@ -172,21 +182,21 @@ class MrTPLRouter(CampaignRouter):
     def _source_states(
         self,
         tree_vertices: Set[GridPoint],
-        tree_colors: Dict[GridPoint, int],
+        tree_colors: Dict[int, int],
     ) -> Dict[GridPoint, ColorState]:
         """Return search sources: tree vertices with their committed color states.
 
         Fresh (pin-only) vertices start fully flexible at ``111``; vertices
-        that already carry routed metal of this net are constrained to the
-        committed mask so that attaching a different mask is charged as a
-        stitch by the search.
+        that already carry routed metal of this net (*tree_colors*, keyed
+        by flat index) are constrained to the committed mask so that
+        attaching a different mask is charged as a stitch by the search.
         """
+        index_of = self.grid.index_of
+        colors_get = tree_colors.get
         sources: Dict[GridPoint, ColorState] = {}
         for vertex in tree_vertices:
-            color = tree_colors.get(vertex)
-            sources[vertex] = (
-                ColorState.single(color) if color is not None else ColorState.all()
-            )
+            color = colors_get(index_of(vertex))
+            sources[vertex] = _ALL_MASKS if color is None else _SINGLE_MASK[color]
         return sources
 
     # ------------------------------------------------------------------

@@ -65,8 +65,11 @@ def _direction_between(parent: GridPoint, child: GridPoint) -> Optional[Directio
 class ColorSearchResult:
     """Outcome of one color-state search.
 
-    Wraps a :class:`~repro.search.CoreResult`; the ``labels`` view is
-    materialised lazily.
+    Wraps a :class:`~repro.search.CoreResult`.  The backtrace reads the
+    core's flat-index path and aux (color-state) bits through
+    :meth:`node_path` / :meth:`aux_at`; the ``GridPoint`` views
+    (:meth:`path_to_source`, :meth:`color_state_of`, ``labels``) are built
+    on demand for tests and walk-throughs.
     """
 
     def __init__(self, core: CoreResult, grid: RoutingGrid) -> None:
@@ -110,16 +113,24 @@ class ColorSearchResult:
             self._labels = labels
         return self._labels
 
-    def path_to_source(self) -> List[GridPoint]:
-        """Return the vertex path from the reached pin back to a source.
+    def node_path(self) -> List[int]:
+        """Return the flat-index path from the reached pin back to a source.
 
         Ordered destination-first (the order the backtrace of Algorithm 3
         walks it).  Raises ``ValueError`` on a failed search.
         """
         if not self._core.found:
             raise ValueError("cannot backtrace a failed color-state search")
+        return self._core.node_path()
+
+    def aux_at(self, node: int) -> int:
+        """Return the color-state bits labelled at flat index *node*."""
+        return self._core.aux_at(node)
+
+    def path_to_source(self) -> List[GridPoint]:
+        """Return :meth:`node_path` as :class:`GridPoint` vertices."""
         vertex_of = self._grid.vertex_of
-        return [vertex_of(node) for node in self._core.node_path()]
+        return [vertex_of(node) for node in self.node_path()]
 
     def color_state_of(self, vertex: GridPoint) -> ColorState:
         """Return the color state assigned to *vertex* during the search."""
@@ -166,11 +177,15 @@ class ColorStateSearch:
             return ColorSearchResult(CoreResult.empty(), grid)
         bounds = TargetBounds.from_targets(targets)
         index_of = grid.index_of
+        in_bounds = grid.in_bounds
+        blocked = grid.blocked_buffer()
         seeds: List[Tuple[int, int]] = []
         for vertex, state in sources.items():
-            if not grid.in_bounds(vertex) or grid.is_blocked(vertex):
+            if not in_bounds(vertex):
                 continue
-            seeds.append((index_of(vertex), state.bits))
+            index = index_of(vertex)
+            if not blocked[index]:
+                seeds.append((index, state.bits))
         target_nodes = {index_of(t) for t in targets if grid.in_bounds(t)}
 
         net_id = grid.net_id(net_name)

@@ -166,7 +166,7 @@ class TestLayoutDecomposer:
         units = decomposer.extract_units(solution)
         per_net = {}
         for unit in units:
-            per_net.setdefault(unit.net_name, []).extend(unit.vertices)
+            per_net.setdefault(unit.net_name, []).extend(map(grid.vertex_of, unit.nodes))
         for route in solution.routes.values():
             if not route.routed:
                 continue
@@ -189,7 +189,7 @@ class TestLayoutDecomposer:
         ]
         units = [
             ColoringUnit(unit_id=(net, position), net_name=net, layer=0,
-                         vertices=[GridPoint(0, col, row)])
+                         nodes=[grid.index_of(GridPoint(0, col, row))])
             for position, (net, (col, row)) in enumerate(cells)
         ]
         problem = LayoutDecomposer(design, grid).build_problem(units)

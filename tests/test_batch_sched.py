@@ -386,13 +386,13 @@ def test_failed_pool_batch_falls_back_to_serial(failure, router_key, monkeypatch
 def test_grid_sink_and_recording_sink_agree():
     design = build_case("ispd18", 1, 0.5)
     grid = RoutingGrid(design)
-    vertex = grid.vertex_of(grid.plane_size // 2)
+    node = grid.plane_size // 2
     recording = RecordingSink(grid, "netX")
-    recording.occupy(vertex)
-    recording.set_color(vertex, 1)
+    recording.occupy(node)
+    recording.set_color(node, 1)
     direct = GridSink(grid, "netX")
-    direct.occupy(vertex)
-    direct.set_color(vertex, 1)
+    direct.occupy(node)
+    direct.set_color(node, 1)
     # The ops carry the interned net id; an identically constructed grid
     # interns identically (the executor pre-interns batch nets the same way).
     replay_grid = RoutingGrid(build_case("ispd18", 1, 0.5))

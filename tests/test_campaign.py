@@ -40,7 +40,8 @@ def grid_solution_mismatches(grid, solution):
             if route is None or vertex not in route.vertices:
                 mismatches.append(("unowned", name, vertex))
             elif len(names) == 1:
-                if grid.vertex_color(vertex) != route.vertex_colors.get(vertex):
+                color = grid.vertex_color_index(grid.index_of(vertex))
+                if color != route.vertex_colors.get(vertex):
                     mismatches.append(("colour", name, vertex))
     return mismatches
 
@@ -89,11 +90,12 @@ def test_restore_releases_every_net_before_recommitting():
     color = (color + 1) % 3
     router.grid.occupy(vertex, "third")
     best = dict(solution.routes)
-    best[first] = NetRoute(net_name=first, vertices={vertex}, vertex_colors={vertex: color})
-    best[last] = NetRoute(net_name=last, routed=False)
+    best[first] = NetRoute(first, router.grid.route_dims)
+    best[first].set_color(vertex, color)
+    best[last] = NetRoute(last, router.grid.route_dims, routed=False)
     router._restore(solution, best)
     assert router.grid.occupants(vertex) == {first, "third"}
-    assert router.grid.vertex_color(vertex) == color
+    assert router.grid.vertex_color_index(router.grid.index_of(vertex)) == color
     assert solution.routes[first] is best[first]
     router.grid.release_net("third")
     assert grid_solution_mismatches(router.grid, solution) == []

@@ -258,8 +258,8 @@ def test_check_env_gates(env_name, forbidden):
 # ----------------------------------------------------------------------
 
 def test_route_revisions_are_unique_and_restamped_on_unpickle():
-    a = NetRoute(net_name="n1")
-    b = NetRoute(net_name="n1")
+    a = NetRoute("n1", (8, 8))
+    b = NetRoute("n1", (8, 8))
     assert a.revision != b.revision
     clone = pickle.loads(pickle.dumps(a))
     assert clone.revision != a.revision  # cross-process routes read as replaced
@@ -282,7 +282,7 @@ def test_id_reuse_does_not_mask_route_replacement():
     old = driver.solution.routes.pop(name)
     old_id = id(old)
     payload = (
-        set(old.vertices), set(old.edges), dict(old.vertex_colors), old.routed
+        set(old.nodes), set(old.node_edges), dict(old.node_colors), old.routed, old.dims
     )
     del old
     # Hunt for the collected route's address: allocate bare objects of the
@@ -300,16 +300,17 @@ def test_id_reuse_does_not_mask_route_replacement():
         pytest.skip("allocator did not reuse the route's address")
     replacement.__init__(
         net_name=name,
-        vertices=set(payload[0]),
-        edges=set(payload[1]),
-        vertex_colors=dict(payload[2]),
+        dims=payload[4],
+        nodes=set(payload[0]),
+        node_edges=set(payload[1]),
+        node_colors=dict(payload[2]),
         routed=payload[3],
     )
 
     # Same address, different content: flip one mask color without touching
     # the grid, so only the route object itself reveals the replacement.
-    vertex = sorted(replacement.vertex_colors)[0]
-    replacement.vertex_colors[vertex] = (replacement.vertex_colors[vertex] + 1) % 3
+    node = sorted(replacement.node_colors)[0]
+    replacement.node_colors[node] = (replacement.node_colors[node] + 1) % 3
     driver.solution.routes[name] = replacement
 
     dirty = driver.inc_drc.refresh(driver.solution)

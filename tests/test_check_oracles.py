@@ -25,8 +25,12 @@ def tiny_design(min_spacing=1, color_spacing=8, num_layers=2):
     return Design(name="oracle", tech=tech, die_area=Rect(0, 0, 64, 64))
 
 
+#: ``route_dims`` of every ``tiny_design`` grid (64 DBU die, pitch 4).
+TINY_DIMS = (17, 17)
+
+
 def wire(net, layer, row, cols, color=None):
-    route = NetRoute(net_name=net)
+    route = NetRoute(net, TINY_DIMS)
     route.add_path([GridPoint(layer, col, row) for col in cols])
     if color is not None:
         for vertex in list(route.vertices):
@@ -61,8 +65,8 @@ class TestDRCOracle:
         grid = RoutingGrid(design)
         solution = RoutingSolution(design_name="d")
         for name in ("a", "b", "c"):
-            route = NetRoute(net_name=name)
-            route.vertices.add(GridPoint(0, 4, 4))
+            route = NetRoute(name, TINY_DIMS)
+            route.add_path([GridPoint(0, 4, 4)])
             solution.add_route(route)
         shorts = DRCChecker(design, grid).find_shorts(solution)
         assert len(shorts) == 1
@@ -99,7 +103,7 @@ class TestDRCOracle:
         solution.add_route(wire("a", 0, 5, (2, 3)))
         failed = wire("b", 0, 6, (2, 3))
         failed.routed = False
-        failed.vertices.add(GridPoint(0, 2, 5))  # overlaps net a
+        failed.add_path([GridPoint(0, 2, 5)])  # overlaps net a
         solution.add_route(failed)
         grouped = DRCChecker(design, grid).check(solution)
         assert grouped["spacing"] == []
@@ -231,7 +235,7 @@ class TestNetFeatureExtraction:
     def test_via_crossing_yields_per_layer_features(self):
         design = tiny_design()
         grid = RoutingGrid(design)
-        route = NetRoute(net_name="a")
+        route = NetRoute("a", TINY_DIMS)
         lower = [GridPoint(0, 2, 2), GridPoint(0, 3, 2)]
         upper = [GridPoint(1, 3, 2), GridPoint(1, 3, 3)]
         route.add_path(lower + upper)  # the (0,3,2) -> (1,3,2) edge is a via
@@ -248,7 +252,7 @@ class TestNetFeatureExtraction:
     def test_mask_change_mid_run_splits_features(self):
         design = tiny_design()
         grid = RoutingGrid(design)
-        route = NetRoute(net_name="a")
+        route = NetRoute("a", TINY_DIMS)
         path = [GridPoint(0, col, 4) for col in range(2, 8)]
         route.add_path(path)
         for vertex in path[:3]:
@@ -264,7 +268,7 @@ class TestNetFeatureExtraction:
     def test_disconnected_same_color_runs_stay_separate_features(self):
         design = tiny_design()
         grid = RoutingGrid(design)
-        route = NetRoute(net_name="a")
+        route = NetRoute("a", TINY_DIMS)
         left = [GridPoint(0, 2, 4), GridPoint(0, 3, 4)]
         right = [GridPoint(0, 8, 4), GridPoint(0, 9, 4)]
         route.add_path(left)
@@ -279,14 +283,13 @@ class TestNetFeatureExtraction:
     def test_colors_outside_route_vertices_are_ignored(self):
         design = tiny_design()
         grid = RoutingGrid(design)
-        route = NetRoute(net_name="a")
+        route = NetRoute("a", TINY_DIMS)
         path = [GridPoint(0, 2, 4), GridPoint(0, 3, 4)]
         route.add_path(path)
         for vertex in path:
             route.set_color(vertex, 0)
         # A stale color entry with no backing metal must not create features.
-        route.vertex_colors[GridPoint(0, 12, 12)] = 1
-        route.vertices.discard(GridPoint(0, 12, 12))
+        route.node_colors[route.node_of(GridPoint(0, 12, 12))] = 1
         features = ConflictChecker(design, grid)._net_features(route)
         assert len(features) == 1
         assert features[0].vertices == frozenset(path)

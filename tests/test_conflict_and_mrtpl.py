@@ -18,8 +18,12 @@ def empty_design(color_spacing=8):
     return Design(name="conflict", tech=tech, die_area=Rect(0, 0, 64, 64))
 
 
+#: ``route_dims`` of every ``empty_design`` grid.
+DIMS = RoutingGrid(empty_design()).route_dims
+
+
 def straight_route(net, layer, row, cols, color):
-    route = NetRoute(net_name=net)
+    route = NetRoute(net, DIMS)
     path = [GridPoint(layer, col, row) for col in cols]
     route.add_path(path)
     for vertex in path:
@@ -62,10 +66,9 @@ class TestConflictChecker:
         route = straight_route("a", 0, 5, range(2, 8), color=0)
         extra = straight_route("a", 0, 6, range(2, 8), color=0)
         for vertex in extra.vertices:
-            route.vertices.add(vertex)
             route.set_color(vertex, 0)
-        for edge in extra.edges:
-            route.edges.add(edge)
+        for a, b in extra.edges:
+            route.add_edge(a, b)
         solution.add_route(route)
         assert ConflictChecker(design, grid).count(solution) == 0
 
@@ -94,7 +97,7 @@ class TestConflictChecker:
         design = empty_design()
         grid = RoutingGrid(design)
         solution = RoutingSolution(design_name="d")
-        route = NetRoute(net_name="a")
+        route = NetRoute("a", grid.route_dims)
         route.add_path([GridPoint(0, 2, 2), GridPoint(0, 3, 2)])
         solution.add_route(route)
         report = ConflictChecker(design, grid).check(solution)

@@ -79,7 +79,7 @@ class TestMazeRouter:
         target = GridPoint(0, 14, 7)
         result = maze.search([source], {target}, "n1")
         assert result.found
-        path = result.backtrace()
+        path = [grid.vertex_of(node) for node in result.backtrace()]
         assert path[0] == source and path[-1] == target
         # Straight horizontal run on the preferred layer: length == col distance.
         assert len(path) == 14
@@ -92,9 +92,9 @@ class TestMazeRouter:
         target = GridPoint(0, 14, 7)
         result = maze.search([source], {target}, "n1")
         assert result.found
-        path = result.backtrace()
+        path = [grid.vertex_of(node) for node in result.backtrace()]
         assert any(v.layer == 2 for v in path), "detour must climb above the wall"
-        assert all(not grid.is_blocked(v) for v in path)
+        assert all(not grid.is_blocked_index(grid.index_of(v)) for v in path)
 
     def test_unreachable_target(self):
         design = two_pin_design()
@@ -158,9 +158,9 @@ class TestDRCChecker:
         grid = RoutingGrid(design)
         checker = DRCChecker(design, grid)
         solution = RoutingSolution(design_name=design.name)
-        route_a = NetRoute(net_name="n1")
+        route_a = NetRoute("n1", grid.route_dims)
         route_a.add_path([GridPoint(0, 1, 7), GridPoint(0, 2, 7)])
-        route_b = NetRoute(net_name="other")
+        route_b = NetRoute("other", grid.route_dims)
         route_b.add_path([GridPoint(0, 2, 7), GridPoint(0, 3, 7)])
         solution.add_route(route_a)
         solution.add_route(route_b)
@@ -172,7 +172,7 @@ class TestDRCChecker:
         grid = RoutingGrid(design)
         checker = DRCChecker(design, grid)
         solution = RoutingSolution(design_name=design.name)
-        partial = NetRoute(net_name="n1")
+        partial = NetRoute("n1", grid.route_dims)
         partial.add_path([GridPoint(0, 1, 7), GridPoint(0, 2, 7)])
         solution.add_route(partial)
         opens = checker.find_open_nets(solution)

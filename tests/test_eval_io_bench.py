@@ -173,7 +173,7 @@ class TestDesignIO:
         solution = MrTPLRouter(design, grid=grid, use_global_router=False).run()
         path = tmp_path / "solution.json"
         save_solution_json(solution, path)
-        loaded = load_solution_json(path)
+        loaded = load_solution_json(path, grid.route_dims)
         assert loaded.design_name == solution.design_name
         assert loaded.total_wirelength() == solution.total_wirelength()
         assert loaded.total_stitches() == solution.total_stitches()
@@ -185,7 +185,7 @@ class TestDesignIO:
         design = fig1_dense_cluster()
         grid = RoutingGrid(design)
         solution = DetailedRouter(design, grid=grid).run()
-        rebuilt = solution_from_dict(solution_to_dict(solution))
+        rebuilt = solution_from_dict(solution_to_dict(solution), grid.route_dims)
         for name, route in solution.routes.items():
             assert rebuilt.routes[name].edges == route.edges
 

@@ -70,7 +70,7 @@ def add_stray_colors(rng, grid, solution):
                 rng.randint(0, grid.num_rows - 1),
             )
             if vertex not in route.vertices:
-                route.vertex_colors[vertex] = rng.randint(0, 2)
+                route.node_colors[route.node_of(vertex)] = rng.randint(0, 2)
 
 
 @pytest.mark.parametrize("seed", [7, 59])
@@ -92,8 +92,8 @@ def test_net_features_match_brute_force_partition(seed, rng_rounds):
                 assert list(feature.vertices) == list(members), context
             # The incremental checker caches the same features, in order.
             cached = [
-                (entry.feature.net_name, entry.feature.layer, entry.feature.color,
-                 entry.feature.vertices)
+                (entry.net_name, entry.layer, entry.color,
+                 frozenset(map(grid.vertex_of, entry.members)))
                 for entry in incremental._features.get(name, ())
             ]
             assert cached == expected, context

@@ -18,7 +18,13 @@ What is pinned:
   routing pass (``max_iterations=0``) of Mr.TPL and DAC-2012, whose rip-up
   campaigns on these designs depend on the hash seed (conflict-pair
   orientation follows set iteration order; see ROADMAP);
-* the three hand-crafted figure designs: the full campaign of every router.
+* the three hand-crafted figure designs: the full campaign of every router;
+* ``GOLDEN_CAMPAIGN``: the default-budget campaigns of Mr.TPL and DAC-2012
+  on ispd19 test2 and test3 (scale 0.5), routed in a subprocess under
+  ``PYTHONHASHSEED=0`` whatever the outer hash seed, so rip-up history,
+  conflict anchors and the keep-best restore are pinned too.  Pins under
+  hash seeds 1 and 2 wait for a loop whose check step does not depend on
+  set iteration order (ROADMAP item 4).
 
 A change meant to alter routing results regenerates these constants with
 the same helpers and says why.  ``(random_2, DetailedRouter)`` postdates
@@ -203,3 +209,60 @@ def test_golden_solutions_without_numpy():
         assert "native" in digests
     for tier, got in digests.items():
         assert got == expected, f"{tier} tier drifted with numpy blocked"
+
+
+#: Default-budget campaigns (hash seed 0), recorded while routes still
+#: stored ``GridPoint`` sets; same helpers as :data:`GOLDEN`.
+GOLDEN_CAMPAIGN = {
+    ("ispd19_test2", "MrTPLRouter"): "86d8588ded9fc75a7199d7ff256f63d485efb78d4ab3f8bc6581d807d1c63e92",
+    ("ispd19_test2", "Dac2012Router"): "552404d2a760581fca0ea90c32db28d5cf070e16743c0626143f04fc90ae3ccb",
+    ("ispd19_test3", "MrTPLRouter"): "dfc0ecb2161c8c36c91b956a18ebf16eb5b4ae424fd4d9f4fd053aad88eed5f6",
+    ("ispd19_test3", "Dac2012Router"): "e4ba1a7c12715ede80f607df273a0a95d39ac4e0a6408aa44c40fb7c069afe42",
+}
+
+#: Routes every :data:`GOLDEN_CAMPAIGN` pair on every available tier and
+#: prints ``{tier: {"design|router": digest}}`` as JSON.
+_CAMPAIGN_SCRIPT = """
+import hashlib, json
+from repro import accel
+from repro.bench.micro import solution_fingerprint, solution_metrics
+from tests.test_golden_solutions import DESIGNS, GOLDEN_CAMPAIGN, ROUTERS
+digests = {}
+for tier in accel.TIERS:
+    accel.set_native_enabled(tier == "native")
+    if accel.active_search_tier() != tier:
+        continue
+    digests[tier] = {}
+    for design, router in GOLDEN_CAMPAIGN:
+        solution = ROUTERS[router](DESIGNS[design]()).run()
+        blob = repr((solution_fingerprint(solution), solution_metrics(solution)))
+        digests[tier][design + "|" + router] = hashlib.sha256(blob.encode()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_golden_campaigns_under_hash_seed_0():
+    """Full Mr.TPL and DAC-2012 campaigns reproduce their digests on every tier."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env.pop("REPRO_PURE_PYTHON", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _CAMPAIGN_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert completed.returncode == 0, completed.stderr
+    digests = json.loads(completed.stdout)
+    expected = {
+        f"{design}|{router}": digest for (design, router), digest in GOLDEN_CAMPAIGN.items()
+    }
+    assert "python" in digests
+    if accel.native_available():
+        assert "native" in digests
+    for tier, got in digests.items():
+        assert got == expected, f"{tier} tier drifted"

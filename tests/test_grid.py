@@ -71,8 +71,8 @@ class TestRoutingGrid:
 
     def test_blockages_from_design(self):
         grid = RoutingGrid(make_design())
-        assert grid.is_blocked(GridPoint(1, 6, 6))
-        assert not grid.is_blocked(GridPoint(0, 6, 6))
+        assert grid.is_blocked_index(grid.index_of(GridPoint(1, 6, 6)))
+        assert not grid.is_blocked_index(grid.index_of(GridPoint(0, 6, 6)))
 
     def test_pin_access_vertices_avoid_blockages(self):
         design = make_design()
@@ -80,7 +80,7 @@ class TestRoutingGrid:
         pin = design.nets[0].pins[0]
         vertices = grid.pin_access_vertices(pin)
         assert vertices and all(v.layer == 0 for v in vertices)
-        assert all(not grid.is_blocked(v) for v in vertices)
+        assert all(not grid.is_blocked_index(grid.index_of(v)) for v in vertices)
 
     def test_neighbors_at_corner(self):
         grid = RoutingGrid(make_design())
@@ -103,11 +103,11 @@ class TestRoutingGrid:
     def test_occupancy_and_congestion(self):
         grid = RoutingGrid(make_design())
         vertex = GridPoint(0, 5, 5)
-        assert grid.congestion_cost(vertex, "n1") == 0.0
+        assert grid.congestion_cost_index(grid.index_of(vertex), grid.net_id_if_known("n1")) == 0.0
         grid.occupy(vertex, "other")
-        assert grid.is_occupied_by_other(vertex, "n1")
-        assert grid.congestion_cost(vertex, "n1") >= grid.rules.occupancy_penalty
-        assert grid.congestion_cost(vertex, "other") == 0.0
+        assert grid.is_occupied_by_other_index(grid.index_of(vertex), grid.net_id_if_known("n1"))
+        assert grid.congestion_cost_index(grid.index_of(vertex), grid.net_id_if_known("n1")) >= grid.rules.occupancy_penalty
+        assert grid.congestion_cost_index(grid.index_of(vertex), grid.net_id_if_known("other")) == 0.0
 
     def test_history(self):
         grid = RoutingGrid(make_design())
@@ -121,14 +121,14 @@ class TestRoutingGrid:
         grid = RoutingGrid(make_design())
         vertex = GridPoint(0, 5, 5)
         neighbor = GridPoint(0, 6, 5)
-        assert grid.color_costs(vertex) == [0.0, 0.0, 0.0]
+        assert grid.color_costs_index(grid.index_of(vertex)) == [0.0, 0.0, 0.0]
         grid.set_vertex_color(neighbor, "other", 2)
-        costs = grid.color_costs(vertex)
+        costs = grid.color_costs_index(grid.index_of(vertex))
         assert costs == [0.0, 0.0, grid.rules.conflict_cost]
-        assert grid.color_cost(vertex, 2) == costs[2]
+        assert grid.color_costs_index(grid.index_of(vertex))[2] == costs[2]
         # The coloured vertex lies in its own window: pressure is every
         # committed coloured vertex's, whoever asks.
-        assert grid.color_costs(neighbor) == costs
+        assert grid.color_costs_index(grid.index_of(neighbor)) == costs
 
     def test_release_net_clears_colors_and_pressure(self):
         grid = RoutingGrid(make_design())
@@ -136,11 +136,11 @@ class TestRoutingGrid:
         probe = GridPoint(0, 5, 5)
         grid.occupy(vertex, "other")
         grid.set_vertex_color(vertex, "other", 1)
-        assert grid.color_costs(probe)[1] > 0
+        assert grid.color_costs_index(grid.index_of(probe))[1] > 0
         released = grid.release_net("other")
         assert released == 1
-        assert grid.vertex_color(vertex) is None
-        assert grid.color_costs(probe) == [0.0, 0.0, 0.0]
+        assert grid.vertex_color_index(grid.index_of(vertex)) is None
+        assert grid.color_costs_index(grid.index_of(probe)) == [0.0, 0.0, 0.0]
 
     def test_release_keeps_remaining_owners_color(self):
         grid = RoutingGrid(make_design())
@@ -150,7 +150,7 @@ class TestRoutingGrid:
             grid.set_vertex_color(vertex, net, color)
         assert grid.release_net("b") == 1
         assert grid.occupants(vertex) == {"a"}
-        assert grid.vertex_color(vertex) == 1
+        assert grid.vertex_color_index(grid.index_of(vertex)) == 1
 
     def test_release_clears_colors_placed_without_occupancy(self):
         grid = RoutingGrid(make_design())
@@ -166,15 +166,15 @@ class TestRoutingGrid:
         grid.occupy(bare, "c")
         grid.set_vertex_color(bare, "a", 1)
         assert grid.release_net("a") == 0
-        assert grid.vertex_color(alone) is None
-        assert grid.vertex_color(shared) == 2
-        assert grid.vertex_color(bare) is None
+        assert grid.vertex_color_index(grid.index_of(alone)) is None
+        assert grid.vertex_color_index(grid.index_of(shared)) == 2
+        assert grid.vertex_color_index(grid.index_of(bare)) is None
         assert grid.snapshot_statistics()["colored"] == 1
 
     def test_fixed_colored_obstacle_pressure(self):
         grid = RoutingGrid(make_design(color=1))
         near = grid.nearest_vertex(0, Point(44, 46))
-        costs = grid.color_costs(near)
+        costs = grid.color_costs_index(grid.index_of(near))
         assert costs[1] > 0 and costs[0] == 0.0
 
     def test_recolor_same_vertex_replaces_pressure(self):
@@ -183,7 +183,7 @@ class TestRoutingGrid:
         probe = GridPoint(0, 5, 5)
         grid.set_vertex_color(vertex, "other", 0)
         grid.set_vertex_color(vertex, "other", 2)
-        costs = grid.color_costs(probe)
+        costs = grid.color_costs_index(grid.index_of(probe))
         assert costs[0] == 0.0 and costs[2] > 0
 
     def test_pressure_matches_bruteforce(self):
@@ -211,7 +211,7 @@ class TestRoutingGrid:
             return expected
 
         def observed():
-            return {probe: grid.color_costs(probe) for probe in probes}
+            return {probe: grid.color_costs_index(grid.index_of(probe)) for probe in probes}
 
         def place(vertex, net, color):
             grid.set_vertex_color(vertex, net, color)
@@ -247,7 +247,7 @@ class TestRoutingGrid:
         assert snapshot["net_names"] == []
         fixed = [name for name, _obstacle in grid.design.fixed_color_nets()]
         assert fixed == ["__fixed__0"]
-        route = NetRoute(net_name="n1")
+        route = NetRoute("n1", grid.route_dims)
         route.add_path([GridPoint(0, 10, 9), GridPoint(0, 11, 9)])
         for vertex in route.vertices:
             route.set_color(vertex, 1)
@@ -283,9 +283,9 @@ class TestRoutingGrid:
         grid.reset_routing_state()
         stats = grid.snapshot_statistics()
         assert stats["occupied"] == 0 and stats["colored"] == 0
-        assert grid.is_blocked(GridPoint(1, 6, 6))
+        assert grid.is_blocked_index(grid.index_of(GridPoint(1, 6, 6)))
         near_fixed = grid.nearest_vertex(0, Point(44, 46))
-        assert grid.color_costs(near_fixed)[0] > 0
+        assert grid.color_costs_index(grid.index_of(near_fixed))[0] > 0
 
 
 class TestGCellGrid:
@@ -322,6 +322,10 @@ class TestGCellGrid:
             assert gcells.in_bounds(neighbor)
 
 
+#: ``route_dims`` of every ``make_design`` grid.
+DIMS = RoutingGrid(make_design()).route_dims
+
+
 def connects_every_vertex(route):
     """Return whether *route*'s metal is one component, by the DRC oracle."""
     design = make_design()
@@ -331,7 +335,7 @@ def connects_every_vertex(route):
 
 class TestNetRoute:
     def test_add_path_and_metrics(self):
-        route = NetRoute(net_name="n")
+        route = NetRoute("n", DIMS)
         path = [GridPoint(0, 0, 0), GridPoint(0, 1, 0), GridPoint(1, 1, 0), GridPoint(1, 1, 1)]
         route.add_path(path)
         assert route.wirelength() == 2 and route.via_count() == 1
@@ -340,14 +344,14 @@ class TestNetRoute:
     def test_connects_all(self):
         design = make_design()
         drc = DRCChecker(design, RoutingGrid(design))
-        route = NetRoute(net_name="n")
+        route = NetRoute("n", DIMS)
         route.add_path([GridPoint(0, 0, 0), GridPoint(0, 1, 0), GridPoint(0, 2, 0)])
         groups = [[GridPoint(0, 0, 0)], [GridPoint(0, 2, 0)]]
         assert drc.route_connects_all(route, groups)
         assert not drc.route_connects_all(route, groups + [[GridPoint(0, 9, 9)]])
 
     def test_disconnected_route(self):
-        route = NetRoute(net_name="n")
+        route = NetRoute("n", DIMS)
         route.add_edge(GridPoint(0, 0, 0), GridPoint(0, 1, 0))
         route.add_edge(GridPoint(0, 5, 5), GridPoint(0, 6, 5))
         assert not connects_every_vertex(route)
@@ -359,7 +363,7 @@ class TestNetRoute:
         assert Stitch("n", a, b) == Stitch("n", b, a)
 
     def test_recount_stitches(self):
-        route = NetRoute(net_name="n")
+        route = NetRoute("n", DIMS)
         path = [GridPoint(0, 0, 0), GridPoint(0, 1, 0), GridPoint(0, 2, 0)]
         route.add_path(path)
         route.set_color(path[0], 0)
@@ -370,36 +374,25 @@ class TestNetRoute:
         assert route.recount_stitches() == 0
 
     def test_color_validation(self):
-        route = NetRoute(net_name="n")
+        route = NetRoute("n", DIMS)
         with pytest.raises(ValueError):
             route.set_color(GridPoint(0, 0, 0), 5)
 
-    def test_segments_merge_straight_runs(self):
-        design = make_design()
-        grid = RoutingGrid(design)
-        route = NetRoute(net_name="n")
-        route.add_path([GridPoint(0, 0, 0), GridPoint(0, 1, 0), GridPoint(0, 2, 0), GridPoint(0, 2, 1)])
-        segments = route.segments(grid)
-        horizontal = [s for s in segments if s.is_horizontal and s.length > 0]
-        assert len(horizontal) == 1 and horizontal[0].length == 8
-
     def test_adjacency(self):
-        route = NetRoute(net_name="n")
+        route = NetRoute("n", DIMS)
         route.add_path([GridPoint(0, 0, 0), GridPoint(0, 1, 0), GridPoint(0, 2, 0)])
         adjacency = route.adjacency()
-        assert len(adjacency[GridPoint(0, 1, 0)]) == 2
+        assert len(adjacency[route.node_of(GridPoint(0, 1, 0))]) == 2
 
 
 class TestRoutingSolution:
     def test_totals_and_ownership(self):
         solution = RoutingSolution(design_name="d")
-        route_a = NetRoute(net_name="a")
+        route_a = NetRoute("a", DIMS)
         route_a.add_path([GridPoint(0, 0, 0), GridPoint(0, 1, 0)])
         route_a.set_color(GridPoint(0, 0, 0), 0)
-        route_b = NetRoute(net_name="b", routed=False)
+        route_b = NetRoute("b", DIMS, routed=False)
         solution.add_route(route_a)
         solution.add_route(route_b)
         assert solution.total_wirelength() == 1
         assert len(solution.routed_nets()) == 1 and len(solution.failed_nets()) == 1
-        assert solution.vertex_ownership()[GridPoint(0, 0, 0)] == {"a"}
-        assert 0.0 < solution.colored_vertex_fraction() < 1.0

@@ -264,7 +264,7 @@ def test_conflict_anchor_is_first_vertex_touching_partner_box():
     }
     checker = IncrementalConflictChecker(design, grid)
     for name, path in paths.items():
-        route = NetRoute(net_name=name)
+        route = NetRoute(name, grid.route_dims)
         route.add_path(path)
         for vertex in route.vertices:
             route.set_color(vertex, 0)

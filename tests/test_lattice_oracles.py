@@ -22,6 +22,7 @@ import pytest
 
 from repro.baselines.decomposer import LayoutDecomposer
 from repro.bench import suite_case
+from repro.check import IncrementalConflictChecker
 from repro.design import Design, Obstacle
 from repro.dr import DRCChecker
 from repro.geometry import GridPoint, Rect
@@ -75,7 +76,7 @@ def random_layout(rng):
     solution = RoutingSolution(design_name="lattice")
     placed = []
     for net_index in range(rng.randint(2, 7)):
-        route = NetRoute(net_name=f"n{net_index}")
+        route = NetRoute(f"n{net_index}", grid.route_dims)
         for _ in range(rng.randint(1, 3)):
             if placed and rng.random() < 0.3:
                 vertex = rng.choice(placed)  # start on another net's metal
@@ -196,7 +197,11 @@ def brute_conflict_edges(decomposer, grid, design, units):
         for other in units[i + 1:]:
             if other.layer != unit.layer or other.net_name == unit.net_name:
                 continue
-            if any(gap(grid, v, w) < dcolor for v in unit.vertices for w in other.vertices):
+            if any(
+                gap(grid, grid.vertex_of(v), grid.vertex_of(w)) < dcolor
+                for v in unit.nodes
+                for w in other.nodes
+            ):
                 pairs.add(tuple(sorted((unit.unit_id, other.unit_id))))
     edges = sorted(pairs)
     for index, obstacle in enumerate(design.colored_obstacles()):
@@ -204,7 +209,8 @@ def brute_conflict_edges(decomposer, grid, design, units):
         dcolor = rules.color_spacing_on(obstacle.layer)
         for unit in units:
             if unit.layer == obstacle.layer and any(
-                grid.vertex_rect(v).distance_to(obstacle.rect) < dcolor for v in unit.vertices
+                grid.vertex_rect(grid.vertex_of(v)).distance_to(obstacle.rect) < dcolor
+                for v in unit.nodes
             ):
                 edges.append((node, unit.unit_id))
     return edges
@@ -254,6 +260,56 @@ def test_lattice_layouts_exercise_every_rule():
         kinds["spacing"] += len(grouped["spacing"])
     for kind in ("strap", "same-mask", "min-spacing", "short", "spacing"):
         assert kinds[kind] > 0, kinds
+
+
+# ----------------------------------------------------------------------
+# Threshold pair classification
+# ----------------------------------------------------------------------
+
+def exact_kind(grid, layer, color_a, vertices_a, color_b, vertices_b):
+    """The conflict kind from the exact minimum rect gap of two features."""
+    rules = grid.rules
+    distance = min(gap(grid, v, w) for v in vertices_a for w in vertices_b)
+    if distance < rules.min_spacing:
+        return "min-spacing"
+    if color_a == color_b and distance < rules.color_spacing_on(layer):
+        return "same-mask"
+    return None
+
+
+@pytest.mark.parametrize("seed", [17, 71])
+def test_threshold_pair_kind_matches_exact_distance(seed, rng_rounds):
+    """``_pair_kind`` on full-scan features and on the incremental checker's
+    cached entries equals the kind of the exact minimum distance, for every
+    same-layer pair of different nets, with equal and unequal masks."""
+    rng = SeededRNG(seed)
+    seen = Counter()
+    for round_number in range(rng_rounds):
+        design, grid, solution = random_layout(rng)
+        checker = ConflictChecker(design, grid)
+        incremental = IncrementalConflictChecker(design, grid)
+        incremental.refresh(solution)
+        entries = [
+            (entry, [grid.vertex_of(index) for index in entry.indices])
+            for name in sorted(incremental._features)
+            for entry in incremental._features[name]
+        ]
+        features = [(feature, feature.vertices) for feature in checker.extract_features(solution)]
+        for items in (features, entries):
+            for i, (feature, vertices) in enumerate(items):
+                for other, other_vertices in items[i + 1:]:
+                    if other.layer != feature.layer or other.net_name == feature.net_name:
+                        continue
+                    expected = exact_kind(
+                        grid, feature.layer, feature.color, vertices, other.color, other_vertices
+                    )
+                    context = f"seed {seed}, round {round_number}"
+                    assert checker._pair_kind(feature, other) == expected, context
+                    assert checker._pair_kind(other, feature) == expected, context
+                    seen[(feature.color == other.color, expected)] += 1
+    for same_mask in (True, False):
+        assert seen[(same_mask, "min-spacing")] and seen[(same_mask, None)], seen
+    assert seen[(True, "same-mask")] and not seen[(False, "same-mask")], seen
 
 
 # ----------------------------------------------------------------------

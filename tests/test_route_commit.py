@@ -239,3 +239,26 @@ def test_route_commit_refuses_mixed_logs_unchanged():
         with pytest.raises(ValueError):
             grid.commit_route(ops)
         assert grid.snapshot_state() == before
+
+
+@pytest.mark.parametrize("seed", [13, 43])
+def test_bulk_history_matches_per_vertex_history(seed, rng_rounds):
+    """``add_history_nodes`` leaves the grid and the journal as one
+    ``add_history`` per vertex does, decays in between included."""
+    rng = SeededRNG(seed)
+    for round_number in range(rng_rounds):
+        params = random_params(rng)
+        bulk, single = build_grid(params), build_grid(params)
+        bulk_journal, single_journal = bulk.attach_journal(), single.attach_journal()
+        for _ in range(rng.randint(1, 4)):
+            nodes = list({rng.randint(0, bulk.num_vertices - 1) for _ in range(rng.randint(0, 12))})
+            amount = rng.choice((0.25, 1.0, 1.5))
+            bulk.add_history_nodes(nodes, amount)
+            for node in nodes:
+                single.add_history(single.vertex_of(node), amount)
+            if rng.random() < 0.5:
+                bulk.decay_history()
+                single.decay_history()
+        context = f"seed {seed}, round {round_number}"
+        assert bulk.snapshot_state() == single.snapshot_state(), context
+        assert list(bulk_journal) == list(single_journal), context

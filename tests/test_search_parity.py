@@ -48,7 +48,7 @@ class TestRouterParity:
 
 
 class TestGridIndexApi:
-    """The flat-index surface must mirror the GridPoint shims exactly."""
+    """The flat-index surface: index round trips, neighbour table, state queries."""
 
     def test_index_roundtrip_and_neighbor_table(self):
         grid = RoutingGrid(make_design())
@@ -73,13 +73,16 @@ class TestGridIndexApi:
         grid.add_history(vertex, 1.5)
         grid.set_vertex_color(GridPoint(0, 6, 5), "b", 2)
         net_id = grid.net_id("c")
-        assert grid.is_occupied_by_other(vertex, "c") == grid.is_occupied_by_other_index(index, net_id)
-        assert grid.congestion_cost(vertex, "c") == grid.congestion_cost_index(index, net_id)
-        assert grid.color_costs(vertex) == grid.color_costs_index(index)
+        rules = grid.rules
+        assert grid.is_occupied_by_other_index(index, net_id)
+        assert grid.congestion_cost_index(index, net_id) == (
+            rules.history_weight * 1.5 + rules.occupancy_penalty
+        )
+        assert grid.color_costs_index(index)[2] == rules.conflict_cost
         assert grid.occupants(vertex) == {"a", "b"}
         grid.release_net("a")
         assert grid.occupants(vertex) == {"b"}
-        assert not grid.is_occupied_by_other(vertex, "b")
+        assert not grid.is_occupied_by_other_index(index, grid.net_id("b"))
 
     def test_step_cost_matches_gridpoint_path(self):
         grid = RoutingGrid(make_design())

@@ -95,15 +95,15 @@ class TestBacktrace:
         _grid, colored = self.route_once(design)
         assert colored.stitch_count == 0
         assert len({segment.final_color for segment in colored.segments}) == 1
-        assert set(colored.colors()) == set(colored.vertices)
+        assert set(colored.colors()) == set(colored.nodes)
 
     def test_conflicting_fixed_shapes_force_color_choice(self):
         design = open_field_design(
             green=(0, Rect(16, 24, 24, 26), GREEN),
             blue=(0, Rect(36, 24, 44, 26), BLUE),
         )
-        _grid, colored = self.route_once(design)
-        colors = colored.colors()
+        grid, colored = self.route_once(design)
+        colors = {grid.vertex_of(node): color for node, color in colored.colors().items()}
         assert colors, "path must be colored"
         # Vertices adjacent to the green shape must not be green; vertices
         # adjacent to the blue shape must not be blue.
@@ -122,10 +122,10 @@ class TestBacktrace:
         engine = ColorStateSearch(grid, model)
         backtracer = Backtracer(grid, model)
         source = GridPoint(0, 1, 7)
-        tree_colors = {source: BLUE}
+        tree_colors = {grid.index_of(source): BLUE}
         search = engine.search({source: ColorState.single(BLUE)}, {GridPoint(0, 9, 7)}, "n1")
         colored = backtracer.backtrace(search, "n1", tree_colors)
-        assert colored.colors()[source] == BLUE
+        assert colored.colors()[grid.index_of(source)] == BLUE
 
     def test_commit_colored_path_updates_route_and_grid(self):
         design = open_field_design()
@@ -136,11 +136,11 @@ class TestBacktrace:
         source = GridPoint(0, 1, 7)
         search = engine.search({source: ColorState.all()}, {GridPoint(0, 9, 7)}, "n1")
         colored = backtracer.backtrace(search, "n1")
-        route = NetRoute(net_name="n1")
+        route = NetRoute("n1", grid.route_dims)
         commit_colored_path(colored, route, grid)
         assert route.vertices and route.vertex_colors
         any_vertex = next(iter(route.vertex_colors))
-        assert grid.vertex_color(any_vertex) == route.vertex_colors[any_vertex]
+        assert grid.vertex_color_index(grid.index_of(any_vertex)) == route.vertex_colors[any_vertex]
         assert "n1" in grid.occupants(any_vertex)
 
     def test_segments_partition_path_vertices(self):
@@ -151,8 +151,8 @@ class TestBacktrace:
         _grid, colored = self.route_once(design)
         from_segments = []
         for segment in colored.segments:
-            from_segments.extend(segment.vertices)
-        assert sorted(from_segments) == sorted(colored.vertices)
+            from_segments.extend(segment.nodes)
+        assert sorted(from_segments) == sorted(colored.nodes)
 
 
 class TestFig3Walkthrough:
