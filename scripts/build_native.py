@@ -10,8 +10,10 @@ Without flags the script compiles both extensions
 ``repro.native._checkwork``, the incremental-check neighborhood scan)
 with the interpreter's own toolchain and reports where the binaries
 landed.  With ``--check`` it only reports the loaders' view -- whether
-usable kernels are already importable and, if not, why -- without
-building anything (it sets ``REPRO_NATIVE_AUTOBUILD=0`` for the probe).
+usable kernels are already importable, with each one's ABI and whether
+it was built from the C source in this checkout, and, if not, why --
+without building anything (it sets ``REPRO_NATIVE_AUTOBUILD=0`` for the
+probe).  A binary whose ABI or source digest is stale is not usable.
 
 The build is optional by design: the routers and checkers run
 bit-identically on the pure-Python tier when no kernel is
@@ -46,6 +48,7 @@ def main(argv=None) -> int:
         load_check_kernel,
         load_kernel,
         reset_loader_state,
+        source_digest,
     )
 
     if not args.check:
@@ -70,7 +73,11 @@ def main(argv=None) -> int:
             print(f"no usable {name} kernel: {kernel_load_error(name)}", file=sys.stderr)
             status = 1
         else:
-            print(f"{name} loaded: {kernel.__file__} (ABI {kernel.KERNEL_ABI_VERSION})")
+            if source_digest(name) is None:
+                source = "no source to compare"
+            else:
+                source = "source digest matches"
+            print(f"{name} loaded: {kernel.__file__} (ABI {kernel.KERNEL_ABI_VERSION}, {source})")
     return status
 
 

@@ -9,27 +9,36 @@ pure-Python tier with identical results, and
 ``repro.native.load_kernel`` / ``load_check_kernel`` can still auto-build
 them lazily at runtime.  No runtime dependency is needed.
 
+Each extension is compiled with ``KERNEL_SOURCE_DIGEST`` set to the sha256
+of its C source, as ``repro.native.build`` does, so the loaders accept the
+binaries instead of rebuilding them as built from unknown source.
+
 On offline machines whose setuptools/pip combination cannot build PEP 660
 editable wheels (no ``wheel`` package available) use::
 
     pip install -e . --no-build-isolation --no-use-pep517
 """
 
+import hashlib
+
 from setuptools import Extension, find_packages, setup
 
-_relaxation = Extension(
-    "repro.native._relaxation",
-    sources=["src/repro/native/_relaxation.c"],
-    extra_compile_args=["-O2", "-ffp-contract=off"],
-    optional=True,
-)
 
-_checkwork = Extension(
-    "repro.native._checkwork",
-    sources=["src/repro/native/_checkwork.c"],
-    extra_compile_args=["-O2", "-ffp-contract=off"],
-    optional=True,
-)
+def _kernel(name: str) -> Extension:
+    source = f"src/repro/native/{name}.c"
+    with open(source, "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()
+    return Extension(
+        f"repro.native.{name}",
+        sources=[source],
+        define_macros=[("KERNEL_SOURCE_DIGEST", f'"{digest}"')],
+        extra_compile_args=["-O2", "-ffp-contract=off"],
+        optional=True,
+    )
+
+
+_relaxation = _kernel("_relaxation")
+_checkwork = _kernel("_checkwork")
 
 setup(
     name="repro",

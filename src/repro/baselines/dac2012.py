@@ -33,7 +33,7 @@ from repro.gr import GlobalRouter, GuideSet
 from repro.gr.steiner import rectilinear_mst
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
 from repro.native.spec import MODE_MASK_EXPANDED, attach_native_spec
-from repro.search import SearchCore
+from repro.search import RouteScopedExpand, SearchCore
 from repro.tpl.color_state import ALL_COLORS
 from repro.tpl.conflict import ConflictReport
 
@@ -41,7 +41,7 @@ from repro.tpl.conflict import ConflictReport
 MaskedVertex = Tuple[GridPoint, int]
 
 
-class MaskExpandedSearch:
+class MaskExpandedSearch(RouteScopedExpand):
     """2-pin search on the mask-expanded graph (3 mask planes per vertex).
 
     A thin adapter over the shared :class:`repro.search.SearchCore`: nodes
@@ -92,8 +92,7 @@ class MaskExpandedSearch:
             for color in ALL_COLORS
         }
 
-        net_id = grid.net_id(net_name)
-        expand = self._make_expand(net_name, net_id)
+        expand = self.expand_for(net_name)
         self.core.max_expansions = self.max_expansions
         core = self.core.run(seeds, target_nodes, expand, bounds=bounds, node_stride=3)
         if not core.found:
@@ -102,11 +101,13 @@ class MaskExpandedSearch:
         nodes.reverse()
         return [divmod(node, 3) for node in nodes]
 
-    def _make_expand(
-        self, net_name: str, net_id: int
+    def make_expand(
+        self, net_name: str
     ) -> Callable[[int, float, int, List[int], List[float], List[int]], int]:
+        """Return *net_name*'s expansion closure on the mask-expanded graph."""
         grid = self.grid
         cost_model = self.cost_model
+        net_id = grid.net_id(net_name)
         gamma = grid.rules.gamma
         stitch_penalty = cost_model.stitch_cost()
         # Grid moves delegate to the shared traditional expand; the mask's
@@ -237,17 +238,19 @@ class Dac2012Router(CampaignRouter):
         for group in pin_groups:
             route.nodes.update([index_of(vertex) for vertex in group])
 
-        for index_a, index_b in self._two_pin_topology(net):
-            found = self._route_two_pin(
-                pin_groups[index_a], pin_groups[index_b], route, engine, sink
-            )
-            if not found:
-                route.routed = False
-                route.failure_reason = (
-                    f"2-pin connection {net.pins[index_a].full_name} -> "
-                    f"{net.pins[index_b].full_name} failed"
+        # One expansion closure serves every 2-pin search of this net.
+        with engine.net_route(net.name):
+            for index_a, index_b in self._two_pin_topology(net):
+                found = self._route_two_pin(
+                    pin_groups[index_a], pin_groups[index_b], route, engine, sink
                 )
-                break
+                if not found:
+                    route.routed = False
+                    route.failure_reason = (
+                        f"2-pin connection {net.pins[index_a].full_name} -> "
+                        f"{net.pins[index_b].full_name} failed"
+                    )
+                    break
 
         if route.routed:
             sink.occupy_all(route.nodes)

@@ -26,7 +26,7 @@ from repro.native.spec import (
     attach_accept_spec,
     attach_native_spec,
 )
-from repro.search import CoreResult, SearchCore
+from repro.search import CoreResult, RouteScopedExpand, SearchCore
 
 
 class SearchResult:
@@ -88,7 +88,7 @@ class SearchResult:
         return nodes
 
 
-class MazeRouter:
+class MazeRouter(RouteScopedExpand):
     """Dijkstra/A* search engine shared by the plain detailed router."""
 
     def __init__(self, grid: RoutingGrid, cost_model: CostModel, max_expansions: int = 2_000_000) -> None:
@@ -145,10 +145,15 @@ class MazeRouter:
 
             attach_accept_spec(accept)
 
-        expand = make_traditional_expand(grid, self.cost_model, net_name, net_id)
+        expand = self.expand_for(net_name)
         self.core.max_expansions = self.max_expansions
         core = self.core.run(seeds, target_nodes, expand, bounds=bounds, accept=accept)
         return SearchResult(core, grid)
+
+    def make_expand(self, net_name: str) -> Callable:
+        """Return *net_name*'s ``Cost_trad`` expansion closure."""
+        grid = self.grid
+        return make_traditional_expand(grid, self.cost_model, net_name, grid.net_id(net_name))
 
 
 def make_traditional_expand(

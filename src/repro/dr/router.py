@@ -87,26 +87,28 @@ class DetailedRouter(CampaignRouter):
         tree_vertices: Set[GridPoint] = set(usable_groups[0])
         route.nodes.update([index_of(vertex) for vertex in usable_groups[0]])
         unreached = list(range(1, len(usable_groups)))
-        while unreached:
-            targets: Dict[GridPoint, int] = {}
-            for index in unreached:
-                for vertex in usable_groups[index]:
-                    targets.setdefault(vertex, index)
-            search = engine.search(tree_vertices, set(targets), net.name)
-            if not search.found:
-                route.routed = False
-                route.failure_reason = "maze search exhausted without reaching a pin"
-                break
-            path = search.backtrace()
-            route.add_node_path(path)
-            reached_pin = targets[search.reached]
-            unreached.remove(reached_pin)
-            tree_vertices.update([vertex_of(node) for node in path])
-            tree_vertices.update(usable_groups[reached_pin])
-            route.nodes.update([index_of(vertex) for vertex in usable_groups[reached_pin]])
-            # Release the result: the engine copies the label buffers of a
-            # previous result that is still referenced when it runs again.
-            del search
+        # One expansion closure serves every search of this net route.
+        with engine.net_route(net.name):
+            while unreached:
+                targets: Dict[GridPoint, int] = {}
+                for index in unreached:
+                    for vertex in usable_groups[index]:
+                        targets.setdefault(vertex, index)
+                search = engine.search(tree_vertices, set(targets), net.name)
+                if not search.found:
+                    route.routed = False
+                    route.failure_reason = "maze search exhausted without reaching a pin"
+                    break
+                path = search.backtrace()
+                route.add_node_path(path)
+                reached_pin = targets[search.reached]
+                unreached.remove(reached_pin)
+                tree_vertices.update([vertex_of(node) for node in path])
+                tree_vertices.update(usable_groups[reached_pin])
+                route.nodes.update([index_of(vertex) for vertex in usable_groups[reached_pin]])
+                # Release the result: the engine copies the label buffers of a
+                # previous result that is still referenced when it runs again.
+                del search
         if route.routed:
             sink.occupy_all(route.nodes)
         return route

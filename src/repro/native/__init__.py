@@ -18,13 +18,15 @@ Loading order (per extension):
    result.
 
 A loaded binary is accepted only when its ``KERNEL_ABI_VERSION`` matches
-this checkout's expectation; a stale binary (older checkout, changed
-argument contract) triggers one rebuild attempt and is otherwise
-rejected.  The rebuilt binary is imported from a fresh copy: the process
-has already loaded the stale one from the build path, and both the import
-system and the dynamic loader would hand that module back again.  Every
-outcome is cached for the process lifetime -- a missing compiler costs
-one failed probe per process per extension, not one per call.
+this checkout's expectation and, where the C source is present, its
+``KERNEL_SOURCE_DIGEST`` is the sha256 of that source; a stale binary
+(older checkout, changed argument contract, edited source) triggers one
+rebuild attempt and is otherwise rejected.  The rebuilt binary is
+imported from a fresh copy: the process has already loaded the stale one
+from the build path, and both the import system and the dynamic loader
+would hand that module back again.  Every outcome is cached for the
+process lifetime -- a missing compiler costs one failed probe per process
+per extension, not one per call.
 
 Tier *selection* (the ``REPRO_PURE_PYTHON`` gate and the runtime toggles)
 lives in :mod:`repro.accel`; this module only answers "is there a usable
@@ -49,6 +51,7 @@ from repro.native.build import (
     build_extension,
     candidate_paths,
     package_target,
+    source_digest,
     source_path,
 )
 from repro.utils.env import env_flag
@@ -56,7 +59,7 @@ from repro.utils.env import env_flag
 #: The argument contract of ``_relaxation`` (``run_search`` and
 #: ``labelled_box``) this checkout's Python wrappers speak; must match the
 #: binary's ``KERNEL_ABI_VERSION``.
-EXPECTED_ABI_VERSION = 5
+EXPECTED_ABI_VERSION = 6
 
 #: The argument contract of ``_checkwork.scan_hits``.
 EXPECTED_CHECK_ABI_VERSION = 1
@@ -135,8 +138,20 @@ def _expected_abi(name: str) -> int:
     return EXPECTED_ABI_VERSION
 
 
-def _abi_ok(module: object, name: str) -> bool:
-    return getattr(module, "KERNEL_ABI_VERSION", None) == _expected_abi(name)
+def _stale_reason(module: object, name: str) -> Optional[str]:
+    """Return why the loaded *name* binary *module* is unusable, or ``None``.
+
+    A binary is stale when its ABI differs from this checkout's
+    expectation, or when it was built from other C source than the one
+    beside it (no source, as in a binary-only install, skips that check).
+    """
+    abi = getattr(module, "KERNEL_ABI_VERSION", None)
+    if abi != _expected_abi(name):
+        return f"ABI {abi}, expected {_expected_abi(name)}"
+    digest = source_digest(name)
+    if digest is not None and getattr(module, "KERNEL_SOURCE_DIGEST", None) != digest:
+        return "built from other source than " + source_path(name)
+    return None
 
 
 def _load(name: str) -> Optional[object]:
@@ -149,10 +164,11 @@ def _load(name: str) -> Optional[object]:
     for path in candidate_paths(name):
         module = _import_from(path, name)
         if module is not None:
-            if _abi_ok(module, name):
+            reason = _stale_reason(module, name)
+            if reason is None:
                 state.kernel = module
                 return state.kernel
-            state.error = f"stale kernel ABI at {path}"
+            state.error = f"stale kernel at {path}: {reason}"
             stale = True
             break  # stale binary: fall through to a rebuild attempt
 
@@ -166,7 +182,7 @@ def _load(name: str) -> Optional[object]:
         state.error = str(exc)
         return None
     module = _import_fresh(built, name) if stale else _import_from(built, name)
-    if module is not None and _abi_ok(module, name):
+    if module is not None and _stale_reason(module, name) is None:
         state.kernel = module
         state.error = None
         return state.kernel
@@ -224,5 +240,6 @@ __all__ = [
     "load_check_kernel",
     "load_kernel",
     "reset_loader_state",
+    "source_digest",
     "source_path",
 ]

@@ -18,7 +18,9 @@
  *
  * ABI: bump KERNEL_ABI_VERSION whenever the argument contract changes;
  * the loader (repro.native.load_check_kernel) refuses binaries whose
- * version does not match its expectation.
+ * version does not match its expectation, and rebuilds one whose
+ * KERNEL_SOURCE_DIGEST (the sha256 of this file, passed by the build)
+ * differs from the source next to it.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -27,6 +29,10 @@
 #include <stdint.h>
 
 #define KERNEL_ABI_VERSION 1
+
+#ifndef KERNEL_SOURCE_DIGEST
+#define KERNEL_SOURCE_DIGEST ""
+#endif
 
 typedef struct {
     Py_buffer view;
@@ -199,7 +205,9 @@ PyInit__checkwork(void)
     if (module == NULL) {
         return NULL;
     }
-    if (PyModule_AddIntConstant(module, "KERNEL_ABI_VERSION", KERNEL_ABI_VERSION) < 0) {
+    if (PyModule_AddIntConstant(module, "KERNEL_ABI_VERSION", KERNEL_ABI_VERSION) < 0 ||
+        PyModule_AddStringConstant(module, "KERNEL_SOURCE_DIGEST",
+                                   KERNEL_SOURCE_DIGEST) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -16,12 +16,19 @@
  *
  * Bit-exactness contract: every floating-point expression below copies the
  * Python adapters' operation order exactly (each step is an IEEE-754
- * double operation in both runtimes), the binary heap orders entries by
- * the same (f, push counter) key heapq compares first, and that key is a
- * strict total order (the counter is unique) -- so pop order, tie-breaks,
- * labels and backtraced paths are identical to the interpreted loop.  The
- * build deliberately disables FP contraction (-ffp-contract=off): a fused
+ * double operation in both runtimes), the heap orders entries by the same
+ * (f, push counter) key heapq compares first, and that key is a strict
+ * total order (the counter is unique) -- so pop order, tie-breaks, labels
+ * and backtraced paths are identical to the interpreted loop.  The build
+ * deliberately disables FP contraction (-ffp-contract=off): a fused
  * multiply-add would round differently from Python's separate ops.
+ *
+ * The heap is 4-ary and keys each entry by one unsigned __int128: the
+ * order-preserving bits of f above the push counter, so one integer
+ * compare decides (f, counter) and the pop's child selection compiles
+ * without branches.  A compiler without __int128 stops at the #error
+ * below; the loader then finds no binary and the engines run on the
+ * Python tier.
  *
  * Cost inputs are read in place: the congestion term (hw * history, plus
  * the occupancy penalty at vertices a foreign net owns) and the colour
@@ -55,10 +62,16 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Bumped whenever the module's argument contract changes (run_search or
- * labelled_box); the Python loader refuses (and rebuilds) a stale binary
- * whose ABI does not match. */
-#define KERNEL_ABI_VERSION 5
+/* Bumped whenever the module's argument contract or its results change
+ * (run_search or labelled_box); the Python loader refuses (and rebuilds) a
+ * stale binary whose ABI does not match. */
+#define KERNEL_ABI_VERSION 6
+
+/* sha256 of this file, passed by the build (repro.native.build); the
+ * loader also rebuilds a binary compiled from other source. */
+#ifndef KERNEL_SOURCE_DIGEST
+#define KERNEL_SOURCE_DIGEST ""
+#endif
 
 #define MODE_TRADITIONAL 0
 #define MODE_COLOR_STATE 1
@@ -67,14 +80,20 @@
 #define NUM_DIRECTIONS 6
 
 /* ------------------------------------------------------------------ */
-/* Binary min-heap over (f, counter) -- the prefix of the (f, counter,  */
-/* node, g) tuples heapq compares; counter is unique, so the order is   */
-/* total and any correct heap pops the same sequence heapq does.        */
+/* 4-ary min-heap over one packed 128-bit (f, counter) key -- the      */
+/* prefix of the (f, counter, node, g) tuples heapq compares; counter  */
+/* is unique, so the order is total and any correct heap pops the same */
+/* sequence heapq does.                                                */
 /* ------------------------------------------------------------------ */
 
+#ifndef __SIZEOF_INT128__
+#error "the relaxation kernel needs unsigned __int128 heap keys"
+#endif
+
+typedef unsigned __int128 HeapKey;
+
 typedef struct {
-    double f;
-    long long counter;
+    HeapKey key; /* order_bits(f) << 64 | counter */
     int node;
     double g;
 } HeapEntry;
@@ -84,6 +103,27 @@ typedef struct {
     Py_ssize_t size;
     Py_ssize_t capacity;
 } Heap;
+
+/* Map a double to 64 bits whose unsigned order is the double's numeric
+ * order: non-negatives get the sign bit set, negatives have every bit
+ * flipped.  Adding +0.0 first turns -0.0 into +0.0, so the two zeros map
+ * alike just as they compare equal.  (f is never NaN, which no order
+ * could place.) */
+static inline unsigned long long
+order_bits(double f)
+{
+    unsigned long long bits;
+
+    f = f + 0.0;
+    memcpy(&bits, &f, sizeof(bits));
+    return bits ^ ((unsigned long long)((long long)bits >> 63) | 0x8000000000000000ULL);
+}
+
+static inline HeapKey
+heap_key(double f, long long counter)
+{
+    return ((HeapKey)order_bits(f) << 64) | (HeapKey)(unsigned long long)counter;
+}
 
 static int
 heap_init(Heap *heap, Py_ssize_t capacity)
@@ -102,15 +142,6 @@ heap_free(Heap *heap)
     heap->size = heap->capacity = 0;
 }
 
-static inline int
-entry_less(const HeapEntry *a, const HeapEntry *b)
-{
-    if (a->f != b->f) {
-        return a->f < b->f;
-    }
-    return a->counter < b->counter;
-}
-
 static int
 heap_push(Heap *heap, double f, long long counter, int node, double g)
 {
@@ -127,14 +158,13 @@ heap_push(Heap *heap, double f, long long counter, int node, double g)
         heap->items = items;
         heap->capacity = grown;
     }
-    entry.f = f;
-    entry.counter = counter;
+    entry.key = heap_key(f, counter);
     entry.node = node;
     entry.g = g;
     child = heap->size++;
     while (child > 0) {
-        parent = (child - 1) >> 1;
-        if (!entry_less(&entry, &heap->items[parent])) {
+        parent = (child - 1) >> 2;
+        if (entry.key >= heap->items[parent].key) {
             break;
         }
         heap->items[child] = heap->items[parent];
@@ -144,25 +174,52 @@ heap_push(Heap *heap, double f, long long counter, int node, double g)
     return 0;
 }
 
+/* Pop the minimum (Floyd's bottom-up scheme): walk the hole from the root
+ * to a leaf, each step moving up the smallest of the hole's children,
+ * then sift the former last entry up from that leaf.  A node with all 4
+ * children picks its smallest by a two-level tournament of key compares
+ * the compiler turns into cmp/sbb and conditional moves, so the walk has
+ * no data-dependent branch; only the last parent, with 1-3 children,
+ * compares in a loop. */
 static HeapEntry
 heap_pop(Heap *heap)
 {
-    HeapEntry top = heap->items[0];
-    HeapEntry last = heap->items[--heap->size];
-    Py_ssize_t hole = 0, child;
+    HeapEntry *items = heap->items;
+    HeapEntry top = items[0];
+    Py_ssize_t size = --heap->size;
+    Py_ssize_t hole = 0, child, best, parent;
+    HeapEntry last;
 
-    while ((child = 2 * hole + 1) < heap->size) {
-        if (child + 1 < heap->size &&
-            entry_less(&heap->items[child + 1], &heap->items[child])) {
-            child += 1;
+    if (size == 0) {
+        return top;
+    }
+    last = items[size];
+    while ((child = 4 * hole + 1) + 3 < size) {
+        Py_ssize_t low = child + (items[child + 1].key < items[child].key);
+        Py_ssize_t high = child + 2 + (items[child + 3].key < items[child + 2].key);
+        best = items[high].key < items[low].key ? high : low;
+        items[hole] = items[best];
+        hole = best;
+    }
+    if (child < size) {
+        best = child;
+        for (child = best + 1; child < size; child++) {
+            if (items[child].key < items[best].key) {
+                best = child;
+            }
         }
-        if (!entry_less(&heap->items[child], &last)) {
+        items[hole] = items[best];
+        hole = best;
+    }
+    while (hole > 0) {
+        parent = (hole - 1) >> 2;
+        if (last.key >= items[parent].key) {
             break;
         }
-        heap->items[hole] = heap->items[child];
-        hole = child;
+        items[hole] = items[parent];
+        hole = parent;
     }
-    heap->items[hole] = last;
+    items[hole] = last;
     return top;
 }
 
@@ -393,7 +450,7 @@ expand_color_state(SearchCtx *ctx, int node, double g, int bits)
     return 0;
 }
 
-/* baselines/dac2012 MaskExpandedSearch._make_expand: 2 in-place mask
+/* baselines/dac2012 MaskExpandedSearch.make_expand: 2 in-place mask
  * switches (a stitch on the expanded graph) then 6 moves keeping the mask,
  * each charged the mask's color conflict cost at the destination. */
 static inline int
@@ -823,6 +880,8 @@ PyInit__relaxation(void)
     }
     if (PyModule_AddIntConstant(module, "KERNEL_ABI_VERSION",
                                 KERNEL_ABI_VERSION) < 0 ||
+        PyModule_AddStringConstant(module, "KERNEL_SOURCE_DIGEST",
+                                   KERNEL_SOURCE_DIGEST) < 0 ||
         PyModule_AddIntConstant(module, "MODE_TRADITIONAL", MODE_TRADITIONAL) < 0 ||
         PyModule_AddIntConstant(module, "MODE_COLOR_STATE", MODE_COLOR_STATE) < 0 ||
         PyModule_AddIntConstant(module, "MODE_MASK_EXPANDED", MODE_MASK_EXPANDED) < 0) {

@@ -18,6 +18,12 @@ interpreted loop does, and an FMA contracts two of those roundings into
 one (``_checkwork`` is integer-only, but shares the flags so both builds
 stay one code path).
 
+Each compile also defines ``KERNEL_SOURCE_DIGEST`` as the sha256 of the C
+source (:func:`source_digest`); the module exports it, and the loaders
+rebuild a binary whose digest differs from the source beside it, so an
+edited kernel never runs as its older binary even when the ABI numbers
+match.
+
 The binary lands next to the source inside the package when that directory
 is writable (the dev/CI layout); read-only installs fall back to a per-user
 cache directory, which the loaders also probe.
@@ -25,6 +31,7 @@ cache directory, which the loaders also probe.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -57,6 +64,16 @@ def source_path(name: str = EXTENSION_NAME) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(__file__)), name + ".c")
 
 
+def source_digest(name: str = EXTENSION_NAME) -> Optional[str]:
+    """Return the sha256 hex digest of the kernel's C source, or ``None``
+    when the source is not there (an install that ships binaries only)."""
+    try:
+        with open(source_path(name), "rb") as handle:
+            return hashlib.sha256(handle.read()).hexdigest()
+    except OSError:
+        return None
+
+
 def package_target(name: str = EXTENSION_NAME) -> str:
     """Return the in-package build target path (preferred location)."""
     return os.path.join(
@@ -83,10 +100,11 @@ def candidate_paths(name: str = EXTENSION_NAME) -> List[str]:
     return [package_target(name), cache_target(name)]
 
 
-def _compiler_command(target: str, name: str) -> List[str]:
+def _compiler_command(target: str, name: str, digest: str) -> List[str]:
     cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     command = cc.split()
     command += ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+    command += [f'-DKERNEL_SOURCE_DIGEST="{digest}"']
     include = sysconfig.get_paths().get("include")
     if include:
         command += ["-I", include]
@@ -104,9 +122,9 @@ def build_extension(target: Optional[str] = None, name: str = EXTENSION_NAME) ->
     cache) never import a half-written binary.  Raises
     :class:`NativeBuildError` on any failure.
     """
-    source = source_path(name)
-    if not os.path.exists(source):
-        raise NativeBuildError(f"kernel source missing: {source}")
+    digest = source_digest(name)
+    if digest is None:
+        raise NativeBuildError(f"kernel source missing: {source_path(name)}")
     if target is None:
         target = package_target(name)
         if not os.access(os.path.dirname(target), os.W_OK):
@@ -117,7 +135,7 @@ def build_extension(target: Optional[str] = None, name: str = EXTENSION_NAME) ->
     except OSError as exc:
         raise NativeBuildError(f"cannot create build directory {directory}: {exc}")
     staging = target + f".build-{os.getpid()}"
-    command = _compiler_command(staging, name)
+    command = _compiler_command(staging, name, digest)
     try:
         completed = subprocess.run(
             command,

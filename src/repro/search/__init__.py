@@ -13,10 +13,12 @@ from repro.search.core import (
     CoreResult,
     SearchCore,
 )
+from repro.search.scope import RouteScopedExpand
 
 __all__ = [
     "SearchCore",
     "CoreResult",
+    "RouteScopedExpand",
     "IMPROVE_EPS",
     "SUCC_CAPACITY",
     "TIE_EPS",

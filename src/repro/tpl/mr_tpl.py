@@ -119,35 +119,37 @@ class MrTPLRouter(CampaignRouter):
         route.nodes.update(pin_nodes[0])
         unreached = list(range(1, len(pin_groups)))
 
-        while unreached:
-            sources = self._source_states(tree_vertices, tree_colors)
-            targets: Dict[GridPoint, int] = {}
-            for index in unreached:
-                for vertex in pin_groups[index]:
-                    if vertex not in tree_vertices:
-                        targets.setdefault(vertex, index)
-            if not targets:
-                # Remaining pins are already covered by the routed tree.
-                unreached.clear()
-                break
-            search = engine.search(sources, set(targets), net.name)
-            if not search.found:
-                route.routed = False
-                route.failure_reason = "color-state search exhausted without reaching a pin"
-                break
-            colored_path = self.backtracer.backtrace(search, net.name, tree_colors)
-            apply_colored_path(colored_path, route, sink)
-            tree_colors.update(colored_path.colors())
+        # One expansion closure serves every search of this net route.
+        with engine.net_route(net.name):
+            while unreached:
+                sources = self._source_states(tree_vertices, tree_colors)
+                targets: Dict[GridPoint, int] = {}
+                for index in unreached:
+                    for vertex in pin_groups[index]:
+                        if vertex not in tree_vertices:
+                            targets.setdefault(vertex, index)
+                if not targets:
+                    # Remaining pins are already covered by the routed tree.
+                    unreached.clear()
+                    break
+                search = engine.search(sources, set(targets), net.name)
+                if not search.found:
+                    route.routed = False
+                    route.failure_reason = "color-state search exhausted without reaching a pin"
+                    break
+                colored_path = self.backtracer.backtrace(search, net.name, tree_colors)
+                apply_colored_path(colored_path, route, sink)
+                tree_colors.update(colored_path.colors())
 
-            reached_pin = targets[search.reached]
-            unreached.remove(reached_pin)
-            tree_vertices.update([vertex_of(node) for node in colored_path.nodes])
-            tree_vertices.update(pin_groups[reached_pin])
-            route.nodes.update(pin_nodes[reached_pin])
-            sink.occupy_all(pin_nodes[reached_pin])
-            # Release the result: the engine copies the label buffers of a
-            # previous result that is still referenced when it runs again.
-            del search, colored_path
+                reached_pin = targets[search.reached]
+                unreached.remove(reached_pin)
+                tree_vertices.update([vertex_of(node) for node in colored_path.nodes])
+                tree_vertices.update(pin_groups[reached_pin])
+                route.nodes.update(pin_nodes[reached_pin])
+                sink.occupy_all(pin_nodes[reached_pin])
+                # Release the result: the engine copies the label buffers of a
+                # previous result that is still referenced when it runs again.
+                del search, colored_path
 
         if route.routed:
             sink.occupy_all(route.nodes)

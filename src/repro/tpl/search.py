@@ -34,7 +34,7 @@ from repro.dr.cost import CostModel, TargetBounds
 from repro.geometry import GridPoint
 from repro.grid import INDEX_DIRECTION, NUM_DIRECTIONS, Direction, RoutingGrid
 from repro.native.spec import MODE_COLOR_STATE, attach_native_spec
-from repro.search import CoreResult, SearchCore
+from repro.search import CoreResult, RouteScopedExpand, SearchCore
 from repro.tpl.color_state import ColorState
 
 #: Costs within this relative tolerance of the minimum keep their mask in the
@@ -137,7 +137,7 @@ class ColorSearchResult:
         return ColorState(self._core.aux_at(self._grid.index_of(vertex)))
 
 
-class ColorStateSearch:
+class ColorStateSearch(RouteScopedExpand):
     """The color-state searching engine of Algorithm 2."""
 
     def __init__(
@@ -188,8 +188,7 @@ class ColorStateSearch:
                 seeds.append((index, state.bits))
         target_nodes = {index_of(t) for t in targets if grid.in_bounds(t)}
 
-        net_id = grid.net_id(net_name)
-        expand = make_color_state_expand(grid, self.cost_model, net_name, net_id)
+        expand = self.expand_for(net_name)
         self.core.max_expansions = self.max_expansions
         core = self.core.run(
             seeds,
@@ -201,6 +200,11 @@ class ColorStateSearch:
             tie_eps=_COST_TOLERANCE,
         )
         return ColorSearchResult(core, grid)
+
+    def make_expand(self, net_name: str) -> Callable:
+        """Return *net_name*'s Alg. 2 expansion closure."""
+        grid = self.grid
+        return make_color_state_expand(grid, self.cost_model, net_name, grid.net_id(net_name))
 
 
 def make_color_state_expand(

@@ -10,12 +10,14 @@ additionally pins both tiers to committed solution digests):
   with the kernel on and off, compared digest-for-digest;
 * label-level parity -- single searches compared on the raw CoreResult
   cost / parent / aux maps (tie-breaks live in parents, the Alg. 2
-  color-state merge lives in aux), plus the kernel's labelled-box scan
-  against the interpreted one;
+  color-state merge lives in aux), in every expansion mode on an open
+  grid whose heap outgrows the kernel's initial capacity, plus the
+  kernel's labelled-box scan against the interpreted one;
 * fallback behaviour -- gating the tier off mid-process, and loading with
   no binary and auto-build disabled, must leave the engines running (and
-  agreeing) on the Python tier, and a stale binary must be rebuilt and
-  used in the process that found it.
+  agreeing) on the Python tier, and a binary with a stale ABI or built
+  from other source must be rebuilt and used in the process that found
+  it.
 
 The kernel also length-checks every vertex-indexed buffer before its loop,
 so a short buffer raises ``ValueError`` instead of being read out of
@@ -286,6 +288,76 @@ class TestLabelParity:
 
         assert run(True) == run(False)
 
+    @staticmethod
+    def _open_grid_search(mode, native, monkeypatch):
+        """Search corner to corner on an open uniform-cost 31x31x2 grid.
+
+        Returns the core's reached node, expansions and cost / aux /
+        parent maps, plus every heap length the interpreted loop saw.
+        """
+        import heapq
+
+        import repro.search.core as core_module
+
+        lengths = []
+
+        def push(heap, item):
+            heapq.heappush(heap, item)
+            lengths.append(len(heap))
+
+        def pop(heap):
+            lengths.append(len(heap))
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(core_module, "heappush", push)
+        monkeypatch.setattr(core_module, "heappop", pop)
+        prev = accel.set_native_enabled(native)
+        try:
+            tech = make_default_tech(num_layers=2, color_spacing=8)
+            design = Design(name="open", tech=tech, die_area=Rect(0, 0, 120, 120))
+            design.add_net(Net(name="n1", pins=[_pin("a", 0, 4, 4), _pin("b", 0, 116, 116)]))
+            grid = RoutingGrid(design)
+            model = CostModel(grid)
+            source = GridPoint(0, 1, 1)
+            target = GridPoint(0, grid.num_cols - 2, grid.num_rows - 2)
+            if mode == "traditional":
+                from repro.dr.maze import MazeRouter
+
+                core = MazeRouter(grid, model).search([source], {target}, "n1")._core
+            elif mode == "color-state":
+                from repro.tpl.color_state import ColorState
+                from repro.tpl.search import ColorStateSearch
+
+                core = ColorStateSearch(grid, model).search(
+                    {source: ColorState(0b111)}, {target}, "n1"
+                )._core
+            else:
+                from repro.baselines.dac2012 import MaskExpandedSearch
+
+                search = MaskExpandedSearch(grid, model)
+                captured = []
+                search.core.on_result = captured.append
+                search.search([(source, mask) for mask in range(3)], {target}, "n1")
+                core = captured[-1]
+            labels = (core.reached, core.expansions, dict(core.cost), dict(core.aux),
+                      dict(core.parent))
+            return labels, lengths
+        finally:
+            accel.set_native_enabled(prev)
+
+    @pytest.mark.parametrize("mode", ["traditional", "color-state", "mask-expanded"])
+    def test_ties_and_heap_growth_in_every_mode(self, mode, monkeypatch):
+        """Equal-cost ties everywhere, a heap past the kernel's initial
+        256 entries and last parents with 1-3 children: the kernel's
+        4-ary heap must still pop heapq's (f, counter) order."""
+        native, native_lengths = self._open_grid_search(mode, True, monkeypatch)
+        python, lengths = self._open_grid_search(mode, False, monkeypatch)
+        assert not native_lengths  # the kernel ran, not the interpreted loop
+        assert max(lengths) > 256
+        assert {length % 4 for length in lengths} == {0, 1, 2, 3}
+        assert native[0] >= 0
+        assert native == python
+
     def _labelled_result(self, stride):
         """Return ``(grid, CoreResult)`` of one search with node stride *stride*."""
         grid = RoutingGrid(self._design())
@@ -430,7 +502,7 @@ class TestFallback:
             expands = [
                 make_traditional_expand(grid, model, "n0", net_id),
                 make_color_state_expand(grid, model, "n0", net_id),
-                MaskExpandedSearch(grid, model)._make_expand("n0", net_id),
+                MaskExpandedSearch(grid, model).make_expand("n0"),
             ]
             assert all(hasattr(expand, "native_spec") for expand in expands)
         finally:
@@ -524,6 +596,62 @@ class TestFallback:
         assert probe.returncode == 0, probe.stderr
         abi, error = probe.stdout.split("\n")[:2]
         assert abi == str(native.EXPECTED_ABI_VERSION), error
+        assert error == "None"
+
+    @needs_kernel
+    def test_first_load_rebuilds_binary_from_edited_source(self, tmp_path):
+        """A binary with the current ABI but built from other C source is
+        rebuilt, and the first load_kernel() returns the rebuilt module."""
+        import os
+        import shutil
+        import subprocess
+        import sys
+
+        import repro
+        from repro.native.build import source_digest
+
+        package = os.path.dirname(os.path.abspath(repro.__file__))
+        copy = tmp_path / "src"
+        shutil.copytree(
+            package,
+            copy / "repro",
+            ignore=shutil.ignore_patterns("*.so", "*.pyd", "__pycache__"),
+        )
+        source = copy / "repro" / "native" / "_relaxation.c"
+        current = source.read_text()
+        env = dict(os.environ, PYTHONPATH=str(copy), REPRO_NATIVE_AUTOBUILD="1")
+        env.pop("REPRO_PURE_PYTHON", None)
+
+        def run(code):
+            return subprocess.run(
+                [sys.executable, "-c", code],
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=300,
+            )
+
+        # Same ABI number, different source: an edit made without a bump.
+        source.write_text(current + "\n/* edited */\n")
+        planted = run(
+            "from repro.native.build import build_extension, source_digest\n"
+            "build_extension()\n"
+            "print(source_digest())\n"
+        )
+        assert planted.returncode == 0, planted.stderr
+        edited_digest = planted.stdout.strip()
+        source.write_text(current)
+        probe = run(
+            "import repro.native as n\n"
+            "k = n.load_kernel()\n"
+            "print(k.KERNEL_SOURCE_DIGEST if k is not None else None)\n"
+            "print(n.kernel_load_error())\n"
+        )
+        assert probe.returncode == 0, probe.stderr
+        digest, error = probe.stdout.split("\n")[:2]
+        assert digest != edited_digest
+        assert digest == source_digest(), error
         assert error == "None"
 
 

@@ -2,8 +2,9 @@
 
 Whole-solution parity of every search tier is pinned by the committed
 digests of ``tests/test_golden_solutions.py``; these tests cover the
-adapters' edge cases (occupied targets, empty target sets), the grid's
-index/GridPoint API equivalence and the Alg. 2 equal-cost color-state merge.
+adapters' edge cases (occupied targets, empty target sets), the one
+expansion closure each net route builds, the grid's index/GridPoint API
+equivalence and the Alg. 2 equal-cost color-state merge.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from repro.dr.cost import CostModel
 from repro.dr.router import DetailedRouter
 from repro.geometry import GridPoint
 from repro.grid import ALL_DIRECTIONS, DIRECTION_INDEX, RoutingGrid
+from repro.sched.commit import RecordingSink
 from repro.tpl.color_state import ColorState, GREEN, RED
 from repro.tpl.search import ColorStateSearch
 from tests.test_grid import make_design
@@ -45,6 +47,29 @@ class TestRouterParity:
             {GridPoint(0, 1, 1): ColorState.all()}, set(), "n"
         )
         assert not color_result.found and color_result.labels == {}
+
+    @pytest.mark.parametrize("router_key", ["maze", "color-state", "dac2012"])
+    def test_one_expand_closure_per_net_route(self, router_key, monkeypatch):
+        """Every search of a net route shares one closure, dropped after it."""
+        from tests.test_native_kernel import random_design, router_classes
+
+        design = random_design(1)
+        router = router_classes()[router_key](design, max_iterations=1)
+        engine = router.make_search_engine()
+        builds, searches, routes = [], [], []
+        make_expand, search = engine.make_expand, engine.search
+        monkeypatch.setattr(
+            engine, "make_expand", lambda name: (builds.append(name), make_expand(name))[1]
+        )
+        monkeypatch.setattr(
+            engine, "search", lambda *args: (searches.append(args[2]), search(*args))[1]
+        )
+        for net in design.routable_nets():
+            routes.append(net.name)
+            router.compute_route(net, RecordingSink(router.grid, net.name), engine)
+            assert engine._route_expand is None
+        assert len(searches) > len(routes)  # some routes search more than once
+        assert builds == routes
 
 
 class TestGridIndexApi:
