@@ -1,8 +1,10 @@
 """Acceleration tier registry and runtime gates.
 
-The search and the incremental-check neighbourhood scan each run on a
-two-tier stack, both tiers producing bit-identical results (pinned by
-``tests/test_golden_solutions.py`` and ``tests/test_check_kernels.py``):
+The search and the incremental conflict checker's neighbourhood scan each
+run on a two-tier stack, both tiers producing bit-identical results
+(pinned by ``tests/test_golden_solutions.py`` and
+``tests/test_check_kernels.py``); the incremental DRC side keeps only a
+shorts tally and runs no scan:
 
 ``native``
     A compiled C kernel (:mod:`repro.native`).  For the search, the whole
@@ -99,7 +101,7 @@ def active_search_tier() -> str:
 
 
 # ----------------------------------------------------------------------
-# Check kernel (incremental DRC / conflict neighborhood scans)
+# Check kernel (incremental conflict neighborhood scan)
 # ----------------------------------------------------------------------
 
 def check_native_available() -> bool:
@@ -144,6 +146,6 @@ def active_check_tier() -> str:
     """Return the name of the fastest incremental-check tier active.
 
     ``native`` is the compiled ``_checkwork`` neighborhood scan, ``python``
-    the checkers' original dict/set loops (the differential reference).
+    its loop in Python (the differential reference).
     """
     return TIERS[0] if get_check_kernel() is not None else TIERS[1]

@@ -27,7 +27,7 @@ from repro.campaign import CampaignRouter
 from repro.check import IncrementalConflictChecker
 from repro.design import Design, Net
 from repro.dr.cost import CostModel, TargetBounds
-from repro.dr.maze import make_traditional_expand
+from repro.dr.maze import traditional_expand
 from repro.geometry import GridPoint, Point
 from repro.gr import GlobalRouter, GuideSet
 from repro.gr.steiner import rectilinear_mst
@@ -113,7 +113,7 @@ class MaskExpandedSearch(RouteScopedExpand):
         # Grid moves delegate to the shared traditional expand; the mask's
         # conflict cost is read per successor from the live pressure buffer
         # (the native kernel does the same inline).
-        traditional = make_traditional_expand(grid, cost_model, net_name, net_id)
+        traditional = traditional_expand(grid, cost_model, net_name, net_id)
         # Scratch buffers for the embedded traditional (grid-move) expand;
         # its successors are re-based onto the mask-expanded node space.
         move_node: List[int] = [0] * 8

@@ -1,20 +1,21 @@
-"""Incremental checking: DRC/conflict tallies re-validated per changed net.
+"""Incremental checking for the rip-up loop's check steps.
 
-Every rip-up-and-reroute iteration touches a handful of nets but the
-full-scan checkers (:class:`repro.dr.drc.DRCChecker`,
+The full-scan checkers (:class:`repro.dr.drc.DRCChecker`,
 :class:`repro.tpl.conflict.ConflictChecker`) re-walk the whole solution.
-:class:`IncrementalDRCChecker` / :class:`IncrementalConflictChecker`
-re-validate only the nets whose route changed since their previous
-refresh -- read from the :class:`~repro.grid.RoutingSolution` alone,
-through the routes' ``revision`` stamps -- and maintain running violation
-and conflict tallies that match the full-scan oracles on counts, kinds and
-net pairs (differentially tested after every mutation in
-``tests/test_incremental_check.py``; representative violation locations
-may be anchored differently).  The grid supplies only static geometry.
+The two checkers here re-read only the nets whose route changed since
+their previous refresh -- from the :class:`~repro.grid.RoutingSolution`
+alone, through the routes' ``revision`` stamps -- and keep exactly what a
+loop reads:
 
-The check steps of all three routers (plain detailed router, Mr.TPL,
-DAC-2012 baseline) consume these tallies; the full checkers remain the
-frozen reference used by final evaluation and the differential harness.
+* :class:`IncrementalDRCChecker` keeps the shorted nets, the only fact the
+  plain router's check step reads;
+* :class:`IncrementalConflictChecker` keeps the colour-conflict report of
+  the Mr.TPL and DAC-2012 check steps.  It shares the full scan's
+  :class:`~repro.tpl.conflict.Feature` record and its classify and anchor
+  routines, so it matches the full scan on counts, kinds and net pairs.
+
+``tests/test_incremental_check.py`` compares both with the full scans
+after every mutation; final evaluation always uses the full scans.
 """
 
 from repro.check.incremental_conflict import IncrementalConflictChecker

@@ -8,87 +8,58 @@ conflict lists stay valid until one of the nets changes:
 * on :meth:`refresh`, the dirty nets -- those whose route's monotone
   ``revision`` stamp changed since the previous refresh (a replaced route
   object, or an in-place :meth:`NetRoute.set_color`), plus those gone from
-  the solution -- get their features re-extracted with the full checker's
-  own ``_net_groups`` routine (one union-find over flat vertex indices),
+  the solution -- get their :class:`~repro.tpl.conflict.Feature` records
+  re-extracted by the full checker's own ``_net_features``,
 * every cached pair involving a dirty net is dropped, and partners within
   the interaction radius (``max(Dcolor, min_spacing)``, probed over
   :meth:`RoutingGrid.track_offsets` around the net's feature vertices) are
-  re-classified with the full checker's own ``_pair_kind`` /
-  ``_obstacle_conflicts`` helpers, so kinds and thresholds cannot drift
-  apart,
+  re-classified and anchored by the full checker's own
+  ``_net_pair_conflicts`` (the pair is anchored on the dirty net's side),
 * per-net obstacle-conflict and uncolored-vertex tallies are recomputed for
-  dirty nets only.
+  dirty nets only, through the full checker's ``_obstacle_conflicts`` /
+  ``_route_uncolored``.  Obstacle conflicts keep the rip-up loop's own
+  location rule (``member_set_order``), which the routing digests are
+  pinned to.
 
-The tallies are computed from the solution alone; the grid supplies only
+So this module builds no feature and picks no anchor of its own.  The
+tallies are computed from the solution alone; the grid supplies only
 static geometry.  The candidate-partner neighborhood scan runs on the
 tiered :func:`repro.check.kernels.scan_hits` (the native ``_checkwork``
 kernel or its Python loop) over the flat feature-owner mirror.
 
 The running tallies therefore match a fresh full scan on counts, kinds and
-net pairs (locations are anchored at the feature vertex nearest the
-partner), which ``tests/test_incremental_check.py`` and
+net pairs, which ``tests/test_incremental_check.py`` and
 ``tests/test_check_kernels.py`` assert after every mutation.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, NamedTuple, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.check.kernels import OffsetBuffers, offset_buffers, scan_hits, zero_owner_mirror
 from repro.design import Design
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
-from repro.tpl.conflict import ColorConflict, ConflictChecker, ConflictReport
+from repro.tpl.conflict import ColorConflict, ConflictChecker, ConflictReport, Feature
 
 #: Canonical unordered net-pair key.
 NetPair = Tuple[str, str]
-
-
-class _FeatureEntry(NamedTuple):
-    """One cached feature on flat vertex indices.
-
-    ``members`` are the feature's indices in extraction order (an obstacle
-    conflict is anchored in the iteration order of their frozen
-    ``GridPoint`` copy); ``indices`` holds them sorted, and ``cols`` /
-    ``rows`` their track coordinates in that order (the conflict-anchor
-    search walks them, and the sorted order reproduces the reference
-    ``min``'s smallest-vertex tie-breaking exactly); ``box`` is the track
-    bounding box ``(col_lo, col_hi, row_lo, row_hi)``.  The fields
-    :meth:`ConflictChecker._pair_kind` and ``_obstacle_conflicts`` read are
-    named as on :class:`~repro.tpl.conflict.Feature`.
-    """
-
-    net_name: str
-    layer: int
-    color: int
-    members: List[int]
-    indices: array
-    cols: Tuple[int, ...]
-    rows: Tuple[int, ...]
-    box: Tuple[int, int, int, int]
 
 
 class IncrementalConflictChecker:
     """Incrementally maintained color-conflict tallies over a solution."""
 
     def __init__(self, design: Design, grid: RoutingGrid) -> None:
-        self.design = design
         self.grid = grid
-        self.rules = grid.rules
         self.oracle = ConflictChecker(design, grid)
         # Per layer: the interaction offsets as kernel buffers.
         self._layer_offsets: Dict[int, OffsetBuffers] = {}
-        # Per layer: the track reach within which a feature pair can conflict.
-        self._pair_reach = [
-            max(self.oracle._layer_reaches(layer)) for layer in range(grid.num_layers)
-        ]
         # The first refresh validates every net of the solution.
         self._built = False
         self._route_revisions: Dict[str, int] = {}
-        # Per net: its feature entries (bounding boxes for the pair
-        # prefilter, flat indices for the scan kernels, sorted track
-        # coordinates for the threshold walk and the anchor search).
-        self._features: Dict[str, List[_FeatureEntry]] = {}
+        # Per net: its feature records (flat indices for the scan kernels,
+        # track coordinates and boxes for classification and anchoring).
+        self._features: Dict[str, List[Feature]] = {}
         # Flat index -> names of nets with a feature vertex there.
         self._occ: Dict[int, Set[str]] = {}
         # Flat owner mirror of _occ for the scan kernels: 0 = empty,
@@ -165,8 +136,8 @@ class IncrementalConflictChecker:
 
     def _remove_net(self, name: str) -> None:
         owner = self._occ_owner
-        for entry in self._features.pop(name, ()):
-            for index in entry.indices:
+        for feature in self._features.pop(name, ()):
+            for index in feature.indices:
                 nets = self._occ.get(index)
                 if nets is not None:
                     nets.discard(name)
@@ -185,50 +156,21 @@ class IncrementalConflictChecker:
         self._uncolored.pop(name, None)
 
     def _add_net(self, name: str, route: NetRoute) -> None:
-        grid = self.grid
-        plane_size, num_rows = grid.plane_size, grid.num_rows
-        vertex_of = grid.vertex_of
         net_id = self._intern(name)
         owner = self._occ_owner
         occ_setdefault = self._occ.setdefault
-        entries: List[_FeatureEntry] = []
+        features = self.oracle._net_features(route)
         obstacle: List[ColorConflict] = []
-        for layer, color, members in self.oracle._net_groups(route):
-            indices = array("q", sorted(members))
-            base = layer * plane_size
-            cols = []
-            rows = []
-            for index in indices:
-                col, row = divmod(index - base, num_rows)
-                cols.append(col)
-                rows.append(row)
+        for feature in features:
+            for index in feature.indices:
                 occ = occ_setdefault(index, set())
                 occ.add(name)
                 owner[index] = net_id if len(occ) == 1 else -1
-            entry = _FeatureEntry(
-                name,
-                layer,
-                color,
-                members,
-                indices,
-                tuple(cols),
-                tuple(rows),
-                (cols[0], cols[-1], min(rows), max(rows)),
-            )
-            entries.append(entry)
-            # Frozen from the member list, not from a set as the full scan
-            # does: obstacle conflicts are anchored at the first feature
-            # vertex in iteration order, rip-up history goes there, and the
-            # routing digests are pinned to this order.
-            obstacle.extend(
-                self.oracle._obstacle_conflicts(
-                    entry, lambda: frozenset([vertex_of(index) for index in members])
-                )
-            )
-        self._features[name] = entries
+            obstacle.extend(self.oracle._obstacle_conflicts(feature, member_set_order=True))
+        self._features[name] = features
         if obstacle:
             self._obstacle_conflicts[name] = obstacle
-        uncolored = self.oracle._route_uncolored(route, entries)
+        uncolored = self.oracle._route_uncolored(route, features)
         if uncolored:
             self._uncolored[name] = uncolored
 
@@ -247,16 +189,16 @@ class IncrementalConflictChecker:
         candidates: Set[str] = set()
         # One scan per layer, not per feature: the features' vertex arrays
         # are concatenated so small features do not pay per-call overhead.
-        by_layer: Dict[int, List[_FeatureEntry]] = {}
-        for entry in self._features.get(name, ()):
-            by_layer.setdefault(entry.layer, []).append(entry)
-        for layer, entries in by_layer.items():
-            if len(entries) == 1:
-                merged = entries[0].indices
+        by_layer: Dict[int, List[Feature]] = {}
+        for feature in self._features.get(name, ()):
+            by_layer.setdefault(feature.layer, []).append(feature)
+        for layer, features in by_layer.items():
+            if len(features) == 1:
+                merged = features[0].indices
             else:
                 merged = array("q")
-                for entry in entries:
-                    merged.extend(entry.indices)
+                for feature in features:
+                    merged.extend(feature.indices)
             hits = scan_hits(
                 merged,
                 self._offsets_for(layer),
@@ -282,70 +224,11 @@ class IncrementalConflictChecker:
             pair = (name, partner) if name <= partner else (partner, name)
             if pair in self._pair_conflicts:
                 continue  # the partner was dirty too and already rescanned
-            conflicts = self._classify_net_pair(name, partner)
-            self._pair_conflicts[pair] = conflicts
+            self._pair_conflicts[pair] = self.oracle._net_pair_conflicts(
+                self._features[name], self._features.get(partner, ())
+            )
             self._pairs_by_net.setdefault(name, set()).add(pair)
             self._pairs_by_net.setdefault(partner, set()).add(pair)
-
-    def _classify_net_pair(self, name: str, partner: str) -> List[ColorConflict]:
-        """Classify every same-layer feature pair of *name* and *partner*.
-
-        Kinds come from the full checker's :meth:`ConflictChecker._pair_kind`;
-        only a conflicting pair pays for its anchor.
-        """
-        conflicts: List[ColorConflict] = []
-        partner_entries = self._features.get(partner, ())
-        grid = self.grid
-        vertex_of = grid.vertex_of
-        pair_kind = self.oracle._pair_kind
-        # A signed track distance up to ``touch`` means the squares touch.
-        touch = 2 * max(self.rules.wire_width // 2, 0) // grid.pitch
-        for entry in self._features.get(name, ()):
-            layer = entry.layer
-            reach = self._pair_reach[layer]
-            col_lo, col_hi, row_lo, row_hi = entry.box
-            for other in partner_entries:
-                if other.layer != layer:
-                    continue
-                # The box distance lower-bounds every vertex-pair distance,
-                # so pairs outside the reach can be skipped.
-                ocol_lo, ocol_hi, orow_lo, orow_hi = other.box
-                if (
-                    ocol_lo - col_hi > reach
-                    or col_lo - ocol_hi > reach
-                    or orow_lo - row_hi > reach
-                    or row_lo - orow_hi > reach
-                ):
-                    continue
-                kind = pair_kind(entry, other)
-                if kind is None:
-                    continue
-                # Anchor the conflict at the feature vertex nearest the
-                # partner's box so rip-up history lands where the metal
-                # clashes.  The sorted walk keeps only strictly closer
-                # vertices, which reproduces the reference min()'s
-                # smallest-vertex tie-breaking, and touching cannot be beaten.
-                anchor = 0
-                best = None
-                for position, (col, row) in enumerate(zip(entry.cols, entry.rows)):
-                    tracks = max(ocol_lo - col, col - ocol_hi, orow_lo - row, row - orow_hi)
-                    if tracks <= touch:
-                        anchor = position
-                        break
-                    if best is None or tracks < best:
-                        best = tracks
-                        anchor = position
-                conflicts.append(
-                    ColorConflict(
-                        net_a=entry.net_name,
-                        net_b=other.net_name,
-                        layer=layer,
-                        color=entry.color,
-                        location=vertex_of(entry.indices[anchor]),
-                        kind=kind,
-                    )
-                )
-        return conflicts
 
     # ------------------------------------------------------------------
     # Reports (same shapes as the full checker)
@@ -354,10 +237,6 @@ class IncrementalConflictChecker:
     def check(self, solution: RoutingSolution) -> ConflictReport:
         """Refresh against *solution* and return the aggregated report."""
         self.refresh(solution)
-        return self.report()
-
-    def report(self) -> ConflictReport:
-        """Return a :class:`ConflictReport` assembled from the running tallies."""
         conflicts: List[ColorConflict] = []
         for pair in sorted(self._pair_conflicts):
             conflicts.extend(self._pair_conflicts[pair])
@@ -367,14 +246,3 @@ class IncrementalConflictChecker:
             conflicts=conflicts,
             uncolored_vertices=sum(self._uncolored.values()),
         )
-
-    def conflict_count(self) -> int:
-        """Return the running conflict tally (after a refresh)."""
-        return sum(len(found) for found in self._pair_conflicts.values()) + sum(
-            len(found) for found in self._obstacle_conflicts.values()
-        )
-
-    def count(self, solution: RoutingSolution) -> int:
-        """Refresh against *solution* and return only the conflict count."""
-        self.refresh(solution)
-        return self.conflict_count()

@@ -1,8 +1,8 @@
-"""Tiered neighborhood scan shared by the incremental checkers.
+"""Tiered neighborhood scan of the incremental conflict checker.
 
-The hot loop of both :class:`~repro.check.IncrementalDRCChecker` and
-:class:`~repro.check.IncrementalConflictChecker` is the same shape: for
-every flat vertex index of a dirty net, probe every planar
+The hot loop of :class:`~repro.check.IncrementalConflictChecker` finds a
+dirty net's candidate partners: for every flat vertex index of its
+features, probe every planar
 :meth:`~repro.grid.RoutingGrid.track_offsets` offset against an occupancy
 mirror and do real work only for neighbors held by *another* net.  The
 overwhelming majority of probes miss (empty cell, or the net's own metal),
@@ -19,10 +19,10 @@ The kernel reads an offset table as three ``array('q')`` columns, which
 surviving ``(source, neighbor)`` pairs in the same i-major order, and the
 checker's per-hit Python logic post-processes them, so both tiers produce
 identical reports -- the contract ``tests/test_check_kernels.py`` checks
-against a brute-force loop and the full-scan oracles.
+against a brute-force loop and the full-scan oracle.
 
-The *owner* mirror is an ``array('q')`` the checkers maintain
-incrementally alongside their occupancy dicts: ``0`` = empty, a positive
+The *owner* mirror is an ``array('q')`` the checker maintains
+incrementally alongside its occupancy dict: ``0`` = empty, a positive
 interned net id = single occupant, ``-1`` = multiple occupants (the scan
 always reports those; the caller consults the exact dict).  Passing the
 scanned net's own id as *self_id* drops same-net probes in the kernel.

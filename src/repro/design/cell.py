@@ -8,7 +8,7 @@ produce chip-space :class:`~repro.design.pin.Pin` objects on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 from repro.design.pin import Pin, PinShape
 from repro.geometry import Orientation, Point, Rect, Transform
@@ -94,14 +94,6 @@ class CellInstance:
             self.location.x + size.x,
             self.location.y + size.y,
         )
-
-    def pin_shapes(self) -> Dict[str, PinShape]:
-        """Return chip-space shapes of every pin keyed by pin name."""
-        transform = self.transform
-        return {
-            pin.name: PinShape(pin.layer, transform.apply_to_rect(pin.rect))
-            for pin in self.master.pins
-        }
 
     def make_pin(self, pin_name: str) -> Pin:
         """Instantiate a chip-space :class:`Pin` for *pin_name*."""

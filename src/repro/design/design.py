@@ -124,16 +124,6 @@ class Design:
             for index, obstacle in enumerate(self.colored_obstacles())
         ]
 
-    def pin_shapes_by_net(self) -> Dict[str, List[PinShape]]:
-        """Return every pin shape grouped by owning net name."""
-        result: Dict[str, List[PinShape]] = {}
-        for net in self.nets:
-            shapes: List[PinShape] = []
-            for pin in net.pins:
-                shapes.extend(pin.shapes)
-            result[net.name] = shapes
-        return result
-
     # -- statistics -----------------------------------------------------------------
 
     def statistics(self) -> Dict[str, float]:

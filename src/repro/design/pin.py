@@ -61,10 +61,6 @@ class Pin:
         """Return the centre of the bounding box; used for Steiner estimates."""
         return self.bounding_box().center
 
-    def shapes_on(self, layer: int) -> List[Rect]:
-        """Return the pin rectangles on *layer*."""
-        return [shape.rect for shape in self.shapes if shape.layer == layer]
-
     def covers(self, layer: int, point: Point) -> bool:
         """Return ``True`` when *point* on *layer* lies inside any pin shape."""
         return any(shape.rect.contains_point(point) for shape in self.shapes if shape.layer == layer)

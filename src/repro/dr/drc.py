@@ -163,21 +163,19 @@ class DRCChecker:
                 continue
             pin_groups = [self.grid.pin_access_vertices(pin) for pin in net.pins]
             if not self.route_connects_all(route, pin_groups):
+                # Reported at the route's smallest vertex.
+                location = (
+                    self.grid.vertex_of(min(route.nodes)) if route.nodes else GridPoint(0, 0, 0)
+                )
                 violations.append(
                     Violation(
                         kind="open",
                         nets=(net.name,),
-                        location=self.open_anchor(route),
+                        location=location,
                         detail="routed metal does not connect every pin",
                     )
                 )
         return violations
-
-    def open_anchor(self, route: NetRoute) -> GridPoint:
-        """Return where an open *route* is reported: its smallest vertex."""
-        if not route.nodes:
-            return GridPoint(0, 0, 0)
-        return self.grid.vertex_of(min(route.nodes))
 
     def route_connects_all(self, route: NetRoute, pin_groups: List[List[GridPoint]]) -> bool:
         """Return ``True`` when every pin group touches one routed component of *route*.
@@ -185,8 +183,7 @@ class DRCChecker:
         ``pin_groups`` holds, per pin, the access vertices of that pin; a
         pin is reached when at least one of them belongs to the route, and
         a pin's own access vertices are electrically the same metal.  A
-        union-find over flat vertex indices; the incremental checker's
-        open re-check calls this too.
+        union-find over flat vertex indices.
         """
         if not pin_groups:
             return True
@@ -230,7 +227,7 @@ class DRCChecker:
         """Return the out-of-guide vertex count of one route.
 
         Read from the :class:`GuideTables` the search charges its guide
-        penalty from; the incremental checker calls this per route too.
+        penalty from.
         """
         if self.guides is None:
             return 0
@@ -240,23 +237,20 @@ class DRCChecker:
 
     def wrong_way_edges(self, solution: RoutingSolution) -> int:
         """Return the number of planar edges routed against the preferred direction."""
-        return sum(self.route_wrong_way(route) for route in solution.routed_nets())
-
-    def route_wrong_way(self, route: NetRoute) -> int:
-        """Return the wrong-way edge count of one route (shared building block)."""
         count = 0
         layers = self.design.tech.layers
         plane_size, num_rows = self.grid.plane_size, self.grid.num_rows
-        for a, b in route.node_edges:
-            layer_index = a // plane_size
-            if layer_index != b // plane_size:
-                continue
-            layer = layers[layer_index]
-            horizontal_move = a % num_rows == b % num_rows
-            if layer.is_horizontal and not horizontal_move:
-                count += 1
-            elif layer.is_vertical and horizontal_move:
-                count += 1
+        for route in solution.routed_nets():
+            for a, b in route.node_edges:
+                layer_index = a // plane_size
+                if layer_index != b // plane_size:
+                    continue
+                layer = layers[layer_index]
+                horizontal_move = a % num_rows == b % num_rows
+                if layer.is_horizontal and not horizontal_move:
+                    count += 1
+                elif layer.is_vertical and horizontal_move:
+                    count += 1
         return count
 
     # -- aggregate -----------------------------------------------------------------

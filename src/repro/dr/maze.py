@@ -162,7 +162,24 @@ def make_traditional_expand(
     net_name: str,
     net_id: int,
 ) -> Callable[[int, float, int, List[int], List[float], List[int]], int]:
-    """Return the ``Cost_trad`` expansion callback over flat indices.
+    """Return :func:`traditional_expand` with its native spec attached."""
+    return attach_native_spec(
+        traditional_expand(grid, cost_model, net_name, net_id),
+        MODE_TRADITIONAL,
+        grid,
+        cost_model,
+        net_name,
+        net_id,
+    )
+
+
+def traditional_expand(
+    grid: RoutingGrid,
+    cost_model: CostModel,
+    net_name: str,
+    net_id: int,
+) -> Callable[[int, float, int, List[int], List[float], List[int]], int]:
+    """Return the bare ``Cost_trad`` expansion callback over flat indices.
 
     One step costs ``alpha * ((base + congestion) + guide)`` exactly as
     :meth:`CostModel.step_cost_index` computes it (same operation order, so
@@ -172,8 +189,9 @@ def make_traditional_expand(
     successor from the grid's live history / owner buffers, and the guide
     penalty from the net's gcell mask through the cost model's vertex ->
     gcell-slot map.  The native kernel evaluates the same terms inline from
-    the same buffers.  Shared by the maze adapter and the DAC-2012
-    adapter's interpreted tier.
+    the same buffers.  Shared by the maze adapter (through
+    :func:`make_traditional_expand`) and the DAC-2012 adapter's grid moves,
+    which attaches a spec of its own to its outer closure.
     """
     neighbor_table = grid.neighbor_table()
     blocked = grid.blocked_buffer()
@@ -218,4 +236,4 @@ def make_traditional_expand(
             count += 1
         return count
 
-    return attach_native_spec(expand, MODE_TRADITIONAL, grid, cost_model, net_name, net_id)
+    return expand

@@ -51,7 +51,7 @@ class DetailedRouter(CampaignRouter):
         self.guides = guides
         self.cost_model = CostModel(self.grid, guides)
         self.maze = MazeRouter(self.grid, self.cost_model)
-        self.incremental_drc = IncrementalDRCChecker(design, self.grid, guides)
+        self.incremental_drc = IncrementalDRCChecker()
 
     def make_search_engine(self) -> MazeRouter:
         """Return a fresh search engine over this router's grid/costs.

@@ -46,11 +46,6 @@ class Segment:
         return self.start.x == self.end.x
 
     @property
-    def is_point(self) -> bool:
-        """Return ``True`` when both endpoints coincide (e.g. a via landing)."""
-        return self.start == self.end
-
-    @property
     def length(self) -> int:
         """Return the centre-line length in DBU."""
         return self.start.manhattan_distance(self.end)

@@ -412,10 +412,6 @@ class RoutingGrid:
         """Return the interned id of *net_name*, or ``0`` when never seen."""
         return self._net_ids.get(net_name, 0)
 
-    def net_name_of(self, net_id: int) -> str:
-        """Return the net name of interned id *net_id*."""
-        return self._net_names[net_id]
-
     # ------------------------------------------------------------------
     # Geometry mapping
     # ------------------------------------------------------------------
@@ -553,13 +549,6 @@ class RoutingGrid:
         # Deterministic order helps reproducibility.
         return sorted(set(vertices))
 
-    def all_vertices(self) -> Iterator[GridPoint]:
-        """Iterate over every vertex of the grid (layer-major order)."""
-        for layer in range(self.num_layers):
-            for col in range(self.num_cols):
-                for row in range(self.num_rows):
-                    yield GridPoint(layer, col, row)
-
     # ------------------------------------------------------------------
     # Neighbourhood and base edge costs
     # ------------------------------------------------------------------
@@ -637,14 +626,6 @@ class RoutingGrid:
     def blocked_buffer(self) -> bytearray:
         """Return the live blockage buffer (read-only use by search engines)."""
         return self._blocked_buf
-
-    def blocked_vertices(self) -> Set[GridPoint]:
-        """Return a copy of the blocked vertex set."""
-        return {
-            self.vertex_of(index)
-            for index, flag in enumerate(self._blocked_buf)
-            if flag
-        }
 
     def _apply_design_blockages(self) -> None:
         for shape in self.design.blockage_shapes():

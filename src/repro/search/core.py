@@ -140,10 +140,6 @@ class CoreResult:
 
     # -- per-node accessors (hot consumers: backtrace, color_state_of) ----
 
-    def cost_at(self, node: int) -> float:
-        """Return the best cost labelled at *node* (must be labelled)."""
-        return self._cost_buf[node]
-
     def aux_at(self, node: int) -> int:
         """Return the aux bits labelled at *node* (must be labelled)."""
         return self._aux_buf[node]

@@ -10,7 +10,10 @@ conflicts are counted between **features**: maximal connected runs of
 same-net, same-layer, same-mask routed metal.  Each offending feature pair
 counts once, which is how layout decomposers (OpenMPL) report conflicts as
 well -- the same counter is applied to every router and baseline in this
-repository.
+repository.  A :class:`Feature` is one integer record on flat vertex
+indices; the full scan here and the rip-up loop's
+:class:`~repro.check.IncrementalConflictChecker` build, classify and
+anchor features with the same routines of :class:`ConflictChecker`.
 
 Proximity is integer math on the track lattice.  Every vertex's metal is
 the same ``extent = 2 * (wire_width // 2)`` square centred on a track
@@ -20,17 +23,21 @@ crossing, so two vertices ``cheb`` tracks apart (Chebyshev distance over
 (:meth:`RoutingGrid.track_reach`).  The full scan keys each layer's
 feature vertices by track, probes the ``(2k+1)^2`` window around every
 feature vertex for ``d = max(Dcolor, min_spacing)``, and reports each pair
-once, at the first vertex of the lower-id feature that meets the other; so
-conflicts come out in probe order.  A feature vertex sits closer than
-``Dcolor`` to an obstacle when its track crossing lies in the obstacle's
-``rect.expanded(Dcolor + wire_width // 2 - 1)`` (:meth:`RoutingGrid.track_window`).
+once, from the lower-id feature.  A pair conflict is located by
+:meth:`ConflictChecker._pair_anchor`: the feature's vertex nearest the
+partner's track box.  A feature vertex sits closer than ``Dcolor`` to an
+obstacle when its track crossing lies in the obstacle's
+``rect.expanded(Dcolor + wire_width // 2 - 1)``
+(:meth:`RoutingGrid.track_window`); the full scan locates such a conflict
+at the feature's lowest flat index inside that window.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.design import Design
 from repro.geometry import GridPoint
@@ -41,28 +48,23 @@ from repro.grid import NetRoute, RoutingGrid, RoutingSolution
 ObstacleWindows = Dict[Tuple[int, int], List[Tuple[str, int, int, int, int]]]
 
 
-@dataclass(frozen=True)
-class Feature:
+class Feature(NamedTuple):
     """A maximal connected run of same-mask metal of one net on one layer.
 
-    ``cols`` / ``rows`` hold the track coordinates of :attr:`vertices` (in
-    its iteration order) and ``box`` their ``(col_lo, col_hi, row_lo,
-    row_hi)`` bounds: the integer geometry :meth:`ConflictChecker._pair_kind`
-    and the obstacle test read.
+    ``members`` are the flat vertex indices in extraction order (see
+    :meth:`ConflictChecker._net_groups`); ``indices`` holds them sorted,
+    and ``cols`` / ``rows`` their track coordinates in that sorted order;
+    ``box`` is the track bounding box ``(col_lo, col_hi, row_lo, row_hi)``.
     """
 
     net_name: str
     layer: int
     color: int
-    vertices: FrozenSet[GridPoint]
-    cols: Tuple[int, ...] = field(compare=False, repr=False)
-    rows: Tuple[int, ...] = field(compare=False, repr=False)
-    box: Tuple[int, int, int, int] = field(compare=False, repr=False)
-
-    @property
-    def size(self) -> int:
-        """Return the number of grid vertices in the feature."""
-        return len(self.vertices)
+    members: List[int]
+    indices: array
+    cols: Tuple[int, ...]
+    rows: Tuple[int, ...]
+    box: Tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -127,9 +129,19 @@ class ConflictChecker:
         self.grid = grid
         self.rules = grid.rules
         self._obstacle_windows: Optional[ObstacleWindows] = None
-        # Per layer: (min-spacing reach, Dcolor reach) in tracks.
-        self._reaches: Dict[int, Tuple[int, int]] = {}
+        # Per layer: (min-spacing reach, Dcolor reach) in tracks, and the
+        # larger of the two, beyond which no feature pair can conflict.
+        self._reaches = [
+            (
+                grid.track_reach(self.rules.min_spacing),
+                grid.track_reach(self.rules.color_spacing_on(layer)),
+            )
+            for layer in range(grid.num_layers)
+        ]
+        self._pair_reach = [max(reaches) for reaches in self._reaches]
         self._tpl_layers = tuple(layer.tpl for layer in design.tech.layers)
+        # A track distance up to this means the two metal squares touch.
+        self._touch = grid.track_reach(1)
 
     # ------------------------------------------------------------------
 
@@ -141,29 +153,30 @@ class ConflictChecker:
         return features
 
     def _net_features(self, route: NetRoute) -> List[Feature]:
-        """Split one route into features (see :meth:`_net_groups`).
-
-        Each feature's vertex set is the frozen copy of a ``set`` filled in
-        ``node_colors`` order, so its iteration order -- the probe order of
-        :meth:`check`, hence the conflict locations -- depends only on the
-        route.
-        """
+        """Split one route into :class:`Feature` records (see :meth:`_net_groups`)."""
         name = route.net_name
-        vertex_of = self.grid.vertex_of
+        plane_size, num_rows = self.grid.plane_size, self.grid.num_rows
         features: List[Feature] = []
         for layer, color, members in self._net_groups(route):
-            vertices = frozenset(set([vertex_of(node) for node in members]))
-            cols = tuple(vertex.col for vertex in vertices)
-            rows = tuple(vertex.row for vertex in vertices)
+            indices = array("q", sorted(members))
+            base = layer * plane_size
+            cols = []
+            rows = []
+            for index in indices:
+                col, row = divmod(index - base, num_rows)
+                cols.append(col)
+                rows.append(row)
             features.append(
                 Feature(
-                    net_name=name,
-                    layer=layer,
-                    color=color,
-                    vertices=vertices,
-                    cols=cols,
-                    rows=rows,
-                    box=(min(cols), max(cols), min(rows), max(rows)),
+                    name,
+                    layer,
+                    color,
+                    members,
+                    indices,
+                    tuple(cols),
+                    tuple(rows),
+                    # Sorted indices of one layer run column-major.
+                    (cols[0], cols[-1], min(rows), max(rows)),
                 )
             )
         return features
@@ -174,8 +187,7 @@ class ConflictChecker:
         A union-find over the route's flat vertex indices: same-layer route
         edges join colored vertices of equal mask.  Groups come in the
         order their first member appears in ``node_colors``, and so do the
-        members of each group.  The incremental checker extracts dirty nets
-        here too.
+        members of each group.
         """
         nodes = route.nodes
         color_at: Dict[int, int] = {}
@@ -253,17 +265,17 @@ class ConflictChecker:
                 )
             stride = windows[layer][0]
             owners = owners_by_layer[layer]
-            for vertex in feature.vertices:
-                owners.setdefault(vertex.col * stride + vertex.row, []).append(feature_id)
+            for col, row in zip(feature.cols, feature.rows):
+                owners.setdefault(col * stride + row, []).append(feature_id)
 
+        conflicts = report.conflicts
         for feature_id, feature in enumerate(features):
-            layer = feature.layer
-            stride, window = windows[layer]
-            owners = owners_by_layer[layer]
+            stride, window = windows[feature.layer]
+            owners = owners_by_layer[feature.layer]
             net_name = feature.net_name
             met: Set[int] = set()
-            for vertex in feature.vertices:
-                base = vertex.col * stride + vertex.row
+            for col, row in zip(feature.cols, feature.rows):
+                base = col * stride + row
                 for delta in window:
                     ids = owners.get(base + delta)
                     if ids is None:
@@ -276,22 +288,11 @@ class ConflictChecker:
                         if other.net_name == net_name:
                             continue
                         met.add(other_id)
-                        kind = self._pair_kind(feature, other)
-                        if kind is not None:
-                            report.conflicts.append(
-                                ColorConflict(
-                                    net_a=net_name,
-                                    net_b=other.net_name,
-                                    layer=layer,
-                                    color=feature.color,
-                                    location=vertex,
-                                    kind=kind,
-                                )
-                            )
+                        conflict = self._pair_conflict(feature, other)
+                        if conflict is not None:
+                            conflicts.append(conflict)
         for feature in features:
-            report.conflicts.extend(
-                self._obstacle_conflicts(feature, lambda: feature.vertices)
-            )
+            conflicts.extend(self._obstacle_conflicts(feature))
         return report
 
     def count(self, solution: RoutingSolution) -> int:
@@ -300,17 +301,56 @@ class ConflictChecker:
 
     # ------------------------------------------------------------------
 
-    def _layer_reaches(self, layer: int) -> Tuple[int, int]:
-        """Return *layer*'s ``(min-spacing reach, Dcolor reach)`` in tracks."""
-        reaches = self._reaches.get(layer)
-        if reaches is None:
-            reaches = self._reaches[layer] = (
-                self.grid.track_reach(self.rules.min_spacing),
-                self.grid.track_reach(self.rules.color_spacing_on(layer)),
-            )
-        return reaches
+    def _net_pair_conflicts(
+        self, features: List[Feature], partner_features: List[Feature]
+    ) -> List[ColorConflict]:
+        """Return the conflicts of every same-layer pair of two nets' features.
 
-    def _pair_kind(self, feature, other) -> Optional[str]:
+        The rip-up loop re-classifies a net pair this way.  Most pairs lie
+        farther apart than the layer's interaction reach; their track boxes
+        reject them before :meth:`_pair_conflict` is called.
+        """
+        conflicts: List[ColorConflict] = []
+        for feature in features:
+            layer = feature.layer
+            reach = self._pair_reach[layer]
+            col_lo, col_hi, row_lo, row_hi = feature.box
+            for other in partner_features:
+                if other.layer != layer:
+                    continue
+                ocol_lo, ocol_hi, orow_lo, orow_hi = other.box
+                if (
+                    ocol_lo - col_hi > reach
+                    or col_lo - ocol_hi > reach
+                    or orow_lo - row_hi > reach
+                    or row_lo - orow_hi > reach
+                ):
+                    continue
+                conflict = self._pair_conflict(feature, other)
+                if conflict is not None:
+                    conflicts.append(conflict)
+        return conflicts
+
+    def _pair_conflict(self, feature: Feature, other: Feature) -> Optional[ColorConflict]:
+        """Return the conflict of two same-layer features of different nets, if any.
+
+        The kind comes from :meth:`_pair_kind` and the location from
+        :meth:`_pair_anchor` on *feature*'s side; only a conflicting pair
+        pays for its anchor.
+        """
+        kind = self._pair_kind(feature, other)
+        if kind is None:
+            return None
+        return ColorConflict(
+            net_a=feature.net_name,
+            net_b=other.net_name,
+            layer=feature.layer,
+            color=feature.color,
+            location=self.grid.vertex_of(feature.indices[self._pair_anchor(feature, other)]),
+            kind=kind,
+        )
+
+    def _pair_kind(self, feature: Feature, other: Feature) -> Optional[str]:
         """Return the conflict kind of two same-layer features of different nets.
 
         ``"min-spacing"`` when some vertex pair sits closer than
@@ -319,14 +359,12 @@ class ConflictChecker:
         Every vertex rect is the same wire-width square on a uniform track
         lattice, so "gap < d" is "Chebyshev track distance <=
         :meth:`RoutingGrid.track_reach` of d" and only those two thresholds
-        matter, not the exact minimum distance.  The walk reads the
-        features' ``cols`` / ``rows`` / ``box`` (a :class:`Feature` or the
-        incremental checker's cached entry): it rejects the pair by bounding
-        box, skips vertices whose distance to the other box cannot beat the
-        closest pair so far, and stops at the first pair within the
-        min-spacing reach.
+        matter, not the exact minimum distance.  The walk rejects the pair
+        by bounding box, skips vertices whose distance to the other box
+        cannot beat the closest pair so far, and stops at the first pair
+        within the min-spacing reach.
         """
-        spacing_reach, color_reach = self._layer_reaches(feature.layer)
+        spacing_reach, color_reach = self._reaches[feature.layer]
         if feature.color != other.color:
             color_reach = -1
         reach = spacing_reach if spacing_reach > color_reach else color_reach
@@ -355,6 +393,29 @@ class ConflictChecker:
             return "same-mask"
         return None
 
+    def _pair_anchor(self, feature: Feature, other: Feature) -> int:
+        """Return the position in ``feature.indices`` where a pair conflict is located.
+
+        The anchor is where rip-up history goes, so it is the feature
+        vertex nearest *other*'s track box (Chebyshev track distance, zero
+        or negative inside it).  The first vertex whose metal touches the
+        box wins at once; otherwise the nearest one does, the smallest flat
+        index on ties (the walk is in sorted order and keeps only strictly
+        closer vertices).
+        """
+        col_lo, col_hi, row_lo, row_hi = other.box
+        touch = self._touch
+        anchor = 0
+        best = None
+        for position, (col, row) in enumerate(zip(feature.cols, feature.rows)):
+            tracks = max(col_lo - col, col - col_hi, row_lo - row, row - row_hi)
+            if tracks <= touch:
+                return position
+            if best is None or tracks < best:
+                best = tracks
+                anchor = position
+        return anchor
+
     def _obstacle_window_table(self) -> ObstacleWindows:
         """Return ``(layer, mask) -> [(name, col_lo, col_hi, row_lo, row_hi)]``, cached.
 
@@ -375,52 +436,64 @@ class ConflictChecker:
         return self._obstacle_windows
 
     def _obstacle_conflicts(
-        self, feature, anchors: Callable[[], Iterable[GridPoint]]
+        self, feature: Feature, member_set_order: bool = False
     ) -> List[ColorConflict]:
         """Return *feature*'s conflicts against pre-colored obstacles.
 
-        Window membership is tested on the feature's ``cols`` / ``rows``;
-        each conflict is anchored at the first vertex of ``anchors()`` --
-        called only when an obstacle is hit -- inside the window.
+        Each conflict is located at the feature's lowest flat index inside
+        the obstacle's window.  With *member_set_order* it is located at
+        the first vertex inside the window in the iteration order of
+        ``frozenset`` of the members' :class:`GridPoint` s instead: the
+        rip-up loop's rule, which its routing digests are pinned to.
         """
         windows = self._obstacle_window_table().get((feature.layer, feature.color))
         if not windows:
             return []
         conflicts: List[ColorConflict] = []
         box_lo, box_hi, box_row_lo, box_row_hi = feature.box
-        ordered = None
+        vertex_of = self.grid.vertex_of
+        member_vertices = None
         for name, col_lo, col_hi, row_lo, row_hi in windows:
             if col_hi < box_lo or col_lo > box_hi or row_hi < box_row_lo or row_lo > box_row_hi:
                 continue
-            if not any(
-                col_lo <= col <= col_hi and row_lo <= row <= row_hi
-                for col, row in zip(feature.cols, feature.rows)
-            ):
+            inside = next(
+                (
+                    position
+                    for position, (col, row) in enumerate(zip(feature.cols, feature.rows))
+                    if col_lo <= col <= col_hi and row_lo <= row <= row_hi
+                ),
+                None,
+            )
+            if inside is None:
                 continue
-            if ordered is None:
-                ordered = anchors()
-            for vertex in ordered:
-                if col_lo <= vertex.col <= col_hi and row_lo <= vertex.row <= row_hi:
-                    conflicts.append(
-                        ColorConflict(
-                            net_a=feature.net_name,
-                            net_b=name,
-                            layer=feature.layer,
-                            color=feature.color,
-                            location=vertex,
-                            kind="same-mask",
-                        )
-                    )
-                    break
+            if not member_set_order:
+                location = vertex_of(feature.indices[inside])
+            else:
+                if member_vertices is None:
+                    member_vertices = frozenset([vertex_of(index) for index in feature.members])
+                location = next(
+                    vertex
+                    for vertex in member_vertices
+                    if col_lo <= vertex.col <= col_hi and row_lo <= vertex.row <= row_hi
+                )
+            conflicts.append(
+                ColorConflict(
+                    net_a=feature.net_name,
+                    net_b=name,
+                    layer=feature.layer,
+                    color=feature.color,
+                    location=location,
+                    kind="same-mask",
+                )
+            )
         return conflicts
 
-    def _route_uncolored(self, route: NetRoute, features) -> int:
+    def _route_uncolored(self, route: NetRoute, features: List[Feature]) -> int:
         """Return how many TPL-layer vertices of a routed *route* carry no mask.
 
-        *features* are the route's features (:meth:`_net_features`, or the
-        incremental checker's entries), which hold exactly its colored
-        vertices, so the count is the route's TPL-layer vertex total minus
-        the features' TPL-layer sizes.
+        *features* are the route's features (:meth:`_net_features`), which
+        hold exactly its colored vertices, so the count is the route's
+        TPL-layer vertex total minus the features' TPL-layer sizes.
         """
         if not route.routed:
             return 0

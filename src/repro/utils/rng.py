@@ -45,10 +45,6 @@ class SeededRNG:
         """Shuffle *seq* in place."""
         self._rng.shuffle(seq)
 
-    def weighted_choice(self, values: Sequence[T], weights: Sequence[float]) -> T:
-        """Return one of *values* with probability proportional to *weights*."""
-        return self._rng.choices(list(values), weights=list(weights), k=1)[0]
-
     def grid_point(self, width: int, height: int) -> Tuple[int, int]:
         """Return a random ``(x, y)`` inside a ``width x height`` grid."""
         return self._rng.randrange(width), self._rng.randrange(height)

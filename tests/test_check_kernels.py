@@ -1,11 +1,11 @@
 """Differential fuzz of the tiered incremental-check fast path.
 
-The incremental checkers' neighborhood scan runs on two tiers (the native
-``_checkwork`` kernel and its Python loop -- see
+The incremental conflict checker's neighborhood scan runs on two tiers
+(the native ``_checkwork`` kernel and its Python loop -- see
 :mod:`repro.check.kernels`).  These tests force each tier on the same
 randomized mutation streams as ``tests/test_incremental_check.py`` and
-require every tier's report to equal the frozen full-scan oracles exactly,
-plus:
+require every tier's conflicts, and the incremental shorted nets, to
+equal the full-scan oracles, plus:
 
 * gate/fallback behaviour (``set_check_native_enabled``,
   ``REPRO_PURE_PYTHON``) and ``scan_hits`` against a brute-force loop on
@@ -33,7 +33,8 @@ from test_incremental_check import (
     MutationDriver,
     assert_matches_oracle,
     conflict_digest,
-    drc_digest,
+    refreshed_shorted_nets,
+    shorted_nets,
 )
 
 from repro import accel
@@ -80,11 +81,7 @@ def test_fuzz_all_tiers_match_oracle(seed, rng_rounds):
     driver = MutationDriver(seed)
     tiers = available_tiers()
     checkers = {
-        tier: (
-            IncrementalDRCChecker(driver.design, driver.grid),
-            IncrementalConflictChecker(driver.design, driver.grid),
-        )
-        for tier in tiers
+        tier: IncrementalConflictChecker(driver.design, driver.grid) for tier in tiers
     }
     rng = SeededRNG(seed * 6151)
     history = []
@@ -92,18 +89,16 @@ def test_fuzz_all_tiers_match_oracle(seed, rng_rounds):
         history.append(driver.mutate(rng))
         if len(history) > 8:
             history.pop(0)
-        oracle_drc = drc_digest(driver.full_drc.check(driver.solution))
+        context = f"round {round_number} (seed {seed}); recent mutations: {history}"
+        assert refreshed_shorted_nets(driver.inc_drc, driver.solution) == shorted_nets(
+            driver.full_drc, driver.solution
+        ), f"shorts diverged from the oracle at {context}"
         oracle_conflicts = conflict_digest(driver.full_conflicts.check(driver.solution))
         for tier in tiers:
-            inc_drc, inc_conflicts = checkers[tier]
             with forced_tier(tier):
-                tier_drc = drc_digest(inc_drc.check(driver.solution))
-                tier_conflicts = conflict_digest(inc_conflicts.check(driver.solution))
-            if tier_drc != oracle_drc or tier_conflicts != oracle_conflicts:
-                raise AssertionError(
-                    f"tier {tier!r} diverged from the oracle at round "
-                    f"{round_number} (seed {seed}); recent mutations: {history}"
-                )
+                tier_conflicts = conflict_digest(checkers[tier].check(driver.solution))
+            if tier_conflicts != oracle_conflicts:
+                raise AssertionError(f"tier {tier!r} diverged from the oracle at {context}")
 
 
 def test_full_router_solutions_identical_across_tiers():
@@ -349,10 +344,10 @@ def test_mirror_consistent_after_journal_replay():
     rng = SeededRNG(17)
 
     replica = RoutingGrid(driver.design)
-    inc_drc = IncrementalDRCChecker(driver.design, replica)
+    inc_drc = IncrementalDRCChecker()
     inc_conflicts = IncrementalConflictChecker(driver.design, replica)
     empty = RoutingSolution(design_name=driver.design.name, router_name="harness")
-    inc_drc.check(empty)
+    inc_drc.refresh(empty)
     inc_conflicts.check(empty)
 
     for _ in range(12):
@@ -362,8 +357,8 @@ def test_mirror_consistent_after_journal_replay():
     # Replay the journal onto the replica: its checkers read only the
     # solution, so they must agree with the replica's full-scan oracles.
     replay_ops(replica, journal.ops)
-    assert drc_digest(inc_drc.check(driver.solution)) == drc_digest(
-        DRCChecker(driver.design, replica).check(driver.solution)
+    assert refreshed_shorted_nets(inc_drc, driver.solution) == shorted_nets(
+        DRCChecker(driver.design, replica), driver.solution
     )
     assert conflict_digest(inc_conflicts.check(driver.solution)) == conflict_digest(
         ConflictChecker(driver.design, replica).check(driver.solution)

@@ -229,6 +229,11 @@ class TestConflictOracle:
         assert ConflictChecker(design, grid).count(solution) == 0
 
 
+def feature_vertices(grid, feature):
+    """Return *feature*'s vertices as a ``GridPoint`` frozenset."""
+    return frozenset(map(grid.vertex_of, feature.members))
+
+
 class TestNetFeatureExtraction:
     """Regression coverage for ``ConflictChecker._net_features`` semantics."""
 
@@ -245,8 +250,8 @@ class TestNetFeatureExtraction:
         assert len(features) == 2
         by_layer = {feature.layer: feature for feature in features}
         assert set(by_layer) == {0, 1}
-        assert by_layer[0].vertices == frozenset(lower)
-        assert by_layer[1].vertices == frozenset(upper)
+        assert feature_vertices(grid, by_layer[0]) == frozenset(lower)
+        assert feature_vertices(grid, by_layer[1]) == frozenset(upper)
         assert all(feature.color == 0 for feature in features)
 
     def test_mask_change_mid_run_splits_features(self):
@@ -262,8 +267,8 @@ class TestNetFeatureExtraction:
         features = ConflictChecker(design, grid)._net_features(route)
         assert len(features) == 2
         by_color = {feature.color: feature for feature in features}
-        assert by_color[0].vertices == frozenset(path[:3])
-        assert by_color[2].vertices == frozenset(path[3:])
+        assert feature_vertices(grid, by_color[0]) == frozenset(path[:3])
+        assert feature_vertices(grid, by_color[2]) == frozenset(path[3:])
 
     def test_disconnected_same_color_runs_stay_separate_features(self):
         design = tiny_design()
@@ -276,7 +281,7 @@ class TestNetFeatureExtraction:
         for vertex in left + right:
             route.set_color(vertex, 1)
         features = ConflictChecker(design, grid)._net_features(route)
-        assert sorted(feature.vertices for feature in features) == sorted(
+        assert sorted(feature_vertices(grid, feature) for feature in features) == sorted(
             [frozenset(left), frozenset(right)]
         )
 
@@ -292,4 +297,4 @@ class TestNetFeatureExtraction:
         route.node_colors[route.node_of(GridPoint(0, 12, 12))] = 1
         features = ConflictChecker(design, grid)._net_features(route)
         assert len(features) == 1
-        assert features[0].vertices == frozenset(path)
+        assert feature_vertices(grid, features[0]) == frozenset(path)

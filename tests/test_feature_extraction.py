@@ -1,18 +1,18 @@
 """Feature extraction against a brute-force partition.
 
 ``ConflictChecker._net_features`` groups a route's colored vertices with a
-union-find over flat vertex indices, and the incremental conflict checker
-extracts dirty nets through the same routine.  Here its output is compared
-with an independent partition on the seeded random layouts of
-``tests/test_lattice_oracles.py``: a breadth-first search over same-layer,
-same-mask route edges keyed by ``GridPoint``, with no union-find.  Beyond
-the partition the test pins two orders the full scan's conflict locations
-depend on:
+union-find over flat vertex indices into :class:`~repro.tpl.conflict.Feature`
+records, and the incremental conflict checker caches the very same
+records.  Here the output is compared with an independent partition on the
+seeded random layouts of ``tests/test_lattice_oracles.py``: a
+breadth-first search over same-layer, same-mask route edges keyed by
+``GridPoint``, with no union-find.  Beyond the partition the test pins the
+record's fields:
 
 * features come in the order their first member appears in
-  ``vertex_colors``;
-* each feature's vertices iterate like the frozen copy of a ``set`` filled
-  by adding the members in ``vertex_colors`` order.
+  ``vertex_colors``, and so do each feature's ``members``;
+* ``indices`` are the members sorted, ``cols`` / ``rows`` their track
+  coordinates in that order, and ``box`` their bounds.
 
 Run longer campaigns with ``--rng-rounds=200`` (the CI nightly job does).
 """
@@ -30,7 +30,10 @@ from repro.utils.rng import SeededRNG
 
 
 def brute_features(route):
-    """Return ``(net, layer, color, vertex set)`` per feature, BFS-partitioned."""
+    """Return ``(net, layer, color, members)`` per feature, BFS-partitioned.
+
+    Members are listed in ``vertex_colors`` order.
+    """
     colored = {
         vertex: color for vertex, color in route.vertex_colors.items() if vertex in route.vertices
     }
@@ -52,11 +55,8 @@ def brute_features(route):
                     component.add(neighbor)
                     queue.append(neighbor)
         seen |= component
-        members = set()
-        for vertex in colored:
-            if vertex in component:
-                members.add(vertex)
-        features.append((route.net_name, start.layer, colored[start], frozenset(members)))
+        members = [vertex for vertex in colored if vertex in component]
+        features.append((route.net_name, start.layer, colored[start], members))
     return features
 
 
@@ -84,19 +84,22 @@ def test_net_features_match_brute_force_partition(seed, rng_rounds):
         incremental.refresh(solution)
         for name, route in solution.routes.items():
             context = f"seed {seed}, round {round_number}, net {name}"
-            expected = brute_features(route)
             features = checker._net_features(route)
-            got = [(f.net_name, f.layer, f.color, f.vertices) for f in features]
-            assert got == expected, context
-            for feature, (_, _, _, members) in zip(features, expected):
-                assert list(feature.vertices) == list(members), context
-            # The incremental checker caches the same features, in order.
-            cached = [
-                (entry.net_name, entry.layer, entry.color,
-                 frozenset(map(grid.vertex_of, entry.members)))
-                for entry in incremental._features.get(name, ())
+            got = [
+                (f.net_name, f.layer, f.color, [grid.vertex_of(index) for index in f.members])
+                for f in features
             ]
-            assert cached == expected, context
+            assert got == brute_features(route), context
+            for feature in features:
+                assert list(feature.indices) == sorted(feature.members), context
+                vertices = [grid.vertex_of(index) for index in feature.indices]
+                assert feature.cols == tuple(vertex.col for vertex in vertices), context
+                assert feature.rows == tuple(vertex.row for vertex in vertices), context
+                assert feature.box == (
+                    min(feature.cols), max(feature.cols), min(feature.rows), max(feature.rows)
+                ), context
+            # The incremental checker caches the same records, in order.
+            assert incremental._features.get(name, []) == features, context
         context = f"seed {seed}, round {round_number}"
         assert checker.extract_features(solution) == [
             feature for route in solution.routes.values() for feature in checker._net_features(route)

@@ -50,19 +50,28 @@ class TestRouterParity:
 
     @pytest.mark.parametrize("router_key", ["maze", "color-state", "dac2012"])
     def test_one_expand_closure_per_net_route(self, router_key, monkeypatch):
-        """Every search of a net route shares one closure, dropped after it."""
+        """Every search of a net route shares one closure, dropped after it,
+        and the closure carries the route's only native spec."""
+        from repro import accel
+        from repro.native import spec as native_spec
         from tests.test_native_kernel import random_design, router_classes
 
         design = random_design(1)
         router = router_classes()[router_key](design, max_iterations=1)
         engine = router.make_search_engine()
-        builds, searches, routes = [], [], []
+        builds, searches, routes, specs = [], [], [], []
         make_expand, search = engine.make_expand, engine.search
+        make_spec = native_spec.NativeExpandSpec
         monkeypatch.setattr(
             engine, "make_expand", lambda name: (builds.append(name), make_expand(name))[1]
         )
         monkeypatch.setattr(
             engine, "search", lambda *args: (searches.append(args[2]), search(*args))[1]
+        )
+        monkeypatch.setattr(
+            native_spec,
+            "NativeExpandSpec",
+            lambda **fields: (specs.append(routes[-1]), make_spec(**fields))[1],
         )
         for net in design.routable_nets():
             routes.append(net.name)
@@ -70,6 +79,8 @@ class TestRouterParity:
             assert engine._route_expand is None
         assert len(searches) > len(routes)  # some routes search more than once
         assert builds == routes
+        native = accel.get_native_kernel() is not None
+        assert specs == (routes if native else [])
 
 
 class TestGridIndexApi:
