@@ -10,21 +10,23 @@ edge cost a stitch).  The objective is the weighted sum the paper minimises.
 Components small enough are solved exactly with branch-and-bound; larger
 components fall back to a degree-ordered greedy assignment followed by
 iterative single-node improvement, which is the standard structure of
-practical decomposers.
+practical decomposers.  :func:`solve_coloring` builds the problem's
+adjacency once and hands it to the component walk and to both solvers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from repro.tpl.color_state import ALL_COLORS
 
 #: Default weight of one conflict relative to one stitch.
 DEFAULT_CONFLICT_WEIGHT = 10.0
 DEFAULT_STITCH_WEIGHT = 1.0
+
+#: ``{node: {neighbour: kind}}``, kind ``"conflict"`` or ``"stitch"``.
+Adjacency = Dict[Hashable, Dict[Hashable, str]]
 
 
 @dataclass
@@ -47,17 +49,20 @@ class ColoringProblem:
             seen.setdefault(node)
         return list(seen)
 
-    def graph(self) -> nx.Graph:
-        """Return the combined conflict+stitch graph (edge attr ``kind``)."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.nodes())
+    def adjacency(self) -> Adjacency:
+        """Return the combined conflict+stitch graph as ``{node: {nbr: kind}}``.
+
+        Every node of :meth:`nodes` has an entry.  A pair listed more than
+        once is one edge, and a conflict edge dominates a stitch edge on
+        the same pair.
+        """
+        adjacency: Adjacency = {node: {} for node in self.nodes()}
         for a, b in self.conflict_edges:
-            graph.add_edge(a, b, kind="conflict")
+            adjacency[a][b] = adjacency[b][a] = "conflict"
         for a, b in self.stitch_edges:
-            if graph.has_edge(a, b):
-                continue  # a conflict edge dominates
-            graph.add_edge(a, b, kind="stitch")
-        return graph
+            if b not in adjacency[a]:
+                adjacency[a][b] = adjacency[b][a] = "stitch"
+        return adjacency
 
     def cost_of(self, assignment: Dict[Hashable, int]) -> float:
         """Return the weighted conflict+stitch cost of a complete assignment."""
@@ -82,6 +87,41 @@ class ColoringProblem:
         return conflicts, stitches
 
 
+def _degree(adjacency: Adjacency, node: Hashable) -> int:
+    """Return the degree of *node*; a self-loop counts twice."""
+    neighbours = adjacency[node]
+    return len(neighbours) + (node in neighbours)
+
+
+def _by_degree(adjacency: Adjacency, nodes: Iterable[Hashable]) -> List[Hashable]:
+    """Return *nodes* in decreasing-degree order, ties by ``str(node)``."""
+    return sorted(nodes, key=lambda n: (-_degree(adjacency, n), str(n)))
+
+
+def _mask_costs(
+    problem: ColoringProblem,
+    neighbours: Iterable[Tuple[Hashable, str]],
+    assignment: Dict[Hashable, int],
+) -> List[float]:
+    """Return the cost of each mask (indexed by color) for one node.
+
+    *neighbours* are ``(nbr, kind)`` pairs; uncolored neighbours cost
+    nothing.  Each mask's cost adds its terms in neighbour order.
+    """
+    costs = [0.0] * len(ALL_COLORS)
+    for nbr, kind in neighbours:
+        nbr_color = assignment.get(nbr)
+        if nbr_color is None:
+            continue
+        if kind == "conflict":
+            costs[nbr_color] += problem.conflict_weight
+        else:
+            for color in ALL_COLORS:
+                if color != nbr_color:
+                    costs[color] += problem.stitch_weight
+    return costs
+
+
 def color_component_exact(
     problem: ColoringProblem,
     nodes: Sequence[Hashable],
@@ -91,35 +131,31 @@ def color_component_exact(
 
     The search assigns nodes in decreasing-degree order and prunes branches
     whose partial cost already exceeds the best complete assignment found.
+    Fixed nodes hold their colors for the whole search, so a free node's
+    partial cost includes its edges to fixed nodes later in the order.
     ``time_budget_nodes`` caps the number of explored search-tree nodes; on
     exhaustion the best solution found so far is returned (which is still a
     valid, usually near-optimal assignment).
     """
-    graph = problem.graph()
-    ordered = sorted(nodes, key=lambda n: (-graph.degree(n), str(n)))
-    adjacency: Dict[Hashable, List[Tuple[Hashable, str]]] = {
-        node: [
-            (nbr, graph.edges[node, nbr]["kind"])
-            for nbr in graph.neighbors(node)
-            if nbr in set(nodes)
-        ]
+    return _color_exact(problem, problem.adjacency(), nodes, time_budget_nodes)
+
+
+def _color_exact(
+    problem: ColoringProblem,
+    adjacency: Adjacency,
+    nodes: Sequence[Hashable],
+    time_budget_nodes: int = 200_000,
+) -> Dict[Hashable, int]:
+    """:func:`color_component_exact` on a prebuilt *adjacency*."""
+    members = set(nodes)
+    ordered = _by_degree(adjacency, nodes)
+    neighbours: Dict[Hashable, List[Tuple[Hashable, str]]] = {
+        node: [(nbr, kind) for nbr, kind in adjacency[node].items() if nbr in members]
         for node in ordered
     }
     best_assignment: Dict[Hashable, int] = {}
     best_cost = float("inf")
     explored = 0
-
-    def partial_cost(assignment: Dict[Hashable, int], node: Hashable, color: int) -> float:
-        cost = 0.0
-        for nbr, kind in adjacency[node]:
-            nbr_color = assignment.get(nbr)
-            if nbr_color is None:
-                continue
-            if kind == "conflict" and nbr_color == color:
-                cost += problem.conflict_weight
-            elif kind == "stitch" and nbr_color != color:
-                cost += problem.stitch_weight
-        return cost
 
     def branch(index: int, assignment: Dict[Hashable, int], cost: float) -> None:
         nonlocal best_assignment, best_cost, explored
@@ -131,19 +167,22 @@ def color_component_exact(
             best_assignment = dict(assignment)
             return
         node = ordered[index]
-        fixed = problem.fixed_colors.get(node)
-        colors = [fixed] if fixed is not None else list(ALL_COLORS)
-        scored = sorted(colors, key=lambda c: partial_cost(assignment, node, c))
-        for color in scored:
-            delta = partial_cost(assignment, node, color)
+        if node in problem.fixed_colors:
+            # Colored from the start, so each free neighbour already paid
+            # for its edge to this node; edges between fixed nodes are a
+            # constant.
+            branch(index + 1, assignment, cost)
+            return
+        costs = _mask_costs(problem, neighbours[node], assignment)
+        for color in sorted(ALL_COLORS, key=costs.__getitem__):
             assignment[node] = color
-            branch(index + 1, assignment, cost + delta)
+            branch(index + 1, assignment, cost + costs[color])
             del assignment[node]
 
     branch(0, dict(problem.fixed_colors), 0.0)
     if not best_assignment:
         # Budget exhausted before any leaf: fall back to greedy.
-        return color_component_greedy(problem, nodes)
+        return _color_greedy(problem, adjacency, nodes)
     return {node: best_assignment[node] for node in nodes}
 
 
@@ -153,7 +192,16 @@ def color_component_greedy(
     improvement_passes: int = 2,
 ) -> Dict[Hashable, int]:
     """Greedily color *nodes*, then run single-node improvement passes."""
-    graph = problem.graph()
+    return _color_greedy(problem, problem.adjacency(), nodes, improvement_passes)
+
+
+def _color_greedy(
+    problem: ColoringProblem,
+    adjacency: Adjacency,
+    nodes: Sequence[Hashable],
+    improvement_passes: int = 2,
+) -> Dict[Hashable, int]:
+    """:func:`color_component_greedy` on a prebuilt *adjacency*."""
     node_set = set(nodes)
     assignment: Dict[Hashable, int] = {
         node: color
@@ -161,24 +209,19 @@ def color_component_greedy(
         if node in node_set
     }
 
-    def delta_cost(node: Hashable, color: int) -> float:
-        cost = 0.0
-        for nbr in graph.neighbors(node):
-            nbr_color = assignment.get(nbr)
-            if nbr_color is None:
-                continue
-            kind = graph.edges[node, nbr]["kind"]
-            if kind == "conflict" and nbr_color == color:
-                cost += problem.conflict_weight
-            elif kind == "stitch" and nbr_color != color:
-                cost += problem.stitch_weight
-        return cost
+    def mask_costs(node: Hashable) -> List[float]:
+        return _mask_costs(
+            problem,
+            ((nbr, kind) for nbr, kind in adjacency[node].items() if nbr != node),
+            assignment,
+        )
 
-    ordered = sorted(nodes, key=lambda n: (-graph.degree(n), str(n)))
+    ordered = _by_degree(adjacency, nodes)
     for node in ordered:
         if node in assignment:
             continue
-        assignment[node] = min(ALL_COLORS, key=lambda c: (delta_cost(node, c), c))
+        costs = mask_costs(node)
+        assignment[node] = min(ALL_COLORS, key=lambda c: (costs[c], c))
 
     for _ in range(improvement_passes):
         improved = False
@@ -186,10 +229,9 @@ def color_component_greedy(
             if node in problem.fixed_colors:
                 continue
             current = assignment[node]
-            best = min(ALL_COLORS, key=lambda c: (delta_cost_excluding(graph, problem, assignment, node, c), c))
-            if best != current and delta_cost_excluding(
-                graph, problem, assignment, node, best
-            ) < delta_cost_excluding(graph, problem, assignment, node, current):
+            costs = mask_costs(node)
+            best = min(ALL_COLORS, key=lambda c: (costs[c], c))
+            if best != current and costs[best] < costs[current]:
                 assignment[node] = best
                 improved = True
         if not improved:
@@ -197,25 +239,22 @@ def color_component_greedy(
     return {node: assignment[node] for node in nodes}
 
 
-def delta_cost_excluding(
-    graph: nx.Graph,
-    problem: ColoringProblem,
-    assignment: Dict[Hashable, int],
-    node: Hashable,
-    color: int,
-) -> float:
-    """Return the cost contributed by *node* if it were colored *color*."""
-    cost = 0.0
-    for nbr in graph.neighbors(node):
-        nbr_color = assignment.get(nbr)
-        if nbr_color is None or nbr == node:
+def _components(adjacency: Adjacency) -> List[List[Hashable]]:
+    """Return the connected components, each found by BFS from its first node."""
+    seen: set = set()
+    components = []
+    for start in adjacency:
+        if start in seen:
             continue
-        kind = graph.edges[node, nbr]["kind"]
-        if kind == "conflict" and nbr_color == color:
-            cost += problem.conflict_weight
-        elif kind == "stitch" and nbr_color != color:
-            cost += problem.stitch_weight
-    return cost
+        seen.add(start)
+        component = [start]
+        for node in component:
+            for nbr in adjacency[node]:
+                if nbr not in seen:
+                    seen.add(nbr)
+                    component.append(nbr)
+        components.append(component)
+    return components
 
 
 def solve_coloring(
@@ -226,18 +265,15 @@ def solve_coloring(
 
     Connected components of the combined graph are independent, so each is
     solved on its own: exactly when it has at most ``exact_component_limit``
-    nodes, greedily (with improvement) otherwise.  Isolated nodes receive the
-    first mask.
+    nodes, greedily (with improvement) otherwise.  A node without edges is
+    a fixed node and keeps its mask.
     """
-    graph = problem.graph()
+    adjacency = problem.adjacency()
     assignment: Dict[Hashable, int] = {}
-    for component in nx.connected_components(graph):
+    for component in _components(adjacency):
         nodes = sorted(component, key=str)
         if len(nodes) <= exact_component_limit:
-            assignment.update(color_component_exact(problem, nodes))
+            assignment.update(_color_exact(problem, adjacency, nodes))
         else:
-            assignment.update(color_component_greedy(problem, nodes))
-    for node in problem.nodes():
-        if node not in assignment:
-            assignment[node] = problem.fixed_colors.get(node, ALL_COLORS[0])
+            assignment.update(_color_greedy(problem, adjacency, nodes))
     return assignment

@@ -20,14 +20,17 @@ Pipeline (mirroring OpenMPL's structure):
    components, greedy + improvement otherwise (:mod:`repro.baselines.coloring`),
 4. **write-back** -- the chosen masks are written into a copy of the routing
    solution so the shared :class:`~repro.tpl.conflict.ConflictChecker`
-   scores decomposition and routing-time coloring identically.
+   scores decomposition and routing-time coloring identically.  The
+   result runs that full scan on the first read of its conflict report,
+   not inside :meth:`LayoutDecomposer.decompose`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Dict, List, Set, Tuple
 
 from repro.design import Design
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
@@ -58,8 +61,17 @@ class DecompositionResult:
     solution: RoutingSolution
     assignment: Dict[UnitId, int]
     units: List[ColoringUnit]
-    conflict_report: ConflictReport
+    design: Design
+    grid: RoutingGrid
     runtime_seconds: float = 0.0
+
+    @cached_property
+    def conflict_report(self) -> ConflictReport:
+        """Return the full-scan conflict report of the colored solution.
+
+        The scan runs on the first read and is cached.
+        """
+        return ConflictChecker(self.design, self.grid).check(self.solution)
 
     @property
     def conflicts(self) -> int:
@@ -116,20 +128,16 @@ class LayoutDecomposer:
         for unit in units:
             assignment.setdefault(unit.unit_id, 0)
         colored = self._write_back(solution, units, assignment)
-        checker = ConflictChecker(self.design, self.grid)
-        report = checker.check(colored)
         elapsed = timer.stop()
         _LOG.info(
-            "decomposed %d units into %d conflicts / %d stitches",
-            len(units),
-            report.conflict_count,
-            colored.total_stitches(),
+            "decomposed %d units with %d stitches", len(units), colored.total_stitches()
         )
         return DecompositionResult(
             solution=colored,
             assignment=assignment,
             units=units,
-            conflict_report=report,
+            design=self.design,
+            grid=self.grid,
             runtime_seconds=elapsed,
         )
 
@@ -269,58 +277,70 @@ class LayoutDecomposer:
     # ------------------------------------------------------------------
 
     def build_problem(self, units: List[ColoringUnit]) -> ColoringProblem:
-        """Build the conflict/stitch coloring problem over *units*."""
+        """Build the conflict/stitch coloring problem over *units*.
+
+        Both edge lists come out sorted.  Pairs are collected as integer
+        keys ``low * n + high`` over the units' positions in unit-id order,
+        so the sorted keys decode to the sorted ``(low_id, high_id)`` pairs.
+        """
         problem = ColoringProblem(
             conflict_weight=self.conflict_weight, stitch_weight=self.stitch_weight
         )
-        # Per net: flat vertex index -> the unit holding that vertex.
-        unit_of_index: Dict[str, Dict[int, UnitId]] = defaultdict(dict)
+        # Rank -> position in *units*, in unit-id order.
+        order = sorted(range(len(units)), key=lambda position: units[position].unit_id)
+        ranked = [units[position] for position in order]
+        count = len(ranked)
+        # Per net: flat vertex index -> rank of the unit holding that vertex.
+        rank_of_index: Dict[str, Dict[int, int]] = defaultdict(dict)
         plane_size, num_rows = self.grid.plane_size, self.grid.num_rows
-        # Per unit: the (col, row) track cell of each of its vertices.
+        # Per unit position: the (col, row) track cell of each of its vertices.
         cells: List[List[Tuple[int, int]]] = [
             [divmod(node % plane_size, num_rows) for node in unit.nodes] for unit in units
         ]
-        # Per layer: track key -> positions of the units covering that vertex.
+        # Per layer: track key -> ranks of the units covering that vertex.
         owners_by_layer: Dict[int, Dict[int, List[int]]] = defaultdict(dict)
         windows: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-        for position, unit in enumerate(units):
+        for rank, unit in enumerate(ranked):
             if unit.layer not in windows:
                 windows[unit.layer] = self.grid.track_probe(
                     self.rules.color_spacing_on(unit.layer)
                 )
             stride = windows[unit.layer][0]
             owners = owners_by_layer[unit.layer]
-            net_units = unit_of_index[unit.net_name]
-            for node, (col, row) in zip(unit.nodes, cells[position]):
-                net_units[node] = unit.unit_id
-                owners.setdefault(col * stride + row, []).append(position)
+            net_ranks = rank_of_index[unit.net_name]
+            for node, (col, row) in zip(unit.nodes, cells[order[rank]]):
+                net_ranks[node] = rank
+                owners.setdefault(col * stride + row, []).append(rank)
+
+        def decode(keys: Set[int]) -> List[Tuple[UnitId, UnitId]]:
+            return [
+                (ranked[key // count].unit_id, ranked[key % count].unit_id)
+                for key in sorted(keys)
+            ]
 
         # Conflict edges: different nets, same layer, within Dcolor.
-        conflict_pairs: Set[Tuple[UnitId, UnitId]] = set()
-        for position, unit in enumerate(units):
+        conflict_keys: Set[int] = set()
+        for rank, unit in enumerate(ranked):
             stride, window = windows[unit.layer]
             owners = owners_by_layer[unit.layer]
-            for col, row in cells[position]:
+            for col, row in cells[order[rank]]:
                 base = col * stride + row
                 for delta in window:
-                    for other_position in owners.get(base + delta, ()):
-                        # Lower positions already added this pair from their side.
-                        if other_position <= position:
-                            continue
-                        other = units[other_position]
-                        if other.net_name == unit.net_name:
-                            continue
-                        pair = tuple(sorted((unit.unit_id, other.unit_id)))
-                        conflict_pairs.add(pair)  # type: ignore[arg-type]
-        problem.conflict_edges = sorted(conflict_pairs)
+                    for other in owners.get(base + delta, ()):
+                        # Lower ranks already added this pair from their side.
+                        if other > rank and ranked[other].net_name != unit.net_name:
+                            conflict_keys.add(rank * count + other)
+        problem.conflict_edges = decode(conflict_keys)
 
-        # Stitch edges: same net, same layer, adjacent units (share a routed edge).
-        stitch_pairs: Set[Tuple[UnitId, UnitId]] = set()
-        for unit in units:
-            for neighbor_unit in self._adjacent_units_of(unit, unit_of_index[unit.net_name]):
-                pair = tuple(sorted((unit.unit_id, neighbor_unit)))
-                stitch_pairs.add(pair)  # type: ignore[arg-type]
-        problem.stitch_edges = sorted(stitch_pairs - conflict_pairs)
+        # Stitch edges: same net, same layer, adjacent units (share a routed
+        # edge).  A stitch pair is never a (different-net) conflict pair.
+        stitch_keys: Set[int] = set()
+        for rank, unit in enumerate(ranked):
+            for other in self._adjacent_ranks(unit, rank_of_index[unit.net_name]):
+                if other != rank:
+                    low, high = (rank, other) if rank < other else (other, rank)
+                    stitch_keys.add(low * count + high)
+        problem.stitch_edges = decode(stitch_keys)
 
         # Pre-colored obstacles become fixed pseudo-units.
         for index, (name, obstacle) in enumerate(self.design.fixed_color_nets()):
@@ -342,12 +362,13 @@ class LayoutDecomposer:
                     problem.conflict_edges.append((node, unit.unit_id))
         return problem
 
-    def _adjacent_units_of(self, unit: ColoringUnit, net_units: Dict[int, UnitId]) -> List[UnitId]:
-        """Return the other units of *unit*'s net planar-adjacent to its vertices.
+    def _adjacent_ranks(self, unit: ColoringUnit, net_ranks: Dict[int, int]) -> List[int]:
+        """Return the ranks of the units holding a planar neighbour of *unit*'s vertices.
 
-        *net_units* maps the net's flat vertex indices to their units.
-        Index +- 1 wraps across columns and +- ``num_rows`` across the
-        die edge, so each step is guarded by the vertex's row / column.
+        *net_ranks* maps the net's flat vertex indices to their units'
+        ranks, so *unit*'s own rank may be among them.  Index +- 1 wraps
+        across columns and +- ``num_rows`` across the die edge, so each
+        step is guarded by the vertex's row / column.
         """
         grid = self.grid
         plane_size = grid.plane_size
@@ -365,8 +386,8 @@ class LayoutDecomposer:
             if row > 0:
                 candidates.append(index - 1)
             for candidate in candidates:
-                other = net_units.get(candidate)
-                if other is not None and other != unit.unit_id:
+                other = net_ranks.get(candidate)
+                if other is not None:
                     neighbors.append(other)
         return neighbors
 

@@ -200,15 +200,3 @@ class MrTPLRouter(CampaignRouter):
             color = colors_get(index_of(vertex))
             sources[vertex] = _ALL_MASKS if color is None else _SINGLE_MASK[color]
         return sources
-
-    # ------------------------------------------------------------------
-
-    def conflict_report(self, solution: RoutingSolution) -> ConflictReport:
-        """Return the conflict report of *solution* on this router's grid.
-
-        Served from the incremental tallies (route-object identity detects
-        snapshot restores and external edits); the full-scan reference
-        oracle is :class:`~repro.tpl.conflict.ConflictChecker`, which
-        :func:`~repro.eval.evaluate_solution` builds for itself.
-        """
-        return self.incremental_conflicts.check(solution)

@@ -1,5 +1,10 @@
 """Tests for the DAC-2012 router baseline, 3-coloring, and the decomposer."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.baselines import (
@@ -76,9 +81,11 @@ class TestColoring:
         problem = ColoringProblem(
             conflict_edges=[("a", "b")], stitch_edges=[("a", "b"), ("b", "c")]
         )
-        graph = problem.graph()
-        assert graph.edges["a", "b"]["kind"] == "conflict"
-        assert graph.edges["b", "c"]["kind"] == "stitch"
+        assert problem.adjacency() == {
+            "a": {"b": "conflict"},
+            "b": {"a": "conflict", "c": "stitch"},
+            "c": {"b": "stitch"},
+        }
 
 
 def small_spec(seed=13, nets=8):
@@ -200,6 +207,42 @@ class TestLayoutDecomposer:
         result = LayoutDecomposer(design, grid).decompose(solution)
         recount = ConflictChecker(design, grid).check(result.solution).conflict_count
         assert recount == result.conflicts
+
+    def test_conflict_report_is_computed_on_first_read(self, monkeypatch):
+        design, grid, solution = self.make_routed(seed=43)
+        scans = []
+        check = ConflictChecker.check
+
+        def counted_check(checker, scanned):
+            scans.append(scanned)
+            return check(checker, scanned)
+
+        monkeypatch.setattr(ConflictChecker, "check", counted_check)
+        result = LayoutDecomposer(design, grid).decompose(solution)
+        assert scans == []
+        first, second = result.conflicts, result.conflicts
+        assert first == second
+        assert scans == [result.solution]
+
+
+def test_import_leaves_networkx_unloaded():
+    """``repro`` and the experiment harness need no third-party graph library."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), env.get("PYTHONPATH", "")])
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro, repro.eval.experiments; print('networkx' in sys.modules)",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
 
 
 class TestRouterComparison:

@@ -170,7 +170,7 @@ class TestMrTPLRouter:
         grid = RoutingGrid(design)
         router = MrTPLRouter(design, grid=grid, use_global_router=False)
         solution = router.run()
-        assert router.conflict_report(solution).conflict_count == 0
+        assert ConflictChecker(design, grid).check(solution).conflict_count == 0
 
     def test_fig1_scenarios_route_cleanly(self):
         for design in (fig1_dense_cluster(), fig1_multi_pin_net()):

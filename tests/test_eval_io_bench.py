@@ -124,6 +124,17 @@ class TestExperimentHarnesses:
         summary = summarize_table3([row])
         assert "avg_conflict_improvement" in summary
 
+    def test_table3_scores_both_columns_with_the_full_scan(self):
+        """The Mr.TPL column is scored by the same full scan as ``evaluate_solution``."""
+        case = ispd19_suite(scale=0.45, cases=[1])[0]
+        row = run_table3_case(case, max_iterations=1, use_global_router=False)
+        design = case.build()
+        grid = RoutingGrid(design)
+        solution = MrTPLRouter(
+            design, grid=grid, use_global_router=False, max_iterations=1
+        ).run()
+        assert row.ours_conflicts == evaluate_solution(design, grid, solution).conflicts
+
     def test_fig3_walkthrough_summary(self):
         result = run_fig3_walkthrough(max_iterations=1)
         assert result.conflicts == 0

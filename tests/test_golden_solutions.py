@@ -19,6 +19,11 @@ What is pinned:
   campaigns on these designs depend on the hash seed (conflict-pair
   orientation follows set iteration order; see ROADMAP);
 * the three hand-crafted figure designs: the full campaign of every router;
+* ``GOLDEN_DECOMPOSITION``: the layout decomposer's colored solution and
+  unit assignment on the ``DetailedRouter`` solutions of the suite designs
+  and of one design whose obstacles are all pre-colored, in both unit
+  modes; ``GOLDEN_COLORING``: :func:`~repro.baselines.coloring.solve_coloring`
+  on seeded random problems (see ``tests/test_coloring.py``);
 * ``GOLDEN_CAMPAIGN``: the default-budget campaigns of Mr.TPL and DAC-2012
   on ispd19 test2 and test3 (scale 0.5), routed in a subprocess under
   ``PYTHONHASHSEED=0`` whatever the outer hash seed, so rip-up history,
@@ -42,8 +47,9 @@ from pathlib import Path
 import pytest
 
 from repro import accel
+from repro.baselines import LayoutDecomposer, solve_coloring
 from repro.baselines.dac2012 import Dac2012Router
-from repro.bench import suite_case
+from repro.bench import SyntheticSpec, generate_design, suite_case
 from repro.bench.micro import (
     fig1_dense_cluster,
     fig1_multi_pin_net,
@@ -52,7 +58,9 @@ from repro.bench.micro import (
     solution_metrics,
 )
 from repro.dr.router import DetailedRouter
+from repro.grid import RoutingGrid
 from repro.tpl.mr_tpl import MrTPLRouter
+from tests.test_coloring import random_coloring_problem
 from tests.test_native_kernel import random_design
 
 ROUTERS = {
@@ -266,3 +274,102 @@ def test_golden_campaigns_under_hash_seed_0():
         assert "native" in digests
     for tier, got in digests.items():
         assert got == expected, f"{tier} tier drifted"
+
+
+#: Designs whose ``DetailedRouter`` solution :data:`GOLDEN_DECOMPOSITION`
+#: decomposes.  The suite designs carry a few pre-colored obstacles;
+#: ``colored_obstacles`` colors every obstacle, so more fixed pseudo-units
+#: reach the coloring graph.
+DECOMPOSITION_DESIGNS = {
+    **{name: DESIGNS[name] for name in DESIGNS if name.startswith("ispd")},
+    "colored_obstacles": lambda: generate_design(
+        SyntheticSpec(
+            name="decompose-obstacles", seed=23, cols=20, rows=20, num_layers=3,
+            num_nets=10, color_spacing=8, net_radius=8, obstacle_count=6,
+            colored_obstacle_fraction=1.0, row_spacing=3, cell_spacing=3,
+        )
+    ),
+}
+
+
+def decomposition_digest(design_name, stitch_candidates):
+    """Route one design with ``DetailedRouter``, decompose it and digest the result.
+
+    The digest covers the colored solution (same helpers as :data:`GOLDEN`)
+    and the sorted unit -> mask assignment, fixed pseudo-units included.
+    """
+    design = DECOMPOSITION_DESIGNS[design_name]()
+    grid = RoutingGrid(design)
+    solution = DetailedRouter(design, grid=grid).run()
+    result = LayoutDecomposer(design, grid, stitch_candidates=stitch_candidates).decompose(
+        solution
+    )
+    blob = repr(
+        (
+            solution_fingerprint(result.solution),
+            solution_metrics(result.solution),
+            sorted(result.assignment.items()),
+        )
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def coloring_digest(seed):
+    """Return the digest of ``solve_coloring`` on one seeded random problem."""
+    assignment = solve_coloring(random_coloring_problem(seed))
+    return hashlib.sha256(repr(sorted(assignment.items())).encode()).hexdigest()
+
+
+GOLDEN_DECOMPOSITION = {
+    ('ispd18_test1', True): "02d2776c5ea1750517c3a29ff7854ef2e8e14e7e54643060aa9d84cc3cfbb2b2",
+    ('ispd18_test1', False): "395956cb17a48898b7b3b6bff6c5269b157d63be09544c50f0d1ecf23d6080ef",
+    ('ispd18_test2', True): "4d9e4e158686e47f81c166b2c54c0f40c80958b9f30adbb23c852a23588e27a8",
+    ('ispd18_test2', False): "0413a1a66b8659f410e4f48795d91c9e754af14088fb89324364de3830feb23e",
+    ('ispd18_test3', True): "c7f18251ab82a6eeea0fd923932da326721c7d5b8b6d87b76149f07a32a01dde",
+    ('ispd18_test3', False): "dd72d9872cb36a69aa7e35a9d57efaf0068553f2cb75757703dcead5450989e4",
+    ('ispd19_test1', True): "d36abb5037464af2f0fc98fb02cae57ee3080aba3daa0bdf638fb37cbaa5b1ac",
+    ('ispd19_test1', False): "7b3daa1ea5dbfb5ba0aaa6a1477a0b975e60b7d8105de276697793b370d5a8e8",
+    ('ispd19_test2', True): "51a154ed09ffcb73fde0f8bb4d14e6ffcd9a101636202bc17fe7224ed5ac3447",
+    ('ispd19_test2', False): "efd673ee92f3c68c2924e825c077e40ef049f433db1e001fb9fd2a034592f003",
+    ('ispd19_test3', True): "61b3d8e67d226d74ad4bad0eaf4f7600541afdb28a7c13ba1aa03e39e822251d",
+    ('ispd19_test3', False): "d2affccadc09c785e271f1676ccdeb8048e7df62b57e1463dcb2b8d2198bb29b",
+    ('colored_obstacles', True): "61552611bc734b53f97139bce9412a87b51a6e4f42c6fe7c1cae1ca2c4604434",
+    ('colored_obstacles', False): "18e5b2bc208eeaf5089c8a080615091cc2a3c7ee2869ea882f3182af01139890",
+}
+
+GOLDEN_COLORING = {
+    0: "fe734977165ffe74e6b5364982665aa75f702ff2085bc8f2a8987e0f214fefa8",
+    1: "27355ed81a7b2016277f9d8bec316045b4fbbddbb942514d4d0d5b8f643ed44a",
+    2: "833cf1059aaafa21016bb0ff23dcd1cd059654cebb9d80b920164284a09c017d",
+    # Seeds 3 and 7 were re-recorded when the exact solver stopped charging
+    # the edge between a free node and a later fixed node twice: the new
+    # assignments cost the same (24.0 and 36.0) and break a tie otherwise.
+    3: "e6676eef7dfb46f483cb4c32581d4506e8b9bf6e83650f96a42f589dda553bb1",
+    4: "18bd91113b221e27928829952acea6954a1f7d1e2ee421d72ceaff41fa6b2263",
+    5: "21124762b73af4796d9feaa05f9fdce4f330bf867aa355a02e0dcd1d7426e5f5",
+    6: "4f4879c27a93e68290e20ff5c2f775f79ed85251dda05900f98246f05eb9362d",
+    7: "6b1d851944c7f3bdc9103f580531c7e21ff9c5680a57289bbc750b8a03c5408d",
+    8: "3711da2be026ec2f5bef4536a7703eecc30f0da56be5a5b9541313e4c8633b98",
+    9: "020661eab417c76e6bdc749464fcd94cc9220b7670feb9f041b67045aeda4712",
+    10: "85ade045aba61b0556371dcb43aa09e74e1fd4c2b16ffbe6a13e8fdb9ea7f3c4",
+    11: "a525ffc665ab5f4ad3612a58e0198c516b3383af9ca64e159a83ad1f6a0e5001",
+}
+
+
+def test_every_decomposition_design_is_pinned():
+    assert set(GOLDEN_DECOMPOSITION) == {
+        (design, stitch_candidates)
+        for design in DECOMPOSITION_DESIGNS
+        for stitch_candidates in (True, False)
+    }
+
+
+@pytest.mark.parametrize("design_name,stitch_candidates", list(GOLDEN_DECOMPOSITION))
+def test_golden_decomposition(design_name, stitch_candidates):
+    digest = decomposition_digest(design_name, stitch_candidates)
+    assert digest == GOLDEN_DECOMPOSITION[(design_name, stitch_candidates)]
+
+
+@pytest.mark.parametrize("seed", list(GOLDEN_COLORING))
+def test_golden_coloring(seed):
+    assert coloring_digest(seed) == GOLDEN_COLORING[seed]
