@@ -7,9 +7,9 @@ Usage::
         [--backend serial|pool] [--min-fork-batch N]
 
 A ``parallelism`` above 1 routes through the :mod:`repro.sched` batched
-rip-up loop on the persistent journal-replicated worker pool (workers fork
-once and catch up between batches by journal-suffix replay; results stay
-bit-identical to the sequential loop).  ``--backend serial`` keeps the
+rip-up loop on the worker pool (each routing pass forks its workers, which
+catch up between batches from the route logs the parent committed; results
+stay bit-identical to the sequential loop).  ``--backend serial`` keeps the
 batched loop but routes every batch in-process.  ``--min-fork-batch`` is
 the smallest batch worth starting pool workers for (default 3).
 

@@ -65,25 +65,38 @@ class ColoringProblem:
         return adjacency
 
     def cost_of(self, assignment: Dict[Hashable, int]) -> float:
-        """Return the weighted conflict+stitch cost of a complete assignment."""
+        """Return the weighted conflict+stitch cost of *assignment*.
+
+        The objective the solvers minimise: scored over :meth:`adjacency`,
+        as :meth:`count` does.
+        """
         conflicts, stitches = self.count(assignment)
         return conflicts * self.conflict_weight + stitches * self.stitch_weight
 
     def count(self, assignment: Dict[Hashable, int]) -> Tuple[int, int]:
-        """Return ``(conflicts, stitches)`` of a complete assignment."""
-        conflicts = sum(
-            1
-            for a, b in self.conflict_edges
-            if assignment.get(a) is not None
-            and assignment.get(a) == assignment.get(b)
-        )
-        stitches = sum(
-            1
-            for a, b in self.stitch_edges
-            if assignment.get(a) is not None
-            and assignment.get(b) is not None
-            and assignment.get(a) != assignment.get(b)
-        )
+        """Return ``(conflicts, stitches)`` of *assignment* over :meth:`adjacency`.
+
+        Each node pair counts once, however often it is listed, and a pair
+        listed as both a conflict and a stitch counts as a conflict.  Pairs
+        with an uncoloured node count nothing.
+        """
+        conflicts = stitches = 0
+        scored = set()
+        for a, neighbours in self.adjacency().items():
+            scored.add(a)
+            color = assignment.get(a)
+            if color is None:
+                continue
+            for b, kind in neighbours.items():
+                if b in scored and b != a:
+                    continue
+                other = assignment.get(b)
+                if other is None:
+                    continue
+                if kind == "conflict":
+                    conflicts += color == other
+                else:
+                    stitches += color != other
         return conflicts, stitches
 
 

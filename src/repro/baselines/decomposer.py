@@ -351,15 +351,20 @@ class LayoutDecomposer:
             )
             if window is None:
                 continue
+            if obstacle.layer not in windows:
+                continue  # no unit on the obstacle's layer
+            stride = windows[obstacle.layer][0]
+            owners = owners_by_layer[obstacle.layer]
             col_lo, col_hi, row_lo, row_hi = window
-            for position, unit in enumerate(units):
-                if unit.layer != obstacle.layer:
-                    continue
-                if any(
-                    col_lo <= col <= col_hi and row_lo <= row <= row_hi
-                    for col, row in cells[position]
-                ):
-                    problem.conflict_edges.append((node, unit.unit_id))
+            row_lo, row_hi = max(row_lo, 0), min(row_hi, self.grid.num_rows - 1)
+            # The units with a vertex in the window, in *units* order.
+            positions: Set[int] = set()
+            for col in range(max(col_lo, 0), min(col_hi, self.grid.num_cols - 1) + 1):
+                for key in range(col * stride + row_lo, col * stride + row_hi + 1):
+                    positions.update(order[rank] for rank in owners.get(key, ()))
+            problem.conflict_edges.extend(
+                (node, units[position].unit_id) for position in sorted(positions)
+            )
         return problem
 
     def _adjacent_ranks(self, unit: ColoringUnit, net_ranks: Dict[int, int]) -> List[int]:

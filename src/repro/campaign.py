@@ -242,8 +242,6 @@ class CampaignRouter:
             route.recount_stitches()
         solution.iterations = iterations
         solution.runtime_seconds = timer.stop()
-        if self.batch_executor is not None:
-            self.batch_executor.close()  # release pool workers between runs
         return solution
 
     def schedule_nets(self) -> List[Net]:
@@ -297,9 +295,10 @@ class CampaignRouter:
         them is released before any is re-committed: a release that leaves
         a vertex with several owners zeroes its mask colour, including a
         colour a re-committed net just put there.  Each re-commit is one
-        route commit (:func:`repro.sched.commit.apply_route_ops`), so the
-        journal sees the restore like any other commit, and the incremental
-        checkers see the restored route objects' revisions.
+        route commit (:func:`repro.sched.commit.apply_route_ops`), and the
+        incremental checkers see the restored route objects' revisions.
+        The restore runs after the last routing pass, when no pool worker
+        is alive.
         """
         changed = sorted(
             name for name, route in best_routes.items() if solution.routes.get(name) != route

@@ -14,6 +14,8 @@ from repro.grid.routing_grid import (
     FIRST_VIA_DIRECTION,
     INDEX_DIRECTION,
     NUM_DIRECTIONS,
+    OP_COLOR,
+    OP_OCCUPY,
     Direction,
     PLANAR_DIRECTIONS,
     RoutingGrid,
@@ -30,6 +32,8 @@ __all__ = [
     "INDEX_DIRECTION",
     "NUM_DIRECTIONS",
     "FIRST_VIA_DIRECTION",
+    "OP_COLOR",
+    "OP_OCCUPY",
     "NetRoute",
     "RoutingSolution",
     "Stitch",

@@ -43,21 +43,20 @@ the ``Cost_color`` another net sees.  A net never sees its own metal
 there: every router computes a route against a grid that holds none of
 the net's metal, then commits it whole (:meth:`RoutingGrid.commit_route`).
 
-The op stream
--------------
+Mutations
+---------
 
-Every mutation of searchable state is a :mod:`repro.journal` op tuple.
-The public mutators (``occupy``/``release_net``/``set_vertex_color``/
-``add_history``/``decay_history``/``block_*``/``reset_routing_state``) are
-thin wrappers that build one op for :meth:`RoutingGrid.apply_op`, which
-dispatches it to the private ``_apply_*`` handler and records it in the
-attached :class:`~repro.journal.MutationJournal` (if any).
-:meth:`RoutingGrid.commit_route` applies a whole route's occupy / colour
-ops in one pass through the same handler code and records the same ops.
-Replaying a journal onto a fresh grid over the same design therefore
-reproduces every buffer bit-identically -- the property the persistent
-worker pool rests on.  Checkpoints take the other route:
-:meth:`RoutingGrid.snapshot_state` exports the buffers whole.
+Every public mutator (``occupy``/``release_net``/``set_vertex_color``/
+``add_history``/``decay_history``/``block_*``/``reset_routing_state``)
+writes the buffers itself.  :meth:`RoutingGrid.commit_route` applies one
+net's whole *route log* -- the ``("occupy", net_id, index)`` /
+``("color", net_id, index, color)`` tuples a
+:class:`~repro.sched.commit.RecordingSink` records -- in one pass, and
+leaves the grid as the per-vertex ``occupy`` / ``set_vertex_color`` calls
+would.  Route logs are flat tuples of ints, so they also cross process
+boundaries: the pool workers of :class:`repro.sched.BatchExecutor` catch
+up by committing the logs the parent committed.  Checkpoints take the
+other route: :meth:`RoutingGrid.snapshot_state` exports the buffers whole.
 """
 
 from __future__ import annotations
@@ -68,20 +67,13 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.design import Design
 from repro.geometry import GridPoint, Point, Rect
-from repro.journal import (
-    MutationJournal,
-    OP_BLOCK_RECT,
-    OP_BLOCK_VERTEX,
-    OP_COLOR,
-    OP_DECAY,
-    OP_HISTORY,
-    OP_INTERN,
-    OP_OCCUPY,
-    OP_RELEASE,
-    OP_RESET,
-    Op,
-)
 from repro.tech import DesignRules, TechStack
+
+#: Kind tags of the two route-log entries :meth:`RoutingGrid.commit_route`
+#: accepts: ``(OP_OCCUPY, net_id, index)`` and
+#: ``(OP_COLOR, net_id, index, color)``.
+OP_OCCUPY = "occupy"
+OP_COLOR = "color"
 
 
 class Direction(Enum):
@@ -225,11 +217,6 @@ class RoutingGrid:
         # also constructed by code that never searches them).
         self._neighbor_table: Optional[array] = None
 
-        # Attached mutation journal (None = not recording).  When set,
-        # apply_op appends every applied op, so the journal is a complete,
-        # replayable event log of this grid's post-attach mutations.
-        self._journal: Optional[MutationJournal] = None
-
         self._apply_design_blockages()
         self._seed_fixed_pressure()
 
@@ -305,61 +292,18 @@ class RoutingGrid:
         return array("i", table)
 
     # ------------------------------------------------------------------
-    # The op stream (journal ops)
+    # Route commit
     # ------------------------------------------------------------------
 
-    @property
-    def journal(self) -> Optional[MutationJournal]:
-        """Return the attached mutation journal, or ``None``."""
-        return self._journal
+    def commit_route(self, ops: Sequence[Tuple]) -> None:
+        """Apply one net's recorded route log in one pass -- the route commit.
 
-    def attach_journal(self) -> MutationJournal:
-        """Attach a new journal recording every future op and return it.
-
-        The journal captures only post-attach mutations; a replica must
-        start from the state the grid had at attach time (for an attach
-        right after construction: a fresh grid over the same design).
-        Attaching while a journal is active raises -- two concurrent
-        journals would each hold an incomplete stream.
-        """
-        if self._journal is not None:
-            raise RuntimeError("grid already has a journal attached")
-        self._journal = MutationJournal()
-        return self._journal
-
-    def detach_journal(self) -> Optional[MutationJournal]:
-        """Stop recording and return the previously attached journal."""
-        journal = self._journal
-        self._journal = None
-        return journal
-
-    def apply_op(self, op: Op):
-        """Apply one :mod:`repro.journal` op.
-
-        Every grid mutation but a route commit (:meth:`commit_route`) flows
-        through here, whether issued by a public mutator or replayed from a
-        journal (:func:`repro.journal.replay_ops`).  The op is dispatched
-        to its ``_apply_*`` handler and recorded in the attached journal,
-        so a journal replica observes the exact same op stream.  Returns
-        the handler's result (e.g. the new net id for ``intern`` ops).
-        """
-        handler = _OP_HANDLERS.get(op[0])
-        if handler is None:
-            raise ValueError(f"unknown journal op {op!r}")
-        result = handler(self, op)
-        if self._journal is not None:
-            self._journal.record(op)
-        return result
-
-    def commit_route(self, ops: Sequence[Op]) -> None:
-        """Apply one net's recorded commit log in one pass -- the route commit.
-
-        *ops* are the ``occupy`` / ``color`` ops a
+        *ops* are the ``occupy`` / ``color`` entries a
         :class:`~repro.sched.commit.RecordingSink` logged for one net, in
-        order.  The grid ends in the state and the journal holds the ops
-        that applying them one by one through :meth:`apply_op` gives, but
-        the occupancy and the colours (with their pressure stamps) each
-        take one loop.
+        order.  The grid ends in the state that applying them one by one
+        through :meth:`occupy` / :meth:`set_vertex_color` gives, but the
+        occupancy and the colours (with their pressure stamps) each take
+        one loop.
 
         Routers compute a route against a grid that holds none of the net's
         metal; a net that still holds occupancy or colours (not released
@@ -380,27 +324,13 @@ class RoutingGrid:
             raise ValueError(f"not a route log of net id {net_id}: op shapes {sorted(shapes)}")
         self._place(net_id, [op[2] for op in ops if op[0] == OP_OCCUPY])
         self._paint(net_id, [op[2:] for op in ops if op[0] == OP_COLOR])
-        if self._journal is not None:
-            self._journal.extend(ops)
 
     # ------------------------------------------------------------------
     # Net-name interning
     # ------------------------------------------------------------------
 
     def net_id(self, net_name: str) -> int:
-        """Return (creating if needed) the interned id of *net_name* (>= 1).
-
-        First-time interning is journalled (an ``intern`` op) because the
-        occupancy buffer stores interned ids: a bit-identical replay must
-        assign ids in the exact order the live grid did.
-        """
-        net_id = self._net_ids.get(net_name)
-        if net_id is None:
-            net_id = self.apply_op((OP_INTERN, net_name))
-        return net_id
-
-    def _apply_intern(self, op: Op) -> int:
-        net_name = op[1]
+        """Return (creating if needed) the interned id of *net_name* (>= 1)."""
         net_id = self._net_ids.get(net_name)
         if net_id is None:
             net_id = len(self._net_names)
@@ -603,18 +533,11 @@ class RoutingGrid:
     def block_vertex(self, vertex: GridPoint) -> None:
         """Mark a single vertex as unusable."""
         if self.in_bounds(vertex):
-            self.apply_op((OP_BLOCK_VERTEX, self.index_of(vertex)))
-
-    def _apply_block_vertex(self, op: Op) -> None:
-        self._blocked_buf[op[1]] = 1
+            self._blocked_buf[self.index_of(vertex)] = 1
 
     def block_rect(self, layer: int, rect: Rect) -> int:
         """Block every vertex covered by *rect* on *layer*; return the count."""
-        return self.apply_op((OP_BLOCK_RECT, layer, rect.xlo, rect.ylo, rect.xhi, rect.yhi))
-
-    def _apply_block_rect(self, op: Op) -> int:
-        _kind, layer, xlo, ylo, xhi, yhi = op
-        vertices = self.vertices_covering(layer, Rect(xlo, ylo, xhi, yhi))
+        vertices = self.vertices_covering(layer, rect)
         for vertex in vertices:
             self._blocked_buf[self.index_of(vertex)] = 1
         return len(vertices)
@@ -753,11 +676,7 @@ class RoutingGrid:
     def occupy(self, vertex: GridPoint, net_name: str) -> None:
         """Record that *net_name* has metal at *vertex* (out-of-bounds ignored)."""
         if self.in_bounds(vertex):
-            self.apply_op((OP_OCCUPY, self.net_id(net_name), self.index_of(vertex)))
-
-    def _apply_occupy(self, op: Op) -> None:
-        _kind, net_id, index = op
-        self._place(net_id, (index,))
+            self._place(self.net_id(net_name), (self.index_of(vertex),))
 
     def _place(self, net_id: int, indices: Sequence[int]) -> None:
         """Record *net_id*'s metal at every flat index of *indices*."""
@@ -785,20 +704,13 @@ class RoutingGrid:
 
         Returns the number of vertices released.  Used by rip-up & reroute.
         O(|net's metal|) thanks to the per-net reverse occupancy and
-        colored-vertex indices.
+        colored-vertex indices.  Every vertex the net occupied or coloured
+        falls back to the mask of its single remaining owner, or to no
+        colour.
         """
         net_id = self.net_id_if_known(net_name)
         if net_id == 0:
             return 0
-        return self.apply_op((OP_RELEASE, net_id))
-
-    def _apply_release(self, op: Op) -> int:
-        """Release one net; return the number of vertices it occupied.
-
-        Every vertex the net occupied or coloured falls back to the mask of
-        its single remaining owner, or to no colour.
-        """
-        net_id = op[1]
         released = 0
         occupied = self._net_occupied.pop(net_id, set())
         owner_buf, color_buf = self._owner_buf, self._color_buf
@@ -890,11 +802,7 @@ class RoutingGrid:
             raise ValueError(f"TPL mask color must be 0, 1 or 2, got {color}")
         if not self.in_bounds(vertex):
             return
-        self.apply_op((OP_COLOR, self.net_id(net_name), self.index_of(vertex), color))
-
-    def _apply_color(self, op: Op) -> None:
-        _kind, net_id, index, color = op
-        self._paint(net_id, ((index, color),))
+        self._paint(self.net_id(net_name), ((self.index_of(vertex), color),))
 
     def _paint(self, net_id: int, colors: Sequence[Tuple[int, int]]) -> None:
         """Colour *net_id*'s metal at each ``(index, color)``, in order.
@@ -955,27 +863,21 @@ class RoutingGrid:
     def add_history(self, vertex: GridPoint, amount: float = 1.0) -> None:
         """Increase the history cost at *vertex* (rip-up & reroute feedback)."""
         if self.in_bounds(vertex):
-            self.apply_op((OP_HISTORY, self.index_of(vertex), amount))
+            index = self.index_of(vertex)
+            self._history_buf[index] += amount
+            self._history_touched.add(index)
 
     def add_history_nodes(self, nodes: Iterable[int], amount: float) -> None:
         """Increase the history cost at every flat index of *nodes* by *amount*.
 
-        The rip-up step's per-route bump in one call: the buffer and the
-        attached journal end as one :meth:`add_history` per vertex leaves
-        them (one ``history`` op per index, in order).
+        The rip-up step's per-route bump in one call, equal to one
+        :meth:`add_history` per vertex.
         """
         nodes = list(nodes)
         history = self._history_buf
         for index in nodes:
             history[index] += amount
         self._history_touched.update(nodes)
-        if self._journal is not None:
-            self._journal.extend([(OP_HISTORY, index, amount) for index in nodes])
-
-    def _apply_history(self, op: Op) -> None:
-        _kind, index, amount = op
-        self._history_buf[index] += amount
-        self._history_touched.add(index)
 
     def history(self, vertex: GridPoint) -> float:
         """Return the accumulated history cost at *vertex*."""
@@ -992,15 +894,9 @@ class RoutingGrid:
 
         When *factor* is ``None`` the :attr:`DesignRules.history_decay`
         factor applies -- the value the rip-up-and-reroute loops pass.
-        The journalled op carries the resolved factor, so replay does not
-        depend on the rules object.
         """
         if factor is None:
             factor = self.rules.history_decay
-        self.apply_op((OP_DECAY, factor))
-
-    def _apply_decay(self, op: Op) -> None:
-        factor = op[1]
         history = self._history_buf
         dead: List[int] = []
         for index in self._history_touched:
@@ -1018,9 +914,6 @@ class RoutingGrid:
 
     def reset_routing_state(self) -> None:
         """Drop all routing results (occupancy, colors, history) but keep blockages."""
-        self.apply_op((OP_RESET,))
-
-    def _apply_reset(self, op: Op) -> None:
         num_vertices = self.num_vertices
         self._owner_buf = array("i", [0]) * num_vertices
         self._color_buf = bytearray(num_vertices)
@@ -1086,19 +979,12 @@ class RoutingGrid:
         """Overwrite this grid's mutable state with a :meth:`snapshot_state` doc.
 
         The grid must be built over the same design geometry (dimensions and
-        pitch are validated) and must not have a journal attached -- a bulk
-        restore is a bootstrap, not a journalled mutation, and recording it
-        as none would silently desynchronise any replica of that journal.
+        pitch are validated).
         """
         if snapshot.get("format") != self.SNAPSHOT_FORMAT:
             raise ValueError(
                 f"not a {self.SNAPSHOT_FORMAT} document "
                 f"(format={snapshot.get('format')!r})"
-            )
-        if self._journal is not None:
-            raise RuntimeError(
-                "cannot restore_state while a journal is attached; "
-                "detach it first"
             )
         dims = list(snapshot["dims"])
         if dims != [self.num_layers, self.num_cols, self.num_rows]:
@@ -1161,18 +1047,3 @@ class RoutingGrid:
             ),
         }
 
-
-#: Op kind -> unbound ``RoutingGrid`` handler; the dispatch table of
-#: :meth:`RoutingGrid.apply_op`.  Module-level (not per-instance) so the
-#: op stream pays one dict get per op and forked replicas share it.
-_OP_HANDLERS = {
-    OP_INTERN: RoutingGrid._apply_intern,
-    OP_OCCUPY: RoutingGrid._apply_occupy,
-    OP_RELEASE: RoutingGrid._apply_release,
-    OP_COLOR: RoutingGrid._apply_color,
-    OP_HISTORY: RoutingGrid._apply_history,
-    OP_DECAY: RoutingGrid._apply_decay,
-    OP_BLOCK_VERTEX: RoutingGrid._apply_block_vertex,
-    OP_BLOCK_RECT: RoutingGrid._apply_block_rect,
-    OP_RESET: RoutingGrid._apply_reset,
-}

@@ -12,8 +12,8 @@ The document (``repro-checkpoint-v3``, written by :func:`save_checkpoint`)
 has the keys ``format``, ``design``, ``grid``, ``solution``, ``campaign``
 and ``checksum``.  The optional ``campaign`` section records the rip-up
 loop position (iteration cursor, best-iteration tracking, completion flag)
-so a preempted campaign resumes from its last completed iteration.  Older,
-journal-based formats are refused.
+so a preempted campaign resumes from its last completed iteration.  Older
+formats, which carried an op log in place of the snapshot, are refused.
 """
 
 from __future__ import annotations
@@ -197,8 +197,7 @@ def checkpoint_from_dict(
 
     The grid is a fresh :class:`RoutingGrid` over the saved design with the
     saved snapshot restored into it -- bit-identical to the grid that was
-    saved, and with no journal attached.  Use :func:`checkpoint_campaign`
-    for the campaign section.
+    saved.  Use :func:`checkpoint_campaign` for the campaign section.
     """
     if data.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(

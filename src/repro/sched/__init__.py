@@ -12,12 +12,11 @@ converts the remaining serial outer loop into batched throughput:
   the speculative ``pool`` backend that routes the whole batch against a
   frozen snapshot with per-worker search engines, validates every
   result's explored region against batch-mates' committed deltas, commits
-  accepted commit logs (plain :mod:`repro.journal` ops) through the grid's
-  route commit, as serial routing does (so the attached journal and the
-  incremental DRC/conflict checkers see the merged batch), and falls back
-  to live routing when regions touch.  The pool's workers fork **once** and
-  re-synchronise between batches by replaying the grid journal suffix
-  past their cursor -- no re-fork, no snapshot serialisation.
+  accepted route logs through the grid's route commit, as serial routing
+  does, and falls back to live routing when regions touch.  A pool lives
+  for one :meth:`BatchExecutor.route_nets` call (one routing pass): its
+  workers fork lazily, catch up before each batch by committing the route
+  logs the parent committed since, and are closed when the pass ends.
 
 The rip-up loop all three routers share (:class:`repro.campaign.CampaignRouter`)
 wires in through the routers' ``parallelism`` / ``batch_backend`` /
@@ -38,7 +37,7 @@ from repro.sched.executor import (
     BACKENDS,
     BatchExecutor,
     ExecutorStats,
-    PersistentWorkerPool,
+    WorkerPool,
     make_batch_executor,
 )
 
@@ -49,9 +48,9 @@ __all__ = [
     "CellWindow",
     "ExecutorStats",
     "GridSink",
-    "PersistentWorkerPool",
     "make_batch_executor",
     "RecordingSink",
     "apply_route_ops",
     "windows_overlap",
+    "WorkerPool",
 ]

@@ -4,9 +4,10 @@ The executor routes the batches a :class:`~repro.sched.batches.BatchScheduler`
 plans, through one of two backends:
 
 ``"serial"`` (default, the parity oracle)
-    Routes every batch member with the router's own ``route_net`` --
-    one route commit per net, identical call sequence to the sequential
-    loop.  The scheduler's batches concatenate back to the input order, so
+    Routes every batch member live, as the router's own ``route_net``
+    does: ``compute_route`` into a
+    :class:`~repro.sched.commit.RecordingSink`, then one route commit per
+    net.  The scheduler's batches concatenate back to the input order, so
     this *is* the sequential loop and results are bit-identical by
     construction.
 
@@ -16,13 +17,17 @@ plans, through one of two backends:
     ``compute_route`` with a :class:`~repro.sched.commit.RecordingSink`
     (reads only, commits recorded) and their own search engine.
 
-    The workers are **persistent and journal-replicated**: processes fork
-    *once* (attaching a :class:`repro.journal.MutationJournal` to the grid
-    first, so every later mutation is logged), and between batches each
-    worker catches up by replaying only the journal suffix past its cursor
-    through ``RoutingGrid.apply_op`` -- no re-fork, no snapshot
-    serialisation.  Because replay is bit-identical (the journal replay
-    guarantee), a caught-up worker's grid is byte-for-byte the parent's.
+    A pool lives for one :meth:`BatchExecutor.route_nets` call -- one
+    routing pass.  Workers fork lazily, when a batch first needs them, and
+    are closed when the call returns, so rip-up, history updates and
+    keep-best restores between passes never meet a live worker: the next
+    pass forks from the updated parent.  Within a pass the grid changes only
+    by route commits, and once the pool exists the executor keeps every
+    route log it commits (accepted speculative logs, live fallbacks,
+    serial batches).  Before each batch a worker receives the logs it has
+    not applied yet and commits them through ``apply_route_ops`` -- the
+    same :meth:`RoutingGrid.commit_route` the parent ran -- so a caught-up
+    worker's grid is byte-for-byte the parent's.
 
     Commits are then applied **serially in batch order** with a speculative
     validation step: a snapshot-computed route is exact iff the search
@@ -35,7 +40,7 @@ plans, through one of two backends:
     and otherwise **falls back to routing the net live**, which reproduces
     the sequential result exactly.  Accepted logs go through the same route
     commit as serial routing (:meth:`RoutingGrid.commit_route`), so the
-    grid and its journal end the same either way.
+    grid ends the same either way.
 
     A host without the ``fork`` start method settles on serial once, when
     the executor is built.
@@ -97,28 +102,17 @@ class ExecutorStats:
     speculative_accepted: int = 0
     speculative_fallbacks: int = 0
     worker_errors: int = 0
-    #: Processes forked over the executor's lifetime (pool backend: forked
-    #: once per pool creation; the whole point is that this stays small).
+    #: Processes forked over the executor's lifetime (pool backend: at
+    #: most ``parallelism`` per routing pass).
     pool_forks: int = 0
-    #: Journal ops shipped to pool workers as catch-up suffixes.
+    #: Route-log entries shipped to pool workers to catch up with the
+    #: parent's commits.
     replayed_ops: int = 0
     #: Pool workers that ignored the shutdown message and had to be
     #: terminated/killed at close (hung-worker escalation).
     worker_kills: int = 0
-    #: Coalesced journal-suffix catch-up messages actually shipped to pool
-    #: workers (one framed message per worker per batch).
-    suffix_messages: int = 0
-    #: Distinct suffix serialisations performed (cache misses); the gap to
-    #: :attr:`suffix_messages` is work the frame cache saved.
-    suffix_pickles: int = 0
-    #: Total suffix payload bytes shipped down worker pipes.
+    #: Pickled bytes shipped down worker pipes (catch-up logs and net names).
     suffix_bytes: int = 0
-    #: Suffix payload bytes *not* re-serialised thanks to the shared frame
-    #: cache (same-cursor workers reuse one pickled frame).
-    suffix_bytes_saved: int = 0
-    #: Catch-up sends elided outright because the worker was already at the
-    #: journal head (``None`` sentinel instead of a pickled empty suffix).
-    suffix_elisions: int = 0
     #: Per-phase wall-clock accounting (plan/search/commit/check/ipc/
     #: checkpoint).  The owning router shares this record, so executor-side
     #: phases (plan, search, ipc, commit) and router-side phases (check,
@@ -141,11 +135,7 @@ class ExecutorStats:
             "pool_forks": self.pool_forks,
             "replayed_ops": self.replayed_ops,
             "worker_kills": self.worker_kills,
-            "suffix_messages": self.suffix_messages,
-            "suffix_pickles": self.suffix_pickles,
             "suffix_bytes": self.suffix_bytes,
-            "suffix_bytes_saved": self.suffix_bytes_saved,
-            "suffix_elisions": self.suffix_elisions,
         }
 
 
@@ -188,14 +178,12 @@ class SpeculativeRoute:
 
 # -- pool-backend plumbing ---------------------------------------------------
 #
-# Persistent journal-replicated workers: each process forks once holding the
-# parent's grid state at fork time, then re-synchronises before every batch
-# by replaying the parent's journal suffix through the grid's apply_op choke
-# point -- bit-identical to the parent by the journal replay guarantee.  The
-# router is published in a module global immediately before the fork, so
-# the child is born holding it; afterwards only small messages --
-# (journal suffix, net names) down, (route, ops, explored box) up -- cross
-# the pipe.
+# One-pass workers: each process forks holding the parent's grid state at
+# fork time, then catches up before every batch by committing the route
+# logs the parent committed since.  The router is published in a module
+# global immediately before the fork, so the child is born holding it;
+# afterwards only small messages -- (route logs, net names) down, (route,
+# ops, explored box) up -- cross the pipe.
 
 _POOL_ROUTER: Optional[object] = None
 
@@ -205,18 +193,12 @@ def _pool_worker_main(conn) -> None:
 
     The worker inherits the parent's router (published in
     :data:`_POOL_ROUTER` just before the fork) and so starts with a grid
-    byte-identical to the parent's at the fork-time journal cursor.  Each
-    batch gets exactly one reply: ``("ok", payload)`` or
-    ``("error", message)``.
+    byte-identical to the parent's at fork time.  Each batch gets exactly
+    one reply: ``("ok", payload)`` or ``("error", message)``.
     """
-    from repro.journal import replay_ops
-
     router = _POOL_ROUTER
     grid = router.grid
     design = router.design
-    # A worker's journal would only duplicate what the parent already
-    # holds, and suffix replay must not be re-recorded in the child.
-    grid.detach_journal()
     engine = router.make_search_engine()
     try:
         while True:
@@ -226,14 +208,10 @@ def _pool_worker_main(conn) -> None:
                 break
             if message is None:
                 break
-            suffix_payload, net_names = message
+            missed_logs, net_names = message
             try:
-                # The suffix arrives pre-pickled: the parent serialises each
-                # distinct catch-up suffix once, not once per worker.
-                # ``None`` means "already at the head" -- no payload at all
-                # rides the pipe for an in-sync worker.
-                if suffix_payload is not None:
-                    replay_ops(grid, pickle.loads(suffix_payload))
+                for ops in missed_logs:
+                    apply_route_ops(grid, ops)
                 payload = []
                 for name in net_names:
                     spec = _compute_speculative(router, design.net_by_name(name), engine)
@@ -277,82 +255,43 @@ def _shutdown_workers(
 
 
 class _PoolWorker:
-    """One persistent worker: its process, pipe and journal cursor."""
+    """One worker: its process, pipe and how many pass logs it has applied."""
 
-    def __init__(self, process, conn, cursor: int) -> None:
+    def __init__(self, process, conn, applied: int) -> None:
         self.process = process
         self.conn = conn
-        self.cursor = cursor
+        self.applied = applied
 
 
-class PersistentWorkerPool:
-    """A set of forked worker processes kept in sync by journal replay.
+class WorkerPool:
+    """Forked worker processes for one routing pass, kept in sync by route logs.
 
-    Workers fork **lazily**, as batches actually demand them, so a
-    campaign whose batches never grow past two nets only ever starts two
-    workers.  A worker inherits the parent's full state through ``fork``
-    itself, so a late-forked worker needs no catch-up (born holding the
-    current state, cursor at the journal head).
+    Workers fork **lazily**, as batches actually demand them, so a pass
+    whose batches never grow past two nets only ever starts two workers.
+    A worker inherits the parent's full state through ``fork`` itself, so
+    it is born having applied every log committed so far.
 
-    The parent tracks one journal cursor per worker and, before assigning
-    a batch slice, ships the suffix of ops the worker has not yet seen.
-    Only workers that participate in a batch catch up -- idle workers
-    simply accumulate a longer suffix for next time.
+    *logs* is the executor's list of the route logs committed during the
+    pass, in commit order.  Before assigning a batch slice the pool ships
+    each participating worker the logs past its count; a worker that sat
+    out a batch simply receives more next time.
 
-    Forks, shipped ops and the suffix-frame accounting are counted
-    straight into *stats* (the owning executor's record).
+    Forks, shipped log entries and shipped bytes are counted straight into
+    *stats* (the owning executor's record).
     """
 
-    def __init__(self, router, size: int, stats: ExecutorStats) -> None:
-        if router.grid.journal is None:
-            raise RuntimeError("pool workers require a journal attached to the grid")
+    def __init__(
+        self, router, size: int, stats: ExecutorStats, logs: List[List[CommitOp]]
+    ) -> None:
         self.context = multiprocessing.get_context("fork")
         self.router = router
         self.size = max(1, size)
         self.stats = stats
-        self.journal = router.grid.journal
+        self.logs = logs
         self.workers: List[_PoolWorker] = []
 
     def __len__(self) -> int:
         return len(self.workers)
-
-    def min_cursor(self) -> int:
-        """Return the oldest journal cursor the pool still needs.
-
-        Ops before it can never be shipped again: existing workers are
-        past them, and future workers fork from the live parent (needing
-        no ops at all).  With no workers, that is the journal head.
-        """
-        return min(
-            (worker.cursor for worker in self.workers), default=self.journal.cursor
-        )
-
-    def _suffix_frame(
-        self, cursor: int, head: int, cache: Dict[int, Tuple[Optional[bytes], int]]
-    ) -> Tuple[Optional[bytes], int]:
-        """Return ``(frame, op_count)`` catching a worker up from *cursor*.
-
-        One framed message per worker per batch: the whole suffix is
-        serialised as a single payload (never per-op pipe writes), the
-        pickled frame is cached per distinct cursor so same-cursor workers
-        share one serialisation, and a worker already at *head* gets the
-        ``None`` sentinel -- no suffix bytes ride the pipe at all.
-        """
-        stats = self.stats
-        if cursor >= head:
-            stats.suffix_elisions += 1
-            return None, 0
-        cached = cache.get(cursor)
-        if cached is None:
-            suffix = self.journal.suffix(cursor)
-            cached = (pickle.dumps(suffix), len(suffix))
-            cache[cursor] = cached
-            stats.suffix_pickles += 1
-        else:
-            stats.suffix_bytes_saved += len(cached[0])
-        stats.suffix_messages += 1
-        stats.suffix_bytes += len(cached[0])
-        return cached
 
     def _start_worker(self) -> None:
         """Fork and register one worker holding the parent's current state."""
@@ -372,7 +311,7 @@ class PersistentWorkerPool:
             _POOL_ROUTER = None
         child_conn.close()
         # Born in sync: the child holds the parent's state as of now.
-        self.workers.append(_PoolWorker(process, parent_conn, self.journal.cursor))
+        self.workers.append(_PoolWorker(process, parent_conn, len(self.logs)))
         self.stats.pool_forks += 1
 
     def _ensure_workers(self, needed: int) -> None:
@@ -394,25 +333,17 @@ class PersistentWorkerPool:
         the parent and must be closed.
         """
         self._ensure_workers(len(net_names))
-        head = self.journal.cursor
-        count = min(len(self.workers), len(net_names))
-        active = self.workers[:count]
-        # Rotate so a campaign of small batches still cycles through every
-        # worker: otherwise trailing workers would idle forever with frozen
-        # cursors, pinning min_cursor() and defeating journal compaction.
-        self.workers = self.workers[count:] + active
+        logs = self.logs
+        stats = self.stats
+        active = self.workers[: min(len(self.workers), len(net_names))]
         stride = len(active)
-        # Workers that were active together share a cursor, so the common
-        # case serialises one suffix once and ships the same bytes to all.
-        payload_cache: Dict[int, Tuple[Optional[bytes], int]] = {}
         for slot, worker in enumerate(active):
-            # suffix() honours the compaction base; nothing mutates the
-            # grid between the head snapshot and these sends, so the
-            # suffix past each worker's cursor ends exactly at `head`.
-            frame, op_count = self._suffix_frame(worker.cursor, head, payload_cache)
-            worker.conn.send((frame, list(net_names[slot::stride])))
-            worker.cursor = head
-            self.stats.replayed_ops += op_count
+            missed = logs[worker.applied :]
+            message = pickle.dumps((missed, list(net_names[slot::stride])))
+            worker.conn.send_bytes(message)
+            worker.applied = len(logs)
+            stats.replayed_ops += sum(len(ops) for ops in missed)
+            stats.suffix_bytes += len(message)
         deadline_at = time.monotonic() + deadline
         results: List[Optional[Tuple]] = [None] * len(net_names)
         for slot, worker in enumerate(active):
@@ -490,15 +421,14 @@ class BatchExecutor:
     Parameters
     ----------
     router:
-        Any of the three routers; must expose ``grid``, ``route_net``,
-        ``compute_route(net, engine=..., sink=...)`` and
+        Any of the three routers; must expose ``grid``, ``design``,
+        ``compute_route(net, sink, engine=...)`` and
         ``make_search_engine()``.
     backend:
-        ``"serial"`` (deterministic default) or ``"pool"`` (persistent
-        journal-replicated workers: fork once, catch up by journal-suffix
-        replay).  The first failed pool batch switches the executor to
-        serial for good; without the ``fork`` start method it starts on
-        serial.
+        ``"serial"`` (deterministic default) or ``"pool"`` (workers forked
+        for one routing pass, caught up by the pass's route logs).  The
+        first failed pool batch switches the executor to serial for good;
+        without the ``fork`` start method it starts on serial.
     parallelism:
         Worker count for the pool (also the default scheduler batch cap
         when *scheduler* is not supplied).
@@ -508,7 +438,7 @@ class BatchExecutor:
     min_fork_batch:
         Smallest batch worth starting pool workers for.  It applies only
         to pool *creation* -- once started, workers serve every parallel
-        batch.
+        batch of the pass.
     """
 
     def __init__(
@@ -540,10 +470,10 @@ class BatchExecutor:
         self._influence_reach = grid.interaction_reach_cells(grid.interaction_radius())
         self._plane_size = grid.plane_size
         self._num_rows = grid.num_rows
-        # Persistent worker pool and the journal the executor attached for
-        # it (detached again when the pool closes).
-        self._pool: Optional[PersistentWorkerPool] = None
-        self._owned_journal = None
+        # The current pass's worker pool and the route logs committed
+        # since it was created, in commit order.
+        self._pool: Optional[WorkerPool] = None
+        self._logs: List[List[CommitOp]] = []
         if self.active_backend == "pool":
             # Warm the native kernel in the parent before any worker
             # exists: forked workers inherit the mapped .so through fork --
@@ -555,7 +485,10 @@ class BatchExecutor:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the worker pool (idempotent)."""
+        """Release any worker pool (idempotent).
+
+        :meth:`route_nets` already closes its pool when the pass ends.
+        """
         self._discard_pool()
 
     def route_nets(self, nets: Sequence[Net], solution: RoutingSolution) -> None:
@@ -563,33 +496,55 @@ class BatchExecutor:
 
         The scheduler plans the batches; each batch is routed with the
         configured backend and committed in batch order, so the overall
-        commit order is deterministic for a given plan.
+        commit order is deterministic for a given plan.  The call is one
+        routing pass: pool workers started during it are closed before it
+        returns.
         """
         nets = list(nets)
         if not nets:
             return
         grid = self.router.grid
-        # Pre-intern every scheduled net so id assignment stays independent
-        # of worker timing (ids never change results, but deterministic
-        # internals make debugging sane).
+        # Pre-intern every scheduled net before any worker forks, so the
+        # workers inherit the ids the parent's route logs carry.
         for net in nets:
             grid.net_id(net.name)
         plan_started = time.perf_counter()
         batches = self.scheduler.plan(nets)
         self.stats.phases.add("plan", time.perf_counter() - plan_started)
-        for batch in batches:
-            self.stats.batches += 1
-            self.stats.nets_routed += len(batch)
-            self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
-            if not self._run_batch_parallel(batch, solution):
-                self._run_batch_serial(batch, solution)
+        try:
+            for batch in batches:
+                self.stats.batches += 1
+                self.stats.nets_routed += len(batch)
+                self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
+                if not self._run_batch_parallel(batch, solution):
+                    self._run_batch_serial(batch, solution)
+        finally:
+            self._discard_pool()
+            self._logs = []
 
     # ------------------------------------------------------------------
+
+    def _commit(self, ops: List[CommitOp]) -> None:
+        """Apply one route log to the grid and keep it for the pass's workers.
+
+        Workers fork holding every earlier commit, so a log is kept only
+        once the pool exists.
+        """
+        apply_route_ops(self.router.grid, ops)
+        if self._pool is not None:
+            self._logs.append(ops)
+
+    def _route_live(self, net: Net):
+        """Route *net* against the live grid and commit it, as ``route_net`` does."""
+        sink = RecordingSink(self.router.grid, net.name)
+        route = self.router.compute_route(net, sink)
+        self._commit(sink.ops)
+        return route
 
     def _run_batch_serial(self, batch: Sequence[Net], solution: RoutingSolution) -> None:
         started = time.perf_counter()
         for net in batch:
-            solution.add_route(self.router.route_net(net))
+            solution.add_route(self._route_live(net))
         self.stats.phases.add("search", time.perf_counter() - started)
 
     def _run_batch_parallel(
@@ -606,10 +561,10 @@ class BatchExecutor:
         if self.active_backend == "serial" or len(batch) < 2:
             return False
         if self._pool is None and len(batch) < self.min_fork_batch:
-            # Don't pay the one-time worker start for a campaign of tiny
-            # batches; once the pool exists it serves every parallel batch.
+            # Don't pay the worker start for a pass of tiny batches; once
+            # the pool exists it serves every parallel batch of the pass.
             return False
-        # Pool batches spend their wall time in worker traffic (suffix
+        # Pool batches spend their wall time in worker traffic (log
         # shipping + result receive): account them as ipc.
         compute_started = time.perf_counter()
         try:
@@ -628,40 +583,18 @@ class BatchExecutor:
         self._commit_batch(batch, results, solution)
         return True
 
-    # -- pool (persistent journal-replicated workers) backend ------------------
-
-    def _ensure_pool(self) -> PersistentWorkerPool:
-        if self._pool is not None:
-            return self._pool
-        grid = self.router.grid
-        if grid.journal is None:
-            # The journal must exist *before* the first worker: workers
-            # re-sync by replaying everything recorded past their cursor.
-            self._owned_journal = grid.attach_journal()
-        self._pool = PersistentWorkerPool(self.router, self.parallelism, self.stats)
-        return self._pool
+    # -- pool backend -----------------------------------------------------------
 
     def _discard_pool(self, join_timeout: float = 5.0) -> None:
         if self._pool is not None:
             self.stats.worker_kills += self._pool.close(join_timeout=join_timeout)
             self._pool = None
-        if self._owned_journal is not None:
-            # Only detach what we attached; a caller-provided journal keeps
-            # recording.
-            if self.router.grid.journal is self._owned_journal:
-                self.router.grid.detach_journal()
-            self._owned_journal = None
 
     def _compute_batch_pooled(self, batch: Sequence[Net]) -> List[SpeculativeRoute]:
-        pool = self._ensure_pool()
+        if self._pool is None:
+            self._pool = WorkerPool(self.router, self.parallelism, self.stats, self._logs)
         deadline = BATCH_DEADLINE_BASE + BATCH_DEADLINE_PER_NET * len(batch)
-        raw = pool.compute([net.name for net in batch], deadline)
-        if self._owned_journal is not None:
-            # The executor's own journal exists solely to feed the pool;
-            # ops every worker has consumed can never be shipped again, so
-            # drop them to bound a long campaign's memory.  (A
-            # caller-attached journal is the caller's -- never touched.)
-            self._owned_journal.compact(pool.min_cursor())
+        raw = self._pool.compute([net.name for net in batch], deadline)
         return [
             SpeculativeRoute(route=route, ops=ops, explored_box=box)
             for route, ops, box in raw
@@ -675,20 +608,19 @@ class BatchExecutor:
         results: Sequence[SpeculativeRoute],
         solution: RoutingSolution,
     ) -> None:
-        grid = self.router.grid
         committed: List[CellWindow] = []
         started = time.perf_counter()
         fallback_seconds = 0.0
         for net, spec in zip(batch, results):
             if self._speculation_valid(spec, committed):
                 self.stats.speculative_accepted += 1
-                apply_route_ops(grid, spec.ops)
+                self._commit(spec.ops)
                 route = spec.route
                 influence = self._ops_influence_box(spec.ops)
             else:
                 self.stats.speculative_fallbacks += 1
                 fallback_started = time.perf_counter()
-                route = self.router.route_net(net)
+                route = self._route_live(net)
                 fallback_seconds += time.perf_counter() - fallback_started
                 influence = self._nodes_influence_box(route.nodes)
             solution.add_route(route)
@@ -721,7 +653,7 @@ class BatchExecutor:
         return not any(windows_overlap(box, other) for other in committed)
 
     def _ops_influence_box(self, ops: Sequence[CommitOp]) -> Optional[CellWindow]:
-        # Journal ops address vertices by flat index (op[2]).
+        # Route-log entries address vertices by flat index (op[2]).
         return self._nodes_influence_box(op[2] for op in ops)
 
     def _nodes_influence_box(self, nodes) -> Optional[CellWindow]:

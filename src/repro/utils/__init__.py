@@ -9,14 +9,13 @@ reproducible bit-for-bit.
 
 from repro.utils.priority_queue import UpdatablePriorityQueue
 from repro.utils.env import env_flag, env_int
-from repro.utils.timer import Timer, Stopwatch
+from repro.utils.timer import Timer
 from repro.utils.rng import SeededRNG
 from repro.utils.logging import get_logger, set_verbosity
 
 __all__ = [
     "UpdatablePriorityQueue",
     "Timer",
-    "Stopwatch",
     "SeededRNG",
     "env_flag",
     "env_int",

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 
 class Timer:
@@ -39,38 +38,3 @@ class Timer:
         self._start = None
         return self.elapsed
 
-
-@dataclass
-class Stopwatch:
-    """Accumulating multi-phase stopwatch.
-
-    Each named phase accumulates time across repeated start/stop cycles so a
-    router can report, e.g., how long was spent in search versus backtrace.
-    """
-
-    phases: Dict[str, float] = field(default_factory=dict)
-    _running: Dict[str, float] = field(default_factory=dict)
-
-    def start(self, phase: str) -> None:
-        """Begin timing *phase* (no-op if already running)."""
-        self._running.setdefault(phase, time.perf_counter())
-
-    def stop(self, phase: str) -> float:
-        """Stop timing *phase* and return its accumulated total."""
-        started = self._running.pop(phase, None)
-        if started is None:
-            raise RuntimeError(f"phase {phase!r} was never started")
-        self.phases[phase] = self.phases.get(phase, 0.0) + (
-            time.perf_counter() - started
-        )
-        return self.phases[phase]
-
-    def total(self) -> float:
-        """Return the sum of all completed phase times."""
-        return sum(self.phases.values())
-
-    def report(self) -> str:
-        """Render a small human-readable phase breakdown."""
-        lines = [f"{name:<24s} {seconds:10.4f} s" for name, seconds in self.phases.items()]
-        lines.append(f"{'total':<24s} {self.total():10.4f} s")
-        return "\n".join(lines)

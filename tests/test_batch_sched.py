@@ -6,9 +6,13 @@ bit-identical to the plain sequential loop -- including the speculative
 pool backend, whose explored-region validation plus sequential fallback is
 what the guarantee rests on.  A host without ``fork`` must settle on the
 serial floor with the same result, and so must a pool batch that fails in
-any way (worker crash, hang past the deadline, error reply).
+any way (worker crash, hang past the deadline, error reply).  A pool
+lives for one routing pass: no worker survives a pass, and a worker that
+sat out a batch catches up with every route log it missed.
 """
 
+import hashlib
+import json
 import multiprocessing
 import os
 import sys
@@ -31,6 +35,7 @@ from repro.sched import (
     windows_overlap,
 )
 from repro.sched import executor as executor_module
+from repro.sched.executor import ExecutorStats, SpeculativeRoute, WorkerPool
 from repro.tpl.mr_tpl import MrTPLRouter
 
 ROUTERS = {
@@ -399,3 +404,152 @@ def test_grid_sink_and_recording_sink_agree():
     assert replay_grid.net_id("netX") == recording.net_id
     apply_route_ops(replay_grid, recording.ops)
     assert grid_state_digest(grid) == grid_state_digest(replay_grid)
+
+
+# ----------------------------------------------------------------------
+# One pool per routing pass
+# ----------------------------------------------------------------------
+
+def _no_gr(router_key):
+    return {} if router_key == "maze" else {"use_global_router": False}
+
+
+@needs_fork
+@pytest.mark.parametrize("router_key", sorted(ROUTERS))
+@pytest.mark.parametrize("batch_size", [None, 2, 16])
+def test_pool_backend_matches_serial(router_key, batch_size):
+    sequential = run_router(
+        router_key, build_case("ispd19", 1, 0.5), **_no_gr(router_key)
+    )
+    router = ROUTERS[router_key](
+        build_case("ispd19", 1, 0.5),
+        parallelism=4,
+        batch_backend="pool",
+        min_fork_batch=2,
+        **_no_gr(router_key),
+    )
+    if batch_size is not None:
+        # Other caps than the default 4 * parallelism: plan with a scheduler
+        # of our own.
+        router.batch_executor.scheduler = BatchScheduler(router.grid, max_batch=batch_size)
+    pooled = router.run()
+    assert (solution_fingerprint(pooled), solution_metrics(pooled)) == sequential
+    assert router.batch_executor.stats.worker_errors == 0
+
+
+@needs_fork
+@pytest.mark.parametrize("router_key", sorted(ROUTERS))
+def test_multi_pass_pool_campaign_matches_serial_and_leaves_no_worker(router_key):
+    """Rip-up rounds run between passes, when no worker is alive; every
+    pass forks from the updated parent and ends with its workers closed."""
+    reference = solution_fingerprint(sparse_router(router_key, max_iterations=2).run())
+    router = sparse_router(
+        router_key, max_iterations=2, parallelism=2, batch_backend="pool", min_fork_batch=2
+    )
+    alive_after_pass = []
+    solution = router.run(
+        on_iteration=lambda campaign: alive_after_pass.append(multiprocessing.active_children())
+    )
+    assert solution_fingerprint(solution) == reference
+    assert alive_after_pass and all(alive == [] for alive in alive_after_pass)
+    assert multiprocessing.active_children() == []
+    stats = router.batch_executor.stats
+    # A reroute pass forked its own workers after the rip-up.
+    assert stats.pool_forks >= 4 and stats.worker_errors == 0
+
+
+@needs_fork
+def test_pool_forks_once_per_pass_and_ships_logs():
+    router = MrTPLRouter(
+        build_case("sparse", 1, 0.5),
+        use_global_router=False,
+        max_iterations=0,
+        parallelism=4,
+        batch_backend="pool",
+        min_fork_batch=2,
+    )
+    router.run()
+    stats = router.batch_executor.stats
+    assert stats.parallel_batches > 0, "pool never engaged on the sparse case"
+    # One pass: at most one fork per worker slot, lazily sized to the
+    # batches actually seen...
+    assert 0 < stats.pool_forks <= min(4, stats.largest_batch)
+    # ...kept in sync by shipping the pass's route logs, not by re-forking.
+    assert stats.replayed_ops > 0 and stats.suffix_bytes > 0
+    merged = stats.as_dict()
+    assert (merged["replayed_ops"], merged["suffix_bytes"]) == (
+        stats.replayed_ops, stats.suffix_bytes,
+    )
+
+
+@needs_fork
+def test_pool_counters_accumulate_across_passes():
+    router = sparse_router("color-state", parallelism=2, batch_backend="pool", min_fork_batch=2)
+    executor = router.batch_executor
+    nets = router.schedule_nets()
+    assert len(nets) >= 20
+    split = len(nets) // 2
+    solution = RoutingSolution(design_name=router.design.name, router_name=router.name)
+    executor.route_nets(nets[:split], solution)
+    first_forks = executor.stats.pool_forks
+    first_replayed = executor.stats.replayed_ops
+    assert first_forks == 2
+    # The pass closed its workers and kept the counters they wrote...
+    assert multiprocessing.active_children() == []
+    # ...and the next pass forks a fresh pair whose counters add on top.
+    executor.route_nets(nets[split:], solution)
+    assert executor.stats.pool_forks == first_forks + 2
+    assert executor.stats.replayed_ops >= first_replayed
+    assert multiprocessing.active_children() == []
+
+
+def _grid_digest_route(router, net, engine):
+    """Stand-in for ``_compute_speculative``: report the worker's grid."""
+    snapshot = json.dumps(router.grid.snapshot_state(), sort_keys=True)
+    return SpeculativeRoute(
+        route=hashlib.sha256(snapshot.encode()).hexdigest(), ops=[], explored_box=None
+    )
+
+
+@needs_fork
+def test_worker_that_sat_out_a_batch_catches_up(monkeypatch):
+    monkeypatch.setattr(executor_module, "_compute_speculative", _grid_digest_route)
+    router = MrTPLRouter(build_case("ispd18", 1, 0.5), use_global_router=False)
+    grid = router.grid
+    nets = router.schedule_nets()
+    for net in nets:
+        grid.net_id(net.name)
+    names = [net.name for net in nets]
+    logs = []
+
+    def commit(net):
+        sink = RecordingSink(grid, net.name)
+        router.compute_route(net, sink)
+        apply_route_ops(grid, sink.ops)
+        logs.append(sink.ops)
+
+    def parent_digest():
+        return _grid_digest_route(router, None, None).route
+
+    stats = ExecutorStats()
+    pool = WorkerPool(router, 3, stats, logs)
+    try:
+        assert pool.compute(names[:3], 60.0)[0][0] == parent_digest()
+        assert len(pool) == 3
+        commit(nets[0])
+        # The third worker sits this batch out...
+        assert [route for route, _ops, _box in pool.compute(names[1:3], 60.0)] == [
+            parent_digest()
+        ] * 2
+        commit(nets[1])
+        commit(nets[2])
+        # ...and receives all three logs it missed with the next one.
+        replayed = stats.replayed_ops
+        assert [route for route, _ops, _box in pool.compute(names[3:6], 60.0)] == [
+            parent_digest()
+        ] * 3
+        caught_up = len(logs[1]) + len(logs[2])
+        assert stats.replayed_ops - replayed == 2 * caught_up + sum(map(len, logs))
+    finally:
+        pool.close()
+    assert multiprocessing.active_children() == []

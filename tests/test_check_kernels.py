@@ -10,7 +10,7 @@ equal the full-scan oracles, plus:
 * gate/fallback behaviour (``set_check_native_enabled``,
   ``REPRO_PURE_PYTHON``) and ``scan_hits`` against a brute-force loop on
   both tiers,
-* owner-mirror consistency across snapshot restore and journal replay,
+* owner-mirror consistency across snapshot restore,
 * the ``id()``-reuse regression (route replacement must be detected by
   revision, not address),
 * the campaign phase profiler (``phase_seconds`` on ``ExecutorStats``,
@@ -40,15 +40,13 @@ from test_incremental_check import (
 from repro import accel
 from repro.bench import SyntheticSpec, generate_design
 from repro.campaign import CampaignState
-from repro.check import IncrementalConflictChecker, IncrementalDRCChecker
+from repro.check import IncrementalConflictChecker
 from repro.check.kernels import offset_buffers, scan_hits, zero_owner_mirror
-from repro.dr import DRCChecker
-from repro.grid import NetRoute, RoutingGrid, RoutingSolution
+from repro.grid import NetRoute, RoutingGrid
 from repro.io.checkpoint_io import load_checkpoint_document
-from repro.journal import replay_ops
 from repro.profiling import PHASE_NAMES, PhaseTimes
 from repro.sched.executor import ExecutorStats
-from repro.tpl import ConflictChecker, MrTPLRouter
+from repro.tpl import MrTPLRouter
 from repro.utils import SeededRNG
 
 
@@ -314,7 +312,7 @@ def test_id_reuse_does_not_mask_route_replacement():
 
 
 # ----------------------------------------------------------------------
-# Owner-mirror consistency across snapshot restore and journal replay
+# Owner-mirror consistency across snapshot restore
 # ----------------------------------------------------------------------
 
 def test_mirror_consistent_after_snapshot_restore():
@@ -336,33 +334,6 @@ def test_mirror_consistent_after_snapshot_restore():
     for _ in range(6):
         driver.mutate(rng)
         assert_matches_oracle(driver)
-
-
-def test_mirror_consistent_after_journal_replay():
-    driver = MutationDriver(seed=31)
-    journal = driver.grid.attach_journal()
-    rng = SeededRNG(17)
-
-    replica = RoutingGrid(driver.design)
-    inc_drc = IncrementalDRCChecker()
-    inc_conflicts = IncrementalConflictChecker(driver.design, replica)
-    empty = RoutingSolution(design_name=driver.design.name, router_name="harness")
-    inc_drc.refresh(empty)
-    inc_conflicts.check(empty)
-
-    for _ in range(12):
-        driver.mutate(rng)
-    assert_matches_oracle(driver)
-
-    # Replay the journal onto the replica: its checkers read only the
-    # solution, so they must agree with the replica's full-scan oracles.
-    replay_ops(replica, journal.ops)
-    assert refreshed_shorted_nets(inc_drc, driver.solution) == shorted_nets(
-        DRCChecker(driver.design, replica), driver.solution
-    )
-    assert conflict_digest(inc_conflicts.check(driver.solution)) == conflict_digest(
-        ConflictChecker(driver.design, replica).check(driver.solution)
-    )
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Three layers of guarantees, each proven differentially:
 
 * **Snapshot layer** -- ``RoutingGrid.snapshot_state`` / ``restore_state``
-  reproduce a campaign-mutated grid byte-for-byte, equal to full journal
-  replay, for seeded campaigns of all three routers.
+  reproduce a campaign-mutated grid byte-for-byte, for seeded campaigns of
+  all three routers, and ``save_checkpoint`` / ``load_checkpoint``
+  round-trip the grid and the solution.
 * **Durability layer** -- ``_write_atomic`` survives crash injection
   (SIGKILL mid-save leaves either the previous complete document or
   nothing), uses unique scratch names, and cleans up on failure.
@@ -15,8 +16,8 @@ Three layers of guarantees, each proven differentially:
 * **Campaign layer** -- ``route_with_checkpoint`` checkpoints every rip-up
   iteration as a grid snapshot, and a SIGKILLed campaign resumes from its
   last completed iteration with a solution bit-identical to the
-  uninterrupted run.  Journal-based documents of earlier formats are
-  refused.
+  uninterrupted run.  Documents of earlier formats are refused, and so
+  are checkpoints of another design or another router.
 
 Plus the pool paths: a pool campaign under ``route_with_checkpoint``
 matches serial, and pool workers that ignore SIGTERM are
@@ -55,8 +56,7 @@ from repro.io.checkpoint_io import (
     save_checkpoint,
 )
 from repro.io.json_io import solution_to_dict
-from repro.journal import MutationJournal, replay_ops
-from repro.sched.executor import PersistentWorkerPool, _PoolWorker, _shutdown_workers
+from repro.sched.executor import _PoolWorker, _shutdown_workers
 from repro.tpl.mr_tpl import MrTPLRouter
 
 ROUTERS = {
@@ -109,33 +109,31 @@ def routes_dict(solution):
 
 
 # ----------------------------------------------------------------------
-# (a) Snapshot layer: restore == full replay, byte for byte
+# (a) Snapshot layer: restore == the live grid, byte for byte
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("router_key", sorted(ROUTERS))
-def test_snapshot_restore_equals_full_replay(router_key):
+def test_snapshot_restore_equals_live_grid(router_key):
+    """A full seeded campaign (routes, releases, history bumps, decays)
+    restored from its snapshot on a fresh grid equals the live grid."""
     design = build_case()
     grid = RoutingGrid(design)
-    journal = grid.attach_journal()
-    make_router(router_key, design, grid=grid).run()
+    solution = make_router(router_key, design, grid=grid).run()
+    # The campaign must have negotiated, or the restore proves less than
+    # it claims.
+    assert solution.iterations and any(grid.history_buffer())
 
-    grid.detach_journal()
     snapshot = json.loads(json.dumps(grid.snapshot_state()))  # through JSON
-
     restored = RoutingGrid(design)
     restored.restore_state(snapshot)
-    replayed = RoutingGrid(design)
-    replay_ops(replayed, journal.ops)
 
     assert_grids_bit_identical(grid, restored)
-    assert_grids_bit_identical(replayed, restored)
     assert restored.snapshot_state() == grid.snapshot_state()
 
 
 def test_snapshot_restore_validates():
     design = fig1_dense_cluster()
     grid = RoutingGrid(design)
-    journal = grid.attach_journal()
     MrTPLRouter(design, grid=grid, use_global_router=False).run()
     snapshot = grid.snapshot_state()
 
@@ -144,25 +142,41 @@ def test_snapshot_restore_validates():
         other.restore_state(snapshot)
     with pytest.raises(ValueError, match="not a repro-grid-snapshot"):
         RoutingGrid(design).restore_state({"format": "bogus"})
-    # A journal is a stream of individual ops; a bulk restore cannot be
-    # represented in it, so restoring a journal-attached grid is refused.
-    with pytest.raises(RuntimeError, match="journal"):
-        grid.restore_state(snapshot)
 
 
-def test_journal_suffix_raises_on_future_cursor():
-    journal = MutationJournal()
-    journal.record(("history", 1, 3, 1.0))
-    assert journal.suffix(journal.cursor) == []
-    # A stale worker cursor past the head is desync, not "nothing to
-    # replay" -- it must fail loudly.
-    with pytest.raises(ValueError, match="desynchronised"):
-        journal.suffix(journal.cursor + 1)
+def test_checkpoint_roundtrip_restores_grid_and_solution(tmp_path):
+    design = build_case("ispd18", 1, 0.5)
+    grid = RoutingGrid(design)
+    solution = make_router("maze", design, grid=grid).run()
+
+    path = tmp_path / "campaign.ckpt.json"
+    save_checkpoint(path, design, grid, solution)
+    _design2, grid2, solution2 = load_checkpoint(path)
+    assert_grids_bit_identical(grid, grid2)
+    assert solution_fingerprint(solution2) == solution_fingerprint(solution)
+
+
+def test_checkpoint_rejects_foreign_documents(tmp_path):
+    path = tmp_path / "bogus.json"
+    path.write_text('{"format": "something-else"}')
+    with pytest.raises(ValueError):
+        load_checkpoint(path)
 
 
 # ----------------------------------------------------------------------
 # (b) Durability: atomic writes under crash injection
 # ----------------------------------------------------------------------
+
+def test_checkpoint_saves_atomically(tmp_path):
+    design = build_case("ispd18", 1, 0.5)
+    grid = RoutingGrid(design)
+    solution = make_router("maze", design, grid=grid).run()
+    path = tmp_path / "atomic.ckpt.json"
+    save_checkpoint(path, design, grid, solution)
+    save_checkpoint(path, design, grid, solution)  # overwrite in place
+    assert not list(tmp_path.glob("*.tmp"))  # scratch file renamed away
+    load_checkpoint(path)
+
 
 def test_write_atomic_uses_unique_scratch_names(tmp_path, monkeypatch):
     target = tmp_path / "doc.json"
@@ -432,7 +446,6 @@ def test_route_with_checkpoint_saves_every_iteration(router_key, tmp_path):
 
     # Restoring the document reproduces the final grid bit-for-bit.
     _design, restored_grid, saved_solution = checkpoint_from_dict(document)
-    assert grid.journal is None and restored_grid.journal is None
     assert_grids_bit_identical(grid, restored_grid)
     assert routes_dict(saved_solution) == routes_dict(solution)
 
@@ -443,6 +456,37 @@ def test_route_with_checkpoint_saves_every_iteration(router_key, tmp_path):
     )
     assert resumed2
     assert routes_dict(solution2) == routes_dict(solution)
+
+
+def test_route_with_checkpoint_resumes_without_rerouting(tmp_path):
+    path = tmp_path / "table.ckpt.json"
+    solution, grid, resumed = route_with_checkpoint(
+        build_case("ispd18", 1, 0.5), DetailedRouter, path
+    )
+    assert not resumed and path.exists()
+    # Second run resumes: same solution and bit-identical grid, no routing.
+    solution2, grid2, resumed2 = route_with_checkpoint(
+        build_case("ispd18", 1, 0.5), DetailedRouter, path
+    )
+    assert resumed2
+    assert solution_fingerprint(solution2) == solution_fingerprint(solution)
+    assert_grids_bit_identical(grid, grid2)
+
+
+def test_route_with_checkpoint_rejects_stale_checkpoint_for_other_design(tmp_path):
+    path = tmp_path / "stale.ckpt.json"
+    route_with_checkpoint(build_case("ispd18", 1, 0.5), DetailedRouter, path)
+    with pytest.raises(ValueError, match="differs from the requested design"):
+        route_with_checkpoint(build_case("ispd19", 2, 0.5), DetailedRouter, path)
+
+
+def test_route_with_checkpoint_rejects_other_routers_campaign(tmp_path):
+    path = tmp_path / "router.ckpt.json"
+    route_with_checkpoint(build_case("ispd18", 1, 0.5), DetailedRouter, path)
+    with pytest.raises(ValueError, match="not the requested"):
+        route_with_checkpoint(
+            build_case("ispd18", 1, 0.5), MrTPLRouter, path, use_global_router=False
+        )
 
 
 def test_route_with_checkpoint_every_n(tmp_path):
@@ -599,7 +643,7 @@ def test_pool_fork_bootstrap_matches_serial():
 
 @needs_fork
 def test_pool_campaign_under_checkpoint_matches_serial(tmp_path):
-    """Checkpoints taken while pool workers are live leave routing exact."""
+    """Checkpoints taken between pool passes leave routing exact."""
     design = build_case()
     path = tmp_path / "ckpt.json"
     saves = []
@@ -609,7 +653,7 @@ def test_pool_campaign_under_checkpoint_matches_serial(tmp_path):
         use_global_router=False,
         parallelism=2, batch_backend="pool", min_fork_batch=2,
     )
-    assert saves  # checkpoints happened with the pool live
+    assert saves  # checkpoints happened between pool passes
     reference = solution_fingerprint(make_router("color-state", build_case()).run())
     assert solution_fingerprint(solution) == reference
 

@@ -5,7 +5,9 @@ an enumeration of all ``3**n`` mask assignments of the free nodes, for
 ``n <= 8``; both per-component solvers must keep every fixed colour; and
 :func:`~repro.baselines.coloring.solve_coloring`, which solves components
 of at most ``exact_component_limit`` nodes exactly, must never cost more
-than the greedy solver on such a component.
+than the greedy solver on such a component.  Every solver is scored with
+:meth:`~repro.baselines.coloring.ColoringProblem.cost_of`, which counts each
+node pair once, a conflict over a stitch.
 
 :func:`random_coloring_problem` also feeds the ``solve_coloring`` pins of
 ``tests/test_golden_solutions.py``.
@@ -82,26 +84,6 @@ def small_component(rng, size):
     return problem, problem.nodes()
 
 
-def graph_cost(problem, assignment):
-    """Return the solvers' objective: each pair counts once, a conflict over a stitch.
-
-    :meth:`ColoringProblem.cost_of` instead counts every listed edge, so
-    it differs on repeated pairs.
-    """
-    conflicts = {frozenset(edge) for edge in problem.conflict_edges}
-    stitches = {frozenset(edge) for edge in problem.stitch_edges} - conflicts
-    cost = 0.0
-    for pair in conflicts:
-        a, b = tuple(pair)
-        if assignment[a] == assignment[b]:
-            cost += problem.conflict_weight
-    for pair in stitches:
-        a, b = tuple(pair)
-        if assignment[a] != assignment[b]:
-            cost += problem.stitch_weight
-    return cost
-
-
 def brute_force_cost(problem, nodes):
     """Return the least objective over every mask assignment of the free *nodes*."""
     free = [node for node in nodes if node not in problem.fixed_colors]
@@ -109,7 +91,7 @@ def brute_force_cost(problem, nodes):
     for colors in itertools.product(range(3), repeat=len(free)):
         assignment = dict(problem.fixed_colors)
         assignment.update(zip(free, colors))
-        cost = graph_cost(problem, assignment)
+        cost = problem.cost_of(assignment)
         if best is None or cost < best:
             best = cost
     return best
@@ -120,6 +102,22 @@ def complete(problem, assignment):
     return {**problem.fixed_colors, **assignment}
 
 
+def test_count_scores_each_pair_once_conflict_over_stitch():
+    problem = ColoringProblem(
+        conflict_edges=[("a", "b"), ("c", "d"), ("d", "c")],
+        stitch_edges=[("a", "b"), ("b", "c"), ("c", "b")],
+    )
+    same = {node: 0 for node in "abcd"}
+    assert problem.count(same) == (2, 0)
+    assert problem.cost_of(same) == 2 * problem.conflict_weight
+    # a-b is a conflict, so its stitch never counts; b-c is one stitch.
+    split = {"a": 0, "b": 1, "c": 2, "d": 0}
+    assert problem.count(split) == (0, 1)
+    assert problem.cost_of(split) == problem.stitch_weight
+    # An uncoloured node scores nothing.
+    assert problem.count({"a": 0, "b": 0}) == (1, 0)
+
+
 @pytest.mark.parametrize("seed", [3, 71])
 def test_exact_is_optimal_against_brute_force(seed, rng_rounds):
     rng = random.Random(seed)
@@ -127,7 +125,7 @@ def test_exact_is_optimal_against_brute_force(seed, rng_rounds):
         problem, nodes = small_component(rng, rng.randint(1, 8))
         exact = color_component_exact(problem, nodes)
         assert set(exact) == set(nodes)
-        assert graph_cost(problem, complete(problem, exact)) == brute_force_cost(problem, nodes)
+        assert problem.cost_of(complete(problem, exact)) == brute_force_cost(problem, nodes)
 
 
 @pytest.mark.parametrize("seed", [5, 89])
@@ -151,7 +149,7 @@ def test_solve_coloring_beats_greedy_on_exact_size_components(seed, rng_rounds):
         solved = solve_coloring(problem)
         assert set(solved) == set(nodes)
         greedy = color_component_greedy(problem, nodes)
-        assert graph_cost(problem, solved) <= graph_cost(problem, complete(problem, greedy))
+        assert problem.cost_of(solved) <= problem.cost_of(complete(problem, greedy))
 
 
 def test_random_problems_cover_both_solvers():

@@ -8,7 +8,6 @@ from repro.geometry import (
     Orientation,
     Point,
     Rect,
-    Segment,
     Transform,
 )
 
@@ -133,42 +132,6 @@ class TestRect:
         r1, r2 = Rect(a, b, c, d), Rect(e, f, g, h)
         assert r1.distance_to(r2) == r2.distance_to(r1)
         assert (r1.distance_to(r2) == 0) == r1.overlaps(r2)
-
-
-class TestSegment:
-    def test_rejects_diagonal(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            Segment(0, Point(0, 0), Point(3, 4))
-
-    def test_normalised_endpoints(self):
-        seg = Segment(0, Point(5, 2), Point(1, 2), width=2)
-        assert seg.start == Point(1, 2) and seg.end == Point(5, 2)
-        assert seg.is_horizontal and seg.length == 4
-
-    def test_bounding_box_uses_width(self):
-        seg = Segment(0, Point(0, 0), Point(4, 0), width=2)
-        assert seg.bounding_box() == Rect(-1, -1, 5, 1)
-
-    def test_contains_point(self):
-        seg = Segment(1, Point(0, 3), Point(0, 9))
-        assert seg.contains_point(Point(0, 5))
-        assert not seg.contains_point(Point(1, 5))
-
-    def test_spacing_and_overlap(self):
-        a = Segment(0, Point(0, 0), Point(4, 0), width=2)
-        b = Segment(0, Point(0, 4), Point(4, 4), width=2)
-        assert a.spacing_to(b) == 2
-        assert not a.overlaps(b)
-        assert a.overlaps(Segment(0, Point(2, 0), Point(2, 4), width=2))
-
-    def test_merge_collinear(self):
-        a = Segment(0, Point(0, 0), Point(4, 0), width=2)
-        b = Segment(0, Point(4, 0), Point(8, 0), width=2)
-        merged = a.merged_with(b)
-        assert merged == Segment(0, Point(0, 0), Point(8, 0), width=2)
-        assert a.merged_with(Segment(1, Point(4, 0), Point(8, 0), width=2)) is None
 
 
 class TestTransform:

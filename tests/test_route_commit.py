@@ -1,13 +1,13 @@
-"""The route commit against op-by-op commits, and the invariant it guards.
+"""The route commit against per-vertex commits, and the invariant it guards.
 
-:meth:`RoutingGrid.commit_route` applies one net's whole recorded commit
-log in one pass.  Random route logs go through it on one grid and op by op
-through :meth:`RoutingGrid.apply_op` on an identically built twin; after
+:meth:`RoutingGrid.commit_route` applies one net's whole recorded route
+log in one pass.  Random route logs go through it on one grid and entry by
+entry through the public mutators :meth:`RoutingGrid.occupy` /
+:meth:`RoutingGrid.set_vertex_color` on an identically built twin; after
 every commit both grids must hold the same
-:meth:`RoutingGrid.snapshot_state` (pressure bytes included) and their
-journals the same ops, and after every release each vertex the released net
-occupied or coloured must carry the mask of its single remaining owner, or
-no colour.
+:meth:`RoutingGrid.snapshot_state` (pressure bytes included), and after
+every release each vertex the released net occupied or coloured must carry
+the mask of its single remaining owner, or no colour.
 
 Every router computes a route against a grid that holds none of the net's
 metal, so ``compute_route`` must leave the grid untouched, and the route
@@ -26,8 +26,7 @@ from repro.bench import suite_case
 from repro.design import Design, Obstacle
 from repro.dr import DetailedRouter
 from repro.geometry import Rect
-from repro.grid import RoutingGrid
-from repro.journal import OP_COLOR, OP_OCCUPY
+from repro.grid import OP_COLOR, OP_OCCUPY, RoutingGrid
 from repro.sched import RecordingSink
 from repro.tech import DesignRules, make_default_tech
 from repro.tpl import MrTPLRouter
@@ -121,7 +120,6 @@ def test_route_commit_matches_op_by_op(seed, rng_rounds):
     for round_number in range(rng_rounds):
         params = random_params(rng)
         routed, stepped = build_grid(params), build_grid(params)
-        journals = [grid.attach_journal() for grid in (routed, stepped)]
         net_ids = {name: [grid.net_id(name) for grid in (routed, stepped)] for name in NETS}
         metal, occupied, colors = {}, {}, {}
         for step in range(8):
@@ -143,12 +141,15 @@ def test_route_commit_matches_op_by_op(seed, rng_rounds):
             ops = random_log(rng, routed, net_id, foreign, coverage)
             routed.commit_route(ops)
             for op in ops:
-                stepped.apply_op(op)
+                vertex = stepped.vertex_of(op[2])
+                if op[0] == OP_OCCUPY:
+                    stepped.occupy(vertex, name)
+                else:
+                    stepped.set_vertex_color(vertex, name, op[3])
             metal[name] = {op[2] for op in ops}
             occupied[name] = {op[2] for op in ops if op[0] == OP_OCCUPY}
             colors[name] = {op[2]: op[3] for op in ops if op[0] == OP_COLOR}
             assert routed.snapshot_state() == stepped.snapshot_state(), context
-            assert list(journals[0]) == list(journals[1]), context
     for case in ("recolour", "multi-owner", "layer1", "layer2", "clipped", "release"):
         assert coverage[case] > 0, coverage
 
@@ -243,13 +244,12 @@ def test_route_commit_refuses_mixed_logs_unchanged():
 
 @pytest.mark.parametrize("seed", [13, 43])
 def test_bulk_history_matches_per_vertex_history(seed, rng_rounds):
-    """``add_history_nodes`` leaves the grid and the journal as one
-    ``add_history`` per vertex does, decays in between included."""
+    """``add_history_nodes`` leaves the grid as one ``add_history`` per
+    vertex does, decays in between included."""
     rng = SeededRNG(seed)
     for round_number in range(rng_rounds):
         params = random_params(rng)
         bulk, single = build_grid(params), build_grid(params)
-        bulk_journal, single_journal = bulk.attach_journal(), single.attach_journal()
         for _ in range(rng.randint(1, 4)):
             nodes = list({rng.randint(0, bulk.num_vertices - 1) for _ in range(rng.randint(0, 12))})
             amount = rng.choice((0.25, 1.0, 1.5))
@@ -261,4 +261,3 @@ def test_bulk_history_matches_per_vertex_history(seed, rng_rounds):
                 single.decay_history()
         context = f"seed {seed}, round {round_number}"
         assert bulk.snapshot_state() == single.snapshot_state(), context
-        assert list(bulk_journal) == list(single_journal), context

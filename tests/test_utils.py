@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils import SeededRNG, Stopwatch, Timer, UpdatablePriorityQueue
+from repro.utils import SeededRNG, Timer, UpdatablePriorityQueue
 
 
 class TestUpdatablePriorityQueue:
@@ -78,20 +78,6 @@ class TestTimers:
     def test_timer_requires_start(self):
         with pytest.raises(RuntimeError):
             Timer().stop()
-
-    def test_stopwatch_accumulates(self):
-        watch = Stopwatch()
-        watch.start("a")
-        watch.stop("a")
-        watch.start("a")
-        total = watch.stop("a")
-        assert total == watch.phases["a"]
-        assert watch.total() >= 0.0
-        assert "total" in watch.report()
-
-    def test_stopwatch_unknown_phase(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop("never-started")
 
 
 class TestSeededRNG:
