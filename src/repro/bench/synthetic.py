@@ -10,10 +10,10 @@ pre-colored obstacles, and per-layer color-spacing rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.design import CellInstance, CellMaster, Design, Net, Obstacle, Pin
+from repro.design import CellInstance, CellMaster, Design, Net, Obstacle
 from repro.geometry import Orientation, Point, Rect
 from repro.tech import DesignRules, make_default_tech
 from repro.utils import SeededRNG
@@ -236,6 +236,14 @@ def _build_nets(
     ]
     used: set = set()
     radius_dbu = spec.net_radius * spec.pitch
+    # Instance centres, bucketed on a radius-sized grid: the instances near
+    # an anchor are then found in the few buckets around it, and sorting
+    # their indices restores the ``available`` order.
+    centres = [instance.footprint().center for instance in instances]
+    bucket_size = max(radius_dbu, 1)
+    buckets: Dict[Tuple[int, int], List[int]] = {}
+    for index, centre in enumerate(centres):
+        buckets.setdefault((centre.x // bucket_size, centre.y // bucket_size), []).append(index)
 
     for net_index in range(spec.num_nets):
         degree = rng.pin_count(spec.min_pins, spec.max_pins, spec.multi_pin_bias)
@@ -248,12 +256,23 @@ def _build_nets(
         if anchor is None:
             break
         anchor_point = anchor[0].footprint().center
+        nearby: List[int] = []
+        for bx in range(
+            (anchor_point.x - radius_dbu) // bucket_size,
+            (anchor_point.x + radius_dbu) // bucket_size + 1,
+        ):
+            for by in range(
+                (anchor_point.y - radius_dbu) // bucket_size,
+                (anchor_point.y + radius_dbu) // bucket_size + 1,
+            ):
+                nearby.extend(buckets.get((bx, by), ()))
         neighbourhood = [
-            (instance, pin_name)
-            for instance, pin_name in available
-            if (instance.name, pin_name) not in used
-            and instance.footprint().center.chebyshev_distance(anchor_point) <= radius_dbu
-            and (instance.name, pin_name) != (anchor[0].name, anchor[1])
+            (instances[index], pin_name)
+            for index in sorted(nearby)
+            if centres[index].chebyshev_distance(anchor_point) <= radius_dbu
+            for pin_name in ("A", "Z")
+            if (instances[index].name, pin_name) not in used
+            and (instances[index].name, pin_name) != (anchor[0].name, anchor[1])
         ]
         rng.shuffle(neighbourhood)
         members = [anchor] + neighbourhood[: degree - 1]

@@ -50,20 +50,23 @@ class RouteGuide:
         Detailed routers conventionally bloat guides slightly so pin access
         and small detours remain in-guide.
         """
-        grown: Set[GCell] = set()
+        num_layers = gcell_grid.num_layers
+        num_gx, num_gy = gcell_grid.num_gx, gcell_grid.num_gy
+        # Grow on (layer, gx, gy) ints, so each grown cell is built once.
+        grown: Set[Tuple[int, int, int]] = set()
         for cell in self.cells:
-            for dgx in range(-margin_cells, margin_cells + 1):
-                for dgy in range(-margin_cells, margin_cells + 1):
-                    candidate = GCell(cell.layer, cell.gx + dgx, cell.gy + dgy)
-                    if gcell_grid.in_bounds(candidate):
-                        grown.add(candidate)
+            layer, gx, gy = cell.layer, cell.gx, cell.gy
+            if 0 <= layer < num_layers:
+                for x in range(max(gx - margin_cells, 0), min(gx + margin_cells + 1, num_gx)):
+                    for y in range(max(gy - margin_cells, 0), min(gy + margin_cells + 1, num_gy)):
+                        grown.add((layer, x, y))
             # Guides should also cover the layers directly above/below so the
             # detailed router can drop vias without leaving the guide.
-            for dlayer in (-1, 1):
-                candidate = GCell(cell.layer + dlayer, cell.gx, cell.gy)
-                if gcell_grid.in_bounds(candidate):
-                    grown.add(candidate)
-        return RouteGuide(self.net_name, grown)
+            if 0 <= gx < num_gx and 0 <= gy < num_gy:
+                for via_layer in (layer - 1, layer + 1):
+                    if 0 <= via_layer < num_layers:
+                        grown.add((via_layer, gx, gy))
+        return RouteGuide(self.net_name, {GCell(*cell) for cell in grown})
 
 
 class GuideSet:
@@ -142,8 +145,9 @@ class GuideTables:
     def slot_map(self) -> array:
         """Return the ``array('i')`` map from flat vertex index to gcell slot.
 
-        Slot ``(layer * num_gx + gx) * num_gy + gy`` addresses the gcell
-        holding the vertex.  Each grid column/row is bucketed with
+        Slot ``(layer * num_gx + gx) * num_gy + gy``
+        (:meth:`GCellGrid.slot_of`, the global router's numbering) addresses
+        the gcell holding the vertex.  Each grid column/row is bucketed with
         :meth:`GCellGrid.cell_of_point`'s exact clamped arithmetic (the axes
         are independent), so lookups agree with per-point
         :meth:`GuideSet.covers_point` queries.  Built once, lazily; without
@@ -198,9 +202,10 @@ class GuideTables:
             mask = self._open_mask
         else:
             inside = bytearray(num_layers * num_gx * num_gy)
+            slot_of = self.guides.gcell_grid.slot_of
             for cell in guide.cells:
                 if 0 <= cell.layer < num_layers and 0 <= cell.gx < num_gx and 0 <= cell.gy < num_gy:
-                    inside[(cell.layer * num_gx + cell.gx) * num_gy + cell.gy] = 1
+                    inside[slot_of(cell)] = 1
             mask = bytes(inside)
         self._masks[net_name] = mask
         return mask

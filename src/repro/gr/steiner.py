@@ -102,7 +102,31 @@ def rectilinear_mst(points: Sequence[Point]) -> List[Tuple[Point, Point]]:
 
 def mst_length(points: Sequence[Point]) -> int:
     """Return the Manhattan MST length of *points*."""
-    return sum(a.manhattan_distance(b) for a, b in rectilinear_mst(points))
+    return _mst_length([(p.x, p.y) for p in points])
+
+
+def _mst_length(coords: List[Tuple[int, int]]) -> int:
+    """Return the Manhattan MST length of the ``(x, y)`` points *coords*.
+
+    Prim's algorithm on plain ints.  Every MST has the same length, so the
+    order in which equally near points join cannot change the result.
+    """
+    if len(coords) <= 1:
+        return 0
+    (x0, y0), *others = coords
+    # (distance to the tree, x, y) of every point not yet joined.
+    rest = [(abs(x - x0) + abs(y - y0), x, y) for x, y in others]
+    total = 0
+    while rest:
+        nearest = min(rest)
+        rest.remove(nearest)
+        distance, px, py = nearest
+        total += distance
+        rest = [
+            (d if d <= (e := abs(x - px) + abs(y - py)) else e, x, y)
+            for d, x, y in rest
+        ]
+    return total
 
 
 def hanan_steiner_points(points: Sequence[Point]) -> List[Point]:
@@ -112,10 +136,14 @@ def hanan_steiner_points(points: Sequence[Point]) -> List[Point]:
     lines through the terminals; an optimal rectilinear Steiner tree only
     needs Steiner points from this grid.
     """
-    xs = sorted({p.x for p in points})
-    ys = sorted({p.y for p in points})
-    terminals = set(points)
-    return [Point(x, y) for x in xs for y in ys if Point(x, y) not in terminals]
+    return [Point(x, y) for x, y in _hanan_coords([(p.x, p.y) for p in points])]
+
+
+def _hanan_coords(coords: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Return the Hanan grid points of *coords* that are not in *coords*."""
+    taken = set(coords)
+    ys = sorted({y for _, y in coords})
+    return [(x, y) for x in sorted({x for x, _ in coords}) for y in ys if (x, y) not in taken]
 
 
 def build_steiner_tree(points: Sequence[Point], max_steiner_points: int = 16) -> SteinerTree:
@@ -132,25 +160,24 @@ def build_steiner_tree(points: Sequence[Point], max_steiner_points: int = 16) ->
     terminals = list(dict.fromkeys(points))
     if len(terminals) <= 1:
         return SteinerTree(terminals=terminals, edges=[])
-    current_points: List[Point] = list(terminals)
     steiner: List[Point] = []
-    current_length = mst_length(current_points)
+    # Candidates are scored on int coordinates.
+    coords = [(p.x, p.y) for p in terminals]
+    current_length = _mst_length(coords)
     for _ in range(max_steiner_points):
-        candidates = hanan_steiner_points(current_points)
         best_gain = 0
         best_candidate = None
-        for candidate in candidates:
-            new_length = mst_length(current_points + [candidate])
-            gain = current_length - new_length
+        for candidate in _hanan_coords(coords):
+            gain = current_length - _mst_length(coords + [candidate])
             if gain > best_gain:
                 best_gain = gain
                 best_candidate = candidate
         if best_candidate is None:
             break
-        steiner.append(best_candidate)
-        current_points.append(best_candidate)
+        steiner.append(Point(*best_candidate))
+        coords.append(best_candidate)
         current_length -= best_gain
-    edges = rectilinear_mst(current_points)
+    edges = rectilinear_mst(terminals + steiner)
     # Drop Steiner points of degree <= 1: they do not help the tree.
     tree = SteinerTree(terminals=terminals, steiner_points=steiner, edges=edges)
     pruned = [p for p in steiner if tree.degree_of(p) >= 2]

@@ -10,10 +10,10 @@ evaluated within the guide region.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.design import Design
-from repro.geometry import GridPoint, Point, Rect
+from repro.geometry import Point, Rect
 
 
 @dataclass(frozen=True, order=True)
@@ -50,11 +50,11 @@ class GCellGrid:
         self.num_layers = design.tech.num_layers
         self.num_gx = max(1, -(-die.width // gcell_size))
         self.num_gy = max(1, -(-die.height // gcell_size))
-        # Edge usage between planar-adjacent gcells: key is a canonical pair.
-        self._usage: Dict[Tuple[GCell, GCell], int] = {}
-        # Capacity reductions from blockages.
-        self._blocked_fraction: Dict[GCell, float] = {}
-        self._apply_blockages()
+        # Boundary usage between planar-adjacent gcells, keyed by the slot
+        # pair with the lower slot first.
+        self._usage: Dict[Tuple[int, int], int] = {}
+        #: Boundary capacity of every slot, reduced by blockage coverage.
+        self.slot_capacity: List[float] = self._slot_capacities()
 
     # -- geometry -----------------------------------------------------------
 
@@ -65,6 +65,19 @@ class GCellGrid:
             and 0 <= cell.gx < self.num_gx
             and 0 <= cell.gy < self.num_gy
         )
+
+    def slot_of(self, cell: GCell) -> int:
+        """Return the flat slot ``(layer * num_gx + gx) * num_gy + gy`` of *cell*.
+
+        Slots order like cells, so the lower slot of a pair is the lower cell.
+        """
+        return (cell.layer * self.num_gx + cell.gx) * self.num_gy + cell.gy
+
+    def cell_of_slot(self, slot: int) -> GCell:
+        """Return the cell addressed by flat *slot* (inverse of :meth:`slot_of`)."""
+        rest, gy = divmod(slot, self.num_gy)
+        layer, gx = divmod(rest, self.num_gx)
+        return GCell(layer, gx, gy)
 
     def cell_of_point(self, layer: int, point: Point) -> GCell:
         """Return the GCell containing *point* on *layer* (clamped to bounds)."""
@@ -103,22 +116,29 @@ class GCellGrid:
                 yield candidate
 
     # -- congestion accounting ------------------------------------------------
+    #
+    # The global router works on slots; the GCell methods wrap the slot ones.
 
-    def _edge_key(self, a: GCell, b: GCell) -> Tuple[GCell, GCell]:
+    @staticmethod
+    def _usage_key(a: int, b: int) -> Tuple[int, int]:
         return (a, b) if a <= b else (b, a)
 
     def usage(self, a: GCell, b: GCell) -> int:
         """Return the number of nets currently crossing the ``a``-``b`` boundary."""
-        return self._usage.get(self._edge_key(a, b), 0)
+        return self._usage.get(self._usage_key(self.slot_of(a), self.slot_of(b)), 0)
 
     def add_usage(self, a: GCell, b: GCell, amount: int = 1) -> None:
         """Record *amount* additional nets crossing the ``a``-``b`` boundary."""
-        key = self._edge_key(a, b)
+        self.add_slot_usage(self.slot_of(a), self.slot_of(b), amount)
+
+    def add_slot_usage(self, a: int, b: int, amount: int = 1) -> None:
+        """Record *amount* additional nets crossing the slot ``a``-``b`` boundary."""
+        key = self._usage_key(a, b)
         self._usage[key] = self._usage.get(key, 0) + amount
 
     def effective_capacity(self, cell: GCell) -> float:
         """Return the boundary capacity of *cell* reduced by blockage coverage."""
-        return self.capacity * (1.0 - self._blocked_fraction.get(cell, 0.0))
+        return self.slot_capacity[self.slot_of(cell)]
 
     def congestion_cost(self, a: GCell, b: GCell) -> float:
         """Return a smooth congestion penalty for crossing the ``a``-``b`` boundary."""
@@ -129,22 +149,37 @@ class GCellGrid:
 
     def total_overflow(self) -> float:
         """Return the summed overflow over all boundaries (GR quality metric)."""
+        capacity_of = self.slot_capacity
         overflow = 0.0
         for (a, b), usage in self._usage.items():
-            capacity = max(min(self.effective_capacity(a), self.effective_capacity(b)), 0.5)
+            capacity = max(min(capacity_of[a], capacity_of[b]), 0.5)
             overflow += max(0.0, usage - capacity)
         return overflow
 
-    def _apply_blockages(self) -> None:
+    def _slot_capacities(self) -> List[float]:
+        size = self.gcell_size
+        cell_area = size * size
+        blocked: Dict[int, float] = {}
         for shape in self.design.blockage_shapes():
-            if not 0 <= shape.layer < self.num_layers:
+            layer, rect = shape.layer, shape.rect
+            if not 0 <= layer < self.num_layers:
                 continue
-            for cell in self.cells_covering(shape.layer, shape.rect):
-                cell_rect = self.cell_rect(cell)
-                overlap = cell_rect.intersection(shape.rect)
-                if overlap is None or cell_rect.area == 0:
+            lo = self.cell_of_point(layer, Point(rect.xlo, rect.ylo))
+            hi = self.cell_of_point(layer, Point(rect.xhi, rect.yhi))
+            # The blocked fraction of each covered cell is the area of its
+            # closed-rect intersection with the shape over its own area.
+            for gx in range(lo.gx, hi.gx + 1):
+                cell_xlo = self.origin.x + gx * size
+                width = min(cell_xlo + size, rect.xhi) - max(cell_xlo, rect.xlo)
+                if width < 0:
                     continue
-                fraction = overlap.area / cell_rect.area
-                self._blocked_fraction[cell] = min(
-                    1.0, self._blocked_fraction.get(cell, 0.0) + fraction
-                )
+                for gy in range(lo.gy, hi.gy + 1):
+                    cell_ylo = self.origin.y + gy * size
+                    height = min(cell_ylo + size, rect.yhi) - max(cell_ylo, rect.ylo)
+                    if height < 0:
+                        continue
+                    slot = (layer * self.num_gx + gx) * self.num_gy + gy
+                    fraction = width * height / cell_area
+                    blocked[slot] = min(1.0, blocked.get(slot, 0.0) + fraction)
+        slots = range(self.num_layers * self.num_gx * self.num_gy)
+        return [self.capacity * (1.0 - blocked.get(slot, 0.0)) for slot in slots]

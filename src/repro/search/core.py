@@ -37,10 +37,10 @@ preallocated output buffers and returns a count::
     count = expand(node, cost, aux, succ_node, succ_cost, succ_aux)
 
 The loop uses :mod:`heapq` with lazy deletion and a monotone push counter,
-which reproduces the pop order of the repo's ``UpdatablePriorityQueue``
-(entries replaced on a strict improvement sort by the new, larger counter;
-ties between distinct nodes resolve by push order).  The compiled kernel
-reproduces the same order, so both tiers produce bit-identical labels.
+so entries pop in ``(f, counter)`` order: a node re-pushed on a strict
+improvement sorts by its new, larger counter, and ties between distinct
+nodes resolve by push order.  The compiled kernel reproduces the same
+order, so both tiers produce bit-identical labels.
 """
 
 from __future__ import annotations

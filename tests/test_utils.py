@@ -1,72 +1,8 @@
-"""Tests for the shared utility data structures."""
+"""Tests for the shared utility helpers."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.utils import SeededRNG, Timer, UpdatablePriorityQueue
-
-
-class TestUpdatablePriorityQueue:
-    def test_orders_by_priority(self):
-        queue = UpdatablePriorityQueue()
-        queue.push("b", 2)
-        queue.push("a", 1)
-        queue.push("c", 3)
-        assert [queue.pop()[0] for _ in range(3)] == ["a", "b", "c"]
-
-    def test_decrease_key(self):
-        queue = UpdatablePriorityQueue()
-        queue.push("x", 10)
-        queue.push("y", 5)
-        queue.push("x", 1)
-        assert queue.pop() == ("x", 1)
-        assert queue.pop() == ("y", 5)
-
-    def test_push_if_better(self):
-        queue = UpdatablePriorityQueue()
-        assert queue.push_if_better("a", 5)
-        assert not queue.push_if_better("a", 7)
-        assert queue.push_if_better("a", 2)
-        assert queue.priority_of("a") == 2
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(KeyError):
-            UpdatablePriorityQueue().pop()
-
-    def test_discard_and_contains(self):
-        queue = UpdatablePriorityQueue()
-        queue.push("a", 1)
-        assert "a" in queue
-        assert queue.discard("a")
-        assert "a" not in queue
-        assert not queue.discard("a")
-
-    def test_peek_does_not_remove(self):
-        queue = UpdatablePriorityQueue()
-        queue.push("a", 1)
-        assert queue.peek() == ("a", 1)
-        assert len(queue) == 1
-
-    def test_ties_are_fifo(self):
-        queue = UpdatablePriorityQueue()
-        queue.push("first", 1)
-        queue.push("second", 1)
-        assert queue.pop()[0] == "first"
-
-    @given(st.lists(st.tuples(st.integers(0, 20), st.integers(-100, 100)), max_size=60))
-    def test_pops_in_nondecreasing_priority(self, operations):
-        queue = UpdatablePriorityQueue()
-        reference = {}
-        for key, priority in operations:
-            queue.push(key, priority)
-            reference[key] = priority
-        popped = []
-        while queue:
-            item, priority = queue.pop()
-            assert reference.pop(item) == priority
-            popped.append(priority)
-        assert popped == sorted(popped)
-        assert not reference
+from repro.utils import SeededRNG, Timer
 
 
 class TestTimers:
