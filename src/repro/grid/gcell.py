@@ -10,7 +10,7 @@ evaluated within the guide region.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.design import Design
 from repro.geometry import Point, Rect
@@ -58,14 +58,6 @@ class GCellGrid:
 
     # -- geometry -----------------------------------------------------------
 
-    def in_bounds(self, cell: GCell) -> bool:
-        """Return ``True`` when *cell* lies inside the grid."""
-        return (
-            0 <= cell.layer < self.num_layers
-            and 0 <= cell.gx < self.num_gx
-            and 0 <= cell.gy < self.num_gy
-        )
-
     def slot_of(self, cell: GCell) -> int:
         """Return the flat slot ``(layer * num_gx + gx) * num_gy + gy`` of *cell*.
 
@@ -100,20 +92,6 @@ class GCellGrid:
             for gy in range(lo.gy, hi.gy + 1):
                 cells.append(GCell(layer, gx, gy))
         return cells
-
-    def neighbors(self, cell: GCell) -> Iterator[GCell]:
-        """Yield planar and via neighbours of *cell*."""
-        candidates = [
-            GCell(cell.layer, cell.gx + 1, cell.gy),
-            GCell(cell.layer, cell.gx - 1, cell.gy),
-            GCell(cell.layer, cell.gx, cell.gy + 1),
-            GCell(cell.layer, cell.gx, cell.gy - 1),
-            GCell(cell.layer + 1, cell.gx, cell.gy),
-            GCell(cell.layer - 1, cell.gx, cell.gy),
-        ]
-        for candidate in candidates:
-            if self.in_bounds(candidate):
-                yield candidate
 
     # -- congestion accounting ------------------------------------------------
     #

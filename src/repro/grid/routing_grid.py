@@ -26,9 +26,12 @@ to ``index = (layer * num_cols + col) * num_rows + row`` (see
 per-vertex state lives in dense ``array``/``bytearray`` buffers indexed by
 that integer, so the search engines' hot path is O(1) array reads with no
 :class:`~repro.geometry.GridPoint` allocation and no dict hashing.  A
-precomputed neighbour table (:meth:`RoutingGrid.neighbor_table`) stores, for
-every vertex, its six neighbour indices in :data:`ALL_DIRECTIONS` order
-(``-1`` for out-of-bounds).  Routes (:class:`~repro.grid.NetRoute`) store
+neighbour table (:meth:`RoutingGrid.neighbor_table`) stores, for every
+vertex, its six neighbour indices in :data:`ALL_DIRECTIONS` order (``-1``
+for out-of-bounds).  It is built on first use, by slice assignments at C
+speed (:func:`build_neighbor_table`), so grids that are never searched
+never pay for it; the pool executor builds it just before its first fork,
+so its workers inherit it.  Routes (:class:`~repro.grid.NetRoute`) store
 the same flat indices, so routers, commits, rip-up and the checkers never
 convert.  ``GridPoint`` methods remain where callers hold vertices
 (geometry mapping, pin access, the public mutators); state reads that
@@ -148,6 +151,43 @@ INDEX_DIRECTION: Tuple[Direction, ...] = ALL_DIRECTIONS
 FIRST_VIA_DIRECTION = 4
 
 
+def build_neighbor_table(num_layers: int, num_cols: int, num_rows: int) -> array:
+    """Return the flat neighbour table of a ``num_layers x num_cols x num_rows``
+    grid (layout in :meth:`RoutingGrid.neighbor_table`).
+
+    Every direction slot is filled by slice assignments from one
+    ``array`` of the vertex indices, so the O(6 V) work runs at C speed:
+    north/south/up/down are one shifted copy each over the whole table,
+    with the last-row north and first-row south entries reset to ``-1``
+    by strided slices; east/west take one slice per layer, because the
+    last/first column of a layer is a contiguous run of ``num_rows``
+    vertices.
+    """
+    rows = num_rows
+    plane = num_cols * num_rows
+    count = num_layers * plane
+    step = NUM_DIRECTIONS
+    # From a list: about 1.6x faster than iterating the range directly.
+    index = array("i", list(range(count)))
+    table = array("i", [-1]) * (step * count)
+    for first in range(0, count, plane):
+        last = first + plane
+        # East: every column but the last moves one column (rows) up.
+        table[step * first : step * (last - rows) : step] = index[first + rows : last]
+        # West: every column but the first moves one column down.
+        table[step * (first + rows) + 1 : step * last : step] = index[first : last - rows]
+    # North / south: one row up / down, then reset the grid edge rows.
+    edge_row = array("i", [-1]) * (count // rows)
+    table[2 : step * (count - 1) : step] = index[1:]
+    table[step * (rows - 1) + 2 :: step * rows] = edge_row
+    table[step + 3 :: step] = index[: count - 1]
+    table[3 :: step * rows] = edge_row
+    # Up / down: one plane up / down.
+    table[4 : step * (count - plane) : step] = index[plane:]
+    table[step * plane + 5 :: step] = index[: count - plane]
+    return table
+
+
 class RoutingGrid:
     """Mutable routing grid over a :class:`~repro.design.Design`.
 
@@ -257,39 +297,16 @@ class RoutingGrid:
 
         Entry ``index * 6 + d`` holds the neighbour index of vertex *index*
         in direction ``ALL_DIRECTIONS[d]``, or ``-1`` when that move leaves
-        the grid.  Built once, lazily, in O(6 V).
+        the grid.  Built once, on first call, by :func:`build_neighbor_table`:
+        O(6 V) work in a few slice assignments, no per-vertex Python loop.
+        :class:`repro.sched.BatchExecutor` calls this before it forks pool
+        workers, so they inherit the table instead of each building one.
         """
         if self._neighbor_table is None:
-            self._neighbor_table = self._build_neighbor_table()
+            self._neighbor_table = build_neighbor_table(
+                self.num_layers, self.num_cols, self.num_rows
+            )
         return self._neighbor_table
-
-    def _build_neighbor_table(self) -> array:
-        layers, cols, rows = self.num_layers, self.num_cols, self.num_rows
-        plane = self.plane_size
-        table = [-1] * (NUM_DIRECTIONS * self.num_vertices)
-        index = 0
-        for layer in range(layers):
-            up_ok = layer + 1 < layers
-            down_ok = layer > 0
-            for col in range(cols):
-                east_ok = col + 1 < cols
-                west_ok = col > 0
-                for row in range(rows):
-                    base = NUM_DIRECTIONS * index
-                    if east_ok:
-                        table[base] = index + rows
-                    if west_ok:
-                        table[base + 1] = index - rows
-                    if row + 1 < rows:
-                        table[base + 2] = index + 1
-                    if row > 0:
-                        table[base + 3] = index - 1
-                    if up_ok:
-                        table[base + 4] = index + plane
-                    if down_ok:
-                        table[base + 5] = index - plane
-                    index += 1
-        return array("i", table)
 
     # ------------------------------------------------------------------
     # Route commit

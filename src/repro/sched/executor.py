@@ -21,7 +21,9 @@ plans, through one of two backends:
     routing pass.  Workers fork lazily, when a batch first needs them, and
     are closed when the call returns, so rip-up, history updates and
     keep-best restores between passes never meet a live worker: the next
-    pass forks from the updated parent.  Within a pass the grid changes only
+    pass forks from the updated parent.  Just before a pass's first fork
+    the parent builds the grid's lazy neighbour table and guide slot map,
+    so every worker inherits them.  Within a pass the grid changes only
     by route commits, and once the pool exists the executor keeps every
     route log it commits (accepted speculative logs, live fallbacks,
     serial batches).  Before each batch a worker receives the logs it has
@@ -422,7 +424,7 @@ class BatchExecutor:
     ----------
     router:
         Any of the three routers; must expose ``grid``, ``design``,
-        ``compute_route(net, sink, engine=...)`` and
+        ``cost_model``, ``compute_route(net, sink, engine=...)`` and
         ``make_search_engine()``.
     backend:
         ``"serial"`` (deterministic default) or ``"pool"`` (workers forked
@@ -592,6 +594,11 @@ class BatchExecutor:
 
     def _compute_batch_pooled(self, batch: Sequence[Net]) -> List[SpeculativeRoute]:
         if self._pool is None:
+            # Build the grid's lazy lookup tables here, before the first
+            # fork: every worker inherits them through fork instead of
+            # building its own, and the parent's live fallbacks reuse them.
+            self.router.grid.neighbor_table()
+            self.router.cost_model.guide_slot_map()
             self._pool = WorkerPool(self.router, self.parallelism, self.stats, self._logs)
         deadline = BATCH_DEADLINE_BASE + BATCH_DEADLINE_PER_NET * len(batch)
         raw = self._pool.compute([net.name for net in batch], deadline)

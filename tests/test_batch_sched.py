@@ -26,7 +26,9 @@ from repro.bench.suites import sparse_suite, suite_case
 from repro.design import Net, Pin
 from repro.dr.router import DetailedRouter
 from repro.geometry import Rect
+from repro.gr.guide import GuideTables
 from repro.grid import RoutingGrid, RoutingSolution
+from repro.grid import routing_grid as routing_grid_module
 from repro.sched import (
     BatchScheduler,
     GridSink,
@@ -480,6 +482,56 @@ def test_pool_forks_once_per_pass_and_ships_logs():
     assert (merged["replayed_ops"], merged["suffix_bytes"]) == (
         stats.replayed_ops, stats.suffix_bytes,
     )
+
+
+@needs_fork
+def test_pool_pass_builds_lookup_tables_once_in_parent_before_forking(tmp_path, monkeypatch):
+    """Workers inherit the neighbour table and guide slot map through fork:
+    the parent builds each before its first fork, and no worker builds one."""
+    record = tmp_path / "builds.txt"
+
+    def note(event):
+        with open(record, "a") as handle:
+            handle.write(f"{event} {os.getpid()}\n")
+
+    build_table = routing_grid_module.build_neighbor_table
+
+    def recording_build_table(*shape):
+        note("table")
+        return build_table(*shape)
+
+    slot_map = GuideTables.slot_map
+
+    def recording_slot_map(tables):
+        if tables._slot_of is None:
+            note("slots")
+        return slot_map(tables)
+
+    start_worker = WorkerPool._start_worker
+
+    def recording_start_worker(pool):
+        note("fork")
+        start_worker(pool)
+
+    monkeypatch.setattr(routing_grid_module, "build_neighbor_table", recording_build_table)
+    monkeypatch.setattr(GuideTables, "slot_map", recording_slot_map)
+    monkeypatch.setattr(WorkerPool, "_start_worker", recording_start_worker)
+    router = MrTPLRouter(
+        build_case("sparse", 1, 0.5),
+        use_global_router=False,
+        max_iterations=0,
+        parallelism=2,
+        batch_backend="pool",
+        min_fork_batch=2,
+    )
+    router.run()
+    assert router.batch_executor.stats.pool_forks == 2
+    events = [line.split() for line in record.read_text().splitlines()]
+    assert {pid for _, pid in events} == {str(os.getpid())}
+    kinds = [kind for kind, _ in events]
+    assert kinds.count("table") == 1
+    first_fork = kinds.index("fork")
+    assert kinds.index("table") < first_fork and kinds.index("slots") < first_fork
 
 
 @needs_fork

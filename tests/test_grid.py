@@ -315,12 +315,6 @@ class TestGCellGrid:
         free_cell = GCell(1, 4, 4)
         assert gcells.effective_capacity(blocked_cell) < gcells.effective_capacity(free_cell)
 
-    def test_neighbors_stay_in_bounds(self):
-        design = make_design()
-        gcells = GCellGrid(design, gcell_size=16)
-        for neighbor in gcells.neighbors(GCell(0, 0, 0)):
-            assert gcells.in_bounds(neighbor)
-
 
 #: ``route_dims`` of every ``make_design`` grid.
 DIMS = RoutingGrid(make_design()).route_dims
