@@ -6,10 +6,12 @@ repeats the check on the full-scale suite cases.  For each case in
 :data:`CASES` and each router it routes a serial reference on the default
 tiers, then routes the same design on every leg of :data:`LEGS` and
 requires the same ``solution_fingerprint`` and ``solution_metrics``.  The
-pool leg is skipped where the ``fork`` start method is unavailable.  One
-checkpoint leg per reference restores the grid from a checkpoint document
-onto a fresh grid and requires the ``snapshot_state()`` of the reference's
-live grid.
+"search window off" leg makes every search run over the whole grid, so it
+checks that the guide windows (with their unbounded re-run) change no
+route.  The pool leg is skipped where the ``fork`` start method is
+unavailable.  One checkpoint leg per reference restores the grid from a
+checkpoint document onto a fresh grid and requires the ``snapshot_state()``
+of the reference's live grid.
 
 Every mismatch is printed; the exit status is non-zero if there is one.
 
@@ -30,6 +32,7 @@ from repro.baselines.dac2012 import Dac2012Router  # noqa: E402
 from repro.bench.micro import solution_fingerprint, solution_metrics  # noqa: E402
 from repro.bench.suites import suite_case  # noqa: E402
 from repro.dr.router import DetailedRouter  # noqa: E402
+from repro.gr.guide import GuideTables  # noqa: E402
 from repro.grid import RoutingGrid  # noqa: E402
 from repro.io.checkpoint_io import checkpoint_from_dict, checkpoint_to_dict  # noqa: E402
 from repro.tpl.mr_tpl import MrTPLRouter  # noqa: E402
@@ -51,11 +54,26 @@ SCALE = 1.0
 
 HAVE_FORK = sys.platform != "win32" and "fork" in multiprocessing.get_all_start_methods()
 
-#: ``(name, tier gates forced off, router keyword arguments, needs fork)``.
+_SEARCH_WINDOW = GuideTables.search_window
+
+
+def set_search_window_enabled(enabled):
+    """Gate the per-net search windows the way ``accel`` gates a tier.
+
+    Off, ``GuideTables.search_window`` returns ``None`` for every net.
+    Returns the previous setting.
+    """
+    previous = GuideTables.search_window is _SEARCH_WINDOW
+    GuideTables.search_window = _SEARCH_WINDOW if enabled else (lambda self, net_name: None)
+    return previous
+
+
+#: ``(name, gates forced off, router keyword arguments, needs fork)``.
 #: The pure-python leg closes both native gates, so it runs the Python
 #: search loop and the Python check scan together.
 LEGS = (
     ("native search off", (accel.set_native_enabled,), {}, False),
+    ("search window off", (set_search_window_enabled,), {}, False),
     ("native check off", (accel.set_check_native_enabled,), {}, False),
     (
         "pure python",

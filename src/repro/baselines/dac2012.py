@@ -94,7 +94,10 @@ class MaskExpandedSearch(RouteScopedExpand):
 
         expand = self.expand_for(net_name)
         self.core.max_expansions = self.max_expansions
-        core = self.core.run(seeds, target_nodes, expand, bounds=bounds, node_stride=3)
+        window = self.cost_model.guide_tables.search_window(net_name)
+        core = self.core.run(
+            seeds, target_nodes, expand, bounds=bounds, node_stride=3, window=window
+        )
         if not core.found:
             return None
         nodes = core.node_path()

@@ -147,7 +147,10 @@ class MazeRouter(RouteScopedExpand):
 
         expand = self.expand_for(net_name)
         self.core.max_expansions = self.max_expansions
-        core = self.core.run(seeds, target_nodes, expand, bounds=bounds, accept=accept)
+        window = self.cost_model.guide_tables.search_window(net_name)
+        core = self.core.run(
+            seeds, target_nodes, expand, bounds=bounds, accept=accept, window=window
+        )
         return SearchResult(core, grid)
 
     def make_expand(self, net_name: str) -> Callable:

@@ -10,11 +10,18 @@ can charge the out-of-guide penalty of the contest cost model.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.geometry import Point, Rect
+from repro.grid import CellWindow
 from repro.grid.gcell import GCell, GCellGrid
+
+#: GCells by which :meth:`GuideTables.search_window` grows a guide's box.
+#: A margin of 1 saves more search work but moves routing results; 2 keeps
+#: every measured result unchanged.
+SEARCH_WINDOW_MARGIN = 2
 
 
 @dataclass
@@ -137,10 +144,35 @@ class GuideTables:
         self._num_gx = gcells.num_gx if gcells is not None else 1
         self._num_gy = gcells.num_gy if gcells is not None else 1
         self._slot_of: Optional[array] = None
-        # Guides are immutable once built, so masks never invalidate; nets
-        # without a guide share one all-ones mask.
+        # Gcell column of every grid column and gcell row of every grid row.
+        self._gx_of: Optional[List[int]] = None
+        self._gy_of: Optional[List[int]] = None
+        # Guides are immutable once built, so masks and windows never
+        # invalidate; nets without a guide share one all-ones mask.
         self._masks: Dict[str, bytes] = {}
         self._open_mask: Optional[bytes] = None
+        self._windows: Dict[str, Optional[CellWindow]] = {}
+
+    def _buckets(self) -> Tuple[List[int], List[int]]:
+        """Return the gcell column of each grid column and the gcell row of
+        each grid row (all 0 without a guide set)."""
+        if self._gx_of is None:
+            grid = self.grid
+            if self.guides is None:
+                self._gx_of = [0] * grid.num_cols
+                self._gy_of = [0] * grid.num_rows
+            else:
+                gcells = self.guides.gcell_grid
+                size = gcells.gcell_size
+
+                def buckets(count: int, grid_origin: int, gcell_origin: int, limit: int) -> List[int]:
+                    start = grid_origin - gcell_origin
+                    offsets = (start + ordinal * grid.pitch for ordinal in range(count))
+                    return [min(max(offset // size, 0), limit - 1) for offset in offsets]
+
+                self._gx_of = buckets(grid.num_cols, grid.origin.x, gcells.origin.x, self._num_gx)
+                self._gy_of = buckets(grid.num_rows, grid.origin.y, gcells.origin.y, self._num_gy)
+        return self._gx_of, self._gy_of
 
     def slot_map(self) -> array:
         """Return the ``array('i')`` map from flat vertex index to gcell slot.
@@ -157,20 +189,7 @@ class GuideTables:
             return self._slot_of
         grid = self.grid
         num_gx, num_gy = self._num_gx, self._num_gy
-        if self.guides is None:
-            gx_of = [0] * grid.num_cols
-            gy_of = [0] * grid.num_rows
-        else:
-            gcells = self.guides.gcell_grid
-            size = gcells.gcell_size
-
-            def buckets(count: int, grid_origin: int, gcell_origin: int, limit: int) -> List[int]:
-                start = grid_origin - gcell_origin
-                offsets = (start + ordinal * grid.pitch for ordinal in range(count))
-                return [min(max(offset // size, 0), limit - 1) for offset in offsets]
-
-            gx_of = buckets(grid.num_cols, grid.origin.x, gcells.origin.x, num_gx)
-            gy_of = buckets(grid.num_rows, grid.origin.y, gcells.origin.y, num_gy)
+        gx_of, gy_of = self._buckets()
         # Every grid column of one (layer, gcell column) shares its run of
         # row slots.
         columns: Dict[int, array] = {}
@@ -209,3 +228,38 @@ class GuideTables:
             mask = bytes(inside)
         self._masks[net_name] = mask
         return mask
+
+    def search_window(self, net_name: str) -> Optional[CellWindow]:
+        """Return the planar window the searches of *net_name* run in.
+
+        The bounding box of the net's guide cells over all layers, grown by
+        :data:`SEARCH_WINDOW_MARGIN` gcells and clamped to the gcell grid,
+        as the inclusive ``(col_lo, row_lo, col_hi, row_hi)`` of every grid
+        column and row that :meth:`slot_map`'s bucketing puts inside it.
+        Cached; ``None`` for an unguided net (and without a guide set).
+        """
+        if net_name in self._windows:
+            return self._windows[net_name]
+        window = None
+        guide = self.guides.guide_of(net_name) if self.guides is not None else None
+        if guide is not None:
+            num_layers, num_gx, num_gy = self.grid.num_layers, self._num_gx, self._num_gy
+            cells = [
+                (cell.gx, cell.gy)
+                for cell in guide.cells
+                if 0 <= cell.layer < num_layers and 0 <= cell.gx < num_gx and 0 <= cell.gy < num_gy
+            ]
+            if cells:
+                margin = SEARCH_WINDOW_MARGIN
+                gx_lo = max(min(gx for gx, _ in cells) - margin, 0)
+                gx_hi = min(max(gx for gx, _ in cells) + margin, num_gx - 1)
+                gy_lo = max(min(gy for _, gy in cells) - margin, 0)
+                gy_hi = min(max(gy for _, gy in cells) + margin, num_gy - 1)
+                # The buckets are non-decreasing along each axis.
+                gx_of, gy_of = self._buckets()
+                col_lo, col_hi = bisect_left(gx_of, gx_lo), bisect_right(gx_of, gx_hi) - 1
+                row_lo, row_hi = bisect_left(gy_of, gy_lo), bisect_right(gy_of, gy_hi) - 1
+                if col_lo <= col_hi and row_lo <= row_hi:
+                    window = (col_lo, row_lo, col_hi, row_hi)
+        self._windows[net_name] = window
+        return window

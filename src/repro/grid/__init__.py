@@ -10,6 +10,7 @@ routing guides Mr.TPL uses to bound its color-cost region.
 
 from repro.grid.routing_grid import (
     ALL_DIRECTIONS,
+    CellWindow,
     DIRECTION_INDEX,
     FIRST_VIA_DIRECTION,
     INDEX_DIRECTION,
@@ -24,6 +25,7 @@ from repro.grid.route import NetRoute, RoutingSolution, Stitch
 from repro.grid.gcell import GCellGrid
 
 __all__ = [
+    "CellWindow",
     "Direction",
     "RoutingGrid",
     "PLANAR_DIRECTIONS",

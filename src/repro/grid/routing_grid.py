@@ -150,6 +150,9 @@ INDEX_DIRECTION: Tuple[Direction, ...] = ALL_DIRECTIONS
 #: Slots >= this index are via (layer-changing) moves.
 FIRST_VIA_DIRECTION = 4
 
+#: Inclusive planar cell window: ``(col_lo, row_lo, col_hi, row_hi)``.
+CellWindow = Tuple[int, int, int, int]
+
 
 def build_neighbor_table(num_layers: int, num_cols: int, num_rows: int) -> array:
     """Return the flat neighbour table of a ``num_layers x num_cols x num_rows``

@@ -51,6 +51,19 @@
  * slot reads as outside the guide and the call raises ValueError after
  * the loop.
  *
+ * Search window (ABI 7): every call carries an inclusive planar window
+ * (col_lo, row_lo, col_hi, row_hi) as four ints, and a successor whose
+ * vertex lies outside it is never generated -- the call runs as if those
+ * vertices were blocked.  SearchCore passes the searching net's guide box
+ * grown by two gcells (GuideTables.search_window), or the whole grid when
+ * it has none, and re-runs a windowed search that ends without a target
+ * with the whole grid.  The popped node's column and row are decoded once
+ * per expansion; each move's successor cell follows from them and the
+ * direction (east/west step the column, north/south the row, vias and
+ * the mask-expanded graph's in-place switches keep the cell), so the
+ * window costs no division per successor.  labelled_box takes the same
+ * four ints and scans only the window's runs of the stamp buffer.
+ *
  * The GIL is released for the duration of the loop: the kernel only
  * writes the caller-owned label buffers (exclusive to one SearchCore) and
  * reads grid buffers nothing mutates while a search runs.
@@ -65,7 +78,7 @@
 /* Bumped whenever the module's argument contract or its results change
  * (run_search or labelled_box); the Python loader refuses (and rebuilds) a
  * stale binary whose ABI does not match. */
-#define KERNEL_ABI_VERSION 6
+#define KERNEL_ABI_VERSION 7
 
 /* sha256 of this file, passed by the build (repro.native.build); the
  * loader also rebuilds a binary compiled from other source. */
@@ -78,6 +91,15 @@
 #define MODE_MASK_EXPANDED 2
 
 #define NUM_DIRECTIONS 6
+
+/* Window move bits: one per direction slot of the neighbour table (east,
+ * west, north, south, up, down), plus the in-place mask switches. */
+#define MOVE_EAST 0x01
+#define MOVE_WEST 0x02
+#define MOVE_NORTH 0x04
+#define MOVE_SOUTH 0x08
+#define MOVE_VIAS 0x30
+#define MOVE_IN_PLACE 0x40
 
 /* ------------------------------------------------------------------ */
 /* 4-ary min-heap over one packed 128-bit (f, counter) key -- the      */
@@ -267,6 +289,7 @@ typedef struct {
     int merge_aux;
     int use_bounds;
     int min_layer, max_layer, min_col, max_col, min_row, max_row;
+    int win_col_lo, win_row_lo, win_col_hi, win_row_hi; /* inclusive */
     int accept_mode;
     int net_id;
     long long counter;
@@ -310,6 +333,42 @@ heur_of(const SearchCtx *ctx, int node)
         dlayer = layer - ctx->max_layer;
     }
     return ctx->alpha * ((double)(dcol + drow) + (double)dlayer * ctx->via_cost);
+}
+
+/* The moves out of *node* whose successor cell lies inside the window:
+ * a MOVE_* bit per allowed direction.  A via or an in-place switch keeps
+ * the cell, so it is allowed only from a node inside the window. */
+static inline int
+window_moves(const SearchCtx *ctx, int node)
+{
+    int vertex = ctx->node_stride != 1 ? node / ctx->node_stride : node;
+    int rem = vertex % ctx->plane;
+    int col = rem / ctx->rows;
+    int row = rem % ctx->rows;
+    int col_in = col >= ctx->win_col_lo && col <= ctx->win_col_hi;
+    int row_in = row >= ctx->win_row_lo && row <= ctx->win_row_hi;
+    int moves = 0;
+
+    if (row_in) {
+        if (col + 1 >= ctx->win_col_lo && col + 1 <= ctx->win_col_hi) {
+            moves |= MOVE_EAST;
+        }
+        if (col - 1 >= ctx->win_col_lo && col - 1 <= ctx->win_col_hi) {
+            moves |= MOVE_WEST;
+        }
+    }
+    if (col_in) {
+        if (row + 1 >= ctx->win_row_lo && row + 1 <= ctx->win_row_hi) {
+            moves |= MOVE_NORTH;
+        }
+        if (row - 1 >= ctx->win_row_lo && row - 1 <= ctx->win_row_hi) {
+            moves |= MOVE_SOUTH;
+        }
+        if (row_in) {
+            moves |= MOVE_VIAS | MOVE_IN_PLACE;
+        }
+    }
+    return moves;
 }
 
 /* One relaxation -- the exact body of SearchCore.run's buffered successor
@@ -387,7 +446,7 @@ color_term(const SearchCtx *ctx, int succ, int color)
 
 /* dr/maze make_traditional_expand: 6 grid moves at Cost_trad. */
 static inline int
-expand_traditional(SearchCtx *ctx, int node, double g)
+expand_traditional(SearchCtx *ctx, int node, double g, int moves)
 {
     const double *base_row = ctx->base_costs + (size_t)(node / ctx->plane) * NUM_DIRECTIONS;
     size_t slot = (size_t)node * NUM_DIRECTIONS;
@@ -395,6 +454,9 @@ expand_traditional(SearchCtx *ctx, int node, double g)
     double step;
 
     for (direction = 0; direction < NUM_DIRECTIONS; direction++) {
+        if (!(moves & (1 << direction))) {
+            continue;
+        }
         succ = ctx->neighbor[slot + direction];
         if (succ < 0 || ctx->blocked[succ]) {
             continue;
@@ -409,7 +471,7 @@ expand_traditional(SearchCtx *ctx, int node, double g)
 
 /* tpl/search make_color_state_expand: Alg. 2 lines 9-17 per direction. */
 static inline int
-expand_color_state(SearchCtx *ctx, int node, double g, int bits)
+expand_color_state(SearchCtx *ctx, int node, double g, int bits, int moves)
 {
     const double *base_row = ctx->base_costs + (size_t)(node / ctx->plane) * NUM_DIRECTIONS;
     size_t slot = (size_t)node * NUM_DIRECTIONS;
@@ -417,6 +479,9 @@ expand_color_state(SearchCtx *ctx, int node, double g, int bits)
     double base_step, cost_red, cost_green, cost_blue, minimum, limit;
 
     for (direction = 0; direction < NUM_DIRECTIONS; direction++) {
+        if (!(moves & (1 << direction))) {
+            continue;
+        }
         succ = ctx->neighbor[slot + direction];
         if (succ < 0 || ctx->blocked[succ]) {
             continue;
@@ -454,7 +519,7 @@ expand_color_state(SearchCtx *ctx, int node, double g, int bits)
  * switches (a stitch on the expanded graph) then 6 moves keeping the mask,
  * each charged the mask's color conflict cost at the destination. */
 static inline int
-expand_mask_expanded(SearchCtx *ctx, int node, double g)
+expand_mask_expanded(SearchCtx *ctx, int node, double g, int moves)
 {
     int vertex = node / 3;
     int color = node % 3;
@@ -464,7 +529,7 @@ expand_mask_expanded(SearchCtx *ctx, int node, double g)
     int other, direction, succ;
     double step, g_new;
 
-    for (other = 0; other < 3; other++) {
+    for (other = 0; other < 3 && (moves & MOVE_IN_PLACE); other++) {
         if (other != color) {
             if (relax(ctx, vertex_base + other, g + ctx->stitch, 0, node) < 0) {
                 return -1;
@@ -472,6 +537,9 @@ expand_mask_expanded(SearchCtx *ctx, int node, double g)
         }
     }
     for (direction = 0; direction < NUM_DIRECTIONS; direction++) {
+        if (!(moves & (1 << direction))) {
+            continue;
+        }
         succ = ctx->neighbor[slot + direction];
         if (succ < 0 || ctx->blocked[succ]) {
             continue;
@@ -509,7 +577,7 @@ run_loop(SearchCtx *ctx, const int *seed_node, const int *seed_aux,
         HeapEntry entry = heap_pop(&ctx->heap);
         int node = entry.node;
         double g_cur = ctx->cost[node];
-        int a_cur;
+        int a_cur, moves;
 
         if (entry.g - g_cur > ctx->improve_eps) {
             continue; /* stale entry superseded by a strict improvement */
@@ -539,19 +607,20 @@ run_loop(SearchCtx *ctx, const int *seed_node, const int *seed_aux,
         if (expansions > max_expansions) {
             break;
         }
+        moves = window_moves(ctx, node);
         switch (ctx->mode) {
         case MODE_TRADITIONAL:
-            if (expand_traditional(ctx, node, g_cur) < 0) {
+            if (expand_traditional(ctx, node, g_cur, moves) < 0) {
                 return -1;
             }
             break;
         case MODE_COLOR_STATE:
-            if (expand_color_state(ctx, node, g_cur, a_cur) < 0) {
+            if (expand_color_state(ctx, node, g_cur, a_cur, moves) < 0) {
                 return -1;
             }
             break;
         default:
-            if (expand_mask_expanded(ctx, node, g_cur) < 0) {
+            if (expand_mask_expanded(ctx, node, g_cur, moves) < 0) {
                 return -1;
             }
             break;
@@ -630,6 +699,7 @@ run_search(PyObject *self, PyObject *args)
             "OOn"      /* seed_node, seed_aux, num_seeds */
             "O"        /* target_flags */
             "iiiiiii"  /* use_bounds, min/max layer, col, row */
+            "iiii"     /* window col_lo, row_lo, col_hi, row_hi */
             "dd"       /* alpha, via_cost */
             "ii"       /* plane, rows */
             "dd"       /* improve_eps, tie_eps */
@@ -649,6 +719,7 @@ run_search(PyObject *self, PyObject *args)
             &flags_obj,
             &ctx.use_bounds, &ctx.min_layer, &ctx.max_layer, &ctx.min_col,
             &ctx.max_col, &ctx.min_row, &ctx.max_row,
+            &ctx.win_col_lo, &ctx.win_row_lo, &ctx.win_col_hi, &ctx.win_row_hi,
             &ctx.alpha, &ctx.via_cost,
             &ctx.plane, &ctx.rows,
             &ctx.improve_eps, &ctx.tie_eps,
@@ -782,10 +853,13 @@ run_search(PyObject *self, PyObject *args)
     return Py_BuildValue("in", reached, expansions);
 }
 
-/* labelled_box(stamp, epoch, node_stride, plane_size, num_rows): the planar
- * (col_lo, row_lo, col_hi, row_hi) bounding box of every node whose stamp
- * equals epoch, or None when there is none -- CoreResult.labelled_planar_box
- * without the interpreted O(nodes) scan. */
+/* labelled_box(stamp, epoch, node_stride, plane_size, num_rows, col_lo,
+ * row_lo, col_hi, row_hi): the planar (col_lo, row_lo, col_hi, row_hi)
+ * bounding box of every node whose stamp equals epoch and whose cell lies
+ * in the given inclusive window, or None when there is none --
+ * CoreResult.labelled_planar_box without the interpreted scan.  Each
+ * (layer, column) of the window is one contiguous run of nodes, so only
+ * the window's share of the buffer is read. */
 static PyObject *
 labelled_box(PyObject *self, PyObject *args)
 {
@@ -794,19 +868,33 @@ labelled_box(PyObject *self, PyObject *args)
     void *ptr;
     const long long *stamp;
     long long epoch;
-    Py_ssize_t num_nodes, node;
+    Py_ssize_t num_nodes, node, first, stop, layer_base;
     int node_stride, plane, rows, found = 0;
-    long long vertex, rem, col, row;
+    int win_col_lo, win_row_lo, win_col_hi, win_row_hi, col;
+    long long row;
     long long col_lo = 0, row_lo = 0, col_hi = 0, row_hi = 0;
 
-    if (!PyArg_ParseTuple(args, "OLiii", &stamp_obj, &epoch, &node_stride,
-                          &plane, &rows)) {
+    if (!PyArg_ParseTuple(args, "OLiiiiiii", &stamp_obj, &epoch, &node_stride,
+                          &plane, &rows, &win_col_lo, &win_row_lo, &win_col_hi,
+                          &win_row_hi)) {
         return NULL;
     }
     if (node_stride < 1 || plane < 1 || rows < 1) {
         PyErr_SetString(PyExc_ValueError,
                         "node_stride, plane and rows must be positive");
         return NULL;
+    }
+    if (win_col_lo < 0) {
+        win_col_lo = 0;
+    }
+    if (win_row_lo < 0) {
+        win_row_lo = 0;
+    }
+    if (win_col_hi > plane / rows - 1) {
+        win_col_hi = plane / rows - 1;
+    }
+    if (win_row_hi > rows - 1) {
+        win_row_hi = rows - 1;
     }
     if (acquire(stamp_obj, &slot, 0, &ptr) < 0) {
         return NULL;
@@ -819,31 +907,37 @@ labelled_box(PyObject *self, PyObject *args)
     num_nodes = slot.view.len / (Py_ssize_t)sizeof(long long);
 
     Py_BEGIN_ALLOW_THREADS
-    for (node = 0; node < num_nodes; node++) {
-        if (stamp[node] != epoch) {
-            continue;
-        }
-        vertex = (long long)node / node_stride;
-        rem = vertex % plane;
-        col = rem / rows;
-        row = rem % rows;
-        if (!found) {
-            col_lo = col_hi = col;
-            row_lo = row_hi = row;
-            found = 1;
-            continue;
-        }
-        if (col < col_lo) {
-            col_lo = col;
-        }
-        else if (col > col_hi) {
-            col_hi = col;
-        }
-        if (row < row_lo) {
-            row_lo = row;
-        }
-        else if (row > row_hi) {
-            row_hi = row;
+    for (layer_base = 0; layer_base * node_stride < num_nodes; layer_base += plane) {
+        for (col = win_col_lo; col <= win_col_hi; col++) {
+            first = (layer_base + (Py_ssize_t)col * rows + win_row_lo) * node_stride;
+            stop = (layer_base + (Py_ssize_t)col * rows + win_row_hi + 1) * node_stride;
+            if (stop > num_nodes) {
+                stop = num_nodes;
+            }
+            for (node = first; node < stop; node++) {
+                if (stamp[node] != epoch) {
+                    continue;
+                }
+                row = ((long long)node / node_stride - layer_base) % rows;
+                if (!found) {
+                    col_lo = col_hi = col;
+                    row_lo = row_hi = row;
+                    found = 1;
+                    continue;
+                }
+                if (col < col_lo) {
+                    col_lo = col;
+                }
+                else if (col > col_hi) {
+                    col_hi = col;
+                }
+                if (row < row_lo) {
+                    row_lo = row;
+                }
+                else if (row > row_hi) {
+                    row_hi = row;
+                }
+            }
         }
     }
     Py_END_ALLOW_THREADS

@@ -23,13 +23,10 @@ wanders outside its window.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.design import Net
-from repro.grid import RoutingGrid
-
-#: Inclusive planar cell window: ``(col_lo, row_lo, col_hi, row_hi)``.
-CellWindow = Tuple[int, int, int, int]
+from repro.grid import CellWindow, RoutingGrid
 
 
 def windows_overlap(a: CellWindow, b: CellWindow) -> bool:

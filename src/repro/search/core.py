@@ -41,6 +41,16 @@ so entries pop in ``(f, counter)`` order: a node re-pushed on a strict
 improvement sorts by its new, larger counter, and ties between distinct
 nodes resolve by push order.  The compiled kernel reproduces the same
 order, so both tiers produce bit-identical labels.
+
+Search window
+-------------
+
+A run may be confined to an inclusive planar :data:`CellWindow`: a
+successor whose vertex lies outside it is never generated.  A windowed run
+that ends without an accepted target is re-run once over the whole grid
+(see :meth:`SearchCore.run`), so a window only ever saves work; the
+routers pass the net's guide box grown by two gcells
+(:meth:`repro.gr.guide.GuideTables.search_window`).
 """
 
 from __future__ import annotations
@@ -48,14 +58,14 @@ from __future__ import annotations
 import weakref
 from array import array
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.accel import get_native_kernel
 from repro.native.spec import ACCEPT_ALWAYS
 
 if TYPE_CHECKING:  # imported lazily to keep this module dependency-free
     from repro.dr.cost import CostModel, TargetBounds
-    from repro.grid import RoutingGrid
+    from repro.grid import CellWindow, RoutingGrid
 
 #: Default strict-improvement epsilon (matches the seed maze router).
 IMPROVE_EPS = 1e-12
@@ -93,6 +103,8 @@ class CoreResult:
         "_aux_map",
         "_parent_map",
         "_detached",
+        "_window",
+        "_seed_nodes",
         "__weakref__",
     )
 
@@ -105,6 +117,8 @@ class CoreResult:
         parent_buf: array,
         stamp_buf: array,
         epoch: int,
+        window: Optional[CellWindow] = None,
+        seed_nodes: Sequence[int] = (),
     ) -> None:
         self.reached = reached  #: reached node, or -1 when the search failed
         self.expansions = expansions
@@ -117,6 +131,10 @@ class CoreResult:
         self._aux_map: Optional[Dict[int, int]] = None
         self._parent_map: Optional[Dict[int, int]] = None
         self._detached = False
+        # The window the labels were computed in (None: the whole grid) and
+        # the seed nodes, labelled even where they lie outside it.
+        self._window = window
+        self._seed_nodes = seed_nodes
 
     @classmethod
     def empty(cls) -> "CoreResult":
@@ -174,40 +192,61 @@ class CoreResult:
 
     def labelled_planar_box(
         self, plane_size: int, num_rows: int, node_stride: int = 1
-    ) -> Optional[Tuple[int, int, int, int]]:
+    ) -> Optional[CellWindow]:
         """Return the planar ``(col_lo, row_lo, col_hi, row_hi)`` bounding box
         of every vertex labelled during the run, or ``None`` when no node was
         labelled.
 
-        Every vertex whose mutable grid state the search *read* (successor
-        generation, target acceptance, backtrace cost queries) is labelled,
-        so this box bounds the state the result depends on -- the
+        Every vertex whose mutable grid state the result depends on
+        (successor costs, target acceptance, backtrace cost queries) is
+        labelled -- a successor dropped for lying outside the window
+        leaves no trace -- so this box bounds that state: the
         speculative batch executor compares it against committed batch-mate
         deltas to decide whether a snapshot-computed route is still exact.
-        The scan runs in the native kernel when it is active.
+        A windowed run labels only its window's cells and its seeds, so
+        only the window's share of the stamp buffer is scanned and the
+        seeds are added to the box.  The scan runs in the native kernel
+        when it is active.
         """
         stamp, epoch = self._stamp_buf, self._epoch
+        num_cols = plane_size // num_rows
+        window = self._window
+        if window is None:
+            col_lo, row_lo, col_hi, row_hi = 0, 0, num_cols - 1, num_rows - 1
+        else:
+            col_lo, row_lo, col_hi, row_hi = window
+        cells: List[Tuple[int, int]] = []
         kernel = get_native_kernel()
         if kernel is not None:
-            return kernel.labelled_box(stamp, epoch, node_stride, plane_size, num_rows)
-        box = None
-        for node, mark in enumerate(stamp):
-            if mark != epoch:
-                continue
-            rem = (node // node_stride if node_stride != 1 else node) % plane_size
-            col, row = divmod(rem, num_rows)
-            if box is None:
-                box = [col, row, col, row]
-            else:
-                if col < box[0]:
-                    box[0] = col
-                elif col > box[2]:
-                    box[2] = col
-                if row < box[1]:
-                    box[1] = row
-                elif row > box[3]:
-                    box[3] = row
-        return None if box is None else tuple(box)
+            box = kernel.labelled_box(
+                stamp, epoch, node_stride, plane_size, num_rows, col_lo, row_lo, col_hi, row_hi
+            )
+            if box is not None:
+                cells += [box[:2], box[2:]]
+        else:
+            # Each (layer, column) of the window is one run of nodes.
+            row_lo, row_hi = max(row_lo, 0), min(row_hi, num_rows - 1)
+            for layer_base in range(0, -(-len(stamp) // node_stride), plane_size):
+                for col in range(max(col_lo, 0), min(col_hi, num_cols - 1) + 1):
+                    first = (layer_base + col * num_rows + row_lo) * node_stride
+                    run = stamp[first : (layer_base + col * num_rows + row_hi + 1) * node_stride]
+                    cells += [
+                        (col, row_lo + offset // node_stride)
+                        for offset, mark in enumerate(run)
+                        if mark == epoch
+                    ]
+        if window is not None:
+            for node in self._seed_nodes:
+                vertex = node // node_stride if node_stride != 1 else node
+                cells.append(divmod(vertex % plane_size, num_rows))
+        if not cells:
+            return None
+        return (
+            min(col for col, _ in cells),
+            min(row for _, row in cells),
+            max(col for col, _ in cells),
+            max(row for _, row in cells),
+        )
 
     @property
     def cost(self) -> Dict[int, float]:
@@ -283,6 +322,9 @@ class SearchCore:
         # label buffers are guaranteed live (the batch executor's explored-
         # region tracker hooks in here without forcing buffer snapshots).
         self.on_result: Optional[Callable[[CoreResult], None]] = None
+        #: Windowed runs that ended without a target and were re-run over
+        #: the whole grid.
+        self.window_retries = 0
 
     # ------------------------------------------------------------------
 
@@ -300,7 +342,7 @@ class SearchCore:
 
     def _try_run_native(
         self,
-        seeds: Iterable[Tuple[int, int]],
+        seeds: List[Tuple[int, int]],
         targets: "set[int]",
         expand: Callable[..., object],
         bounds: Optional[TargetBounds],
@@ -309,6 +351,7 @@ class SearchCore:
         improve_eps: float,
         tie_eps: float,
         accept: Optional[Callable[[int], bool]],
+        window: Optional[CellWindow],
         epoch: int,
     ) -> Optional[CoreResult]:
         """Run the search on the compiled kernel, or ``None`` to fall back.
@@ -356,6 +399,10 @@ class SearchCore:
             else:
                 use_bounds = 0
                 min_layer = max_layer = min_col = max_col = min_row = max_row = 0
+            if window is None:
+                window_ints = (0, 0, grid.num_cols - 1, grid.num_rows - 1)
+            else:
+                window_ints = window
             reached, expansions = kernel.run_search(
                 spec.mode,
                 grid.num_vertices * node_stride,
@@ -379,6 +426,7 @@ class SearchCore:
                 max_col,
                 min_row,
                 max_row,
+                *window_ints,
                 rules.alpha,
                 rules.via_cost,
                 grid.plane_size,
@@ -408,7 +456,7 @@ class SearchCore:
             for node in targets:
                 flags[node] = 0
 
-        result = CoreResult(
+        return CoreResult(
             reached,
             expansions,
             self._cost_buf,
@@ -416,11 +464,9 @@ class SearchCore:
             self._parent_buf,
             self._stamp_buf,
             epoch,
+            window,
+            seed_node,
         )
-        self._last_result = weakref.ref(result)
-        if self.on_result is not None:
-            self.on_result(result)
-        return result
 
     def run(
         self,
@@ -433,6 +479,7 @@ class SearchCore:
         improve_eps: float = IMPROVE_EPS,
         tie_eps: float = TIE_EPS,
         accept: Optional[Callable[[int], bool]] = None,
+        window: Optional[CellWindow] = None,
     ) -> CoreResult:
         """Run one multi-source search.
 
@@ -465,7 +512,47 @@ class SearchCore:
         accept:
             Optional extra predicate a popped target must satisfy (e.g. the
             maze router's occupied-target rule).
+        window:
+            Optional inclusive planar ``(col_lo, row_lo, col_hi, row_hi)``
+            window.  A successor whose vertex lies outside it is never
+            generated (seeds are labelled wherever they lie).  When the
+            windowed run ends without an accepted target -- exhausted or
+            over budget -- the search runs again with no window under a
+            fresh epoch, and that second result is returned: its
+            ``expansions`` is the sum of both runs, :attr:`on_result` sees
+            both results, and :attr:`window_retries` counts the re-run.
         """
+        seeds = list(seeds)
+        args = (seeds, targets, expand, bounds, node_stride, merge_aux, improve_eps, tie_eps, accept)
+        result = self._run_once(*args, window)
+        if window is not None and not result.found:
+            self.window_retries += 1
+            if self.on_result is not None:
+                self.on_result(result)
+            spent = result.expansions
+            # Drop the windowed result first: a result nothing else holds
+            # needs no snapshot before its buffers are reused.
+            del result
+            result = self._run_once(*args, None)
+            result.expansions += spent
+        if self.on_result is not None:
+            self.on_result(result)
+        return result
+
+    def _run_once(
+        self,
+        seeds: List[Tuple[int, int]],
+        targets: "set[int]",
+        expand: Callable[..., object],
+        bounds: Optional[TargetBounds],
+        node_stride: int,
+        merge_aux: bool,
+        improve_eps: float,
+        tie_eps: float,
+        accept: Optional[Callable[[int], bool]],
+        window: Optional[CellWindow],
+    ) -> CoreResult:
+        """One search under a fresh epoch, on the native tier when it can."""
         previous = self._last_result() if self._last_result is not None else None
         if previous is not None:
             previous._detach()
@@ -491,9 +578,11 @@ class SearchCore:
             improve_eps,
             tie_eps,
             accept,
+            window,
             epoch,
         )
         if result is not None:
+            self._last_result = weakref.ref(result)
             return result
 
         cost = self._cost_buf
@@ -507,12 +596,15 @@ class SearchCore:
         succ_cost = self._succ_cost
         succ_aux = self._succ_aux
 
+        rows = grid.num_rows
+        plane = grid.plane_size
+        windowed = window is not None
+        if windowed:
+            col_lo, row_lo, col_hi, row_hi = window
         if bounds is not None:
             rules = grid.rules
             alpha = rules.alpha
             via_cost = rules.via_cost
-            rows = grid.num_rows
-            plane = grid.plane_size
             min_layer, max_layer = bounds.min_layer, bounds.max_layer
             min_col, max_col = bounds.min_col, bounds.max_col
             min_row, max_row = bounds.min_row, bounds.max_row
@@ -566,6 +658,11 @@ class SearchCore:
             count = expand(node, g_cur, a_cur, succ_node, succ_cost, succ_aux)
             for slot in range(count):
                 succ = succ_node[slot]
+                if windowed:
+                    vertex = succ // node_stride if node_stride != 1 else succ
+                    col, row = divmod(vertex % plane, rows)
+                    if col < col_lo or col > col_hi or row < row_lo or row > row_hi:
+                        continue  # outside the window: never generated
                 g_new = succ_cost[slot]
                 if stamp[succ] != epoch:
                     stamp[succ] = epoch
@@ -599,8 +696,8 @@ class SearchCore:
                         heappush(heap, (g_old + heur(succ), counter, succ, g_old))
                         counter += 1
 
-        result = CoreResult(reached, expansions, cost, aux, parent, stamp, epoch)
+        result = CoreResult(
+            reached, expansions, cost, aux, parent, stamp, epoch, window, [node for node, _ in seeds]
+        )
         self._last_result = weakref.ref(result)
-        if self.on_result is not None:
-            self.on_result(result)
         return result

@@ -198,6 +198,7 @@ class ColorStateSearch(RouteScopedExpand):
             merge_aux=True,
             improve_eps=_COST_TOLERANCE,
             tie_eps=_COST_TOLERANCE,
+            window=self.cost_model.guide_tables.search_window(net_name),
         )
         return ColorSearchResult(core, grid)
 
