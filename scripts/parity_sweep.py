@@ -5,10 +5,15 @@ The tier-1 tests pin tier and backend parity on small designs; this sweep
 repeats the check on the full-scale suite cases.  For each case in
 :data:`CASES` and each router it routes a serial reference on the default
 tiers, then routes the same design on every leg of :data:`LEGS` and
-requires the same ``solution_fingerprint`` and ``solution_metrics``.  The
-"search window off" leg makes every search run over the whole grid, so it
-checks that the guide windows (with their unbounded re-run) change no
-route.  The pool leg is skipped where the ``fork`` start method is
+requires the same ``solution_fingerprint`` and ``solution_metrics``.  Every
+router routes with global-routing guides (the plain router is given
+``GlobalRouter(design).route()``; the colour-aware routers build the same
+guides themselves), so the maze legs exercise guide costs, windows and
+target floors too.  The "search window off" leg makes every search run over
+the whole grid, so it checks that the guide windows (with their unbounded
+re-run) change no route; the "target floor off" leg gives every search a
+target floor of 0, so it checks that stopping at a provably best target
+changes no route.  The pool leg is skipped where the ``fork`` start method is
 unavailable.  One checkpoint leg per reference restores the grid from a
 checkpoint document onto a fresh grid and requires the ``snapshot_state()``
 of the reference's live grid.
@@ -31,7 +36,9 @@ from repro import accel  # noqa: E402
 from repro.baselines.dac2012 import Dac2012Router  # noqa: E402
 from repro.bench.micro import solution_fingerprint, solution_metrics  # noqa: E402
 from repro.bench.suites import suite_case  # noqa: E402
+from repro.dr.cost import CostModel  # noqa: E402
 from repro.dr.router import DetailedRouter  # noqa: E402
+from repro.gr import GlobalRouter  # noqa: E402
 from repro.gr.guide import GuideTables  # noqa: E402
 from repro.grid import RoutingGrid  # noqa: E402
 from repro.io.checkpoint_io import checkpoint_from_dict, checkpoint_to_dict  # noqa: E402
@@ -68,12 +75,27 @@ def set_search_window_enabled(enabled):
     return previous
 
 
+_TARGET_FLOOR = CostModel.target_floor
+
+
+def set_target_floor_enabled(enabled):
+    """Gate the searches' target floors the same way.
+
+    Off, ``CostModel.target_floor`` returns 0.0 for every search, so no
+    search stops before its best target pops.  Returns the previous setting.
+    """
+    previous = CostModel.target_floor is _TARGET_FLOOR
+    CostModel.target_floor = _TARGET_FLOOR if enabled else (lambda self, *args, **kwargs: 0.0)
+    return previous
+
+
 #: ``(name, gates forced off, router keyword arguments, needs fork)``.
 #: The pure-python leg closes both native gates, so it runs the Python
 #: search loop and the Python check scan together.
 LEGS = (
     ("native search off", (accel.set_native_enabled,), {}, False),
     ("search window off", (set_search_window_enabled,), {}, False),
+    ("target floor off", (set_target_floor_enabled,), {}, False),
     ("native check off", (accel.set_check_native_enabled,), {}, False),
     (
         "pure python",
@@ -94,10 +116,18 @@ def _digest(solution):
     return solution_fingerprint(solution), solution_metrics(solution)
 
 
+def _router(router_cls, design, **kwargs):
+    """Build *router_cls* on *design*; the plain router gets the guides the
+    colour-aware routers build for themselves."""
+    if router_cls is DetailedRouter:
+        kwargs["guides"] = GlobalRouter(design).route()
+    return router_cls(design, **kwargs)
+
+
 def _route(router_cls, design, gates, **kwargs):
     previous = [gate(False) for gate in gates]
     try:
-        return _digest(router_cls(design, **kwargs).run())
+        return _digest(_router(router_cls, design, **kwargs).run())
     finally:
         for gate, value in zip(gates, previous):
             gate(value)
@@ -121,7 +151,7 @@ def check_design(name, build):
     for key, router_cls in ROUTERS.items():
         design = build()
         grid = RoutingGrid(design)
-        solution = router_cls(design, grid=grid).run()
+        solution = _router(router_cls, design, grid=grid).run()
         reference = _digest(solution)
 
         for leg, gates, kwargs, needs_fork in LEGS:

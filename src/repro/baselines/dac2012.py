@@ -94,9 +94,17 @@ class MaskExpandedSearch(RouteScopedExpand):
 
         expand = self.expand_for(net_name)
         self.core.max_expansions = self.max_expansions
-        window = self.cost_model.guide_tables.search_window(net_name)
+        cost_model = self.cost_model
         core = self.core.run(
-            seeds, target_nodes, expand, bounds=bounds, node_stride=3, window=window
+            seeds,
+            target_nodes,
+            expand,
+            bounds=bounds,
+            node_stride=3,
+            window=cost_model.guide_tables.search_window(net_name),
+            target_floor=cost_model.target_floor(
+                net_name, grid.net_id(net_name), target_nodes, MODE_MASK_EXPANDED
+            ),
         )
         if not core.found:
             return None

@@ -30,6 +30,7 @@ from typing import Iterable, List, Optional
 from repro.geometry import GridPoint
 from repro.gr.guide import GuideSet, GuideTables
 from repro.grid import ALL_DIRECTIONS, Direction, RoutingGrid
+from repro.native.spec import MODE_COLOR_STATE, MODE_MASK_EXPANDED, MODE_TRADITIONAL
 
 
 @dataclass(frozen=True)
@@ -199,6 +200,48 @@ class CostModel:
         if self.guides.covers_point(net_name, vertex.layer, point):
             return 0.0
         return self.rules.out_of_guide_penalty
+
+    def target_floor(
+        self, net_name: str, net_id: int, nodes: Iterable[int], mode: int = MODE_TRADITIONAL
+    ) -> float:
+        """Return the least entry cost beyond the base step of any of *nodes*.
+
+        The ``target_floor`` of :meth:`repro.search.SearchCore.run`: every
+        edge into one of the search's accepted target *nodes* costs its
+        base step (at least the A* bound of its tail) plus the target's
+        ``alpha * (history_weight * history + occupancy_penalty where
+        another net owns it + out-of-guide penalty)`` and the colour term
+        of the expansion *mode* (a ``repro.native.spec.MODE_*``): none for
+        the traditional cost, the least ``gamma * pressure`` over the three
+        masks for colour states, and the node's own mask's for the
+        mask-expanded graph, whose nodes are ``vertex * 3 + mask``.
+        Returns 0.0 for no nodes.
+        """
+        grid = self.grid
+        rules = self.rules
+        history = grid.history_buffer()
+        owner = grid.owner_buffer()
+        pressure = grid.pressure_buffer()
+        guide_mask = self.guide_mask(net_name)
+        slot_of = self.guide_slot_map()
+        stride = 3 if mode == MODE_MASK_EXPANDED else 1
+        floor = None
+        for node in nodes:
+            vertex = node // stride
+            entry = rules.history_weight * history[vertex]
+            holder = owner[vertex]
+            if holder != 0 and holder != net_id:
+                entry += rules.occupancy_penalty
+            if not guide_mask[slot_of[vertex]]:
+                entry += rules.out_of_guide_penalty
+            entry = rules.alpha * entry
+            if mode == MODE_COLOR_STATE:
+                entry += rules.gamma * min(pressure[3 * vertex : 3 * vertex + 3])
+            elif mode == MODE_MASK_EXPANDED:
+                entry += rules.gamma * pressure[node]
+            if floor is None or entry < floor:
+                floor = entry
+        return 0.0 if floor is None else floor
 
     def step_cost_index(
         self, layer: int, direction_index: int, neighbor_index: int,

@@ -21,11 +21,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 from repro.dr.cost import CostModel, TargetBounds
 from repro.geometry import GridPoint
 from repro.grid import NUM_DIRECTIONS, RoutingGrid
-from repro.native.spec import (
-    MODE_TRADITIONAL,
-    attach_accept_spec,
-    attach_native_spec,
-)
+from repro.native.spec import MODE_TRADITIONAL, attach_native_spec
 from repro.search import CoreResult, RouteScopedExpand, SearchCore
 
 
@@ -137,19 +133,26 @@ class MazeRouter(RouteScopedExpand):
 
         net_id = grid.net_id(net_name)
         accept: Optional[Callable[[int], bool]] = None
+        floor_nodes: Iterable[int] = target_nodes
         if not allow_occupied_targets:
             is_other = grid.is_occupied_by_other_index
 
             def accept(node: int) -> bool:
                 return not is_other(node, net_id)
 
-            attach_accept_spec(accept)
+            floor_nodes = [node for node in target_nodes if accept(node)]
 
         expand = self.expand_for(net_name)
         self.core.max_expansions = self.max_expansions
-        window = self.cost_model.guide_tables.search_window(net_name)
+        cost_model = self.cost_model
         core = self.core.run(
-            seeds, target_nodes, expand, bounds=bounds, accept=accept, window=window
+            seeds,
+            target_nodes,
+            expand,
+            bounds=bounds,
+            accept=accept,
+            window=cost_model.guide_tables.search_window(net_name),
+            target_floor=cost_model.target_floor(net_name, net_id, floor_nodes),
         )
         return SearchResult(core, grid)
 

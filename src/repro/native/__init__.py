@@ -59,7 +59,7 @@ from repro.utils.env import env_flag
 #: The argument contract of ``_relaxation`` (``run_search`` and
 #: ``labelled_box``) this checkout's Python wrappers speak; must match the
 #: binary's ``KERNEL_ABI_VERSION``.
-EXPECTED_ABI_VERSION = 7
+EXPECTED_ABI_VERSION = 8
 
 #: The argument contract of ``_checkwork.scan_hits``.
 EXPECTED_CHECK_ABI_VERSION = 1

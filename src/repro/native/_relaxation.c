@@ -64,6 +64,29 @@
  * window costs no division per successor.  labelled_box takes the same
  * four ints and scans only the window's runs of the stamp buffer.
  *
+ * Target floor (ABI 8): every call carries the search's target floor m,
+ * the least entry cost beyond the base step of any acceptable target (the
+ * adapters' CostModel.target_floor: congestion, out-of-guide penalty and
+ * the mode's colour term), and the slack repro.search.core.FLOOR_SLACK.
+ * The loop keeps the lowest (f, counter) entry pushed onto a target and
+ * returns that target, stamped as expanded, as soon as
+ *
+ *     best_f + slack < f(heap top) + m.
+ *
+ * The rule is exact: the bounding-box heuristic is consistent and zero on
+ * the targets, so every later push onto a target has f >= f(top) + m (up
+ * to the tie_eps of an aux merge's re-push, far below the slack); the
+ * best entry would therefore pop before any other target entry, with the
+ * same cost, aux and parent chain, and no later relaxation can improve it
+ * or merge aux bits into its chain (a merge needs a cost within tie_eps,
+ * and slack > tie_eps).  With m = 0 the rule never fires: the best entry
+ * sits in the heap, so f(top) <= best_f.  Only the work after the answer
+ * is fixed is skipped, so a search that used to exceed max_expansions may
+ * now finish.  Targets are the flagged nodes; SearchCore drops the ones an
+ * accept predicate rejects before the call, so the kernel has no accept
+ * rule of its own.  run_search returns (reached, expansions, stopped),
+ * stopped being 1 when the floor ended the search.
+ *
  * The GIL is released for the duration of the loop: the kernel only
  * writes the caller-owned label buffers (exclusive to one SearchCore) and
  * reads grid buffers nothing mutates while a search runs.
@@ -72,13 +95,14 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#include <math.h>
 #include <stdlib.h>
 #include <string.h>
 
 /* Bumped whenever the module's argument contract or its results change
  * (run_search or labelled_box); the Python loader refuses (and rebuilds) a
  * stale binary whose ABI does not match. */
-#define KERNEL_ABI_VERSION 7
+#define KERNEL_ABI_VERSION 8
 
 /* sha256 of this file, passed by the build (repro.native.build); the
  * loader also rebuilds a binary compiled from other source. */
@@ -145,6 +169,18 @@ static inline HeapKey
 heap_key(double f, long long counter)
 {
     return ((HeapKey)order_bits(f) << 64) | (HeapKey)(unsigned long long)counter;
+}
+
+/* The f of a key: order_bits inverted. */
+static inline double
+key_f(HeapKey key)
+{
+    unsigned long long bits = (unsigned long long)(key >> 64);
+    double f;
+
+    bits = (bits & 0x8000000000000000ULL) ? bits ^ 0x8000000000000000ULL : ~bits;
+    memcpy(&f, &bits, sizeof(f));
+    return f;
 }
 
 static int
@@ -270,7 +306,7 @@ typedef struct {
     const double *history;      /* per vertex */
     const int *owner;           /* per vertex */
     const double *pressure;     /* 3 per vertex, or NULL */
-    const unsigned char *target_flags;
+    const unsigned char *target_flags; /* 1 at every acceptable target */
     /* Scalars. */
     double history_weight;
     double occupancy_penalty;
@@ -290,9 +326,13 @@ typedef struct {
     int use_bounds;
     int min_layer, max_layer, min_col, max_col, min_row, max_row;
     int win_col_lo, win_row_lo, win_col_hi, win_row_hi; /* inclusive */
-    int accept_mode;
     int net_id;
+    double target_floor;
+    double floor_slack;
     long long counter;
+    /* The lowest (f, counter) entry pushed onto a target so far. */
+    int best_node;
+    double best_f;
     Heap heap;
 } SearchCtx;
 
@@ -371,8 +411,24 @@ window_moves(const SearchCtx *ctx, int node)
     return moves;
 }
 
+/* Push a new label of *node* and track the lowest (f, counter) entry
+ * pushed onto a target: counters grow, so only a strictly lower f wins. */
+static inline int
+push_label(SearchCtx *ctx, int node, double g)
+{
+    double f = g + heur_of(ctx, node);
+
+    if (ctx->target_flags[node] && f < ctx->best_f) {
+        ctx->best_f = f;
+        ctx->best_node = node;
+    }
+    return heap_push(&ctx->heap, f, ctx->counter++, node, g);
+}
+
 /* One relaxation -- the exact body of SearchCore.run's buffered successor
- * loop (fresh label / strict improvement / equal-cost aux merge). */
+ * loop (fresh label / strict improvement / equal-cost aux merge).  The
+ * merge's re-push needs no target tracking: it re-queues an expanded
+ * node, and an expanded target has ended the search. */
 static inline int
 relax(SearchCtx *ctx, int succ, double g_new, int a_new, int node)
 {
@@ -383,16 +439,14 @@ relax(SearchCtx *ctx, int succ, double g_new, int a_new, int node)
         ctx->cost[succ] = g_new;
         ctx->aux[succ] = a_new;
         ctx->parent[succ] = node;
-        return heap_push(&ctx->heap, g_new + heur_of(ctx, succ), ctx->counter++,
-                         succ, g_new);
+        return push_label(ctx, succ, g_new);
     }
     g_old = ctx->cost[succ];
     if (g_new < g_old - ctx->improve_eps) {
         ctx->cost[succ] = g_new;
         ctx->aux[succ] = a_new;
         ctx->parent[succ] = node;
-        return heap_push(&ctx->heap, g_new + heur_of(ctx, succ), ctx->counter++,
-                         succ, g_new);
+        return push_label(ctx, succ, g_new);
     }
     if (ctx->merge_aux && g_new <= g_old + ctx->tie_eps &&
         (a_new | ctx->aux[succ]) != ctx->aux[succ]) {
@@ -557,27 +611,48 @@ expand_mask_expanded(SearchCtx *ctx, int node, double g, int moves)
 static int
 run_loop(SearchCtx *ctx, const int *seed_node, const int *seed_aux,
          Py_ssize_t num_seeds, Py_ssize_t max_expansions,
-         int *reached_out, Py_ssize_t *expansions_out)
+         int *reached_out, Py_ssize_t *expansions_out, int *stopped_out)
 {
     Py_ssize_t seed, expansions = 0;
     int reached = -1;
 
+    ctx->best_node = -1;
+    ctx->best_f = HUGE_VAL;
+    *stopped_out = 0;
     for (seed = 0; seed < num_seeds; seed++) {
         int node = seed_node[seed];
         ctx->cost[node] = 0.0;
         ctx->aux[node] = seed_aux[seed];
         ctx->parent[node] = -1;
         ctx->stamp[node] = ctx->epoch;
-        if (heap_push(&ctx->heap, heur_of(ctx, node), ctx->counter++, node, 0.0) < 0) {
+        if (push_label(ctx, node, 0.0) < 0) {
             return -1;
         }
     }
 
     while (ctx->heap.size > 0) {
-        HeapEntry entry = heap_pop(&ctx->heap);
-        int node = entry.node;
-        double g_cur = ctx->cost[node];
+        HeapEntry entry;
+        int node;
+        double g_cur;
         int a_cur, moves;
+
+        if (ctx->best_node >= 0 &&
+            ctx->best_f + ctx->floor_slack <
+                key_f(ctx->heap.items[0].key) + ctx->target_floor) {
+            /* The best target entry provably pops before any other
+             * target entry, with this label: end the search on it. */
+            node = ctx->best_node;
+            ctx->exp_stamp[node] = ctx->epoch;
+            ctx->exp_cost[node] = ctx->cost[node];
+            ctx->exp_aux[node] = ctx->aux[node];
+            expansions += 1;
+            reached = node;
+            *stopped_out = 1;
+            break;
+        }
+        entry = heap_pop(&ctx->heap);
+        node = entry.node;
+        g_cur = ctx->cost[node];
 
         if (entry.g - g_cur > ctx->improve_eps) {
             continue; /* stale entry superseded by a strict improvement */
@@ -592,17 +667,8 @@ run_loop(SearchCtx *ctx, const int *seed_node, const int *seed_aux,
         ctx->exp_aux[node] = a_cur;
         expansions += 1;
         if (ctx->target_flags[node]) {
-            int accepted = 1;
-            if (ctx->accept_mode == 1) {
-                /* maze's occupied-target rule: reject vertices another
-                 * net's metal already owns (grid.is_occupied_by_other). */
-                int holder = ctx->owner[node];
-                accepted = !(holder != 0 && holder != ctx->net_id);
-            }
-            if (accepted) {
-                reached = node;
-                break;
-            }
+            reached = node;
+            break;
         }
         if (expansions > max_expansions) {
             break;
@@ -684,7 +750,7 @@ run_search(PyObject *self, PyObject *args)
     PyObject *history_obj, *owner_obj, *pressure_obj;
     Py_ssize_t num_nodes, num_vertices, num_layers, num_seeds, max_expansions;
     Py_ssize_t expansions = 0, seed;
-    int reached = -1, status = 0, i;
+    int reached = -1, stopped = 0, status = 0, i;
     BufferSlot slots[NUM_BUFFERS];
     void *ptrs[NUM_BUFFERS];
     const int *seed_node = NULL, *seed_aux = NULL;
@@ -704,7 +770,8 @@ run_search(PyObject *self, PyObject *args)
             "ii"       /* plane, rows */
             "dd"       /* improve_eps, tie_eps */
             "in"       /* merge_aux, max_expansions */
-            "ii"       /* accept_mode, net_id */
+            "dd"       /* target_floor, floor_slack */
+            "i"        /* net_id */
             "OOO"      /* neighbor, blocked, base_costs */
             "OO"       /* guide_mask, guide_slot */
             "OOO"      /* history, owner, pressure */
@@ -724,7 +791,8 @@ run_search(PyObject *self, PyObject *args)
             &ctx.plane, &ctx.rows,
             &ctx.improve_eps, &ctx.tie_eps,
             &ctx.merge_aux, &max_expansions,
-            &ctx.accept_mode, &ctx.net_id,
+            &ctx.target_floor, &ctx.floor_slack,
+            &ctx.net_id,
             &neighbor_obj, &blocked_obj, &base_obj,
             &guide_mask_obj, &guide_slot_obj,
             &history_obj, &owner_obj, &pressure_obj,
@@ -828,7 +896,7 @@ run_search(PyObject *self, PyObject *args)
         else {
             Py_BEGIN_ALLOW_THREADS
             status = run_loop(&ctx, seed_node, seed_aux, num_seeds, max_expansions,
-                              &reached, &expansions);
+                              &reached, &expansions, &stopped);
             Py_END_ALLOW_THREADS
             heap_free(&ctx.heap);
             if (status == 0 && ctx.bad_slot) {
@@ -850,7 +918,7 @@ run_search(PyObject *self, PyObject *args)
     if (status < 0) {
         return PyErr_NoMemory();
     }
-    return Py_BuildValue("in", reached, expansions);
+    return Py_BuildValue("ini", reached, expansions, stopped);
 }
 
 /* labelled_box(stamp, epoch, node_stride, plane_size, num_rows, col_lo,

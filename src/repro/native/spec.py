@@ -7,7 +7,7 @@ adapter factory *attaches* a :class:`NativeExpandSpec` to the closure it
 returns (``expand.native_spec = ...``): a declarative bundle of the flat
 tables and scalars the kernel needs to reproduce that closure bit for bit.
 The core dispatches natively only when a spec is present, the kernel is
-loaded, and every run argument is representable -- otherwise the closure
+loaded, and the spec's node stride matches the run -- otherwise the closure
 runs as before, so the Python path remains the always-available fallback
 and the differential oracle.
 
@@ -26,11 +26,6 @@ from typing import Callable
 MODE_TRADITIONAL = 0
 MODE_COLOR_STATE = 1
 MODE_MASK_EXPANDED = 2
-
-#: Accept-predicate modes: no predicate, or the maze router's
-#: free-or-own-occupancy target rule.
-ACCEPT_ALWAYS = 0
-ACCEPT_FREE_OR_OWN = 1
 
 
 class NativeExpandSpec:
@@ -101,19 +96,6 @@ class NativeExpandSpec:
         self.tolerance = tolerance
 
 
-class NativeAcceptSpec:
-    """Native form of a target-accept predicate (see ``ACCEPT_*``).
-
-    The free-or-own rule reads the owner buffer and net id of the
-    expansion's :class:`NativeExpandSpec`, so only the kind travels here.
-    """
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: int) -> None:
-        self.kind = kind
-
-
 def attach_native_spec(
     expand: Callable,
     mode: int,
@@ -158,11 +140,3 @@ def attach_native_spec(
     )
     return expand
 
-
-def attach_accept_spec(accept: Callable) -> Callable:
-    """Attach the free-or-own occupancy accept spec to *accept*."""
-    from repro.accel import get_native_kernel
-
-    if get_native_kernel() is not None:
-        accept.native_spec = NativeAcceptSpec(kind=ACCEPT_FREE_OR_OWN)
-    return accept

@@ -7,6 +7,7 @@ expansion callback over flat grid indices.
 """
 
 from repro.search.core import (
+    FLOOR_SLACK,
     IMPROVE_EPS,
     SUCC_CAPACITY,
     TIE_EPS,
@@ -19,6 +20,7 @@ __all__ = [
     "SearchCore",
     "CoreResult",
     "RouteScopedExpand",
+    "FLOOR_SLACK",
     "IMPROVE_EPS",
     "SUCC_CAPACITY",
     "TIE_EPS",

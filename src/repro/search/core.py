@@ -51,6 +51,23 @@ that ends without an accepted target is re-run once over the whole grid
 (see :meth:`SearchCore.run`), so a window only ever saves work; the
 routers pass the net's guide box grown by two gcells
 (:meth:`repro.gr.guide.GuideTables.search_window`).
+
+Target floor
+------------
+
+Every target the routers search for carries history, foreign occupancy or
+colour pressure, so exact A* would label everything cheaper than that
+entry cost before it pops a target.  Each adapter therefore passes
+``target_floor``: the least entry cost beyond the base step of any
+acceptable target (:meth:`repro.dr.cost.CostModel.target_floor`).  The
+loop keeps the lowest ``(f, counter)`` entry pushed onto a target and ends
+the search on it, stamped as expanded, as soon as ``best_f +``
+:data:`FLOOR_SLACK` ``< f(heap top) + target_floor``.  The heuristic is
+consistent and zero on the targets, so any later target entry has
+``f >= f(top) + target_floor``: the search returns the target, cost, aux
+and parent chain it would pop without the rule, and only the work after
+the answer is fixed is skipped (so a search that used to exceed
+``max_expansions`` may now finish).  A floor of 0 never fires.
 """
 
 from __future__ import annotations
@@ -61,7 +78,6 @@ from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.accel import get_native_kernel
-from repro.native.spec import ACCEPT_ALWAYS
 
 if TYPE_CHECKING:  # imported lazily to keep this module dependency-free
     from repro.dr.cost import CostModel, TargetBounds
@@ -73,6 +89,12 @@ IMPROVE_EPS = 1e-12
 #: Default equal-cost tolerance for aux (color-state) merging; matches the
 #: seed color-state search's ``_COST_TOLERANCE``.
 TIE_EPS = 1e-9
+
+#: Margin of the target-floor stop rule (``best_f + FLOOR_SLACK < f(top) +
+#: floor``).  Above :data:`TIE_EPS`, so no aux merge can reach a chain the
+#: rule has fixed, and far above the rounding of the separately summed
+#: floor.
+FLOOR_SLACK = 1e-6
 
 #: Capacity of the preallocated successor buffers handed to buffered expand
 #: callbacks.  The densest expansion is the DAC-2012 mask-expanded graph
@@ -105,6 +127,7 @@ class CoreResult:
         "_detached",
         "_window",
         "_seed_nodes",
+        "_target_nodes",
         "__weakref__",
     )
 
@@ -119,6 +142,7 @@ class CoreResult:
         epoch: int,
         window: Optional[CellWindow] = None,
         seed_nodes: Sequence[int] = (),
+        target_nodes: Iterable[int] = (),
     ) -> None:
         self.reached = reached  #: reached node, or -1 when the search failed
         self.expansions = expansions
@@ -132,9 +156,12 @@ class CoreResult:
         self._parent_map: Optional[Dict[int, int]] = None
         self._detached = False
         # The window the labels were computed in (None: the whole grid) and
-        # the seed nodes, labelled even where they lie outside it.
+        # the seed nodes, labelled even where they lie outside it; the
+        # targets whose entry costs fed a positive target floor, labelled
+        # or not.
         self._window = window
         self._seed_nodes = seed_nodes
+        self._target_nodes = target_nodes
 
     @classmethod
     def empty(cls) -> "CoreResult":
@@ -205,8 +232,11 @@ class CoreResult:
         deltas to decide whether a snapshot-computed route is still exact.
         A windowed run labels only its window's cells and its seeds, so
         only the window's share of the stamp buffer is scanned and the
-        seeds are added to the box.  The scan runs in the native kernel
-        when it is active.
+        seeds are added to the box.  A run with a positive target floor
+        also read the grid state of targets it may never have labelled
+        (their entry costs set the floor, which decides where the run
+        stops), so its targets are added too.  The scan runs in the
+        native kernel when it is active.
         """
         stamp, epoch = self._stamp_buf, self._epoch
         num_cols = plane_size // num_rows
@@ -235,10 +265,12 @@ class CoreResult:
                         for offset, mark in enumerate(run)
                         if mark == epoch
                     ]
+        extra = list(self._target_nodes)
         if window is not None:
-            for node in self._seed_nodes:
-                vertex = node // node_stride if node_stride != 1 else node
-                cells.append(divmod(vertex % plane_size, num_rows))
+            extra += self._seed_nodes
+        for node in extra:
+            vertex = node // node_stride if node_stride != 1 else node
+            cells.append(divmod(vertex % plane_size, num_rows))
         if not cells:
             return None
         return (
@@ -325,6 +357,8 @@ class SearchCore:
         #: Windowed runs that ended without a target and were re-run over
         #: the whole grid.
         self.window_retries = 0
+        #: Runs the target floor ended before their best target popped.
+        self.floor_stops = 0
 
     # ------------------------------------------------------------------
 
@@ -350,18 +384,17 @@ class SearchCore:
         merge_aux: bool,
         improve_eps: float,
         tie_eps: float,
-        accept: Optional[Callable[[int], bool]],
+        target_floor: float,
         window: Optional[CellWindow],
         epoch: int,
-    ) -> Optional[CoreResult]:
+    ) -> Optional[Tuple[int, int, bool]]:
         """Run the search on the compiled kernel, or ``None`` to fall back.
 
-        Dispatches only when the kernel is loaded, the expand closure
+        Dispatches only when the kernel is loaded and the expand closure
         carries a :class:`repro.native.spec.NativeExpandSpec` whose stride
-        matches the call, and the accept predicate (if any) carries a
-        native descriptor.  The kernel mutates the exact label buffers the
-        Python loop would, so the returned :class:`CoreResult` is
-        indistinguishable from an interpreted run.
+        matches the call.  The kernel mutates the exact label buffers the
+        Python loop would and returns ``(reached, expansions, stopped)``,
+        so the run is indistinguishable from an interpreted one.
         """
         spec = getattr(expand, "native_spec", None)
         if spec is None or spec.node_stride != node_stride:
@@ -369,13 +402,6 @@ class SearchCore:
         kernel = get_native_kernel()
         if kernel is None:
             return None
-        if accept is None:
-            accept_kind = ACCEPT_ALWAYS
-        else:
-            accept_spec = getattr(accept, "native_spec", None)
-            if accept_spec is None:
-                return None
-            accept_kind = accept_spec.kind
 
         seed_node = array("i")
         seed_aux = array("i")
@@ -403,7 +429,7 @@ class SearchCore:
                 window_ints = (0, 0, grid.num_cols - 1, grid.num_rows - 1)
             else:
                 window_ints = window
-            reached, expansions = kernel.run_search(
+            outcome = kernel.run_search(
                 spec.mode,
                 grid.num_vertices * node_stride,
                 node_stride,
@@ -435,7 +461,8 @@ class SearchCore:
                 tie_eps,
                 1 if merge_aux else 0,
                 self.max_expansions,
-                accept_kind,
+                target_floor,
+                FLOOR_SLACK,
                 spec.net_id,
                 spec.neighbor,
                 spec.blocked,
@@ -455,18 +482,8 @@ class SearchCore:
         finally:
             for node in targets:
                 flags[node] = 0
-
-        return CoreResult(
-            reached,
-            expansions,
-            self._cost_buf,
-            self._aux_buf,
-            self._parent_buf,
-            self._stamp_buf,
-            epoch,
-            window,
-            seed_node,
-        )
+        reached, expansions, stopped = outcome
+        return reached, expansions, bool(stopped)
 
     def run(
         self,
@@ -480,6 +497,7 @@ class SearchCore:
         tie_eps: float = TIE_EPS,
         accept: Optional[Callable[[int], bool]] = None,
         window: Optional[CellWindow] = None,
+        target_floor: float = 0.0,
     ) -> CoreResult:
         """Run one multi-source search.
 
@@ -497,7 +515,8 @@ class SearchCore:
             must be valid (in-bounds, unblocked) nodes.
         bounds:
             Target bounding box for the admissible A* lower bound (grid
-            coordinates); ``None`` disables the heuristic.
+            coordinates); ``None`` disables the heuristic.  It must hold
+            every target, so the bound is zero on them.
         node_stride:
             Nodes per grid vertex (1, or 3 on the mask-expanded graph);
             ``node // node_stride`` must be the flat vertex index.
@@ -510,8 +529,10 @@ class SearchCore:
             A revisit must undercut the stored cost by more than this to
             replace the label.
         accept:
-            Optional extra predicate a popped target must satisfy (e.g. the
-            maze router's occupied-target rule).
+            Optional extra predicate a target must satisfy (e.g. the maze
+            router's occupied-target rule).  Grid state does not change
+            during a run, so it is evaluated once per target before the
+            search; a rejected target is searched through like any node.
         window:
             Optional inclusive planar ``(col_lo, row_lo, col_hi, row_hi)``
             window.  A successor whose vertex lies outside it is never
@@ -521,9 +542,29 @@ class SearchCore:
             fresh epoch, and that second result is returned: its
             ``expansions`` is the sum of both runs, :attr:`on_result` sees
             both results, and :attr:`window_retries` counts the re-run.
+        target_floor:
+            A lower bound on every edge cost into an accepted target beyond
+            the A* bound of the edge's tail: ``cost(u, t) >= h(u) +
+            target_floor``.  The run tracks the lowest ``(f, counter)``
+            entry pushed onto an accepted target and returns it, stamped as
+            expanded, once ``best_f + FLOOR_SLACK < f(heap top) +
+            target_floor``; :attr:`floor_stops` counts those runs.  The
+            result (reached node, its cost, aux and parent chain) is the one
+            the run would pop without the rule, only sooner, so a run that
+            used to exceed ``max_expansions`` may now finish.  0 (the
+            default) never stops a run early.
         """
         seeds = list(seeds)
-        args = (seeds, targets, expand, bounds, node_stride, merge_aux, improve_eps, tie_eps, accept)
+        if accept is not None:
+            accepted = {node for node in targets if accept(node)}
+        else:
+            accepted = targets
+        # A positive floor read every target's grid state, labelled or not.
+        read_targets = targets if target_floor > 0.0 else ()
+        args = (
+            seeds, accepted, expand, bounds, node_stride, merge_aux, improve_eps, tie_eps,
+            target_floor, read_targets,
+        )
         result = self._run_once(*args, window)
         if window is not None and not result.found:
             self.window_retries += 1
@@ -549,10 +590,14 @@ class SearchCore:
         merge_aux: bool,
         improve_eps: float,
         tie_eps: float,
-        accept: Optional[Callable[[int], bool]],
+        target_floor: float,
+        read_targets: Iterable[int],
         window: Optional[CellWindow],
     ) -> CoreResult:
-        """One search under a fresh epoch, on the native tier when it can."""
+        """One search under a fresh epoch, on the native tier when it can.
+
+        *targets* holds the accepted targets only.
+        """
         previous = self._last_result() if self._last_result is not None else None
         if previous is not None:
             previous._detach()
@@ -563,12 +608,11 @@ class SearchCore:
         epoch = self._epoch
 
         # Native tier: when the adapter attached a kernel descriptor to
-        # its expand closure (and the accept predicate, if any, is
-        # representable), the whole relaxation loop runs compiled over
+        # its expand closure, the whole relaxation loop runs compiled over
         # the same buffers -- bit-identical by the kernel's contract,
-        # proven by tests/test_native_kernel.py.  Any missing piece
-        # falls through to the interpreted loop below.
-        result = self._try_run_native(
+        # proven by tests/test_native_kernel.py.  Otherwise the
+        # interpreted loop below runs.
+        outcome = self._try_run_native(
             seeds,
             targets,
             expand,
@@ -577,14 +621,48 @@ class SearchCore:
             merge_aux,
             improve_eps,
             tie_eps,
-            accept,
+            target_floor,
             window,
             epoch,
         )
-        if result is not None:
-            self._last_result = weakref.ref(result)
-            return result
+        if outcome is None:
+            outcome = self._run_python(
+                seeds, targets, expand, bounds, node_stride, merge_aux, improve_eps, tie_eps,
+                target_floor, window, epoch,
+            )
+        reached, expansions, stopped = outcome
+        self.floor_stops += stopped
+        result = CoreResult(
+            reached,
+            expansions,
+            self._cost_buf,
+            self._aux_buf,
+            self._parent_buf,
+            self._stamp_buf,
+            epoch,
+            window,
+            [node for node, _ in seeds],
+            read_targets,
+        )
+        self._last_result = weakref.ref(result)
+        return result
 
+    def _run_python(
+        self,
+        seeds: List[Tuple[int, int]],
+        targets: "set[int]",
+        expand: Callable[..., object],
+        bounds: Optional[TargetBounds],
+        node_stride: int,
+        merge_aux: bool,
+        improve_eps: float,
+        tie_eps: float,
+        target_floor: float,
+        window: Optional[CellWindow],
+        epoch: int,
+    ) -> Tuple[int, int, bool]:
+        """The interpreted loop; returns ``(reached, expansions, stopped)``."""
+        grid = self.grid
         cost = self._cost_buf
         aux = self._aux_buf
         parent = self._parent_buf
@@ -623,18 +701,31 @@ class SearchCore:
 
         heap: List[Tuple[float, int, int, float]] = []  # (f, counter, node, g)
         counter = 0
+        # The lowest (f, counter) entry pushed onto a target: counters
+        # grow, so only a strictly lower f replaces it.
+        best_node = -1
+        best_f = float("inf")
         for node, node_aux in seeds:
             cost[node] = 0.0
             aux[node] = node_aux
             parent[node] = -1
             stamp[node] = epoch
-            heappush(heap, (heur(node), counter, node, 0.0))
+            f = heur(node)
+            if f < best_f and node in targets:
+                best_f, best_node = f, node
+            heappush(heap, (f, counter, node, 0.0))
             counter += 1
 
         expansions = 0
-        reached = -1
         max_expansions = self.max_expansions
         while heap:
+            if best_node >= 0 and best_f + FLOOR_SLACK < heap[0][0] + target_floor:
+                # The best target entry provably pops before any other
+                # target entry, with this label: end the search on it.
+                exp_stamp[best_node] = epoch
+                exp_cost[best_node] = cost[best_node]
+                exp_aux[best_node] = aux[best_node]
+                return best_node, expansions + 1, True
             _f, _cnt, node, g_pushed = heappop(heap)
             g_cur = cost[node]
             if g_pushed - g_cur > improve_eps:
@@ -650,9 +741,8 @@ class SearchCore:
             exp_cost[node] = g_cur
             exp_aux[node] = a_cur
             expansions += 1
-            if node in targets and (accept is None or accept(node)):
-                reached = node
-                break
+            if node in targets:
+                return node, expansions, False
             if expansions > max_expansions:
                 break
             count = expand(node, g_cur, a_cur, succ_node, succ_cost, succ_aux)
@@ -669,7 +759,10 @@ class SearchCore:
                     cost[succ] = g_new
                     aux[succ] = succ_aux[slot]
                     parent[succ] = node
-                    heappush(heap, (g_new + heur(succ), counter, succ, g_new))
+                    f = g_new + heur(succ)
+                    if f < best_f and succ in targets:
+                        best_f, best_node = f, succ
+                    heappush(heap, (f, counter, succ, g_new))
                     counter += 1
                     continue
                 g_old = cost[succ]
@@ -677,7 +770,10 @@ class SearchCore:
                     cost[succ] = g_new
                     aux[succ] = succ_aux[slot]
                     parent[succ] = node
-                    heappush(heap, (g_new + heur(succ), counter, succ, g_new))
+                    f = g_new + heur(succ)
+                    if f < best_f and succ in targets:
+                        best_f, best_node = f, succ
+                    heappush(heap, (f, counter, succ, g_new))
                     counter += 1
                 elif (
                     merge_aux
@@ -690,14 +786,10 @@ class SearchCore:
                     # was already expanded with the narrower state, queue
                     # it again so the widening propagates downstream; a
                     # pending queue entry will pick the merged state up
-                    # at pop time.
+                    # at pop time.  (An expanded target has ended the
+                    # run, so this re-push is never a target's.)
                     aux[succ] |= succ_aux[slot]
                     if exp_stamp[succ] == epoch:
                         heappush(heap, (g_old + heur(succ), counter, succ, g_old))
                         counter += 1
-
-        result = CoreResult(
-            reached, expansions, cost, aux, parent, stamp, epoch, window, [node for node, _ in seeds]
-        )
-        self._last_result = weakref.ref(result)
-        return result
+        return -1, expansions, False

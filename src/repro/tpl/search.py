@@ -190,6 +190,7 @@ class ColorStateSearch(RouteScopedExpand):
 
         expand = self.expand_for(net_name)
         self.core.max_expansions = self.max_expansions
+        cost_model = self.cost_model
         core = self.core.run(
             seeds,
             target_nodes,
@@ -198,7 +199,10 @@ class ColorStateSearch(RouteScopedExpand):
             merge_aux=True,
             improve_eps=_COST_TOLERANCE,
             tie_eps=_COST_TOLERANCE,
-            window=self.cost_model.guide_tables.search_window(net_name),
+            window=cost_model.guide_tables.search_window(net_name),
+            target_floor=cost_model.target_floor(
+                net_name, grid.net_id(net_name), target_nodes, MODE_COLOR_STATE
+            ),
         )
         return ColorSearchResult(core, grid)
 

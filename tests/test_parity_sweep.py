@@ -15,5 +15,5 @@ _SPEC.loader.exec_module(parity_sweep)
 def test_check_design_finds_no_mismatch_on_fig1_dense_cluster():
     mismatches, legs = parity_sweep.check_design("fig1_dense_cluster", fig1_dense_cluster)
     assert mismatches == []
-    # 3 routers x (5 legs + 1 checkpoint leg); the pool leg needs fork.
-    assert legs == (18 if parity_sweep.HAVE_FORK else 15)
+    # 3 routers x (6 legs + 1 checkpoint leg); the pool leg needs fork.
+    assert legs == (21 if parity_sweep.HAVE_FORK else 18)
