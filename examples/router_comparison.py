@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Compare Mr.TPL against both baselines on one benchmark case (Tables II & III in miniature).
 
-The script routes the same ISPD-2018-like case with:
+The script routes the same ISPD-2018-like case with Mr.TPL and with each
+baseline of the paper's tables:
 
 1. the DAC-2012-style 2-pin mask-expanded router (Table II baseline),
 2. the TPL-unaware detailed router followed by OpenMPL-like layout
    decomposition (Table III baseline),
-3. Mr.TPL,
 
-and prints one comparison table.  Run with::
+and prints one row per baseline; each metric cell reads ``baseline/Mr.TPL``.
+Run with::
 
     python examples/router_comparison.py [case_number] [scale]
 """
@@ -17,13 +18,8 @@ from __future__ import annotations
 
 import sys
 
-from repro.baselines import Dac2012Router, LayoutDecomposer
 from repro.bench import ispd18_suite
-from repro.dr import DetailedRouter
-from repro.eval import evaluate_solution, format_table
-from repro.gr import GlobalRouter
-from repro.grid import RoutingGrid
-from repro.tpl import MrTPLRouter
+from repro.eval import compare_case, format_rows
 
 
 def main() -> None:
@@ -31,42 +27,9 @@ def main() -> None:
     scale = float(sys.argv[2]) if len(sys.argv) > 2 else 0.6
     case = ispd18_suite(scale, cases=[number])[0]
     print(f"case {case.name} at scale {scale}")
-
-    rows = []
-
-    # --- DAC-2012 style baseline -------------------------------------------------
-    design = case.build()
-    grid = RoutingGrid(design)
-    guides = GlobalRouter(design).route()
-    solution = Dac2012Router(design, grid=grid, guides=guides, use_global_router=False).run()
-    result = evaluate_solution(design, grid, solution, guides)
-    rows.append(["dac2012 (2-pin)", result.conflicts, result.stitches,
-                 result.wirelength, f"{result.score:.0f}", f"{result.runtime_seconds:.2f}"])
-
-    # --- route-then-decompose ----------------------------------------------------
-    design = case.build()
-    grid = RoutingGrid(design)
-    guides = GlobalRouter(design).route()
-    plain = DetailedRouter(design, grid=grid, guides=guides).run()
-    decomposition = LayoutDecomposer(design, grid).decompose(plain)
-    result = evaluate_solution(design, grid, decomposition.solution, guides)
-    rows.append(["route+decompose", result.conflicts, result.stitches,
-                 result.wirelength, f"{result.score:.0f}",
-                 f"{plain.runtime_seconds + decomposition.runtime_seconds:.2f}"])
-
-    # --- Mr.TPL -------------------------------------------------------------------
-    design = case.build()
-    grid = RoutingGrid(design)
-    guides = GlobalRouter(design).route()
-    solution = MrTPLRouter(design, grid=grid, guides=guides, use_global_router=False).run()
-    result = evaluate_solution(design, grid, solution, guides)
-    rows.append(["mr-tpl", result.conflicts, result.stitches,
-                 result.wirelength, f"{result.score:.0f}", f"{result.runtime_seconds:.2f}"])
-
-    print()
-    print(format_table(
-        ["router", "conflicts", "stitches", "wirelength", "cost", "runtime (s)"], rows
-    ))
+    for baseline in ("dac2012", "decompose"):
+        print(f"\nbaseline {baseline} / Mr.TPL")
+        print(format_rows([compare_case(case, baseline)]))
 
 
 if __name__ == "__main__":

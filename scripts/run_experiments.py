@@ -1,82 +1,66 @@
 #!/usr/bin/env python3
-"""Run the Table II / Table III experiments and dump rows as they finish.
+"""Run the Table II / Table III experiments and print both tables.
 
 Usage::
 
-    python scripts/run_experiments.py [scale] [max_cases] [parallelism]
-        [--backend serial|pool] [--min-fork-batch N]
+    python scripts/run_experiments.py [scale] [max_cases]
 
-A ``parallelism`` above 1 routes through the :mod:`repro.sched` batched
-rip-up loop on the worker pool (each routing pass forks its workers, which
-catch up between batches from the route logs the parent committed; results
-stay bit-identical to the sequential loop).  ``--backend serial`` keeps the
-batched loop but routes every batch in-process.  ``--min-fork-batch`` is
-the smallest batch worth starting pool workers for (default 3).
-
-Rows are appended to ``experiment_results.jsonl`` in the repository root so a
-partially completed run is still usable for EXPERIMENTS.md.
+Table II races Mr.TPL against the DAC-2012 router on the ISPD-2018-like
+suite, Table III against route-then-decompose on the ISPD-2019-like suite,
+each on cases 1..max_cases at *scale* with 3 rip-up rounds.  One JSON line
+per row is printed as soon as its case finishes, so a partial run is still
+usable; then both tables (each metric cell reads ``baseline/Mr.TPL``) and
+their averaged improvements.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-from pathlib import Path
+from typing import List, Optional
 
-from repro.bench.suites import ispd18_suite, ispd19_suite
-from repro.eval.experiments import run_table2_case, run_table3_case
+from repro.eval.experiments import TABLE_BASELINES, format_rows, run_table, summarize
+from repro.eval.report import format_percent
 
-OUT = Path(__file__).resolve().parent.parent / "experiment_results.jsonl"
+#: Rip-up rounds per router, the same for every column of both tables.
+MAX_ITERATIONS = 3
 
 
-def parse_args() -> argparse.Namespace:
-    parser = argparse.ArgumentParser(description=__doc__)
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("scale", nargs="?", type=float, default=0.7)
     parser.add_argument("max_cases", nargs="?", type=int, default=10)
-    parser.add_argument("parallelism", nargs="?", type=int, default=1)
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=("serial", "pool"),
-        help="batched-executor backend (default: pool when parallelism > 1)",
-    )
-    parser.add_argument(
-        "--min-fork-batch",
-        type=int,
-        default=None,
-        help="smallest batch worth starting pool workers for (default: 3)",
-    )
-    return parser.parse_args()
+    return parser.parse_args(argv)
 
 
-def main() -> None:
-    args = parse_args()
-    scale = args.scale
-    max_cases = args.max_cases
-    parallelism = args.parallelism
-    backend = args.backend
-    if backend is None:
-        backend = "pool" if parallelism > 1 else "serial"
-    knobs = {
-        "parallelism": parallelism,
-        "batch_backend": backend,
-        "min_fork_batch": args.min_fork_batch,
-    }
-    with OUT.open("a") as handle:
-        for case in ispd18_suite(scale, cases=list(range(1, max_cases + 1))):
-            row = run_table2_case(case, max_iterations=3, **knobs)
-            record = {"table": "II", "scale": scale, **row.as_dict()}
-            handle.write(json.dumps(record) + "\n")
-            handle.flush()
-            print("T2", record, flush=True)
-        for case in ispd19_suite(scale, cases=list(range(1, max_cases + 1))):
-            row = run_table3_case(case, max_iterations=3, **knobs)
-            record = {"table": "III", "scale": scale, **row.as_dict()}
-            record["decomposition_runtime"] = row.decomposition_runtime
-            record["ours_runtime"] = row.ours_runtime
-            handle.write(json.dumps(record) + "\n")
-            handle.flush()
-            print("T3", record, flush=True)
+def main(argv: Optional[List[str]] = None) -> None:
+    args = parse_args(argv)
+    cases = list(range(1, args.max_cases + 1))
+    tables = {}
+    for table in TABLE_BASELINES:
+        def emit(row, table=table):
+            record = {"table": table, "scale": args.scale, **row.as_dict()}
+            print(json.dumps(record), flush=True)
+
+        tables[table] = run_table(
+            table, args.scale, cases, max_iterations=MAX_ITERATIONS, on_row=emit
+        )
+    for table, rows in tables.items():
+        baseline, _ = TABLE_BASELINES[table]
+        print(f"\nTable {table} (baseline {baseline} / Mr.TPL, scale {args.scale})")
+        print(format_rows(rows))
+    print()
+    for table, rows in tables.items():
+        summary = summarize(rows)
+        print(
+            f"Table {table}: avg conflict reduction "
+            f"{format_percent(summary['avg_conflict_improvement'])}, "
+            f"avg stitch reduction {format_percent(summary['avg_stitch_improvement'])}, "
+            f"avg cost reduction {format_percent(summary['avg_cost_improvement'])}, "
+            f"avg speedup {summary['avg_speedup']:.2f}x (max {summary['max_speedup']:.2f}x)"
+        )
 
 
 if __name__ == "__main__":

@@ -1,27 +1,23 @@
-"""Evaluation: metrics, the ISPD-style cost score, and experiment harnesses.
+"""Evaluation: metrics, the ISPD-style cost score, and experiment drivers.
 
 The evaluation code is shared by every router and baseline so the
 comparisons of Tables II and III are computed identically for all of them.
-:mod:`repro.eval.experiments` contains the runnable harnesses that
-regenerate each table/figure of the paper; the benchmark scripts under
-``benchmarks/`` and the entries in ``EXPERIMENTS.md`` are thin wrappers over
-those harnesses.
+:mod:`repro.eval.experiments` holds the drivers that regenerate each
+table and figure of the paper; ``scripts/run_experiments.py`` prints both
+tables from them.
 """
 
 from repro.eval.metrics import EvaluationResult, evaluate_solution
 from repro.eval.ispd_score import IspdScoreWeights, ispd_score
-from repro.eval.report import format_table, format_comparison_table
+from repro.eval.report import format_table
 from repro.eval.experiments import (
-    Table2Row,
-    Table3Row,
-    run_table2,
-    run_table3,
-    run_table2_case,
-    run_table3_case,
+    TableRow,
+    compare_case,
+    format_rows,
     run_fig1_examples,
     run_fig3_walkthrough,
-    summarize_table2,
-    summarize_table3,
+    run_table,
+    summarize,
 )
 
 __all__ = [
@@ -30,15 +26,11 @@ __all__ = [
     "IspdScoreWeights",
     "ispd_score",
     "format_table",
-    "format_comparison_table",
-    "Table2Row",
-    "Table3Row",
-    "run_table2",
-    "run_table3",
-    "run_table2_case",
-    "run_table3_case",
+    "TableRow",
+    "compare_case",
+    "format_rows",
     "run_fig1_examples",
     "run_fig3_walkthrough",
-    "summarize_table2",
-    "summarize_table3",
+    "run_table",
+    "summarize",
 ]

@@ -1,10 +1,11 @@
-"""Experiment harnesses regenerating every table and figure of the paper.
+"""Experiment drivers regenerating every table and figure of the paper.
 
-* :func:`run_table2` -- Table II: Mr.TPL vs the DAC-2012 baseline on the
-  ISPD-2018-like suite (conflicts, stitches, ISPD cost, runtime, speedup).
-* :func:`run_table3` -- Table III: Mr.TPL vs routing-then-decomposition
-  (plain detailed router + OpenMPL-like decomposer) on the ISPD-2019-like
-  suite (conflicts, stitches).
+* :func:`run_table` -- Table II (Mr.TPL vs the DAC-2012 baseline on the
+  ISPD-2018-like suite) or Table III (Mr.TPL vs routing-then-decomposition:
+  plain detailed router + OpenMPL-like decomposer, on the ISPD-2019-like
+  suite).  One :class:`TableRow` per case, built by :func:`compare_case`,
+  holds a full :func:`evaluate_solution` of each column: conflicts,
+  stitches, shorts, failed nets, iterations, ISPD cost and runtime.
 * :func:`run_fig1_examples` -- the qualitative Fig. 1 scenarios.
 * :func:`run_fig3_walkthrough` -- the Fig. 3 color-state walk-through.
 * :func:`route_with_checkpoint` -- resumable routing: the campaign is
@@ -12,38 +13,61 @@
   the solution; a rerun restores the exact grid + solution from the
   checkpoint instead of routing again.
 
-Each harness returns plain dataclass rows so the benchmark scripts, the
-examples and ``EXPERIMENTS.md`` all consume the same numbers.
+Each driver returns plain dataclass rows, so ``scripts/run_experiments.py``
+and the examples print the same numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.accel import get_check_kernel, get_native_kernel
 from repro.baselines import Dac2012Router, LayoutDecomposer
 from repro.bench.micro import fig1_dense_cluster, fig1_multi_pin_net, fig3_walkthrough_design
 from repro.bench.suites import SuiteCase, ispd18_suite, ispd19_suite
 from repro.design import Design
 from repro.dr import DetailedRouter
 from repro.eval.metrics import EvaluationResult, evaluate_solution
+from repro.eval.report import format_table
 from repro.gr import GlobalRouter, GuideSet
 from repro.grid import RoutingGrid
-from repro.tpl import ConflictChecker, MrTPLRouter
+from repro.tpl import MrTPLRouter
 from repro.utils import get_logger
 
 _LOG = get_logger("eval.experiments")
 
 
 # ----------------------------------------------------------------------
-# Table II
+# Tables II and III
 # ----------------------------------------------------------------------
 
+#: The baseline flow of each table and the suite it runs on: Table II
+#: races the DAC-2012 router on the ISPD-2018-like suite, Table III
+#: route-then-decompose on the ISPD-2019-like suite.
+TABLE_BASELINES: Dict[str, Tuple[str, Callable[..., List[SuiteCase]]]] = {
+    "II": ("dac2012", ispd18_suite),
+    "III": ("decompose", ispd19_suite),
+}
+
+#: The columns :func:`format_rows` prints as ``baseline/Mr.TPL``:
+#: (header, :class:`EvaluationResult` field, format).
+_ROW_COLUMNS = (
+    ("conflicts", "conflicts", "{}"),
+    ("stitches", "stitches", "{}"),
+    ("shorts", "shorts", "{}"),
+    ("failed nets", "failed_nets", "{}"),
+    ("iterations", "iterations", "{}"),
+    ("cost", "score", "{:.0f}"),
+    ("runtime (s)", "runtime_seconds", "{:.3f}"),
+)
+
+
 @dataclass
-class Table2Row:
-    """One case row of Table II (baseline [5] vs Mr.TPL)."""
+class TableRow:
+    """One case row of Table II or III: the baseline column against Mr.TPL's."""
 
     case: str
     baseline: EvaluationResult
@@ -71,106 +95,107 @@ class Table2Row:
             return float("inf")
         return self.baseline.runtime_seconds / self.ours.runtime_seconds
 
-    def as_dict(self) -> Dict[str, float]:
-        """Return the row as a flat dictionary (benchmark / report friendly)."""
+    def as_dict(self) -> Dict[str, object]:
+        """Return the row as a JSON-ready dictionary: both full columns plus
+        the improvements and the speedup."""
         return {
             "case": self.case,
-            "baseline_conflicts": self.baseline.conflicts,
-            "ours_conflicts": self.ours.conflicts,
+            "baseline": self.baseline.as_dict(),
+            "ours": self.ours.as_dict(),
             "conflict_improvement": self.conflict_improvement,
-            "baseline_stitches": self.baseline.stitches,
-            "ours_stitches": self.ours.stitches,
             "stitch_improvement": self.stitch_improvement,
-            "baseline_cost": self.baseline.score,
-            "ours_cost": self.ours.score,
             "cost_improvement": self.cost_improvement,
-            "baseline_runtime": self.baseline.runtime_seconds,
-            "ours_runtime": self.ours.runtime_seconds,
             "speedup": self.speedup,
         }
 
 
-def run_table2_case(
-    case: SuiteCase,
+def run_flow(
+    flow: str,
+    build: Callable[[], Design],
+    guides: Optional[GuideSet] = None,
     max_iterations: Optional[int] = None,
-    use_global_router: bool = True,
-    parallelism: int = 1,
-    batch_backend: str = "serial",
-    min_fork_batch: Optional[int] = None,
-) -> Table2Row:
-    """Run the Table II comparison on a single suite case.
+) -> EvaluationResult:
+    """Route a freshly built design with one flow and score it.
 
-    Both routers receive identical, independently constructed grids and the
-    same GR guides (built once and shared) so neither benefits from the
-    other's routing state.  ``parallelism`` / ``batch_backend`` switch both
-    routers onto the :mod:`repro.sched` batched rip-up loop (results stay
-    bit-identical to the sequential loop).
+    *flow* is ``"mr-tpl"``, ``"dac2012"`` or ``"decompose"``: the
+    TPL-unaware detailed router (the stand-in for Dr.CU 2.0), then the
+    OpenMPL-like decomposer on the unchanged layout.  ``build()`` makes
+    the design, routed on its own grid, so no flow sees another's routing
+    state.  Every router follows *guides*, or runs unguided without them.
+    :func:`evaluate_solution` scores the result; the ``decompose`` flow's
+    runtime is routing plus decomposition.
     """
-    design_for_baseline = case.build()
-    design_for_ours = case.build()
-
-    guides_baseline = GlobalRouter(design_for_baseline).route() if use_global_router else None
-    guides_ours = GlobalRouter(design_for_ours).route() if use_global_router else None
-
-    baseline_grid = RoutingGrid(design_for_baseline)
-    baseline_router = Dac2012Router(
-        design_for_baseline,
-        grid=baseline_grid,
-        guides=guides_baseline,
-        use_global_router=False,
+    # Load the native kernels (building them on a fresh checkout) before
+    # the timed run, so no column's runtime counts the compiler.
+    get_native_kernel()
+    get_check_kernel()
+    design = build()
+    grid = RoutingGrid(design)
+    if flow == "decompose":
+        plain = DetailedRouter(
+            design, grid=grid, guides=guides, max_iterations=max_iterations
+        ).run()
+        decomposition = LayoutDecomposer(design, grid).decompose(plain)
+        result = evaluate_solution(design, grid, decomposition.solution, guides)
+        return replace(
+            result,
+            runtime_seconds=plain.runtime_seconds + decomposition.runtime_seconds,
+        )
+    routers = {"mr-tpl": MrTPLRouter, "dac2012": Dac2012Router}
+    if flow not in routers:
+        raise ValueError(f"unknown flow {flow!r}")
+    solution = routers[flow](
+        design, grid=grid, guides=guides, use_global_router=False,
         max_iterations=max_iterations,
-        parallelism=parallelism,
-        batch_backend=batch_backend,
-        min_fork_batch=min_fork_batch,
+    ).run()
+    return evaluate_solution(design, grid, solution, guides)
+
+
+def compare_case(
+    case: SuiteCase,
+    baseline: str = "dac2012",
+    max_iterations: Optional[int] = None,
+) -> TableRow:
+    """Route *case* with the *baseline* flow and with Mr.TPL, and score both.
+
+    *baseline* is ``"dac2012"`` (Table II) or ``"decompose"`` (Table III).
+    The global-routing guides are built once, on a build of their own, and
+    shared: a :class:`GuideSet` never changes once built, and every build
+    of a case is the same design.
+    """
+    if baseline not in {flow for flow, _ in TABLE_BASELINES.values()}:
+        raise ValueError(f"unknown baseline {baseline!r}")
+    guides = GlobalRouter(case.build()).route()
+    return TableRow(
+        case=case.name,
+        baseline=run_flow(baseline, case.build, guides, max_iterations),
+        ours=run_flow("mr-tpl", case.build, guides, max_iterations),
     )
-    baseline_solution = baseline_router.run()
-    baseline_eval = evaluate_solution(
-        design_for_baseline, baseline_grid, baseline_solution, guides_baseline
-    )
-
-    ours_grid = RoutingGrid(design_for_ours)
-    ours_router = MrTPLRouter(
-        design_for_ours,
-        grid=ours_grid,
-        guides=guides_ours,
-        use_global_router=False,
-        max_iterations=max_iterations,
-        parallelism=parallelism,
-        batch_backend=batch_backend,
-        min_fork_batch=min_fork_batch,
-    )
-    ours_solution = ours_router.run()
-    ours_eval = evaluate_solution(design_for_ours, ours_grid, ours_solution, guides_ours)
-
-    return Table2Row(case=case.name, baseline=baseline_eval, ours=ours_eval)
 
 
-def run_table2(
+def run_table(
+    table: str,
     scale: float = 1.0,
     cases: Optional[Sequence[int]] = None,
     max_iterations: Optional[int] = None,
-    parallelism: int = 1,
-    batch_backend: str = "serial",
-    min_fork_batch: Optional[int] = None,
-) -> List[Table2Row]:
-    """Run the full Table II experiment over the ISPD-2018-like suite."""
-    suite = ispd18_suite(scale, cases=list(cases) if cases is not None else None)
+    on_row: Optional[Callable[[TableRow], None]] = None,
+) -> List[TableRow]:
+    """Run Table ``"II"`` or ``"III"`` over its suite at *scale*.
+
+    *on_row* sees each row as soon as its case finishes.
+    """
+    baseline, suite = TABLE_BASELINES[table]
     rows = []
-    for case in suite:
-        _LOG.info("Table II case %s", case.name)
-        rows.append(
-            run_table2_case(
-                case,
-                max_iterations=max_iterations,
-                parallelism=parallelism,
-                batch_backend=batch_backend,
-                min_fork_batch=min_fork_batch,
-                    )
-        )
+    for case in suite(scale, cases=list(cases) if cases is not None else None):
+        _LOG.info("Table %s case %s", table, case.name)
+        row = compare_case(case, baseline, max_iterations)
+        if on_row is not None:
+            on_row(row)
+        rows.append(row)
     return rows
 
 
-def summarize_table2(rows: Sequence[Table2Row]) -> Dict[str, float]:
+def summarize(rows: Sequence[TableRow]) -> Dict[str, float]:
     """Return the per-case-averaged improvements the paper's last row reports."""
     if not rows:
         return {
@@ -189,141 +214,22 @@ def summarize_table2(rows: Sequence[Table2Row]) -> Dict[str, float]:
     }
 
 
-# ----------------------------------------------------------------------
-# Table III
-# ----------------------------------------------------------------------
-
-@dataclass
-class Table3Row:
-    """One case row of Table III (OpenMPL-like decomposition vs Mr.TPL)."""
-
-    case: str
-    decomposition_conflicts: int
-    decomposition_stitches: int
-    ours_conflicts: int
-    ours_stitches: int
-    decomposition_runtime: float = 0.0
-    ours_runtime: float = 0.0
-
-    @property
-    def conflict_improvement(self) -> float:
-        """Return the relative conflict reduction of Mr.TPL over decomposition."""
-        return _improvement(self.decomposition_conflicts, self.ours_conflicts)
-
-    @property
-    def stitch_improvement(self) -> float:
-        """Return the relative stitch reduction of Mr.TPL over decomposition."""
-        return _improvement(self.decomposition_stitches, self.ours_stitches)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Return the row as a flat dictionary."""
-        return {
-            "case": self.case,
-            "decomposition_conflicts": self.decomposition_conflicts,
-            "ours_conflicts": self.ours_conflicts,
-            "conflict_improvement": self.conflict_improvement,
-            "decomposition_stitches": self.decomposition_stitches,
-            "ours_stitches": self.ours_stitches,
-            "stitch_improvement": self.stitch_improvement,
-        }
-
-
-def run_table3_case(
-    case: SuiteCase,
-    max_iterations: Optional[int] = None,
-    use_global_router: bool = True,
-    parallelism: int = 1,
-    batch_backend: str = "serial",
-    min_fork_batch: Optional[int] = None,
-) -> Table3Row:
-    """Run the Table III comparison on a single suite case.
-
-    The decomposition side first routes the design with the TPL-unaware
-    detailed router (the stand-in for Dr.CU 2.0) and then colors the
-    unchanged layout with the OpenMPL-like decomposer; the Mr.TPL side
-    routes the identical design with color-state searching.
-    """
-    design_for_decomposition = case.build()
-    design_for_ours = case.build()
-
-    guides_decomp = (
-        GlobalRouter(design_for_decomposition).route() if use_global_router else None
-    )
-    guides_ours = GlobalRouter(design_for_ours).route() if use_global_router else None
-
-    decomp_grid = RoutingGrid(design_for_decomposition)
-    plain_router = DetailedRouter(
-        design_for_decomposition,
-        grid=decomp_grid,
-        guides=guides_decomp,
-        max_iterations=max_iterations,
-        parallelism=parallelism,
-        batch_backend=batch_backend,
-        min_fork_batch=min_fork_batch,
-    )
-    plain_solution = plain_router.run()
-    decomposer = LayoutDecomposer(design_for_decomposition, decomp_grid)
-    decomposition = decomposer.decompose(plain_solution)
-
-    ours_grid = RoutingGrid(design_for_ours)
-    ours_router = MrTPLRouter(
-        design_for_ours,
-        grid=ours_grid,
-        guides=guides_ours,
-        use_global_router=False,
-        max_iterations=max_iterations,
-        parallelism=parallelism,
-        batch_backend=batch_backend,
-        min_fork_batch=min_fork_batch,
-    )
-    ours_solution = ours_router.run()
-    # The same full-scan oracle scores both columns.
-    ours_conflicts = ConflictChecker(design_for_ours, ours_grid).check(ours_solution)
-
-    return Table3Row(
-        case=case.name,
-        decomposition_conflicts=decomposition.conflicts,
-        decomposition_stitches=decomposition.stitches,
-        ours_conflicts=ours_conflicts.conflict_count,
-        ours_stitches=ours_solution.total_stitches(),
-        decomposition_runtime=plain_solution.runtime_seconds + decomposition.runtime_seconds,
-        ours_runtime=ours_solution.runtime_seconds,
-    )
-
-
-def run_table3(
-    scale: float = 1.0,
-    cases: Optional[Sequence[int]] = None,
-    max_iterations: Optional[int] = None,
-    parallelism: int = 1,
-    batch_backend: str = "serial",
-    min_fork_batch: Optional[int] = None,
-) -> List[Table3Row]:
-    """Run the full Table III experiment over the ISPD-2019-like suite."""
-    suite = ispd19_suite(scale, cases=list(cases) if cases is not None else None)
-    rows = []
-    for case in suite:
-        _LOG.info("Table III case %s", case.name)
-        rows.append(
-            run_table3_case(
-                case,
-                max_iterations=max_iterations,
-                parallelism=parallelism,
-                batch_backend=batch_backend,
-                min_fork_batch=min_fork_batch,
-                    )
-        )
-    return rows
-
-
-def summarize_table3(rows: Sequence[Table3Row]) -> Dict[str, float]:
-    """Return the averaged improvements of the Table III comparison."""
-    if not rows:
-        return {"avg_conflict_improvement": 0.0, "avg_stitch_improvement": 0.0}
-    return {
-        "avg_conflict_improvement": _mean([row.conflict_improvement for row in rows]),
-        "avg_stitch_improvement": _mean([row.stitch_improvement for row in rows]),
-    }
+def format_rows(rows: Sequence[TableRow]) -> str:
+    """Render *rows* as a text table; each metric cell reads ``baseline/Mr.TPL``."""
+    headers = ["case", *(header for header, _, _ in _ROW_COLUMNS), "speedup"]
+    body = [
+        [
+            row.case,
+            *(
+                f"{spec.format(getattr(row.baseline, field_name))}/"
+                f"{spec.format(getattr(row.ours, field_name))}"
+                for _, field_name, spec in _ROW_COLUMNS
+            ),
+            f"{row.speedup:.2f}x",
+        ]
+        for row in rows
+    ]
+    return format_table(headers, body)
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +241,7 @@ class FigureResult:
     """Outcome of one qualitative figure scenario."""
 
     scenario: str
-    metrics_by_router: Dict[str, EvaluationResult] = field(default_factory=dict)
+    metrics_by_router: Dict[str, EvaluationResult]
 
     def conflicts(self, router: str) -> int:
         """Return the conflict count of *router* on this scenario."""
@@ -353,45 +259,26 @@ def run_fig1_examples(max_iterations: Optional[int] = None) -> List[FigureResult
     routing versus Mr.TPL.  Scenario (c)/(d): the 4-pin net -- the 2-pin
     DAC-2012 baseline versus Mr.TPL.
     """
-    results: List[FigureResult] = []
-
-    cluster = FigureResult(scenario="fig1_dense_cluster")
-    design_decomp = fig1_dense_cluster()
-    grid_decomp = RoutingGrid(design_decomp)
-    plain = DetailedRouter(design_decomp, grid=grid_decomp, max_iterations=max_iterations)
-    plain_solution = plain.run()
-    decomposition = LayoutDecomposer(design_decomp, grid_decomp).decompose(plain_solution)
-    cluster.metrics_by_router["decomposition"] = evaluate_solution(
-        design_decomp, grid_decomp, decomposition.solution
-    )
-    design_ours = fig1_dense_cluster()
-    grid_ours = RoutingGrid(design_ours)
-    ours = MrTPLRouter(design_ours, grid=grid_ours, use_global_router=False,
-                       max_iterations=max_iterations)
-    cluster.metrics_by_router["mr-tpl"] = evaluate_solution(
-        design_ours, grid_ours, ours.run()
-    )
-    results.append(cluster)
-
-    multi = FigureResult(scenario="fig1_multi_pin_net")
-    design_baseline = fig1_multi_pin_net()
-    grid_baseline = RoutingGrid(design_baseline)
-    baseline = Dac2012Router(
-        design_baseline, grid=grid_baseline, use_global_router=False,
-        max_iterations=max_iterations,
-    )
-    multi.metrics_by_router["dac2012"] = evaluate_solution(
-        design_baseline, grid_baseline, baseline.run()
-    )
-    design_ours2 = fig1_multi_pin_net()
-    grid_ours2 = RoutingGrid(design_ours2)
-    ours2 = MrTPLRouter(design_ours2, grid=grid_ours2, use_global_router=False,
-                        max_iterations=max_iterations)
-    multi.metrics_by_router["mr-tpl"] = evaluate_solution(
-        design_ours2, grid_ours2, ours2.run()
-    )
-    results.append(multi)
-    return results
+    return [
+        FigureResult(
+            scenario="fig1_dense_cluster",
+            metrics_by_router={
+                "decomposition": run_flow("decompose", fig1_dense_cluster,
+                                          max_iterations=max_iterations),
+                "mr-tpl": run_flow("mr-tpl", fig1_dense_cluster,
+                                   max_iterations=max_iterations),
+            },
+        ),
+        FigureResult(
+            scenario="fig1_multi_pin_net",
+            metrics_by_router={
+                "dac2012": run_flow("dac2012", fig1_multi_pin_net,
+                                    max_iterations=max_iterations),
+                "mr-tpl": run_flow("mr-tpl", fig1_multi_pin_net,
+                                   max_iterations=max_iterations),
+            },
+        ),
+    ]
 
 
 @dataclass

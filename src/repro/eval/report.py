@@ -1,12 +1,12 @@
 """Plain-text table rendering for experiment results.
 
-The benchmark scripts and examples print the same row structure the paper's
-tables use; these helpers keep the formatting in one place.
+The experiment script and the examples print the same row structure the
+paper's tables use; these helpers keep the formatting in one place.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union
+from typing import Sequence, Union
 
 Cell = Union[str, int, float]
 
@@ -32,12 +32,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Cell]]) -> str:
     for row in rendered_rows:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def format_comparison_table(rows: Sequence[Dict[str, Cell]], columns: Sequence[str]) -> str:
-    """Render dictionaries (e.g. ``Table2Row.as_dict()``) as a text table."""
-    table_rows = [[row.get(column, "") for column in columns] for row in rows]
-    return format_table(columns, table_rows)
 
 
 def format_percent(value: float) -> str:

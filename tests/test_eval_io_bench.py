@@ -1,5 +1,9 @@
 """Tests for evaluation, I/O round-trips, and the benchmark generators."""
 
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench import (
@@ -12,19 +16,17 @@ from repro.bench import (
     ispd19_suite,
     suite_case,
 )
+from repro.baselines import Dac2012Router, LayoutDecomposer
 from repro.dr import DetailedRouter
 from repro.eval import (
     IspdScoreWeights,
+    compare_case,
     evaluate_solution,
-    format_comparison_table,
     format_table,
     ispd_score,
     run_fig1_examples,
     run_fig3_walkthrough,
-    run_table2_case,
-    run_table3_case,
-    summarize_table2,
-    summarize_table3,
+    summarize,
 )
 from repro.eval.report import format_percent
 from repro.gr import GlobalRouter
@@ -75,11 +77,6 @@ class TestReportFormatting:
         assert len(lines) == 4
         assert "name" in lines[0] and "long-name" in lines[2] or "long-name" in lines[3]
 
-    def test_format_comparison_table(self):
-        rows = [{"case": "test1", "speedup": 2.0}, {"case": "test2", "speedup": 3.0}]
-        text = format_comparison_table(rows, ["case", "speedup"])
-        assert "test1" in text and "3.000" in text
-
     def test_format_percent(self):
         assert format_percent(0.8117) == "81.17%"
 
@@ -106,43 +103,107 @@ class TestEvaluation:
         assert result.score >= IspdScoreWeights().open_net * result.open_nets
 
 
+def _fresh_evaluation(flow, case, max_iterations):
+    """Route *case* with *flow* by hand, as the tables' columns do, and score
+    it; ``runtime_seconds`` is dropped because timing never repeats."""
+    design = case.build()
+    guides = GlobalRouter(design).route()
+    grid = RoutingGrid(design)
+    if flow == "decompose":
+        plain = DetailedRouter(
+            design, grid=grid, guides=guides, max_iterations=max_iterations
+        ).run()
+        solution = LayoutDecomposer(design, grid).decompose(plain).solution
+    else:
+        router_cls = {"dac2012": Dac2012Router, "mr-tpl": MrTPLRouter}[flow]
+        solution = router_cls(
+            design, grid=grid, guides=guides, max_iterations=max_iterations
+        ).run()
+    metrics = evaluate_solution(design, grid, solution, guides).as_dict()
+    del metrics["runtime_seconds"]
+    return metrics
+
+
+def _load_run_experiments():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_experiments", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestExperimentHarnesses:
     def test_table2_row_on_tiny_case(self):
         case = ispd18_suite(scale=0.45, cases=[1])[0]
-        row = run_table2_case(case, max_iterations=1)
+        row = compare_case(case, "dac2012", max_iterations=1)
         data = row.as_dict()
         assert data["case"] == "test1"
-        assert data["baseline_runtime"] > 0 and data["ours_runtime"] > 0
-        summary = summarize_table2([row])
+        assert data["baseline"]["router"] == "dac2012"
+        assert row.baseline.runtime_seconds > 0 and row.ours.runtime_seconds > 0
+        summary = summarize([row])
         assert "avg_speedup" in summary and summary["max_speedup"] == row.speedup
 
     def test_table3_row_on_tiny_case(self):
         case = ispd19_suite(scale=0.45, cases=[1])[0]
-        row = run_table3_case(case, max_iterations=1)
-        data = row.as_dict()
-        assert data["decomposition_conflicts"] >= 0 and data["ours_conflicts"] >= 0
-        summary = summarize_table3([row])
+        row = compare_case(case, "decompose", max_iterations=1)
+        assert row.baseline.router_name.endswith(LayoutDecomposer.name)
+        assert row.baseline.conflicts >= 0 and row.ours.conflicts >= 0
+        summary = summarize([row])
         assert "avg_conflict_improvement" in summary
 
-    def test_table3_scores_both_columns_with_the_full_scan(self):
-        """The Mr.TPL column is scored by the same full scan as ``evaluate_solution``."""
-        case = ispd19_suite(scale=0.45, cases=[1])[0]
-        row = run_table3_case(case, max_iterations=1, use_global_router=False)
-        design = case.build()
-        grid = RoutingGrid(design)
-        solution = MrTPLRouter(
-            design, grid=grid, use_global_router=False, max_iterations=1
-        ).run()
-        assert row.ours_conflicts == evaluate_solution(design, grid, solution).conflicts
+    def test_every_column_matches_a_fresh_evaluation(self):
+        """Both columns of a Table II and a Table III row equal a fresh
+        ``evaluate_solution`` of the same flow on the same case: conflicts,
+        stitches, shorts, failed nets, iterations and the rest.  At scale 0.7,
+        case 3 gives every column shorts and out-of-guide vertices."""
+        for suite, baseline in ((ispd18_suite, "dac2012"), (ispd19_suite, "decompose")):
+            case = suite(scale=0.7, cases=[3])[0]
+            row = compare_case(case, baseline, max_iterations=1)
+            for flow, result in ((baseline, row.baseline), ("mr-tpl", row.ours)):
+                metrics = result.as_dict()
+                del metrics["runtime_seconds"]
+                assert metrics == _fresh_evaluation(flow, case, 1), (baseline, flow)
+
+    def test_unknown_baseline_is_rejected(self):
+        case = ispd18_suite(scale=0.45, cases=[1])[0]
+        with pytest.raises(ValueError):
+            compare_case(case, "mr-tpl")
+
+    def test_run_experiments_prints_both_tables(self, capsys):
+        _load_run_experiments().main(["0.45", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        records = [json.loads(line) for line in lines if line.startswith("{")]
+        assert [record["table"] for record in records] == ["II", "III"]
+        for record in records:
+            for side in ("baseline", "ours"):
+                for key in ("conflicts", "stitches", "shorts", "failed_nets", "iterations"):
+                    assert isinstance(record[side][key], int)
+        headings = [line for line in lines if line.startswith("Table ")]
+        assert any(line.startswith("Table II (") for line in headings)
+        assert any(line.startswith("Table III (") for line in headings)
+        headers = [line for line in lines if line.startswith("case ")]
+        assert len(headers) == 2
+        for header in headers:
+            assert "shorts" in header and "failed nets" in header and "iterations" in header
+
+    def test_fig1_mrtpl_never_loses(self):
+        """Fig. 1: Mr.TPL does no worse than the alternative on either scenario."""
+        by_name = {result.scenario: result for result in run_fig1_examples(max_iterations=3)}
+        cluster = by_name["fig1_dense_cluster"]
+        assert cluster.conflicts("mr-tpl") <= cluster.conflicts("decomposition")
+        multi = by_name["fig1_multi_pin_net"]
+        assert multi.conflicts("mr-tpl") <= multi.conflicts("dac2012")
+        assert multi.stitches("mr-tpl") <= multi.stitches("dac2012")
 
     def test_fig3_walkthrough_summary(self):
-        result = run_fig3_walkthrough(max_iterations=1)
+        result = run_fig3_walkthrough(max_iterations=3)
         assert result.conflicts == 0
+        assert result.evaluation.open_nets == 0
         assert sum(result.colors_used.values()) > 0
 
     def test_empty_summaries(self):
-        assert summarize_table2([])["avg_speedup"] == 0.0
-        assert summarize_table3([])["avg_stitch_improvement"] == 0.0
+        assert summarize([])["avg_speedup"] == 0.0
+        assert summarize([])["avg_stitch_improvement"] == 0.0
 
 
 class TestDesignIO:
