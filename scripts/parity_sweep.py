@@ -13,7 +13,11 @@ target floors too.  The "search window off" leg makes every search run over
 the whole grid, so it checks that the guide windows (with their unbounded
 re-run) change no route; the "target floor off" leg gives every search a
 target floor of 0, so it checks that stopping at a provably best target
-changes no route.  The pool leg is skipped where the ``fork`` start method is
+changes no route.  The "native search off" and "pure python" legs close the
+native search kernel, and with it the native pressure stamp of route
+commits and releases (both follow ``accel.get_native_kernel()``), so those
+legs also route on the pressure the grid's own stamp loop leaves.  The
+pool leg is skipped where the ``fork`` start method is
 unavailable.  One checkpoint leg per reference restores the grid from a
 checkpoint document onto a fresh grid and requires the ``snapshot_state()``
 of the reference's live grid.

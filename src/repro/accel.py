@@ -10,7 +10,9 @@ shorts tally and runs no scan:
     A compiled C kernel (:mod:`repro.native`).  For the search, the whole
     Dijkstra/A* inner loop of :meth:`repro.search.SearchCore.run` executes
     in C over the flat label buffers, computing the congestion and colour
-    pressure terms inline from the grid's live buffers; for the check, the
+    pressure terms inline from the grid's live buffers, and the same
+    module stamps the colour pressure of route commits and releases
+    (``stamp_pressure``, behind the search gate); for the check, the
     ``_checkwork`` double loop filters the dirty-vertex probes.
 ``python``
     The pure-Python loops: the zero-allocation search loop over

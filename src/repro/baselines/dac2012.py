@@ -21,14 +21,14 @@ with Mr.TPL so the Table II comparison is apples-to-apples.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.campaign import CampaignRouter
 from repro.check import IncrementalConflictChecker
 from repro.design import Design, Net
 from repro.dr.cost import CostModel, TargetBounds
 from repro.dr.maze import traditional_expand
-from repro.geometry import GridPoint, Point
+from repro.geometry import Point
 from repro.gr import GlobalRouter, GuideSet
 from repro.gr.steiner import rectilinear_mst
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
@@ -37,8 +37,8 @@ from repro.search import RouteScopedExpand, SearchCore
 from repro.tpl.color_state import ALL_COLORS
 from repro.tpl.conflict import ConflictReport
 
-#: A search state on the mask-expanded graph: (grid vertex, mask).
-MaskedVertex = Tuple[GridPoint, int]
+#: A search state on the mask-expanded graph: (flat vertex index, mask).
+MaskedNode = Tuple[int, int]
 
 
 class MaskExpandedSearch(RouteScopedExpand):
@@ -68,11 +68,12 @@ class MaskExpandedSearch(RouteScopedExpand):
 
     def search(
         self,
-        sources: List[MaskedVertex],
-        targets: Set[GridPoint],
+        sources: Sequence[MaskedNode],
+        targets: Sequence[int],
         net_name: str,
-    ) -> Optional[List[Tuple[int, int]]]:
-        """Search from *sources* to any vertex of *targets* (any mask).
+    ) -> Optional[List[MaskedNode]]:
+        """Search from the ``(flat index, mask)`` *sources* to any of the flat
+        vertex indices *targets* (any mask).
 
         Returns the ``(flat index, mask)`` path ordered source-first, or
         ``None`` when the search exhausts.
@@ -80,17 +81,9 @@ class MaskExpandedSearch(RouteScopedExpand):
         if not targets:
             return None
         grid = self.grid
-        bounds = TargetBounds.from_targets(targets)
-        index_of = grid.index_of
-        seeds: List[Tuple[int, int]] = []
-        for vertex, color in sources:
-            seeds.append((index_of(vertex) * 3 + color, 0))
-        target_nodes = {
-            index_of(t) * 3 + color
-            for t in targets
-            if grid.in_bounds(t)
-            for color in ALL_COLORS
-        }
+        bounds = TargetBounds.from_nodes(targets, grid.route_dims)
+        seeds = [(node * 3 + color, 0) for node, color in sources]
+        target_nodes = {node * 3 + color for node in targets for color in ALL_COLORS}
 
         expand = self.expand_for(net_name)
         self.core.max_expansions = self.max_expansions
@@ -202,6 +195,8 @@ class Dac2012Router(CampaignRouter):
         self.two_pin_engine = MaskExpandedSearch(
             self.grid, self.cost_model, self.max_expansions
         )
+        # Net name -> its 2-pin connections (see _two_pin_topology).
+        self._topologies: Dict[str, Tuple[Tuple[int, int], ...]] = {}
 
     def make_search_engine(self) -> MaskExpandedSearch:
         """Return a fresh mask-expanded engine over this router's grid.
@@ -234,20 +229,22 @@ class Dac2012Router(CampaignRouter):
         :class:`~repro.sched.commit.RecordingSink`) at once, and the
         route-local colors steer the next connection, which preserves the
         defining limitation.  The grid holds none of the net's metal until
-        the whole log is committed in one route commit afterwards.
+        the whole log is committed in one route commit afterwards.  Pins are
+        addressed by their cached flat access indices
+        (:meth:`RoutingGrid.pin_access_nodes`), sorted as the access
+        vertices are.
         """
         if engine is None:
             engine = self.two_pin_engine
         grid = self.grid
         route = NetRoute(net.name, grid.route_dims)
-        pin_groups = [grid.pin_access_vertices(pin) for pin in net.pins]
+        pin_groups = [grid.pin_access_nodes(pin) for pin in net.pins]
         if any(not group for group in pin_groups):
             route.routed = False
             route.failure_reason = "pin without reachable access vertex"
             return route
-        index_of = grid.index_of
         for group in pin_groups:
-            route.nodes.update([index_of(vertex) for vertex in group])
+            route.nodes.update(group)
 
         # One expansion closure serves every 2-pin search of this net.
         with engine.net_route(net.name):
@@ -268,25 +265,31 @@ class Dac2012Router(CampaignRouter):
             route.recount_stitches()
         return route
 
-    def _two_pin_topology(self, net: Net) -> List[Tuple[int, int]]:
-        """Decompose the net into 2-pin connections via a Manhattan MST over pins."""
-        centers = [pin.center() for pin in net.pins]
-        index_of: Dict[Point, int] = {}
-        for index, center in enumerate(centers):
-            index_of.setdefault(center, index)
-        pairs: List[Tuple[int, int]] = []
-        for a, b in rectilinear_mst(centers):
-            pairs.append((index_of[a], index_of[b]))
-        if not pairs and len(net.pins) >= 2:
-            pairs = [(i, i + 1) for i in range(len(net.pins) - 1)]
+    def _two_pin_topology(self, net: Net) -> Tuple[Tuple[int, int], ...]:
+        """Decompose the net into 2-pin connections via a Manhattan MST over pins.
+
+        The MST runs over the distinct pin centres, each standing for the
+        first pin there; every later pin on a repeated centre (a twin on
+        another layer, say) joins that first pin.  Computed once per net
+        name: a net's pins do not move during a campaign.
+        """
+        pairs = self._topologies.get(net.name)
+        if pairs is None:
+            centers = [pin.center() for pin in net.pins]
+            first: Dict[Point, int] = {}
+            for index, center in enumerate(centers):
+                first.setdefault(center, index)
+            mst = [(first[a], first[b]) for a, b in rectilinear_mst(centers)]
+            twins = [(first[c], i) for i, c in enumerate(centers) if first[c] != i]
+            pairs = self._topologies[net.name] = tuple(mst + twins)
         return pairs
 
     # ------------------------------------------------------------------
 
     def _route_two_pin(
         self,
-        source_group: List[GridPoint],
-        target_group: List[GridPoint],
+        source_group: Sequence[int],
+        target_group: Sequence[int],
         route: NetRoute,
         engine: "MaskExpandedSearch",
         sink: object,
@@ -294,33 +297,26 @@ class Dac2012Router(CampaignRouter):
         """Route one 2-pin connection on the (vertex, mask) expanded graph.
 
         The colors of the found path are committed (to the sink) immediately
-        -- the defining limitation of the 2-pin formulation.
+        -- the defining limitation of the 2-pin formulation.  The path goes
+        into the route in bulk: its vertices and edges, then its masks.
         """
-        net_name = route.net_name
-        index_of = self.grid.index_of
         blocked = self.grid.blocked_buffer()
         committed_get = route.node_colors.get
-        sources: List[MaskedVertex] = []
-        for vertex in source_group:
-            node = index_of(vertex)
+        sources: List[MaskedNode] = []
+        for node in source_group:
             if blocked[node]:
                 continue
             committed = committed_get(node)
-            colors = [committed] if committed is not None else list(ALL_COLORS)
-            for color in colors:
-                sources.append((vertex, color))
+            if committed is not None:
+                sources.append((node, committed))
+            else:
+                sources.extend([(node, color) for color in ALL_COLORS])
 
         engine.max_expansions = self.max_expansions
-        path = engine.search(sources, set(target_group), net_name)
+        path = engine.search(sources, target_group, route.net_name)
         if path is None:
             return False
-
-        previous: Optional[int] = None
-        for node, color in path:
-            if previous is not None and previous != node:
-                route.add_node_path((previous, node))
-            previous = node
-            route.set_node_color(node, color)
-            sink.set_color(node, color)
-            sink.occupy(node)
+        route.add_node_path([node for node, _ in path])
+        route.set_node_colors(path)
+        sink.color_path(path)
         return True

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from repro.geometry import GridPoint
 from repro.gr.guide import GuideSet, GuideTables
@@ -63,6 +63,26 @@ class TargetBounds:
             max_col=max(t.col for t in targets),
             min_row=min(t.row for t in targets),
             max_row=max(t.row for t in targets),
+        )
+
+    @classmethod
+    def from_nodes(
+        cls, nodes: Sequence[int], dims: "tuple[int, int]"
+    ) -> Optional["TargetBounds"]:
+        """Build bounds from flat vertex indices on a grid of *dims*
+        ``(num_cols, num_rows)``; ``None`` for no nodes.
+
+        The layer is an index's most significant digit, so the least and
+        greatest index carry the layer bounds.
+        """
+        if not nodes:
+            return None
+        num_cols, num_rows = dims
+        plane = num_cols * num_rows
+        cols = [node % plane // num_rows for node in nodes]
+        rows = [node % num_rows for node in nodes]
+        return cls(
+            min(nodes) // plane, max(nodes) // plane, min(cols), max(cols), min(rows), max(rows)
         )
 
     def components_from(self, vertex: GridPoint) -> "tuple[float, float]":

@@ -80,12 +80,12 @@ class DetailedRouter(CampaignRouter):
             route.routed = False
             route.failure_reason = "pin without reachable access vertex"
             return route
-        index_of = grid.index_of
+        pin_nodes = [grid.pin_access_nodes(pin) for pin in net.pins]
         vertex_of = grid.vertex_of
         # GridPoint-keyed: the search seeds follow this set's iteration
         # order, and the kernel breaks cost ties by push order.
         tree_vertices: Set[GridPoint] = set(usable_groups[0])
-        route.nodes.update([index_of(vertex) for vertex in usable_groups[0]])
+        route.nodes.update(pin_nodes[0])
         unreached = list(range(1, len(usable_groups)))
         # One expansion closure serves every search of this net route.
         with engine.net_route(net.name):
@@ -105,7 +105,7 @@ class DetailedRouter(CampaignRouter):
                 unreached.remove(reached_pin)
                 tree_vertices.update([vertex_of(node) for node in path])
                 tree_vertices.update(usable_groups[reached_pin])
-                route.nodes.update([index_of(vertex) for vertex in usable_groups[reached_pin]])
+                route.nodes.update(pin_nodes[reached_pin])
                 # Release the result: the engine copies the label buffers of a
                 # previous result that is still referenced when it runs again.
                 del search

@@ -139,6 +139,19 @@ class NetRoute:
         self.node_colors[node] = color
         self.revision = next(_route_revisions)
 
+    def set_node_colors(self, pairs: Sequence[Tuple[int, int]]) -> None:
+        """Assign every ``(node, color)`` of *pairs* in order, with one new :attr:`revision`.
+
+        The route ends as one :meth:`set_node_color` call per pair leaves
+        it, save for the revision count; an invalid mask raises before any
+        change.
+        """
+        if any(not 0 <= color <= 2 for _, color in pairs):
+            raise ValueError(f"invalid mask color in {list(pairs)}")
+        self.nodes.update([node for node, _ in pairs])
+        self.node_colors.update(pairs)
+        self.revision = next(_route_revisions)
+
     # -- construction from GridPoints (I/O and tests) -------------------------
 
     def add_edge(self, a: GridPoint, b: GridPoint) -> None:

@@ -45,6 +45,19 @@ Colour pressure holds every committed coloured vertex, so it is exactly
 the ``Cost_color`` another net sees.  A net never sees its own metal
 there: every router computes a route against a grid that holds none of
 the net's metal, then commits it whole (:meth:`RoutingGrid.commit_route`).
+A coloured vertex stamps the conflict cost onto its mask over the
+``(2k+1)^2`` Chebyshev square of its layer's ``Dcolor`` reach ``k``
+(:meth:`RoutingGrid.track_reach`), clipped at the die edge; non-TPL layers
+carry none.  A commit stamps each vertex's final mask once and a release
+unstamps them, each in one call: to the native kernel's
+``stamp_pressure`` when :func:`repro.accel.get_native_kernel` offers it,
+else to the same loop in Python, in the same order.  The amounts are
+whole numbers (the default conflict cost is 6.0), so the sums are exact
+and do not depend on the order the stamps land in.
+
+Pin access (:meth:`RoutingGrid.pin_access_vertices`) depends only on a
+pin's shapes and the blockages, so it is computed once per pin and
+cached; blocking a vertex or restoring a snapshot drops the cache.
 
 Mutations
 ---------
@@ -68,6 +81,7 @@ from array import array
 from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.accel import get_native_kernel
 from repro.design import Design
 from repro.geometry import GridPoint, Point, Rect
 from repro.tech import DesignRules, TechStack
@@ -152,6 +166,9 @@ FIRST_VIA_DIRECTION = 4
 
 #: Inclusive planar cell window: ``(col_lo, row_lo, col_hi, row_hi)``.
 CellWindow = Tuple[int, int, int, int]
+
+#: A pin-access cache entry: ``(pin, access vertices, their flat indices)``.
+_PinAccess = Tuple[object, Tuple[GridPoint, ...], Tuple[int, ...]]
 
 
 def build_neighbor_table(num_layers: int, num_cols: int, num_rows: int) -> array:
@@ -253,8 +270,14 @@ class RoutingGrid:
         # track_offsets tables per distance (pressure, incremental checkers),
         # frozen to tuples so no caller can corrupt the shared cache.
         self._track_offsets_cache: Dict[int, Tuple[Tuple[int, int, int], ...]] = {}
-        # Per-vertex pressure deltas of its Dcolor window (geometry only).
-        self._stamp_deltas = self._build_stamp_deltas()
+        # Per-layer pressure reach k of a coloured vertex (-1: no pressure).
+        self._stamp_reaches: Tuple[int, ...] = tuple(
+            self.track_reach(self.rules.color_spacing_on(layer)) if spec.tpl else -1
+            for layer, spec in enumerate(self.tech.layers)
+        )
+        # Pin access per pin: id(pin) -> (pin, vertices, flat indices).  The
+        # pin is held so its id is never reused while the entry lives.
+        self._pin_access_cache: Dict[int, _PinAccess] = {}
 
         # Precomputed neighbour table, built lazily on first use (grids are
         # also constructed by code that never searches them).
@@ -322,8 +345,11 @@ class RoutingGrid:
         :class:`~repro.sched.commit.RecordingSink` logged for one net, in
         order.  The grid ends in the state that applying them one by one
         through :meth:`occupy` / :meth:`set_vertex_color` gives, but the
-        occupancy and the colours (with their pressure stamps) each take
-        one loop.
+        occupancy takes one loop, each coloured vertex is painted once with
+        its last logged mask, and the pressure of all of them is stamped
+        in one call.  (A vertex the log recolours is not stamped and
+        unstamped on the way; with whole-number amounts the sums are the
+        same bytes.)
 
         Routers compute a route against a grid that holds none of the net's
         metal; a net that still holds occupancy or colours (not released
@@ -339,11 +365,20 @@ class RoutingGrid:
                 f"net {self._net_names[net_id]!r} already holds metal on the grid; "
                 "release it before committing a route"
             )
-        shapes = {(op[0], op[1], len(op)) for op in ops}
-        if not shapes <= {(OP_OCCUPY, net_id, 3), (OP_COLOR, net_id, 4)}:
-            raise ValueError(f"not a route log of net id {net_id}: op shapes {sorted(shapes)}")
-        self._place(net_id, [op[2] for op in ops if op[0] == OP_OCCUPY])
-        self._paint(net_id, [op[2:] for op in ops if op[0] == OP_COLOR])
+        occupied = [op[2] for op in ops if op[0] == OP_OCCUPY and len(op) == 3]
+        painted = [op for op in ops if op[0] == OP_COLOR and len(op) == 4]
+        if len(occupied) + len(painted) != len(ops) or {op[1] for op in ops} != {net_id}:
+            shapes = sorted({(op[0], op[1], len(op)) for op in ops})
+            raise ValueError(f"not a route log of net id {net_id}: op shapes {shapes}")
+        self._place(net_id, occupied)
+        colors = {op[2]: op[3] for op in painted}
+        if not colors:
+            return
+        color_buf = self._color_buf
+        for index, color in colors.items():
+            color_buf[index] = color + 1
+        self._net_colored_vertices[net_id] = colors
+        self._stamp_pressure(colors.keys(), colors.values(), self.rules.conflict_cost)
 
     # ------------------------------------------------------------------
     # Net-name interning
@@ -473,12 +508,35 @@ class RoutingGrid:
         return vertices
 
     def pin_access_vertices(self, pin: "object") -> List[GridPoint]:
-        """Return unblocked grid vertices covered by *pin*'s shapes.
+        """Return unblocked grid vertices covered by *pin*'s shapes, sorted.
 
         If a pin shape covers no track crossing (possible for tiny off-grid
         pins), the nearest vertex to the shape centre is used instead so
-        every pin stays reachable.
+        every pin stays reachable.  Served from the per-pin cache (see
+        :meth:`pin_access_nodes`); the list is the caller's own.
         """
+        return list(self._pin_access(pin)[1])
+
+    def pin_access_nodes(self, pin: "object") -> Tuple[int, ...]:
+        """Return the flat indices of :meth:`pin_access_vertices`, in the same order.
+
+        Flat index order is ``GridPoint`` order, so the indices are sorted
+        too.  Both come from one cache entry per pin, computed on first use
+        and dropped when a vertex is blocked or a snapshot restored, so the
+        rip-up loop does not recompute the access of pins that never move.
+        A pin's shapes must not change once the grid has seen it.
+        """
+        return self._pin_access(pin)[2]
+
+    def _pin_access(self, pin: "object") -> "_PinAccess":
+        entry = self._pin_access_cache.get(id(pin))
+        if entry is None or entry[0] is not pin:
+            vertices = tuple(self._compute_pin_access(pin))
+            entry = (pin, vertices, tuple(self.index_of(vertex) for vertex in vertices))
+            self._pin_access_cache[id(pin)] = entry
+        return entry
+
+    def _compute_pin_access(self, pin: "object") -> List[GridPoint]:
         vertices: List[GridPoint] = []
         blocked = self._blocked_buf
         for shape in pin.shapes:
@@ -551,15 +609,20 @@ class RoutingGrid:
     # ------------------------------------------------------------------
 
     def block_vertex(self, vertex: GridPoint) -> None:
-        """Mark a single vertex as unusable."""
+        """Mark a single vertex as unusable (drops the pin-access cache)."""
         if self.in_bounds(vertex):
             self._blocked_buf[self.index_of(vertex)] = 1
+            self._pin_access_cache.clear()
 
     def block_rect(self, layer: int, rect: Rect) -> int:
-        """Block every vertex covered by *rect* on *layer*; return the count."""
+        """Block every vertex covered by *rect* on *layer*; return the count.
+
+        Drops the pin-access cache, as :meth:`block_vertex` does.
+        """
         vertices = self.vertices_covering(layer, rect)
         for vertex in vertices:
             self._blocked_buf[self.index_of(vertex)] = 1
+        self._pin_access_cache.clear()
         return len(vertices)
 
     def is_blocked_index(self, index: int) -> bool:
@@ -619,60 +682,38 @@ class RoutingGrid:
         half = max(self.rules.wire_width // 2, 0)
         return max(1, -(-(radius + 2 * half) // self.pitch))
 
-    def _build_stamp_deltas(self) -> List[Tuple[int, ...]]:
-        """Return, per vertex, the pressure-buffer deltas of its ``Dcolor`` window.
+    def _stamp_pressure(
+        self, nodes: Iterable[int], colors: Iterable[int], amount: float
+    ) -> None:
+        """Add *amount* to mask ``colors[i]``'s pressure around every ``nodes[i]``.
 
-        Entry *index* lists ``3 * flat_delta`` for every in-bounds vertex of
-        :meth:`track_offsets` of the layer's ``Dcolor`` around *index*, in
-        that order, so a stamp of mask ``c`` adds at ``3 * index + c + d``.
-        Windows that clip at the die edge keep their in-bounds deltas only;
-        non-TPL layers have empty windows.  Vertices that clip alike share
-        one tuple, so the table costs one reference per vertex.
+        Each stamp covers the layer's clipped ``(2k+1)^2`` square of
+        :attr:`_stamp_reaches` ``k`` around the vertex, column-major, stamp
+        by stamp; non-TPL layers carry no pressure.  One call to the native
+        kernel's ``stamp_pressure`` when the search tier is native, else
+        the same loop here, in the same order.
         """
-        cols, rows = self.num_cols, self.num_rows
-        table: List[Tuple[int, ...]] = []
-        for layer in range(self.num_layers):
-            if not self.tech.layers[layer].tpl:
-                table.extend([()] * self.plane_size)
-                continue
-            distance = self.rules.color_spacing_on(layer)
-            reach = max(self.track_reach(distance), 0)
-            offsets = self.track_offsets(distance)
-            windows: Dict[Tuple[int, int, int, int], Tuple[int, ...]] = {}
-            columns: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
-            for col in range(cols):
-                col_room = (min(col, reach), min(cols - 1 - col, reach))
-                column = columns.get(col_room)
-                if column is None:
-                    column = []
-                    for row in range(rows):
-                        room = col_room + (min(row, reach), min(rows - 1 - row, reach))
-                        window = windows.get(room)
-                        if window is None:
-                            left, right, below, above = room
-                            window = windows[room] = tuple(
-                                3 * delta
-                                for dcol, drow, delta in offsets
-                                if -left <= dcol <= right and -below <= drow <= above
-                            )
-                        column.append(window)
-                    columns[col_room] = column
-                table.extend(column)
-        return table
-
-    def _stamp_pressure(self, stamps: Iterable[Tuple[int, int, float]]) -> None:
-        """Apply every ``(index, color, amount)`` pressure stamp, in order.
-
-        A stamp adds *amount* to mask *color*'s pressure at each in-bounds
-        vertex within the layer's ``Dcolor`` of coloured vertex *index*, in
-        :meth:`track_offsets` order.  Non-TPL layers carry no pressure.
-        """
-        deltas_at = self._stamp_deltas
+        kernel = get_native_kernel()
+        if kernel is not None:
+            kernel.stamp_pressure(
+                self._pressure_buf, nodes, colors, amount,
+                self.num_cols, self.num_rows, self._stamp_reaches,
+            )
+            return
         pressure = self._pressure_buf
-        for index, color, amount in stamps:
-            base = 3 * index + color
-            for delta in deltas_at[index]:
-                pressure[base + delta] += amount
+        reaches = self._stamp_reaches
+        cols, rows, plane = self.num_cols, self.num_rows, self.plane_size
+        for index, color in zip(nodes, colors):
+            layer, rem = divmod(index, plane)
+            reach = reaches[layer]
+            if reach < 0:
+                continue
+            col, row = divmod(rem, rows)
+            row_lo, row_hi = max(row - reach, 0), min(row + reach, rows - 1)
+            for column in range(max(col - reach, 0), min(col + reach, cols - 1) + 1):
+                base = 3 * (layer * cols + column) * rows + color
+                for slot in range(base + 3 * row_lo, base + 3 * row_hi + 1, 3):
+                    pressure[slot] += amount
 
     def _add_rect_pressure(self, layer: int, rect: Rect, color: int) -> None:
         """Spread the pressure of a colored rectangle (fixed obstacle) on *layer*."""
@@ -753,9 +794,8 @@ class RoutingGrid:
         for index in colored_vertices:
             if index not in occupied:
                 color_buf[index] = self._owner_color_byte(index)
-        amount = -self.rules.conflict_cost
         self._stamp_pressure(
-            (index, color, amount) for index, color in colored_vertices.items()
+            colored_vertices.keys(), colored_vertices.values(), -self.rules.conflict_cost
         )
         return released
 
@@ -822,35 +862,17 @@ class RoutingGrid:
             raise ValueError(f"TPL mask color must be 0, 1 or 2, got {color}")
         if not self.in_bounds(vertex):
             return
-        self._paint(self.net_id(net_name), ((self.index_of(vertex), color),))
-
-    def _paint(self, net_id: int, colors: Sequence[Tuple[int, int]]) -> None:
-        """Colour *net_id*'s metal at each ``(index, color)``, in order.
-
-        A vertex's colour contributes pressure once: re-colouring it with
-        the same mask only rewrites the colour byte, with another mask it
-        unstamps the old mask before stamping the new one.  The stamps are
-        applied in one loop after the colours.
-        """
-        if not colors:
+        index = self.index_of(vertex)
+        self._color_buf[index] = color + 1
+        registered = self._net_colored_vertices.setdefault(self.net_id(net_name), {})
+        previous = registered.get(index)
+        if previous == color:
             return
-        registered = self._net_colored_vertices.get(net_id)
-        if registered is None:
-            registered = self._net_colored_vertices[net_id] = {}
-        color_buf = self._color_buf
         amount = self.rules.conflict_cost
-        stamps: List[Tuple[int, int, float]] = []
-        for index, color in colors:
-            color_buf[index] = color + 1
-            previous = registered.get(index)
-            if previous == color:
-                continue
-            if previous is not None:
-                stamps.append((index, previous, -amount))
-                del registered[index]
-            registered[index] = color
-            stamps.append((index, color, amount))
-        self._stamp_pressure(stamps)
+        if previous is not None:
+            self._stamp_pressure((index,), (previous,), -amount)
+        registered[index] = color
+        self._stamp_pressure((index,), (color,), amount)
 
     def vertex_color_index(self, index: int) -> Optional[int]:
         """Return the mask color of routed metal at vertex *index*, if any."""
@@ -1036,6 +1058,7 @@ class RoutingGrid:
         ):
             raise ValueError("snapshot buffer sizes do not match this grid")
         self._blocked_buf = blocked
+        self._pin_access_cache.clear()
         self._owner_buf = owner
         self._color_buf = color
         self._history_buf = history

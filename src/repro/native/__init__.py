@@ -56,10 +56,10 @@ from repro.native.build import (
 )
 from repro.utils.env import env_flag
 
-#: The argument contract of ``_relaxation`` (``run_search`` and
-#: ``labelled_box``) this checkout's Python wrappers speak; must match the
-#: binary's ``KERNEL_ABI_VERSION``.
-EXPECTED_ABI_VERSION = 8
+#: The argument contract of ``_relaxation`` (``run_search``,
+#: ``labelled_box`` and ``stamp_pressure``) this checkout's Python wrappers
+#: speak; must match the binary's ``KERNEL_ABI_VERSION``.
+EXPECTED_ABI_VERSION = 9
 
 #: The argument contract of ``_checkwork.scan_hits``.
 EXPECTED_CHECK_ABI_VERSION = 1

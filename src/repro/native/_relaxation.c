@@ -90,6 +90,14 @@
  * The GIL is released for the duration of the loop: the kernel only
  * writes the caller-owned label buffers (exclusive to one SearchCore) and
  * reads grid buffers nothing mutates while a search runs.
+ *
+ * Pressure stamps (ABI 9): stamp_pressure is not part of a search.  A
+ * route commit and a net release (RoutingGrid.commit_route / release_net)
+ * hand it the net's coloured vertices, their masks and one amount (+ or -
+ * the conflict cost), and it adds the amount to each mask's pressure over
+ * the clipped (2k+1)^2 Chebyshev square of the vertex's layer reach k, in
+ * the order of the grid's interpreted stamp loop.  It follows the search
+ * tier's gate (repro.accel.get_native_kernel).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -100,9 +108,9 @@
 #include <string.h>
 
 /* Bumped whenever the module's argument contract or its results change
- * (run_search or labelled_box); the Python loader refuses (and rebuilds) a
- * stale binary whose ABI does not match. */
-#define KERNEL_ABI_VERSION 8
+ * (run_search, labelled_box or stamp_pressure); the Python loader refuses
+ * (and rebuilds) a stale binary whose ABI does not match. */
+#define KERNEL_ABI_VERSION 9
 
 /* sha256 of this file, passed by the build (repro.native.build); the
  * loader also rebuilds a binary compiled from other source. */
@@ -1017,11 +1025,135 @@ labelled_box(PyObject *self, PyObject *args)
     return Py_BuildValue("(LLLL)", col_lo, row_lo, col_hi, row_hi);
 }
 
+/* Read item *i* of the fast sequence *seq* as a C long into *out*; raise
+ * ValueError unless lo <= value < hi. */
+static int
+bounded_item(PyObject *seq, Py_ssize_t i, long lo, long hi, const char *name, long *out)
+{
+    long value = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
+    if (value == -1 && PyErr_Occurred()) {
+        return -1;
+    }
+    if (value < lo || value >= hi) {
+        PyErr_Format(PyExc_ValueError, "%s %ld out of range [%ld, %ld)", name, value,
+                     lo, hi);
+        return -1;
+    }
+    *out = value;
+    return 0;
+}
+
+/* stamp_pressure(pressure, nodes, colors, amount, num_cols, num_rows,
+ * reaches): add amount to mask colors[i]'s pressure at every vertex of the
+ * clipped (2k+1)^2 square around nodes[i] on its layer, k = reaches[layer]
+ * (-1: the layer carries no pressure), column-major and
+ * stamp by stamp -- RoutingGrid._stamp_pressure's interpreted loop in the
+ * same order, so both tiers round alike.  Every node and colour is
+ * checked before the first write: an out-of-range one raises ValueError
+ * and leaves the buffer unchanged. */
+static PyObject *
+stamp_pressure(PyObject *self, PyObject *args)
+{
+    PyObject *pressure_obj, *nodes_obj, *colors_obj, *reaches_obj;
+    PyObject *nodes = NULL, *colors = NULL, *reaches = NULL, *result = NULL;
+    BufferSlot slot;
+    void *ptr;
+    double *pressure, amount;
+    Py_ssize_t count, num_layers, i;
+    long *stamp = NULL, layer_reach[64];
+    long cols, rows, plane, num_vertices;
+
+    slot.held = 0;
+    if (!PyArg_ParseTuple(args, "OOOdllO", &pressure_obj, &nodes_obj, &colors_obj,
+                          &amount, &cols, &rows, &reaches_obj)) {
+        return NULL;
+    }
+    if (cols < 1 || rows < 1) {
+        PyErr_SetString(PyExc_ValueError, "num_cols and num_rows must be positive");
+        return NULL;
+    }
+    if ((nodes = PySequence_Fast(nodes_obj, "nodes must be a sequence")) == NULL ||
+        (colors = PySequence_Fast(colors_obj, "colors must be a sequence")) == NULL ||
+        (reaches = PySequence_Fast(reaches_obj, "reaches must be a sequence")) == NULL) {
+        goto done;
+    }
+    count = PySequence_Fast_GET_SIZE(nodes);
+    num_layers = PySequence_Fast_GET_SIZE(reaches);
+    if (PySequence_Fast_GET_SIZE(colors) != count) {
+        PyErr_SetString(PyExc_ValueError, "nodes and colors differ in length");
+        goto done;
+    }
+    if (num_layers < 1 || num_layers > 64) {
+        PyErr_SetString(PyExc_ValueError, "reaches must hold 1 to 64 layers");
+        goto done;
+    }
+    for (i = 0; i < num_layers; i++) {
+        if (bounded_item(reaches, i, -1, LONG_MAX, "reach", &layer_reach[i]) < 0) {
+            goto done;
+        }
+        if (layer_reach[i] > cols + rows) {
+            layer_reach[i] = cols + rows; /* covers the plane; no overflow below */
+        }
+    }
+    plane = cols * rows;
+    num_vertices = plane * (long)num_layers;
+    if (acquire(pressure_obj, &slot, 1, &ptr) < 0 ||
+        require_items(&slot, 3 * (Py_ssize_t)num_vertices, sizeof(double),
+                      "pressure") < 0) {
+        goto done;
+    }
+    pressure = (double *)ptr;
+    stamp = (long *)PyMem_Malloc((size_t)(count > 0 ? count : 1) * 2 * sizeof(long));
+    if (stamp == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < count; i++) {
+        if (bounded_item(nodes, i, 0, num_vertices, "node", &stamp[2 * i]) < 0 ||
+            bounded_item(colors, i, 0, 3, "color", &stamp[2 * i + 1]) < 0) {
+            goto done;
+        }
+    }
+    for (i = 0; i < count; i++) {
+        long node = stamp[2 * i], layer = node / plane, rem = node % plane;
+        long col = rem / rows, row = rem % rows, reach = layer_reach[layer];
+        long col_lo, col_hi, row_lo, row_hi, c, r;
+        double *column;
+        if (reach < 0) {
+            continue;
+        }
+        col_lo = col > reach ? col - reach : 0;
+        col_hi = col + reach < cols - 1 ? col + reach : cols - 1;
+        row_lo = row > reach ? row - reach : 0;
+        row_hi = row + reach < rows - 1 ? row + reach : rows - 1;
+        for (c = col_lo; c <= col_hi; c++) {
+            column = pressure + 3 * ((layer * cols + c) * rows) + stamp[2 * i + 1];
+            for (r = row_lo; r <= row_hi; r++) {
+                column[3 * r] += amount;
+            }
+        }
+    }
+    result = Py_None;
+    Py_INCREF(result);
+
+done:
+    PyMem_Free(stamp);
+    if (slot.held) {
+        PyBuffer_Release(&slot.view);
+    }
+    Py_XDECREF(nodes);
+    Py_XDECREF(colors);
+    Py_XDECREF(reaches);
+    return result;
+}
+
 static PyMethodDef relaxation_methods[] = {
     {"run_search", run_search, METH_VARARGS,
      "Run one compiled multi-source Dijkstra/A* search over flat buffers."},
     {"labelled_box", labelled_box, METH_VARARGS,
      "Return the planar bounding box of the nodes stamped with an epoch."},
+    {"stamp_pressure", stamp_pressure, METH_VARARGS,
+     "Add colour-pressure stamps around coloured vertices, in order."},
     {NULL, NULL, 0, NULL},
 };
 

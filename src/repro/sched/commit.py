@@ -9,15 +9,20 @@ writes).  ``compute_route`` sends its commits to a sink:
   a grid that holds none of the net's own metal.  The campaign's
   ``route_net``, the batch executor and the keep-best restore then apply
   the log once through :func:`apply_route_ops`, that is
-  :meth:`RoutingGrid.commit_route`: one pass that sets occupancy and
-  colours and stamps colour pressure;
+  :meth:`RoutingGrid.commit_route`: one pass that sets occupancy, paints
+  each coloured vertex once with its last logged mask, and stamps the
+  colour pressure of them all in one call (the native kernel's
+  ``stamp_pressure`` when the search tier is native, else the grid's
+  loop in the same order);
 * :class:`GridSink` applies each commit to the grid at once, through the
   public mutators :meth:`RoutingGrid.occupy` /
   :meth:`RoutingGrid.set_vertex_color`.  No router uses it.
 
 Both sinks address vertices by flat index, as :class:`~repro.grid.NetRoute`
-stores them.  A route log holds ``("occupy", net_id, index)`` /
-``("color", net_id, index, color)`` tuples (:data:`repro.grid.OP_OCCUPY` /
+stores them, and take a whole coloured path in one call (``color_path``:
+a colour then an occupancy entry per vertex, in order).  A route log
+holds ``("occupy", net_id, index)`` / ``("color", net_id, index, color)``
+tuples (:data:`repro.grid.OP_OCCUPY` /
 :data:`repro.grid.OP_COLOR`); the route commit leaves the grid exactly as
 :class:`GridSink`'s calls would.  Logs are flat tuples of ints, so they
 cross process boundaries (pool workers pickle them back to the parent,
@@ -60,6 +65,12 @@ class GridSink:
         """Color the net's metal at flat index *node* on the grid."""
         self.grid.set_vertex_color(self.grid.vertex_of(node), self.net_name, color)
 
+    def color_path(self, pairs: Sequence[Tuple[int, int]]) -> None:
+        """Colour, then occupy, the net's metal at each ``(node, color)``, in order."""
+        for node, color in pairs:
+            self.set_color(node, color)
+            self.occupy(node)
+
 
 class RecordingSink:
     """Commit sink that records a route log (in order) instead of applying.
@@ -92,6 +103,21 @@ class RecordingSink:
         if not 0 <= color <= 2:
             raise ValueError(f"TPL mask color must be 0, 1 or 2, got {color}")
         self.ops.append((OP_COLOR, self.net_id, node, color))
+
+    def color_path(self, pairs: Sequence[Tuple[int, int]]) -> None:
+        """Append a colour then an occupancy entry per ``(node, color)``, in order.
+
+        One :meth:`set_color` and one :meth:`occupy` per pair, in one
+        extend; an invalid mask raises before the log changes.
+        """
+        if any(not 0 <= color <= 2 for _, color in pairs):
+            raise ValueError(f"TPL mask colors must be 0, 1 or 2, got {list(pairs)}")
+        net_id = self.net_id
+        entries: List[CommitOp] = []
+        for node, color in pairs:
+            entries.append((OP_COLOR, net_id, node, color))
+            entries.append((OP_OCCUPY, net_id, node))
+        self.ops.extend(entries)
 
 
 def apply_route_ops(grid: RoutingGrid, ops: Sequence[CommitOp]) -> None:

@@ -108,9 +108,8 @@ class MrTPLRouter(CampaignRouter):
             route.routed = False
             route.failure_reason = "pin without reachable access vertex"
             return route
-        index_of = grid.index_of
         vertex_of = grid.vertex_of
-        pin_nodes = [[index_of(vertex) for vertex in group] for group in pin_groups]
+        pin_nodes = [grid.pin_access_nodes(pin) for pin in net.pins]
 
         tree_colors: Dict[int, int] = {}
         # GridPoint-keyed: the search seeds follow this set's iteration

@@ -17,10 +17,12 @@ from repro.baselines import (
 )
 from repro.baselines.decomposer import ColoringUnit
 from repro.bench import SyntheticSpec, generate_design
+from repro.design import Design, Net, Pin
 from repro.dr import DetailedRouter, DRCChecker
 from repro.eval import evaluate_solution
-from repro.geometry import GridPoint
+from repro.geometry import GridPoint, Rect
 from repro.grid import RoutingGrid
+from repro.tech import make_default_tech
 from repro.tpl import ConflictChecker, MrTPLRouter
 
 
@@ -127,6 +129,58 @@ class TestDac2012Router:
             assert len(pairs) >= net.num_pins - 1
             touched = {index for pair in pairs for index in pair}
             assert touched == set(range(net.num_pins))
+
+    @staticmethod
+    def one_net_design(*pins):
+        """A design holding one net of square pins ``(layer, x, y)``, 8 DBU wide."""
+        tech = make_default_tech(num_layers=3, color_spacing=8)
+        design = Design(name="one-net", tech=tech, die_area=Rect(0, 0, 80, 80))
+        net = Net(name="n")
+        for index, (layer, x, y) in enumerate(pins):
+            pin = Pin(name=f"p{index}")
+            pin.add_shape(layer, Rect(x - 4, y - 4, x + 4, y + 4))
+            net.add_pin(pin)
+        design.add_net(net)
+        return design, net
+
+    def test_pin_on_a_repeated_centre_is_connected(self):
+        """A pin on another layer under an earlier pin's centre joins that pin."""
+        design, net = self.one_net_design((0, 8, 8), (1, 8, 8), (0, 60, 40))
+        grid = RoutingGrid(design)
+        router = Dac2012Router(design, grid=grid, use_global_router=False)
+        assert sorted(router._two_pin_topology(net)) == [(0, 1), (0, 2)]
+        route = router.run().route_of("n")
+        groups = [grid.pin_access_vertices(pin) for pin in net.pins]
+        assert route.routed
+        assert DRCChecker(design, grid).route_connects_all(route, groups)
+
+    def test_cached_topology_and_pin_access_equal_fresh_ones(self):
+        design = generate_design(small_spec(seed=19))
+        grid = RoutingGrid(design)
+        router = Dac2012Router(design, grid=grid, use_global_router=False)
+        router.run()
+        fresh_grid = RoutingGrid(design)
+        fresh = Dac2012Router(design, grid=fresh_grid, use_global_router=False)
+        for net in design.routable_nets():
+            assert router._two_pin_topology(net) is router._two_pin_topology(net)
+            assert router._two_pin_topology(net) == fresh._two_pin_topology(net)
+            for pin in net.pins:
+                vertices = fresh_grid.pin_access_vertices(pin)
+                assert grid.pin_access_vertices(pin) == vertices
+                assert grid.pin_access_nodes(pin) == tuple(map(grid.index_of, vertices))
+
+    def test_blocked_access_vertex_leaves_the_next_route(self):
+        design, net = self.one_net_design((0, 8, 8), (0, 60, 40))
+        grid = RoutingGrid(design)
+        router = Dac2012Router(design, grid=grid, use_global_router=False)
+        assert len(grid.pin_access_vertices(net.pins[0])) > 1
+        vertex = grid.pin_access_vertices(net.pins[0])[0]
+        assert grid.index_of(vertex) in router.route_net(net).nodes
+        grid.release_net(net.name)
+        grid.block_vertex(vertex)
+        assert vertex not in grid.pin_access_vertices(net.pins[0])
+        route = router.route_net(net)
+        assert route.routed and grid.index_of(vertex) not in route.nodes
 
 
 class TestLayoutDecomposer:

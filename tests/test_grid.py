@@ -82,6 +82,21 @@ class TestRoutingGrid:
         assert vertices and all(v.layer == 0 for v in vertices)
         assert all(not grid.is_blocked_index(grid.index_of(v)) for v in vertices)
 
+    def test_pin_access_cache_follows_blockages_and_restores(self):
+        design = make_design()
+        grid = RoutingGrid(design)
+        pin = design.nets[0].pins[0]
+        vertices = grid.pin_access_vertices(pin)
+        assert grid.pin_access_nodes(pin) == tuple(map(grid.index_of, vertices))
+        grid.pin_access_vertices(pin).clear()  # the caller's own list
+        assert grid.pin_access_vertices(pin) == vertices
+        other = RoutingGrid(design)
+        other.block_vertex(vertices[0])
+        grid.restore_state(other.snapshot_state())
+        assert grid.pin_access_vertices(pin) == vertices[1:]
+        grid.block_rect(0, Rect(4, 4, 4, 8))
+        assert grid.pin_access_vertices(pin) == [v for v in vertices if v.col != 1]
+
     def test_neighbors_at_corner(self):
         grid = RoutingGrid(make_design())
         neighbors = dict(grid.neighbors(GridPoint(0, 0, 0)))
@@ -371,6 +386,18 @@ class TestNetRoute:
         route = NetRoute("n", DIMS)
         with pytest.raises(ValueError):
             route.set_color(GridPoint(0, 0, 0), 5)
+
+    def test_bulk_colors_match_single_colors(self):
+        pairs = [(5, 1), (6, 1), (6, 2), (40, 0), (5, 1)]
+        bulk, single = NetRoute("n", DIMS), NetRoute("n", DIMS)
+        bulk.set_node_colors(pairs)
+        for node, color in pairs:
+            single.set_node_color(node, color)
+        assert bulk == single and list(bulk.node_colors) == list(single.node_colors)
+        revision = bulk.revision
+        with pytest.raises(ValueError):
+            bulk.set_node_colors([(7, 0), (8, 3)])
+        assert bulk == single and bulk.revision == revision
 
     def test_adjacency(self):
         route = NetRoute("n", DIMS)

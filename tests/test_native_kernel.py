@@ -243,9 +243,8 @@ class TestLabelParity:
             search.core.on_result = lambda core: captured.append(
                 self._label_bytes(core, [3 * negative_index + mask for mask in range(3)])
             )
-            path = search.search(
-                [(GridPoint(0, 1, 1), mask) for mask in range(3)], {GridPoint(0, 15, 15)}, "n1"
-            )
+            source, target = grid.index_of(GridPoint(0, 1, 1)), grid.index_of(GridPoint(0, 15, 15))
+            path = search.search([(source, mask) for mask in range(3)], [target], "n1")
             assert path is not None
             return captured
         finally:
@@ -337,7 +336,11 @@ class TestLabelParity:
                 search = MaskExpandedSearch(grid, model)
                 captured = []
                 search.core.on_result = captured.append
-                search.search([(source, mask) for mask in range(3)], {target}, "n1")
+                search.search(
+                    [(grid.index_of(source), mask) for mask in range(3)],
+                    [grid.index_of(target)],
+                    "n1",
+                )
                 core = captured[-1]
             labels = (core.reached, core.expansions, dict(core.cost), dict(core.aux),
                       dict(core.parent))
@@ -374,9 +377,8 @@ class TestLabelParity:
         search = MaskExpandedSearch(grid, model)
         captured = []
         search.core.on_result = captured.append
-        search.search(
-            [(GridPoint(0, 1, 1), mask) for mask in range(3)], {GridPoint(0, 15, 15)}, "n1"
-        )
+        source, target = grid.index_of(GridPoint(0, 1, 1)), grid.index_of(GridPoint(0, 15, 15))
+        search.search([(source, mask) for mask in range(3)], [target], "n1")
         return grid, captured[-1]
 
     @staticmethod

@@ -13,6 +13,11 @@ Every router computes a route against a grid that holds none of the net's
 metal, so ``compute_route`` must leave the grid untouched, and the route
 commit refuses a net that already holds metal.
 
+Pressure stamps run in the native kernel's ``stamp_pressure`` when the
+search tier is native, else in the grid's own loop: the op-by-op and
+brute-force tests run on the active tier and again with the native tier
+off, and the kernel is compared with the loop stamp for stamp.
+
 Run longer campaigns with ``pytest tests/test_route_commit.py
 --rng-rounds=200`` (the CI nightly job does).
 """
@@ -21,12 +26,14 @@ from collections import Counter
 
 import pytest
 
+from repro import accel
 from repro.baselines import Dac2012Router
 from repro.bench import suite_case
 from repro.design import Design, Obstacle
 from repro.dr import DetailedRouter
 from repro.geometry import Rect
 from repro.grid import OP_COLOR, OP_OCCUPY, RoutingGrid
+from repro.native import load_kernel
 from repro.sched import RecordingSink
 from repro.tech import DesignRules, make_default_tech
 from repro.tpl import MrTPLRouter
@@ -34,6 +41,18 @@ from repro.utils import SeededRNG
 
 PITCH = 4
 NETS = ("a", "b", "c", "d")
+
+needs_kernel = pytest.mark.skipif(
+    not accel.native_available(), reason="native kernel unavailable (no compiler?)"
+)
+
+
+@pytest.fixture
+def python_stamp():
+    """Run the test with the native tier, and so the native stamp, off."""
+    previous = accel.set_native_enabled(False)
+    yield
+    accel.set_native_enabled(previous)
 
 
 def random_params(rng):
@@ -115,6 +134,15 @@ def random_log(rng, grid, net_id, foreign, coverage):
 
 @pytest.mark.parametrize("seed", [5, 29])
 def test_route_commit_matches_op_by_op(seed, rng_rounds):
+    check_commit_matches_op_by_op(seed, rng_rounds)
+
+
+@pytest.mark.parametrize("seed", [5, 29])
+def test_route_commit_matches_op_by_op_on_python_stamp(seed, rng_rounds, python_stamp):
+    check_commit_matches_op_by_op(seed, rng_rounds)
+
+
+def check_commit_matches_op_by_op(seed, rng_rounds):
     rng = SeededRNG(seed)
     coverage = Counter()
     for round_number in range(rng_rounds):
@@ -184,6 +212,17 @@ def brute_pressure(grid, colors):
 @pytest.mark.parametrize("seed", [7, 31])
 def test_route_commit_pressure_matches_brute_force(seed, rng_rounds):
     """Stamps clip exactly at the die edge, per layer ``Dcolor``, TPL layers only."""
+    check_pressure_matches_brute_force(seed, rng_rounds)
+
+
+@pytest.mark.parametrize("seed", [7, 31])
+def test_route_commit_pressure_matches_brute_force_on_python_stamp(
+    seed, rng_rounds, python_stamp
+):
+    check_pressure_matches_brute_force(seed, rng_rounds)
+
+
+def check_pressure_matches_brute_force(seed, rng_rounds):
     rng = SeededRNG(seed)
     for round_number in range(rng_rounds):
         grid = build_grid(random_params(rng))
@@ -193,6 +232,62 @@ def test_route_commit_pressure_matches_brute_force(seed, rng_rounds):
         assert list(grid.pressure_buffer()) == brute_pressure(grid, colors), round_number
         grid.release_net("a")
         assert list(grid.pressure_buffer()) == brute_pressure(grid, {}), round_number
+
+
+def random_stamps(rng, grid):
+    """Return ``(nodes, colors)`` of random stamps, die edges and every layer included."""
+    nodes, colors = [], []
+    for _ in range(rng.randint(0, 12)):
+        col = rng.choice((0, grid.num_cols - 1, rng.randint(0, grid.num_cols - 1)))
+        row = rng.choice((0, grid.num_rows - 1, rng.randint(0, grid.num_rows - 1)))
+        layer = rng.randint(0, grid.num_layers - 1)
+        nodes.append((layer * grid.num_cols + col) * grid.num_rows + row)
+        colors.append(rng.randint(0, 2))
+    return nodes, colors
+
+
+@needs_kernel
+@pytest.mark.parametrize("seed", [3, 17])
+def test_native_stamp_matches_python_stamp(seed, rng_rounds):
+    """Both tiers add in one order, so even amounts that round agree bit for bit."""
+    rng = SeededRNG(seed)
+    for round_number in range(rng_rounds):
+        params = random_params(rng)
+        native, python = build_grid(params), build_grid(params)
+        for _ in range(rng.randint(1, 4)):
+            nodes, colors = random_stamps(rng, native)
+            amount = rng.choice((6.0, -6.0, 0.1, -0.7))
+            for grid, tier in ((native, True), (python, False)):
+                previous = accel.set_native_enabled(tier)
+                try:
+                    grid._stamp_pressure(nodes, colors, amount)
+                finally:
+                    accel.set_native_enabled(previous)
+        context = f"seed {seed}, round {round_number}"
+        assert native.pressure_buffer().tobytes() == python.pressure_buffer().tobytes(), context
+
+
+@needs_kernel
+def test_native_stamp_rejects_bad_input_and_leaves_buffer_unchanged():
+    grid = build_grid(random_params(SeededRNG(2)))
+    grid.commit_route([(OP_COLOR, grid.net_id("a"), 5, 1)])
+    kernel = load_kernel()
+    pressure = grid.pressure_buffer()
+    before = pressure.tobytes()
+    last = grid.num_vertices - 1
+    dims = (grid.num_cols, grid.num_rows, grid._stamp_reaches)
+    for nodes, colors in (
+        ([0, -1], [0, 0]),
+        ([0, last + 1], [0, 0]),
+        ([0, last], [1, 3]),
+        ([last], [-1]),
+        ([0, 1], [0]),
+    ):
+        with pytest.raises(ValueError):
+            kernel.stamp_pressure(pressure, nodes, colors, 6.0, *dims)
+        assert pressure.tobytes() == before, (nodes, colors)
+    with pytest.raises(ValueError):
+        kernel.stamp_pressure(pressure[:-1], [0], [0], 6.0, *dims)
 
 
 ROUTERS = {"maze": DetailedRouter, "color-state": MrTPLRouter, "dac2012": Dac2012Router}
@@ -226,6 +321,20 @@ def test_compute_route_leaves_grid_untouched_and_commit_guards_it(router_key):
         grid.release_net(net.name)
         grid.commit_route(sink.ops)
         assert grid.snapshot_state()["owner"] == committed["owner"]
+
+
+def test_color_path_logs_what_per_vertex_calls_log():
+    grid = build_grid(random_params(SeededRNG(3)))
+    pairs = [(4, 0), (5, 0), (5, 2), (9, 1)]
+    bulk, single = RecordingSink(grid, "a"), RecordingSink(grid, "a")
+    bulk.color_path(pairs)
+    for node, color in pairs:
+        single.set_color(node, color)
+        single.occupy(node)
+    assert bulk.ops == single.ops
+    with pytest.raises(ValueError):
+        bulk.color_path([(6, 1), (7, 3)])
+    assert bulk.ops == single.ops
 
 
 def test_route_commit_refuses_mixed_logs_unchanged():

@@ -113,7 +113,11 @@ def _searches(mode, native, seed):
             elif mode == "color-state":
                 engine.search({v: ColorState(0b111) for v in sources}, targets, net.name)
             else:
-                engine.search([(v, mask) for v in sources for mask in range(3)], targets, net.name)
+                engine.search(
+                    [(grid.index_of(v), mask) for v in sources for mask in range(3)],
+                    [grid.index_of(v) for v in targets],
+                    net.name,
+                )
         return rows, engine.core.window_retries
     finally:
         accel.set_native_enabled(prev)

@@ -87,7 +87,12 @@ def _pin_to_pin(engine, mode, grid, net):
     elif mode == "color-state":
         engine.search({v: ColorState(0b111) for v in sources}, targets, net.name)
     else:
-        engine.search([(v, mask) for v in sources for mask in range(3)], targets, net.name)
+        index_of = grid.index_of
+        engine.search(
+            [(index_of(v), mask) for v in sources for mask in range(3)],
+            [index_of(v) for v in targets],
+            net.name,
+        )
 
 
 def _chain(core):
@@ -228,7 +233,12 @@ def _pin_to_pin_vertices(engine, mode, sources, targets, **kwargs):
         return engine.search(sources, targets, "n1", **kwargs)
     if mode == "color-state":
         return engine.search({v: ColorState(0b111) for v in sources}, targets, "n1")
-    return engine.search([(v, mask) for v in sources for mask in range(3)], targets, "n1")
+    index_of = engine.grid.index_of
+    return engine.search(
+        [(index_of(v), mask) for v in sources for mask in range(3)],
+        [index_of(v) for v in targets],
+        "n1",
+    )
 
 
 def _spy_floor(patch):
