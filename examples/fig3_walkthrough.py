@@ -27,8 +27,9 @@ def show_color_state_narrowing(design) -> None:
     engine = ColorStateSearch(grid, CostModel(grid))
     net = design.routable_nets()[0]
     pins = [grid.pin_access_vertices(pin) for pin in net.pins]
-    sources = {vertex: ColorState.all() for vertex in pins[0]}
-    targets = set(pins[3])  # pin4 sits past both fixed shapes
+    # The search takes flat grid indices: (index, color-state bits) seeds.
+    sources = [(grid.index_of(vertex), ColorState.all().bits) for vertex in pins[0]]
+    targets = {grid.index_of(vertex) for vertex in pins[3]}  # pin4 sits past both fixed shapes
     result = engine.search(sources, targets, net.name)
     if not result.found:
         print("search failed (unexpected)")

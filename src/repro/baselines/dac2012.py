@@ -65,6 +65,8 @@ class MaskExpandedSearch(RouteScopedExpand):
         self.cost_model = cost_model
         self.max_expansions = max_expansions
         self.core = SearchCore(grid, cost_model, max_expansions)
+        # Target group -> its bounds and mask-expanded node set.
+        self._targets: Dict[Tuple[int, ...], Tuple[Optional[TargetBounds], Set[int]]] = {}
 
     def search(
         self,
@@ -76,14 +78,23 @@ class MaskExpandedSearch(RouteScopedExpand):
         vertex indices *targets* (any mask).
 
         Returns the ``(flat index, mask)`` path ordered source-first, or
-        ``None`` when the search exhausts.
+        ``None`` when the search exhausts.  A target group's bounds and
+        mask-expanded nodes depend on its indices alone, so they are built
+        once per group (a pin's cached access tuple, searched again on
+        every rip-up round).
         """
         if not targets:
             return None
         grid = self.grid
-        bounds = TargetBounds.from_nodes(targets, grid.route_dims)
+        key = tuple(targets)
+        cached = self._targets.get(key)
+        if cached is None:
+            cached = self._targets[key] = (
+                TargetBounds.from_nodes(key, grid.route_dims),
+                {node * 3 + color for node in key for color in ALL_COLORS},
+            )
+        bounds, target_nodes = cached
         seeds = [(node * 3 + color, 0) for node, color in sources]
-        target_nodes = {node * 3 + color for node in targets for color in ALL_COLORS}
 
         expand = self.expand_for(net_name)
         self.core.max_expansions = self.max_expansions
@@ -213,8 +224,7 @@ class Dac2012Router(CampaignRouter):
     def _rip_up(
         self, offenders: Set[str], report: ConflictReport, solution: RoutingSolution
     ) -> None:
-        for location in report.conflict_locations():
-            self.grid.add_history(location, 1.0)
+        self.grid.add_history_nodes(report.conflict_nodes(self.grid), 1.0)
         for net_name in offenders:
             self.grid.release_net(net_name)
             solution.routes.pop(net_name, None)

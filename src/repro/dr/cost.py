@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Collection, Iterable, List, Optional
 
 from repro.geometry import GridPoint
 from repro.gr.guide import GuideSet, GuideTables
@@ -51,23 +51,8 @@ class TargetBounds:
     max_row: int
 
     @classmethod
-    def from_targets(cls, targets: Iterable[GridPoint]) -> Optional["TargetBounds"]:
-        """Build bounds from a target set; ``None`` for an empty set."""
-        targets = list(targets)
-        if not targets:
-            return None
-        return cls(
-            min_layer=min(t.layer for t in targets),
-            max_layer=max(t.layer for t in targets),
-            min_col=min(t.col for t in targets),
-            max_col=max(t.col for t in targets),
-            min_row=min(t.row for t in targets),
-            max_row=max(t.row for t in targets),
-        )
-
-    @classmethod
     def from_nodes(
-        cls, nodes: Sequence[int], dims: "tuple[int, int]"
+        cls, nodes: Collection[int], dims: "tuple[int, int]"
     ) -> Optional["TargetBounds"]:
         """Build bounds from flat vertex indices on a grid of *dims*
         ``(num_cols, num_rows)``; ``None`` for no nodes.

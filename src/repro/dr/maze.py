@@ -7,16 +7,16 @@ Dijkstra formulation that Algorithm 1 of the paper also follows -- the
 Mr.TPL variant in :mod:`repro.tpl.search` adds the color-state dimension.
 
 :class:`MazeRouter` is a thin adapter over the shared
-:class:`repro.search.SearchCore` engine: vertices are converted to flat grid
-indices at the API boundary, the hot loop reads the grid's flat state
-buffers, and the backtraced path is returned as flat indices
+:class:`repro.search.SearchCore` engine: seeds and targets are flat grid
+indices, the hot loop reads the grid's flat state buffers, and the reached
+target and backtraced path are returned as flat indices
 (:class:`GridPoint` objects are materialised only for the lazy
 ``parents`` / ``costs`` views).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, Iterable, List, Optional, Tuple
 
 from repro.dr.cost import CostModel, TargetBounds
 from repro.geometry import GridPoint
@@ -28,24 +28,23 @@ from repro.search import CoreResult, RouteScopedExpand, SearchCore
 class SearchResult:
     """Outcome of one maze search.
 
-    Wraps a :class:`~repro.search.CoreResult`; the ``GridPoint`` views are
-    materialised lazily so the fast path never pays for them.
+    Wraps a :class:`~repro.search.CoreResult`: the reached target and the
+    backtraced path are flat indices, and the ``GridPoint`` views
+    (``parents``, ``costs``) are materialised lazily so the fast path never
+    pays for them.
     """
 
     def __init__(self, core: CoreResult, grid: RoutingGrid) -> None:
         self._core = core
         self._grid = grid
-        self._reached: Optional[GridPoint] = None
         self._parents: Optional[Dict[GridPoint, Optional[GridPoint]]] = None
         self._costs: Optional[Dict[GridPoint, float]] = None
         self.expansions = core.expansions
 
     @property
-    def reached(self) -> Optional[GridPoint]:
-        """Return the target vertex the search stopped at, if any."""
-        if self._reached is None and self._core.found:
-            self._reached = self._grid.vertex_of(self._core.reached)
-        return self._reached
+    def reached(self) -> Optional[int]:
+        """Return the flat index of the target the search stopped at, if any."""
+        return self._core.reached if self._core.found else None
 
     @property
     def found(self) -> bool:
@@ -95,20 +94,23 @@ class MazeRouter(RouteScopedExpand):
 
     def search(
         self,
-        sources: Iterable[GridPoint],
-        targets: Set[GridPoint],
+        sources: Iterable[Tuple[int, int]],
+        targets: Collection[int],
         net_name: str,
         allow_occupied_targets: bool = True,
     ) -> SearchResult:
-        """Search from *sources* to any vertex in *targets*.
+        """Search from *sources* to any flat index of *targets*.
 
         Parameters
         ----------
         sources:
-            Seed vertices (the routed tree so far, or the first pin's access
-            vertices); they start with cost 0.
+            ``(flat index, aux)`` seeds (the routed tree so far, or the
+            first pin's access vertices), each starting at cost 0, in the
+            order that breaks cost ties.  The maze labels carry no state, so
+            the aux is 0.  Blocked seeds are dropped.
         targets:
-            Acceptable destination vertices (access vertices of unreached pins).
+            Acceptable destination flat indices (access vertices of
+            unreached pins).
         net_name:
             The net being routed (needed for occupancy / guide costs).
         allow_occupied_targets:
@@ -118,18 +120,10 @@ class MazeRouter(RouteScopedExpand):
         grid = self.grid
         if not targets:
             return SearchResult(CoreResult.empty(), grid)
-        bounds = TargetBounds.from_targets(targets)
-        index_of = grid.index_of
-        in_bounds = grid.in_bounds
         blocked = grid.blocked_buffer()
-        seeds: List[Tuple[int, int]] = []
-        for source in sources:
-            if not in_bounds(source):
-                continue
-            index = index_of(source)
-            if not blocked[index]:
-                seeds.append((index, 0))
-        target_nodes = {index_of(t) for t in targets if grid.in_bounds(t)}
+        seeds = [seed for seed in sources if not blocked[seed[0]]]
+        target_nodes = set(targets)
+        bounds = TargetBounds.from_nodes(target_nodes, grid.route_dims)
 
         net_id = grid.net_id(net_name)
         accept: Optional[Callable[[int], bool]] = None

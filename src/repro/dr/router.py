@@ -20,9 +20,9 @@ from repro.check import IncrementalDRCChecker
 from repro.design import Design, Net
 from repro.dr.cost import CostModel
 from repro.dr.maze import MazeRouter
-from repro.geometry import GridPoint
 from repro.gr.guide import GuideSet
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
+from repro.search import TreeSeedOrder
 
 
 class DetailedRouter(CampaignRouter):
@@ -68,33 +68,33 @@ class DetailedRouter(CampaignRouter):
         metal: the occupancy goes to *sink* (a
         :class:`~repro.sched.commit.RecordingSink`) and is committed in one
         route commit afterwards -- by ``route_net``, or by the pool parent
-        for routes its workers computed with their own engines.
+        for routes its workers computed with their own engines.  Runs on
+        flat indices: pins are addressed by their cached access indices
+        (:meth:`RoutingGrid.pin_access_nodes`).
         """
         if engine is None:
             engine = self.maze
         grid = self.grid
         route = NetRoute(net.name, grid.route_dims)
-        pin_groups = [grid.pin_access_vertices(pin) for pin in net.pins]
-        usable_groups = [group for group in pin_groups if group]
-        if len(usable_groups) < len(pin_groups):
+        pin_nodes = [grid.pin_access_nodes(pin) for pin in net.pins]
+        if any(not group for group in pin_nodes):
             route.routed = False
             route.failure_reason = "pin without reachable access vertex"
             return route
-        pin_nodes = [grid.pin_access_nodes(pin) for pin in net.pins]
-        vertex_of = grid.vertex_of
-        # GridPoint-keyed: the search seeds follow this set's iteration
-        # order, and the kernel breaks cost ties by push order.
-        tree_vertices: Set[GridPoint] = set(usable_groups[0])
         route.nodes.update(pin_nodes[0])
-        unreached = list(range(1, len(usable_groups)))
+        # The search seeds follow this order, and the kernel breaks cost
+        # ties by push order.
+        order = TreeSeedOrder(grid.route_dims, pin_nodes[0])
+        unreached = list(range(1, len(pin_nodes)))
         # One expansion closure serves every search of this net route.
         with engine.net_route(net.name):
             while unreached:
-                targets: Dict[GridPoint, int] = {}
+                targets: Dict[int, int] = {}
                 for index in unreached:
-                    for vertex in usable_groups[index]:
-                        targets.setdefault(vertex, index)
-                search = engine.search(tree_vertices, set(targets), net.name)
+                    for node in pin_nodes[index]:
+                        targets.setdefault(node, index)
+                seeds = [(node, 0) for node in order.nodes()]
+                search = engine.search(seeds, targets, net.name)
                 if not search.found:
                     route.routed = False
                     route.failure_reason = "maze search exhausted without reaching a pin"
@@ -103,8 +103,8 @@ class DetailedRouter(CampaignRouter):
                 route.add_node_path(path)
                 reached_pin = targets[search.reached]
                 unreached.remove(reached_pin)
-                tree_vertices.update([vertex_of(node) for node in path])
-                tree_vertices.update(usable_groups[reached_pin])
+                order.update(path)
+                order.update(pin_nodes[reached_pin])
                 route.nodes.update(pin_nodes[reached_pin])
                 # Release the result: the engine copies the label buffers of a
                 # previous result that is still referenced when it runs again.

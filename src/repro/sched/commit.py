@@ -19,8 +19,10 @@ writes).  ``compute_route`` sends its commits to a sink:
   :meth:`RoutingGrid.set_vertex_color`.  No router uses it.
 
 Both sinks address vertices by flat index, as :class:`~repro.grid.NetRoute`
-stores them, and take a whole coloured path in one call (``color_path``:
-a colour then an occupancy entry per vertex, in order).  A route log
+stores them, and take a whole coloured path in one call: ``set_colors``
+(a colour entry per vertex, in order; Mr.TPL follows it with one
+``occupy_all``) or ``color_path`` (a colour then an occupancy entry per
+vertex, in order; DAC-2012's).  A route log
 holds ``("occupy", net_id, index)`` / ``("color", net_id, index, color)``
 tuples (:data:`repro.grid.OP_OCCUPY` /
 :data:`repro.grid.OP_COLOR`); the route commit leaves the grid exactly as
@@ -65,6 +67,11 @@ class GridSink:
         """Color the net's metal at flat index *node* on the grid."""
         self.grid.set_vertex_color(self.grid.vertex_of(node), self.net_name, color)
 
+    def set_colors(self, pairs: Sequence[Tuple[int, int]]) -> None:
+        """Color the net's metal at each ``(node, color)`` on the grid, in order."""
+        for node, color in pairs:
+            self.set_color(node, color)
+
     def color_path(self, pairs: Sequence[Tuple[int, int]]) -> None:
         """Colour, then occupy, the net's metal at each ``(node, color)``, in order."""
         for node, color in pairs:
@@ -103,6 +110,17 @@ class RecordingSink:
         if not 0 <= color <= 2:
             raise ValueError(f"TPL mask color must be 0, 1 or 2, got {color}")
         self.ops.append((OP_COLOR, self.net_id, node, color))
+
+    def set_colors(self, pairs: Sequence[Tuple[int, int]]) -> None:
+        """Append one mask-color entry per ``(node, color)``, in order.
+
+        One :meth:`set_color` per pair, in one extend; an invalid mask
+        raises before the log changes.
+        """
+        if any(not 0 <= color <= 2 for _, color in pairs):
+            raise ValueError(f"TPL mask colors must be 0, 1 or 2, got {list(pairs)}")
+        net_id = self.net_id
+        self.ops.extend([(OP_COLOR, net_id, node, color) for node, color in pairs])
 
     def color_path(self, pairs: Sequence[Tuple[int, int]]) -> None:
         """Append a colour then an occupancy entry per ``(node, color)``, in order.

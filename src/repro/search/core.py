@@ -189,6 +189,11 @@ class CoreResult:
         """Return the aux bits labelled at *node* (must be labelled)."""
         return self._aux_buf[node]
 
+    def aux_of(self, nodes: Iterable[int]) -> List[int]:
+        """Return the aux bits labelled at each of *nodes* (all labelled), in order."""
+        aux = self._aux_buf
+        return [aux[node] for node in nodes]
+
     def is_labelled(self, node: int) -> bool:
         """Return ``True`` when *node* received a label during the run."""
         return self._stamp_buf[node] == self._epoch
@@ -403,11 +408,8 @@ class SearchCore:
         if kernel is None:
             return None
 
-        seed_node = array("i")
-        seed_aux = array("i")
-        for node, node_aux in seeds:
-            seed_node.append(node)
-            seed_aux.append(node_aux)
+        seed_node = array("i", [node for node, _ in seeds])
+        seed_aux = array("i", [node_aux for _, node_aux in seeds])
 
         flags = self._target_flags
         if flags is None or len(flags) < self._capacity:

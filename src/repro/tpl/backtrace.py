@@ -53,10 +53,8 @@ class ColoredPath:
         """Return the final mask of every path vertex, in path order."""
         result: Dict[int, int] = {}
         for segment in self.segments:
-            if segment.final_color is None:
-                continue
-            for node in segment.nodes:
-                result[node] = segment.final_color
+            if segment.final_color is not None:
+                result.update(dict.fromkeys(segment.nodes, segment.final_color))
         return result
 
     @property
@@ -67,6 +65,13 @@ class ColoredPath:
 
 #: Table I bit of each single mask (red=0b100, green=0b010, blue=0b001).
 _MASK_BIT = tuple(1 << (2 - color) for color in ALL_COLORS)
+
+#: The masks a segSet of each color-state bits may take, in color order;
+#: an empty state may take any.
+_CANDIDATES = tuple(
+    tuple(color for color in ALL_COLORS if bits & _MASK_BIT[color]) or ALL_COLORS
+    for bits in range(8)
+)
 
 
 class Backtracer:
@@ -101,23 +106,20 @@ class Backtracer:
             raise ValueError("backtrace requires a successful search")
         tree_colors = tree_colors or {}
         path = search.node_path()
-        aux_at = search.aux_at
-        committed_get = tree_colors.get
         plane = self.grid.plane_size
-
-        def bits_of(node: int) -> int:
-            committed = committed_get(node)
-            if committed is not None:
-                return _MASK_BIT[committed]
-            return aux_at(node)
+        # A committed tree vertex's state is its mask; any other vertex's
+        # is the color state the search labelled it with.
+        states = [
+            bits if committed is None else _MASK_BIT[committed]
+            for bits, committed in zip(search.aux_of(path), map(tree_colors.get, path))
+        ]
 
         segments: List[PathSegmentSet] = []
         # (a, b, index of a's segSet): a stitch between two segSets.
         splits: List[Tuple[int, int, int]] = []
-        state = bits_of(path[0])
+        state = states[0]
         members = [path[0]]
-        for previous, node in zip(path, path[1:]):
-            bits = bits_of(node)
+        for previous, node, bits in zip(path, path[1:], states[1:]):
             same_layer = previous // plane == node // plane
             if same_layer:
                 # Algorithm 3 lines 11-15: join the segSet while the states
@@ -181,15 +183,14 @@ class Backtracer:
                 green += pressure[base + 1]
                 blue += pressure[base + 2]
             penalties = (red, green, blue)
-            candidates = segment.color_state.colors() or list(ALL_COLORS)
-            best = min(
-                candidates,
-                key=lambda color: (
-                    penalties[color],
-                    0 if color == previous_color else 1,
-                    color,
-                ),
-            )
+            # The least (penalty, differs from the previous mask, color).
+            candidates = _CANDIDATES[segment.color_state.bits]
+            best = candidates[0]
+            best_key = (penalties[best], best != previous_color)
+            for color in candidates[1:]:
+                key = (penalties[color], color != previous_color)
+                if key < best_key:
+                    best, best_key = color, key
             segment.final_color = best
             previous_color = best
 
@@ -203,15 +204,15 @@ def apply_colored_path(
 
     The route gains the path edges, the final vertex colors, and the
     confirmed stitches; the sink (a
-    :class:`~repro.sched.commit.RecordingSink`) receives the color and
-    occupancy commits in order, for one route commit once the whole net is
-    routed.
+    :class:`~repro.sched.commit.RecordingSink`) receives every color, in
+    path order, then every occupancy, for one route commit once the whole
+    net is routed.  The colors are computed once and written in bulk.
     """
     ordered = path.nodes
     route.add_node_path(ordered)
-    for node, color in path.colors().items():
-        route.set_node_color(node, color)
-        sink.set_color(node, color)
+    colors = list(path.colors().items())
+    route.set_node_colors(colors)
+    sink.set_colors(colors)
     sink.occupy_all(ordered)
     vertex_at = route.vertex_at
     for a, b in path.stitches:

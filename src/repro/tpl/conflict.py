@@ -101,9 +101,17 @@ class ConflictReport:
                 nets.add(conflict.net_b)
         return nets
 
-    def conflict_locations(self) -> List[GridPoint]:
-        """Return one representative grid location per conflict."""
-        return [conflict.location for conflict in self.conflicts]
+    def conflict_nodes(self, grid: RoutingGrid) -> List[int]:
+        """Return the flat index of each conflict's representative location on *grid*.
+
+        In report order, repeats kept, locations off the grid dropped: the
+        rip-up step's history bump in one
+        :meth:`~repro.grid.RoutingGrid.add_history_nodes` call, equal to one
+        ``add_history`` per location.
+        """
+        index_of, in_bounds = grid.index_of, grid.in_bounds
+        locations = [conflict.location for conflict in self.conflicts]
+        return [index_of(location) for location in locations if in_bounds(location)]
 
     def counts_by_class(self) -> Dict[str, int]:
         """Return the conflict count split into strap, same-mask and min-spacing.

@@ -27,17 +27,20 @@ from repro.campaign import CampaignRouter
 from repro.check import IncrementalConflictChecker
 from repro.design import Design, Net
 from repro.dr.cost import CostModel
-from repro.geometry import GridPoint
 from repro.gr import GlobalRouter, GuideSet
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
+from repro.search import TreeSeedOrder
 from repro.tpl.backtrace import Backtracer, apply_colored_path
 from repro.tpl.color_state import ALL_COLORS, ColorState
 from repro.tpl.conflict import ConflictReport
 from repro.tpl.search import ColorStateSearch
 
-#: Shared seed states (``ColorState`` is immutable).
-_ALL_MASKS = ColorState.all()
-_SINGLE_MASK = tuple(ColorState.single(color) for color in ALL_COLORS)
+#: Seed color-state bits by committed mask, then (at ``_FRESH``) all masks
+#: for a vertex with no mask yet.
+_SEED_BITS = tuple(ColorState.single(color).bits for color in ALL_COLORS) + (
+    ColorState.all().bits,
+)
+_FRESH = len(ALL_COLORS)
 
 
 class MrTPLRouter(CampaignRouter):
@@ -98,53 +101,59 @@ class MrTPLRouter(CampaignRouter):
         :class:`~repro.sched.commit.RecordingSink`) and are committed in
         one route commit afterwards, so the grid's color pressure is
         exactly the other nets' metal that ``Cost_color`` charges for.
+
+        Runs on flat indices: the route's node set is the tree, its node
+        colours are the committed masks, and pins are addressed by their
+        cached access indices (:meth:`RoutingGrid.pin_access_nodes`).
         """
         if engine is None:
             engine = self.search_engine
         grid = self.grid
         route = NetRoute(net.name, grid.route_dims)
-        pin_groups = [grid.pin_access_vertices(pin) for pin in net.pins]
-        if any(not group for group in pin_groups):
+        pin_nodes = [grid.pin_access_nodes(pin) for pin in net.pins]
+        if any(not group for group in pin_nodes):
             route.routed = False
             route.failure_reason = "pin without reachable access vertex"
             return route
-        vertex_of = grid.vertex_of
-        pin_nodes = [grid.pin_access_nodes(pin) for pin in net.pins]
 
-        tree_colors: Dict[int, int] = {}
-        # GridPoint-keyed: the search seeds follow this set's iteration
-        # order, and the kernel breaks cost ties by push order.
-        tree_vertices: Set[GridPoint] = set(pin_groups[0])
-        route.nodes.update(pin_nodes[0])
-        unreached = list(range(1, len(pin_groups)))
+        tree = route.nodes
+        tree.update(pin_nodes[0])
+        tree_colors = route.node_colors
+        colors_get = tree_colors.get
+        # The search seeds follow this order, and the kernel breaks cost
+        # ties by push order.
+        order = TreeSeedOrder(grid.route_dims, pin_nodes[0])
+        unreached = list(range(1, len(pin_nodes)))
 
         # One expansion closure serves every search of this net route.
         with engine.net_route(net.name):
             while unreached:
-                sources = self._source_states(tree_vertices, tree_colors)
-                targets: Dict[GridPoint, int] = {}
+                targets: Dict[int, int] = {}
                 for index in unreached:
-                    for vertex in pin_groups[index]:
-                        if vertex not in tree_vertices:
-                            targets.setdefault(vertex, index)
+                    for node in pin_nodes[index]:
+                        if node not in tree:
+                            targets.setdefault(node, index)
                 if not targets:
                     # Remaining pins are already covered by the routed tree.
                     unreached.clear()
                     break
-                search = engine.search(sources, set(targets), net.name)
+                # Fresh (pin-only) vertices start fully flexible at 111;
+                # coloured ones are held to their committed mask, so that
+                # attaching a different mask is charged as a stitch.
+                seeds = [(node, _SEED_BITS[colors_get(node, _FRESH)]) for node in order.nodes()]
+                search = engine.search(seeds, targets, net.name)
                 if not search.found:
                     route.routed = False
                     route.failure_reason = "color-state search exhausted without reaching a pin"
                     break
                 colored_path = self.backtracer.backtrace(search, net.name, tree_colors)
                 apply_colored_path(colored_path, route, sink)
-                tree_colors.update(colored_path.colors())
 
                 reached_pin = targets[search.reached]
                 unreached.remove(reached_pin)
-                tree_vertices.update([vertex_of(node) for node in colored_path.nodes])
-                tree_vertices.update(pin_groups[reached_pin])
-                route.nodes.update(pin_nodes[reached_pin])
+                order.update(colored_path.nodes)
+                order.update(pin_nodes[reached_pin])
+                tree.update(pin_nodes[reached_pin])
                 sink.occupy_all(pin_nodes[reached_pin])
                 # Release the result: the engine copies the label buffers of a
                 # previous result that is still referenced when it runs again.
@@ -169,33 +178,10 @@ class MrTPLRouter(CampaignRouter):
         report: ConflictReport,
         solution: RoutingSolution,
     ) -> None:
-        for location in report.conflict_locations():
-            self.grid.add_history(location, 1.0)
+        self.grid.add_history_nodes(report.conflict_nodes(self.grid), 1.0)
         for net_name in offenders:
             self.grid.release_net(net_name)
             route = solution.routes.get(net_name)
             if route is not None:
                 self.grid.add_history_nodes(route.nodes, 0.25)
             solution.routes.pop(net_name, None)
-
-    # ------------------------------------------------------------------
-
-    def _source_states(
-        self,
-        tree_vertices: Set[GridPoint],
-        tree_colors: Dict[int, int],
-    ) -> Dict[GridPoint, ColorState]:
-        """Return search sources: tree vertices with their committed color states.
-
-        Fresh (pin-only) vertices start fully flexible at ``111``; vertices
-        that already carry routed metal of this net (*tree_colors*, keyed
-        by flat index) are constrained to the committed mask so that
-        attaching a different mask is charged as a stitch by the search.
-        """
-        index_of = self.grid.index_of
-        colors_get = tree_colors.get
-        sources: Dict[GridPoint, ColorState] = {}
-        for vertex in tree_vertices:
-            color = colors_get(index_of(vertex))
-            sources[vertex] = _ALL_MASKS if color is None else _SINGLE_MASK[color]
-        return sources

@@ -28,7 +28,7 @@ Two implementation notes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dr.cost import CostModel, TargetBounds
 from repro.geometry import GridPoint
@@ -65,9 +65,10 @@ def _direction_between(parent: GridPoint, child: GridPoint) -> Optional[Directio
 class ColorSearchResult:
     """Outcome of one color-state search.
 
-    Wraps a :class:`~repro.search.CoreResult`.  The backtrace reads the
+    Wraps a :class:`~repro.search.CoreResult`.  The router reads the
+    reached target's flat index (:attr:`reached`) and the backtrace the
     core's flat-index path and aux (color-state) bits through
-    :meth:`node_path` / :meth:`aux_at`; the ``GridPoint`` views
+    :meth:`node_path` / :meth:`aux_of`; the ``GridPoint`` views
     (:meth:`path_to_source`, :meth:`color_state_of`, ``labels``) are built
     on demand for tests and walk-throughs.
     """
@@ -75,16 +76,13 @@ class ColorSearchResult:
     def __init__(self, core: CoreResult, grid: RoutingGrid) -> None:
         self._core = core
         self._grid = grid
-        self._reached: Optional[GridPoint] = None
         self._labels: Optional[Dict[GridPoint, VertexLabel]] = None
         self.expansions = core.expansions
 
     @property
-    def reached(self) -> Optional[GridPoint]:
-        """Return the unreached-pin vertex the search stopped at, if any."""
-        if self._reached is None and self._core.found:
-            self._reached = self._grid.vertex_of(self._core.reached)
-        return self._reached
+    def reached(self) -> Optional[int]:
+        """Return the flat index of the target the search stopped at, if any."""
+        return self._core.reached if self._core.found else None
 
     @property
     def found(self) -> bool:
@@ -123,9 +121,9 @@ class ColorSearchResult:
             raise ValueError("cannot backtrace a failed color-state search")
         return self._core.node_path()
 
-    def aux_at(self, node: int) -> int:
-        """Return the color-state bits labelled at flat index *node*."""
-        return self._core.aux_at(node)
+    def aux_of(self, nodes: Iterable[int]) -> List[int]:
+        """Return the color-state bits labelled at each flat index of *nodes*."""
+        return self._core.aux_of(nodes)
 
     def path_to_source(self) -> List[GridPoint]:
         """Return :meth:`node_path` as :class:`GridPoint` vertices."""
@@ -154,39 +152,32 @@ class ColorStateSearch(RouteScopedExpand):
 
     def search(
         self,
-        sources: Mapping[GridPoint, ColorState],
-        targets: Set[GridPoint],
+        sources: Sequence[Tuple[int, int]],
+        targets: Collection[int],
         net_name: str,
     ) -> ColorSearchResult:
-        """Search from *sources* to any vertex of *targets* for *net_name*.
+        """Search from *sources* to any flat index of *targets* for *net_name*.
 
         Parameters
         ----------
         sources:
-            Seed vertices mapped to their initial color states.  Fresh pins
-            start at ``111`` (paper Alg. 1 line 6); vertices of the already
-            routed-and-colored tree start at their committed single color so
-            that joining them with a different mask is charged a stitch.
+            ``(flat index, color-state bits)`` seeds, in the order that
+            breaks cost ties.  Fresh pins start at ``0b111`` (paper Alg. 1
+            line 6); vertices of the already routed-and-colored tree start
+            at their committed single mask so that joining them with a
+            different mask is charged a stitch.  Blocked seeds are dropped.
         targets:
-            Access vertices of the still-unreached pins.
+            Flat access indices of the still-unreached pins.
         net_name:
             The net being routed.
         """
         grid = self.grid
         if not targets:
             return ColorSearchResult(CoreResult.empty(), grid)
-        bounds = TargetBounds.from_targets(targets)
-        index_of = grid.index_of
-        in_bounds = grid.in_bounds
         blocked = grid.blocked_buffer()
-        seeds: List[Tuple[int, int]] = []
-        for vertex, state in sources.items():
-            if not in_bounds(vertex):
-                continue
-            index = index_of(vertex)
-            if not blocked[index]:
-                seeds.append((index, state.bits))
-        target_nodes = {index_of(t) for t in targets if grid.in_bounds(t)}
+        seeds = [seed for seed in sources if not blocked[seed[0]]]
+        target_nodes = set(targets)
+        bounds = TargetBounds.from_nodes(target_nodes, grid.route_dims)
 
         expand = self.expand_for(net_name)
         self.core.max_expansions = self.max_expansions

@@ -183,6 +183,34 @@ class TestDac2012Router:
         assert route.routed and grid.index_of(vertex) not in route.nodes
 
 
+    def test_target_groups_are_cached_by_their_indices(self):
+        """A campaign searches each target group once per cache entry; the
+        cached bounds and mask nodes are the ones built fresh, and a cached
+        search finds what an engine with an empty cache finds."""
+        from repro.baselines.dac2012 import MaskExpandedSearch
+        from repro.dr.cost import TargetBounds
+
+        design = generate_design(small_spec(seed=19))
+        grid = RoutingGrid(design)
+        router = Dac2012Router(design, grid=grid, use_global_router=False)
+        router.run()
+        cache = router.two_pin_engine._targets
+        groups = {grid.pin_access_nodes(pin) for net in design.routable_nets() for pin in net.pins}
+        assert cache and set(cache) <= groups
+        for group, (bounds, nodes) in cache.items():
+            assert bounds == TargetBounds.from_nodes(group, grid.route_dims)
+            assert nodes == {3 * node + mask for node in group for mask in range(3)}
+        net = design.multi_pin_nets()[0]
+        source, target = (grid.pin_access_nodes(pin) for pin in net.pins[:2])
+        seeds = [(node, mask) for node in source for mask in range(3)]
+        cached = router.two_pin_engine
+        entries = len(cache) + (target not in cache)
+        paths = [cached.search(seeds, target, net.name), cached.search(seeds, list(target), net.name)]
+        fresh = MaskExpandedSearch(grid, router.cost_model)
+        assert paths == [fresh.search(seeds, target, net.name)] * 2
+        assert len(cache) == entries  # a list of the same indices hits the tuple's entry
+
+
 class TestLayoutDecomposer:
     def make_routed(self, seed=23):
         design = generate_design(small_spec(seed=seed, nets=10))

@@ -55,13 +55,13 @@ class TestCostModel:
         grid = RoutingGrid(design)
         model = CostModel(grid)
         targets = [GridPoint(0, 10, 5), GridPoint(1, 2, 2)]
-        bounds = TargetBounds.from_targets(targets)
+        bounds = TargetBounds.from_nodes([grid.index_of(t) for t in targets], grid.route_dims)
         for vertex in [GridPoint(0, 0, 0), GridPoint(2, 5, 5), GridPoint(0, 10, 5)]:
             exact = model.heuristic(vertex, targets)
             boxed = model.heuristic_bounds(vertex, bounds)
             assert boxed <= exact + 1e-9
         assert model.heuristic_bounds(GridPoint(0, 0, 0), None) == 0.0
-        assert TargetBounds.from_targets([]) is None
+        assert TargetBounds.from_nodes([], grid.route_dims) is None
 
     def test_stitch_cost_weighting(self):
         design = two_pin_design()
@@ -77,8 +77,9 @@ class TestMazeRouter:
         maze = MazeRouter(grid, CostModel(grid))
         source = GridPoint(0, 1, 7)
         target = GridPoint(0, 14, 7)
-        result = maze.search([source], {target}, "n1")
+        result = maze.search([(grid.index_of(source), 0)], {grid.index_of(target)}, "n1")
         assert result.found
+        assert result.reached == grid.index_of(target)
         path = [grid.vertex_of(node) for node in result.backtrace()]
         assert path[0] == source and path[-1] == target
         # Straight horizontal run on the preferred layer: length == col distance.
@@ -90,7 +91,7 @@ class TestMazeRouter:
         maze = MazeRouter(grid, CostModel(grid))
         source = GridPoint(0, 1, 7)
         target = GridPoint(0, 14, 7)
-        result = maze.search([source], {target}, "n1")
+        result = maze.search([(grid.index_of(source), 0)], {grid.index_of(target)}, "n1")
         assert result.found
         path = [grid.vertex_of(node) for node in result.backtrace()]
         assert any(v.layer == 2 for v in path), "detour must climb above the wall"
@@ -100,7 +101,7 @@ class TestMazeRouter:
         design = two_pin_design()
         grid = RoutingGrid(design)
         maze = MazeRouter(grid, CostModel(grid))
-        result = maze.search([GridPoint(0, 1, 7)], set(), "n1")
+        result = maze.search([(grid.index_of(GridPoint(0, 1, 7)), 0)], set(), "n1")
         assert not result.found
         with pytest.raises(ValueError):
             result.backtrace()
@@ -110,7 +111,9 @@ class TestMazeRouter:
         grid = RoutingGrid(design)
         grid.block_vertex(GridPoint(0, 1, 7))
         maze = MazeRouter(grid, CostModel(grid))
-        result = maze.search([GridPoint(0, 1, 7)], {GridPoint(0, 5, 7)}, "n1")
+        result = maze.search(
+            [(grid.index_of(GridPoint(0, 1, 7)), 0)], {grid.index_of(GridPoint(0, 5, 7))}, "n1"
+        )
         assert not result.found
 
 

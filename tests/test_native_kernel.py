@@ -147,8 +147,8 @@ class TestLabelParity:
             # allow_occupied_targets=False, the native accept predicate.
             grid.occupy(GridPoint(0, 8, 5), "squatter")
             result = MazeRouter(grid, CostModel(grid)).search(
-                [GridPoint(0, 1, 1)],
-                {GridPoint(0, 15, 15), GridPoint(0, 8, 5)},
+                [(grid.index_of(GridPoint(0, 1, 1)), 0)],
+                {grid.index_of(GridPoint(0, 15, 15)), grid.index_of(GridPoint(0, 8, 5))},
                 "n1",
                 allow_occupied_targets=allow_occupied,
             )
@@ -165,15 +165,14 @@ class TestLabelParity:
 
     def _color_result(self, native):
         from repro.tpl.search import ColorStateSearch
-        from repro.tpl.color_state import ColorState
 
         prev = accel.set_native_enabled(native)
         try:
             grid = RoutingGrid(self._design())
             search = ColorStateSearch(grid, CostModel(grid))
             result = search.search(
-                {GridPoint(0, 1, 1): ColorState(0b111)},
-                {GridPoint(0, 15, 15)},
+                [(grid.index_of(GridPoint(0, 1, 1)), 0b111)],
+                {grid.index_of(GridPoint(0, 15, 15))},
                 "n1",
             )
             core = result._core
@@ -220,13 +219,14 @@ class TestLabelParity:
 
     def _colored_color_result(self, native):
         from repro.tpl.search import ColorStateSearch
-        from repro.tpl.color_state import ColorState
 
         prev = accel.set_native_enabled(native)
         try:
             grid, negative_index = self._colored_grid()
             result = ColorStateSearch(grid, CostModel(grid)).search(
-                {GridPoint(0, 1, 1): ColorState(0b111)}, {GridPoint(0, 15, 15)}, "n1"
+                [(grid.index_of(GridPoint(0, 1, 1)), 0b111)],
+                {grid.index_of(GridPoint(0, 15, 15))},
+                "n1",
             )
             return self._label_bytes(result._core, (negative_index,))
         finally:
@@ -279,7 +279,9 @@ class TestLabelParity:
                 grid = RoutingGrid(design)
                 # An open grid maximises equal-cost path multiplicity.
                 result = MazeRouter(grid, CostModel(grid)).search(
-                    [GridPoint(0, 1, 1)], {GridPoint(0, 9, 9)}, "n1"
+                    [(grid.index_of(GridPoint(0, 1, 1)), 0)],
+                    {grid.index_of(GridPoint(0, 9, 9))},
+                    "n1",
                 )
                 return result.reached, dict(result._core.parent)
             finally:
@@ -317,18 +319,17 @@ class TestLabelParity:
             design.add_net(Net(name="n1", pins=[_pin("a", 0, 4, 4), _pin("b", 0, 116, 116)]))
             grid = RoutingGrid(design)
             model = CostModel(grid)
-            source = GridPoint(0, 1, 1)
-            target = GridPoint(0, grid.num_cols - 2, grid.num_rows - 2)
+            source = grid.index_of(GridPoint(0, 1, 1))
+            target = grid.index_of(GridPoint(0, grid.num_cols - 2, grid.num_rows - 2))
             if mode == "traditional":
                 from repro.dr.maze import MazeRouter
 
-                core = MazeRouter(grid, model).search([source], {target}, "n1")._core
+                core = MazeRouter(grid, model).search([(source, 0)], {target}, "n1")._core
             elif mode == "color-state":
-                from repro.tpl.color_state import ColorState
                 from repro.tpl.search import ColorStateSearch
 
                 core = ColorStateSearch(grid, model).search(
-                    {source: ColorState(0b111)}, {target}, "n1"
+                    [(source, 0b111)], {target}, "n1"
                 )._core
             else:
                 from repro.baselines.dac2012 import MaskExpandedSearch
@@ -336,11 +337,7 @@ class TestLabelParity:
                 search = MaskExpandedSearch(grid, model)
                 captured = []
                 search.core.on_result = captured.append
-                search.search(
-                    [(grid.index_of(source), mask) for mask in range(3)],
-                    [grid.index_of(target)],
-                    "n1",
-                )
+                search.search([(source, mask) for mask in range(3)], [target], "n1")
                 core = captured[-1]
             labels = (core.reached, core.expansions, dict(core.cost), dict(core.aux),
                       dict(core.parent))
@@ -369,7 +366,9 @@ class TestLabelParity:
             from repro.dr.maze import MazeRouter
 
             result = MazeRouter(grid, model).search(
-                [GridPoint(0, 1, 1)], {GridPoint(0, 15, 15)}, "n1"
+                [(grid.index_of(GridPoint(0, 1, 1)), 0)],
+                {grid.index_of(GridPoint(0, 15, 15))},
+                "n1",
             )
             return grid, result._core
         from repro.baselines.dac2012 import MaskExpandedSearch

@@ -31,12 +31,13 @@ from repro.baselines import Dac2012Router
 from repro.bench import suite_case
 from repro.design import Design, Obstacle
 from repro.dr import DetailedRouter
-from repro.geometry import Rect
+from repro.geometry import GridPoint, Rect
 from repro.grid import OP_COLOR, OP_OCCUPY, RoutingGrid
 from repro.native import load_kernel
-from repro.sched import RecordingSink
+from repro.sched import GridSink, RecordingSink
 from repro.tech import DesignRules, make_default_tech
 from repro.tpl import MrTPLRouter
+from repro.tpl.conflict import ColorConflict, ConflictReport
 from repro.utils import SeededRNG
 
 PITCH = 4
@@ -337,6 +338,30 @@ def test_color_path_logs_what_per_vertex_calls_log():
     assert bulk.ops == single.ops
 
 
+def test_set_colors_logs_what_per_vertex_calls_log():
+    params = random_params(SeededRNG(3))
+    grid = build_grid(params)
+    pairs = [(4, 0), (5, 0), (5, 2), (9, 1)]
+    bulk, single = RecordingSink(grid, "a"), RecordingSink(grid, "a")
+    bulk.set_colors(pairs)
+    for node, color in pairs:
+        single.set_color(node, color)
+    assert bulk.ops == single.ops
+    with pytest.raises(ValueError):
+        bulk.set_colors([(6, 1), (7, 3)])
+    assert bulk.ops == single.ops
+    # The grid sink applies the same colours, in order, to the grid.
+    direct, logged = build_grid(params), build_grid(params)
+    sink = GridSink(direct, "a")
+    sink.occupy_all([4, 5, 9])
+    sink.set_colors(pairs)
+    recording = RecordingSink(logged, "a")
+    recording.occupy_all([4, 5, 9])
+    recording.set_colors(pairs)
+    logged.commit_route(recording.ops)
+    assert direct.snapshot_state() == logged.snapshot_state()
+
+
 def test_route_commit_refuses_mixed_logs_unchanged():
     grid = build_grid(random_params(SeededRNG(1)))
     first, second = grid.net_id("a"), grid.net_id("b")
@@ -370,3 +395,32 @@ def test_bulk_history_matches_per_vertex_history(seed, rng_rounds):
                 single.decay_history()
         context = f"seed {seed}, round {round_number}"
         assert bulk.snapshot_state() == single.snapshot_state(), context
+
+
+@pytest.mark.parametrize("seed", [13, 43])
+def test_conflict_history_matches_per_location_history(seed, rng_rounds):
+    """The rip-up step's conflict history in one call
+    (``ConflictReport.conflict_nodes`` into ``add_history_nodes``) leaves
+    the grid as one ``add_history`` per location does: report order,
+    repeated locations and locations off the grid included."""
+    rng = SeededRNG(seed)
+    for round_number in range(rng_rounds):
+        params = random_params(rng)
+        bulk, single = build_grid(params), build_grid(params)
+        locations = []
+        for _ in range(rng.randint(0, 12)):
+            if locations and rng.random() < 0.3:
+                locations.append(rng.choice(locations))
+            elif rng.random() < 0.1:
+                locations.append(GridPoint(bulk.num_layers, 0, 0))
+            else:
+                locations.append(bulk.vertex_of(rng.randint(0, bulk.num_vertices - 1)))
+        report = ConflictReport(
+            [ColorConflict("a", "b", location.layer, 0, location) for location in locations]
+        )
+        bulk.add_history_nodes(report.conflict_nodes(bulk), 1.0)
+        for location in locations:
+            single.add_history(location, 1.0)
+        context = f"seed {seed}, round {round_number}"
+        assert bulk.snapshot_state() == single.snapshot_state(), context
+        assert list(bulk._history_touched) == list(single._history_touched), context

@@ -31,7 +31,10 @@ class TestRouterParity:
         source, target = GridPoint(0, 2, 5), GridPoint(0, 8, 5)
         grid.occupy(target, "squatter")
         result = MazeRouter(grid, CostModel(grid)).search(
-            [source], {target}, "n", allow_occupied_targets=allow_occupied
+            [(grid.index_of(source), 0)],
+            {grid.index_of(target)},
+            "n",
+            allow_occupied_targets=allow_occupied,
         )
         assert result.found == allow_occupied
 
@@ -40,18 +43,21 @@ class TestRouterParity:
 
         design = make_design()
         grid = RoutingGrid(design)
-        maze_result = MazeRouter(grid, CostModel(grid)).search([GridPoint(0, 1, 1)], set(), "n")
-        assert not maze_result.found
+        seed = grid.index_of(GridPoint(0, 1, 1))
+        maze_result = MazeRouter(grid, CostModel(grid)).search([(seed, 0)], set(), "n")
+        assert not maze_result.found and maze_result.reached is None
         assert maze_result.parents == {} and maze_result.costs == {}
         color_result = ColorStateSearch(grid, CostModel(grid)).search(
-            {GridPoint(0, 1, 1): ColorState.all()}, set(), "n"
+            [(seed, ColorState.all().bits)], set(), "n"
         )
-        assert not color_result.found and color_result.labels == {}
+        assert not color_result.found and color_result.reached is None
+        assert color_result.labels == {}
 
     @pytest.mark.parametrize("router_key", ["maze", "color-state", "dac2012"])
     def test_one_expand_closure_per_net_route(self, router_key, monkeypatch):
         """Every search of a net route shares one closure, dropped after it,
-        and the closure carries the route's only native spec."""
+        and the closure carries the route's only native spec.  Every engine
+        is called on flat indices: ``(index, aux)`` seeds and int targets."""
         from repro import accel
         from repro.native import spec as native_spec
         from tests.test_native_kernel import random_design, router_classes
@@ -65,9 +71,14 @@ class TestRouterParity:
         monkeypatch.setattr(
             engine, "make_expand", lambda name: (builds.append(name), make_expand(name))[1]
         )
-        monkeypatch.setattr(
-            engine, "search", lambda *args: (searches.append(args[2]), search(*args))[1]
-        )
+
+        def flat_search(seeds, targets, net_name):
+            assert all(type(node) is int and type(aux) is int for node, aux in seeds)
+            assert targets and all(type(node) is int for node in targets)
+            searches.append(net_name)
+            return search(seeds, targets, net_name)
+
+        monkeypatch.setattr(engine, "search", flat_search)
         monkeypatch.setattr(
             native_spec,
             "NativeExpandSpec",
@@ -164,9 +175,13 @@ class TestColorStateMerge:
         right = GridPoint(0, 10, 10)
         middle = GridPoint(0, 6, 10)
         target = GridPoint(0, 6, 2)
+        index_of = grid.index_of
         result = search.search(
-            {left: ColorState.single(RED), right: ColorState.single(GREEN)},
-            {target},
+            [
+                (index_of(left), ColorState.single(RED).bits),
+                (index_of(right), ColorState.single(GREEN).bits),
+            ],
+            {index_of(target)},
             "merge-net",
         )
         assert result.found
@@ -178,12 +193,13 @@ class TestColorStateMerge:
         equidistant midpoint merges both, and the merged state propagates
         to the vertices expanded from it."""
         grid = RoutingGrid(make_design())
-        sources = {
-            GridPoint(0, 2, 10): ColorState.single(RED),
-            GridPoint(0, 10, 10): ColorState.single(GREEN),
-        }
+        index_of = grid.index_of
+        sources = [
+            (index_of(GridPoint(0, 2, 10)), ColorState.single(RED).bits),
+            (index_of(GridPoint(0, 10, 10)), ColorState.single(GREEN).bits),
+        ]
         result = ColorStateSearch(grid, CostModel(grid)).search(
-            sources, {GridPoint(0, 6, 2)}, "n"
+            sources, {index_of(GridPoint(0, 6, 2))}, "n"
         )
         assert result.found
         red, green = ColorState.single(RED), ColorState.single(GREEN)

@@ -34,7 +34,6 @@ from repro.grid.gcell import GCell, GCellGrid
 from repro.sched.executor import ExploredTracker
 from repro.search import SearchCore
 from repro.tech import make_default_tech
-from repro.tpl.color_state import ColorState
 from repro.tpl.mr_tpl import MrTPLRouter
 from repro.tpl.search import ColorStateSearch
 from tests.test_native_kernel import _pin, needs_kernel
@@ -106,16 +105,16 @@ def _searches(mode, native, seed):
             (core._window, core.reached, core.expansions, _label_bytes(core))
         )
         for net in design.nets:
-            sources = grid.pin_access_vertices(net.pins[0])
-            targets = {v for pin in net.pins[1:] for v in grid.pin_access_vertices(pin)}
+            sources = grid.pin_access_nodes(net.pins[0])
+            targets = {node for pin in net.pins[1:] for node in grid.pin_access_nodes(pin)}
             if mode == "maze":
-                engine.search(sources, targets, net.name)
+                engine.search([(node, 0) for node in sources], targets, net.name)
             elif mode == "color-state":
-                engine.search({v: ColorState(0b111) for v in sources}, targets, net.name)
+                engine.search([(node, 0b111) for node in sources], targets, net.name)
             else:
                 engine.search(
-                    [(grid.index_of(v), mask) for v in sources for mask in range(3)],
-                    [grid.index_of(v) for v in targets],
+                    [(node, mask) for node in sources for mask in range(3)],
+                    sorted(targets),
                     net.name,
                 )
         return rows, engine.core.window_retries

@@ -31,7 +31,6 @@ from repro.grid import NUM_DIRECTIONS, RoutingGrid
 from repro.native.spec import MODE_COLOR_STATE, MODE_MASK_EXPANDED, MODE_TRADITIONAL
 from repro.sched.executor import ExploredTracker
 from repro.search import SUCC_CAPACITY
-from repro.tpl.color_state import ColorState
 from tests.test_native_kernel import HAVE_KERNEL
 from tests.test_search_window import (
     ENGINES,
@@ -80,18 +79,15 @@ def _loaded(seed):
 
 def _pin_to_pin(engine, mode, grid, net):
     """One pin-to-pin search of *net* through the adapter's ``search``."""
-    sources = grid.pin_access_vertices(net.pins[0])
-    targets = {v for pin in net.pins[1:] for v in grid.pin_access_vertices(pin)}
+    sources = grid.pin_access_nodes(net.pins[0])
+    targets = {node for pin in net.pins[1:] for node in grid.pin_access_nodes(pin)}
     if mode == "maze":
-        engine.search(sources, targets, net.name)
+        engine.search([(node, 0) for node in sources], targets, net.name)
     elif mode == "color-state":
-        engine.search({v: ColorState(0b111) for v in sources}, targets, net.name)
+        engine.search([(node, 0b111) for node in sources], targets, net.name)
     else:
-        index_of = grid.index_of
         engine.search(
-            [(index_of(v), mask) for v in sources for mask in range(3)],
-            [index_of(v) for v in targets],
-            net.name,
+            [(node, mask) for node in sources for mask in range(3)], sorted(targets), net.name
         )
 
 
@@ -145,8 +141,8 @@ def test_every_edge_into_a_target_costs_at_least_h_plus_floor(mode, seed, rng_ro
         neighbors = grid.neighbor_table()
         for net in design.nets:
             vertices = {v for pin in net.pins[1:] for v in grid.pin_access_vertices(pin)}
-            bounds = TargetBounds.from_targets(vertices)
             indices = {grid.index_of(v) for v in vertices}
+            bounds = TargetBounds.from_nodes(indices, grid.route_dims)
             targets = {index * stride + mask for index in indices for mask in range(stride)}
             floor = model.target_floor(net.name, grid.net_id(net.name), targets, MODES[mode])
             positive += floor > 0.0
@@ -229,15 +225,14 @@ def test_a_seed_that_is_a_target_is_reached_at_once(mode, native):
 
 
 def _pin_to_pin_vertices(engine, mode, sources, targets, **kwargs):
-    if mode == "maze":
-        return engine.search(sources, targets, "n1", **kwargs)
-    if mode == "color-state":
-        return engine.search({v: ColorState(0b111) for v in sources}, targets, "n1")
     index_of = engine.grid.index_of
+    nodes = [index_of(v) for v in targets]
+    if mode == "maze":
+        return engine.search([(index_of(v), 0) for v in sources], nodes, "n1", **kwargs)
+    if mode == "color-state":
+        return engine.search([(index_of(v), 0b111) for v in sources], nodes, "n1")
     return engine.search(
-        [(index_of(v), mask) for v in sources for mask in range(3)],
-        [index_of(v) for v in targets],
-        "n1",
+        [(index_of(v), mask) for v in sources for mask in range(3)], nodes, "n1"
     )
 
 
@@ -280,8 +275,9 @@ def test_a_rejected_target_does_not_feed_the_floor(native, monkeypatch):
                 engine = ENGINES["maze"](grid, CostModel(grid))
                 results = []
                 engine.core.on_result = results.append
-                found = engine.search(
-                    [GridPoint(0, 1, 1)], {squatted, near, far}, "n1", allow_occupied_targets=False
+                found = _pin_to_pin_vertices(
+                    engine, "maze", [GridPoint(0, 1, 1)], {squatted, near, far},
+                    allow_occupied_targets=False,
                 )
                 (core,) = results
                 routes.append((found.reached, _chain(core)))
@@ -293,7 +289,7 @@ def test_a_rejected_target_does_not_feed_the_floor(native, monkeypatch):
                     assert engine.core.floor_stops == 1
                     assert core.is_labelled(grid.index_of(squatted))  # searched through
         assert routes[0] == routes[1]
-        assert routes[0][0] == GridPoint(0, 4, 5)
+        assert routes[0][0] == grid.index_of(GridPoint(0, 4, 5))
     finally:
         accel.set_native_enabled(prev)
 
@@ -308,7 +304,9 @@ def test_no_accepted_target_gives_floor_zero_and_fails(native, monkeypatch):
         for vertex in targets:
             grid.occupy(vertex, "squatter")
         engine = ENGINES["maze"](grid, CostModel(grid))
-        found = engine.search([GridPoint(0, 1, 1)], targets, "n1", allow_occupied_targets=False)
+        found = _pin_to_pin_vertices(
+            engine, "maze", [GridPoint(0, 1, 1)], targets, allow_occupied_targets=False
+        )
         assert not found.found
         assert calls == [([], 0.0)]
         assert engine.core.floor_stops == 0

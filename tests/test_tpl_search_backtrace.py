@@ -9,7 +9,8 @@ from repro.geometry import GridPoint, Rect
 from repro.grid import NetRoute, RoutingGrid
 from repro.tech import make_default_tech
 from repro.tpl import BLUE, GREEN, RED, ColorState
-from repro.tpl.backtrace import Backtracer, commit_colored_path
+from repro.sched.commit import RecordingSink
+from repro.tpl.backtrace import Backtracer, apply_colored_path, commit_colored_path
 from repro.tpl.search import ColorStateSearch
 
 
@@ -26,6 +27,11 @@ def open_field_design(**obstacles):
     return design
 
 
+def seeds(grid, states):
+    """Return ``{GridPoint: ColorState}`` *states* as flat ``(index, bits)`` seeds."""
+    return [(grid.index_of(vertex), state.bits) for vertex, state in states.items()]
+
+
 class TestColorStateSearch:
     def test_unconstrained_path_keeps_full_state(self):
         design = open_field_design()
@@ -33,8 +39,11 @@ class TestColorStateSearch:
         engine = ColorStateSearch(grid, CostModel(grid))
         source = GridPoint(0, 1, 7)
         target = GridPoint(0, 10, 7)
-        result = engine.search({source: ColorState.all()}, {target}, "n1")
+        result = engine.search(
+            seeds(grid, {source: ColorState.all()}), {grid.index_of(target)}, "n1"
+        )
         assert result.found
+        assert result.reached == grid.index_of(target)
         for vertex in result.path_to_source():
             assert result.color_state_of(vertex) == ColorState.all()
 
@@ -48,7 +57,9 @@ class TestColorStateSearch:
         engine = ColorStateSearch(grid, CostModel(grid))
         source = GridPoint(0, 1, 7)
         target = GridPoint(0, 12, 7)
-        result = engine.search({source: ColorState.all()}, {target}, "n1")
+        result = engine.search(
+            seeds(grid, {source: ColorState.all()}), {grid.index_of(target)}, "n1"
+        )
         assert result.found
         path = result.path_to_source()
         narrowed = [result.color_state_of(v) for v in path if not result.color_state_of(v).is_full]
@@ -59,7 +70,7 @@ class TestColorStateSearch:
         design = open_field_design()
         grid = RoutingGrid(design)
         engine = ColorStateSearch(grid, CostModel(grid))
-        result = engine.search({GridPoint(0, 1, 7): ColorState.all()}, set(), "n1")
+        result = engine.search(seeds(grid, {GridPoint(0, 1, 7): ColorState.all()}), set(), "n1")
         assert not result.found
         with pytest.raises(ValueError):
             result.path_to_source()
@@ -70,7 +81,9 @@ class TestColorStateSearch:
         engine = ColorStateSearch(grid, CostModel(grid))
         source = GridPoint(0, 1, 7)
         target = GridPoint(0, 10, 10)
-        result = engine.search({source: ColorState.all()}, {target}, "n1")
+        result = engine.search(
+            seeds(grid, {source: ColorState.all()}), {grid.index_of(target)}, "n1"
+        )
         assert result.found
         path = result.path_to_source()  # destination first
         costs = [result.labels[v].cost for v in path]
@@ -86,7 +99,9 @@ class TestBacktrace:
         backtracer = Backtracer(grid, model)
         source = GridPoint(0, 1, 7)
         target = GridPoint(0, 13, 7)
-        search = engine.search(sources or {source: ColorState.all()}, {target}, "n1")
+        search = engine.search(
+            seeds(grid, sources or {source: ColorState.all()}), {grid.index_of(target)}, "n1"
+        )
         assert search.found
         return grid, backtracer.backtrace(search, "n1")
 
@@ -123,7 +138,11 @@ class TestBacktrace:
         backtracer = Backtracer(grid, model)
         source = GridPoint(0, 1, 7)
         tree_colors = {grid.index_of(source): BLUE}
-        search = engine.search({source: ColorState.single(BLUE)}, {GridPoint(0, 9, 7)}, "n1")
+        search = engine.search(
+            seeds(grid, {source: ColorState.single(BLUE)}),
+            {grid.index_of(GridPoint(0, 9, 7))},
+            "n1",
+        )
         colored = backtracer.backtrace(search, "n1", tree_colors)
         assert colored.colors()[grid.index_of(source)] == BLUE
 
@@ -134,7 +153,9 @@ class TestBacktrace:
         engine = ColorStateSearch(grid, model)
         backtracer = Backtracer(grid, model)
         source = GridPoint(0, 1, 7)
-        search = engine.search({source: ColorState.all()}, {GridPoint(0, 9, 7)}, "n1")
+        search = engine.search(
+            seeds(grid, {source: ColorState.all()}), {grid.index_of(GridPoint(0, 9, 7))}, "n1"
+        )
         colored = backtracer.backtrace(search, "n1")
         route = NetRoute("n1", grid.route_dims)
         commit_colored_path(colored, route, grid)
@@ -142,6 +163,40 @@ class TestBacktrace:
         any_vertex = next(iter(route.vertex_colors))
         assert grid.vertex_color_index(grid.index_of(any_vertex)) == route.vertex_colors[any_vertex]
         assert "n1" in grid.occupants(any_vertex)
+
+    def test_apply_colored_path_writes_what_per_vertex_calls_write(self):
+        """One bulk colour write leaves the route and the route log as one
+        ``set_node_color`` / ``set_color`` per coloured vertex did: every
+        colour in path order, then every occupancy."""
+        design = open_field_design(
+            green=(0, Rect(16, 24, 24, 26), GREEN),
+            blue=(0, Rect(36, 24, 44, 26), BLUE),
+        )
+        grid = RoutingGrid(design)
+        model = CostModel(grid)
+        source, target = GridPoint(0, 1, 7), GridPoint(1, 13, 12)  # a via splits the segSets
+        search = ColorStateSearch(grid, model).search(
+            seeds(grid, {source: ColorState.all()}), {grid.index_of(target)}, "n1"
+        )
+        colored = Backtracer(grid, model).backtrace(search, "n1")
+        route = NetRoute("n1", grid.route_dims)
+        sink = RecordingSink(grid, "n1")
+        apply_colored_path(colored, route, sink)
+
+        reference = NetRoute("n1", grid.route_dims)
+        reference_sink = RecordingSink(grid, "n1")
+        reference.add_node_path(colored.nodes)
+        for node, color in colored.colors().items():
+            reference.set_node_color(node, color)
+            reference_sink.set_color(node, color)
+        reference_sink.occupy_all(colored.nodes)
+        for a, b in colored.stitches:
+            reference.add_stitch(reference.vertex_at(a), reference.vertex_at(b))
+        assert route == reference
+        assert list(route.node_colors.items()) == list(reference.node_colors.items())
+        assert list(route.nodes) == list(reference.nodes)
+        assert sink.ops == reference_sink.ops
+        assert len(colored.segments) > 1
 
     def test_segments_partition_path_vertices(self):
         design = open_field_design(
