@@ -231,16 +231,16 @@ class Dac2012Router(CampaignRouter):
 
     # ------------------------------------------------------------------
 
-    def compute_route(self, net: Net, sink: object, engine: Optional[object] = None) -> NetRoute:
-        """Route one net through *engine*, sending grid commits to *sink*.
+    def compute_route(self, net: Net, engine: Optional[object] = None) -> NetRoute:
+        """Route one net through *engine*; write nothing.
 
         The 2-pin formulation fixes each connection's colors as soon as the
-        path is found: they go to *sink* (a
-        :class:`~repro.sched.commit.RecordingSink`) at once, and the
-        route-local colors steer the next connection, which preserves the
-        defining limitation.  The grid holds none of the net's metal until
-        the whole log is committed in one route commit afterwards.  Pins are
-        addressed by their cached flat access indices
+        path is found: they go into the route at once, and the route-local
+        colors steer the next connection, which preserves the defining
+        limitation.  The grid holds none of the net's metal until the route
+        is committed in one route commit afterwards
+        (:func:`~repro.sched.commit.route_log`).  Pins are addressed by
+        their cached flat access indices
         (:meth:`RoutingGrid.pin_access_nodes`), sorted as the access
         vertices are.
         """
@@ -260,7 +260,7 @@ class Dac2012Router(CampaignRouter):
         with engine.net_route(net.name):
             for index_a, index_b in self._two_pin_topology(net):
                 found = self._route_two_pin(
-                    pin_groups[index_a], pin_groups[index_b], route, engine, sink
+                    pin_groups[index_a], pin_groups[index_b], route, engine
                 )
                 if not found:
                     route.routed = False
@@ -269,10 +269,6 @@ class Dac2012Router(CampaignRouter):
                         f"{net.pins[index_b].full_name} failed"
                     )
                     break
-
-        if route.routed:
-            sink.occupy_all(route.nodes)
-            route.recount_stitches()
         return route
 
     def _two_pin_topology(self, net: Net) -> Tuple[Tuple[int, int], ...]:
@@ -302,12 +298,11 @@ class Dac2012Router(CampaignRouter):
         target_group: Sequence[int],
         route: NetRoute,
         engine: "MaskExpandedSearch",
-        sink: object,
     ) -> bool:
         """Route one 2-pin connection on the (vertex, mask) expanded graph.
 
-        The colors of the found path are committed (to the sink) immediately
-        -- the defining limitation of the 2-pin formulation.  The path goes
+        The colors of the found path are fixed in the route immediately --
+        the defining limitation of the 2-pin formulation.  The path goes
         into the route in bulk: its vertices and edges, then its masks.
         """
         blocked = self.grid.blocked_buffer()
@@ -328,5 +323,4 @@ class Dac2012Router(CampaignRouter):
             return False
         route.add_node_path([node for node, _ in path])
         route.set_node_colors(path)
-        sink.color_path(path)
         return True

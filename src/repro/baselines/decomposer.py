@@ -429,6 +429,4 @@ class LayoutDecomposer:
             route = colored.routes[unit.net_name]
             for node in unit.nodes:
                 route.set_node_color(node, color)
-        for route in colored.routes.values():
-            route.recount_stitches()
         return colored

@@ -56,7 +56,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.design import Design, Net
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
 from repro.profiling import PhaseTimes
-from repro.sched import RecordingSink, commit, make_batch_executor
+from repro.sched import commit, make_batch_executor
 from repro.utils import Timer, get_logger
 
 _LOG = get_logger("campaign")
@@ -238,8 +238,6 @@ class CampaignRouter:
         campaign.update_executor_stats(self.batch_executor)
         campaign.done = True
 
-        for route in solution.routes.values():
-            route.recount_stitches()
         solution.iterations = iterations
         solution.runtime_seconds = timer.stop()
         return solution
@@ -258,14 +256,13 @@ class CampaignRouter:
     def route_net(self, net: Net) -> NetRoute:
         """Route one net and commit it to the grid.
 
-        :meth:`compute_route` with the router's own engine records the
-        net's commits against a grid that holds none of its metal; the log
-        is then applied in one route commit
-        (:func:`repro.sched.commit.apply_route_ops`).
+        :meth:`compute_route` with the router's own engine computes the
+        route against a grid that holds none of the net's metal; its route
+        log (:func:`repro.sched.commit.route_log`) is then applied in one
+        route commit (:func:`repro.sched.commit.apply_route_ops`).
         """
-        sink = RecordingSink(self.grid, net.name)
-        route = self.compute_route(net, sink)
-        commit.apply_route_ops(self.grid, sink.ops)
+        route = self.compute_route(net)
+        commit.apply_route_ops(self.grid, commit.route_log(self.grid, route))
         return route
 
     def _route_many(self, nets: List[Net], solution: RoutingSolution) -> None:
@@ -294,9 +291,10 @@ class CampaignRouter:
         rebuilt from a checkpoint) restores the same nets.  Every one of
         them is released before any is re-committed: a release that leaves
         a vertex with several owners zeroes its mask colour, including a
-        colour a re-committed net just put there.  Each re-commit is one
-        route commit (:func:`repro.sched.commit.apply_route_ops`), and the
-        incremental checkers see the restored route objects' revisions.
+        colour a re-committed net just put there.  Each re-commit is the
+        route's own route commit (:func:`repro.sched.commit.route_log`), as
+        ``route_net`` made it, and the incremental checkers see the
+        restored route objects' revisions.
         The restore runs after the last routing pass, when no pool worker
         is alive.
         """
@@ -307,13 +305,7 @@ class CampaignRouter:
             self.grid.release_net(name)
         for name in changed:
             route = best_routes[name]
-            sink = RecordingSink(self.grid, name)
-            for node, color in route.node_colors.items():
-                sink.set_color(node, color)
-            # A failed route's own commit stopped at its partial paths (and,
-            # for Mr.TPL, their pins): re-occupy its coloured vertices only.
-            sink.occupy_all(route.nodes if route.routed else route.node_colors)
-            commit.apply_route_ops(self.grid, sink.ops)
+            commit.apply_route_ops(self.grid, commit.route_log(self.grid, route))
             solution.routes[name] = route
 
     # -- supplied by each router -------------------------------------------

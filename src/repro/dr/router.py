@@ -61,15 +61,16 @@ class DetailedRouter(CampaignRouter):
         """
         return MazeRouter(self.grid, self.cost_model)
 
-    def compute_route(self, net: Net, sink: object, engine: Optional[object] = None) -> NetRoute:
-        """Route one net through *engine*, sending grid commits to *sink*.
+    def compute_route(self, net: Net, engine: Optional[object] = None) -> NetRoute:
+        """Route one net through *engine*; write nothing.
 
         A pure computation against a grid that holds none of the net's
-        metal: the occupancy goes to *sink* (a
-        :class:`~repro.sched.commit.RecordingSink`) and is committed in one
-        route commit afterwards -- by ``route_net``, or by the pool parent
-        for routes its workers computed with their own engines.  Runs on
-        flat indices: pins are addressed by their cached access indices
+        metal: the returned route is committed in one route commit
+        afterwards (:func:`~repro.sched.commit.route_log`) -- by
+        ``route_net``, or by the pool parent for routes its workers
+        computed with their own engines.  A failed route holds no coloured
+        vertex, so it commits no metal.  Runs on flat indices: pins are
+        addressed by their cached access indices
         (:meth:`RoutingGrid.pin_access_nodes`).
         """
         if engine is None:
@@ -109,8 +110,6 @@ class DetailedRouter(CampaignRouter):
                 # Release the result: the engine copies the label buffers of a
                 # previous result that is still referenced when it runs again.
                 del search
-        if route.routed:
-            sink.occupy_all(route.nodes)
         return route
 
     # ------------------------------------------------------------------

@@ -69,14 +69,12 @@ def evaluate_solution(
 
     The conflict count follows the paper's definition (same-mask pairs of
     different nets within ``Dcolor`` plus hard spacing violations); the
-    stitch count is recomputed from the final vertex colors so stale stitch
-    records never leak into the tables.
+    stitch count is read off the final vertex colors
+    (:attr:`~repro.grid.NetRoute.stitches`).  Read-only: the solution is
+    left as it was given.
     """
     conflict_checker = ConflictChecker(design, grid)
     conflict_report = conflict_checker.check(solution)
-
-    for route in solution.routes.values():
-        route.recount_stitches()
     stitches = solution.total_stitches()
 
     drc = DRCChecker(design, grid, guides)

@@ -73,8 +73,6 @@ class NetRoute:
         insertion order, which the conflict checkers' feature order follows.
         Vertices without an entry are uncolored, which the evaluator
         reports as defects rather than silently accepting.
-    stitches:
-        The mask changes introduced inside this net.
     revision:
         Process-unique monotone stamp assigned at construction and
         re-stamped by :meth:`set_node_color`.  The incremental checkers
@@ -92,7 +90,6 @@ class NetRoute:
     nodes: Set[int] = field(default_factory=set)
     node_edges: Set[Tuple[int, int]] = field(default_factory=set)
     node_colors: Dict[int, int] = field(default_factory=dict)
-    stitches: Set[Stitch] = field(default_factory=set)
     routed: bool = True
     failure_reason: str = ""
     revision: int = field(
@@ -166,10 +163,6 @@ class NetRoute:
         """Assign the final mask *color* to *vertex* (see :meth:`set_node_color`)."""
         self.set_node_color(self.node_of(vertex), color)
 
-    def add_stitch(self, a: GridPoint, b: GridPoint) -> None:
-        """Record a stitch between two adjacent vertices of this net."""
-        self.stitches.add(Stitch(self.net_name, a, b))
-
     # -- read-only GridPoint views (built per call) ----------------------------
 
     @property
@@ -208,9 +201,36 @@ class NetRoute:
         plane = self._plane()
         return sum(1 for a, b in self.node_edges if a // plane != b // plane)
 
+    def _stitch_edges(self) -> List[Tuple[int, int]]:
+        """Return every same-layer edge whose two ends carry different masks."""
+        plane = self._plane()
+        colors = self.node_colors
+        stitched = []
+        for a, b in self.node_edges:
+            if a // plane != b // plane:
+                continue
+            color_a = colors.get(a)
+            color_b = colors.get(b)
+            if color_a is not None and color_b is not None and color_a != color_b:
+                stitched.append((a, b))
+        return stitched
+
+    @property
+    def stitches(self) -> FrozenSet[Stitch]:
+        """Return the net's stitches, derived from its edges and masks.
+
+        A stitch is a same-layer edge whose two ends carry different masks;
+        an edge with an uncoloured end is none.  Built per call, so it
+        always follows the route's current colours.
+        """
+        vertex_at = self.vertex_at
+        return frozenset(
+            Stitch(self.net_name, vertex_at(a), vertex_at(b)) for a, b in self._stitch_edges()
+        )
+
     def stitch_count(self) -> int:
-        """Return the number of stitches recorded for this net."""
-        return len(self.stitches)
+        """Return the number of stitches of this net (see :attr:`stitches`)."""
+        return len(self._stitch_edges())
 
     def adjacency(self) -> Dict[int, List[int]]:
         """Return the adjacency map of the routed tree, on flat indices."""
@@ -219,28 +239,6 @@ class NetRoute:
             adj[a].append(b)
             adj[b].append(a)
         return dict(adj)
-
-    def recount_stitches(self) -> int:
-        """Recompute stitches from the final vertex colors.
-
-        A stitch exists on every same-layer edge whose endpoints carry
-        different masks.  The recomputed set replaces the recorded one (the
-        recorded set may be stale after rip-up & reroute).
-        """
-        stitches: Set[Stitch] = set()
-        plane = self._plane()
-        colors = self.node_colors
-        for a, b in self.node_edges:
-            if a // plane != b // plane:
-                continue
-            color_a = colors.get(a)
-            color_b = colors.get(b)
-            if color_a is None or color_b is None:
-                continue
-            if color_a != color_b:
-                stitches.add(Stitch(self.net_name, self.vertex_at(a), self.vertex_at(b)))
-        self.stitches = stitches
-        return len(stitches)
 
 
 @dataclass

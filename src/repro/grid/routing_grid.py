@@ -66,10 +66,10 @@ Every public mutator (``occupy``/``release_net``/``set_vertex_color``/
 ``add_history``/``decay_history``/``block_*``/``reset_routing_state``)
 writes the buffers itself.  :meth:`RoutingGrid.commit_route` applies one
 net's whole *route log* -- the ``("occupy", net_id, index)`` /
-``("color", net_id, index, color)`` tuples a
-:class:`~repro.sched.commit.RecordingSink` records -- in one pass, and
-leaves the grid as the per-vertex ``occupy`` / ``set_vertex_color`` calls
-would.  Route logs are flat tuples of ints, so they also cross process
+``("color", net_id, index, color)`` tuples
+:func:`~repro.sched.commit.route_log` derives from the net's route -- in
+one pass, and leaves the grid as the per-vertex ``occupy`` /
+``set_vertex_color`` calls would.  Route logs are flat tuples of ints, so they also cross process
 boundaries: the pool workers of :class:`repro.sched.BatchExecutor` catch
 up by committing the logs the parent committed.  Checkpoints take the
 other route: :meth:`RoutingGrid.snapshot_state` exports the buffers whole.
@@ -339,11 +339,11 @@ class RoutingGrid:
     # ------------------------------------------------------------------
 
     def commit_route(self, ops: Sequence[Tuple]) -> None:
-        """Apply one net's recorded route log in one pass -- the route commit.
+        """Apply one net's route log in one pass -- the route commit.
 
-        *ops* are the ``occupy`` / ``color`` entries a
-        :class:`~repro.sched.commit.RecordingSink` logged for one net, in
-        order.  The grid ends in the state that applying them one by one
+        *ops* are one net's ``occupy`` / ``color`` entries, in order, as
+        :func:`~repro.sched.commit.route_log` derives them from its route.
+        The grid ends in the state that applying them one by one
         through :meth:`occupy` / :meth:`set_vertex_color` gives, but the
         occupancy takes one loop, each coloured vertex is painted once with
         its last logged mask, and the pressure of all of them is stamped

@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Tuple, Union
 
 from repro.design import Design, Net, Obstacle, Pin
 from repro.geometry import GridPoint, Rect
-from repro.grid import NetRoute, RoutingSolution, Stitch
+from repro.grid import NetRoute, RoutingSolution
 from repro.tech import DesignRules, Layer, LayerDirection, TechStack
 
 PathLike = Union[str, Path]
@@ -193,7 +193,8 @@ def route_to_dict(route: NetRoute) -> Dict[str, Any]:
     The round-trip through :func:`route_from_dict` is lossless (every
     ``NetRoute`` field travels), which the campaign checkpoints rely on:
     a resumed rip-up loop must see exactly the routes the interrupted
-    process held.
+    process held.  The ``stitches`` list is written for readers of the
+    file; it is derived from the colours, so it is not read back.
     """
     return {
         "net": route.net_name,
@@ -232,8 +233,6 @@ def route_from_dict(route_data: Dict[str, Any], dims: Tuple[int, int]) -> NetRou
         route.add_edge(_vertex_from_list(a), _vertex_from_list(b))
     for vertex, color in route_data["colors"]:
         route.set_color(_vertex_from_list(vertex), color)
-    for a, b in route_data.get("stitches", []):
-        route.add_stitch(_vertex_from_list(a), _vertex_from_list(b))
     return route
 
 

@@ -32,7 +32,7 @@ so the result is bit-identical to the serial run.  A host without the
 """
 
 from repro.sched.batches import BatchScheduler, CellWindow, windows_overlap
-from repro.sched.commit import GridSink, RecordingSink, apply_route_ops
+from repro.sched.commit import GridSink, apply_route_ops, route_log
 from repro.sched.executor import (
     BACKENDS,
     BatchExecutor,
@@ -49,8 +49,8 @@ __all__ = [
     "ExecutorStats",
     "GridSink",
     "make_batch_executor",
-    "RecordingSink",
     "apply_route_ops",
+    "route_log",
     "windows_overlap",
     "WorkerPool",
 ]

@@ -5,17 +5,16 @@ plans, through one of two backends:
 
 ``"serial"`` (default, the parity oracle)
     Routes every batch member live, as the router's own ``route_net``
-    does: ``compute_route`` into a
-    :class:`~repro.sched.commit.RecordingSink`, then one route commit per
-    net.  The scheduler's batches concatenate back to the input order, so
-    this *is* the sequential loop and results are bit-identical by
-    construction.
+    does: ``compute_route``, then one route commit of its route log
+    (:func:`~repro.sched.commit.route_log`) per net.  The scheduler's
+    batches concatenate back to the input order, so this *is* the
+    sequential loop and results are bit-identical by construction.
 
 ``"pool"`` (speculative snapshot routing)
     All nets of a batch are routed concurrently against the grid state at
     batch start ("the snapshot"): workers call the router's
-    ``compute_route`` with a :class:`~repro.sched.commit.RecordingSink`
-    (reads only, commits recorded) and their own search engine.
+    ``compute_route`` (reads only) with their own search engine and reply
+    with the route alone; the parent builds each route's log.
 
     A pool lives for one :meth:`BatchExecutor.route_nets` call -- one
     routing pass.  Workers fork lazily, when a batch first needs them, and
@@ -75,7 +74,7 @@ from repro.design import Net
 from repro.grid import RoutingSolution
 from repro.profiling import PhaseTimes
 from repro.sched.batches import BatchScheduler, CellWindow, windows_overlap
-from repro.sched.commit import CommitOp, RecordingSink, apply_route_ops
+from repro.sched.commit import CommitOp, apply_route_ops, route_log
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("sched.executor")
@@ -174,7 +173,6 @@ class SpeculativeRoute:
     """One worker's snapshot-computed result for a net."""
 
     route: object
-    ops: List[CommitOp]
     explored_box: Optional[CellWindow]
 
 
@@ -185,7 +183,7 @@ class SpeculativeRoute:
 # logs the parent committed since.  The router is published in a module
 # global immediately before the fork, so the child is born holding it;
 # afterwards only small messages -- (route logs, net names) down, (route,
-# ops, explored box) up -- cross the pipe.
+# explored box) up -- cross the pipe.
 
 _POOL_ROUTER: Optional[object] = None
 
@@ -217,7 +215,7 @@ def _pool_worker_main(conn) -> None:
                 payload = []
                 for name in net_names:
                     spec = _compute_speculative(router, design.net_by_name(name), engine)
-                    payload.append((spec.route, spec.ops, spec.explored_box))
+                    payload.append((spec.route, spec.explored_box))
                 reply = ("ok", payload)
             except Exception:
                 reply = ("error", traceback.format_exc())
@@ -326,7 +324,7 @@ class WorkerPool:
         """Compute speculative routes for *net_names* across the workers.
 
         Nets are dealt round-robin over the workers actually needed; the
-        result list is reassembled in input order, one ``(route, ops,
+        result list is reassembled in input order, one ``(route,
         explored_box)`` tuple per net.
 
         Raises when the batch fails: a failed send, a closed pipe
@@ -383,13 +381,12 @@ def _compute_speculative(router, net: Net, engine) -> SpeculativeRoute:
     core = getattr(engine, "core", None)
     if core is not None:
         core.on_result = tracker
-    sink = RecordingSink(router.grid, net.name)
     try:
-        route = router.compute_route(net, engine=engine, sink=sink)
+        route = router.compute_route(net, engine=engine)
     finally:
         if core is not None:
             core.on_result = None
-    return SpeculativeRoute(route=route, ops=sink.ops, explored_box=tracker.box)
+    return SpeculativeRoute(route=route, explored_box=tracker.box)
 
 
 def make_batch_executor(
@@ -424,7 +421,7 @@ class BatchExecutor:
     ----------
     router:
         Any of the three routers; must expose ``grid``, ``design``,
-        ``cost_model``, ``compute_route(net, sink, engine=...)`` and
+        ``cost_model``, ``compute_route(net, engine=...)`` and
         ``make_search_engine()``.
     backend:
         ``"serial"`` (deterministic default) or ``"pool"`` (workers forked
@@ -538,9 +535,8 @@ class BatchExecutor:
 
     def _route_live(self, net: Net):
         """Route *net* against the live grid and commit it, as ``route_net`` does."""
-        sink = RecordingSink(self.router.grid, net.name)
-        route = self.router.compute_route(net, sink)
-        self._commit(sink.ops)
+        route = self.router.compute_route(net)
+        self._commit(route_log(self.router.grid, route))
         return route
 
     def _run_batch_serial(self, batch: Sequence[Net], solution: RoutingSolution) -> None:
@@ -602,10 +598,7 @@ class BatchExecutor:
             self._pool = WorkerPool(self.router, self.parallelism, self.stats, self._logs)
         deadline = BATCH_DEADLINE_BASE + BATCH_DEADLINE_PER_NET * len(batch)
         raw = self._pool.compute([net.name for net in batch], deadline)
-        return [
-            SpeculativeRoute(route=route, ops=ops, explored_box=box)
-            for route, ops, box in raw
-        ]
+        return [SpeculativeRoute(route=route, explored_box=box) for route, box in raw]
 
     # -- validation + commit --------------------------------------------------
 
@@ -615,15 +608,17 @@ class BatchExecutor:
         results: Sequence[SpeculativeRoute],
         solution: RoutingSolution,
     ) -> None:
+        grid = self.router.grid
         committed: List[CellWindow] = []
         started = time.perf_counter()
         fallback_seconds = 0.0
         for net, spec in zip(batch, results):
-            if self._speculation_valid(spec, committed):
+            ops = route_log(grid, spec.route)
+            if self._speculation_valid(spec.explored_box, ops, committed):
                 self.stats.speculative_accepted += 1
-                self._commit(spec.ops)
+                self._commit(ops)
                 route = spec.route
-                influence = self._ops_influence_box(spec.ops)
+                influence = self._ops_influence_box(ops)
             else:
                 self.stats.speculative_fallbacks += 1
                 fallback_started = time.perf_counter()
@@ -641,22 +636,23 @@ class BatchExecutor:
         )
 
     def _speculation_valid(
-        self, spec: SpeculativeRoute, committed: Sequence[CellWindow]
+        self,
+        box: Optional[CellWindow],
+        ops: Sequence[CommitOp],
+        committed: Sequence[CellWindow],
     ) -> bool:
-        """Return ``True`` when the snapshot route is provably still exact.
+        """Return ``True`` when a snapshot route is provably still exact.
 
-        Sound acceptance test: the searches read mutable state only at
-        labelled vertices, and earlier commits influence only their own
-        influence boxes -- disjointness means the worker saw exactly the
-        state a live (sequential) computation would have seen.
+        *box* is the route's explored box and *ops* its route log.  Sound
+        acceptance test: the searches read mutable state only at labelled
+        vertices, and earlier commits influence only their own influence
+        boxes -- disjointness means the worker saw exactly the state a live
+        (sequential) computation would have seen.
         """
-        if spec.explored_box is None:
+        if box is None:
             # No search ran: the result depends only on immutable state
-            # (pin access over static blockages) unless ops were recorded.
-            return not spec.ops
-        if not committed:
-            return True
-        box = spec.explored_box
+            # (pin access over static blockages) unless it commits metal.
+            return not ops
         return not any(windows_overlap(box, other) for other in committed)
 
     def _ops_influence_box(self, ops: Sequence[CommitOp]) -> Optional[CellWindow]:

@@ -12,14 +12,15 @@ Along the walk the per-vertex color states are merged:
 
 When the walk ends, each segSet picks its final single mask (the cheapest
 one against the surrounding already-colored metal) and the chosen colors are
-committed to the route and the grid.  Layer changes (vias) always terminate
-a segSet but never count as stitches.
+written to the net's route.  Layer changes (vias) always terminate a segSet
+but never count as stitches; the route's stitches follow from its colours
+(:attr:`~repro.grid.NetRoute.stitches`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.dr.cost import CostModel
 from repro.grid import NetRoute, RoutingGrid
@@ -38,7 +39,7 @@ class PathSegmentSet:
 
 @dataclass
 class ColoredPath:
-    """The outcome of backtracing one search: colored vertices plus stitches.
+    """The outcome of backtracing one search: the path and its segSets' masks.
 
     Vertices are flat grid indices; :attr:`nodes` is the path ordered
     destination-first.
@@ -47,7 +48,6 @@ class ColoredPath:
     net_name: str
     nodes: List[int]
     segments: List[PathSegmentSet]
-    stitches: List[Tuple[int, int]]
 
     def colors(self) -> Dict[int, int]:
         """Return the final mask of every path vertex, in path order."""
@@ -56,11 +56,6 @@ class ColoredPath:
             if segment.final_color is not None:
                 result.update(dict.fromkeys(segment.nodes, segment.final_color))
         return result
-
-    @property
-    def stitch_count(self) -> int:
-        """Return the number of stitches introduced along this path."""
-        return len(self.stitches)
 
 
 #: Table I bit of each single mask (red=0b100, green=0b010, blue=0b001).
@@ -115,13 +110,10 @@ class Backtracer:
         ]
 
         segments: List[PathSegmentSet] = []
-        # (a, b, index of a's segSet): a stitch between two segSets.
-        splits: List[Tuple[int, int, int]] = []
         state = states[0]
         members = [path[0]]
         for previous, node, bits in zip(path, path[1:], states[1:]):
-            same_layer = previous // plane == node // plane
-            if same_layer:
+            if previous // plane == node // plane:
                 # Algorithm 3 lines 11-15: join the segSet while the states
                 # share a mask, narrowing to the common masks.
                 common = state & bits
@@ -129,29 +121,15 @@ class Backtracer:
                     state = common
                     members.append(node)
                     continue
-                # No common mask: Algorithm 3's "else" branch -- a stitch
-                # separates the two segment sets.
-                splits.append((previous, node, len(segments)))
+            # A via, or Algorithm 3's "else" branch (no common mask: a
+            # stitch separates the two segment sets), closes the segSet.
             segments.append(PathSegmentSet(color_state=ColorState(state), nodes=members))
             state = bits
             members = [node]
         segments.append(PathSegmentSet(color_state=ColorState(state), nodes=members))
 
         self._assign_final_colors(segments, tree_colors)
-        # A stitch is only real if the two sides ended up on different masks;
-        # two segSets split by a via are not stitches, and segSets that happen
-        # to choose the same mask merge back seamlessly.
-        confirmed = [
-            (a, b)
-            for a, b, index in splits
-            if segments[index].final_color != segments[index + 1].final_color
-        ]
-        return ColoredPath(
-            net_name=net_name,
-            nodes=path,
-            segments=segments,
-            stitches=confirmed,
-        )
+        return ColoredPath(net_name=net_name, nodes=path, segments=segments)
 
     # ------------------------------------------------------------------
 
@@ -195,43 +173,14 @@ class Backtracer:
             previous_color = best
 
 
-def apply_colored_path(
-    path: ColoredPath,
-    route: NetRoute,
-    sink: "object",
-) -> None:
-    """Write a backtraced path into the net's route and a commit *sink*.
+def apply_colored_path(path: ColoredPath, route: NetRoute) -> None:
+    """Write a backtraced path into the net's route.
 
-    The route gains the path edges, the final vertex colors, and the
-    confirmed stitches; the sink (a
-    :class:`~repro.sched.commit.RecordingSink`) receives every color, in
-    path order, then every occupancy, for one route commit once the whole
-    net is routed.  The colors are computed once and written in bulk.
+    The route gains the path's vertices and edges, then its final vertex
+    colors, computed once and written in bulk.  A stitch is real only where
+    the two sides ended up on different masks -- two segSets split by a via
+    are none, and segSets that chose the same mask merge back seamlessly --
+    which is what :attr:`NetRoute.stitches` reads off the colours.
     """
-    ordered = path.nodes
-    route.add_node_path(ordered)
-    colors = list(path.colors().items())
-    route.set_node_colors(colors)
-    sink.set_colors(colors)
-    sink.occupy_all(ordered)
-    vertex_at = route.vertex_at
-    for a, b in path.stitches:
-        route.add_stitch(vertex_at(a), vertex_at(b))
-
-
-def commit_colored_path(
-    path: ColoredPath,
-    route: NetRoute,
-    grid: RoutingGrid,
-) -> None:
-    """Write a backtraced path into the net's route and the shared grid.
-
-    Convenience over :func:`apply_colored_path` for callers holding a grid
-    rather than a sink: the path's commits go to the grid in one route
-    commit, so the net must hold no metal there yet.
-    """
-    from repro.sched.commit import RecordingSink
-
-    sink = RecordingSink(grid, route.net_name)
-    apply_colored_path(path, route, sink)
-    grid.commit_route(sink.ops)
+    route.add_node_path(path.nodes)
+    route.set_node_colors(list(path.colors().items()))

@@ -88,19 +88,18 @@ class MrTPLRouter(CampaignRouter):
     # Single-net routing (Fig. 2 centre and right columns, Algorithm 1)
     # ------------------------------------------------------------------
 
-    def compute_route(self, net: Net, sink: object, engine: Optional[object] = None) -> NetRoute:
-        """Route one net (paper Algorithm 1) through *engine*, sending grid
-        commits to *sink*.
+    def compute_route(self, net: Net, engine: Optional[object] = None) -> NetRoute:
+        """Route one net (paper Algorithm 1) through *engine*; write nothing.
 
         Follows Algorithm 1: seed the queue with the vertices covered by the
         first pin at color state ``111``, repeatedly search until an
         unreached pin is found, backtrace to color the path, and keep the
         colored path vertices as sources for the next search until every pin
         is routed.  The grid holds none of the net's metal throughout: the
-        colors and occupancy go to *sink* (a
-        :class:`~repro.sched.commit.RecordingSink`) and are committed in
-        one route commit afterwards, so the grid's color pressure is
-        exactly the other nets' metal that ``Cost_color`` charges for.
+        coloured tree is the returned route, committed in one route commit
+        afterwards (:func:`~repro.sched.commit.route_log`), so the grid's
+        color pressure is exactly the other nets' metal that ``Cost_color``
+        charges for.
 
         Runs on flat indices: the route's node set is the tree, its node
         colours are the committed masks, and pins are addressed by their
@@ -147,21 +146,16 @@ class MrTPLRouter(CampaignRouter):
                     route.failure_reason = "color-state search exhausted without reaching a pin"
                     break
                 colored_path = self.backtracer.backtrace(search, net.name, tree_colors)
-                apply_colored_path(colored_path, route, sink)
+                apply_colored_path(colored_path, route)
 
                 reached_pin = targets[search.reached]
                 unreached.remove(reached_pin)
                 order.update(colored_path.nodes)
                 order.update(pin_nodes[reached_pin])
                 tree.update(pin_nodes[reached_pin])
-                sink.occupy_all(pin_nodes[reached_pin])
                 # Release the result: the engine copies the label buffers of a
                 # previous result that is still referenced when it runs again.
                 del search, colored_path
-
-        if route.routed:
-            sink.occupy_all(route.nodes)
-            route.recount_stitches()
         return route
 
     # ------------------------------------------------------------------

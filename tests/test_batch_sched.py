@@ -29,13 +29,7 @@ from repro.geometry import Rect
 from repro.gr.guide import GuideTables
 from repro.grid import RoutingGrid, RoutingSolution
 from repro.grid import routing_grid as routing_grid_module
-from repro.sched import (
-    BatchScheduler,
-    GridSink,
-    RecordingSink,
-    apply_route_ops,
-    windows_overlap,
-)
+from repro.sched import BatchScheduler, apply_route_ops, route_log, windows_overlap
 from repro.sched import executor as executor_module
 from repro.sched.executor import ExecutorStats, SpeculativeRoute, WorkerPool
 from repro.tpl.mr_tpl import MrTPLRouter
@@ -209,14 +203,14 @@ def test_recorded_commit_log_replays_to_identical_grid_state(router_key):
     nets_replay = replay.schedule_nets()
     for net_d, net_r in zip(nets_direct, nets_replay):
         route_d = direct.route_net(net_d)
-        sink = RecordingSink(replay.grid, net_r.name)  # interns the net
+        replay.grid.net_id(net_r.name)  # the net's first search interns it
         before = replay.grid.snapshot_state()
-        route_r = replay.compute_route(net_r, sink=sink)
+        route_r = replay.compute_route(net_r)
         # Pure snapshot computation: the grid must be untouched...
         assert replay.grid.snapshot_state() == before
-        # ...and replaying the log must land in the exact same state the
-        # direct commit produced.
-        apply_route_ops(replay.grid, sink.ops)
+        # ...and replaying the route's log must land in the exact same
+        # state the direct commit produced.
+        apply_route_ops(replay.grid, route_log(replay.grid, route_r))
         assert solution_fingerprint_one(route_d) == solution_fingerprint_one(route_r)
     assert grid_state_digest(direct.grid) == grid_state_digest(replay.grid)
 
@@ -302,7 +296,7 @@ def test_forced_fallback_still_matches_sequential(monkeypatch):
 
     sequential = run_router("maze", build_case("ispd18", 2, 0.5))
     monkeypatch.setattr(
-        BatchExecutor, "_speculation_valid", lambda self, spec, committed: False
+        BatchExecutor, "_speculation_valid", lambda self, box, ops, committed: False
     )
     design = build_case("ispd18", 2, 0.5)
     router = DetailedRouter(
@@ -388,24 +382,6 @@ def test_failed_pool_batch_falls_back_to_serial(failure, router_key, monkeypatch
     assert executor.stats.worker_errors == 1
     assert executor.stats.parallel_batches == 0
     assert multiprocessing.active_children() == []
-
-
-def test_grid_sink_and_recording_sink_agree():
-    design = build_case("ispd18", 1, 0.5)
-    grid = RoutingGrid(design)
-    node = grid.plane_size // 2
-    recording = RecordingSink(grid, "netX")
-    recording.occupy(node)
-    recording.set_color(node, 1)
-    direct = GridSink(grid, "netX")
-    direct.occupy(node)
-    direct.set_color(node, 1)
-    # The ops carry the interned net id; an identically constructed grid
-    # interns identically (the executor pre-interns batch nets the same way).
-    replay_grid = RoutingGrid(build_case("ispd18", 1, 0.5))
-    assert replay_grid.net_id("netX") == recording.net_id
-    apply_route_ops(replay_grid, recording.ops)
-    assert grid_state_digest(grid) == grid_state_digest(replay_grid)
 
 
 # ----------------------------------------------------------------------
@@ -559,7 +535,7 @@ def _grid_digest_route(router, net, engine):
     """Stand-in for ``_compute_speculative``: report the worker's grid."""
     snapshot = json.dumps(router.grid.snapshot_state(), sort_keys=True)
     return SpeculativeRoute(
-        route=hashlib.sha256(snapshot.encode()).hexdigest(), ops=[], explored_box=None
+        route=hashlib.sha256(snapshot.encode()).hexdigest(), explored_box=None
     )
 
 
@@ -575,10 +551,9 @@ def test_worker_that_sat_out_a_batch_catches_up(monkeypatch):
     logs = []
 
     def commit(net):
-        sink = RecordingSink(grid, net.name)
-        router.compute_route(net, sink)
-        apply_route_ops(grid, sink.ops)
-        logs.append(sink.ops)
+        ops = route_log(grid, router.compute_route(net))
+        apply_route_ops(grid, ops)
+        logs.append(ops)
 
     def parent_digest():
         return _grid_digest_route(router, None, None).route
@@ -590,14 +565,14 @@ def test_worker_that_sat_out_a_batch_catches_up(monkeypatch):
         assert len(pool) == 3
         commit(nets[0])
         # The third worker sits this batch out...
-        assert [route for route, _ops, _box in pool.compute(names[1:3], 60.0)] == [
+        assert [route for route, _box in pool.compute(names[1:3], 60.0)] == [
             parent_digest()
         ] * 2
         commit(nets[1])
         commit(nets[2])
         # ...and receives all three logs it missed with the next one.
         replayed = stats.replayed_ops
-        assert [route for route, _ops, _box in pool.compute(names[3:6], 60.0)] == [
+        assert [route for route, _box in pool.compute(names[3:6], 60.0)] == [
             parent_digest()
         ] * 3
         caught_up = len(logs[1]) + len(logs[2])

@@ -17,6 +17,7 @@ from repro.bench import (
     suite_case,
 )
 from repro.baselines import Dac2012Router, LayoutDecomposer
+from repro.bench.micro import solution_fingerprint
 from repro.dr import DetailedRouter
 from repro.eval import (
     IspdScoreWeights,
@@ -91,6 +92,22 @@ class TestEvaluation:
         assert as_dict["design"] == design.name
         assert as_dict["wirelength"] == solution.total_wirelength()
         assert result.score > 0
+
+    def test_evaluation_leaves_the_solution_unchanged(self):
+        """``evaluate_solution`` only reads: the solution's fingerprint, its
+        routes' revisions and the grid are as they were, and the stitch
+        count is the routes' own."""
+        design = suite_case("ispd19", 2, scale=0.5).build()
+        grid = RoutingGrid(design)
+        solution = Dac2012Router(design, grid=grid, max_iterations=0).run()
+        fingerprint = solution_fingerprint(solution)
+        revisions = {name: route.revision for name, route in solution.routes.items()}
+        grid_state = grid.snapshot_state()
+        result = evaluate_solution(design, grid, solution)
+        assert result.stitches == solution.total_stitches() > 0
+        assert solution_fingerprint(solution) == fingerprint
+        assert {name: route.revision for name, route in solution.routes.items()} == revisions
+        assert grid.snapshot_state() == grid_state
 
     def test_open_net_shows_up_in_score(self):
         design = fig1_multi_pin_net()

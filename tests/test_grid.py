@@ -378,9 +378,11 @@ class TestNetRoute:
         route.set_color(path[0], 0)
         route.set_color(path[1], 0)
         route.set_color(path[2], 2)
-        assert route.recount_stitches() == 1
+        assert route.stitch_count() == 1
+        assert route.stitches == {Stitch("n", path[1], path[2])}
         route.set_color(path[2], 0)
-        assert route.recount_stitches() == 0
+        assert route.stitch_count() == 0
+        assert route.stitches == frozenset()
 
     def test_color_validation(self):
         route = NetRoute("n", DIMS)

@@ -1,13 +1,17 @@
 """The route commit against per-vertex commits, and the invariant it guards.
 
-:meth:`RoutingGrid.commit_route` applies one net's whole recorded route
-log in one pass.  Random route logs go through it on one grid and entry by
+:meth:`RoutingGrid.commit_route` applies one net's whole route log in one
+pass.  Random route logs go through it on one grid and entry by
 entry through the public mutators :meth:`RoutingGrid.occupy` /
 :meth:`RoutingGrid.set_vertex_color` on an identically built twin; after
 every commit both grids must hold the same
 :meth:`RoutingGrid.snapshot_state` (pressure bytes included), and after
 every release each vertex the released net occupied or coloured must carry
 the mask of its single remaining owner, or no colour.
+
+A route log is derived from the net's route alone
+(:func:`repro.sched.commit.route_log`); committing it must leave the grid
+as the per-vertex mutators do, one call per vertex the route commits.
 
 Every router computes a route against a grid that holds none of the net's
 metal, so ``compute_route`` must leave the grid untouched, and the route
@@ -32,9 +36,9 @@ from repro.bench import suite_case
 from repro.design import Design, Obstacle
 from repro.dr import DetailedRouter
 from repro.geometry import GridPoint, Rect
-from repro.grid import OP_COLOR, OP_OCCUPY, RoutingGrid
+from repro.grid import OP_COLOR, OP_OCCUPY, NetRoute, RoutingGrid
 from repro.native import load_kernel
-from repro.sched import GridSink, RecordingSink
+from repro.sched import GridSink, route_log
 from repro.tech import DesignRules, make_default_tech
 from repro.tpl import MrTPLRouter
 from repro.tpl.conflict import ColorConflict, ConflictReport
@@ -309,57 +313,84 @@ def test_compute_route_leaves_grid_untouched_and_commit_guards_it(router_key):
     for net in nets[:6]:
         router.route_net(net)
     for net in nets[6:9]:
-        sink = RecordingSink(grid, net.name)  # interns the net, as route_net does
+        grid.net_id(net.name)  # the net's first search interns it
         before = grid.snapshot_state()
-        router.compute_route(net, sink)
+        route = router.compute_route(net)
         assert grid.snapshot_state() == before, net.name
-        assert sink.ops
-        grid.commit_route(sink.ops)
+        ops = route_log(grid, route)
+        assert ops
+        grid.commit_route(ops)
         committed = grid.snapshot_state()
         with pytest.raises(ValueError, match="already holds metal"):
-            grid.commit_route(sink.ops)
+            grid.commit_route(ops)
         assert grid.snapshot_state() == committed
         grid.release_net(net.name)
-        grid.commit_route(sink.ops)
+        grid.commit_route(ops)
         assert grid.snapshot_state()["owner"] == committed["owner"]
 
 
-def test_color_path_logs_what_per_vertex_calls_log():
-    grid = build_grid(random_params(SeededRNG(3)))
-    pairs = [(4, 0), (5, 0), (5, 2), (9, 1)]
-    bulk, single = RecordingSink(grid, "a"), RecordingSink(grid, "a")
-    bulk.color_path(pairs)
-    for node, color in pairs:
-        single.set_color(node, color)
-        single.occupy(node)
-    assert bulk.ops == single.ops
-    with pytest.raises(ValueError):
-        bulk.color_path([(6, 1), (7, 3)])
-    assert bulk.ops == single.ops
+def random_route(rng, grid, name, foreign):
+    """Return a random route of net *name* on *grid*, routed or failed.
+
+    Its vertices come from anywhere on the grid and from *foreign* (other
+    nets' vertices, which makes multi-owner vertices); most are coloured,
+    a few of them twice, and some stay uncoloured.
+    """
+    route = NetRoute(name, grid.route_dims)
+    route.routed = rng.random() < 0.6
+    for _ in range(rng.randint(0, 10)):
+        if foreign and rng.random() < 0.25:
+            node = rng.choice(foreign)
+        else:
+            node = rng.randint(0, grid.num_vertices - 1)
+        route.nodes.add(node)
+        if rng.random() < 0.7:
+            route.set_node_color(node, rng.randint(0, 2))
+    for node in list(route.node_colors)[: rng.randint(0, 2)]:
+        route.set_node_color(node, rng.randint(0, 2))
+    return route
 
 
-def test_set_colors_logs_what_per_vertex_calls_log():
-    params = random_params(SeededRNG(3))
-    grid = build_grid(params)
-    pairs = [(4, 0), (5, 0), (5, 2), (9, 1)]
-    bulk, single = RecordingSink(grid, "a"), RecordingSink(grid, "a")
-    bulk.set_colors(pairs)
-    for node, color in pairs:
-        single.set_color(node, color)
-    assert bulk.ops == single.ops
-    with pytest.raises(ValueError):
-        bulk.set_colors([(6, 1), (7, 3)])
-    assert bulk.ops == single.ops
-    # The grid sink applies the same colours, in order, to the grid.
-    direct, logged = build_grid(params), build_grid(params)
-    sink = GridSink(direct, "a")
-    sink.occupy_all([4, 5, 9])
-    sink.set_colors(pairs)
-    recording = RecordingSink(logged, "a")
-    recording.occupy_all([4, 5, 9])
-    recording.set_colors(pairs)
-    logged.commit_route(recording.ops)
-    assert direct.snapshot_state() == logged.snapshot_state()
+def commit_per_vertex(grid, route):
+    """Commit *route* through the public mutators, one call per vertex.
+
+    A routed route occupies every vertex, a failed one only its coloured
+    vertices; then every colour is set, in the route's colour order.
+    """
+    sink = GridSink(grid, route.net_name)
+    for node in route.nodes if route.routed else route.node_colors:
+        sink.occupy(node)
+    for node, color in route.node_colors.items():
+        sink.set_color(node, color)
+
+
+@pytest.mark.parametrize("seed", [7, 31])
+def test_route_log_commits_what_per_vertex_mutators_commit(seed, rng_rounds):
+    """A route's log lists its occupancy, then its colours in order, and
+    its route commit leaves the grid as the per-vertex mutators do --
+    releases in between included."""
+    rng = SeededRNG(seed)
+    for round_number in range(rng_rounds):
+        params = random_params(rng)
+        logged, direct = build_grid(params), build_grid(params)
+        foreign = []
+        for name in NETS:
+            route = random_route(rng, logged, name, foreign)
+            context = f"seed {seed}, round {round_number}, net {name}"
+            ops = route_log(logged, route)
+            net_id = logged.net_id(name)
+            occupied = route.nodes if route.routed else route.node_colors
+            assert ops == [(OP_OCCUPY, net_id, node) for node in occupied] + [
+                (OP_COLOR, net_id, node, color) for node, color in route.node_colors.items()
+            ], context
+            logged.commit_route(ops)
+            commit_per_vertex(direct, route)
+            assert logged.snapshot_state() == direct.snapshot_state(), context
+            foreign.extend(route.nodes)
+            if rng.random() < 0.3:
+                logged.release_net(name)
+                direct.release_net(name)
+                assert logged.snapshot_state() == direct.snapshot_state(), context
 
 
 def test_route_commit_refuses_mixed_logs_unchanged():

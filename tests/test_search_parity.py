@@ -14,7 +14,6 @@ from repro.dr.cost import CostModel
 from repro.dr.router import DetailedRouter
 from repro.geometry import GridPoint
 from repro.grid import ALL_DIRECTIONS, DIRECTION_INDEX, RoutingGrid
-from repro.sched.commit import RecordingSink
 from repro.tpl.color_state import ColorState, GREEN, RED
 from repro.tpl.search import ColorStateSearch
 from tests.test_grid import make_design
@@ -86,7 +85,7 @@ class TestRouterParity:
         )
         for net in design.routable_nets():
             routes.append(net.name)
-            router.compute_route(net, RecordingSink(router.grid, net.name), engine)
+            router.compute_route(net, engine)
             assert engine._route_expand is None
         assert len(searches) > len(routes)  # some routes search more than once
         assert builds == routes

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.bench import SyntheticSpec, generate_design, suite_case
 from repro.dr.router import DetailedRouter
 from repro.geometry import GridPoint
-from repro.sched.commit import RecordingSink
+from repro.sched.commit import route_log
 from repro.search import TreeSeedOrder
 from repro.tpl.color_state import ColorState
 from repro.tpl.mr_tpl import MrTPLRouter
@@ -185,9 +185,8 @@ def test_every_search_gets_the_reference_seeds(design_key, router_key, monkeypat
     routed = 0
     for net in router.schedule_nets():
         state["tree"] = ReferenceTree(router, net)
-        sink = RecordingSink(router.grid, net.name)
-        route = router.compute_route(net, sink, engine)
-        router.grid.commit_route(sink.ops)
+        route = router.compute_route(net, engine)
+        router.grid.commit_route(route_log(router.grid, route))
         routed += route.routed
     assert routed > 0
     assert len(calls) > routed  # multi-pin nets searched more than once

@@ -9,8 +9,8 @@ from repro.geometry import GridPoint, Rect
 from repro.grid import NetRoute, RoutingGrid
 from repro.tech import make_default_tech
 from repro.tpl import BLUE, GREEN, RED, ColorState
-from repro.sched.commit import RecordingSink
-from repro.tpl.backtrace import Backtracer, apply_colored_path, commit_colored_path
+from repro.sched.commit import apply_route_ops, route_log
+from repro.tpl.backtrace import Backtracer, apply_colored_path
 from repro.tpl.search import ColorStateSearch
 
 
@@ -107,8 +107,10 @@ class TestBacktrace:
 
     def test_unconstrained_path_single_segment_no_stitch(self):
         design = open_field_design()
-        _grid, colored = self.route_once(design)
-        assert colored.stitch_count == 0
+        grid, colored = self.route_once(design)
+        route = NetRoute("n1", grid.route_dims)
+        apply_colored_path(colored, route)
+        assert route.stitch_count() == 0
         assert len({segment.final_color for segment in colored.segments}) == 1
         assert set(colored.colors()) == set(colored.nodes)
 
@@ -146,7 +148,7 @@ class TestBacktrace:
         colored = backtracer.backtrace(search, "n1", tree_colors)
         assert colored.colors()[grid.index_of(source)] == BLUE
 
-    def test_commit_colored_path_updates_route_and_grid(self):
+    def test_colored_path_commits_through_the_route_log(self):
         design = open_field_design()
         grid = RoutingGrid(design)
         model = CostModel(grid)
@@ -158,16 +160,17 @@ class TestBacktrace:
         )
         colored = backtracer.backtrace(search, "n1")
         route = NetRoute("n1", grid.route_dims)
-        commit_colored_path(colored, route, grid)
+        apply_colored_path(colored, route)
+        assert route.stitch_count() == 0
+        apply_route_ops(grid, route_log(grid, route))
         assert route.vertices and route.vertex_colors
         any_vertex = next(iter(route.vertex_colors))
         assert grid.vertex_color_index(grid.index_of(any_vertex)) == route.vertex_colors[any_vertex]
         assert "n1" in grid.occupants(any_vertex)
 
     def test_apply_colored_path_writes_what_per_vertex_calls_write(self):
-        """One bulk colour write leaves the route and the route log as one
-        ``set_node_color`` / ``set_color`` per coloured vertex did: every
-        colour in path order, then every occupancy."""
+        """One bulk colour write leaves the route as one ``set_node_color``
+        per coloured vertex does, every colour in path order."""
         design = open_field_design(
             green=(0, Rect(16, 24, 24, 26), GREEN),
             blue=(0, Rect(36, 24, 44, 26), BLUE),
@@ -180,22 +183,17 @@ class TestBacktrace:
         )
         colored = Backtracer(grid, model).backtrace(search, "n1")
         route = NetRoute("n1", grid.route_dims)
-        sink = RecordingSink(grid, "n1")
-        apply_colored_path(colored, route, sink)
+        apply_colored_path(colored, route)
 
         reference = NetRoute("n1", grid.route_dims)
-        reference_sink = RecordingSink(grid, "n1")
         reference.add_node_path(colored.nodes)
         for node, color in colored.colors().items():
             reference.set_node_color(node, color)
-            reference_sink.set_color(node, color)
-        reference_sink.occupy_all(colored.nodes)
-        for a, b in colored.stitches:
-            reference.add_stitch(reference.vertex_at(a), reference.vertex_at(b))
         assert route == reference
         assert list(route.node_colors.items()) == list(reference.node_colors.items())
         assert list(route.nodes) == list(reference.nodes)
-        assert sink.ops == reference_sink.ops
+        assert route.stitches == reference.stitches
+        assert route_log(grid, route) == route_log(grid, reference)
         assert len(colored.segments) > 1
 
     def test_segments_partition_path_vertices(self):
