@@ -10,11 +10,15 @@ conflict lists stay valid until one of the nets changes:
   object, or an in-place :meth:`NetRoute.set_color`), plus those gone from
   the solution -- get their :class:`~repro.tpl.conflict.Feature` records
   re-extracted by the full checker's own ``_net_features``,
-* every cached pair involving a dirty net is dropped, and partners within
-  the interaction radius (``max(Dcolor, min_spacing)``, probed over
-  :meth:`RoutingGrid.track_offsets` around the net's feature vertices) are
-  re-classified and anchored by the full checker's own
-  ``_net_pair_conflicts`` (the pair is anchored on the dirty net's side),
+* every cached pair involving a dirty net is dropped, and the partners
+  that can conflict are re-classified and anchored by the full checker's
+  own ``_net_pair_conflicts`` (the pair is anchored on the dirty net's
+  side).  A partner can conflict when some of its metal sits within the
+  layer's min-spacing reach of the net's feature vertices, or within the
+  Dcolor reach on the same mask, or shares a vertex with another net
+  (:func:`repro.check.kernels.scan_hits`' candidate rule, which is
+  ``_pair_kind``'s own vertex rule).  Only pairs that do conflict are
+  kept,
 * per-net obstacle-conflict and uncolored-vertex tallies are recomputed for
   dirty nets only, through the full checker's ``_obstacle_conflicts`` /
   ``_route_uncolored``.  Obstacle conflicts keep the rip-up loop's own
@@ -23,13 +27,18 @@ conflict lists stay valid until one of the nets changes:
 
 So this module builds no feature and picks no anchor of its own.  The
 tallies are computed from the solution alone; the grid supplies only
-static geometry.  The candidate-partner neighborhood scan runs on the
-tiered :func:`repro.check.kernels.scan_hits` (the native ``_checkwork``
-kernel or its Python loop) over the flat feature-owner mirror.
+static geometry.  The neighborhood scan runs on the tiered
+:func:`~repro.check.kernels.scan_hits` (the native ``_checkwork`` kernel,
+ABI 2, or its Python loop) over two flat mirrors of the features' vertices:
+the owner of each vertex and the mask of a vertex with one owner.
 
-The running tallies therefore match a fresh full scan on counts, kinds and
-net pairs, which ``tests/test_incremental_check.py`` and
-``tests/test_check_kernels.py`` assert after every mutation.
+A conflicting pair is found from the same dirty net, in the same order of
+the dirty set, as a scan that takes every net within the interaction
+radius as a candidate, so the running tallies match a fresh full scan on
+counts, kinds and net pairs (``tests/test_incremental_check.py`` and
+``tests/test_check_kernels.py`` assert it after every mutation) and that
+unfiltered scan conflict by conflict, anchors included
+(``tests/test_partner_scan.py``).
 """
 
 from __future__ import annotations
@@ -37,7 +46,13 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Set, Tuple
 
-from repro.check.kernels import OffsetBuffers, offset_buffers, scan_hits, zero_owner_mirror
+from repro.check.kernels import (
+    OffsetBuffers,
+    offset_buffers,
+    scan_hits,
+    zero_mask_mirror,
+    zero_owner_mirror,
+)
 from repro.design import Design
 from repro.grid import NetRoute, RoutingGrid, RoutingSolution
 from repro.tpl.conflict import ColorConflict, ConflictChecker, ConflictReport, Feature
@@ -60,11 +75,13 @@ class IncrementalConflictChecker:
         # Per net: its feature records (flat indices for the scan kernels,
         # track coordinates and boxes for classification and anchoring).
         self._features: Dict[str, List[Feature]] = {}
-        # Flat index -> names of nets with a feature vertex there.
-        self._occ: Dict[int, Set[str]] = {}
-        # Flat owner mirror of _occ for the scan kernels: 0 = empty,
-        # interned id = single occupant, -1 = multiple occupants.
+        # Flat owner mirror of the features' vertices for the scan kernels:
+        # 0 = empty, interned id = single occupant, -1 = several occupants.
         self._occ_owner = zero_owner_mirror(self.grid.num_vertices)
+        # The single occupant's mask at each vertex (0 elsewhere).
+        self._occ_mask = zero_mask_mirror(self.grid.num_vertices)
+        # Flat index of a vertex with several occupants -> {name: mask}.
+        self._occ: Dict[int, Dict[str, int]] = {}
         self._name_ids: Dict[str, int] = {}
         # Reverse interning table (_name_ids inverted, index = id) so the
         # hit loop resolves single-occupant cells without touching _occ.
@@ -127,25 +144,31 @@ class IncrementalConflictChecker:
             else:
                 self._route_revisions[name] = route.revision
                 self._add_net(name, route)
+        # Net pairs classified by this refresh, conflicting or not.
+        classified: Set[NetPair] = set()
         for name in dirty:
             if name in self._features:
-                self._scan_pairs(name)
+                self._scan_pairs(name, classified)
         return dirty
 
     # -- per-net removal / addition ----------------------------------------
 
     def _remove_net(self, name: str) -> None:
-        owner = self._occ_owner
+        owner, masks, occ = self._occ_owner, self._occ_mask, self._occ
+        net_id = self._name_ids.get(name, 0)
         for feature in self._features.pop(name, ()):
             for index in feature.indices:
-                nets = self._occ.get(index)
-                if nets is not None:
-                    nets.discard(name)
-                    if not nets:
-                        del self._occ[index]
-                        owner[index] = 0
-                    elif len(nets) == 1:
-                        owner[index] = self._intern(next(iter(nets)))
+                if owner[index] == net_id:
+                    owner[index] = 0
+                    masks[index] = 0
+                    continue
+                occupants = occ[index]
+                del occupants[name]
+                if len(occupants) == 1:
+                    ((other, mask),) = occupants.items()
+                    owner[index] = self._name_ids[other]
+                    masks[index] = mask
+                    del occ[index]
         for pair in self._pairs_by_net.pop(name, ()):
             self._pair_conflicts.pop(pair, None)
             partner = pair[1] if pair[0] == name else pair[0]
@@ -157,15 +180,23 @@ class IncrementalConflictChecker:
 
     def _add_net(self, name: str, route: NetRoute) -> None:
         net_id = self._intern(name)
-        owner = self._occ_owner
-        occ_setdefault = self._occ.setdefault
+        owner, masks, occ = self._occ_owner, self._occ_mask, self._occ
+        id_names = self._id_names
         features = self.oracle._net_features(route)
         obstacle: List[ColorConflict] = []
         for feature in features:
+            color = feature.color
             for index in feature.indices:
-                occ = occ_setdefault(index, set())
-                occ.add(name)
-                owner[index] = net_id if len(occ) == 1 else -1
+                occupant = owner[index]
+                if occupant == 0:
+                    owner[index] = net_id
+                    masks[index] = color
+                elif occupant == -1:
+                    occ[index][name] = color
+                else:
+                    occ[index] = {id_names[occupant]: masks[index], name: color}
+                    owner[index] = -1
+                    masks[index] = 0
             obstacle.extend(self.oracle._obstacle_conflicts(feature, member_set_order=True))
         self._features[name] = features
         if obstacle:
@@ -176,15 +207,20 @@ class IncrementalConflictChecker:
 
     # -- pair scanning ------------------------------------------------------
 
-    def _scan_pairs(self, name: str) -> None:
-        """Re-classify *name* against every net within its interaction radius.
+    def _scan_pairs(self, name: str, classified: Set[NetPair]) -> None:
+        """Re-classify *name* against every net that can conflict with it.
 
         Candidate partners are found by expanding the net's feature vertices
-        by the layer's reach and reading the feature-occupancy mirror -- a
-        net outside the expanded region cannot conflict with *name*.
+        by the layer's reach and reading the owner and mask mirrors under
+        :func:`~repro.check.kernels.scan_hits`' candidate rule -- a net no
+        probe reaches has no conflict with *name*.  A pair already in
+        *classified* (its partner was dirty too and scanned first) is
+        skipped; only conflicting pairs are stored.
         """
         grid = self.grid
-        occ_get = self._occ.get
+        owner = self._occ_owner
+        id_names = self._id_names
+        occ = self._occ
         self_id = self._name_ids.get(name, 0)
         candidates: Set[str] = set()
         # One scan per layer, not per feature: the features' vertex arrays
@@ -193,42 +229,43 @@ class IncrementalConflictChecker:
         for feature in self._features.get(name, ()):
             by_layer.setdefault(feature.layer, []).append(feature)
         for layer, features in by_layer.items():
-            if len(features) == 1:
-                merged = features[0].indices
-            else:
-                merged = array("q")
-                for feature in features:
-                    merged.extend(feature.indices)
+            merged = array("q")
+            merged_masks = array("b")
+            for feature in features:
+                merged.extend(feature.indices)
+                merged_masks.extend(array("b", [feature.color]) * len(feature.indices))
             hits = scan_hits(
                 merged,
+                merged_masks,
                 self._offsets_for(layer),
-                self._occ_owner,
+                owner,
+                self._occ_mask,
                 self_id,
+                self.oracle._reaches[layer],
                 grid.num_cols,
                 grid.num_rows,
             )
-            owner = self._occ_owner
-            id_names = self._id_names
             for _src, dst in hits:
                 # A positive owner id names the lone occupant directly; only
-                # multi-occupant cells (-1) fall back to the occupancy dict.
+                # cells with several occupants (-1) read the occupancy dict.
                 occupant = owner[dst]
                 if occupant > 0:
                     candidates.add(id_names[occupant])
                 else:
-                    others = occ_get(dst)
-                    if others:
-                        candidates.update(others)
+                    candidates.update(occ[dst])
         candidates.discard(name)
         for partner in candidates:
             pair = (name, partner) if name <= partner else (partner, name)
-            if pair in self._pair_conflicts:
-                continue  # the partner was dirty too and already rescanned
-            self._pair_conflicts[pair] = self.oracle._net_pair_conflicts(
-                self._features[name], self._features.get(partner, ())
+            if pair in classified:
+                continue
+            classified.add(pair)
+            conflicts = self.oracle._net_pair_conflicts(
+                self._features[name], self._features[partner]
             )
-            self._pairs_by_net.setdefault(name, set()).add(pair)
-            self._pairs_by_net.setdefault(partner, set()).add(pair)
+            if conflicts:
+                self._pair_conflicts[pair] = conflicts
+                self._pairs_by_net.setdefault(name, set()).add(pair)
+                self._pairs_by_net.setdefault(partner, set()).add(pair)
 
     # ------------------------------------------------------------------
     # Reports (same shapes as the full checker)

@@ -62,7 +62,7 @@ from repro.utils.env import env_flag
 EXPECTED_ABI_VERSION = 9
 
 #: The argument contract of ``_checkwork.scan_hits``.
-EXPECTED_CHECK_ABI_VERSION = 1
+EXPECTED_CHECK_ABI_VERSION = 2
 
 #: Auto-build gate: on by default, ``REPRO_NATIVE_AUTOBUILD=0`` restricts
 #: the loaders to pre-built binaries.

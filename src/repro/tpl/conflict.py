@@ -452,7 +452,9 @@ class ConflictChecker:
         the obstacle's window.  With *member_set_order* it is located at
         the first vertex inside the window in the iteration order of
         ``frozenset`` of the members' :class:`GridPoint` s instead: the
-        rip-up loop's rule, which its routing digests are pinned to.
+        rip-up loop's rule, which its routing digests are pinned to.  That
+        set is built from ``(layer, col, row)`` tuples, which hash as the
+        ``GridPoint`` s do and so iterate in the same order.
         """
         windows = self._obstacle_window_table().get((feature.layer, feature.color))
         if not windows:
@@ -460,7 +462,7 @@ class ConflictChecker:
         conflicts: List[ColorConflict] = []
         box_lo, box_hi, box_row_lo, box_row_hi = feature.box
         vertex_of = self.grid.vertex_of
-        member_vertices = None
+        member_keys = None
         for name, col_lo, col_hi, row_lo, row_hi in windows:
             if col_hi < box_lo or col_lo > box_hi or row_hi < box_row_lo or row_lo > box_row_hi:
                 continue
@@ -477,12 +479,18 @@ class ConflictChecker:
             if not member_set_order:
                 location = vertex_of(feature.indices[inside])
             else:
-                if member_vertices is None:
-                    member_vertices = frozenset([vertex_of(index) for index in feature.members])
-                location = next(
-                    vertex
-                    for vertex in member_vertices
-                    if col_lo <= vertex.col <= col_hi and row_lo <= vertex.row <= row_hi
+                if member_keys is None:
+                    layer = feature.layer
+                    base, num_rows = layer * self.grid.plane_size, self.grid.num_rows
+                    member_keys = frozenset(
+                        [(layer, *divmod(index - base, num_rows)) for index in feature.members]
+                    )
+                location = GridPoint(
+                    *next(
+                        key
+                        for key in member_keys
+                        if col_lo <= key[1] <= col_hi and row_lo <= key[2] <= row_hi
+                    )
                 )
             conflicts.append(
                 ColorConflict(

@@ -10,7 +10,8 @@ equal the full-scan oracles, plus:
 * gate/fallback behaviour (``set_check_native_enabled``,
   ``REPRO_PURE_PYTHON``) and ``scan_hits`` against a brute-force loop on
   both tiers,
-* owner-mirror consistency across snapshot restore,
+* owner- and mask-mirror consistency across snapshot restore, against
+  mirrors rebuilt from scratch after every refresh,
 * the ``id()``-reuse regression (route replacement must be detected by
   revision, not address),
 * the campaign phase profiler (``phase_seconds`` on ``ExecutorStats``,
@@ -23,6 +24,7 @@ import os
 import pickle
 import subprocess
 import sys
+from array import array
 from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
@@ -41,7 +43,13 @@ from repro import accel
 from repro.bench import SyntheticSpec, generate_design
 from repro.campaign import CampaignState
 from repro.check import IncrementalConflictChecker
-from repro.check.kernels import offset_buffers, scan_hits, zero_owner_mirror
+from repro.check.kernels import (
+    offset_buffers,
+    scan_hits,
+    zero_mask_mirror,
+    zero_owner_mirror,
+)
+from repro.geometry import GridPoint
 from repro.grid import NetRoute, RoutingGrid
 from repro.io.checkpoint_io import load_checkpoint_document
 from repro.profiling import PHASE_NAMES, PhaseTimes
@@ -136,47 +144,139 @@ def make_scan_grid():
     return RoutingGrid(generate_design(spec))
 
 
-def brute_force_hits(grid, indices, offsets, owner, self_id):
+def brute_force_hits(grid, indices, masks, offsets, owner, owner_masks, self_id, reaches):
+    """The candidate rule, spelled out over grid points."""
+    spacing_reach, color_reach = reaches
     hits = []
-    rows, cols, plane = grid.num_rows, grid.num_cols, grid.plane_size
-    for index in indices:
-        col, row = divmod(index % plane, rows)
-        for dcol, drow, delta in offsets:
-            if not (0 <= col + dcol < cols and 0 <= row + drow < rows):
+    for index, mask in zip(indices, masks):
+        vertex = grid.vertex_of(index)
+        for dcol, drow, _delta in offsets:
+            neighbor = GridPoint(vertex.layer, vertex.col + dcol, vertex.row + drow)
+            if not grid.in_bounds(neighbor):
                 continue
-            occupant = owner[index + delta]
-            if occupant == 0 or occupant == self_id:
+            flat = grid.index_of(neighbor)
+            occupant = owner[flat]
+            if occupant in (0, self_id):
                 continue
-            hits.append((index, index + delta))
+            tracks = max(abs(dcol), abs(drow))
+            several = occupant == -1
+            near = tracks <= spacing_reach
+            same_mask_near = tracks <= color_reach and owner_masks[flat] == mask
+            if several or near or same_mask_near:
+                hits.append((index, flat))
     return hits
 
 
-def test_scan_hits_matches_brute_force_on_all_tiers():
-    from array import array
+def scattered_mirrors(grid, rng):
+    """Return owner and mask mirrors with foreign metal scattered over both layers.
 
-    grid = make_scan_grid()
-    # A 5x5 track window without its centre (a reach of two tracks).
-    offsets = tuple(
-        offset for offset in grid.track_offsets(3 * grid.pitch) if offset != (0, 0, 0)
-    )
+    Ids 2 and 3 own single cells on random masks, and a few cells have
+    several owners (-1); the die corners and edges are covered too.
+    """
     owner = zero_owner_mirror(grid.num_vertices)
-    rng = SeededRNG(41)
-    # Scatter foreign metal (ids 2, 3) and a few multi-occupant cells (-1)
-    # across both layers, including the plane borders.
-    for _ in range(120):
-        owner[rng.randint(0, grid.num_vertices - 1)] = rng.choice([2, 3, -1])
-    indices = array(
-        "q", sorted({rng.randint(0, grid.num_vertices - 1) for _ in range(40)})
-    )
-    expected = brute_force_hits(grid, indices, offsets, owner, self_id=2)
-    assert expected
+    owner_masks = zero_mask_mirror(grid.num_vertices)
+    for _ in range(160):
+        flat = rng.randint(0, grid.num_vertices - 1)
+        owner[flat] = rng.choice([2, 3, 3, -1])
+        owner_masks[flat] = rng.randint(0, 2) if owner[flat] > 0 else 0
+    return owner, owner_masks
+
+
+def edge_indices(grid):
+    """Return the flat indices of every die corner and edge midpoint, per layer."""
+    last_col, last_row = grid.num_cols - 1, grid.num_rows - 1
+    return [
+        grid.index_of(GridPoint(layer, col, row))
+        for layer in range(grid.num_layers)
+        for col, row in ((0, 0), (0, last_row), (last_col, 0), (last_col, last_row),
+                         (last_col // 2, 0), (0, last_row // 2))
+    ]
+
+
+def test_scan_hits_matches_brute_force_on_all_tiers():
+    grid = make_scan_grid()
+    # A 9x9 track window (a reach of four tracks), its centre included:
+    # offsets lie inside and beyond each of the two reaches below.
+    offsets = grid.track_offsets(5 * grid.pitch)
     buffers = offset_buffers(offsets)
-    for tier in available_tiers():
-        with forced_tier(tier):
-            got = scan_hits(indices, buffers, owner, 2, grid.num_cols, grid.num_rows)
-            assert list(got) == expected, tier
-            empty = scan_hits(array("q"), buffers, owner, 2, grid.num_cols, grid.num_rows)
-            assert list(empty) == [], tier
+    rng = SeededRNG(41)
+    owner, owner_masks = scattered_mirrors(grid, rng)
+    flats = sorted({rng.randint(0, grid.num_vertices - 1) for _ in range(40)})
+    indices = array("q", sorted(set(flats) | set(edge_indices(grid))))
+    masks = array("b", [rng.randint(0, 2) for _ in indices])
+    position = {index: i for i, index in enumerate(indices)}
+
+    def tracks(src, dst):
+        return max(abs(a - b) for a, b in zip(grid.vertex_of(src), grid.vertex_of(dst)))
+
+    unfiltered = brute_force_hits(grid, indices, masks, offsets, owner, owner_masks, 2, (4, 4))
+    for reaches in ((1, 3), (3, 1), (-1, 2), (0, 0)):
+        spacing_reach, color_reach = reaches
+        assert max(tracks(src, dst) for src, dst in unfiltered) > max(reaches)
+        expected = brute_force_hits(
+            grid, indices, masks, offsets, owner, owner_masks, 2, reaches
+        )
+        # The rule keeps cells with several owners at every offset, and
+        # drops single owners beyond both reaches, or on another mask
+        # beyond the min-spacing reach.
+        beyond = [hit for hit in unfiltered if tracks(*hit) > max(reaches)]
+        assert any(owner[dst] == -1 for _src, dst in beyond)
+        assert all(owner[dst] == -1 for src, dst in beyond if (src, dst) in expected)
+        assert len(expected) < len(unfiltered)
+        if color_reach > spacing_reach:
+            same_mask = [
+                (src, dst) for src, dst in expected
+                if owner[dst] > 0 and tracks(src, dst) > spacing_reach
+            ]
+            assert same_mask
+            assert all(owner_masks[dst] == masks[position[src]] for src, dst in same_mask)
+        for tier in available_tiers():
+            with forced_tier(tier):
+                got = scan_hits(indices, masks, buffers, owner, owner_masks, 2, reaches,
+                                grid.num_cols, grid.num_rows)
+                assert list(got) == expected, (tier, reaches)
+                empty = scan_hits(array("q"), array("b"), buffers, owner, owner_masks, 2,
+                                  reaches, grid.num_cols, grid.num_rows)
+                assert list(empty) == [], (tier, reaches)
+
+
+@pytest.mark.parametrize(
+    "fault", ["short masks", "long masks", "short mirror", "wide masks", "wide owners"]
+)
+def test_scan_hits_rejects_bad_mask_buffers(fault):
+    """A mask or owner buffer that does not fit raises ValueError before any
+    hit is written (the Python tier reads any integer array, so only the
+    native kernel checks item sizes)."""
+    grid = make_scan_grid()
+    offsets = offset_buffers(grid.track_offsets(3 * grid.pitch))
+    owner, owner_masks = scattered_mirrors(grid, SeededRNG(5))
+    indices = array("q", range(0, grid.num_vertices, 7))
+    masks = array("b", bytes(len(indices)))
+    if fault == "short masks":
+        masks = masks[:-1]
+    elif fault == "long masks":
+        masks.append(0)
+    elif fault == "short mirror":
+        owner_masks = owner_masks[:-1]
+    elif fault == "wide masks":
+        masks = array("q", masks)
+    else:
+        owner = array("q", owner)
+    args = (indices, masks, offsets, owner, owner_masks, 2, (1, 2),
+            grid.num_cols, grid.num_rows)
+    if not fault.startswith("wide"):
+        with forced_tier("python"), pytest.raises(ValueError):
+            scan_hits(*args)
+    kernel = accel.get_check_kernel() if accel.check_native_available() else None
+    if kernel is None:
+        return
+    capacity = len(indices) * len(offsets[2])
+    out_src = array("q", [-7]) * capacity
+    out_dst = array("q", [-7]) * capacity
+    with pytest.raises(ValueError):
+        kernel.scan_hits(indices, masks, *offsets, owner, owner_masks,
+                         grid.num_cols, grid.num_rows, 2, 1, 2, out_src, out_dst)
+    assert set(out_src) == {-7} and set(out_dst) == {-7}
 
 
 # ----------------------------------------------------------------------
@@ -312,28 +412,55 @@ def test_id_reuse_does_not_mask_route_replacement():
 
 
 # ----------------------------------------------------------------------
-# Owner-mirror consistency across snapshot restore
+# Owner- and mask-mirror consistency across snapshot restore
 # ----------------------------------------------------------------------
+
+def assert_mirrors_rebuilt(driver):
+    """Assert the checker's owner and mask mirrors and its several-owner dict
+    equal those of a checker built from scratch on the same solution; return
+    how many vertices have several owners."""
+    checker = driver.inc_conflicts
+    fresh = IncrementalConflictChecker(driver.design, driver.grid)
+    fresh.refresh(driver.solution)
+
+    def owners(mirror, id_names):
+        return [id_names[owner] if owner > 0 else owner for owner in mirror]
+
+    assert owners(checker._occ_owner, checker._id_names) == owners(
+        fresh._occ_owner, fresh._id_names
+    )
+    assert checker._occ_mask == fresh._occ_mask
+    assert checker._occ == fresh._occ
+    assert all(len(occupants) > 1 for occupants in checker._occ.values())
+    return len(checker._occ)
+
 
 def test_mirror_consistent_after_snapshot_restore():
     driver = MutationDriver(seed=23)
     rng = SeededRNG(71)
+    shared = 0
     for _ in range(10):
         driver.mutate(rng)
-    assert_matches_oracle(driver)
+        assert_matches_oracle(driver)
+        shared += assert_mirrors_rebuilt(driver)
     snapshot = driver.grid.snapshot_state()
     saved_solution = pickle.dumps(driver.solution)
     for _ in range(10):
         driver.mutate(rng)
-    assert_matches_oracle(driver)
+        assert_matches_oracle(driver)
+        shared += assert_mirrors_rebuilt(driver)
 
     driver.grid.restore_state(snapshot)
     driver.solution = pickle.loads(saved_solution)
     assert_matches_oracle(driver)
+    shared += assert_mirrors_rebuilt(driver)
     # The rebuilt mirrors must keep tracking incrementally afterwards.
     for _ in range(6):
         driver.mutate(rng)
         assert_matches_oracle(driver)
+        shared += assert_mirrors_rebuilt(driver)
+    # The stream shorted some vertices, so the several-owner dict was used.
+    assert shared > 0
 
 
 # ----------------------------------------------------------------------
